@@ -27,7 +27,7 @@ from repro.data.database import Database
 from repro.exceptions import EmptyResultError, SolverError, ValidationError
 from repro.joins.counting import count_answers
 from repro.joins.tree_cache import TreeCache
-from repro.joins.yannakakis import evaluate
+from repro.joins.yannakakis import SortedAnswers, evaluate_sorted
 from repro.core.result import IterationStats, QuantileResult
 from repro.pivot.pivot_selection import select_pivot
 from repro.query.join_query import JoinQuery
@@ -38,6 +38,24 @@ from repro.runtime import checkpoint
 from repro.trim.base import Trimmer
 
 Assignment = dict[str, Any]
+
+
+class CappedCache(dict):
+    """A dict that silently stops accepting new keys past a size limit.
+
+    Bounds the memory held by the interval-keyed pivot and answer caches
+    (serial and sharded); existing entries keep being served, and
+    overwriting an existing key is always allowed.
+    """
+
+    def __init__(self, limit: int) -> None:
+        super().__init__()
+        self.limit = max(1, limit)
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        if len(self) >= self.limit and key not in self:
+            return
+        super().__setitem__(key, value)
 
 
 def target_index_for(phi: float, total: int) -> int:
@@ -106,7 +124,7 @@ def pivoting_quantile(
     strategy_name: str | None = None,
     total: int | None = None,
     pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
-    answer_cache: MutableMapping[WeightInterval, list] | None = None,
+    answer_cache: MutableMapping[WeightInterval, SortedAnswers] | None = None,
     tree_cache: TreeCache | None = None,
 ) -> QuantileResult:
     """Run Algorithm 1 and return the requested (approximate) quantile.
@@ -135,9 +153,10 @@ def pivoting_quantile(
         across calls with the same (query, db, ranking, trimmer) to amortize
         pivot selection, trimming, and counting over repeated φ values.
     answer_cache:
-        Mutable mapping from terminal candidate interval to the sorted list
-        of materialized answers, sharing the final materialize-and-select
-        step across calls that end in the same interval.
+        Mutable mapping from terminal candidate interval to its weight-sorted
+        answer columns (already projected to the query's variables), sharing
+        the final materialize-and-select step across calls that end in the
+        same interval.
     tree_cache:
         Shared :class:`~repro.joins.tree_cache.TreeCache` so pivot
         selection, partition counting, and terminal materialization reuse
@@ -254,7 +273,7 @@ def pivoting_quantile(
             )
         )
         if chosen == "eq":
-            assignment = _project(step.pivot_assignment, original_variables)
+            assignment = project(step.pivot_assignment, original_variables)
             return QuantileResult(
                 assignment=assignment,
                 weight=pivot_weight,
@@ -270,7 +289,7 @@ def pivoting_quantile(
             # Can happen with lossy trims (all candidates lost) or when the
             # remaining candidates all share the pivot weight; fall back to
             # returning the pivot, whose position error is already bounded.
-            assignment = _project(step.pivot_assignment, original_variables)
+            assignment = project(step.pivot_assignment, original_variables)
             return QuantileResult(
                 assignment=assignment,
                 weight=pivot_weight,
@@ -284,27 +303,28 @@ def pivoting_quantile(
             )
 
     # Materialize the remaining candidates and finish with plain selection.
-    # The sorted candidate list of a terminal interval is shared across calls
-    # through answer_cache (calls whose targets land in the same interval pay
-    # the evaluate-and-sort once).
+    # The weight-sorted candidate columns of a terminal interval are shared
+    # across calls through answer_cache (calls whose targets land in the same
+    # interval pay the enumerate-and-sort once).
     answers = answer_cache.get(interval) if answer_cache is not None else None
     if answers is None:
-        answers = evaluate(
+        answers = evaluate_sorted(
             current_query,
             current_db,
+            ranking,
             tree=tree_cache.get(current_query, current_db),
+            keep=original_variables,
         )
-        if not answers:
+        if not answers[0]:
             raise SolverError("no candidate answers remained to materialize")
-        answers.sort(key=ranking.weight_of)
         if answer_cache is not None:
             answer_cache[interval] = answers
-    position = min(remaining_index, len(answers) - 1)
-    chosen_answer = answers[position]
-    assignment = _project(chosen_answer, original_variables)
+    weights, columns = answers
+    position = min(remaining_index, len(weights) - 1)
+    assignment = {variable: column[position] for variable, column in columns.items()}
     return QuantileResult(
         assignment=assignment,
-        weight=ranking.weight_of(chosen_answer),
+        weight=weights[position],
         target_index=target,
         total_answers=total,
         strategy=strategy,
@@ -315,7 +335,7 @@ def pivoting_quantile(
     )
 
 
-def _project(assignment: Assignment, variables: set[str]) -> Assignment:
+def project(assignment: Assignment, variables: set[str]) -> Assignment:
     """Drop helper variables introduced by canonicalization or trimming."""
     return {
         variable: value for variable, value in assignment.items() if variable in variables

@@ -39,7 +39,12 @@ from typing import Any
 from repro.approx.lossy_sum_trim import LossySumTrimmer
 from repro.approx.randomized import sampling_quantile
 from repro.baselines.materialize import select_from_sorted, sorted_answers
-from repro.core.quantile import phi_for_index, pivoting_quantile, target_index_for
+from repro.core.quantile import (
+    CappedCache,
+    phi_for_index,
+    pivoting_quantile,
+    target_index_for,
+)
 from repro.core.result import QuantileResult
 from repro.data.database import Database
 from repro.exceptions import (
@@ -84,10 +89,10 @@ STRATEGIES = ("auto", "exact-pivot", "approx-pivot", "sampling", "materialize")
 #: Default cap on memoized pivoting iterations per prepared query.
 DEFAULT_PIVOT_CACHE_LIMIT = 256
 
-#: Default cap on memoized terminal answer lists per prepared query.  Kept
-#: much smaller than the pivot-cache limit: each entry holds up to
-#: ``termination_factor x |D|`` materialized answers, so this bound — not the
-#: pivot cache's — dominates the engine's memory ceiling.
+#: Default cap on memoized terminal answer columns per prepared query.  Kept
+#: much smaller than the pivot-cache limit: each entry holds columns of up
+#: to ``termination_factor x |D|`` candidates, so this bound — not the pivot
+#: cache's — dominates the engine's memory ceiling.
 DEFAULT_ANSWER_CACHE_LIMIT = 32
 
 #: Sentinel distinguishing "knob not passed" from an explicit ``None``
@@ -113,24 +118,6 @@ class SolverPlan:
     strategy: str
     classification: SumClassification
     reason: str
-
-
-class _CappedCache(dict):
-    """A dict that silently stops accepting new keys past a size limit.
-
-    Bounds the memory held by the pivot cache (each entry keeps two trimmed
-    sub-databases); existing entries keep being served, and overwriting an
-    existing key is always allowed.
-    """
-
-    def __init__(self, limit: int) -> None:
-        super().__init__()
-        self.limit = limit
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        if len(self) >= self.limit and key not in self:
-            return
-        super().__setitem__(key, value)
 
 
 class PreparedQuery:
@@ -255,8 +242,8 @@ class PreparedQuery:
         # partition counts differ for the same interval).
         self._trimmers: dict[str, Trimmer] = {}
         self._pivot_cache_limit = pivot_cache_limit
-        self._pivot_caches: dict[str, _CappedCache] = {}
-        self._answer_caches: dict[str, _CappedCache] = {}
+        self._pivot_caches: dict[str, CappedCache] = {}
+        self._answer_caches: dict[str, CappedCache] = {}
         # One materialized tree per (query, database) pair, shared by
         # counting, reduction, pivot selection, and terminal enumeration
         # across all executions of this prepared query.
@@ -510,7 +497,7 @@ class PreparedQuery:
 
     def _strategy_caches(
         self, strategy: str
-    ) -> tuple[_CappedCache | None, _CappedCache | None]:
+    ) -> tuple[CappedCache | None, CappedCache | None]:
         """Pivot and answer caches for one strategy (created on first use).
 
         Exact and lossy executions key both caches by candidate weight
@@ -523,10 +510,10 @@ class PreparedQuery:
         with self._state_lock:
             pivot = self._pivot_caches.get(strategy)
             if pivot is None:
-                pivot = self._pivot_caches[strategy] = _CappedCache(
+                pivot = self._pivot_caches[strategy] = CappedCache(
                     self._pivot_cache_limit
                 )
-                self._answer_caches[strategy] = _CappedCache(
+                self._answer_caches[strategy] = CappedCache(
                     min(self._pivot_cache_limit, DEFAULT_ANSWER_CACHE_LIMIT)
                 )
             return pivot, self._answer_caches[strategy]
@@ -832,11 +819,16 @@ class PreparedQuery:
         # Each cached tree re-materializes roughly the candidate database.
         total += len(self._tree_cache) * self.db.size * row_bytes
         # Each memoized pivot iteration keeps two trimmed sub-database views
-        # (masks over shared columns), each answer-cache entry a sorted list
-        # of up to termination_factor * |D| answers.
+        # (masks over shared columns); each answer-cache entry (serial and
+        # merged) a weight column plus one value column per variable, charged
+        # at their actual lengths (up to termination_factor * |D| each).
         total += self.pivot_cache_size * 1024
-        answer_entries = sum(len(cache) for cache in self._answer_caches.values())
-        total += answer_entries * self.termination_factor * row_bytes
+        answer_caches = list(self._answer_caches.values())
+        if self._parallel_merger is not None:
+            answer_caches.append(self._parallel_merger.answer_cache)
+        for cache in answer_caches:
+            for weights, columns in list(cache.values()):
+                total += 8 * len(weights) * (1 + len(columns))
         # Shard payloads are replicated into worker processes; charge the
         # shipped rows (broadcast replication included) at the same rate.
         if self._parallel_plan is not None:

@@ -13,6 +13,8 @@ of being rebuilt here.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Sequence
+from itertools import chain, compress, repeat
 from typing import Any
 
 from repro.data.database import Database
@@ -20,10 +22,15 @@ from repro.data.relation import Relation
 from repro.joins.message_passing import MaterializedTree
 from repro.kernels import active_backend
 from repro.query.join_query import JoinQuery
+from repro.ranking.base import RankingFunction, Weight
 from repro.runtime import checkpoint
 
 Assignment = dict[str, Any]
 Row = tuple[Any, ...]
+
+#: Weight-sorted answers as columns: the ascending weight column and one
+#: parallel value column per variable (in :func:`evaluate`'s dict key order).
+SortedAnswers = tuple[list[Weight], dict[str, list[Any]]]
 
 
 def _reduced_row_flags(tree: MaterializedTree) -> dict[int, list[int]]:
@@ -188,3 +195,103 @@ def evaluate(
         if position < depth:
             cursors[position] = 0
     return answers
+
+
+def evaluate_sorted(
+    query: JoinQuery,
+    db: Database,
+    ranking: RankingFunction,
+    tree: MaterializedTree | None = None,
+    keep: Collection[str] | None = None,
+) -> SortedAnswers:
+    """The answers of :func:`evaluate`, sorted by weight, as whole columns.
+
+    Position for position (ties included) this is
+    ``sorted(evaluate(query, db), key=ranking.weight_of)`` without building
+    a dict per answer.  The tree is expanded level by level in top-down node
+    order — every partial answer replaced in place by its alive join-group
+    members — giving one row-index column per node in :func:`evaluate`'s
+    odometer order.  Weights are folded as ``weight_of`` folds them
+    (``combine`` from ``identity`` over the ranking's variables in ranking
+    order) from ``variable_weight`` computed once per node row, so one
+    stable argsort reproduces the keyed sort.
+
+    ``keep`` restricts the value columns to those variables.  One checkpoint
+    per level charges the candidates that level adds (in total, the answers).
+    """
+    if tree is None:
+        tree = MaterializedTree(query, db)
+    alive = _reduced_row_flags(tree)
+    kernel = active_backend()
+    order = tree.nodes_top_down()
+    parent_of = {child: node for node in order for child in tree.children(node)}
+    # The (node, column) each variable's value comes from: first occurrence
+    # fixes the key order, last occurrence the value — dict.update semantics.
+    source: dict[str, tuple[int, int]] = {}
+    for node in order:
+        source.update((v, (node, p)) for p, v in enumerate(tree.variables(node)))
+    # Weighted variables still to fold, next one last.
+    pending = [v for v in reversed(ranking.weighted_variables) if v in source]
+
+    # One partial answer (the empty one) grows into all of them: each level
+    # replaces every partial answer by ``fanout`` copies, one per member.
+    index: dict[int, list[int]] = {}
+    weights: list[Weight] = [ranking.identity]
+    produced = 0
+    for node in order:
+        members: Iterable[int]
+        if node == tree.root:
+            root_rows = kernel.masked_filter(alive[node])
+            members, fanout = root_rows, [len(root_rows)]
+        else:
+            # Alive rows per join group, ascending like evaluate's candidate
+            # lists; alive parent rows always select a group that has some.
+            parent, node_alive = parent_of[node], alive[node]
+            slices = [
+                list(compress(rows, map(node_alive.__getitem__, rows)))
+                for rows in tree.child_groups(parent, node).values()
+            ]
+            selected = kernel.take(tree.parent_group_ids(parent, node), index[parent])
+            members = chain.from_iterable(map(slices.__getitem__, selected))
+            fanout = kernel.take(list(map(len, slices)), selected)
+        grown = sum(fanout)
+        checkpoint("yannakakis.answer", rows=grown - produced)
+        produced = grown
+        index = {placed: _replicate(rows, fanout) for placed, rows in index.items()}
+        index[node] = list(members)
+        weights = _replicate(weights, fanout)
+        # Fold as early as ranking order allows: a partial answer's weight is
+        # computed once and replicated, never recomputed per extension.
+        while pending and source[pending[-1]][0] in index:
+            variable = pending.pop()
+            origin, position = source[variable]
+            per_row = [
+                ranking.variable_weight(variable, value)
+                for value in tree.node_column(origin, position)
+            ]
+            weights = list(
+                map(ranking.combine, weights, map(per_row.__getitem__, index[origin]))
+            )
+
+    # From here on plain indexing, not kernel.take: a backend may coerce a
+    # mixed int/float column, and answers must carry evaluate()'s very objects.
+    by_weight = kernel.argsort(weights)
+    if keep is not None:
+        source = {v: origin for v, origin in source.items() if v in keep}
+    sorted_index = {
+        node: _gather(index[node], by_weight)
+        for node in {node for node, _ in source.values()}
+    }
+    columns = {
+        variable: _gather(tree.node_column(node, position), sorted_index[node])
+        for variable, (node, position) in source.items()
+    }
+    return _gather(weights, by_weight), columns
+
+
+def _replicate(values: Iterable[Any], counts: Iterable[int]) -> list[Any]:
+    return list(chain.from_iterable(map(repeat, values, counts)))
+
+
+def _gather(values: Sequence[Any], positions: Iterable[int]) -> list[Any]:
+    return list(map(values.__getitem__, positions))

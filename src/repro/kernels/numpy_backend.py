@@ -53,6 +53,11 @@ _FLOAT_EXACT_BOUND = 2**53
 #: Conversion-cache capacity; the cache is cleared wholesale when full.
 _CACHE_CAPACITY = 256
 
+#: Bound on the total *elements* the conversion cache pins (entries hold
+#: strong references): a few candidate-sized columns must not outlive their
+#: query just because fewer than ``_CACHE_CAPACITY`` lists were converted.
+_CACHE_MAX_ELEMENTS = 262_144
+
 #: Below this many rows an op routes to the stdlib implementation: the fixed
 #: per-call cost of ndarray conversion exceeds what vectorization saves.
 _MIN_VECTOR_ROWS = 1024
@@ -96,8 +101,9 @@ class NumpyKernelBackend(PythonKernelBackend):
     def __init__(self) -> None:
         # id(list) -> (the list itself, its converted array).  Holding the
         # list strongly pins its id, so an entry can never alias a new
-        # object; capacity-bounded by wholesale clearing.
+        # object; bounded (entries and total elements) by wholesale clearing.
         self._conversions: dict[int, tuple[list[Value], Any]] = {}
+        self._cached_elements = 0
 
     # ------------------------------------------------------------------ #
     # Conversion helpers
@@ -128,9 +134,14 @@ class NumpyKernelBackend(PythonKernelBackend):
         if array.ndim != 1 or array.dtype.kind not in _NUMERIC_KINDS:
             return None
         if isinstance(values, list):
-            if len(self._conversions) >= _CACHE_CAPACITY:
+            if (
+                len(self._conversions) >= _CACHE_CAPACITY
+                or self._cached_elements + len(values) > _CACHE_MAX_ELEMENTS
+            ):
                 self._conversions.clear()
+                self._cached_elements = 0
             self._conversions[id(values)] = (values, array)
+            self._cached_elements += len(values)
         return array
 
     @staticmethod

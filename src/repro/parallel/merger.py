@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 import repro.exceptions as _exceptions
-from repro.core.quantile import target_index_for
+from repro.core.quantile import CappedCache, project, target_index_for
 from repro.core.result import IterationStats, QuantileResult
 from repro.exceptions import (
     BudgetExceededError,
@@ -40,6 +40,8 @@ from repro.exceptions import (
     SolverError,
     ValidationError,
 )
+from repro.joins.yannakakis import SortedAnswers
+from repro.kernels import active_backend
 from repro.parallel.planner import ShardPlan
 from repro.parallel.pool import ShardFuture, ShardPool, create_pool
 from repro.parallel.worker import TaskResult
@@ -51,13 +53,10 @@ from repro.runtime import checkpoint, current_context
 #: pivot-cache bound; evicted intervals are recomputed by the shards).
 DEFAULT_MERGED_STEP_CACHE_LIMIT = 256
 
-#: Default cap on memoized terminal answer lists.
+#: Default cap on memoized terminal answer columns.
 DEFAULT_MERGED_ANSWER_CACHE_LIMIT = 32
 
 Assignment = dict[str, Any]
-
-#: ``(weight, values-in-var_order)`` pairs as shipped by shard terminals.
-MergedAnswer = tuple[Any, tuple[Any, ...]]
 
 
 @dataclass(frozen=True)
@@ -82,19 +81,6 @@ class MergedStep:
     @property
     def count_gt(self) -> int:
         return sum(self.gt_counts)
-
-
-class _CappedCache(dict):
-    """Bounded memo: silently refuses new keys once the cap is reached."""
-
-    def __init__(self, limit: int) -> None:
-        super().__init__()
-        self.limit = max(1, limit)
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        if len(self) >= self.limit and key not in self:
-            return
-        super().__setitem__(key, value)
 
 
 class ParallelSession:
@@ -254,8 +240,10 @@ class RankMerger:
         answer_cache_limit: int = DEFAULT_MERGED_ANSWER_CACHE_LIMIT,
     ) -> None:
         self.session = session
-        self._steps: _CappedCache = _CappedCache(step_cache_limit)
-        self._answers: _CappedCache = _CappedCache(answer_cache_limit)
+        self._steps: CappedCache = CappedCache(step_cache_limit)
+        #: Terminal interval -> merged weight-sorted answer columns (sized by
+        #: ``PreparedQuery.estimated_bytes``).
+        self.answer_cache: CappedCache = CappedCache(answer_cache_limit)
 
     # ------------------------------------------------------------------ #
     def solve(
@@ -338,23 +326,23 @@ class RankMerger:
             if chosen == "eq" or current_count == 0:
                 # Same fallback as the serial loop: an emptied branch means
                 # every remaining candidate shares the pivot weight.
-                assignment = _project(step.pivot_assignment, original_variables)
+                assignment = project(step.pivot_assignment, original_variables)
                 return self._result(assignment, step.pivot_weight, target, stats)
 
-        answers = self._answers.get(interval)
+        answers = self.answer_cache.get(interval)
         if answers is None:
             answers = self._terminal(interval, shard_counts)
-            if not answers:
+            if not answers[0]:
                 raise SolverError("no candidate answers remained to materialize")
-            self._answers[interval] = answers
-        position = min(remaining_index, len(answers) - 1)
-        weight, values = answers[position]
+            self.answer_cache[interval] = answers
+        weights, columns = answers
+        position = min(remaining_index, len(weights) - 1)
         assignment = {
-            variable: value
-            for variable, value in zip(session.var_order, values)
+            variable: column[position]
+            for variable, column in columns.items()
             if variable in original_variables
         }
-        return self._result(assignment, weight, target, stats)
+        return self._result(assignment, weights[position], target, stats)
 
     # ------------------------------------------------------------------ #
     def _compute_step(
@@ -394,27 +382,32 @@ class RankMerger:
 
     def _terminal(
         self, interval: WeightInterval, shard_counts: tuple[int, ...]
-    ) -> list[MergedAnswer]:
-        """Gather and merge the surviving shards' materialized answers.
+    ) -> SortedAnswers:
+        """Gather and merge the surviving shards' weight-sorted columns.
 
-        Each shard ships its answers pre-sorted by weight; the concatenation
-        is merged with one stable sort on the weight key (cheap on mostly
-        sorted input, and stable so equal weights keep shard order — the
-        result is deterministic across runs).
+        Each shard ships a sorted weight column plus one value column per
+        ``var_order`` variable; the shard-order concatenation is merged with
+        one stable argsort (equal weights keep shard order, so the result is
+        deterministic across runs).
         """
         session = self.session
-        active = [s for s in range(session.num_shards) if shard_counts[s] > 0]
-        if not active:
-            return []
+        weights: list[Any] = []
+        columns: list[list[Any]] = [[] for _ in session.var_order]
         outcomes = session.fan_out(
-            (shard, "terminal", interval) for shard in active
+            (shard, "terminal", interval)
+            for shard in range(session.num_shards)
+            if shard_counts[shard] > 0
         )
-        merged: list[MergedAnswer] = []
-        for shard_answers in outcomes:
-            merged.extend(shard_answers)
-        merged.sort(key=lambda pair: pair[0])
-        checkpoint("parallel.merge", rows=len(merged))
-        return merged
+        for shard_weights, shard_columns in outcomes:
+            weights.extend(shard_weights)
+            for column, part in zip(columns, shard_columns):
+                column.extend(part)
+        checkpoint("parallel.merge", rows=len(weights))
+        order = active_backend().argsort(weights)
+        return [weights[i] for i in order], {
+            variable: [column[i] for i in order]
+            for variable, column in zip(session.var_order, columns)
+        }
 
     def _result(
         self,
@@ -436,19 +429,9 @@ class RankMerger:
         )
 
 
-def _project(assignment: Assignment, variables: set[str]) -> Assignment:
-    """Drop helper variables (same projection as the serial loop)."""
-    return {
-        variable: value
-        for variable, value in assignment.items()
-        if variable in variables
-    }
-
-
 __all__ = [
     "DEFAULT_MERGED_ANSWER_CACHE_LIMIT",
     "DEFAULT_MERGED_STEP_CACHE_LIMIT",
-    "MergedAnswer",
     "MergedStep",
     "ParallelSession",
     "RankMerger",

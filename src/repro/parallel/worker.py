@@ -9,7 +9,7 @@ coordinator through :func:`run_shard_task`:
 * ``init``    — build the shard from flat column payloads, reduce, count;
 * ``pivot``   — propose a c-pivot among the shard's current candidates;
 * ``counts``  — trim lt/gt partitions for a pivot weight and count them;
-* ``terminal``— materialize and weight-sort the remaining candidates.
+* ``terminal``— the remaining candidates as weight-sorted columns.
 
 The reduction, counting, trimming, and pivot selection are the *same*
 functions the serial engine uses; sharding never forks the algorithm.  All
@@ -35,7 +35,7 @@ from repro.exceptions import (
 )
 from repro.joins.counting import count_answers, count_from_tree
 from repro.joins.tree_cache import TreeCache
-from repro.joins.yannakakis import evaluate, full_reduce
+from repro.joins.yannakakis import evaluate_sorted, full_reduce
 from repro.pivot.pivot_selection import select_pivot
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
@@ -245,24 +245,22 @@ def _partition_counts(
 
 def _terminal_answers(
     state: _ShardState, interval: WeightInterval
-) -> list[tuple[Any, tuple[Any, ...]]]:
-    """Materialize and weight-sort this shard's remaining candidates.
+) -> tuple[list[Any], list[list[Any]]]:
+    """This shard's remaining candidates, weight-sorted, as columns.
 
-    Answers travel as ``(weight, values-in-var_order)`` pairs — flat tuples,
-    not per-answer dicts — and arrive pre-sorted so the coordinator's merge
-    over the (mostly sorted) concatenation is cheap.
+    Answers travel as the sorted weight column plus one value column per
+    ``var_order`` variable — flat lists, never per-answer objects — so the
+    coordinator merges K sorted runs with one stable argsort.
     """
-    query, db, count = _candidate(state, interval)
-    if count == 0:
-        return []
-    answers = evaluate(query, db, tree=state.tree_cache.get(query, db))
-    answers.sort(key=state.ranking.weight_of)
-    var_order = state.var_order
-    weight_of = state.ranking.weight_of
-    return [
-        (weight_of(answer), tuple(answer.get(v) for v in var_order))
-        for answer in answers
-    ]
+    query, db, _ = _candidate(state, interval)
+    weights, columns = evaluate_sorted(
+        query,
+        db,
+        state.ranking,
+        tree=state.tree_cache.get(query, db),
+        keep=state.var_order,
+    )
+    return weights, [columns[variable] for variable in state.var_order]
 
 
 __all__ = [

@@ -132,6 +132,27 @@ class TestPreparedStateReuse:
         # Still answers correctly after the cache is dropped.
         assert prepared.quantile(0.5).exact
 
+    @pytest.mark.parametrize("parallel", [None, 2])
+    def test_estimated_bytes_charges_cached_terminal_columns(
+        self, binary_join, parallel, monkeypatch
+    ):
+        # The service's byte-budget eviction only sees what this estimate
+        # charges: a cached terminal costs its actual column lengths (serial
+        # answer cache and the sharded merger's alike).
+        monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
+        query, db = binary_join
+        prepared = PreparedQuery(query, db, SumRanking(["x1", "x3"]), parallel=parallel)
+        prepared.quantile(0.5)
+        if parallel:
+            cache = prepared._parallel_merger.answer_cache
+        else:
+            [cache] = prepared._answer_caches.values()
+        [(weights, columns)] = cache.values()
+        assert len(weights) == prepared.count() and len(columns) == 3
+        with_entry = prepared.estimated_bytes()
+        cache.clear()
+        assert with_entry - prepared.estimated_bytes() >= 8 * len(weights) * len(columns)
+
     def test_tree_cache_shared_across_batch(self, prepared):
         prepared.quantiles([0.2, 0.5, 0.8])
         # Preparation + the batch hit the cache at least once (e.g. pivot

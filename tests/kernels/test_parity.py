@@ -226,3 +226,20 @@ class TestOpParity:
         appended = backend.take(sums, list(range(6)))
         assert appended == sums
         assert isinstance(order, list) and isinstance(gathered, list)
+
+
+def test_numpy_conversion_cache_is_bounded_by_elements():
+    """The identity-keyed conversion cache holds strong references, so it is
+    bounded by total cached elements, not just by entry count: candidate-sized
+    columns must not stay pinned after their query is done."""
+    pytest.importorskip("numpy")
+    from repro.kernels import numpy_backend
+
+    backend = create_backend("numpy")
+    positions = list(range(0, 10_000, 2))
+    for batch in range(300):
+        column = [float(batch + i) for i in range(10_000)]
+        assert backend.take(column, positions)[1] == float(batch + 2)
+        cached = sum(len(values) for values, _ in backend._conversions.values())
+        assert cached <= numpy_backend._CACHE_MAX_ELEMENTS
+        assert len(backend._conversions) <= numpy_backend._CACHE_CAPACITY

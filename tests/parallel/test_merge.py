@@ -11,8 +11,12 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.engine import Engine
+from repro.engine import Engine, PreparedQuery
 from repro.kernels import active_backend, set_backend
+from repro.parallel.merger import ParallelSession, RankMerger
+from repro.parallel.planner import ShardPlanner
+from repro.query.join_query import JoinQuery
+from repro.ranking.sum import SumRanking
 
 PHIS = [(i + 1) / 20 for i in range(19)]
 
@@ -148,6 +152,41 @@ class TestParallelMatchesSerial:
             assert result_key(parallel.quantile(phi)) == result_key(
                 serial.quantile(phi)
             )
+
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_tie_heavy_terminals_with_an_empty_shard(
+        self, inline_mode, backend, shards
+    ):
+        # x2 picks both the shard and the weight range (100 * x2 + 0..3), so
+        # a terminal interval usually lies inside one key's range — the other
+        # shards' terminals are empty — and every weight is tied many times:
+        # the merged columns must still select exactly the serial rank.
+        r = Relation(
+            "R", ("x1", "x2"), [(100 * (i % 4) + i % 3, i % 4) for i in range(120)]
+        )
+        s = Relation("S", ("x2", "x3"), [(i % 4, i % 2) for i in range(16)])
+        db = Database([r, s])
+        query, ranking = JoinQuery.parse("R(x1,x2), S(x2,x3)"), SumRanking(["x1", "x3"])
+        serial = PreparedQuery(query, db, ranking, termination_factor=1)
+        session = ParallelSession(ShardPlanner(shards).plan(query, db), ranking)
+        session.start()
+        merger = RankMerger(session)
+        terminal_counts = []
+        merge_terminal = merger._terminal
+
+        def recording_terminal(interval, shard_counts):
+            terminal_counts.append(shard_counts)
+            return merge_terminal(interval, shard_counts)
+
+        merger._terminal = recording_terminal
+        assert session.total == serial.count() == 480
+        for index in range(0, 480, 7):
+            merged = merger.solve(None, index, set(query.variables), db.size)
+            assert result_key(merged) == result_key(serial.selection(index))
+        assert terminal_counts
+        if shards > 1:
+            assert any(0 in counts for counts in terminal_counts)
 
 
 class TestSessionLifecycle:
