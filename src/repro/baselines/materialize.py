@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.data.database import Database
-from repro.exceptions import CyclicQueryError, EmptyResultError, ValidationError
-from repro.core.quantile import target_index_for
+from repro.exceptions import CyclicQueryError
+from repro.core.quantile import resolve_target
 from repro.core.result import QuantileResult
 from repro.joins.yannakakis import evaluate
 from repro.query.join_query import JoinQuery
@@ -73,17 +73,8 @@ def select_from_sorted(
     (which caches the sorted list across calls).  Exactly one of ``phi`` and
     ``index`` must be given.
     """
-    if (phi is None) == (index is None):
-        raise ValidationError("exactly one of phi and index must be provided")
-    if not answers:
-        raise EmptyResultError("the query has no answers, so no quantile exists")
     total = len(answers)
-    if index is not None:
-        if not 0 <= index < total:
-            raise ValidationError(f"index {index} out of range [0, {total})")
-        target = index
-    else:
-        target = target_index_for(phi, total)  # type: ignore[arg-type]
+    target = resolve_target(phi, index, total)
     chosen = answers[target]
     return QuantileResult(
         assignment=dict(chosen),

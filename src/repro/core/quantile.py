@@ -20,8 +20,9 @@ With an exact trimmer the returned answer is an exact φ-quantile; with an
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, MutableMapping
 from dataclasses import dataclass
-from typing import Any, MutableMapping
+from typing import Any, Protocol
 
 from repro.data.database import Database
 from repro.exceptions import EmptyResultError, SolverError, ValidationError
@@ -29,7 +30,7 @@ from repro.joins.counting import count_answers
 from repro.joins.tree_cache import TreeCache
 from repro.joins.yannakakis import SortedAnswers, evaluate_sorted
 from repro.core.result import IterationStats, QuantileResult
-from repro.pivot.pivot_selection import select_pivot
+from repro.pivot.pivot_selection import PivotResult, select_pivot
 from repro.query.join_query import JoinQuery
 from repro.query.predicates import WeightInterval
 from repro.query.rewrite import ensure_canonical
@@ -44,13 +45,14 @@ class CappedCache(dict):
     """A dict that silently stops accepting new keys past a size limit.
 
     Bounds the memory held by the interval-keyed pivot and answer caches
-    (serial and sharded); existing entries keep being served, and
-    overwriting an existing key is always allowed.
+    (serial and sharded) and the shard workers' candidate cache; existing
+    entries keep being served, and overwriting an existing key is always
+    allowed.  A limit of 0 (or less) stores nothing: the cache is off.
     """
 
     def __init__(self, limit: int) -> None:
         super().__init__()
-        self.limit = max(1, limit)
+        self.limit = limit
 
     def __setitem__(self, key: Any, value: Any) -> None:
         if len(self) >= self.limit and key not in self:
@@ -80,11 +82,25 @@ def phi_for_index(index: int, total: int) -> float:
     drift to a neighbouring rank through floating-point error (``i/total``
     does: e.g. ``⌊(15/22)·22⌋ == 14``).
     """
+    return (resolve_target(None, index, total) + 0.5) / total
+
+
+def resolve_target(phi: float | None, index: int | None, total: int) -> int:
+    """The 0-based target rank for a quantile (``phi``) or selection (``index``).
+
+    The one place every strategy and entry point validates a request:
+    exactly one of ``phi`` and ``index``, a non-empty join, an in-range
+    index — so each failure raises the same typed error everywhere.
+    """
+    if (phi is None) == (index is None):
+        raise ValidationError("exactly one of phi and index must be provided")
     if total <= 0:
         raise EmptyResultError("the query has no answers, so no quantile exists")
+    if index is None:
+        return target_index_for(phi, total)  # type: ignore[arg-type]
     if not 0 <= index < total:
         raise ValidationError(f"index {index} out of range [0, {total})")
-    return (index + 0.5) / total
+    return index
 
 
 @dataclass
@@ -98,17 +114,222 @@ class PivotStep:
     PivotStep}`` cache across φ values — repeated quantile queries reuse the
     expensive early iterations (which scan the full database) and only pay
     for the suffix of the search path where their target ranks diverge.
+
+    ``lt`` and ``gt`` are the candidate handles of the two partitions; they
+    mean something only to the :class:`CandidateSource` that produced them,
+    so steps of different sources must never share a cache.
     """
 
     pivot_assignment: Assignment
     pivot_weight: Any
     pivot_c: float
-    lt_query: JoinQuery
-    lt_db: Database
+    lt: Any
     count_lt: int
-    gt_query: JoinQuery
-    gt_db: Database
+    gt: Any
     count_gt: int
+
+
+class CandidateSource(Protocol):
+    """What Algorithm 1 needs to know about the candidate answers.
+
+    A *handle* names the candidate set of one weight interval; the loop only
+    carries handles from a :class:`PivotStep` back into the next call.
+    """
+
+    @property
+    def total(self) -> int:
+        """``|Q(D)|``."""
+
+    @property
+    def root(self) -> Any:
+        """The handle of the unrestricted candidate set."""
+
+    def step(self, interval: WeightInterval, handle: Any) -> PivotStep:
+        """Pick a c-pivot among ``handle``'s candidates, trim and count the
+        partitions strictly below and above it (within ``interval``)."""
+
+    def terminal(
+        self, interval: WeightInterval, handle: Any, keep: Collection[str]
+    ) -> SortedAnswers:
+        """``handle``'s candidates as weight-sorted columns over ``keep``."""
+
+
+LocalHandle = tuple[JoinQuery, Database]
+
+
+class LocalCandidates:
+    """The in-process candidate source: trimmed (query, database) pairs.
+
+    ``query``/``db`` are the canonical (usually semijoin-reduced) base.  A
+    prepared query builds one per pivoting strategy and each shard worker
+    one per shard, so this is the only caller of the trim, count, pivot
+    selection, and terminal enumeration that pivoting is made of.
+    """
+
+    def __init__(
+        self,
+        query: JoinQuery,
+        db: Database,
+        ranking: RankingFunction,
+        trimmer: Trimmer,
+        tree_cache: TreeCache,
+        total: int | None = None,
+    ) -> None:
+        self.query = query
+        self.db = db
+        self.ranking = ranking
+        self.trimmer = trimmer
+        self.tree_cache = tree_cache
+        self.root: LocalHandle = (query, db)
+        self.total = (
+            count_answers(query, db, tree=tree_cache.get(query, db))
+            if total is None
+            else total
+        )
+
+    def candidate(self, interval: WeightInterval) -> tuple[LocalHandle, int]:
+        """Trim the base to ``interval`` and count what is left.
+
+        Trims always restart from the (canonical, possibly semijoin-reduced)
+        base: re-applying a trimmer to its own output would compound the
+        copy factors of the segment/partition constructions (and, for lossy
+        trimmers, the answer loss).
+        """
+        trimmed = self.trimmer.trim_interval(self.query, self.db, interval)
+        query, db = trimmed.query, trimmed.database
+        return (query, db), count_answers(query, db, tree=self.tree_cache.get(query, db))
+
+    def pivot(self, handle: LocalHandle) -> PivotResult:
+        """A c-pivot among ``handle``'s candidates (Section 4)."""
+        query, db = handle
+        return select_pivot(query, db, self.ranking, tree=self.tree_cache.get(query, db))
+
+    def step(self, interval: WeightInterval, handle: LocalHandle) -> PivotStep:
+        pivot = self.pivot(handle)
+        lt, count_lt = self.candidate(interval.with_high(pivot.weight, strict=True))
+        gt, count_gt = self.candidate(interval.with_low(pivot.weight, strict=True))
+        return PivotStep(
+            pivot.assignment, pivot.weight, pivot.c, lt, count_lt, gt, count_gt
+        )
+
+    def terminal(
+        self, interval: WeightInterval, handle: LocalHandle, keep: Collection[str]
+    ) -> SortedAnswers:
+        query, db = handle
+        return evaluate_sorted(
+            query, db, self.ranking, tree=self.tree_cache.get(query, db), keep=keep
+        )
+
+
+def run_pivoting(
+    source: CandidateSource,
+    phi: float | None,
+    index: int | None,
+    keep: Collection[str],
+    termination_size: int,
+    *,
+    exact: bool = True,
+    strategy: str | None = None,
+    epsilon: float | None = None,
+    max_iterations: int | None = None,
+    step_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
+    answer_cache: MutableMapping[WeightInterval, SortedAnswers] | None = None,
+) -> QuantileResult:
+    """Algorithm 1 over a candidate source: the one pivoting loop.
+
+    Serial execution runs it over a :class:`LocalCandidates`, sharded
+    execution over a :class:`~repro.parallel.merger.RankMerger`; see
+    :func:`pivoting_quantile` for the parameters.  ``keep`` is the set of
+    variables the returned assignment is projected to.
+    """
+    total = source.total
+    target = resolve_target(phi, index, total)
+    # Without a shared cache each call memoizes into its own throwaway dict.
+    if step_cache is None:
+        step_cache = {}
+    if answer_cache is None:
+        answer_cache = {}
+
+    interval = WeightInterval()
+    handle = source.root
+    current_count = total
+    remaining_index = target
+    stats: list[IterationStats] = []
+    iteration_cap = max_iterations if max_iterations is not None else 0
+
+    while current_count > termination_size:
+        checkpoint("quantile.iteration")
+        step = step_cache.get(interval)
+        if step is None:
+            step = step_cache[interval] = source.step(interval, handle)
+        if iteration_cap == 0:
+            # Derive a generous cap from the guaranteed elimination fraction.
+            c = max(step.pivot_c, 1e-3)
+            iteration_cap = int(math.ceil(math.log(max(total, 2)) / -math.log(1 - c))) + 20
+        if len(stats) >= iteration_cap:
+            raise SolverError(
+                f"pivoting did not converge within {iteration_cap} iterations; "
+                "this indicates an inconsistent trimmer"
+            )
+        count_lt, count_gt = step.count_lt, step.count_gt
+        count_eq = max(0, current_count - count_lt - count_gt)
+
+        if remaining_index < count_lt:
+            chosen = "lt"
+            interval = interval.with_high(step.pivot_weight, strict=True)
+            handle, current_count = step.lt, count_lt
+        elif remaining_index < count_lt + count_eq:
+            chosen = "eq"
+        else:
+            chosen = "gt"
+            remaining_index -= count_lt + count_eq
+            interval = interval.with_low(step.pivot_weight, strict=True)
+            handle, current_count = step.gt, count_gt
+        stats.append(
+            IterationStats(
+                pivot_weight=step.pivot_weight,
+                c=step.pivot_c,
+                count_lt=count_lt,
+                count_eq=count_eq,
+                count_gt=count_gt,
+                candidate_count=count_eq if chosen == "eq" else current_count,
+                chosen=chosen,
+            )
+        )
+        if chosen == "eq" or current_count == 0:
+            # An emptied branch can happen with lossy trims (all candidates
+            # lost) or when the remaining candidates all share the pivot
+            # weight; fall back to returning the pivot, whose position error
+            # is already bounded.
+            assignment = project(step.pivot_assignment, keep)
+            weight = step.pivot_weight
+            break
+    else:
+        # Materialize the remaining candidates and finish with plain
+        # selection.  The weight-sorted candidate columns of a terminal
+        # interval are shared across calls through answer_cache (calls whose
+        # targets land in the same interval pay the enumerate-and-sort once).
+        answers = answer_cache.get(interval)
+        if answers is None:
+            answers = source.terminal(interval, handle, keep)
+            if not answers[0]:
+                raise SolverError("no candidate answers remained to materialize")
+            answer_cache[interval] = answers
+        weights, columns = answers
+        position = min(remaining_index, len(weights) - 1)
+        assignment = {variable: column[position] for variable, column in columns.items()}
+        weight = weights[position]
+    return QuantileResult(
+        assignment=assignment,
+        weight=weight,
+        target_index=target,
+        total_answers=total,
+        strategy=strategy or ("exact-pivot" if exact else "approx-pivot"),
+        exact=exact,
+        epsilon=epsilon,
+        iterations=len(stats),
+        stats=tuple(stats),
+    )
 
 
 def pivoting_quantile(
@@ -126,6 +347,7 @@ def pivoting_quantile(
     pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
     answer_cache: MutableMapping[WeightInterval, SortedAnswers] | None = None,
     tree_cache: TreeCache | None = None,
+    source: LocalCandidates | None = None,
 ) -> QuantileResult:
     """Run Algorithm 1 and return the requested (approximate) quantile.
 
@@ -162,180 +384,38 @@ def pivoting_quantile(
         selection, partition counting, and terminal materialization reuse
         one materialized tree per (query, database) pair instead of each
         rebuilding it.
+    source:
+        A prebuilt :class:`LocalCandidates` over this very (canonical
+        query, db, ranking, trimmer), which then supplies ``total`` and
+        ``tree_cache`` — a prepared query builds it once instead of
+        validating, canonicalizing, and counting on every call.
     """
-    if (phi is None) == (index is None):
-        raise ValidationError("exactly one of phi and index must be provided")
-    ranking.validate_for(query.variables)
-    original_variables = set(query.variables)
-    base_query, base_db = ensure_canonical(query, db)
-    if tree_cache is None:
-        # Even a one-shot call profits: the tree of each candidate pair is
-        # shared between its counting pass and the next pivot selection.
-        tree_cache = TreeCache()
-
-    if total is None:
-        total = count_answers(
-            base_query, base_db, tree=tree_cache.get(base_query, base_db)
-        )
-    if total == 0:
-        raise EmptyResultError("the query has no answers, so no quantile exists")
-    if index is not None:
-        if not 0 <= index < total:
-            raise ValidationError(f"index {index} out of range [0, {total})")
-        target = index
-    else:
-        target = target_index_for(phi, total)  # type: ignore[arg-type]
-
-    exact = not trimmer.lossy
-    strategy = strategy_name or ("exact-pivot" if exact else "approx-pivot")
+    if source is None:
+        ranking.validate_for(query.variables)
+        base_query, base_db = ensure_canonical(query, db)
+        if tree_cache is None:
+            # Even a one-shot call profits: the tree of each candidate pair is
+            # shared between its counting pass and the next pivot selection.
+            tree_cache = TreeCache()
+        source = LocalCandidates(base_query, base_db, ranking, trimmer, tree_cache, total)
     if termination_size is None:
-        termination_size = max(base_db.size, 1)
-
-    interval = WeightInterval()
-    current_query, current_db = base_query, base_db
-    current_count = total
-    remaining_index = target
-    stats: list[IterationStats] = []
-    iteration_cap = max_iterations if max_iterations is not None else 0
-
-    while current_count > termination_size:
-        checkpoint("quantile.iteration")
-        step = pivot_cache.get(interval) if pivot_cache is not None else None
-        if step is None:
-            pivot = select_pivot(
-                current_query,
-                current_db,
-                ranking,
-                tree=tree_cache.get(current_query, current_db),
-            )
-            # Trims always restart from the (canonical, possibly semijoin-
-            # reduced) base: re-applying a trimmer to its own output would
-            # compound the copy factors of the segment/partition
-            # constructions (and, for lossy trimmers, the answer loss).
-            lt = trimmer.trim_interval(
-                base_query, base_db, interval.with_high(pivot.weight, strict=True)
-            )
-            gt = trimmer.trim_interval(
-                base_query, base_db, interval.with_low(pivot.weight, strict=True)
-            )
-            step = PivotStep(
-                pivot_assignment=pivot.assignment,
-                pivot_weight=pivot.weight,
-                pivot_c=pivot.c,
-                lt_query=lt.query,
-                lt_db=lt.database,
-                count_lt=count_answers(
-                    lt.query, lt.database, tree=tree_cache.get(lt.query, lt.database)
-                ),
-                gt_query=gt.query,
-                gt_db=gt.database,
-                count_gt=count_answers(
-                    gt.query, gt.database, tree=tree_cache.get(gt.query, gt.database)
-                ),
-            )
-            if pivot_cache is not None:
-                pivot_cache[interval] = step
-        if iteration_cap == 0:
-            # Derive a generous cap from the guaranteed elimination fraction.
-            c = max(step.pivot_c, 1e-3)
-            iteration_cap = int(math.ceil(math.log(max(total, 2)) / -math.log(1 - c))) + 20
-        if len(stats) >= iteration_cap:
-            raise SolverError(
-                f"pivoting did not converge within {iteration_cap} iterations; "
-                "this indicates an inconsistent trimmer"
-            )
-        pivot_weight = step.pivot_weight
-        count_lt, count_gt = step.count_lt, step.count_gt
-        count_eq = max(0, current_count - count_lt - count_gt)
-
-        if remaining_index < count_lt:
-            chosen = "lt"
-            interval = interval.with_high(pivot_weight, strict=True)
-            current_query, current_db = step.lt_query, step.lt_db
-            current_count = count_lt
-        elif remaining_index < count_lt + count_eq:
-            chosen = "eq"
-        else:
-            chosen = "gt"
-            remaining_index -= count_lt + count_eq
-            interval = interval.with_low(pivot_weight, strict=True)
-            current_query, current_db = step.gt_query, step.gt_db
-            current_count = count_gt
-        stats.append(
-            IterationStats(
-                pivot_weight=pivot_weight,
-                c=step.pivot_c,
-                count_lt=count_lt,
-                count_eq=count_eq,
-                count_gt=count_gt,
-                candidate_count=count_eq if chosen == "eq" else current_count,
-                chosen=chosen,
-            )
-        )
-        if chosen == "eq":
-            assignment = project(step.pivot_assignment, original_variables)
-            return QuantileResult(
-                assignment=assignment,
-                weight=pivot_weight,
-                target_index=target,
-                total_answers=total,
-                strategy=strategy,
-                exact=exact,
-                epsilon=epsilon,
-                iterations=len(stats),
-                stats=tuple(stats),
-            )
-        if current_count == 0:
-            # Can happen with lossy trims (all candidates lost) or when the
-            # remaining candidates all share the pivot weight; fall back to
-            # returning the pivot, whose position error is already bounded.
-            assignment = project(step.pivot_assignment, original_variables)
-            return QuantileResult(
-                assignment=assignment,
-                weight=pivot_weight,
-                target_index=target,
-                total_answers=total,
-                strategy=strategy,
-                exact=exact,
-                epsilon=epsilon,
-                iterations=len(stats),
-                stats=tuple(stats),
-            )
-
-    # Materialize the remaining candidates and finish with plain selection.
-    # The weight-sorted candidate columns of a terminal interval are shared
-    # across calls through answer_cache (calls whose targets land in the same
-    # interval pay the enumerate-and-sort once).
-    answers = answer_cache.get(interval) if answer_cache is not None else None
-    if answers is None:
-        answers = evaluate_sorted(
-            current_query,
-            current_db,
-            ranking,
-            tree=tree_cache.get(current_query, current_db),
-            keep=original_variables,
-        )
-        if not answers[0]:
-            raise SolverError("no candidate answers remained to materialize")
-        if answer_cache is not None:
-            answer_cache[interval] = answers
-    weights, columns = answers
-    position = min(remaining_index, len(weights) - 1)
-    assignment = {variable: column[position] for variable, column in columns.items()}
-    return QuantileResult(
-        assignment=assignment,
-        weight=weights[position],
-        target_index=target,
-        total_answers=total,
-        strategy=strategy,
-        exact=exact,
+        termination_size = max(source.db.size, 1)
+    return run_pivoting(
+        source,
+        phi,
+        index,
+        set(query.variables),
+        termination_size,
+        exact=not source.trimmer.lossy,
+        strategy=strategy_name,
         epsilon=epsilon,
-        iterations=len(stats),
-        stats=tuple(stats),
+        max_iterations=max_iterations,
+        step_cache=pivot_cache,
+        answer_cache=answer_cache,
     )
 
 
-def project(assignment: Assignment, variables: set[str]) -> Assignment:
+def project(assignment: Assignment, variables: Collection[str]) -> Assignment:
     """Drop helper variables introduced by canonicalization or trimming."""
     return {
         variable: value for variable, value in assignment.items() if variable in variables

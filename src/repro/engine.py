@@ -41,9 +41,11 @@ from repro.approx.randomized import sampling_quantile
 from repro.baselines.materialize import select_from_sorted, sorted_answers
 from repro.core.quantile import (
     CappedCache,
+    LocalCandidates,
     phi_for_index,
     pivoting_quantile,
-    target_index_for,
+    project,
+    resolve_target,
 )
 from repro.core.result import QuantileResult
 from repro.data.database import Database
@@ -73,15 +75,11 @@ from repro.query.join_tree import RootedJoinTree, build_join_tree
 from repro.query.parser import parse_ranking
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.base import RankingFunction
-from repro.ranking.lex import LexRanking
-from repro.ranking.minmax import MaxRanking, MinRanking
+from repro.ranking.minmax import MinRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime import CancellationToken, ExecutionContext, checkpoint
 from repro.runtime.policy import degradation_ladder, validate_policy
-from repro.trim.base import Trimmer
-from repro.trim.lex_trim import LexTrimmer
-from repro.trim.minmax_trim import MinMaxTrimmer
-from repro.trim.sum_adjacent_trim import SumAdjacentTrimmer
+from repro.trim import Trimmer, exact_trimmer_for
 
 #: Strategy identifiers accepted by the engine and the legacy solver facade.
 STRATEGIES = ("auto", "exact-pivot", "approx-pivot", "sampling", "materialize")
@@ -237,13 +235,17 @@ class PreparedQuery:
         self._total: int | None = None
         self._materialized: list[dict[str, Any]] | None = None
         # Per-strategy state: degradation may run several pivoting strategies
-        # over this prepared query's lifetime, and exact and lossy trims must
-        # never share interval-keyed caches (their trimmed sub-databases and
-        # partition counts differ for the same interval).
-        self._trimmers: dict[str, Trimmer] = {}
+        # over this prepared query's lifetime, each over its own candidate
+        # source (the lossy trimmer of approx-pivot must never be confused
+        # with the exact ones).
+        self._sources: dict[str, LocalCandidates] = {}
         self._pivot_cache_limit = pivot_cache_limit
-        self._pivot_caches: dict[str, CappedCache] = {}
-        self._answer_caches: dict[str, CappedCache] = {}
+        # {mode: (step cache, answer cache)}, mode being a pivoting strategy
+        # or "sharded".  Both caches are keyed by candidate weight interval,
+        # but entries are not interchangeable between modes: a lossy trim of
+        # an interval drops answers an exact trim keeps, and a cached step's
+        # candidate handles mean something only to the source that made them.
+        self._caches: dict[str, tuple[CappedCache, CappedCache]] = {}
         # One materialized tree per (query, database) pair, shared by
         # counting, reduction, pivot selection, and terminal enumeration
         # across all executions of this prepared query.
@@ -294,9 +296,7 @@ class PreparedQuery:
     def _prepare_all(self) -> None:
         plan = self.plan()
         if plan.strategy in ("exact-pivot", "approx-pivot"):
-            self._ensure_reduced()
-            self._ensure_total()
-            self._ensure_trimmer(plan.strategy)
+            self._ensure_source(plan.strategy)
             if plan.strategy == "exact-pivot":
                 self._ensure_parallel()
         elif plan.strategy == "sampling":
@@ -453,70 +453,51 @@ class PreparedQuery:
                     self._materialized = materialized
         return materialized
 
-    def _ensure_trimmer(self, strategy: str) -> Trimmer:
-        """The trimmer for one pivoting strategy (cached per strategy).
+    def _ensure_source(self, strategy: str) -> LocalCandidates:
+        """The local candidate source of one pivoting strategy (built once).
 
-        Keyed by strategy, not shared: the lossy trimmer of ``approx-pivot``
-        and the exact trimmers must never be confused when degradation runs
-        both over this prepared query's lifetime.
+        Bundles the reduced base, ``|Q(D)|``, the tree cache, and the
+        strategy's trimmer, so an execution call does no per-query setup.
         """
-        trimmer = self._trimmers.get(strategy)
-        if trimmer is not None:
-            return trimmer
-        with self._state_lock:
-            return self._build_trimmer(strategy)
+        source = self._sources.get(strategy)
+        if source is None:
+            with self._state_lock:
+                source = self._sources.get(strategy)
+                if source is None:
+                    source = self._sources[strategy] = LocalCandidates(
+                        *self._ensure_reduced(),
+                        self.ranking,
+                        self._build_trimmer(strategy),
+                        self._tree_cache,
+                        self._ensure_total(),
+                    )
+        return source
 
     def _build_trimmer(self, strategy: str) -> Trimmer:
-        trimmer = self._trimmers.get(strategy)
-        if trimmer is not None:
-            return trimmer
         if strategy == "approx-pivot":
             if self.epsilon is None:
                 raise SolverError("the approx-pivot strategy requires epsilon")
             if not isinstance(self.ranking, SumRanking):
                 raise SolverError("the approx-pivot strategy only applies to SUM rankings")
-            trimmer = LossySumTrimmer(self.ranking, epsilon=self.epsilon / 4.0)
-        elif isinstance(self.ranking, (MinRanking, MaxRanking)):
-            trimmer = MinMaxTrimmer(self.ranking)
-        elif isinstance(self.ranking, LexRanking):
-            trimmer = LexTrimmer(self.ranking)
-        elif isinstance(self.ranking, SumRanking):
+            return LossySumTrimmer(self.ranking, epsilon=self.epsilon / 4.0)
+        if isinstance(self.ranking, SumRanking) and self.strategy == "exact-pivot":
             classification = self.classification()
-            if not classification.is_tractable and self.strategy == "exact-pivot":
+            if not classification.is_tractable:
                 raise IntractableQueryError(
                     "exact-pivot was forced but the SUM query is conditionally "
                     f"intractable: {classification.reason}"
                 )
-            trimmer = SumAdjacentTrimmer(self.ranking)
-        else:
-            raise RankingError(
-                f"no exact trimming construction is known for {self.ranking.describe()}"
-            )
-        self._trimmers[strategy] = trimmer
-        return trimmer
+        return exact_trimmer_for(self.ranking)
 
-    def _strategy_caches(
-        self, strategy: str
-    ) -> tuple[CappedCache | None, CappedCache | None]:
-        """Pivot and answer caches for one strategy (created on first use).
-
-        Exact and lossy executions key both caches by candidate weight
-        interval, but their entries are not interchangeable — a lossy trim of
-        the same interval drops answers an exact trim keeps — so each
-        strategy owns a separate pair.
-        """
-        if self._pivot_cache_limit <= 0:
-            return None, None
-        with self._state_lock:
-            pivot = self._pivot_caches.get(strategy)
-            if pivot is None:
-                pivot = self._pivot_caches[strategy] = CappedCache(
-                    self._pivot_cache_limit
-                )
-                self._answer_caches[strategy] = CappedCache(
-                    min(self._pivot_cache_limit, DEFAULT_ANSWER_CACHE_LIMIT)
-                )
-            return pivot, self._answer_caches[strategy]
+    def _mode_caches(self, mode: str) -> tuple[CappedCache, CappedCache]:
+        """The (step, answer) caches of one mode (created on first use)."""
+        caches = self._caches.get(mode)
+        if caches is None:
+            limit = self._pivot_cache_limit
+            fresh = CappedCache(limit), CappedCache(min(limit, DEFAULT_ANSWER_CACHE_LIMIT))
+            with self._state_lock:
+                caches = self._caches.setdefault(mode, fresh)
+        return caches
 
     # ------------------------------------------------------------------ #
     # Sharded parallel execution (exact-pivot only)
@@ -526,8 +507,8 @@ class PreparedQuery:
 
         Built at most once per prepared query: the shard plan partitions the
         semijoin-reduced base, a worker session ships/reduces/counts every
-        shard, and the merger caches pivot rounds across φ values exactly
-        like the serial pivot cache.  A failure to start (worker crash,
+        shard, and the merger feeds the shared pivoting loop, which caches
+        its rounds under the "sharded" mode.  A failure to start (worker crash,
         closed pool) permanently disables parallelism for this prepared
         query — recorded in ``_parallel_note`` — instead of failing the
         call.
@@ -565,9 +546,7 @@ class PreparedQuery:
                 return None
             self._parallel_plan = plan
             self._parallel_session = session
-            self._parallel_merger = RankMerger(
-                session, step_cache_limit=self._pivot_cache_limit or 1
-            )
+            self._parallel_merger = RankMerger(session)
             return self._parallel_merger
 
     def _disable_parallel(self, note: str) -> None:
@@ -577,6 +556,8 @@ class PreparedQuery:
             self._parallel_session = None
             self._parallel_merger = None
             self._parallel_plan = None
+            # Sharded steps hold per-shard handles: useless without workers.
+            self._caches.pop("sharded", None)
             if self._parallel_note is None:
                 self._parallel_note = note
         if session is not None:
@@ -596,11 +577,13 @@ class PreparedQuery:
         merger = self._ensure_parallel()
         if merger is None:
             return None
-        session = merger.session
-        termination_size = self.termination_factor * max(session.reduced_rows, 1)
+        termination_size = self.termination_factor * max(
+            merger.session.reduced_rows, 1
+        )
+        keep = set(self.query.variables)
         try:
             return merger.solve(
-                phi, index, set(self.query.variables), termination_size
+                phi, index, keep, termination_size, *self._mode_caches("sharded")
             )
         except WorkerCrashError as crash:
             self._disable_parallel(f"worker crashed: {crash}")
@@ -660,8 +643,6 @@ class PreparedQuery:
         )
 
     def _solve(self, phi: float | None = None, index: int | None = None) -> QuantileResult:
-        if (phi is None) == (index is None):
-            raise ValidationError("exactly one of phi and index must be provided")
         plan = self.plan()
         if not self._has_guards():
             return self._execute(plan.strategy, phi, index)
@@ -726,22 +707,20 @@ class PreparedQuery:
                 result = self._try_parallel(phi, index)
                 if result is not None:
                     return result
-            trimmer = self._ensure_trimmer(strategy)
-            base_query, base_db = self._ensure_reduced()
-            pivot_cache, answer_cache = self._strategy_caches(strategy)
+            source = self._ensure_source(strategy)
+            pivot_cache, answer_cache = self._mode_caches(strategy)
             return pivoting_quantile(
-                base_query,
-                base_db,
+                source.query,
+                source.db,
                 self.ranking,
-                trimmer,
+                source.trimmer,
                 phi=phi,
                 index=index,
                 epsilon=self.epsilon if strategy == "approx-pivot" else None,
-                termination_size=self.termination_factor * max(base_db.size, 1),
-                total=self._ensure_total(),
+                termination_size=self.termination_factor * max(source.db.size, 1),
                 pivot_cache=pivot_cache,
                 answer_cache=answer_cache,
-                tree_cache=self._tree_cache,
+                source=source,
             )
         raise SolverError(f"unhandled strategy {strategy!r}")
 
@@ -764,11 +743,9 @@ class PreparedQuery:
             raise SolverError("the sampling strategy requires epsilon")
         canonical_query, canonical_db = self._ensure_canonical()
         total = self._ensure_total()
-        if index is not None:
-            if total == 0:
-                raise SolverError("the query has no answers")
-            phi = phi_for_index(index, total)
-        assert phi is not None
+        target = resolve_target(phi, index, total)
+        if phi is None:
+            phi = phi_for_index(target, total)
         outcome = sampling_quantile(
             canonical_query,
             canonical_db,
@@ -778,12 +755,10 @@ class PreparedQuery:
             seed=self.seed,
             tree=self._tree_cache.get(canonical_query, canonical_db),
         )
-        original = set(self.query.variables)
-        assignment = {k: v for k, v in outcome.assignment.items() if k in original}
         return QuantileResult(
-            assignment=assignment,
+            assignment=project(outcome.assignment, set(self.query.variables)),
             weight=outcome.weight,
-            target_index=target_index_for(phi, total),
+            target_index=target,
             total_answers=total,
             strategy="sampling",
             exact=False,
@@ -795,8 +770,9 @@ class PreparedQuery:
     # ------------------------------------------------------------------ #
     @property
     def pivot_cache_size(self) -> int:
-        """Number of memoized pivoting iterations currently held (all strategies)."""
-        return sum(len(cache) for cache in self._pivot_caches.values())
+        """Number of memoized pivoting iterations currently held (all
+        strategies, serial and sharded)."""
+        return sum(len(steps) for steps, _ in list(self._caches.values()))
 
     def estimated_bytes(self) -> int:
         """Coarse, deterministic estimate of this prepared query's cache bytes.
@@ -820,14 +796,11 @@ class PreparedQuery:
         total += len(self._tree_cache) * self.db.size * row_bytes
         # Each memoized pivot iteration keeps two trimmed sub-database views
         # (masks over shared columns); each answer-cache entry (serial and
-        # merged) a weight column plus one value column per variable, charged
+        # sharded) a weight column plus one value column per variable, charged
         # at their actual lengths (up to termination_factor * |D| each).
         total += self.pivot_cache_size * 1024
-        answer_caches = list(self._answer_caches.values())
-        if self._parallel_merger is not None:
-            answer_caches.append(self._parallel_merger.answer_cache)
-        for cache in answer_caches:
-            for weights, columns in list(cache.values()):
+        for _, answers in list(self._caches.values()):
+            for weights, columns in list(answers.values()):
                 total += 8 * len(weights) * (1 + len(columns))
         # Shard payloads are replicated into worker processes; charge the
         # shipped rows (broadcast replication included) at the same rate.
@@ -841,9 +814,10 @@ class PreparedQuery:
         return self._tree_cache
 
     def clear_pivot_cache(self) -> None:
-        """Drop the memoized pivoting iterations (prepared state is kept)."""
-        self._pivot_caches.clear()
-        self._answer_caches.clear()
+        """Drop the memoized pivoting iterations, serial and sharded
+        (prepared state is kept)."""
+        with self._state_lock:
+            self._caches.clear()
         self._tree_cache.clear()
 
     def __repr__(self) -> str:

@@ -5,24 +5,20 @@ The package splits a φ-quantile computation across K processes:
 * :mod:`~repro.parallel.planner` hash-partitions the database into K
   disjoint sub-databases (anchor on the largest relation, route or
   broadcast the rest along the join tree);
-* :mod:`~repro.parallel.worker` runs the *unchanged* serial pipeline —
-  semijoin reduction, subtree counting, trimming, pivot proposal — over one
-  shard inside a worker process;
+* :mod:`~repro.parallel.worker` holds the serial engine's local candidate
+  source — semijoin reduction, subtree counting, trimming, pivot proposal —
+  over one shard inside a worker process;
 * :mod:`~repro.parallel.pool` pins shard ``s`` to process lane ``s`` (or
   runs everything inline for deterministic tests);
-* :mod:`~repro.parallel.merger` re-runs Algorithm 1 on the coordinator with
-  every candidate count replaced by its K-way sum — rank counts over
-  disjoint shards are mergeable summaries, so the answer is bit-identical
-  to the serial path.
+* :mod:`~repro.parallel.merger` is the candidate source that feeds the one
+  pivoting loop (:func:`repro.core.quantile.run_pivoting`) K-way sums of the
+  shards' candidate counts — rank counts over disjoint shards are mergeable
+  summaries, so the answer is bit-identical to the serial path.
 
 This module must not import :mod:`repro.engine` (the engine imports us).
 """
 
-from repro.parallel.merger import (
-    MergedStep,
-    ParallelSession,
-    RankMerger,
-)
+from repro.parallel.merger import ParallelSession, RankMerger
 from repro.parallel.planner import (
     DEFAULT_BROADCAST_THRESHOLD,
     ShardPlan,
@@ -37,12 +33,11 @@ from repro.parallel.pool import (
     WorkerPool,
     create_pool,
 )
-from repro.parallel.worker import exact_trimmer_for, run_shard_task
+from repro.parallel.worker import run_shard_task
 
 __all__ = [
     "DEFAULT_BROADCAST_THRESHOLD",
     "InlinePool",
-    "MergedStep",
     "PARALLEL_MODE_ENV_VAR",
     "ParallelSession",
     "RankMerger",
@@ -51,7 +46,6 @@ __all__ = [
     "WorkerPool",
     "create_pool",
     "default_shard_count",
-    "exact_trimmer_for",
     "resolve_shard_count",
     "run_shard_task",
     "stable_shard_hash",

@@ -4,17 +4,18 @@ Because the shard plan makes per-shard answer sets **disjoint** with union
 ``Q(D)`` (every answer binds the partition variable to one value), rank
 counts are *mergeable summaries* in the sense of Agarwal et al. (PODS'12):
 for any weight interval, the global candidate count is the sum of the
-per-shard counts, and a φ-quantile over the global order reduces to the
-serial pivoting loop with each count replaced by a K-way sum.
+per-shard counts.
 
-:class:`RankMerger` mirrors :func:`repro.core.quantile.pivoting_quantile`
-line for line — same target-index arithmetic, same iteration cap, same
-lt/eq/gt branching, same terminal materialize-and-select — but each
-iteration asks the largest surviving shard to *propose* a pivot and then
-fans the lt/gt counting out to every surviving shard.  The returned weight,
-target index, and total are therefore bit-identical to the serial path
-(the pivot trajectory may differ, which only changes iteration diagnostics,
-never the selected rank).
+There is one pivoting loop, :func:`repro.core.quantile.run_pivoting`, and
+two candidate sources for it.  The serial engine's source is a
+:class:`~repro.core.quantile.LocalCandidates`; :class:`RankMerger` is the
+sharded one: its candidate handles are per-shard count tuples, its ``step``
+asks the largest surviving shard to *propose* a pivot and fans the lt/gt
+counting out to every surviving shard, and its ``terminal`` merges the
+shards' sorted columns.  The returned weight, target index, and total are
+therefore bit-identical to the serial path (with K > 1 the pivot
+trajectory may differ, which only changes iteration diagnostics, never the
+selected rank).
 
 :class:`ParallelSession` owns the pool plus per-shard bookkeeping and
 threads the runtime guardrails through: in process mode each task carries
@@ -26,19 +27,17 @@ observed at the coordinator's own per-round checkpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Iterable
+from collections.abc import Collection, Iterable, MutableMapping
+from typing import Any
 
 import repro.exceptions as _exceptions
-from repro.core.quantile import CappedCache, project, target_index_for
-from repro.core.result import IterationStats, QuantileResult
+from repro.core.quantile import PivotStep, run_pivoting
+from repro.core.result import QuantileResult
 from repro.exceptions import (
     BudgetExceededError,
-    EmptyResultError,
     ExecutionCancelledError,
     ReproError,
     SolverError,
-    ValidationError,
 )
 from repro.joins.yannakakis import SortedAnswers
 from repro.kernels import active_backend
@@ -49,38 +48,7 @@ from repro.query.predicates import WeightInterval
 from repro.ranking.base import RankingFunction
 from repro.runtime import checkpoint, current_context
 
-#: Default cap on memoized merged pivot steps (mirrors the engine's
-#: pivot-cache bound; evicted intervals are recomputed by the shards).
-DEFAULT_MERGED_STEP_CACHE_LIMIT = 256
-
-#: Default cap on memoized terminal answer columns.
-DEFAULT_MERGED_ANSWER_CACHE_LIMIT = 32
-
-Assignment = dict[str, Any]
-
-
-@dataclass(frozen=True)
-class MergedStep:
-    """One memoized pivoting iteration over the sharded candidate sets.
-
-    The per-shard lt/gt counts are kept (not just their sums) because they
-    are next round's ``shard_counts`` — the merger needs them to pick the
-    next proposer and to skip empty shards.
-    """
-
-    pivot_weight: Any
-    pivot_assignment: Assignment
-    pivot_c: float
-    lt_counts: tuple[int, ...]
-    gt_counts: tuple[int, ...]
-
-    @property
-    def count_lt(self) -> int:
-        return sum(self.lt_counts)
-
-    @property
-    def count_gt(self) -> int:
-        return sum(self.gt_counts)
+ShardCounts = tuple[int, ...]
 
 
 class ParallelSession:
@@ -104,14 +72,12 @@ class ParallelSession:
         self.plan = plan
         self.ranking = ranking
         self._pool: ShardPool = create_pool(plan.num_shards, mode)
-        self.shard_totals: tuple[int, ...] = ()
-        self.shard_reduced: tuple[int, ...] = ()
+        self.shard_totals: ShardCounts = ()
         self.total = 0
         self.reduced_rows = 0
         self.var_order: tuple[str, ...] = tuple(
             sorted({v for _, variables in plan.atoms for v in variables})
         )
-        self._started = False
 
     # ------------------------------------------------------------------ #
     @property
@@ -146,16 +112,9 @@ class ParallelSession:
             )
             for shard in range(self.num_shards)
         )
-        totals: list[int] = []
-        reduced: list[int] = []
-        for shard_total, shard_reduced in outcomes:
-            totals.append(shard_total)
-            reduced.append(shard_reduced)
-        self.shard_totals = tuple(totals)
-        self.shard_reduced = tuple(reduced)
-        self.total = sum(totals)
-        self.reduced_rows = sum(reduced)
-        self._started = True
+        self.shard_totals = tuple(total for total, _ in outcomes)
+        self.total = sum(self.shard_totals)
+        self.reduced_rows = sum(reduced for _, reduced in outcomes)
 
     # ------------------------------------------------------------------ #
     def fan_out(self, tasks: Iterable[tuple[int, str, Any]]) -> list[Any]:
@@ -226,24 +185,25 @@ class ParallelSession:
 
 
 class RankMerger:
-    """The sharded pivoting loop: serial Algorithm 1 over summed counts.
+    """The sharded candidate source: every count is a K-way sum.
 
-    One merger is attached per prepared query; its interval-keyed caches
-    play the role of the engine's pivot/answer caches, so repeated φ values
+    A candidate handle is the tuple of per-shard candidate counts (not just
+    their sum): the merger needs them to pick the next proposer and to skip
+    empty shards.  :meth:`solve` runs the shared pivoting loop over it; the
+    prepared query passes its interval-keyed caches in, so repeated φ values
     reuse the expensive early rounds exactly like the serial path does.
     """
 
-    def __init__(
-        self,
-        session: ParallelSession,
-        step_cache_limit: int = DEFAULT_MERGED_STEP_CACHE_LIMIT,
-        answer_cache_limit: int = DEFAULT_MERGED_ANSWER_CACHE_LIMIT,
-    ) -> None:
+    def __init__(self, session: ParallelSession) -> None:
         self.session = session
-        self._steps: CappedCache = CappedCache(step_cache_limit)
-        #: Terminal interval -> merged weight-sorted answer columns (sized by
-        #: ``PreparedQuery.estimated_bytes``).
-        self.answer_cache: CappedCache = CappedCache(answer_cache_limit)
+
+    @property
+    def total(self) -> int:
+        return self.session.total
+
+    @property
+    def root(self) -> ShardCounts:
+        return self.session.shard_totals
 
     # ------------------------------------------------------------------ #
     def solve(
@@ -252,102 +212,26 @@ class RankMerger:
         index: int | None,
         original_variables: set[str],
         termination_size: int,
+        step_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
+        answer_cache: MutableMapping[WeightInterval, SortedAnswers] | None = None,
     ) -> QuantileResult:
         """Answer one quantile (or selection) query over the sharded order.
 
-        Mirrors :func:`repro.core.quantile.pivoting_quantile` with every
-        candidate count replaced by its K-way sum; the weight, target index,
-        and total are bit-identical to the serial exact-pivot path.
+        The weight, target index, and total are bit-identical to the serial
+        exact-pivot path.
         """
-        session = self.session
-        total = session.total
-        if total == 0:
-            raise EmptyResultError("the query has no answers, so no quantile exists")
-        if (phi is None) == (index is None):
-            raise ValidationError("exactly one of phi and index must be provided")
-        if index is not None:
-            if not 0 <= index < total:
-                raise ValidationError(f"index {index} out of range [0, {total})")
-            target = index
-        else:
-            target = target_index_for(phi, total)  # type: ignore[arg-type]
-
-        interval = WeightInterval()
-        shard_counts = session.shard_totals
-        current_count = total
-        remaining_index = target
-        stats: list[IterationStats] = []
-        iteration_cap = 0
-
-        while current_count > termination_size:
-            checkpoint("parallel.iteration")
-            step = self._steps.get(interval)
-            if step is None:
-                step = self._compute_step(interval, shard_counts)
-                self._steps[interval] = step
-            if iteration_cap == 0:
-                c = max(step.pivot_c, 1e-3)
-                iteration_cap = (
-                    int(math.ceil(math.log(max(total, 2)) / -math.log(1 - c))) + 20
-                )
-            if len(stats) >= iteration_cap:
-                raise SolverError(
-                    f"pivoting did not converge within {iteration_cap} iterations; "
-                    "this indicates an inconsistent trimmer"
-                )
-            count_lt = step.count_lt
-            count_gt = step.count_gt
-            count_eq = max(0, current_count - count_lt - count_gt)
-
-            if remaining_index < count_lt:
-                chosen = "lt"
-                interval = interval.with_high(step.pivot_weight, strict=True)
-                shard_counts = step.lt_counts
-                current_count = count_lt
-            elif remaining_index < count_lt + count_eq:
-                chosen = "eq"
-            else:
-                chosen = "gt"
-                remaining_index -= count_lt + count_eq
-                interval = interval.with_low(step.pivot_weight, strict=True)
-                shard_counts = step.gt_counts
-                current_count = count_gt
-            stats.append(
-                IterationStats(
-                    pivot_weight=step.pivot_weight,
-                    c=step.pivot_c,
-                    count_lt=count_lt,
-                    count_eq=count_eq,
-                    count_gt=count_gt,
-                    candidate_count=count_eq if chosen == "eq" else current_count,
-                    chosen=chosen,
-                )
-            )
-            if chosen == "eq" or current_count == 0:
-                # Same fallback as the serial loop: an emptied branch means
-                # every remaining candidate shares the pivot weight.
-                assignment = project(step.pivot_assignment, original_variables)
-                return self._result(assignment, step.pivot_weight, target, stats)
-
-        answers = self.answer_cache.get(interval)
-        if answers is None:
-            answers = self._terminal(interval, shard_counts)
-            if not answers[0]:
-                raise SolverError("no candidate answers remained to materialize")
-            self.answer_cache[interval] = answers
-        weights, columns = answers
-        position = min(remaining_index, len(weights) - 1)
-        assignment = {
-            variable: column[position]
-            for variable, column in columns.items()
-            if variable in original_variables
-        }
-        return self._result(assignment, weights[position], target, stats)
+        return run_pivoting(
+            self,
+            phi,
+            index,
+            original_variables,
+            termination_size,
+            step_cache=step_cache,
+            answer_cache=answer_cache,
+        )
 
     # ------------------------------------------------------------------ #
-    def _compute_step(
-        self, interval: WeightInterval, shard_counts: tuple[int, ...]
-    ) -> MergedStep:
+    def step(self, interval: WeightInterval, shard_counts: ShardCounts) -> PivotStep:
         """One pivoting round: the largest shard proposes, everyone counts."""
         session = self.session
         active = [s for s in range(session.num_shards) if shard_counts[s] > 0]
@@ -372,16 +256,18 @@ class RankMerger:
         for shard, (count_lt, count_gt) in zip(active, outcomes):
             lt_counts[shard] = count_lt
             gt_counts[shard] = count_gt
-        return MergedStep(
-            pivot_weight=pivot_weight,
-            pivot_assignment=dict(pivot_assignment),
-            pivot_c=pivot_c,
-            lt_counts=tuple(lt_counts),
-            gt_counts=tuple(gt_counts),
+        return PivotStep(
+            dict(pivot_assignment),
+            pivot_weight,
+            pivot_c,
+            tuple(lt_counts),
+            sum(lt_counts),
+            tuple(gt_counts),
+            sum(gt_counts),
         )
 
-    def _terminal(
-        self, interval: WeightInterval, shard_counts: tuple[int, ...]
+    def terminal(
+        self, interval: WeightInterval, shard_counts: ShardCounts, keep: Collection[str]
     ) -> SortedAnswers:
         """Gather and merge the surviving shards' weight-sorted columns.
 
@@ -407,32 +293,11 @@ class RankMerger:
         return [weights[i] for i in order], {
             variable: [column[i] for i in order]
             for variable, column in zip(session.var_order, columns)
+            if variable in keep
         }
-
-    def _result(
-        self,
-        assignment: Assignment,
-        weight: Any,
-        target: int,
-        stats: list[IterationStats],
-    ) -> QuantileResult:
-        return QuantileResult(
-            assignment=assignment,
-            weight=weight,
-            target_index=target,
-            total_answers=self.session.total,
-            strategy="exact-pivot",
-            exact=True,
-            epsilon=None,
-            iterations=len(stats),
-            stats=tuple(stats),
-        )
 
 
 __all__ = [
-    "DEFAULT_MERGED_ANSWER_CACHE_LIMIT",
-    "DEFAULT_MERGED_STEP_CACHE_LIMIT",
-    "MergedStep",
     "ParallelSession",
     "RankMerger",
 ]

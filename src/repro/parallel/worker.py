@@ -1,54 +1,48 @@
-"""Per-shard worker: the existing pipeline, unchanged, over one shard.
+"""Per-shard worker: a local candidate source over one shard.
 
-Each shard process holds a :class:`_ShardState` — the rebuilt canonical
-query, the shard database, its Yannakakis reduction, a
-:class:`~repro.joins.tree_cache.TreeCache`, a trimmer, and an
-interval-keyed candidate cache — and answers four operations shipped by the
-coordinator through :func:`run_shard_task`:
+Each shard process holds a :class:`_ShardState` — a
+:class:`~repro.core.quantile.LocalCandidates` over the rebuilt canonical
+query and the shard's Yannakakis-reduced database (the very class the
+serial engine pivots over), plus an interval-keyed candidate cache — and
+answers four operations shipped by the coordinator through
+:func:`run_shard_task`:
 
 * ``init``    — build the shard from flat column payloads, reduce, count;
 * ``pivot``   — propose a c-pivot among the shard's current candidates;
 * ``counts``  — trim lt/gt partitions for a pivot weight and count them;
 * ``terminal``— the remaining candidates as weight-sorted columns.
 
-The reduction, counting, trimming, and pivot selection are the *same*
-functions the serial engine uses; sharding never forks the algorithm.  All
-results travel in a ``(status, payload, rows_used)`` envelope so typed
-errors (budget trips, cancellation, empty shards) cross the process
-boundary without relying on exception pickling.
+The coordinator (:class:`~repro.parallel.merger.RankMerger`) combines these
+into the ``step``/``terminal`` of a candidate source for the one pivoting
+loop, so sharding never forks the algorithm.  All results travel in a
+``(status, payload, rows_used)`` envelope so typed errors (budget trips,
+cancellation, empty shards) cross the process boundary without relying on
+exception pickling.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.quantile import CappedCache, LocalCandidates, LocalHandle
 from repro.data.columns import ColumnStore
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.exceptions import (
     BudgetExceededError,
     ExecutionCancelledError,
-    RankingError,
     ReproError,
 )
-from repro.joins.counting import count_answers, count_from_tree
 from repro.joins.tree_cache import TreeCache
-from repro.joins.yannakakis import evaluate_sorted, full_reduce
-from repro.pivot.pivot_selection import select_pivot
+from repro.joins.yannakakis import full_reduce
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.query.predicates import WeightInterval
-from repro.ranking.base import RankingFunction
-from repro.ranking.lex import LexRanking
-from repro.ranking.minmax import MaxRanking, MinRanking
-from repro.ranking.sum import SumRanking
 from repro.runtime import ExecutionContext
-from repro.trim.base import Trimmer
-from repro.trim.lex_trim import LexTrimmer
-from repro.trim.minmax_trim import MinMaxTrimmer
-from repro.trim.sum_adjacent_trim import SumAdjacentTrimmer
+from repro.trim import exact_trimmer_for
 
 #: Cap on memoized candidate intervals per shard (mirrors the coordinator's
 #: pivot-cache bound; evicted intervals are recomputed from the base).
@@ -57,36 +51,16 @@ DEFAULT_CANDIDATE_CACHE_LIMIT = 256
 #: ``(status, payload, rows_used)`` — the cross-process result envelope.
 TaskResult = tuple[str, Any, int]
 
-Candidate = tuple[JoinQuery, Database, int]
-
-
-def exact_trimmer_for(ranking: RankingFunction) -> Trimmer:
-    """The exact trimming construction for a ranking (mirrors the engine's
-    ``exact-pivot`` dispatch; the parallel path only runs exact pivoting)."""
-    if isinstance(ranking, (MinRanking, MaxRanking)):
-        return MinMaxTrimmer(ranking)
-    if isinstance(ranking, LexRanking):
-        return LexTrimmer(ranking)
-    if isinstance(ranking, SumRanking):
-        return SumAdjacentTrimmer(ranking)
-    raise RankingError(
-        f"no exact trimming construction is known for {ranking.describe()}"
-    )
-
 
 @dataclass
 class _ShardState:
     """Everything one worker process keeps for one shard."""
 
-    query: JoinQuery
-    base_db: Database  # the shard database after full semijoin reduction
-    ranking: RankingFunction
-    trimmer: Trimmer
-    total: int
+    source: LocalCandidates  # over the shard database after full reduction
     var_order: tuple[str, ...]
-    tree_cache: TreeCache = field(default_factory=TreeCache)
-    candidates: dict[WeightInterval, Candidate] = field(default_factory=dict)
-    cache_limit: int = DEFAULT_CANDIDATE_CACHE_LIMIT
+    candidates: CappedCache = field(
+        default_factory=lambda: CappedCache(DEFAULT_CANDIDATE_CACHE_LIMIT)
+    )
 
 
 #: Shard states of this worker process, keyed by the coordinator-assigned id.
@@ -130,20 +104,15 @@ def _dispatch(state_key: int, op: str, payload: Any) -> Any:
     if op == "close":
         _SHARD_STATES.pop(state_key, None)
         return None
-    if op not in ("pivot", "counts", "terminal"):
+    operation = _OPERATIONS.get(op)
+    if operation is None:
         raise ReproError(f"unknown shard operation {op!r}")
     state = _SHARD_STATES.get(state_key)
     if state is None:
         raise ReproError(
             f"shard state {state_key} is not initialized in this worker"
         )
-    if op == "pivot":
-        return _propose_pivot(state, payload)
-    if op == "counts":
-        interval, pivot_weight = payload
-        return _partition_counts(state, interval, pivot_weight)
-    interval = payload
-    return _terminal_answers(state, interval)
+    return operation(state, payload)
 
 
 def crash_for_tests() -> None:  # pragma: no cover - kills the process
@@ -172,26 +141,19 @@ def _init_shard(state_key: int, payload: dict[str, Any]) -> tuple[int, int]:
         relations.append(Relation.from_store(name, schema, store))
     db = Database(relations)
     tree_cache = TreeCache()
-    tree = tree_cache.get(query, db)
-    reduced = full_reduce(query, db, tree=tree)
-    total = count_from_tree(tree_cache.get(query, reduced))
-    ranking: RankingFunction = payload["ranking"]
-    state = _ShardState(
-        query=query,
-        base_db=reduced,
-        ranking=ranking,
-        trimmer=exact_trimmer_for(ranking),
-        total=total,
-        var_order=tuple(sorted(query.variables)),
-        tree_cache=tree_cache,
+    reduced = full_reduce(query, db, tree=tree_cache.get(query, db))
+    ranking = payload["ranking"]
+    source = LocalCandidates(
+        query, reduced, ranking, exact_trimmer_for(ranking), tree_cache
     )
-    state.candidates[WeightInterval()] = (query, reduced, total)
+    state = _ShardState(source, var_order=tuple(sorted(query.variables)))
+    state.candidates[WeightInterval()] = (source.root, source.total)
     _SHARD_STATES[state_key] = state
-    return total, reduced.size
+    return source.total, reduced.size
 
 
-def _candidate(state: _ShardState, interval: WeightInterval) -> Candidate:
-    """The (query, database, count) candidate triple for one interval.
+def _candidate(state: _ShardState, interval: WeightInterval) -> tuple[LocalHandle, int]:
+    """The ((query, database), count) candidate for one interval.
 
     Cached per interval; on a cache miss (including eviction past the cap)
     the candidate is re-trimmed from the reduced base — exactly how the
@@ -199,17 +161,8 @@ def _candidate(state: _ShardState, interval: WeightInterval) -> Candidate:
     agree with what a serial run restricted to this shard would hold.
     """
     entry = state.candidates.get(interval)
-    if entry is not None:
-        return entry
-    trimmed = state.trimmer.trim_interval(state.query, state.base_db, interval)
-    count = count_answers(
-        trimmed.query,
-        trimmed.database,
-        tree=state.tree_cache.get(trimmed.query, trimmed.database),
-    )
-    entry = (trimmed.query, trimmed.database, count)
-    if len(state.candidates) < state.cache_limit or interval in state.candidates:
-        state.candidates[interval] = entry
+    if entry is None:
+        entry = state.candidates[interval] = state.source.candidate(interval)
     return entry
 
 
@@ -217,29 +170,25 @@ def _propose_pivot(
     state: _ShardState, interval: WeightInterval
 ) -> tuple[Any, dict[str, Any], float] | None:
     """Propose this shard's c-pivot for the interval, or ``None`` if empty."""
-    query, db, count = _candidate(state, interval)
+    handle, count = _candidate(state, interval)
     if count == 0:
         return None
-    pivot = select_pivot(
-        query, db, state.ranking, tree=state.tree_cache.get(query, db)
-    )
+    pivot = state.source.pivot(handle)
     return pivot.weight, pivot.assignment, pivot.c
 
 
 def _partition_counts(
-    state: _ShardState, interval: WeightInterval, pivot_weight: Any
+    state: _ShardState, payload: tuple[WeightInterval, Any]
 ) -> tuple[int, int]:
-    """Count this shard's candidates strictly below / above ``pivot_weight``.
+    """Count this shard's candidates strictly below / above a pivot weight.
 
     Both partitions are trimmed from the reduced base restricted to the full
-    accumulated interval (never from a previous trim's output), mirroring
-    the serial loop, and cached so the next round's pivot proposal reuses
-    them.
+    accumulated interval (never from a previous trim's output) and cached,
+    so the next round's pivot proposal reuses them.
     """
-    lt_interval = interval.with_high(pivot_weight, strict=True)
-    gt_interval = interval.with_low(pivot_weight, strict=True)
-    _, _, count_lt = _candidate(state, lt_interval)
-    _, _, count_gt = _candidate(state, gt_interval)
+    interval, pivot_weight = payload
+    _, count_lt = _candidate(state, interval.with_high(pivot_weight, strict=True))
+    _, count_gt = _candidate(state, interval.with_low(pivot_weight, strict=True))
     return count_lt, count_gt
 
 
@@ -252,21 +201,20 @@ def _terminal_answers(
     ``var_order`` variable — flat lists, never per-answer objects — so the
     coordinator merges K sorted runs with one stable argsort.
     """
-    query, db, _ = _candidate(state, interval)
-    weights, columns = evaluate_sorted(
-        query,
-        db,
-        state.ranking,
-        tree=state.tree_cache.get(query, db),
-        keep=state.var_order,
-    )
+    handle, _ = _candidate(state, interval)
+    weights, columns = state.source.terminal(interval, handle, state.var_order)
     return weights, [columns[variable] for variable in state.var_order]
 
+
+_OPERATIONS: dict[str, Callable[[_ShardState, Any], Any]] = {
+    "pivot": _propose_pivot,
+    "counts": _partition_counts,
+    "terminal": _terminal_answers,
+}
 
 __all__ = [
     "DEFAULT_CANDIDATE_CACHE_LIMIT",
     "TaskResult",
-    "exact_trimmer_for",
     "run_shard_task",
     "crash_for_tests",
 ]

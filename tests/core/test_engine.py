@@ -137,16 +137,13 @@ class TestPreparedStateReuse:
         self, binary_join, parallel, monkeypatch
     ):
         # The service's byte-budget eviction only sees what this estimate
-        # charges: a cached terminal costs its actual column lengths (serial
-        # answer cache and the sharded merger's alike).
+        # charges: a cached terminal costs its actual column lengths (the
+        # serial and the sharded mode's answer cache alike).
         monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
         query, db = binary_join
         prepared = PreparedQuery(query, db, SumRanking(["x1", "x3"]), parallel=parallel)
         prepared.quantile(0.5)
-        if parallel:
-            cache = prepared._parallel_merger.answer_cache
-        else:
-            [cache] = prepared._answer_caches.values()
+        [(_, cache)] = prepared._caches.values()
         [(weights, columns)] = cache.values()
         assert len(weights) == prepared.count() and len(columns) == 3
         with_entry = prepared.estimated_bytes()

@@ -5,6 +5,7 @@ import pytest
 from repro.core.quantile import phi_for_index, pivoting_quantile, target_index_for
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.engine import PreparedQuery
 from repro.exceptions import EmptyResultError
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
@@ -90,6 +91,16 @@ class TestDriver:
         ranking = SumRanking(["x"])
         with pytest.raises(EmptyResultError):
             pivoting_quantile(query, db, ranking, SumAdjacentTrimmer(ranking), phi=0.5)
+        # Every strategy and entry point raises the same typed error
+        # (selection under "sampling" used to raise SolverError).
+        for strategy in ("exact-pivot", "sampling", "materialize"):
+            prepared = PreparedQuery(
+                query, db, ranking, strategy=strategy, epsilon=0.2, seed=3
+            )
+            with pytest.raises(EmptyResultError):
+                prepared.quantile(0.5)
+            with pytest.raises(EmptyResultError):
+                prepared.selection(0)
 
     def test_stats_are_recorded(self, three_path):
         query, db = three_path

@@ -211,11 +211,11 @@ def test_fault_in_the_terminal_leaves_no_partial_answer_cache_entry():
     with inject_faults(FaultPlan().arm("yannakakis.answer", after=1)):
         with pytest.raises(InjectedFault):
             prepared.quantile(0.5)
-    assert all(not cache for cache in prepared._answer_caches.values())
+    assert all(not answers for _, answers in prepared._caches.values())
     result = prepared.quantile(0.5)
     assert (result.weight, result.target_index, result.assignment) == (
         expected.weight,
         expected.target_index,
         expected.assignment,
     )
-    assert sum(len(cache) for cache in prepared._answer_caches.values()) == 1
+    assert sum(len(answers) for _, answers in prepared._caches.values()) == 1

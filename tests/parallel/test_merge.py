@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.materialize import select_from_sorted, sorted_answers
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import Engine, PreparedQuery
@@ -16,7 +17,11 @@ from repro.kernels import active_backend, set_backend
 from repro.parallel.merger import ParallelSession, RankMerger
 from repro.parallel.planner import ShardPlanner
 from repro.query.join_query import JoinQuery
+from repro.ranking.lex import LexRanking
+from repro.ranking.minmax import MinRanking
 from repro.ranking.sum import SumRanking
+from repro.workloads.path import path_workload
+from repro.workloads.star import star_workload
 
 PHIS = [(i + 1) / 20 for i in range(19)]
 
@@ -173,13 +178,13 @@ class TestParallelMatchesSerial:
         session.start()
         merger = RankMerger(session)
         terminal_counts = []
-        merge_terminal = merger._terminal
+        merge_terminal = merger.terminal
 
-        def recording_terminal(interval, shard_counts):
+        def recording_terminal(interval, shard_counts, keep):
             terminal_counts.append(shard_counts)
-            return merge_terminal(interval, shard_counts)
+            return merge_terminal(interval, shard_counts, keep)
 
-        merger._terminal = recording_terminal
+        merger.terminal = recording_terminal
         assert session.total == serial.count() == 480
         for index in range(0, 480, 7):
             merged = merger.solve(None, index, set(query.variables), db.size)
@@ -219,14 +224,121 @@ class TestSessionLifecycle:
     def test_closed_prepared_query_falls_back_silently(
         self, inline_mode, fanout_workload
     ):
+        # The sweep leaves the sharded cache warm: its steps carry per-shard
+        # count tuples as handles, and the serial fallback must never be
+        # served one of them.
         workload = fanout_workload
-        serial = Engine(workload.db).prepare(workload.query, workload.ranking)
-        parallel = Engine(workload.db).prepare(
-            workload.query, workload.ranking, parallel=2
+        serial = PreparedQuery(
+            workload.query, workload.db, workload.ranking, termination_factor=1
         )
-        assert parallel.quantile(0.5).weight == serial.quantile(0.5).weight
+        parallel = PreparedQuery(
+            workload.query,
+            workload.db,
+            workload.ranking,
+            termination_factor=1,
+            parallel=2,
+        )
+        expected = [result_key(r) for r in serial.quantiles(PHIS)]
+        assert [result_key(r) for r in parallel.quantiles(PHIS)] == expected
+        assert parallel.pivot_cache_size > 0
         parallel.close()
         assert parallel.shards is None
-        after = parallel.quantile(0.5)
-        assert after.weight == serial.quantile(0.5).weight
-        assert not after.degraded  # orderly close is not a degradation
+        assert parallel.pivot_cache_size == 0  # the sharded pair went with the pool
+        after = parallel.quantiles(PHIS)
+        assert [result_key(r) for r in after] == expected
+        assert not any(r.degraded for r in after)  # orderly close is not a degradation
+        assert parallel.pivot_cache_size == serial.pivot_cache_size
+
+
+class TestShardedCaches:
+    """The sharded path memoizes in the prepared query's one cache table."""
+
+    def prepared(self, workload, **knobs):
+        return PreparedQuery(
+            workload.query, workload.db, workload.ranking, termination_factor=1, **knobs
+        )
+
+    def test_size_clear_and_bytes_cover_the_sharded_caches(
+        self, inline_mode, fanout_workload
+    ):
+        parallel = self.prepared(fanout_workload, parallel=2)
+        expected = [result_key(r) for r in parallel.quantiles([0.2, 0.5, 0.8])]
+        assert parallel.shards == 2
+        assert parallel.pivot_cache_size > 0
+        steps, answers = parallel._caches["sharded"]
+        assert parallel.pivot_cache_size == len(steps) and answers
+        warm_bytes = parallel.estimated_bytes()
+        parallel.clear_pivot_cache()
+        assert parallel.pivot_cache_size == 0
+        assert not parallel._caches
+        assert parallel.estimated_bytes() <= warm_bytes - 1024 * len(steps)
+        # Still sharded, still right, and the cache refills.
+        assert [
+            result_key(r) for r in parallel.quantiles([0.2, 0.5, 0.8])
+        ] == expected
+        assert parallel.shards == 2 and parallel.pivot_cache_size == len(steps)
+
+    @pytest.mark.parametrize("parallel", [None, 2])
+    def test_cache_limit_zero_memoizes_nothing_on_either_path(
+        self, inline_mode, fanout_workload, parallel
+    ):
+        workload = fanout_workload
+        off = self.prepared(workload, parallel=parallel, pivot_cache_limit=0)
+        phis = PHIS[::3]
+        results = off.quantiles(phis)
+        assert off.shards == parallel
+        assert any(r.iterations for r in results)
+        answers = sorted_answers(workload.query, workload.db, workload.ranking)
+        for phi, result in zip(phis, results):
+            oracle = select_from_sorted(answers, workload.ranking, phi=phi)
+            assert result_key(result) == result_key(oracle)
+        assert off.pivot_cache_size == 0
+        assert all(not steps and not answers for steps, answers in off._caches.values())
+
+
+K1_SHAPES = {
+    "path": lambda ranking: path_workload(3, 120, 6, ranking=ranking, seed=29),
+    "star": lambda ranking: star_workload(3, 60, 5, ranking=ranking, seed=31),
+}
+K1_RANKINGS = {
+    "sum": SumRanking(["x1", "x2"]),
+    "min": MinRanking(["x1", "x2", "x3"]),
+    "lex": LexRanking(["x1", "x3"]),
+}
+
+
+class TestOneLoopTwoSources:
+    @pytest.mark.parametrize("ranking", K1_RANKINGS)
+    @pytest.mark.parametrize("shape", K1_SHAPES)
+    def test_k1_sharded_result_equals_serial_in_every_field(
+        self, inline_mode, shape, ranking
+    ):
+        # Serial and sharded run the same loop over two candidate sources; a
+        # single shard holds every candidate, so not only the selected rank
+        # but the whole result — assignment, iterations, per-iteration
+        # stats — must be equal.
+        ranking = K1_RANKINGS[ranking]
+        workload = K1_SHAPES[shape](ranking)
+        serial = PreparedQuery(
+            workload.query, workload.db, ranking, termination_factor=1
+        )
+        session = ParallelSession(
+            ShardPlanner(1).plan(workload.query, workload.db), ranking
+        )
+        session.start()
+        merger = RankMerger(session)
+        total = serial.count()
+        assert session.total == total
+        caches = {"step_cache": {}, "answer_cache": {}}
+        keep = set(workload.query.variables)
+        termination_size = max(session.reduced_rows, 1)
+        iterated = 0
+        for phi in PHIS:
+            merged = merger.solve(phi, None, keep, termination_size, **caches)
+            assert merged == serial.quantile(phi)
+            iterated += merged.iterations
+        for index in range(0, total, max(1, total // 23)):
+            merged = merger.solve(None, index, keep, termination_size, **caches)
+            assert merged == serial.selection(index)
+        assert iterated, "the sweep never entered the pivoting loop"
+        session.close()
