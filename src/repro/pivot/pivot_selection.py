@@ -9,6 +9,8 @@ The algorithm is a message-passing median-of-medians: every tuple computes a
 pivot partial answer for its subtree; join groups combine tuple pivots with a
 weighted median (weights = subtree answer counts, Lemma 4.5); a tuple combines
 the group pivots of its children and its own values by union (Lemma 4.6).
+The pass runs on whole columns: one segmented weighted median per join-tree
+edge, and no assignment is built but the pivot's.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from repro.data.database import Database
 from repro.exceptions import EmptyResultError
 from repro.joins.counting import subtree_counts
 from repro.joins.message_passing import MaterializedTree
-from repro.pivot.weighted_median import weighted_median
+from repro.kernels import active_backend
+from repro.pivot.weighted_median import segmented_weighted_median, weighted_median
 from repro.query.join_query import JoinQuery
 from repro.query.join_tree import RootedJoinTree
-from repro.ranking.base import RankingFunction
+from repro.ranking.base import RankingFunction, Weight
 from repro.runtime import checkpoint
 
 Assignment = dict[str, Any]
@@ -80,79 +83,78 @@ def select_pivot(
     total = sum(counts[tree.root])
     if total == 0:
         raise EmptyResultError("cannot select a pivot: the query has no answers")
+    kernel = active_backend()
+    identity = ranking.identity
 
-    # The weighted-median quickselect probes each candidate's weight several
-    # times; memoize weight_of per assignment object (the cache holds the
-    # assignment itself so ids cannot be recycled while an entry is alive).
-    weight_cache: dict[int, tuple[Assignment, Any]] = {}
-
-    def weight_key(assignment: Assignment) -> Any:
-        entry = weight_cache.get(id(assignment))
-        if entry is None:
-            entry = (assignment, ranking.weight_of(assignment))
-            weight_cache[id(assignment)] = entry
-        return entry[1]
-
-    # pivots[node][row_index] is the pivot partial answer rooted at that row,
-    # or None for dangling rows (count 0), which can never be selected.
-    pivots: dict[int, list[Assignment | None]] = {}
+    # Columns parallel to a node's rows describe each row's pivot partial
+    # answer (rows with count 0 can never be selected and hold don't-cares):
+    # variable_weights[node][x] the weight of its value of ranked variable x,
+    # weights[node] its weight, chosen[node, child] the child row whose pivot
+    # it contains (len(child rows): none, a dead join group).
+    variable_weights: dict[int, dict[str, list[Weight]]] = {}
+    weights: dict[int, list[Weight]] = {}
+    chosen: dict[tuple[int, int], list[int]] = {}
     c_value: dict[int, float] = {}
 
     for node in tree.nodes_bottom_up():
         rows = tree.rows(node)
         checkpoint("pivot.node", rows=len(rows))
-        node_counts = counts[node]
-        node_pivots: list[Assignment | None] = [
-            tree.assignment(node, row) if node_counts[i] > 0 else None
-            for i, row in enumerate(rows)
-        ]
-        children = tree.children(node)
+        columns = {
+            variable: [
+                ranking.variable_weight(variable, value)
+                for value in tree.node_column(node, position)
+            ]
+            for position, variable in enumerate(tree.variables(node))
+            if variable in ranking.weighted_variables
+        }
         node_c = 1.0
-        for child in children:
+        for child in tree.children(node):
             node_c *= c_value[child] / 2.0
-        for child in children:
-            groups = tree.child_groups(node, child)
-            child_counts = counts[child]
-            child_pivots = pivots[child]
-            # Weighted median per join group, computed once per group.
-            group_pivot: dict[tuple, Assignment] = {}
-            group_count: dict[tuple, int] = {}
-            for key, indices in groups.items():
-                live = [i for i in indices if child_counts[i] > 0]
-                if not live:
-                    continue
-                chosen = weighted_median(
-                    [child_pivots[i] for i in live],
-                    [child_counts[i] for i in live],
-                    key=weight_key,
-                )
-                group_pivot[key] = chosen  # type: ignore[assignment]
-                group_count[key] = sum(child_counts[i] for i in live)
-            for index, row in enumerate(rows):
-                if node_pivots[index] is None:
-                    continue
-                key = tree.parent_group_key(node, row, child)
-                if key not in group_pivot:
-                    node_pivots[index] = None
-                    continue
-                merged = dict(node_pivots[index])
-                merged.update(group_pivot[key])
-                node_pivots[index] = merged
-        pivots[node] = node_pivots
+            # Weighted median per join group (Lemma 4.5), all groups at once,
+            # gathered through each row's group ordinal.
+            medians = segmented_weighted_median(
+                tree.child_group_ids(node, child),
+                weights[child],
+                counts[child],
+                tree.num_child_groups(node, child),
+            )
+            medians.append(len(counts[child]))  # sentinel: parent key with no child group
+            picked = kernel.take(medians, tree.parent_group_ids(node, child))
+            chosen[node, child] = picked
+            # Union with the child's pivot (Lemma 4.6): its values win, as in
+            # dict.update, and the last child holding a variable wins.
+            for variable, column in variable_weights[child].items():
+                columns[variable] = kernel.take(column + [identity], picked)
+        # Fold exactly as weight_of does — from the identity, in ranking
+        # order — so that float weights do not reassociate.
+        weight = [identity] * len(rows)
+        for variable in ranking.weighted_variables:
+            if variable in columns:
+                weight = list(map(ranking.combine, weight, columns[variable]))
+        variable_weights[node] = columns
+        weights[node] = weight
         c_value[node] = node_c
 
     # Artificial root: take the weighted median of the root-row pivots.
     root = tree.root
-    live_indices = [i for i, count in enumerate(counts[root]) if count > 0]
-    final = weighted_median(
-        [pivots[root][i] for i in live_indices],
-        [counts[root][i] for i in live_indices],
-        key=weight_key,
+    final_row = weighted_median(
+        range(len(counts[root])), counts[root], key=weights[root].__getitem__
     )
-    final_c = c_value[root] / 2.0
+    # The one assignment built: the chosen rows top-down, a node before its
+    # children and children in order — the key order and value objects of
+    # dict(row) followed by update(child pivot) per child.
+    final: Assignment = {}
+    stack = [(root, final_row)]
+    # repro-analysis: allow RPR001 -- one step per join-tree node
+    while stack:
+        node, index = stack.pop()
+        final.update(tree.assignment(node, tree.rows(node)[index]))
+        stack.extend(
+            (child, chosen[node, child][index]) for child in reversed(tree.children(node))
+        )
     return PivotResult(
-        assignment=dict(final),  # type: ignore[arg-type]
-        weight=ranking.weight_of(final),  # type: ignore[arg-type]
-        c=final_c,
+        assignment=final,
+        weight=ranking.weight_of(final),
+        c=c_value[root] / 2.0,
         total_answers=total,
     )

@@ -8,12 +8,16 @@ prefix sum of the multiplicities, and a binary search for the covering
 position — which is ``O(n log n)`` by comparisons but dominated by the
 vectorized ops under the NumPy backend, and in CPython beats the
 pointer-chasing constant factors of the linear-time (Johnson & Mizoguchi)
-machinery on every input size the join stack produces.
+machinery.  :func:`weighted_median` selects from one multiset (pivot
+selection's artificial root); :func:`segmented_weighted_median` runs the same
+pipeline once over all the join groups of a join-tree edge.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Callable, Sequence
+from itertools import accumulate
 from typing import Any, TypeVar
 
 from repro.exceptions import ValidationError
@@ -49,7 +53,7 @@ def weighted_median(
 
     Raises
     ------
-    ValueError
+    ValidationError
         If no element has positive multiplicity or the lengths differ.
 
     Examples
@@ -82,3 +86,56 @@ def weighted_median(
     sorted_keys = kernel.take(keys, order)
     first = kernel.searchsorted(sorted_keys, [sorted_keys[covering]], side="left")[0]
     return kept_items[order[first]]
+
+
+def segmented_weighted_median(
+    group_ids: Sequence[int],
+    keys: Sequence[Any],
+    multiplicities: Sequence[int],
+    num_groups: int,
+) -> list[int]:
+    """The weighted median of every group at once.
+
+    ``group_ids`` (dense ids in ``[0, num_groups)``), ``keys`` and the
+    non-negative ``multiplicities`` are parallel columns, one entry per
+    member.  Entry ``g`` of the result is the position of the member that
+    :func:`weighted_median` returns for group ``g``'s members taken in input
+    order (lower median; first in input order among equal keys), or
+    ``len(group_ids)`` when no member of the group has a positive
+    multiplicity.  The keys of zero-multiplicity members are never compared.
+    """
+    kernel = active_backend()
+    live = kernel.masked_filter(multiplicities)
+    checkpoint("pivot.median", rows=len(live))
+    # Stable order by (group, key, position): two stable sorts, minor key first.
+    by_key = kernel.argsort(kernel.take(keys, live))
+    members = kernel.take(live, by_key)
+    by_group = kernel.argsort(kernel.take(group_ids, members))
+    order = kernel.take(members, by_group)
+    sorted_groups = kernel.take(group_ids, order)
+    sorted_keys = kernel.take(keys, order)
+    # Group g occupies the sorted slots [starts[g], ends[g]).
+    ends = kernel.searchsorted(sorted_groups, range(num_groups), side="right")
+    starts = [0] + ends[:-1]
+    # running[i] = total multiplicity of the slots before i.  Plain ints and
+    # plain bisection, not kernel ops: the totals can pass 2**63, where a
+    # backend may round a column through float64.
+    running = list(accumulate(map(multiplicities.__getitem__, order), initial=0))
+    covering = [
+        bisect_right(running, running[start] + (running[end] - running[start] - 1) // 2) - 1
+        for start, end in zip(starts, ends)
+    ]
+    # Ties go to the leftmost slot of the covering slot's run of equal keys
+    # inside its group — the sort is stable, so the first in input order.
+    heads = [
+        slot if group != previous_group or key != previous_key else 0
+        for slot, (group, previous_group, key, previous_key) in enumerate(
+            zip(sorted_groups[1:], sorted_groups, sorted_keys[1:], sorted_keys), 1
+        )
+    ]
+    run_start = list(accumulate(heads, max, initial=0))
+    dead = len(group_ids)
+    return [
+        order[run_start[slot]] if end > start else dead
+        for slot, start, end in zip(covering, starts, ends)
+    ]

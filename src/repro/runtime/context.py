@@ -4,7 +4,7 @@ Every strategy in the engine — Yannakakis evaluation, counting, trimming,
 weighted-median pivoting, sampling, materialization — used to run as an
 unbounded, uninterruptible loop.  This module makes those loops cooperative:
 they call :func:`checkpoint` at natural block boundaries (per tree node, per
-produced answer, per quickselect round), and an ambient
+produced answer, per join-tree edge's weighted median), and an ambient
 :class:`ExecutionContext` turns those calls into budget and cancellation
 checks.
 
@@ -15,7 +15,7 @@ Design constraints, in order:
    :class:`~contextvars.ContextVar` read, and two ``is None`` tests.  The
    one-shot library API never activates a context, so it pays nothing.
 2. **No parameter threading.**  The context is ambient (a context variable),
-   so deeply nested helpers — the weighted-median quickselect inside pivot
+   so deeply nested helpers — the segmented weighted median inside pivot
    selection inside the pivoting loop — are covered without every signature
    growing a ``context=`` argument.  Context variables also keep concurrent
    executions isolated per thread / asyncio task, which is what the

@@ -10,94 +10,23 @@ level adds, raising the typed errors from inside the enumeration.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from repro.data.database import Database
-from repro.data.relation import Relation
 from repro.engine import PreparedQuery
 from repro.exceptions import BudgetExceededError, ExecutionCancelledError
 from repro.joins.message_passing import MaterializedTree
 from repro.joins.yannakakis import evaluate, evaluate_sorted
-from repro.kernels import active_backend, set_backend
-from repro.query.atom import Atom
-from repro.query.join_query import JoinQuery
-from repro.ranking.lex import LexRanking
-from repro.ranking.minmax import MaxRanking, MinRanking
-from repro.ranking.sum import SumRanking
 from repro.runtime import CancellationToken, ExecutionContext
-from repro.runtime.context import set_fault_hook
 from repro.testing import FaultPlan, InjectedFault, inject_faults
 
-
-def available_backends() -> list[str]:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return ["python"]
-    return ["python", "numpy"]
-
-
-@contextmanager
-def backend(name):
-    previous = active_backend().name
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-# 0, 0.0 and -0.0 hash alike (they join) but are different objects with
-# different reprs; 2 and 2.0 likewise — so "same value" is not enough, the
-# columns must carry the very object evaluate() would have put in the dict.
-VALUES = st.sampled_from([0, 0.0, -0.0, 1, 2, 2.0, -1.5, 0.5])
-ROWS = st.lists(st.tuples(VALUES, VALUES), max_size=8)
-
-
-@st.composite
-def join_instances(draw):
-    """A random acyclic join (path / star / hierarchy, 2-5 atoms) over tiny,
-    duplicate-heavy relations — dangling rows and empty joins included —
-    optionally with a cartesian edge, an ``R(x, x)`` atom and a self-join."""
-    shape = draw(st.sampled_from(["path", "star", "hierarchy"]))
-    atoms = [("R0", ("v0", "v1"))]
-    for i in range(1, draw(st.integers(1, 3)) + 1):
-        if shape == "path":
-            shared = f"v{i}"
-        elif shape == "star":
-            shared = "v0"
-        else:
-            shared = draw(st.sampled_from([v for _, pair in atoms for v in pair]))
-        atoms.append((f"R{i}", (shared, f"v{i + 1}")))
-    if draw(st.booleans()):  # self-join: two atoms over one relation
-        atoms[1] = ("R0", atoms[1][1])
-    if draw(st.booleans()):  # repeated variable inside one atom
-        atoms.append(("D", ("v1", "v1")))
-    relations = [
-        Relation(name, ("a0", "a1"), draw(ROWS))
-        for name in sorted({name for name, _ in atoms})
-    ]
-    if len(atoms) < 5 and draw(st.booleans()):  # cartesian edge
-        atoms.append(("C", ("c",)))
-        singles = draw(st.lists(VALUES, max_size=3))
-        relations.append(Relation("C", ("a0",), [(value,) for value in singles]))
-    query = JoinQuery([Atom(name, variables) for name, variables in atoms])
-    db = Database(relations)
-    weighted = draw(
-        st.lists(st.sampled_from(sorted(query.variables)), min_size=1, unique=True)
-    )
-    kind = draw(st.sampled_from(["sum", "sum-custom", "min", "max", "lex"]))
-    ranking = {
-        "sum": lambda: SumRanking(weighted),
-        "sum-custom": lambda: SumRanking(weighted, {weighted[0]: lambda v: 1 - 2.5 * v}),
-        "min": lambda: MinRanking(weighted),
-        "max": lambda: MaxRanking(weighted),
-        "lex": lambda: LexRanking(weighted),
-    }[kind]()
-    return query, db, ranking
+from tests.conftest import (
+    at_checkpoint,
+    available_backends,
+    backend,
+    fanout_instance,
+    join_instances,
+)
 
 
 @settings(max_examples=120, deadline=None)
@@ -124,41 +53,6 @@ def test_columns_equal_evaluate_then_sort_at_every_position(instance):
 # ---------------------------------------------------------------------- #
 # Guardrails: typed errors from inside the enumeration
 # ---------------------------------------------------------------------- #
-def fanout_instance():
-    """30 x 30 rows on one join key and a third level: 900, then 2700."""
-    query = JoinQuery(
-        [Atom("R", ("x", "k")), Atom("S", ("k", "y")), Atom("T", ("k", "z"))]
-    )
-    db = Database(
-        [
-            Relation("R", ("a", "b"), [(i, 0) for i in range(30)]),
-            Relation("S", ("a", "b"), [(0, i) for i in range(30)]),
-            Relation("T", ("a", "b"), [(0, i) for i in range(3)]),
-        ]
-    )
-    return query, db, SumRanking(["x", "y"])
-
-
-@contextmanager
-def at_checkpoint(name, occurrence, action):
-    """Run ``action`` right before the given occurrence of a checkpoint (the
-    fault hook fires before the ambient context checks its limits)."""
-    seen = 0
-
-    def hook(observed):
-        nonlocal seen
-        if observed == name:
-            seen += 1
-            if seen == occurrence:
-                action()
-
-    previous = set_fault_hook(hook)
-    try:
-        yield
-    finally:
-        set_fault_hook(previous)
-
-
 def test_one_checkpoint_per_level_charging_the_candidates_produced():
     query, db, ranking = fanout_instance()
     tree = MaterializedTree(query, db)
