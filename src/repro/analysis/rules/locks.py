@@ -40,6 +40,7 @@ __all__ = ["LockPublishRule", "GUARDED_CLASSES"]
 #: class name -> attribute names readers may traverse concurrently.
 GUARDED_CLASSES: dict[str, frozenset[str]] = {
     "TreeCache": frozenset({"_entries"}),
+    "StateTable": frozenset({"_states"}),
     "IndexCatalog": frozenset({"_hash_indexes", "_key_sets", "_orders"}),
 }
 

@@ -663,6 +663,8 @@ def run_e13(
             "speedup",
             "tree_hits",
             "tree_misses",
+            "node_hits",
+            "node_misses",
         ],
     )
     phis = [(i + 1) / (num_phis + 1) for i in range(num_phis)]
@@ -720,6 +722,8 @@ def run_e13(
                     else float("inf"),
                     "tree_hits": prepared.tree_cache.hits,
                     "tree_misses": prepared.tree_cache.misses,
+                    "node_hits": prepared.tree_cache.node_hits,
+                    "node_misses": prepared.tree_cache.node_misses,
                 }
             )
     path_speedups = [

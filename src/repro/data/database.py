@@ -114,8 +114,11 @@ class Database:
         del self._relations[name]
 
     def copy(self) -> "Database":
-        """Shallow copy: relation objects are re-created but rows are shared
-        only until the first mutation of either copy (rows lists are copied)."""
+        """A database of new relation objects that are frozen views of these
+        relations' stores (no row is copied; an append to either side first
+        privatizes its own storage).  New objects mean nothing cached per
+        relation is shared, which is why the trimmers do not use it: they put
+        the relations they leave alone into their result by identity."""
         clone = Database()
         for rel in self._relations.values():
             clone.add(rel.rename(rel.name))

@@ -23,32 +23,33 @@ def subtree_counts(tree: MaterializedTree) -> dict[int, list[int]]:
     rows, where entry ``i`` is the number of partial query answers for the
     subtree rooted at row ``i`` (``cnt(t)`` in Example 2.1).
 
-    The result is memoized on the tree itself (callers treat it as
-    read-only), so counting and pivot selection over a shared tree pay for
-    one message-passing pass between them.
+    Each node's counts are kept in its subtree state (callers treat them as
+    read-only): counting and pivot selection over one tree, and trees whose
+    databases share a subtree's relations, pay for that subtree once.
     """
-    if tree.counts_cache is not None:
-        return tree.counts_cache
     kernel = active_backend()
     counts: dict[int, list[int]] = {}
     for node in tree.nodes_bottom_up():
-        rows = tree.rows(node)
-        checkpoint("counting.node", rows=len(rows))
-        node_counts = [1] * len(rows)
-        for child in tree.children(node):
-            # Whole-column form of the ⊕/⊗ message pass: per-group sums of
-            # the child counts, gathered through each parent row's group
-            # ordinal (the sentinel slot holds 0 = dangling), multiplied in.
-            group_sums = kernel.sum_by_group(
-                tree.child_group_ids(node, child),
-                counts[child],
-                tree.num_child_groups(node, child),
-            )
-            group_sums.append(0)  # sentinel: parent key with no child group
-            gathered = kernel.take(group_sums, tree.parent_group_ids(node, child))
-            node_counts = kernel.multiply(node_counts, gathered)
+        state = tree.subtree(node)
+        node_counts = state.counts
+        if node_counts is None:
+            rows = tree.rows(node)
+            checkpoint("counting.node", rows=len(rows))
+            node_counts = [1] * len(rows)
+            for child in tree.children(node):
+                # Whole-column form of the ⊕/⊗ message pass: per-group sums of
+                # the child counts, gathered through each parent row's group
+                # ordinal (the sentinel slot holds 0 = dangling), multiplied in.
+                group_sums = kernel.sum_by_group(
+                    tree.child_group_ids(node, child),
+                    counts[child],
+                    tree.num_child_groups(node, child),
+                )
+                group_sums.append(0)  # sentinel: parent key with no child group
+                gathered = kernel.take(group_sums, tree.parent_group_ids(node, child))
+                node_counts = kernel.multiply(node_counts, gathered)
+            state.counts = node_counts
         counts[node] = node_counts
-    tree.counts_cache = counts
     return counts
 
 

@@ -9,19 +9,132 @@ that structure once so that counting (Example 2.1), pivot selection
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import threading
+import weakref
+from collections.abc import Hashable, Mapping
 from typing import Any
 
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.exceptions import QueryError
 from repro.kernels import active_backend
+from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.query.join_tree import RootedJoinTree, build_join_tree
+from repro.ranking.base import RankingFunction, Weight
 from repro.runtime import checkpoint
 
 Row = tuple[Any, ...]
 Assignment = dict[str, Any]
+
+
+class NodeState:
+    """One atom over one version of one relation: rows, columns, join groups.
+
+    A function of ``(atom variables, relation, relation.version)`` alone, so
+    every tree whose database holds the relation shares it.  The parts are
+    computed on first use, whole, and stored by one assignment: a racing
+    reader stores an equal value, an interrupted computation stores nothing.
+    """
+
+    def __init__(self, atom: Atom, relation: Relation) -> None:
+        self.relation = relation  # held: its id is in this state's key
+        self.variables, self.rows = _materialize_atom(atom, relation)
+        self._columns: dict[int, list[Any]] = {}
+        self._weights: dict[tuple[RankingFunction, int], list[Weight]] = {}
+        self._groups: dict[tuple[str, ...], dict[Row, list[int]]] = {}
+        self._group_ids: dict[tuple[str, ...], list[int]] = {}
+
+    def column(self, position: int) -> list[Any]:
+        """One column of the rows; the relation's own cached column array
+        (zero-copy) when the rows passed through from it unchanged."""
+        cached = self._columns.get(position)
+        if cached is None:
+            if len(self.variables) == self.relation.arity:
+                cached = self.relation.store.column(position)
+            else:
+                cached = [row[position] for row in self.rows]
+            self._columns[position] = cached
+        return cached
+
+    def weight_column(self, ranking: RankingFunction, position: int) -> list[Weight]:
+        """``ranking.variable_weight`` of one column's values (read-only)."""
+        cached = self._weights.get((ranking, position))
+        if cached is None:
+            variable = self.variables[position]
+            cached = [ranking.variable_weight(variable, v) for v in self.column(position)]
+            self._weights[ranking, position] = cached
+        return cached
+
+    def groups(self, join_vars: tuple[str, ...]) -> dict[Row, list[int]]:
+        """The rows' join groups under ``join_vars``: {key: [row indices]}."""
+        groups = self._groups.get(join_vars)
+        if groups is None:
+            checkpoint("tree.group", rows=len(self.rows))
+            columns = [self.column(self.variables.index(v)) for v in join_vars]
+            groups = active_backend().group_by_hash(columns, len(self.rows))
+            self._groups[join_vars] = groups
+        return groups
+
+    def group_ids(self, join_vars: tuple[str, ...]) -> list[int]:
+        """Dense ordinal of each row's group, in :meth:`groups` order."""
+        gids = self._group_ids.get(join_vars)
+        if gids is None:
+            checkpoint("tree.group_ids", rows=len(self.rows))
+            gids = [0] * len(self.rows)
+            for ordinal, positions in enumerate(self.groups(join_vars).values()):
+                for position in positions:
+                    gids[position] = ordinal
+            self._group_ids[join_vars] = gids
+        return gids
+
+
+class SubtreeState:
+    """A node and everything below it: what the bottom-up passes leave there.
+
+    The messages of Section 2.4 are functions of a subtree's relations alone,
+    so trees over databases that share those relations share, under the key
+    ``(node state, child subtree states)``: per child the group ordinal each
+    parent row selects, the subtree counts (written by ``subtree_counts``),
+    and per ranking the pivot message (written by ``select_pivot``).  Filled
+    in like a :class:`NodeState`.
+    """
+
+    def __init__(self) -> None:
+        self.parent_group_ids: dict[SubtreeState, list[int]] = {}
+        self.counts: list[int] | None = None
+        self.pivots: dict[RankingFunction, Any] = {}
+
+
+class StateTable:
+    """The states some live tree uses, by key.  Weak-valued: trees hold their
+    states and the table only finds them, so a state (and what its key holds:
+    a subtree's key holds its node and child states) lives exactly as long as
+    a tree using it.  A :class:`~repro.joins.tree_cache.TreeCache` owns one
+    for all its trees; a tree built without a cache gets a private one.
+    """
+
+    def __init__(self) -> None:
+        self._states = weakref.WeakValueDictionary[Hashable, Any]()
+        self._lock = threading.Lock()
+        self.node_hits = 0
+        self.node_misses = 0
+
+    def get(self, key: Hashable, node: bool = False) -> Any:
+        """The live state under ``key`` or None (``node``: count the lookup)."""
+        with self._lock:
+            state = self._states.get(key)
+            if node and state is None:
+                self.node_misses += 1
+            elif node:
+                self.node_hits += 1
+        return state
+
+    def publish(self, key: Hashable, state: Any) -> Any:
+        """Install a state built off to the side; the first one published
+        under a key is the one every caller gets."""
+        with self._lock:
+            return self._states.setdefault(key, state)
 
 
 class MaterializedTree:
@@ -33,6 +146,11 @@ class MaterializedTree:
     the child's rows are grouped by the shared ("join") variables, exactly the
     *join groups* of Section 2.4.
 
+    The tree itself is only the shape.  What it knows about a node is a
+    :class:`NodeState` and what the bottom-up passes computed below one a
+    :class:`SubtreeState`, both found through ``states``: trees over databases
+    sharing relations (the trims of one pivoting run) share that part.
+
     Parameters
     ----------
     query, db:
@@ -41,6 +159,8 @@ class MaterializedTree:
         Optionally, a pre-built rooted join tree (e.g. one where two specific
         atoms were forced to be adjacent); by default a join tree is built and
         rooted at atom 0.
+    states:
+        The table to share states through (a tree cache passes its own).
     """
 
     def __init__(
@@ -48,58 +168,46 @@ class MaterializedTree:
         query: JoinQuery,
         db: Database,
         rooted: RootedJoinTree | None = None,
+        states: StateTable | None = None,
     ) -> None:
         self.query = query
         self.db = db
-        #: Memoized per-tuple subtree counts (written by
-        #: :func:`repro.joins.counting.subtree_counts`); consumers sharing a
-        #: tree through the tree cache then also share one counting pass.
-        self.counts_cache: dict[int, list[int]] | None = None
         self.rooted = rooted or build_join_tree(query).rooted()
         if self.rooted.query is not query:
             # Allow structurally identical queries (e.g. reconstructed ones).
             if self.rooted.query != query:
                 raise QueryError("rooted join tree does not belong to the given query")
-        self.node_variables: dict[int, tuple[str, ...]] = {}
-        self.node_rows: dict[int, list[Row]] = {}
-        #: Source relation per node when its rows passed through unchanged
-        #: (the common no-repeated-variable case): lets node columns reuse the
-        #: relation's cached column arrays instead of re-extracting per row.
-        self._node_sources: dict[int, Relation | None] = {}
-        self._node_columns: dict[tuple[int, int], list[Any]] = {}
+        table = StateTable() if states is None else states
+        nodes: dict[int, NodeState] = {}
         for node in self.rooted.tree.nodes():
-            variables, rows, source = _materialize_atom(query, db, node)
-            checkpoint("tree.materialize", rows=len(rows))
-            self.node_variables[node] = variables
-            self.node_rows[node] = rows
-            self._node_sources[node] = source
-        # child group indexes: (parent, child) -> {key: [child row indices]}
-        self._groups: dict[tuple[int, int], dict[Row, list[int]]] = {}
+            atom = query[node]
+            relation = db[atom.relation]
+            key = (atom.variables, id(relation), relation.version)
+            state = table.get(key, node=True)
+            if state is None:
+                state = NodeState(atom, relation)
+                checkpoint("tree.materialize", rows=len(state.rows))
+                if relation.version == key[2]:  # else appended to mid-scan: not shared
+                    state = table.publish(key, state)
+            nodes[node] = state
+        self._nodes = nodes
         self._join_vars: dict[tuple[int, int], tuple[str, ...]] = {}
         # (parent, child) -> positions of the join variables in the parent's
         # schema, so per-row key extraction does no schema lookups.
         self._parent_positions: dict[tuple[int, int], list[int]] = {}
-        # Dense group ids (built lazily): (parent, child) -> per-child-row
-        # group ordinal, and per-parent-row ordinal of the selected group
-        # (len(groups) = "no such group" sentinel).  These are what the
-        # counting / reduction passes feed to the sum_by_group kernel.
-        self._child_gids: dict[tuple[int, int], list[int]] = {}
-        self._parent_gids: dict[tuple[int, int], list[int]] = {}
-        kernel = active_backend()
         for parent in self.rooted.top_down_order():
-            parent_vars = self.node_variables[parent]
+            parent_vars = nodes[parent].variables
             for child in self.rooted.children[parent]:
                 join_vars = self.rooted.join_variables(parent, child)
                 self._join_vars[(parent, child)] = join_vars
                 self._parent_positions[(parent, child)] = [
                     parent_vars.index(v) for v in join_vars
                 ]
-                positions = [self.node_variables[child].index(v) for v in join_vars]
-                checkpoint("tree.group", rows=len(self.node_rows[child]))
-                columns = [self.node_column(child, p) for p in positions]
-                self._groups[(parent, child)] = kernel.group_by_hash(
-                    columns, len(self.node_rows[child])
-                )
+                nodes[child].groups(join_vars)
+        self._subtrees: dict[int, SubtreeState] = {}
+        for node in self.rooted.bottom_up_order():
+            key = (nodes[node], tuple(self._subtrees[c] for c in self.rooted.children[node]))
+            self._subtrees[node] = table.get(key) or table.publish(key, SubtreeState())
 
     # ------------------------------------------------------------------ #
     # Structure accessors
@@ -121,13 +229,17 @@ class MaterializedTree:
         """Children of ``node`` in the rooted tree."""
         return self.rooted.children[node]
 
+    def subtree(self, node: int) -> SubtreeState:
+        """The (possibly shared) state of the subtree rooted at ``node``."""
+        return self._subtrees[node]
+
     def variables(self, node: int) -> tuple[str, ...]:
         """Schema (distinct variables) of the node's materialized relation."""
-        return self.node_variables[node]
+        return self._nodes[node].variables
 
     def rows(self, node: int) -> list[Row]:
         """Materialized rows of the node."""
-        return self.node_rows[node]
+        return self._nodes[node].rows
 
     def join_variables(self, parent: int, child: int) -> tuple[str, ...]:
         """Variables shared by a parent/child pair."""
@@ -135,27 +247,21 @@ class MaterializedTree:
 
     def child_groups(self, parent: int, child: int) -> dict[Row, list[int]]:
         """Join groups of the child relation, keyed by shared-variable values."""
-        return self._groups[(parent, child)]
+        return self._nodes[child].groups(self._join_vars[(parent, child)])
 
     def node_column(self, node: int, position: int) -> list[Any]:
-        """One column of a node's materialized rows (cached).
+        """One column of a node's materialized rows (cached, read-only)."""
+        return self._nodes[node].column(position)
 
-        When the node's rows passed through from the relation unchanged, this
-        is the relation's own cached column array (zero-copy).
-        """
-        cached = self._node_columns.get((node, position))
-        if cached is None:
-            source = self._node_sources[node]
-            if source is not None:
-                cached = source.store.column(position)
-            else:
-                cached = [row[position] for row in self.node_rows[node]]
-            self._node_columns[(node, position)] = cached
-        return cached
+    def weight_column(
+        self, node: int, position: int, ranking: RankingFunction
+    ) -> list[Weight]:
+        """``ranking``'s variable weights of one node column (cached, read-only)."""
+        return self._nodes[node].weight_column(ranking, position)
 
     def num_child_groups(self, parent: int, child: int) -> int:
         """Number of join groups on one parent-child edge."""
-        return len(self._groups[(parent, child)])
+        return len(self.child_groups(parent, child))
 
     def child_group_ids(self, parent: int, child: int) -> list[int]:
         """Dense group ordinal per child row, parallel to the child's rows.
@@ -163,17 +269,7 @@ class MaterializedTree:
         Ordinals follow the first-occurrence order of
         :meth:`child_groups`; every child row belongs to exactly one group.
         """
-        signature = (parent, child)
-        gids = self._child_gids.get(signature)
-        if gids is None:
-            groups = self._groups[signature]
-            checkpoint("tree.group_ids", rows=len(self.node_rows[child]))
-            gids = [0] * len(self.node_rows[child])
-            for ordinal, positions in enumerate(groups.values()):
-                for position in positions:
-                    gids[position] = ordinal
-            self._child_gids[signature] = gids
-        return gids
+        return self._nodes[child].group_ids(self._join_vars[(parent, child)])
 
     def parent_group_ids(self, parent: int, child: int) -> list[int]:
         """Per parent row, the ordinal of the child group its key selects.
@@ -182,26 +278,27 @@ class MaterializedTree:
         ``num_child_groups(parent, child)`` — callers append a neutral entry
         (0 count / dead flag) at that slot before gathering.
         """
-        signature = (parent, child)
-        gids = self._parent_gids.get(signature)
+        state, below = self._subtrees[parent], self._subtrees[child]
+        gids = state.parent_group_ids.get(below)
         if gids is None:
-            groups = self._groups[signature]
+            rows = self._nodes[parent].rows
+            groups = self.child_groups(parent, child)
             ordinal_of = {key: i for i, key in enumerate(groups)}
             sentinel = len(groups)
-            positions = self._parent_positions[signature]
-            checkpoint("tree.parent_ids", rows=len(self.node_rows[parent]))
+            positions = self._parent_positions[(parent, child)]
+            checkpoint("tree.parent_ids", rows=len(rows))
             if not positions:
                 # Cartesian edge: every parent row selects the single () group
                 # (or the sentinel when the child is empty).
                 ordinal = ordinal_of.get((), sentinel)
-                gids = [ordinal] * len(self.node_rows[parent])
+                gids = [ordinal] * len(rows)
             elif len(positions) == 1:
                 column = self.node_column(parent, positions[0])
                 gids = [ordinal_of.get((value,), sentinel) for value in column]
             else:
                 columns = [self.node_column(parent, p) for p in positions]
                 gids = [ordinal_of.get(key, sentinel) for key in zip(*columns)]
-            self._parent_gids[signature] = gids
+            state.parent_group_ids[below] = gids
         return gids
 
     # ------------------------------------------------------------------ #
@@ -209,7 +306,7 @@ class MaterializedTree:
     # ------------------------------------------------------------------ #
     def assignment(self, node: int, row: Row) -> Assignment:
         """The variable assignment represented by one row of a node."""
-        return dict(zip(self.node_variables[node], row))
+        return dict(zip(self.variables(node), row))
 
     def parent_group_key(self, parent: int, row: Row, child: int) -> Row:
         """The join-group key a parent row selects in one of its children."""
@@ -218,16 +315,12 @@ class MaterializedTree:
 
     def total_rows(self) -> int:
         """Total number of materialized rows across all nodes."""
-        return sum(len(rows) for rows in self.node_rows.values())
+        return sum(len(state.rows) for state in self._nodes.values())
 
 
-def _materialize_atom(
-    query: JoinQuery, db: Database, node: int
-) -> tuple[tuple[str, ...], list[Row], Relation | None]:
-    """Materialize one atom: distinct-variable schema, consistent rows, and
-    the source relation when the rows passed through unchanged (else None)."""
-    atom = query[node]
-    relation = db[atom.relation]
+def _materialize_atom(atom: Atom, relation: Relation) -> tuple[tuple[str, ...], list[Row]]:
+    """Materialize one atom: distinct-variable schema and consistent rows (the
+    relation's own, in order, when the atom repeats no variable)."""
     if relation.arity != atom.arity:
         raise QueryError(
             f"atom {atom} has arity {atom.arity} but relation {atom.relation!r} "
@@ -242,14 +335,14 @@ def _materialize_atom(
     rows: list[Row] = []
     checkpoint("tree.atom_scan", rows=len(relation))
     if len(distinct_vars) == len(atom.variables):
-        return tuple(distinct_vars), list(relation.rows), relation
+        return tuple(distinct_vars), list(relation.rows)
     for row in relation.rows:
         if all(
             row[pos] == row[first_position[var]]
             for pos, var in enumerate(atom.variables)
         ):
             rows.append(tuple(row[first_position[var]] for var in distinct_vars))
-    return tuple(distinct_vars), rows, None
+    return tuple(distinct_vars), rows
 
 
 def merge_assignments(

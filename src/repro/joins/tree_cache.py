@@ -20,6 +20,11 @@ fingerprint is built from while the entry is alive (a relation removed from
 the database by ``replace`` would otherwise be freed, letting a new relation
 reuse its id at version 0 and alias the stale fingerprint).
 
+Below the tree level the cache owns one weak-valued
+:class:`~repro.joins.message_passing.StateTable`: cached trees over databases
+that share relation objects (the trims of one pivoting run) share the node
+and subtree states of the shared part.
+
 The cache is safe under concurrent readers (the always-on service shares
 one cache per prepared query across requests): trees are built entirely off
 to the side — no lock held, so checkpoints and injected faults fire without
@@ -40,7 +45,7 @@ from collections import OrderedDict
 
 from repro.data.database import Database
 from repro.exceptions import ValidationError
-from repro.joins.message_passing import MaterializedTree
+from repro.joins.message_passing import MaterializedTree, StateTable
 from repro.query.join_query import JoinQuery
 from repro.query.join_tree import RootedJoinTree
 from repro.runtime import checkpoint
@@ -75,7 +80,7 @@ class TreeCache:
         small cache already achieves full reuse.
     """
 
-    __slots__ = ("limit", "_entries", "_lock", "hits", "misses")
+    __slots__ = ("limit", "_entries", "_states", "_lock", "hits", "misses")
 
     def __init__(self, limit: int = DEFAULT_TREE_CACHE_LIMIT) -> None:
         if limit < 1:
@@ -92,6 +97,7 @@ class TreeCache:
         # is being built, so concurrent readers of other keys (and injected
         # faults mid-build) proceed without contention.
         self._lock = threading.Lock()
+        self._states = StateTable()
         self.hits = 0
         self.misses = 0
 
@@ -136,7 +142,7 @@ class TreeCache:
         # reader can never observe the tree mid-build.
         fingerprint = database_fingerprint(db)
         checkpoint("tree_cache.build")
-        tree = MaterializedTree(query, db, rooted=rooted)
+        tree = MaterializedTree(query, db, rooted=rooted, states=self._states)
         relations = tuple(db)
         with self._lock:
             current = database_fingerprint(db)
@@ -156,13 +162,24 @@ class TreeCache:
             # a fingerprint that no longer describes the relations.
         return tree
 
+    @property
+    def node_hits(self) -> int:
+        """Nodes of built trees whose state another live tree already held."""
+        return self._states.node_hits
+
+    @property
+    def node_misses(self) -> int:
+        """Nodes of built trees that had to be materialized."""
+        return self._states.node_misses
+
     def clear(self) -> None:
-        """Drop every cached tree."""
+        """Drop every cached tree (and with them the states they shared)."""
         with self._lock:
             self._entries.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TreeCache({len(self._entries)}/{self.limit} trees, "
-            f"hits={self.hits}, misses={self.misses})"
+            f"hits={self.hits}, misses={self.misses}, "
+            f"node_hits={self.node_hits}, node_misses={self.node_misses})"
         )

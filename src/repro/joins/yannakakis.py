@@ -265,10 +265,7 @@ def evaluate_sorted(
         while pending and source[pending[-1]][0] in index:
             variable = pending.pop()
             origin, position = source[variable]
-            per_row = [
-                ranking.variable_weight(variable, value)
-                for value in tree.node_column(origin, position)
-            ]
+            per_row = tree.weight_column(origin, position, ranking)
             weights = list(
                 map(ranking.combine, weights, map(per_row.__getitem__, index[origin]))
             )

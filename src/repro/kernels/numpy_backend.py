@@ -19,10 +19,11 @@ Exactness rules enforced here:
   larger (e.g. answer counts of adversarially deep joins) uses the
   arbitrary-precision stdlib path.
 * ``argsort``/``searchsorted`` on a float column compare like Python floats
-  (both are IEEE doubles).  A column mixing floats with integers above
-  2**53 could tie differently after the float64 conversion; the join stack
-  never produces such columns, and callers with exotic weight domains can
-  pin ``REPRO_BACKEND=python``.
+  (both are IEEE doubles).
+* A float64 array is only accepted for a column of floats: ``np.asarray``
+  also turns ints mixed with floats, and ints on both sides of 2**63, into
+  float64, which would hand back values the column never held.  The test is
+  one C-level pass over a list that converted to floats, once per list.
 
 Import of this module requires NumPy; :mod:`repro.kernels` treats an
 ``ImportError`` as "backend unavailable" and falls back gracefully.
@@ -133,6 +134,8 @@ class NumpyKernelBackend(PythonKernelBackend):
             return None
         if array.ndim != 1 or array.dtype.kind not in _NUMERIC_KINDS:
             return None
+        if array.dtype.kind == "f" and set(map(type, values)) != {float}:
+            return None  # coerced: the array does not hold the column's values
         if isinstance(values, list):
             if (
                 len(self._conversions) >= _CACHE_CAPACITY

@@ -16,7 +16,7 @@ edge, and no assignment is built but the pivot's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.data.database import Database
 from repro.exceptions import EmptyResultError
@@ -83,62 +83,23 @@ def select_pivot(
     total = sum(counts[tree.root])
     if total == 0:
         raise EmptyResultError("cannot select a pivot: the query has no answers")
-    kernel = active_backend()
-    identity = ranking.identity
-
-    # Columns parallel to a node's rows describe each row's pivot partial
-    # answer (rows with count 0 can never be selected and hold don't-cares):
-    # variable_weights[node][x] the weight of its value of ranked variable x,
-    # weights[node] its weight, chosen[node, child] the child row whose pivot
-    # it contains (len(child rows): none, a dead join group).
-    variable_weights: dict[int, dict[str, list[Weight]]] = {}
-    weights: dict[int, list[Weight]] = {}
-    chosen: dict[tuple[int, int], list[int]] = {}
-    c_value: dict[int, float] = {}
-
+    # A message is kept in its subtree's state for the trees that share the
+    # subtree; no tree can share a root's, so that one dies with this call.
+    messages: dict[int, _Message] = {}
+    # repro-analysis: allow RPR001 -- one step per join-tree node; _message checkpoints
     for node in tree.nodes_bottom_up():
-        rows = tree.rows(node)
-        checkpoint("pivot.node", rows=len(rows))
-        columns = {
-            variable: [
-                ranking.variable_weight(variable, value)
-                for value in tree.node_column(node, position)
-            ]
-            for position, variable in enumerate(tree.variables(node))
-            if variable in ranking.weighted_variables
-        }
-        node_c = 1.0
-        for child in tree.children(node):
-            node_c *= c_value[child] / 2.0
-            # Weighted median per join group (Lemma 4.5), all groups at once,
-            # gathered through each row's group ordinal.
-            medians = segmented_weighted_median(
-                tree.child_group_ids(node, child),
-                weights[child],
-                counts[child],
-                tree.num_child_groups(node, child),
-            )
-            medians.append(len(counts[child]))  # sentinel: parent key with no child group
-            picked = kernel.take(medians, tree.parent_group_ids(node, child))
-            chosen[node, child] = picked
-            # Union with the child's pivot (Lemma 4.6): its values win, as in
-            # dict.update, and the last child holding a variable wins.
-            for variable, column in variable_weights[child].items():
-                columns[variable] = kernel.take(column + [identity], picked)
-        # Fold exactly as weight_of does — from the identity, in ranking
-        # order — so that float weights do not reassociate.
-        weight = [identity] * len(rows)
-        for variable in ranking.weighted_variables:
-            if variable in columns:
-                weight = list(map(ranking.combine, weight, columns[variable]))
-        variable_weights[node] = columns
-        weights[node] = weight
-        c_value[node] = node_c
+        pivots = tree.subtree(node).pivots
+        message = pivots.get(ranking)
+        if message is None:
+            message = _message(tree, node, ranking, counts, messages)
+            if node != tree.root:
+                pivots[ranking] = message
+        messages[node] = message
 
     # Artificial root: take the weighted median of the root-row pivots.
     root = tree.root
     final_row = weighted_median(
-        range(len(counts[root])), counts[root], key=weights[root].__getitem__
+        range(len(counts[root])), counts[root], key=messages[root].weights.__getitem__
     )
     # The one assignment built: the chosen rows top-down, a node before its
     # children and children in order — the key order and value objects of
@@ -149,12 +110,67 @@ def select_pivot(
     while stack:
         node, index = stack.pop()
         final.update(tree.assignment(node, tree.rows(node)[index]))
-        stack.extend(
-            (child, chosen[node, child][index]) for child in reversed(tree.children(node))
-        )
+        edges = zip(tree.children(node), messages[node].chosen)
+        stack.extend(reversed([(child, picked[index]) for child, picked in edges]))
     return PivotResult(
         assignment=final,
         weight=ranking.weight_of(final),
-        c=c_value[root] / 2.0,
+        c=messages[root].c / 2.0,
         total_answers=total,
     )
+
+
+class _Message(NamedTuple):
+    """A node's bottom-up message, columns parallel to its rows: each row's
+    pivot partial answer (don't-cares where the count is 0).  Per ranked
+    variable of the partial answer the weight of its value, the partial
+    answer's weight, per child the child row whose pivot it contains
+    (``len(child rows)``: none, a dead join group), and the node's c."""
+
+    variable_weights: dict[str, list[Weight]]
+    weights: list[Weight]
+    chosen: list[list[int]]
+    c: float
+
+
+def _message(
+    tree: MaterializedTree, node: int, ranking: RankingFunction,
+    counts: dict[int, list[int]], messages: dict[int, _Message],
+) -> _Message:
+    """One node's message from its children's (Lemmas 4.5 and 4.6)."""
+    kernel = active_backend()
+    identity = ranking.identity
+    rows = tree.rows(node)
+    checkpoint("pivot.node", rows=len(rows))
+    columns = {
+        variable: tree.weight_column(node, position, ranking)
+        for position, variable in enumerate(tree.variables(node))
+        if variable in ranking.weighted_variables
+    }
+    chosen: list[list[int]] = []
+    node_c = 1.0
+    for child in tree.children(node):
+        below = messages[child]
+        node_c *= below.c / 2.0
+        # Weighted median per join group (Lemma 4.5), all groups at once,
+        # gathered through each row's group ordinal.
+        medians = segmented_weighted_median(
+            tree.child_group_ids(node, child),
+            below.weights,
+            counts[child],
+            tree.num_child_groups(node, child),
+        )
+        medians.append(len(counts[child]))  # sentinel: parent key with no child group
+        picked = kernel.take(medians, tree.parent_group_ids(node, child))
+        chosen.append(picked)
+        # Union with the child's pivot (Lemma 4.6): its values win, as in
+        # dict.update, and the last child holding a variable wins.
+        for variable, column in below.variable_weights.items():
+            columns[variable] = kernel.take(column + [identity], picked)
+    # Fold exactly as weight_of does — from the identity, in ranking
+    # order — so that float weights do not reassociate.
+    weight = [identity] * len(rows)
+    for variable in ranking.weighted_variables:
+        if variable in columns:
+            weight = list(map(ranking.combine, weight, columns[variable]))
+    return _Message(columns, weight, chosen, node_c)

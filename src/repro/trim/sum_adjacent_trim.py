@@ -22,6 +22,10 @@ Construction for the two-node case, nodes ``R`` (copied side) and ``S``
    each original satisfying answer corresponds to exactly one new answer:
    dropping ``v`` is the required bijection.
 
+Only ``R``'s copies depend on the trimmed interval.  The ``S`` side is the
+same for every interval, so it is built once and every trim hands back that
+one relation object; relations outside the cover are the base's own.
+
 The single-node case degenerates to filtering that node's relation by the
 tuple's partial sum.
 """
@@ -152,9 +156,7 @@ class SumAdjacentTrimmer(Trimmer):
             stop = kernel.searchsorted(sorted_weights, [interval.high], high_side)[0]
         positions = order[start:stop]
         positions.sort()  # restore row order for the surviving view
-        new_db = db.copy()
-        new_db.replace(relation.select_rows(positions))
-        return TrimResult(query, new_db)
+        return TrimResult(query, _replacing(db, relation.select_rows(positions)))
 
     def _trim_adjacent_pair(
         self,
@@ -200,7 +202,7 @@ class SumAdjacentTrimmer(Trimmer):
         def build_group_side() -> tuple[
             dict[tuple[Any, ...], tuple[list[float], list[tuple[Any, ...]]]],
             dict[tuple[Any, ...], int],
-            list[tuple[Any, ...]],
+            Relation,
         ]:
             catalog = group_relation.indexes
             groups = catalog.hash_index(tuple(join_vars))
@@ -233,10 +235,15 @@ class SumAdjacentTrimmer(Trimmer):
                 for position, row in enumerate(group_rows):
                     for segment in ancestor_segments(length, position):
                         segment_rows.append(row + ((gid, segment),))
-            return sorted_groups, group_index, segment_rows
+            return sorted_groups, group_index, Relation.from_store(
+                group_relation.name,
+                group_relation.schema + (segment_variable,),
+                ColumnStore.from_rows(group_relation.arity + 1, segment_rows),
+            )
 
-        sorted_groups, group_index, new_group_rows = group_relation.indexes.memo(
-            ("sum_group_side",) + group_tag, build_group_side
+        # The relation itself, not its rows: one object for every interval.
+        sorted_groups, group_index, new_group_relation = group_relation.indexes.memo(
+            ("sum_group_side", segment_variable) + group_tag, build_group_side
         )
 
         # --- Copy side: one copy per canonical segment of the admissible range. #
@@ -287,19 +294,21 @@ class SumAdjacentTrimmer(Trimmer):
             else:
                 new_atoms.append(atom)
         new_query = JoinQuery(new_atoms)
-        new_db = db.copy()
-        new_db.replace(
-            Relation.from_store(
-                copy_relation.name,
-                copy_relation.schema + (segment_variable,),
-                ColumnStore.from_rows(copy_relation.arity + 1, new_copy_rows),
-            )
+        new_copy_relation = Relation.from_store(
+            copy_relation.name,
+            copy_relation.schema + (segment_variable,),
+            ColumnStore.from_rows(copy_relation.arity + 1, new_copy_rows),
         )
-        new_db.replace(
-            Relation.from_store(
-                group_relation.name,
-                group_relation.schema + (segment_variable,),
-                ColumnStore.from_rows(group_relation.arity + 1, new_group_rows),
-            )
+        return TrimResult(
+            new_query,
+            _replacing(db, new_copy_relation, new_group_relation),
+            helper_variables={segment_variable},
         )
-        return TrimResult(new_query, new_db, helper_variables={segment_variable})
+
+
+def _replacing(db: Database, *relations: Relation) -> Database:
+    """``db`` with ``relations`` swapped in by name.  Every other relation is
+    the base's own object: a trimmed database differs from the base, and from
+    the other trims, only where the trim rewrote something."""
+    swapped = {relation.name: relation for relation in relations}
+    return Database(swapped.get(relation.name, relation) for relation in db)

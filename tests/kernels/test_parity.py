@@ -213,6 +213,34 @@ class TestOpParity:
             "multiply", floats, floats
         )
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            [0, 2**63 + 1, 2],  # ints on both sides of 2**63: asarray gives float64
+            [2**60, 1.5],  # ints with floats
+            [1, 2.0, 3],  # value-equal after coercion, but not the same objects
+        ],
+        ids=["int64-uint64", "int-float", "small-int-float"],
+    )
+    def test_mixed_columns_keep_their_own_values(self, backend, pattern):
+        """Regression: above the cutoffs ``np.asarray`` turned a mixed column
+        into one dtype and the ops answered from that array, so a gather
+        returned ``9.223372036854776e+18`` for ``2**63 + 1``."""
+        column = pattern * 700
+        positions = [(i * 7919) % len(column) for i in range(len(column))]
+        for op, args in [
+            ("take", (column, positions)),
+            ("prefix_sum", (column,)),
+            ("searchsorted", (sorted(column), column, "right")),
+            ("argsort", (column,)),
+            ("multiply", (column, column)),
+            ("sum_by_group", ([i % 7 for i in range(len(column))], column, 7)),
+        ]:
+            result = getattr(backend, op)(*args)
+            expected = python_reference(op, *args)
+            assert result == expected, op
+            assert list(map(type, result)) == list(map(type, expected)), op
+
     def test_outputs_are_reusable_as_inputs(self, backend):
         """Kernel outputs (possibly array-backed lists) feed back in cleanly,
         including after in-place appends (the caches must detect those)."""
