@@ -11,7 +11,6 @@ import sys
 
 from repro.bench.registry import EXPERIMENTS, run_experiment
 from repro.bench.reporting import print_result, write_json_report
-from repro.kernels import BACKEND_CHOICES, set_backend
 from repro.parallel.planner import default_shard_count
 
 #: Scaled-down parameter overrides used by --quick.
@@ -31,7 +30,6 @@ QUICK_OVERRIDES: dict[str, dict] = {
     "E12": {"sizes": (400,), "num_phis": 9},
     "E13": {"sizes": (600,), "num_phis": 19},
     "E15": {"n": 200, "clients": 8, "requests_per_client": 2},
-    "E16": {"sizes": (400,), "num_phis": 9},
     # Shard count follows the shared cpu_count-aware default, so a quick run
     # on a laptop exercises a real K-way pool while single-core CI stays
     # serial instead of paying process overhead for no parallelism.
@@ -60,13 +58,6 @@ def main(argv: list[str] | None = None) -> int:
         "--list", action="store_true", help="list available experiments and exit"
     )
     parser.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default=None,
-        help="kernel backend to run under (overrides REPRO_BACKEND; "
-        "default: environment selection)",
-    )
-    parser.add_argument(
         "--json",
         metavar="DIR",
         default=None,
@@ -74,8 +65,6 @@ def main(argv: list[str] | None = None) -> int:
         "BENCH_<id>.json into DIR (tracked as a CI artifact)",
     )
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        set_backend(args.backend)
     if args.json is not None:
         from pathlib import Path
 

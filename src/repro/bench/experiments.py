@@ -1068,203 +1068,6 @@ def run_e15(
 
 
 # ---------------------------------------------------------------------- #
-# E16: kernel backend comparison — pure-Python vs NumPy on the E13 workload
-# ---------------------------------------------------------------------- #
-def run_e16(
-    sizes: Sequence[int] = (1500,),
-    num_phis: int = 19,
-    seed: int = 23,
-    kernel_scale: int = 64,
-) -> ExperimentResult:
-    """E16 — the kernel backend seam: stdlib vs NumPy on E13's path workload.
-
-    Times every kernel op of :mod:`repro.kernels` on columns *derived from*
-    the E13 path workload — the counting pass's dense group ids and the SUM
-    ranking's weight values, tiled ``kernel_scale`` times to kernel-bench
-    length — under both backends, plus the end-to-end cold quantile batch
-    of E13 under each backend.
-
-    The headline acceptance is the aggregation kernel (``sum_by_group``,
-    the op the counting and semijoin-reduction passes reduce to): NumPy
-    must be >= 5x faster than the stdlib backend.  Whole-pipeline gains are
-    smaller and reported honestly: every op converts its plain-list inputs
-    and outputs at the boundary (the bit-parity contract), which costs
-    O(n) per call and caps elementwise ops near parity.
-    """
-    import time as _time
-    import warnings
-
-    from repro.engine import Engine
-    from repro.joins.message_passing import MaterializedTree
-    from repro.kernels import backend_name, create_backend, set_backend
-
-    result = ExperimentResult(
-        experiment="E16",
-        title="Kernel backends: pure-Python vs NumPy on the E13 path workload",
-        claim="The physical layer's hot loops are whole-column kernel ops "
-        "behind a backend seam; vectorizing the aggregation kernel "
-        "(sum_by_group) yields >= 5x without changing any result bit",
-        columns=[
-            "op",
-            "n",
-            "rows",
-            "python_seconds",
-            "numpy_seconds",
-            "speedup",
-        ],
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        numpy_backend = create_backend("numpy")
-    numpy_available = numpy_backend.name == "numpy"
-    backends = [("python", create_backend("python"))]
-    if numpy_available:
-        backends.append(("numpy", numpy_backend))
-    else:
-        result.notes.append(
-            "NumPy is not importable: numpy_seconds columns are empty and "
-            "the >= 5x acceptance does not apply"
-        )
-    result.meta["backend"] = backend_name()
-
-    def best_of(func: Any, reps: int = 3) -> float:
-        best = float("inf")
-        for _ in range(reps):
-            start = _time.perf_counter()
-            func()
-            best = min(best, _time.perf_counter() - start)
-        return best
-
-    phis = [(i + 1) / (num_phis + 1) for i in range(num_phis)]
-    for n in sizes:
-        workload = path_workload(
-            3,
-            n,
-            join_domain=max(2, n // 20),
-            ranking=SumRanking(["x1", "x2", "x3"]),
-            seed=seed + n,
-        )
-        # Derive the kernel columns the join stack actually feeds the ops:
-        # the counting pass's dense group ids on the tree's first edge and
-        # the SUM weight values of the child relation, tiled to bench length.
-        tree = MaterializedTree(workload.query, workload.db)
-        parent = tree.root
-        child = tree.children(parent)[0]
-        base_gids = tree.child_group_ids(parent, child)
-        num_groups = tree.num_child_groups(parent, child)
-        child_schema = tree.variables(child)
-        weight_pos = child_schema.index("x2") if "x2" in child_schema else 0
-        base_weights = [float(row[weight_pos]) for row in tree.rows(child)]
-        gids = base_gids * kernel_scale
-        weights = base_weights * kernel_scale
-        rows = len(weights)
-        counts = [1] * rows
-        join_column = list(tree.node_column(child, 0)) * kernel_scale
-        sorted_weights = sorted(weights)
-        shuffle_order = create_backend("python").argsort(
-            [(value * 2654435761.0) % 1.0 for value in weights]
-        )
-        mask = [1 if i % 3 else 0 for i in range(rows)]
-        op_calls: list[tuple[str, Any]] = [
-            ("sum_by_group", lambda k: k.sum_by_group(gids, weights, num_groups)),
-            ("take", lambda k: k.take(weights, shuffle_order)),
-            ("argsort", lambda k: k.argsort(weights)),
-            ("group_by_hash", lambda k: k.group_by_hash([join_column], rows)),
-            ("prefix_sum", lambda k: k.prefix_sum(weights)),
-            ("masked_filter", lambda k: k.masked_filter(mask)),
-            ("searchsorted", lambda k: k.searchsorted(sorted_weights, weights, "left")),
-            ("multiply", lambda k: k.multiply(counts, counts)),
-        ]
-        totals = {name: 0.0 for name, _ in backends}
-        for op_name, call in op_calls:
-            seconds = {
-                name: best_of(lambda b=backend, op=call: op(b))
-                for name, backend in backends
-            }
-            for name, value in seconds.items():
-                totals[name] += value
-            result.rows.append(
-                {
-                    "op": op_name,
-                    "n": n,
-                    "rows": rows,
-                    "python_seconds": round(seconds["python"], 5),
-                    "numpy_seconds": round(seconds["numpy"], 5)
-                    if numpy_available
-                    else None,
-                    "speedup": round(seconds["python"] / seconds["numpy"], 2)
-                    if numpy_available and seconds["numpy"] > 0
-                    else None,
-                }
-            )
-        result.rows.append(
-            {
-                "op": "composite",
-                "n": n,
-                "rows": rows,
-                "python_seconds": round(totals["python"], 5),
-                "numpy_seconds": round(totals["numpy"], 5)
-                if numpy_available
-                else None,
-                "speedup": round(totals["python"] / totals["numpy"], 2)
-                if numpy_available and totals.get("numpy", 0) > 0
-                else None,
-            }
-        )
-
-        # End-to-end: the E13 cold quantile batch under each backend.
-        def run_cold() -> list[QuantileResult]:
-            return [
-                Engine(workload.db, memoize=False)
-                .prepare(workload.query, workload.ranking)
-                .quantile(phi)
-                for phi in phis
-            ]
-
-        previous = backend_name()
-        cold_seconds: dict[str, float] = {}
-        cold_weights: dict[str, list[float]] = {}
-        try:
-            for name, _ in backends:
-                set_backend(name)
-                cold_results, elapsed = time_call(run_cold)
-                cold_seconds[name] = elapsed
-                cold_weights[name] = [r.weight for r in cold_results]
-        finally:
-            set_backend(previous)
-        if numpy_available and cold_weights["python"] != cold_weights["numpy"]:
-            raise AssertionError(
-                "backends disagree on the E13 cold quantile batch"
-            )
-        result.rows.append(
-            {
-                "op": "cold_quantile_batch",
-                "n": n,
-                "rows": workload.database_size,
-                "python_seconds": round(cold_seconds["python"], 4),
-                "numpy_seconds": round(cold_seconds["numpy"], 4)
-                if numpy_available
-                else None,
-                "speedup": round(
-                    cold_seconds["python"] / cold_seconds["numpy"], 2
-                )
-                if numpy_available and cold_seconds.get("numpy", 0) > 0
-                else None,
-            }
-        )
-    if numpy_available:
-        headline = [
-            row["speedup"] for row in result.rows if row["op"] == "sum_by_group"
-        ]
-        result.notes.append(
-            f"aggregation kernel (sum_by_group) NumPy speedups: {headline} "
-            "(acceptance target: >= 5x); both backends returned "
-            "bit-identical quantile batches"
-        )
-    return result
-
-
-# ---------------------------------------------------------------------- #
 # E17: sharded parallel execution — serial vs hash-partitioned workers
 # ---------------------------------------------------------------------- #
 def run_e17(

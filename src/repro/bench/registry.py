@@ -25,7 +25,6 @@ EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentResult], str]] = {
     "E13": (experiments.run_e13, "columnar index/tree reuse: cold vs warm quantile batches"),
     "E14": (experiments.run_e14, "execution guardrails: exact vs degraded latency/accuracy"),
     "E15": (experiments.run_e15, "always-on service: coalescing throughput + overload robustness"),
-    "E16": (experiments.run_e16, "kernel backends: pure-Python vs NumPy op/pipeline comparison"),
     "E17": (experiments.run_e17, "sharded parallel execution: serial vs hash-partitioned workers"),
     "A1": (ablations.run_a1, "ablation: sketch-epsilon budget (practical vs paper)"),
     "A2": (ablations.run_a2, "ablation: interval trim vs composed trims"),

@@ -77,11 +77,11 @@ def result_to_dict(result: ExperimentResult) -> dict[str, Any]:
         "notes": list(result.notes),
         "budget": result.meta.get("budget"),
         "degradation": result.meta.get("degradation"),
-        "backend": result.meta.get("backend", backend_name()),
+        "backend": backend_name(),
         "meta": {
             key: value
             for key, value in result.meta.items()
-            if key not in ("budget", "degradation", "backend")
+            if key not in ("budget", "degradation")
         },
         "environment": {
             "python": sys.version.split()[0],

@@ -455,32 +455,37 @@ def main(argv: list[str] | None = None) -> int:
         db = load_database_csv(args.data)
         query = args.query if args.query is not None else JoinQuery(args.atoms)
         engine = Engine(db)
-        if args.count_only:
-            # Counting needs no ranking; don't force --weights for it.
-            payload: object = {"answers": engine.count(query), "database_size": db.size}
-        else:
-            ranking = resolve_ranking(parser, args)
-            prepared = engine.prepare(
-                query, ranking,
-                epsilon=args.epsilon, strategy=args.strategy, seed=args.seed,
-                timeout=args.timeout, max_rows=args.max_rows,
-                on_budget=args.on_budget, parallel=args.parallel,
-                eager=False,
-            )
-            plan = prepared.plan()
-            if phis:
-                results = prepared.quantiles(phis)
-                # Shard count is read after execution (the parallel session
-                # is built lazily on the first exact-pivot call).
-                shards = prepared.shards
-                records = [
-                    _result_record(result, plan, phi, shards)
-                    for phi, result in zip(phis, results)
-                ]
-                payload = records if len(records) > 1 else records[0]
+        try:
+            if args.count_only:
+                # Counting needs no ranking; don't force --weights for it.
+                payload: object = {"answers": engine.count(query), "database_size": db.size}
             else:
-                result = prepared.selection(args.index)
-                payload = _result_record(result, plan, None, prepared.shards)
+                ranking = resolve_ranking(parser, args)
+                prepared = engine.prepare(
+                    query, ranking,
+                    epsilon=args.epsilon, strategy=args.strategy, seed=args.seed,
+                    timeout=args.timeout, max_rows=args.max_rows,
+                    on_budget=args.on_budget, parallel=args.parallel,
+                    eager=False,
+                )
+                plan = prepared.plan()
+                if phis:
+                    results = prepared.quantiles(phis)
+                    # Shard count is read after execution (the parallel session
+                    # is built lazily on the first exact-pivot call).
+                    shards = prepared.shards
+                    records = [
+                        _result_record(result, plan, phi, shards)
+                        for phi, result in zip(phis, results)
+                    ]
+                    payload = records if len(records) > 1 else records[0]
+                else:
+                    result = prepared.selection(args.index)
+                    payload = _result_record(result, plan, None, prepared.shards)
+        finally:
+            # Shut the shard workers down here: left to the interpreter's
+            # exit handlers they end in "Bad file descriptor" noise on stderr.
+            engine.clear()
     except BudgetExceededError as error:
         print(f"error: {error}", file=sys.stderr)
         return 3

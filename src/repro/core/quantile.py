@@ -60,13 +60,18 @@ class CappedCache(dict):
         super().__setitem__(key, value)
 
 
+def check_phi(phi: float) -> None:
+    """Raise :class:`ValidationError` unless ``phi`` is a number in ``[0, 1]``."""
+    if not isinstance(phi, (int, float)) or not 0.0 <= phi <= 1.0:
+        raise ValidationError(f"phi must be a number in [0, 1], got {phi!r}")
+
+
 def target_index_for(phi: float, total: int) -> int:
     """The 0-based index of the φ-quantile in a sorted list of ``total`` answers.
 
     Follows Algorithm 1 (line 4): ``⌊φ·|Q(D)|⌋``, clamped to ``[0, total−1]``.
     """
-    if not 0.0 <= phi <= 1.0:
-        raise ValidationError(f"phi must be in [0, 1], got {phi}")
+    check_phi(phi)
     if total <= 0:
         raise EmptyResultError("the query has no answers, so no quantile exists")
     return min(total - 1, max(0, int(math.floor(phi * total))))
@@ -89,8 +94,9 @@ def resolve_target(phi: float | None, index: int | None, total: int) -> int:
     """The 0-based target rank for a quantile (``phi``) or selection (``index``).
 
     The one place every strategy and entry point validates a request:
-    exactly one of ``phi`` and ``index``, a non-empty join, an in-range
-    index — so each failure raises the same typed error everywhere.
+    exactly one of ``phi`` and ``index``, a non-empty join, a number in
+    ``[0, 1]`` or an in-range ``int`` — so each failure raises the same typed
+    error everywhere.
     """
     if (phi is None) == (index is None):
         raise ValidationError("exactly one of phi and index must be provided")
@@ -98,8 +104,8 @@ def resolve_target(phi: float | None, index: int | None, total: int) -> int:
         raise EmptyResultError("the query has no answers, so no quantile exists")
     if index is None:
         return target_index_for(phi, total)  # type: ignore[arg-type]
-    if not 0 <= index < total:
-        raise ValidationError(f"index {index} out of range [0, {total})")
+    if not isinstance(index, int) or not 0 <= index < total:
+        raise ValidationError(f"index must be an integer in [0, {total}), got {index!r}")
     return index
 
 

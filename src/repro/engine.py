@@ -42,6 +42,7 @@ from repro.baselines.materialize import select_from_sorted, sorted_answers
 from repro.core.quantile import (
     CappedCache,
     LocalCandidates,
+    check_phi,
     phi_for_index,
     pivoting_quantile,
     project,
@@ -383,8 +384,7 @@ class PreparedQuery:
         """
         phis = list(phis)
         for phi in phis:
-            if not isinstance(phi, (int, float)) or not 0.0 <= float(phi) <= 1.0:
-                raise ValidationError(f"phi must be in [0, 1], got {phi!r}")
+            check_phi(phi)
         return [self._solve(phi=float(phi)) for phi in phis]
 
     def selection(self, index: int) -> QuantileResult:

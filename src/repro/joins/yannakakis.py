@@ -270,8 +270,8 @@ def evaluate_sorted(
                 map(ranking.combine, weights, map(per_row.__getitem__, index[origin]))
             )
 
-    # From here on plain indexing, not kernel.take: a backend may coerce a
-    # mixed int/float column, and answers must carry evaluate()'s very objects.
+    # Plain indexing from here on: answers must carry evaluate()'s very
+    # objects, whatever mix of int/float/bool a column holds.
     by_weight = kernel.argsort(weights)
     if keep is not None:
         source = {v: origin for v, origin in source.items() if v in keep}

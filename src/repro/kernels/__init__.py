@@ -1,118 +1,30 @@
-"""Vectorized columnar kernels behind a pluggable backend seam.
+"""Columnar kernels behind one seam.
 
 The physical layer's hot inner loops — hash-index builds, semijoin masks,
 per-group sorts, weighted-median scans, prefix sums — all run through the
-small fixed op set of :class:`~repro.kernels.base.KernelBackend`.  Two
-backends implement it:
+small fixed op set of :class:`~repro.kernels.base.KernelBackend`, which has
+one implementation (pure stdlib, no dependency).
 
-* :class:`~repro.kernels.python.PythonKernelBackend` — pure stdlib, the
-  zero-dependency default and the reference semantics;
-* :class:`~repro.kernels.numpy_backend.NumpyKernelBackend` — whole-array
-  NumPy ops with per-op stdlib fallbacks, selected only when NumPy imports.
-
-Selection happens lazily at first use from the ``REPRO_BACKEND``
-environment variable (``auto`` | ``python`` | ``numpy``, default ``auto``):
-
-* ``auto``   — NumPy when importable, stdlib otherwise (silent);
-* ``python`` — always the stdlib backend;
-* ``numpy``  — NumPy, with a :class:`RuntimeWarning` and a graceful stdlib
-  fallback when NumPy is absent (an explicit request should be loud but
-  must not take the service down).
-
-Tests, the bench ``--backend`` flag, and parity suites switch backends at
-runtime with :func:`set_backend`; everything else calls
-:func:`active_backend` per kernel invocation, so a switch takes effect
-immediately without reimports.
+Call sites fetch the process-wide instance with :func:`active_backend` at
+every kernel invocation and look the op up on it, so rebinding an op on that
+instance (what the end-to-end benchmark's tracer does to count kernel calls)
+takes effect immediately and everywhere.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
-from repro.exceptions import ValidationError
 from repro.kernels.base import KernelBackend
-from repro.kernels.python import PythonKernelBackend
 
-__all__ = [
-    "KernelBackend",
-    "PythonKernelBackend",
-    "BACKEND_CHOICES",
-    "active_backend",
-    "backend_name",
-    "create_backend",
-    "set_backend",
-]
+__all__ = ["KernelBackend", "active_backend", "backend_name"]
 
-#: Valid values of ``REPRO_BACKEND`` and the bench ``--backend`` flag.
-BACKEND_CHOICES = ("auto", "python", "numpy")
-
-#: Environment variable consulted on first use.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: The installed backend; ``None`` until first use (lazy env-driven init).
-_active: KernelBackend | None = None
-
-
-def _numpy_backend() -> KernelBackend | None:
-    """The NumPy backend instance, or ``None`` when NumPy is absent."""
-    try:
-        from repro.kernels.numpy_backend import NumpyKernelBackend
-    except ImportError:
-        return None
-    return NumpyKernelBackend()
-
-
-def create_backend(name: str) -> KernelBackend:
-    """Instantiate a backend by name (``auto`` | ``python`` | ``numpy``).
-
-    ``auto`` prefers NumPy silently; an explicit ``numpy`` request without
-    NumPy installed warns and falls back to the stdlib backend rather than
-    failing, so a mis-provisioned host degrades instead of crashing.
-    """
-    if name not in BACKEND_CHOICES:
-        raise ValidationError(
-            f"unknown kernel backend {name!r}; choose one of {', '.join(BACKEND_CHOICES)}"
-        )
-    if name == "python":
-        return PythonKernelBackend()
-    backend = _numpy_backend()
-    if backend is not None:
-        return backend
-    if name == "numpy":
-        warnings.warn(
-            "REPRO_BACKEND=numpy requested but NumPy is not importable; "
-            "falling back to the pure-Python kernel backend",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return PythonKernelBackend()
-
-
-def set_backend(name: str) -> KernelBackend:
-    """Install the named backend as the process-wide active one."""
-    global _active
-    _active = create_backend(name)
-    return _active
+_active = KernelBackend()
 
 
 def active_backend() -> KernelBackend:
-    """The process-wide kernel backend (env-selected on first use)."""
-    global _active
-    if _active is None:
-        requested = os.environ.get(BACKEND_ENV_VAR, "auto")
-        if requested not in BACKEND_CHOICES:
-            warnings.warn(
-                f"ignoring invalid {BACKEND_ENV_VAR}={requested!r}; "
-                f"valid values are {', '.join(BACKEND_CHOICES)} — using 'auto'",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            requested = "auto"
-        _active = create_backend(requested)
+    """The process-wide kernel backend instance."""
     return _active
 
 
 def backend_name() -> str:
-    """Short name of the active backend (``"python"`` or ``"numpy"``)."""
-    return active_backend().name
+    """Short name of the active backend (``"python"``)."""
+    return _active.name

@@ -1,11 +1,9 @@
-"""The kernel backend interface: the fixed op set of the physical layer.
+"""The kernel backend: the fixed op set of the physical layer.
 
-A :class:`KernelBackend` is the narrow seam between the join stack's
+:class:`KernelBackend` is the narrow seam between the join stack's
 *logical* algorithms (semijoin reduction, counting, pivoting, trimming) and
-the *physical* array operations they spend their time in.  Hot paths never
-loop over rows themselves; they call one of the backend ops below on whole
-columns, so swapping the backend (pure stdlib vs. NumPy) changes constant
-factors without touching any algorithm.
+the *physical* column operations they spend their time in.  Hot paths do not
+loop over rows themselves; they call one of the ops below on whole columns.
 
 The op set is deliberately small and fixed:
 
@@ -20,54 +18,56 @@ The op set is deliberately small and fixed:
 ``multiply``       elementwise product of two parallel numeric columns
 =================  ==========================================================
 
-Contract notes shared by every backend:
+Contract:
 
 * Inputs are plain Python sequences; outputs are plain Python ``list``/
-  ``dict`` objects holding plain Python values — NumPy scalars never leak
-  out of the NumPy backend, so downstream hashing, JSON serialization, and
-  equality semantics are identical across backends.
+  ``dict`` objects holding the *input's own* value objects (``take`` of a
+  column mixing ``True``, ``1`` and ``1.0`` hands back exactly those) or
+  plain Python numbers computed from them, so downstream hashing, JSON
+  serialization, ``repr`` and equality see what the relations hold.
 * ``group_by_hash`` keys appear in **first-occurrence order** and the
-  positions inside each group are ascending (row order); both backends
-  guarantee this, which is what makes results bit-identical.
-* Ops never call :func:`repro.runtime.checkpoint` internally: budget and
-  cancellation checkpoints live at the *call sites*, one per whole-array op
-  instead of one per row, so a kernel call is an uninterruptible unit whose
-  cost is linear in its inputs.
-* Input columns are **frozen once passed**: a backend may cache derived
-  representations keyed on object identity (the NumPy backend caches
-  list→ndarray conversions), so callers must never mutate a column in place
-  between kernel calls — derive a new list instead.  Appending to an op's
-  *output* list is allowed (the caches detect the length change).
+  positions inside each group are ascending (row order), which is what
+  makes results reproducible bit for bit.
+* Ops never call :func:`repro.runtime.checkpoint`: budget and cancellation
+  checkpoints live at the *call sites*, one per whole-column op instead of
+  one per row, so a kernel call is an uninterruptible unit whose cost is
+  linear in its inputs (see the RPR001 waivers inline).
+
+Every op is the tightest pure-Python form of the loop it replaced:
+comprehensions and stdlib C helpers (``sorted``, ``itertools.accumulate``,
+``bisect``) rather than index-juggling loops.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from itertools import accumulate
 from typing import Any, ClassVar
+
+from repro.exceptions import ValidationError
 
 Value = Any
 Key = tuple[Any, ...]
 
 
-class KernelBackend(ABC):
-    """Abstract vectorized-kernel backend (see the module docstring)."""
+class KernelBackend:
+    """The stdlib implementation of the kernel op set (see the module docstring)."""
 
-    #: Short backend identifier (``"python"``, ``"numpy"``); reported by the
-    #: bench ``--backend`` flag, the service ``/stats`` endpoint, and the
-    #: JSON benchmark artifacts.
-    name: ClassVar[str] = "abstract"
+    #: Short backend identifier, reported by the service ``/stats`` endpoint,
+    #: the CLI ``serve`` banner and the JSON benchmark artifacts.
+    name: ClassVar[str] = "python"
 
     # ------------------------------------------------------------------ #
-    @abstractmethod
     def take(self, values: Sequence[Value], positions: Sequence[int]) -> list[Value]:
         """Gather ``[values[p] for p in positions]``."""
+        return [values[p] for p in positions]
 
-    @abstractmethod
     def argsort(self, values: Sequence[Value]) -> list[int]:
         """Positions that sort ``values`` ascending; **stable** on ties."""
+        # sorted() is stable, so equal values keep ascending positions.
+        return sorted(range(len(values)), key=values.__getitem__)
 
-    @abstractmethod
     def group_by_hash(
         self, columns: Sequence[Sequence[Value]], length: int
     ) -> dict[Key, list[int]]:
@@ -78,16 +78,29 @@ class KernelBackend(ABC):
         belongs to the single group keyed by ``()`` (no group when
         ``length`` is zero).
         """
+        groups: dict[Key, list[int]] = {}
+        if not columns:
+            if length:
+                groups[()] = list(range(length))
+            return groups
+        if len(columns) == 1:
+            # repro-analysis: allow RPR001 -- kernel op: one uninterruptible linear pass, checkpoints live at call sites
+            for position, value in enumerate(columns[0]):
+                groups.setdefault((value,), []).append(position)
+        else:
+            # repro-analysis: allow RPR001 -- kernel op: one uninterruptible linear pass, checkpoints live at call sites
+            for position, key in enumerate(zip(*columns)):
+                groups.setdefault(key, []).append(position)
+        return groups
 
-    @abstractmethod
     def prefix_sum(self, values: Sequence[Value]) -> list[Value]:
         """Inclusive running totals: ``out[i] = values[0] + ... + values[i]``."""
+        return list(accumulate(values))
 
-    @abstractmethod
     def masked_filter(self, mask: Sequence[Value]) -> list[int]:
         """Positions of the truthy entries of ``mask``, ascending."""
+        return [position for position, keep in enumerate(mask) if keep]
 
-    @abstractmethod
     def searchsorted(
         self, sorted_values: Sequence[Value], probes: Sequence[Value], side: str = "left"
     ) -> list[int]:
@@ -96,8 +109,12 @@ class KernelBackend(ABC):
         ``side`` is ``"left"`` (:func:`bisect.bisect_left` semantics) or
         ``"right"`` (:func:`bisect.bisect_right`).
         """
+        if side == "left":
+            return [bisect_left(sorted_values, probe) for probe in probes]
+        if side == "right":
+            return [bisect_right(sorted_values, probe) for probe in probes]
+        raise ValidationError(f"searchsorted side must be 'left' or 'right', got {side!r}")
 
-    @abstractmethod
     def sum_by_group(
         self, group_ids: Sequence[int], values: Sequence[Value], num_groups: int
     ) -> list[Value]:
@@ -107,11 +124,20 @@ class KernelBackend(ABC):
         receive no value sum to 0.  Values are accumulated in row order, so
         float results match a sequential left-to-right sum.
         """
+        if len(group_ids) != len(values):
+            raise ValidationError(
+                f"sum_by_group got {len(group_ids)} group ids for {len(values)} values"
+            )
+        sums: list[Value] = [0] * num_groups
+        # repro-analysis: allow RPR001 -- kernel op: one uninterruptible linear pass, checkpoints live at call sites
+        for group, value in zip(group_ids, values):
+            sums[group] += value
+        return sums
 
-    @abstractmethod
     def multiply(self, left: Sequence[Value], right: Sequence[Value]) -> list[Value]:
         """Elementwise product of two equal-length numeric columns."""
-
-    # ------------------------------------------------------------------ #
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<KernelBackend {self.name}>"
+        if len(left) != len(right):
+            raise ValidationError(
+                f"multiply got columns of lengths {len(left)} and {len(right)}"
+            )
+        return [a * b for a, b in zip(left, right)]

@@ -302,9 +302,7 @@ class ShardPlanner:
             checkpoint("parallel.plan", rows=len(relation))
             if assignment is None:
                 broadcast.append(atom.relation)
-                columns = [
-                    _plain_list(relation.column(a)) for a in schema
-                ]
+                columns = [relation.column(a) for a in schema]
                 for s in range(K):
                     shard_relations[s][atom.relation] = (schema, columns)
                     shard_rows[s] += len(relation)
@@ -316,10 +314,7 @@ class ShardPlanner:
             full_columns = [relation.column(a) for a in schema]
             for s in range(K):
                 positions = assignment[s]
-                columns = [
-                    _plain_list(backend.take(column, positions))
-                    for column in full_columns
-                ]
+                columns = [backend.take(column, positions) for column in full_columns]
                 shard_relations[s][atom.relation] = (schema, columns)
                 shard_rows[s] += len(positions)
         return ShardPlan(
@@ -334,13 +329,6 @@ class ShardPlanner:
             shard_rows=shard_rows,
             dropped_rows=dropped,
         )
-
-
-def _plain_list(values: list[Any]) -> list[Any]:
-    """Force a plain ``list`` so shard payloads pickle without backend types."""
-    if type(values) is list:
-        return values
-    return list(values)
 
 
 __all__ = [

@@ -97,6 +97,8 @@ class WorkerPool:
         self._lanes = [
             ProcessPoolExecutor(max_workers=1) for _ in range(num_shards)
         ]
+        # A lane runs its tasks in order, so it is idle once its latest is done.
+        self._latest: list[Future[TaskResult] | None] = [None] * num_shards
         self._closed = False
 
     @property
@@ -109,9 +111,11 @@ class WorkerPool:
         if self._closed:
             raise WorkerPoolClosedError("the worker pool has been shut down")
         try:
-            return self._lanes[shard].submit(
+            future = self._lanes[shard].submit(
                 run_shard_task, self._state_base + shard, op, payload, guards
             )
+            self._latest[shard] = future
+            return future
         except BrokenProcessPool as exc:
             raise WorkerCrashError(
                 f"shard {shard} worker process died: {exc}"
@@ -134,13 +138,20 @@ class WorkerPool:
             ) from exc
 
     def close(self) -> None:
-        """Shut every lane down without waiting (idempotent)."""
+        """Shut every lane down (idempotent).
+
+        An idle lane is waited for — its worker exits at once — so that a
+        closed pool leaves no half-shut-down executor behind for the
+        interpreter's exit handlers to trip over ("Bad file descriptor" on
+        stderr).  A lane that is still running a task is not: that task may
+        be why the pool is being closed.
+        """
         if self._closed:
             return
         self._closed = True
         # repro-analysis: allow RPR001 -- O(K) shutdown, K = shard count
-        for lane in self._lanes:
-            lane.shutdown(wait=False, cancel_futures=True)
+        for lane, latest in zip(self._lanes, self._latest):
+            lane.shutdown(wait=latest is None or latest.done(), cancel_futures=True)
 
 
 class _InlineFuture:

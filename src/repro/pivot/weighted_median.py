@@ -5,8 +5,7 @@ the *weighted median*: the element at position ``⌊|B|/2⌋`` of the multiset i
 which each element appears as many times as its multiplicity.  The selection
 runs as a whole-column kernel pipeline — a stable argsort of the keys, a
 prefix sum of the multiplicities, and a binary search for the covering
-position — which is ``O(n log n)`` by comparisons but dominated by the
-vectorized ops under the NumPy backend, and in CPython beats the
+position — which is ``O(n log n)`` by comparisons but in CPython beats the
 pointer-chasing constant factors of the linear-time (Johnson & Mizoguchi)
 machinery.  :func:`weighted_median` selects from one multiset (pivot
 selection's artificial root); :func:`segmented_weighted_median` runs the same
@@ -118,8 +117,7 @@ def segmented_weighted_median(
     ends = kernel.searchsorted(sorted_groups, range(num_groups), side="right")
     starts = [0] + ends[:-1]
     # running[i] = total multiplicity of the slots before i.  Plain ints and
-    # plain bisection, not kernel ops: the totals can pass 2**63, where a
-    # backend may round a column through float64.
+    # plain bisection: the totals can pass 2**63 and must stay exact.
     running = list(accumulate(map(multiplicities.__getitem__, order), initial=0))
     covering = [
         bisect_right(running, running[start] + (running[end] - running[start] - 1) // 2) - 1

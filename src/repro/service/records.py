@@ -15,7 +15,6 @@ from __future__ import annotations
 import threading
 
 from repro.exceptions import ValidationError
-from repro.kernels import backend_name
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
 from typing import Any
@@ -66,9 +65,6 @@ class RequestRecord:
         Shard count of the live parallel session that served the request,
         or ``None`` when it ran single-process (including silent serial
         fallbacks — the record reports what actually executed).
-    kernel_backend:
-        The :mod:`repro.kernels` backend active when the request was
-        recorded (``"python"`` or ``"numpy"``).
     """
 
     request_id: int
@@ -89,7 +85,6 @@ class RequestRecord:
     retry_after: float | None = None
     parallel: int | str | None = None
     shards: int | None = None
-    kernel_backend: str = field(default_factory=backend_name)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form (what ``GET /stats`` returns)."""

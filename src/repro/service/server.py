@@ -42,6 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any
 
+from repro.core.quantile import check_phi
 from repro.exceptions import (
     BudgetExceededError,
     DegradedResultWarning,
@@ -432,8 +433,7 @@ class QuantileService:
             if not isinstance(phis, list) or not phis:
                 raise ValidationError("'phis' must be a non-empty list of numbers")
             for phi in phis:
-                if not isinstance(phi, (int, float)) or not 0.0 <= float(phi) <= 1.0:
-                    raise ValidationError(f"phi must be in [0, 1], got {phi!r}")
+                check_phi(phi)
             targets: tuple[Any, ...] = tuple(float(phi) for phi in phis)
             mode = "phi"
         else:

@@ -42,7 +42,6 @@ def _fault_test_deadline(request):
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.kernels import active_backend, set_backend
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.ranking.lex import LexRanking
@@ -172,24 +171,6 @@ def rank_error(query, db, ranking, result, phi) -> float:
 # ---------------------------------------------------------------------- #
 # Differential-test helpers (whole-column passes against their references)
 # ---------------------------------------------------------------------- #
-def available_backends() -> list[str]:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return ["python"]
-    return ["python", "numpy"]
-
-
-@contextmanager
-def backend(name):
-    previous = active_backend().name
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
 # 0, 0.0 and -0.0 hash alike (they join) but are different objects with
 # different reprs; 2 and 2.0 likewise — so "same value" is not enough, the
 # columns must carry the very object the reference would have put in the dict.

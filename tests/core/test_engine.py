@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.baselines.materialize import select_from_sorted, sorted_answers
+from repro.data.database import Database
+from repro.data.relation import Relation
 from repro.engine import Engine, PreparedQuery, SolverPlan
 from repro.exceptions import IntractableQueryError, RankingError, SolverError
 from repro.query.join_query import JoinQuery
+from repro.query.parser import parse_ranking
 from repro.ranking.minmax import MaxRanking
 from repro.ranking.sum import SumRanking
 from repro.core.solver import QuantileSolver, quantile
@@ -222,6 +226,42 @@ class TestExecution:
         assert result.weight == engine.selection(query, ranking, result.target_index).weight
         assert len(engine.quantiles(query, ranking, [0.25, 0.75])) == 2
         assert engine.count(query) == result.total_answers
+
+    @pytest.mark.parametrize(
+        "ranking", ["sum(x1, x4)", "min(x1, x3)", "max(x1, x4)", "lex(x1, x3)"]
+    )
+    def test_answers_carry_the_relations_own_objects(self, ranking):
+        """Weighted columns mixing ``True``, ints and floats, 3000 rows of
+        them in ``R`` so that a trim keeps well over a thousand: answers must
+        hold the relations' own objects — ``True``, not ``1`` (an
+        array-backed gather once returned the coerced stand-in)."""
+        r_rows = [((True, i + 2)[i % 2], i % 10) for i in range(3000)]
+        # Ints and floats spread over x1's range, ascending in x3 and
+        # descending in x4, so MIN / MAX / LEX trims cut into both relations.
+        s_rows = [
+            (j % 10, 20 * j + (1 if j % 2 else 0.5), 3000 - 20 * j + (0 if j % 2 else 0.5))
+            for j in range(150)
+        ]
+        db = Database(
+            [Relation("R", ("x1", "x2"), r_rows), Relation("S", ("x2", "x3", "x4"), s_rows)]
+        )
+        query = JoinQuery.parse("R(x1, x2), S(x2, x3, x4)")
+        phis = [0.0, 0.005, 0.01, 0.2, 0.5, 0.9, 1.0]
+        parsed = parse_ranking(ranking)
+        oracle = sorted_answers(query, db, parsed)
+        own_rows = {repr(row) for row in r_rows} | {repr(row) for row in s_rows}
+        for knobs in ({"termination_factor": 1}, {}):
+            prepared = PreparedQuery(query, db, ranking, **knobs)
+            for phi, result in zip(phis, prepared.quantiles(phis)):
+                expected = select_from_sorted(oracle, parsed, phi=phi)
+                assert result.iterations > 0
+                assert result.target_index == expected.target_index
+                # repr tells True from 1 from 1.0.
+                assert repr(result.weight) == repr(expected.weight)
+                answer = result.assignment
+                assert repr((answer["x1"], answer["x2"])) in own_rows
+                assert repr((answer["x2"], answer["x3"], answer["x4"])) in own_rows
+                assert repr(parsed.weight_of(answer)) == repr(expected.weight)
 
     def test_join_tree_exposed(self, prepared):
         tree = prepared.join_tree()

@@ -6,7 +6,7 @@ from repro.core.quantile import phi_for_index, pivoting_quantile, target_index_f
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import PreparedQuery
-from repro.exceptions import EmptyResultError
+from repro.exceptions import EmptyResultError, ValidationError
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.ranking.minmax import MaxRanking
@@ -31,6 +31,9 @@ class TestTargetIndex:
             target_index_for(1.5, 10)
         with pytest.raises(ValueError):
             target_index_for(-0.1, 10)
+        for not_a_number in ("0.5", [0.5], None, float("nan")):
+            with pytest.raises(ValidationError):
+                target_index_for(not_a_number, 10)
 
     def test_empty(self):
         with pytest.raises(EmptyResultError):
@@ -60,6 +63,9 @@ class TestPhiForIndex:
             phi_for_index(-1, 10)
         with pytest.raises(ValueError):
             phi_for_index(10, 10)
+        for not_an_int in ("3", 2.0, [3]):
+            with pytest.raises(ValidationError):
+                phi_for_index(not_an_int, 10)
 
     def test_empty(self):
         with pytest.raises(EmptyResultError):
@@ -82,6 +88,23 @@ class TestDriver:
         trimmer = SumAdjacentTrimmer(ranking)
         with pytest.raises(ValueError):
             pivoting_quantile(query, db, ranking, trimmer, index=10**9)
+        # A malformed request is the same typed error from every strategy
+        # and entry point (these used to be bare TypeErrors, selection(2.0)
+        # from inside the terminal select).
+        for strategy in ("exact-pivot", "approx-pivot", "sampling", "materialize"):
+            prepared = PreparedQuery(
+                query, db, ranking, strategy=strategy, epsilon=0.2, seed=3
+            )
+            for index in (10**9, -1, "3", 2.0):
+                with pytest.raises(ValidationError):
+                    prepared.selection(index)
+            for phi in (1.5, "0.5", [0.5], float("nan")):
+                with pytest.raises(ValidationError):
+                    prepared.quantile(phi)
+                with pytest.raises(ValidationError):
+                    prepared.quantiles([0.5, phi])
+            # bool keeps its meaning as an int.
+            assert prepared.selection(True).target_index == 1
 
     def test_empty_result(self):
         query = JoinQuery([Atom("R", ("x", "y")), Atom("S", ("y", "z"))])

@@ -1,6 +1,6 @@
 """The columnar terminal: ``evaluate_sorted`` against ``evaluate`` + keyed sort.
 
-One generative differential test (both kernel backends) pins the contract
+One generative differential test pins the contract
 the pivoting loop relies on — position for position, ties included, the
 weight-sorted columns are ``sorted(evaluate(...), key=ranking.weight_of)`` —
 and the guardrail tests pin what the runtime layer relies on: one
@@ -22,8 +22,6 @@ from repro.testing import FaultPlan, InjectedFault, inject_faults
 
 from tests.conftest import (
     at_checkpoint,
-    available_backends,
-    backend,
     fanout_instance,
     join_instances,
 )
@@ -35,19 +33,17 @@ def test_columns_equal_evaluate_then_sort_at_every_position(instance):
     query, db, ranking = instance
     reference = sorted(evaluate(query, db), key=ranking.weight_of)
     keep = set(sorted(query.variables)[::2])
-    for name in available_backends():
-        with backend(name):
-            weights, columns = evaluate_sorted(query, db, ranking)
-            _, kept = evaluate_sorted(query, db, ranking, keep=keep)
-        assert len(weights) == len(reference)
-        assert all(len(column) == len(weights) for column in columns.values())
-        for position, answer in enumerate(reference):
-            got = {variable: column[position] for variable, column in columns.items()}
-            # repr compares key order and tells 0 from 0.0 from -0.0.
-            assert repr(got) == repr(answer)
-            assert repr(weights[position]) == repr(ranking.weight_of(answer))
-        assert list(kept) == [variable for variable in columns if variable in keep]
-        assert all(kept[variable] == columns[variable] for variable in kept)
+    weights, columns = evaluate_sorted(query, db, ranking)
+    _, kept = evaluate_sorted(query, db, ranking, keep=keep)
+    assert len(weights) == len(reference)
+    assert all(len(column) == len(weights) for column in columns.values())
+    for position, answer in enumerate(reference):
+        got = {variable: column[position] for variable, column in columns.items()}
+        # repr compares key order and tells 0 from 0.0 from -0.0.
+        assert repr(got) == repr(answer)
+        assert repr(weights[position]) == repr(ranking.weight_of(answer))
+    assert list(kept) == [variable for variable in columns if variable in keep]
+    assert all(kept[variable] == columns[variable] for variable in kept)
 
 
 # ---------------------------------------------------------------------- #

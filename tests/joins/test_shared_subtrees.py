@@ -42,7 +42,7 @@ from repro.runtime.context import set_fault_hook
 from repro.testing import FaultPlan, InjectedFault, inject_faults
 from repro.trim import exact_trimmer_for
 
-from tests.conftest import available_backends, backend, join_instances
+from tests.conftest import join_instances
 
 PATH = JoinQuery(
     [Atom("R1", ("x1", "x2")), Atom("R2", ("x2", "x3")), Atom("R3", ("x3", "x4"))]
@@ -93,18 +93,16 @@ def test_trees_through_one_cache_equal_throwaway_trees(instance, data):
             st.lists(st.tuples(bound, bound, st.booleans(), st.booleans()), max_size=4)
         )
         pairs += trims(query, db, ranking, bounds)
-    for name in available_backends():
-        with backend(name):
-            cache = TreeCache()
-            for trimmed_query, trimmed_db in pairs:
-                shared = observed(
-                    trimmed_query, trimmed_db, ranking, cache.get(trimmed_query, trimmed_db)
-                )
-                alone = observed(
-                    trimmed_query, trimmed_db, ranking,
-                    MaterializedTree(trimmed_query, trimmed_db),
-                )
-                assert shared == alone
+    cache = TreeCache()
+    for trimmed_query, trimmed_db in pairs:
+        shared = observed(
+            trimmed_query, trimmed_db, ranking, cache.get(trimmed_query, trimmed_db)
+        )
+        alone = observed(
+            trimmed_query, trimmed_db, ranking,
+            MaterializedTree(trimmed_query, trimmed_db),
+        )
+        assert shared == alone
 
 
 def test_two_rankings_over_one_cached_tree_keep_their_own_messages():

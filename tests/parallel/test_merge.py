@@ -13,7 +13,6 @@ from repro.baselines.materialize import select_from_sorted, sorted_answers
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import Engine, PreparedQuery
-from repro.kernels import active_backend, set_backend
 from repro.parallel.merger import ParallelSession, RankMerger
 from repro.parallel.planner import ShardPlanner
 from repro.query.join_query import JoinQuery
@@ -24,16 +23,6 @@ from repro.workloads.path import path_workload
 from repro.workloads.star import star_workload
 
 PHIS = [(i + 1) / 20 for i in range(19)]
-
-
-@pytest.fixture(params=["python", "numpy"])
-def backend(request):
-    if request.param == "numpy":
-        pytest.importorskip("numpy")
-    previous = active_backend().name
-    set_backend(request.param)
-    yield request.param
-    set_backend(previous)
 
 
 def result_key(result):
@@ -50,9 +39,7 @@ def skewed_db(rows=90, domain=4):
 
 
 class TestParallelMatchesSerial:
-    def test_phi_sweep_bit_equality_both_backends(
-        self, inline_mode, fanout_workload, backend
-    ):
+    def test_phi_sweep_bit_equality(self, inline_mode, fanout_workload):
         workload = fanout_workload
         serial = Engine(workload.db).prepare(workload.query, workload.ranking)
         parallel = Engine(workload.db).prepare(
@@ -160,9 +147,7 @@ class TestParallelMatchesSerial:
 
 
     @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_tie_heavy_terminals_with_an_empty_shard(
-        self, inline_mode, backend, shards
-    ):
+    def test_tie_heavy_terminals_with_an_empty_shard(self, inline_mode, shards):
         # x2 picks both the shard and the weight range (100 * x2 + 0..3), so
         # a terminal interval usually lies inside one key's range — the other
         # shards' terminals are empty — and every weight is tied many times:

@@ -2,7 +2,7 @@
 
 ``reference_select_pivot`` below is the old body of ``select_pivot`` — one
 ``weighted_median`` call per join group, one ``dict`` per row — kept as the
-reference.  A generative differential test (both kernel backends) pins that
+reference.  A generative differential test pins that
 the whole-column pass picks the very same pivot, object for object; unit
 tests pin ``segmented_weighted_median`` against the scalar routine run group
 by group; guardrail tests pin what the runtime layer relies on: the rows
@@ -38,8 +38,6 @@ from repro.testing import FaultPlan, InjectedFault, inject_faults
 from tests.conftest import (
     VALUES,
     at_checkpoint,
-    available_backends,
-    backend,
     fanout_instance,
     join_instances,
 )
@@ -124,19 +122,17 @@ def assert_same_pivot(query, db, ranking):
         reference = reference_select_pivot(query, db, ranking)
     except EmptyResultError:
         reference = None
-    for name in available_backends():
-        with backend(name):
-            if reference is None:
-                with pytest.raises(EmptyResultError):
-                    select_pivot(query, db, ranking)
-                continue
-            pivot = select_pivot(query, db, ranking)
-        assert pivot.assignment == reference.assignment
-        # repr compares key order and tells 0 from 0.0 from -0.0.
-        assert repr(pivot.assignment) == repr(reference.assignment)
-        assert repr(pivot.weight) == repr(reference.weight)
-        assert pivot.c == reference.c
-        assert pivot.total_answers == reference.total_answers
+    if reference is None:
+        with pytest.raises(EmptyResultError):
+            select_pivot(query, db, ranking)
+        return
+    pivot = select_pivot(query, db, ranking)
+    assert pivot.assignment == reference.assignment
+    # repr compares key order and tells 0 from 0.0 from -0.0.
+    assert repr(pivot.assignment) == repr(reference.assignment)
+    assert repr(pivot.weight) == repr(reference.weight)
+    assert pivot.c == reference.c
+    assert pivot.total_answers == reference.total_answers
 
 
 # ---------------------------------------------------------------------- #
@@ -231,10 +227,7 @@ def medians_group_by_group(group_ids, keys, multiplicities, num_groups):
 
 def assert_medians_match(group_ids, keys, multiplicities, num_groups):
     expected = medians_group_by_group(group_ids, keys, multiplicities, num_groups)
-    for name in available_backends():
-        with backend(name):
-            got = segmented_weighted_median(group_ids, keys, multiplicities, num_groups)
-        assert got == expected
+    assert segmented_weighted_median(group_ids, keys, multiplicities, num_groups) == expected
     return expected
 
 
@@ -294,9 +287,9 @@ def test_segmented_median_equals_scalar_medians(members):
     assert_medians_match(group_ids, keys, multiplicities, 6)
 
 
-def test_segmented_median_at_sizes_where_the_numpy_backend_vectorizes():
-    # 4000 members in 50 groups: past every vectorization threshold of the
-    # NumPy backend; tie-heavy keys and two counts near and above 2**63.
+def test_segmented_median_over_thousands_of_members():
+    # 4000 members in 50 groups (far past what the generative test draws);
+    # tie-heavy keys and two counts near and above 2**63.
     size = 4000
     group_ids = [(i * 7919) % 50 for i in range(size)]
     keys = [float((i * 31) % 17) for i in range(size)]

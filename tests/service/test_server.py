@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -202,6 +203,32 @@ class TestBudgetsAndDegradation:
 
 
 class TestCoalescing:
+    @staticmethod
+    def burst(svc, client, issue, clients):
+        """Run ``issue(0) .. issue(clients - 1)`` concurrently with the first
+        batch parked inside the executor until the coalescer has counted
+        every client, so the later arrivals must have merged behind it —
+        however short an execution is."""
+        release = threading.Event()
+        run_batch = svc._run_batch
+
+        def held_run_batch(*args):
+            assert release.wait(timeout=30)
+            return run_batch(*args)
+
+        svc._run_batch = held_run_batch
+        threads = [threading.Thread(target=issue, args=(i,)) for i in range(clients)]
+        for thread in threads:
+            thread.start()
+        try:
+            deadline = time.monotonic() + 30
+            while client.stats()["coalescing"]["requests"] < clients:
+                assert time.monotonic() < deadline, "clients never reached the coalescer"
+        finally:
+            release.set()
+        for thread in threads:
+            thread.join()
+
     def test_concurrent_identical_requests_coalesce(self, workload):
         svc = QuantileService(ServiceConfig(max_inflight=1, max_queue=16, queue_timeout=10.0))
         svc.pool.register("demo", workload.db)
@@ -215,15 +242,12 @@ class TestCoalescing:
                     "demo", QUERY, RANKING, phis=[0.1 * (position + 1)]
                 )
 
-            threads = [threading.Thread(target=issue, args=(i,)) for i in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            self.burst(svc, client, issue, 8)
             assert all(r.status == 200 for r in responses)
             stats = client.stats()
-            # With one execution slot and a cold prepare, later arrivals must
-            # have merged: strictly fewer batches than requests.
+            # With one execution slot and the first batch still running,
+            # later arrivals must have merged: strictly fewer batches than
+            # requests.
             assert stats["coalescing"]["batches"] < stats["coalescing"]["requests"]
             assert stats["coalescing"]["max_fan_in"] >= 2
             assert any(r.payload["coalesce_fan_in"] >= 2 for r in responses)
@@ -244,11 +268,7 @@ class TestCoalescing:
                     phis=[0.3 + 0.1 * position], **DEGRADE_KNOBS,
                 )
 
-            threads = [threading.Thread(target=issue, args=(i,)) for i in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            self.burst(svc, client, issue, 4)
             assert all(r.status == 200 for r in responses)
             shared = [r for r in responses if r.payload["coalesce_fan_in"] > 1]
             assert shared, "expected at least one coalesced response"

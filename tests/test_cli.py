@@ -1,10 +1,16 @@
 """Command-line interface tests (quantile queries over CSV directories)."""
 
 import json
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main, parse_atom
 from repro.data.database import Database
 from repro.data.io import save_database_csv
@@ -223,3 +229,26 @@ class TestCliNewSurface:
                 "--query", "R(x1, x2) garbage",
                 "--ranking", "sum(x1)", "--phi", "0.5",
             ])
+
+    def test_parallel_run_closes_its_workers(self, csv_database, capsys):
+        """Regression: the shard workers outlived ``main`` and the interpreter
+        tore them down at exit with ``Exception ignored in: <module
+        'threading'> ... OSError: [Errno 9] Bad file descriptor`` on stderr."""
+        argv = [
+            "--data", str(csv_database),
+            "--query", "R(x1, x2), S(x2, x3)",
+            "--ranking", "sum(x1, x3)",
+            "--phi", "0.5", "--parallel", "2", "--json",
+        ]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["shards"] == 2
+        assert multiprocessing.active_children() == []
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        env.pop("REPRO_PARALLEL_MODE", None)  # real worker processes
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0
+        assert run.stderr == ""
+        assert json.loads(run.stdout)["shards"] == 2
