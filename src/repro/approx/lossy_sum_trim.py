@@ -19,7 +19,7 @@ original answer that truly satisfies the inequality — the representative is an
 over-estimate for ``< λ`` trims and an under-estimate for ``> λ`` trims — and
 at most an ε fraction of the satisfying answers is lost (Definition 3.5).
 
-Deviation from the paper, documented in DESIGN.md: instead of materializing a
+Deviation from the paper: instead of materializing a
 binary join tree, nodes with several children process them sequentially
 (which is what the binary chain amounts to); and the per-trim sketch ε is a
 configurable fraction of the requested ε rather than the very conservative

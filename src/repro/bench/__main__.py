@@ -11,7 +11,6 @@ import sys
 
 from repro.bench.registry import EXPERIMENTS, run_experiment
 from repro.bench.reporting import print_result, write_json_report
-from repro.parallel.planner import default_shard_count
 
 #: Scaled-down parameter overrides used by --quick.
 QUICK_OVERRIDES: dict[str, dict] = {
@@ -27,13 +26,6 @@ QUICK_OVERRIDES: dict[str, dict] = {
     "E9": {"sizes": (300, 600)},
     "E10": {"fanouts": (2, 10, 20), "n": 400},
     "E11": {"multiset_size": 5000},
-    "E12": {"sizes": (400,), "num_phis": 9},
-    "E13": {"sizes": (600,), "num_phis": 19},
-    "E15": {"n": 200, "clients": 8, "requests_per_client": 2},
-    # Shard count follows the shared cpu_count-aware default, so a quick run
-    # on a laptop exercises a real K-way pool while single-core CI stays
-    # serial instead of paying process overhead for no parallelism.
-    "E17": {"sizes": (400,), "num_phis": 9, "shard_counts": (default_shard_count(),)},
     "A1": {"n": 100},
     "A2": {"n": 400},
     "A3": {"phis": (0.1, 0.5, 0.9), "n": 300},
@@ -44,12 +36,12 @@ QUICK_OVERRIDES: dict[str, dict] = {
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Run the reproduction's benchmark experiments and print their tables.",
+        description="Run the experiments that reproduce the paper's claims and print their tables.",
     )
     parser.add_argument(
         "experiments",
         nargs="*",
-        help="experiment ids to run (default: all); see DESIGN.md for the index",
+        help="experiment ids to run (default: all); --list prints the index",
     )
     parser.add_argument(
         "--quick", action="store_true", help="run scaled-down configurations"
@@ -62,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         default=None,
         help="additionally write each result as machine-readable "
-        "BENCH_<id>.json into DIR (tracked as a CI artifact)",
+        "BENCH_<id>.json into DIR",
     )
     args = parser.parse_args(argv)
     if args.json is not None:

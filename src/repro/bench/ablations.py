@@ -1,4 +1,4 @@
-"""Micro-benchmarks and ablations: E11 (sketch), A1–A3 (design decisions)."""
+"""Micro-benchmarks and ablations: E11 (sketch), A1–A4 (design decisions)."""
 
 from __future__ import annotations
 
@@ -91,7 +91,7 @@ def run_a1(
     result = ExperimentResult(
         experiment="A1",
         title="Lossy trimming: practical vs worst-case sketch-ε budget",
-        claim="DESIGN.md decision 3 / Section 6: the worst-case budget "
+        claim="Section 6: the worst-case budget "
         "(ε/4^height per sketch) is safe but conservative; the practical "
         "budget stays within ε at a fraction of the cost",
         columns=["budget", "sketch_epsilon", "seconds", "observed_rank_error", "within_epsilon"],
@@ -141,7 +141,7 @@ def run_a2(
     result = ExperimentResult(
         experiment="A2",
         title="Adjacent-SUM trimming: single interval pass vs composed trims",
-        claim="DESIGN.md decision 1: the interval override is a constant-factor "
+        claim="Lemma 5.5: the interval override is a constant-factor "
         "optimization; both variants represent the same answer set",
         columns=["variant", "seconds", "output_tuples", "answers"],
     )

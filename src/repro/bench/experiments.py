@@ -1,9 +1,10 @@
 """Experiment definitions E1–E10: scaling and who-wins comparisons.
 
-Every experiment validates one claim of the paper (see the experiment index
-in DESIGN.md).  The functions are deterministic given their seed, take size
-parameters so that the pytest benchmarks can run scaled-down configurations,
-and return :class:`~repro.bench.harness.ExperimentResult` tables.
+Every experiment validates one claim of the paper (``python -m repro.bench
+--list`` prints the index).  The functions are deterministic given their
+seed, take size parameters so that ``--quick`` and the smoke tests can run
+scaled-down configurations, and return
+:class:`~repro.bench.harness.ExperimentResult` tables.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from repro.workloads.social import social_network_workload
 from repro.workloads.star import star_workload
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.result import QuantileResult
-    from repro.engine import PreparedQuery
-    from repro.service.client import ServiceResponse
     from repro.workloads.generators import Workload
 
 #: Baselines above this many answers are skipped (the point of the paper is
@@ -522,652 +520,5 @@ def run_e10(
         )
     result.notes.append(
         "the speedup over materialization grows with the answer blow-up factor"
-    )
-    return result
-
-
-# ---------------------------------------------------------------------- #
-# E12: prepared-query batching (Engine / PreparedQuery amortization)
-# ---------------------------------------------------------------------- #
-def run_e12(
-    sizes: Sequence[int] = (200, 400, 800),
-    num_phis: int = 9,
-    seed: int = 31,
-) -> ExperimentResult:
-    """N-φ batch on one PreparedQuery vs N cold one-shot quantile() calls.
-
-    The paper's preprocessing/answering split predicts that repeated quantile
-    queries over the same (query, ranking, database) should pay the
-    linear-time preprocessing once; the prepared-query engine additionally
-    memoizes the shared prefix of the pivoting search across φ values.
-
-    Two engine timings are reported to keep the comparison honest: the
-    engine's default configuration (whose batched termination policy
-    materializes earlier *because* terminal answer lists are cached and
-    shared), and a parameter-matched run pinned to Algorithm 1's original
-    termination threshold (``termination_factor=1``, same as the cold one-shot
-    API), which isolates the pure prepare-once/cache-sharing amortization.
-    """
-    from repro.core.solver import quantile as one_shot_quantile
-    from repro.engine import Engine
-
-    result = ExperimentResult(
-        experiment="E12",
-        title="Prepared-query batch vs cold one-shot quantile calls",
-        claim="Section 1 / Theorem 3.4: a φ-quantile costs ~O(|D|) after a "
-        "linear-time preprocessing pass, so preparation should be paid once "
-        "across repeated φ values, not once per call",
-        columns=[
-            "n",
-            "answers",
-            "phis",
-            "cold_seconds",
-            "prepared_seconds",
-            "speedup",
-            "matched_seconds",
-            "matched_speedup",
-            "pivot_cache_entries",
-        ],
-    )
-    phis = [(i + 1) / (num_phis + 1) for i in range(num_phis)]
-    for n in sizes:
-        workload = path_workload(
-            3,
-            n,
-            join_domain=max(2, n // 20),
-            ranking=SumRanking(["x1", "x2", "x3"]),
-            seed=seed + n,
-        )
-
-        def run_cold() -> list[QuantileResult]:
-            return [
-                one_shot_quantile(workload.query, workload.db, workload.ranking, phi)
-                for phi in phis
-            ]
-
-        def run_prepared() -> tuple[PreparedQuery, list[QuantileResult]]:
-            engine = Engine(workload.db)
-            prepared = engine.prepare(workload.query, workload.ranking)
-            return prepared, prepared.quantiles(phis)
-
-        def run_matched() -> list[QuantileResult]:
-            prepared = Engine(workload.db).prepare(
-                workload.query, workload.ranking, termination_factor=1
-            )
-            return prepared.quantiles(phis)
-
-        cold_results, cold_time = time_call(run_cold)
-        (prepared, batch_results), prepared_time = time_call(run_prepared)
-        matched_results, matched_time = time_call(run_matched)
-        for other in (batch_results, matched_results):
-            if [r.weight for r in cold_results] != [r.weight for r in other]:
-                raise AssertionError("prepared batch disagrees with cold quantile calls")
-        result.rows.append(
-            {
-                "n": workload.database_size,
-                "answers": batch_results[0].total_answers,
-                "phis": num_phis,
-                "cold_seconds": round(cold_time, 4),
-                "prepared_seconds": round(prepared_time, 4),
-                "speedup": round(cold_time / prepared_time, 2)
-                if prepared_time > 0
-                else float("inf"),
-                "matched_seconds": round(matched_time, 4),
-                "matched_speedup": round(cold_time / matched_time, 2)
-                if matched_time > 0
-                else float("inf"),
-                "pivot_cache_entries": prepared.pivot_cache_size,
-            }
-        )
-    speedups = [row["speedup"] for row in result.rows if row["speedup"] is not None]
-    matched = [row["matched_speedup"] for row in result.rows]
-    if speedups:
-        result.notes.append(
-            f"engine batch speedups {speedups} over {num_phis} phi values "
-            f"(acceptance target: >= 2x); {matched} from prepare-once "
-            "amortization and cache sharing alone (termination pinned to "
-            "Algorithm 1's threshold), the rest from the engine's batched "
-            "termination policy, which the shared answer cache enables"
-        )
-    return result
-
-
-def run_e13(
-    sizes: Sequence[int] = (1500,), num_phis: int = 19, seed: int = 23
-) -> ExperimentResult:
-    """E13 — physical-structure reuse: cold vs index-reuse quantile batches.
-
-    PR 1 amortized *planning* (E12); this experiment measures the next layer:
-    the shared materialized-tree cache, the per-relation index catalogs
-    (memoized hash indexes, weight orders, and segment constructions on the
-    base relations trims restart from), and the masked-view trims.  The warm
-    side answers a φ batch through one prepared query, so every pivot
-    iteration after the first reuses those physical structures; the cold side
-    rebuilds a prepared query per φ, paying for them every time.
-    """
-    from repro.engine import Engine
-
-    result = ExperimentResult(
-        experiment="E13",
-        title="Columnar index/tree reuse: cold vs warm quantile batches",
-        claim="Section 3 / Theorem 3.4: the pivoting iterations reuse the "
-        "linear-time preprocessing structures; rebuilding the materialized "
-        "trees, hash indexes, and sort orders per call forfeits the bound",
-        columns=[
-            "workload",
-            "n",
-            "answers",
-            "phis",
-            "cold_seconds",
-            "warm_seconds",
-            "speedup",
-            "tree_hits",
-            "tree_misses",
-            "node_hits",
-            "node_misses",
-        ],
-    )
-    phis = [(i + 1) / (num_phis + 1) for i in range(num_phis)]
-    for n in sizes:
-        workloads = [
-            (
-                "path",
-                path_workload(
-                    3,
-                    n,
-                    join_domain=max(2, n // 20),
-                    ranking=SumRanking(["x1", "x2", "x3"]),
-                    seed=seed + n,
-                ),
-            ),
-            (
-                "star",
-                star_workload(
-                    3,
-                    n,
-                    hub_domain=max(2, n // 50),
-                    ranking=MinRanking(["x1", "x2", "x3"]),
-                    seed=seed + n + 1,
-                ),
-            ),
-        ]
-        for name, workload in workloads:
-
-            def run_cold() -> list[QuantileResult]:
-                return [
-                    Engine(workload.db, memoize=False)
-                    .prepare(workload.query, workload.ranking)
-                    .quantile(phi)
-                    for phi in phis
-                ]
-
-            def run_warm() -> tuple[PreparedQuery, list[QuantileResult]]:
-                prepared = Engine(workload.db).prepare(workload.query, workload.ranking)
-                return prepared, prepared.quantiles(phis)
-
-            cold_results, cold_time = time_call(run_cold)
-            (prepared, warm_results), warm_time = time_call(run_warm)
-            if [r.weight for r in cold_results] != [r.weight for r in warm_results]:
-                raise AssertionError("warm batch disagrees with cold quantile calls")
-            result.rows.append(
-                {
-                    "workload": name,
-                    "n": workload.database_size,
-                    "answers": warm_results[0].total_answers,
-                    "phis": num_phis,
-                    "cold_seconds": round(cold_time, 4),
-                    "warm_seconds": round(warm_time, 4),
-                    "speedup": round(cold_time / warm_time, 2)
-                    if warm_time > 0
-                    else float("inf"),
-                    "tree_hits": prepared.tree_cache.hits,
-                    "tree_misses": prepared.tree_cache.misses,
-                    "node_hits": prepared.tree_cache.node_hits,
-                    "node_misses": prepared.tree_cache.node_misses,
-                }
-            )
-    path_speedups = [
-        row["speedup"] for row in result.rows if row["workload"] == "path"
-    ]
-    result.notes.append(
-        f"warm (index-reuse) vs cold speedups on the path workload: "
-        f"{path_speedups} over {num_phis} phi values "
-        "(acceptance target: >= 1.5x)"
-    )
-    return result
-
-
-# ---------------------------------------------------------------------- #
-# E14: execution guardrails — exact vs degraded latency and accuracy
-# ---------------------------------------------------------------------- #
-def run_e14(
-    n: int = 200,
-    phi: float = 0.5,
-    epsilon: float = 0.25,
-    timeout: float | None = None,
-    seed: int = 23,
-) -> ExperimentResult:
-    """E14 — budgets and graceful degradation on the intractable SUM case.
-
-    The exact (materialize) run on the full-SUM 3-path query is the workload
-    Theorem 5.6 rules a quasilinear algorithm out for; E14 runs it once
-    unbudgeted to establish the exact latency, then re-runs it under a
-    wall-clock deadline far below that latency with the ``degrade`` and
-    ``sampling`` policies.  The acceptance bar is that the single-rung
-    ``sampling`` run returns within 2x its deadline with ``degraded=True``
-    and an observed rank error inside the epsilon band — the degraded rungs
-    are the paper's approximation schemes (Theorem 6.2 / Section 3.1), so
-    their guarantees apply unchanged.
-    """
-    import warnings
-
-    from repro.engine import Engine
-    from repro.exceptions import DegradedResultWarning
-
-    workload = path_workload(
-        3,
-        n,
-        join_domain=max(2, n // 10),
-        ranking=SumRanking(["x1", "x2", "x3", "x4"]),
-        seed=seed + n,
-    )
-    weights = answer_weights(workload.query, workload.db, workload.ranking)
-    total = len(weights)
-    target = min(total - 1, int(phi * total))
-
-    def solve(**guards: Any) -> tuple[QuantileResult, float]:
-        prepared = Engine(workload.db).prepare(
-            workload.query,
-            workload.ranking,
-            strategy="materialize",
-            seed=seed,
-            eager=False,
-            **guards,
-        )
-        return time_call(lambda: prepared.quantile(phi))
-
-    exact, exact_time = solve()
-    deadline = timeout if timeout is not None else max(0.02, exact_time / 8)
-
-    result = ExperimentResult(
-        experiment="E14",
-        title="Execution guardrails: exact vs degraded latency and accuracy",
-        claim="a tripped budget degrades the planned exact strategy to the "
-        "paper's approximation schemes, so the answer arrives within the "
-        "deadline band at a rank error the epsilon guarantee still bounds",
-        columns=[
-            "mode",
-            "strategy",
-            "seconds",
-            "deadline_seconds",
-            "within_2x_deadline",
-            "degraded",
-            "rank_error",
-        ],
-        meta={"budget": {"timeout": round(deadline, 4), "max_rows": None}},
-    )
-    degradations: list[str] = []
-
-    def add_row(
-        mode: str, res: QuantileResult, elapsed: float, limit: float | None
-    ) -> None:
-        if res.degradation:
-            degradations.append(f"{mode}: {res.degradation}")
-        result.rows.append(
-            {
-                "mode": mode,
-                "strategy": res.strategy,
-                "seconds": round(elapsed, 4),
-                "deadline_seconds": round(limit, 4) if limit else None,
-                "within_2x_deadline": elapsed <= 2 * limit if limit else None,
-                "degraded": res.degraded,
-                "rank_error": round(
-                    observed_rank_error(weights, res.weight, target), 4
-                ),
-            }
-        )
-
-    add_row("exact", exact, exact_time, None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegradedResultWarning)
-        for policy in ("degrade", "sampling"):
-            res, elapsed = solve(epsilon=epsilon, timeout=deadline, on_budget=policy)
-            add_row(f"budget/{policy}", res, elapsed, deadline)
-    result.meta["degradation"] = degradations
-    result.notes.append(
-        f"answers={total}; deadline {deadline:.4f}s vs exact {exact_time:.4f}s; "
-        + (
-            "degradations: " + "; ".join(degradations)
-            if degradations
-            else "no degradation (the exact run fit the budget)"
-        )
-    )
-    return result
-
-
-# ---------------------------------------------------------------------- #
-# E15: always-on service — coalescing throughput and overload robustness
-# ---------------------------------------------------------------------- #
-def run_e15(
-    n: int = 400,
-    clients: int = 8,
-    requests_per_client: int = 4,
-    max_inflight: int = 2,
-    seed: int = 31,
-) -> ExperimentResult:
-    """E15 — the always-on quantile service vs serialized one-shot calls.
-
-    Two phases, one acceptance bar each:
-
-    1. **Throughput.**  ``clients`` concurrent HTTP clients each issue
-       ``requests_per_client`` φ requests against one registered database.
-       All requests share a coalescing key, so the service merges them into
-       shared batches over one prepared query.  The baseline answers the
-       same request list serially with a cold engine per request — what the
-       callers would do without a shared service.  Acceptance: the service
-       sustains **>= 2x** the serialized throughput.
-    2. **Overload.**  The same fleet hammers a one-slot, zero-queue server
-       with tight per-request budgets.  Acceptance: every request gets a
-       structured JSON answer (200 degraded, 429 shed with a retry hint, or
-       504 budget exhausted — never a crash or a hung socket), the request
-       records stay well-formed, and the server then drains cleanly with
-       zero orphaned tasks.
-    """
-    import threading
-
-    from repro.engine import Engine
-    from repro.service import (
-        QuantileService,
-        ServiceClient,
-        ServiceConfig,
-        ServiceThread,
-    )
-    from repro.service.records import REQUEST_STATUSES
-
-    query_spec = "R1(x1,x2), R2(x2,x3), R3(x3,x4)"
-    ranking_spec = "sum(x1, x2)"
-    workload = path_workload(3, n, join_domain=max(2, n // 20), seed=seed + n)
-    total_requests = clients * requests_per_client
-    phis = [(i + 1) / (total_requests + 1) for i in range(total_requests)]
-
-    result = ExperimentResult(
-        experiment="E15",
-        title="Always-on service: coalescing throughput and overload robustness",
-        claim="the service amortizes the paper's preprocessing across "
-        "concurrent callers (coalesced batches over one prepared query) and "
-        "degrades per-request under overload instead of collapsing",
-        columns=[
-            "phase",
-            "clients",
-            "requests",
-            "serialized_seconds",
-            "service_seconds",
-            "speedup",
-            "max_fan_in",
-            "ok",
-            "degraded",
-            "shed",
-            "budget_error",
-            "clean_drain",
-        ],
-        meta={
-            "n": n,
-            "clients": clients,
-            "requests_per_client": requests_per_client,
-            "max_inflight": max_inflight,
-        },
-    )
-
-    # ---------------- Phase 1: throughput vs serialized one-shot -------- #
-    def run_serialized() -> list[float]:
-        weights: list[float] = []
-        for phi in phis:
-            prepared = Engine(workload.db).prepare(query_spec, ranking_spec)
-            weights.append(prepared.quantile(phi).weight)
-        return weights
-
-    serial_weights, serialized_seconds = time_call(run_serialized)
-
-    service = QuantileService(
-        ServiceConfig(max_inflight=max_inflight, max_queue=128, queue_timeout=60.0)
-    )
-    service.pool.register("bench", workload.db)
-    handle = ServiceThread(service).start()
-    client = ServiceClient.from_url(handle.url)
-    responses: list[ServiceResponse | None] = [None] * total_requests
-
-    def run_clients() -> None:
-        def issue(worker: int) -> None:
-            for slot in range(requests_per_client):
-                position = worker * requests_per_client + slot
-                responses[position] = client.query(
-                    "bench", query_spec, ranking_spec, phis=[phis[position]]
-                )
-
-        threads = [
-            threading.Thread(target=issue, args=(worker,)) for worker in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-    _, service_seconds = time_call(run_clients)
-    stats = client.stats()
-    drain_code = handle.shutdown()
-
-    if any(response is None or response.status != 200 for response in responses):
-        raise AssertionError("throughput phase: every request must answer 200")
-    service_weights = [
-        response.payload["results"][0]["weight"] for response in responses
-    ]
-    if service_weights != serial_weights:
-        raise AssertionError("service answers disagree with serialized engine runs")
-    speedup = serialized_seconds / service_seconds if service_seconds > 0 else float("inf")
-    result.rows.append(
-        {
-            "phase": "throughput",
-            "clients": clients,
-            "requests": total_requests,
-            "serialized_seconds": round(serialized_seconds, 4),
-            "service_seconds": round(service_seconds, 4),
-            "speedup": round(speedup, 2),
-            "max_fan_in": stats["coalescing"]["max_fan_in"],
-            "ok": sum(1 for r in responses if r.status == 200),
-            "degraded": None,
-            "shed": None,
-            "budget_error": None,
-            "clean_drain": drain_code == 0,
-        }
-    )
-    result.meta["coalescing"] = {
-        "batches": stats["coalescing"]["batches"],
-        "requests": stats["coalescing"]["requests"],
-        "merged_requests": stats["coalescing"]["merged_requests"],
-        "max_fan_in": stats["coalescing"]["max_fan_in"],
-    }
-
-    # ---------------- Phase 2: overload, tight budgets, clean drain ----- #
-    # Heavy fan-out + MAX over the path endpoints: exact-pivot trips the
-    # tight row budget while sampling fits, so "degrade" requests answer
-    # degraded and "error" requests 504 — per request, never server-wide.
-    overload_workload = path_workload(3, 50, 6, seed=5)
-    overload_ranking = "max(x1, x4)"
-    service = QuantileService(
-        ServiceConfig(max_inflight=1, max_queue=1, queue_timeout=0.2)
-    )
-    service.pool.register("bench", overload_workload.db)
-    handle = ServiceThread(service).start()
-    client = ServiceClient.from_url(handle.url)
-    overload_responses: list[ServiceResponse | None] = [None] * clients
-
-    def overload(worker: int) -> None:
-        if worker % 2:
-            overload_responses[worker] = client.query(
-                "bench", query_spec, overload_ranking, phis=[0.5],
-                epsilon=0.3, max_rows=1500, on_budget="degrade", seed=worker,
-            )
-        else:
-            overload_responses[worker] = client.query(
-                "bench", query_spec, overload_ranking, phis=[0.5],
-                max_rows=40, on_budget="error", seed=worker,
-            )
-
-    threads = [threading.Thread(target=overload, args=(w,)) for w in range(clients)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    healthy = client.health().status == 200
-    overload_stats = client.stats()
-    drain_code = handle.shutdown()
-
-    statuses = [response.status for response in overload_responses]
-    if any(status not in (200, 429, 504) for status in statuses):
-        raise AssertionError(f"overload phase: unexpected statuses {statuses}")
-    if not healthy:
-        raise AssertionError("server stopped answering health checks under overload")
-    for record in overload_stats["recent"]:
-        if record["status"] not in REQUEST_STATUSES:
-            raise AssertionError(f"malformed request record: {record}")
-    degraded_count = sum(
-        1
-        for response in overload_responses
-        if response.status == 200 and response.payload.get("degraded")
-    )
-    result.rows.append(
-        {
-            "phase": "overload",
-            "clients": clients,
-            "requests": clients,
-            "serialized_seconds": None,
-            "service_seconds": None,
-            "speedup": None,
-            "max_fan_in": overload_stats["coalescing"]["max_fan_in"],
-            "ok": sum(1 for status in statuses if status == 200),
-            "degraded": degraded_count,
-            "shed": sum(1 for status in statuses if status == 429),
-            "budget_error": sum(1 for status in statuses if status == 504),
-            "clean_drain": drain_code == 0 and service.orphaned_tasks == 0,
-        }
-    )
-    result.meta["overload_statuses"] = sorted(statuses)
-    result.notes.append(
-        f"coalesced service answered {total_requests} requests from {clients} "
-        f"clients in {service_seconds:.3f}s vs {serialized_seconds:.3f}s "
-        f"serialized one-shot ({speedup:.1f}x; acceptance target: >= 2x); "
-        f"max coalesce fan-in {stats['coalescing']['max_fan_in']}"
-    )
-    result.notes.append(
-        "overload phase: statuses "
-        + ", ".join(f"{status}" for status in sorted(set(statuses)))
-        + f"; {degraded_count} degraded per-request; clean drain="
-        + str(result.rows[-1]["clean_drain"])
-    )
-    return result
-
-
-# ---------------------------------------------------------------------- #
-# E17: sharded parallel execution — serial vs hash-partitioned workers
-# ---------------------------------------------------------------------- #
-def run_e17(
-    sizes: Sequence[int] = (1500,),
-    num_phis: int = 19,
-    shard_counts: Sequence[int] = (2,),
-    mode: str | None = None,
-    seed: int = 23,
-) -> ExperimentResult:
-    """E17 — sharded parallel execution: serial vs K hash-partitioned workers.
-
-    The planner hash-partitions the largest relation of the E13 path
-    workload on its join key, co-partitions the connected relations, and
-    ships per-shard columns to a process pool; each worker runs the
-    unchanged Yannakakis reduction + subtree counting, and the coordinator
-    merges per-shard rank counts so the pivot loop answers phi over the
-    global answer order.  Because every answer binds the partition variable
-    to exactly one value, the per-shard answer multisets partition the
-    global one: the parallel batch must be bit-identical to the serial
-    batch, and the speedup on >= 2 cores should approach K on the
-    reduction-dominated path workloads (acceptance target: >= 1.6x at K=2).
-    On a single-core host the run still validates equality; the speedup
-    column then just records the coordination overhead.
-    """
-    import os
-
-    from repro.engine import Engine
-    from repro.parallel.pool import PARALLEL_MODE_ENV_VAR
-
-    result = ExperimentResult(
-        experiment="E17",
-        title="Sharded parallel execution: serial vs hash-partitioned workers",
-        claim="Section 4 / Theorem 4.1: the quantile algorithm is a "
-        "constant number of linear passes, so hash-partitioning the data "
-        "and merging per-shard rank counts preserves exactness while "
-        "dividing the dominant pass across workers",
-        columns=[
-            "workload",
-            "n",
-            "answers",
-            "phis",
-            "shards",
-            "serial_seconds",
-            "parallel_seconds",
-            "speedup",
-        ],
-    )
-    phis = [(i + 1) / (num_phis + 1) for i in range(num_phis)]
-    effective_mode = mode or os.environ.get(PARALLEL_MODE_ENV_VAR) or "process"
-    for n in sizes:
-        workload = path_workload(
-            3,
-            n,
-            join_domain=max(2, n // 20),
-            ranking=SumRanking(["x1", "x2", "x3"]),
-            seed=seed + n,
-        )
-
-        def run_serial() -> list[QuantileResult]:
-            prepared = Engine(workload.db).prepare(workload.query, workload.ranking)
-            return prepared.quantiles(phis)
-
-        serial_results, serial_time = time_call(run_serial)
-        serial_weights = [r.weight for r in serial_results]
-        for shards in shard_counts:
-
-            def run_parallel() -> tuple[list[QuantileResult], int | None]:
-                prepared = Engine(workload.db).prepare(
-                    workload.query, workload.ranking, parallel=shards
-                )
-                try:
-                    return prepared.quantiles(phis), prepared.shards
-                finally:
-                    prepared.close()
-
-            (parallel_results, used), parallel_time = time_call(run_parallel)
-            if [r.weight for r in parallel_results] != serial_weights:
-                raise AssertionError(
-                    f"parallel batch (K={shards}) disagrees with the serial batch"
-                )
-            result.rows.append(
-                {
-                    "workload": "path",
-                    "n": workload.database_size,
-                    "answers": serial_results[0].total_answers,
-                    "phis": num_phis,
-                    "shards": used if used is not None else 1,
-                    "serial_seconds": round(serial_time, 4),
-                    "parallel_seconds": round(parallel_time, 4),
-                    "speedup": round(serial_time / parallel_time, 2)
-                    if parallel_time > 0
-                    else float("inf"),
-                }
-            )
-    speedups = [row["speedup"] for row in result.rows]
-    result.notes.append(
-        f"parallel vs serial cold-batch speedups: {speedups} over "
-        f"{num_phis} phi values; mode={effective_mode}, "
-        f"cpu_count={os.cpu_count() or 1} "
-        "(acceptance target: >= 1.6x at K=2 on >= 2 cores; every parallel "
-        "batch asserted bit-identical to serial)"
     )
     return result

@@ -3,9 +3,8 @@
 Each experiment is a function that returns an :class:`ExperimentResult`: a
 named table of rows (dictionaries) whose columns are what the corresponding
 claim in the paper talks about — sizes, running times, observed errors, and
-who-wins factors.  The same functions back both the ``python -m repro.bench``
-command-line harness and the ``benchmarks/`` pytest-benchmark suite (the
-latter runs scaled-down configurations).
+who-wins factors.  ``python -m repro.bench`` runs them from the registry;
+``--quick`` and the smoke tests pass scaled-down parameters.
 """
 
 from __future__ import annotations
@@ -34,11 +33,7 @@ class ExperimentResult:
         One dict per configuration, keyed by column name.
     notes:
         Free-form observations computed by the experiment (e.g. measured
-        growth factors) that EXPERIMENTS.md quotes.
-    meta:
-        Structured experiment-level metadata carried into the JSON report —
-        e.g. the budget configuration and degradation outcomes of the
-        guardrail experiments.
+        growth factors), printed under the table.
     """
 
     experiment: str
@@ -47,7 +42,6 @@ class ExperimentResult:
     columns: Sequence[str]
     rows: list[dict[str, Any]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    meta: dict[str, Any] = field(default_factory=dict)
 
     def column_values(self, column: str) -> list[Any]:
         """All values of one column, in row order."""

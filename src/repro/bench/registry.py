@@ -21,11 +21,6 @@ EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentResult], str]] = {
     "E9": (experiments.run_e9, "social-network example from the introduction"),
     "E10": (experiments.run_e10, "crossover vs answer blow-up"),
     "E11": (ablations.run_e11, "epsilon-sketch compression micro-benchmark"),
-    "E12": (experiments.run_e12, "prepared-query batch vs cold one-shot quantile calls"),
-    "E13": (experiments.run_e13, "columnar index/tree reuse: cold vs warm quantile batches"),
-    "E14": (experiments.run_e14, "execution guardrails: exact vs degraded latency/accuracy"),
-    "E15": (experiments.run_e15, "always-on service: coalescing throughput + overload robustness"),
-    "E17": (experiments.run_e17, "sharded parallel execution: serial vs hash-partitioned workers"),
     "A1": (ablations.run_a1, "ablation: sketch-epsilon budget (practical vs paper)"),
     "A2": (ablations.run_a2, "ablation: interval trim vs composed trims"),
     "A3": (ablations.run_a3, "ablation: sensitivity to phi"),

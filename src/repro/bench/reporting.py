@@ -1,9 +1,8 @@
 """Rendering of experiment tables: plain text and machine-readable JSON.
 
-The JSON form (``BENCH_<id>.json``, written by :func:`write_json_report`) is
-what tracks the performance trajectory across PRs: CI uploads it as a
-workflow artifact, so successive runs of the same experiment can be diffed
-without scraping the text tables.
+The JSON form (``BENCH_<id>.json``, written by :func:`write_json_report`)
+lets successive runs of the same experiment be diffed without scraping the
+text tables.
 """
 
 from __future__ import annotations
@@ -63,10 +62,8 @@ def print_result(result: ExperimentResult) -> None:
 def result_to_dict(result: ExperimentResult) -> dict[str, Any]:
     """One experiment result as a JSON-serializable dictionary.
 
-    Always carries ``budget`` and ``degradation`` keys (filled from
-    ``result.meta`` when the experiment ran under execution guardrails,
-    ``None`` otherwise) and a ``backend`` key naming the kernel backend the
-    experiment ran under, so report consumers can rely on their presence.
+    Carries a ``backend`` key naming the kernel backend the experiment ran
+    under.
     """
     return {
         "experiment": result.experiment,
@@ -75,14 +72,7 @@ def result_to_dict(result: ExperimentResult) -> dict[str, Any]:
         "columns": list(result.columns),
         "rows": [dict(row) for row in result.rows],
         "notes": list(result.notes),
-        "budget": result.meta.get("budget"),
-        "degradation": result.meta.get("degradation"),
         "backend": backend_name(),
-        "meta": {
-            key: value
-            for key, value in result.meta.items()
-            if key not in ("budget", "degradation")
-        },
         "environment": {
             "python": sys.version.split()[0],
             "implementation": platform.python_implementation(),

@@ -47,6 +47,7 @@ from repro.exceptions import (
     ExecutionCancelledError,
     ReproError,
 )
+from repro.parallel.planner import resolve_shard_count
 from repro.runtime.policy import DEGRADATION_POLICIES
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
@@ -78,18 +79,14 @@ def parse_query_spec(text: str) -> JoinQuery:
 
 def parse_parallel(text: str) -> int | str:
     """Parse ``--parallel``: a positive shard count or ``auto``."""
-    if text == "auto":
-        return "auto"
     try:
-        value = int(text)
+        value: int | str = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--parallel must be a positive integer or 'auto', got {text!r}"
-        )
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--parallel must be a positive integer or 'auto', got {text!r}"
-        )
+        value = text
+    try:
+        resolve_shard_count(value)
+    except ReproError as error:
+        raise argparse.ArgumentTypeError(str(error)) from error
     return value
 
 

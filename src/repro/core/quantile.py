@@ -235,9 +235,7 @@ def run_pivoting(
     termination_size: int,
     *,
     exact: bool = True,
-    strategy: str | None = None,
     epsilon: float | None = None,
-    max_iterations: int | None = None,
     step_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
     answer_cache: MutableMapping[WeightInterval, SortedAnswers] | None = None,
 ) -> QuantileResult:
@@ -261,7 +259,7 @@ def run_pivoting(
     current_count = total
     remaining_index = target
     stats: list[IterationStats] = []
-    iteration_cap = max_iterations if max_iterations is not None else 0
+    iteration_cap = 0
 
     while current_count > termination_size:
         checkpoint("quantile.iteration")
@@ -330,7 +328,7 @@ def run_pivoting(
         weight=weight,
         target_index=target,
         total_answers=total,
-        strategy=strategy or ("exact-pivot" if exact else "approx-pivot"),
+        strategy="exact-pivot" if exact else "approx-pivot",
         exact=exact,
         epsilon=epsilon,
         iterations=len(stats),
@@ -347,9 +345,6 @@ def pivoting_quantile(
     index: int | None = None,
     epsilon: float | None = None,
     termination_size: int | None = None,
-    max_iterations: int | None = None,
-    strategy_name: str | None = None,
-    total: int | None = None,
     pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
     answer_cache: MutableMapping[WeightInterval, SortedAnswers] | None = None,
     tree_cache: TreeCache | None = None,
@@ -370,12 +365,6 @@ def pivoting_quantile(
     termination_size:
         Materialize-and-select once at most this many candidates remain
         (default: the database size, as in Algorithm 1).
-    max_iterations:
-        Safety bound on pivoting iterations (default: derived from the pivot
-        quality and the answer count).
-    total:
-        Precomputed ``|Q(D)|`` for the (canonical) query/database pair, so a
-        prepared query does not recount on every call.
     pivot_cache:
         Mutable mapping from candidate interval to :class:`PivotStep`, shared
         across calls with the same (query, db, ranking, trimmer) to amortize
@@ -403,7 +392,7 @@ def pivoting_quantile(
             # Even a one-shot call profits: the tree of each candidate pair is
             # shared between its counting pass and the next pivot selection.
             tree_cache = TreeCache()
-        source = LocalCandidates(base_query, base_db, ranking, trimmer, tree_cache, total)
+        source = LocalCandidates(base_query, base_db, ranking, trimmer, tree_cache)
     if termination_size is None:
         termination_size = max(source.db.size, 1)
     return run_pivoting(
@@ -413,9 +402,7 @@ def pivoting_quantile(
         set(query.variables),
         termination_size,
         exact=not source.trimmer.lossy,
-        strategy=strategy_name,
         epsilon=epsilon,
-        max_iterations=max_iterations,
         step_cache=pivot_cache,
         answer_cache=answer_cache,
     )

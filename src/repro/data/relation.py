@@ -1,7 +1,7 @@
 """Relations: named, schema'd collections of tuples.
 
 A :class:`Relation` is the basic storage unit of the database substrate
-(system S1 in DESIGN.md).  Its logical model is unchanged — a named sequence
+(README, *Architecture*).  Its logical model is unchanged — a named sequence
 of same-arity tuples plus a schema of attribute names — but the physical
 data now lives in a :class:`~repro.data.columns.ColumnStore`: per-column
 arrays with zero-copy masked views, so ``filter``/``semijoin``/``project``

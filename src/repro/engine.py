@@ -836,7 +836,8 @@ class Engine:
     (query, ranking, epsilon, strategy, seed) signature — repeated
     ``prepare`` calls for the same workload (the heavy-traffic case the
     ROADMAP targets) return the *same* prepared query, sharing all cached
-    planning state.
+    planning state.  Rankings with custom per-variable weight functions are
+    never memoized (their signatures are not reliably comparable).
 
     Parameters
     ----------
@@ -845,10 +846,6 @@ class Engine:
     pivot_cache_limit:
         Per-prepared-query cap on memoized pivoting iterations (0 disables
         pivot caching).
-    memoize:
-        Whether :meth:`prepare` memoizes prepared queries.  Rankings with
-        custom per-variable weight functions are never memoized (their
-        signatures are not reliably comparable).
     timeout, max_rows, on_budget:
         Engine-wide execution-guardrail defaults, applied to every prepared
         query unless overridden per :meth:`prepare` call (see
@@ -859,7 +856,6 @@ class Engine:
         self,
         db: Database,
         pivot_cache_limit: int = DEFAULT_PIVOT_CACHE_LIMIT,
-        memoize: bool = True,
         timeout: float | None = None,
         max_rows: int | None = None,
         on_budget: str = "error",
@@ -873,7 +869,6 @@ class Engine:
         resolve_shard_count(parallel)  # validate the engine-wide default
         self.db = db
         self.pivot_cache_limit = pivot_cache_limit
-        self.memoize = memoize
         self.timeout = timeout
         self.max_rows = max_rows
         self.on_budget = on_budget
@@ -910,9 +905,8 @@ class Engine:
         eager:
             Run all preprocessing now (default).  ``eager=False`` defers
             every computation to first use — planning errors then surface on
-            the first execution call instead of here (this is what the
-            legacy :class:`~repro.core.solver.QuantileSolver` facade uses to
-            preserve its historical error timing).
+            the first execution call instead of here (the command line and
+            :meth:`count` prepare this way).
         termination_factor:
             Per-query override of the memory/speed trade-off (see
             :class:`PreparedQuery`); ``None`` uses the class default.  Pass 1
@@ -997,7 +991,7 @@ class Engine:
         parallel: int | str | None,
     ) -> tuple[Any, ...] | None:
         """Memoization key for a prepared query, or None if not memoizable."""
-        if not self.memoize or getattr(ranking, "_weights", None):
+        if getattr(ranking, "_weights", None):
             return None
         if cancellation is not None:
             # A cancellation token is per-caller, mutable state: sharing the

@@ -1,6 +1,7 @@
 """Request coalescing: concurrent φ requests merge into one shared batch.
 
-The paper's amortization win (benches E12/E13) comes from running many φ
+The paper's amortization win (``batch_s`` beside ``detail.first_quantile_s``
+in the ``benchmarks/e2e`` record) comes from running many φ
 values over one prepared query: planning, semijoin reduction, the
 materialized tree, and the interval-keyed pivot caches are all shared.  The
 coalescer extends that win *across callers*: concurrent requests against

@@ -52,7 +52,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.kernels import backend_name
-from repro.parallel.planner import default_shard_count
+from repro.parallel.planner import default_shard_count, resolve_shard_count
 from repro.runtime import CancellationToken, ExecutionContext
 from repro.service.admission import AdmissionController, ShedRequestError
 from repro.service.coalesce import BatchOutcome, Coalescer
@@ -64,14 +64,38 @@ EXIT_OK = 0            # clean drain: every task accounted for
 EXIT_DIRTY_DRAIN = 5   # tasks had to be force-cancelled at shutdown
 
 
-def _parallel_knob(value: Any) -> int | str:
-    """Cast a request's ``parallel`` field: a positive int or ``"auto"``."""
-    if value == "auto":
-        return "auto"
-    if isinstance(value, bool):
-        # Caster contract: _guard_knobs turns ValueError into ValidationError.
-        raise ValueError(value)  # repro-analysis: allow RPR004 -- caster contract, mapped to ValidationError by _guard_knobs
-    return int(value)
+#: Seconds a client has to deliver its whole request (line, headers, body).
+REQUEST_TIMEOUT = 10.0
+#: Largest request body read into memory; a longer one is answered 413 unread.
+MAX_BODY_BYTES = 1024 * 1024
+
+
+#: The type of each request knob.  A float knob also takes an int, a bool is
+#: never a number; ``parallel`` has its own rule, :func:`resolve_shard_count`.
+_KNOB_TYPES: dict[str, type[Any]] = {
+    "epsilon": float,
+    "strategy": str,
+    "seed": int,
+    "timeout": float,
+    "max_rows": int,
+    "on_budget": str,
+}
+
+
+class _RefusedRequest(Exception):
+    """A request turned away while it is being read, with its HTTP status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; one over the reader's 64 KiB limit is a 400."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _RefusedRequest(400, "request line or header too long") from None
 
 
 @dataclass(frozen=True)
@@ -242,25 +266,39 @@ class QuantileService:
         self, reader: asyncio.StreamReader
     ) -> tuple[int, dict[str, Any], dict[str, str]]:
         try:
-            request_line = await asyncio.wait_for(reader.readline(), timeout=10.0)
+            # One timer over the whole read: a client stalling in the headers
+            # or sending a short body is cut off like one that sends nothing.
+            method, path, body = await asyncio.wait_for(
+                self._read_request(reader), timeout=REQUEST_TIMEOUT
+            )
         except asyncio.TimeoutError:
             return 408, {"error": "request timed out"}, {}
-        parts = request_line.decode("latin-1").split()
+        except _RefusedRequest as refused:
+            return refused.status, {"error": str(refused)}, {}
+        return await self._route(method, path, body)
+
+    async def _read_request(self, reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
+        """Read one request off the wire: ``(method, path, body)``."""
+        parts = (await _read_line(reader)).decode("latin-1").split()
         if len(parts) < 2:
-            return 400, {"error": "malformed request line"}, {}
-        method, path = parts[0].upper(), parts[1]
+            raise _RefusedRequest(400, "malformed request line")
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             key, _, value = line.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length") or 0)
-        if length:
-            body = await reader.readexactly(length)
-        return await self._route(method, path, body)
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _RefusedRequest(400, "Content-Length must be a non-negative integer")
+        if length > MAX_BODY_BYTES:
+            raise _RefusedRequest(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        body = await reader.readexactly(length) if length else b""
+        return parts[0].upper(), parts[1], body
 
     async def _write_response(
         self,
@@ -271,8 +309,9 @@ class QuantileService:
     ) -> None:
         reasons = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
                    405: "Method Not Allowed", 408: "Request Timeout",
-                   429: "Too Many Requests", 500: "Internal Server Error",
-                   503: "Service Unavailable", 504: "Gateway Timeout"}
+                   413: "Content Too Large", 429: "Too Many Requests",
+                   500: "Internal Server Error", 503: "Service Unavailable",
+                   504: "Gateway Timeout"}
         body = json.dumps(payload, default=str).encode()
         head = [
             f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
@@ -479,24 +518,24 @@ class QuantileService:
         return self._query_response(record, outcome, mode)
 
     def _guard_knobs(self, spec: dict[str, Any]) -> dict[str, Any]:
-        """Validated solver/guardrail knobs a request may set."""
+        """Validated solver/guardrail knobs a request may set.
+
+        A value of the wrong JSON type is refused, never coerced: 2.7 shards
+        or a ``true`` epsilon is a client bug, not a request for 2 or 1.0.
+        """
         knobs: dict[str, Any] = {}
-        for name, caster in (
-            ("epsilon", float),
-            ("strategy", str),
-            ("seed", int),
-            ("timeout", float),
-            ("max_rows", int),
-            ("on_budget", str),
-            ("parallel", _parallel_knob),
-        ):
+        for name, kind in _KNOB_TYPES.items():
             value = spec.get(name)
             if value is None:
                 continue
-            try:
-                knobs[name] = caster(value)
-            except (TypeError, ValueError):
-                raise ValidationError(f"invalid value for {name!r}: {value!r}") from None
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValidationError(f"invalid value for {name!r}: {value!r}")
+            knobs[name] = kind(value)
+        parallel = spec.get("parallel")
+        if parallel is not None:
+            resolve_shard_count(parallel)  # the engine's rule; raises ValidationError
+            knobs["parallel"] = parallel
         return knobs
 
     # Runs inside an executor thread: everything here is synchronous.

@@ -48,46 +48,6 @@ class TestExactScalingExperiments:
         assert [row["fanout"] for row in result.rows] == [2, 10]
         assert result.rows[1]["blowup"] > result.rows[0]["blowup"]
 
-    def test_e12_shape(self):
-        result = experiments.run_e12(sizes=(120,), num_phis=8, seed=7)
-        row = result.rows[0]
-        assert row["phis"] == 8
-        # run_e12 itself asserts prepared-batch answers equal the cold ones;
-        # no timing assertion here — wall-clock ratios are too noisy at smoke
-        # scale (the >= 2x acceptance bar is checked at full benchmark scale).
-        assert row["speedup"] > 0
-        assert row["pivot_cache_entries"] > 0
-        assert result.notes
-
-    def test_e14_shape(self):
-        result = experiments.run_e14(n=120, epsilon=0.3, seed=11)
-        assert [row["mode"] for row in result.rows] == [
-            "exact", "budget/degrade", "budget/sampling",
-        ]
-        assert not result.rows[0]["degraded"]
-        for row in result.rows:
-            # exact rows have error 0; degraded rows ride the paper's
-            # approximation guarantees, so epsilon bounds them either way.
-            assert row["rank_error"] <= 0.3
-        assert result.meta["budget"]["timeout"] > 0
-        assert "degradation" in result.meta
-        # No degradation assertion at smoke scale: with a tiny n the exact
-        # run can fit the deadline floor; bench_e14_degradation.py enforces
-        # the degraded-within-2x acceptance bar at full scale.
-        assert result.notes
-
-    def test_e13_shape(self):
-        result = experiments.run_e13(sizes=(100,), num_phis=5, seed=9)
-        assert [row["workload"] for row in result.rows] == ["path", "star"]
-        for row in result.rows:
-            assert row["phis"] == 5
-            # run_e13 itself asserts warm answers equal the cold ones; no
-            # timing assertion at smoke scale (the >= 1.5x acceptance bar is
-            # enforced by benchmarks/bench_e13_index_reuse.py).
-            assert row["speedup"] > 0
-            assert row["tree_hits"] > 0
-        assert result.notes
-
 
 class TestApproximationExperiments:
     def test_e5_errors_within_epsilon(self):

@@ -13,6 +13,7 @@ from repro.bench.harness import (
 )
 import json
 
+from repro.bench.__main__ import QUICK_OVERRIDES, main
 from repro.bench.registry import EXPERIMENTS, get_experiment, run_experiment
 from repro.bench.reporting import (
     format_table,
@@ -113,8 +114,7 @@ class TestJsonReport:
 class TestRegistry:
     def test_every_experiment_registered(self):
         expected = {"E1", "E1b", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9",
-                    "E10", "E11", "E12", "E13", "E14", "E15", "E17",
-                    "A1", "A2", "A3", "A4"}
+                    "E10", "E11", "A1", "A2", "A3", "A4"}
         assert expected == set(EXPERIMENTS)
 
     def test_get_experiment_case_insensitive(self):
@@ -128,3 +128,19 @@ class TestRegistry:
         result = run_experiment("E11", multiset_size=500, epsilons=(0.5,))
         assert result.experiment == "E11"
         assert result.rows and result.rows[0]["within_epsilon"]
+
+
+class TestMain:
+    def test_list_prints_exactly_the_registry_ids(self, capsys):
+        assert main(["--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(EXPERIMENTS)
+
+    def test_quick_run_writes_the_json_report(self, tmp_path, capsys):
+        assert main(["--quick", "E11", "--json", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "BENCH_e11.json").read_text())
+        assert payload["experiment"] == "E11" and payload["rows"]
+        assert "E11" in capsys.readouterr().out
+
+    def test_every_experiment_has_a_quick_configuration(self):
+        assert set(QUICK_OVERRIDES) == set(EXPERIMENTS)

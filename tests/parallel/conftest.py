@@ -16,7 +16,7 @@ def inline_mode(monkeypatch):
 
 @pytest.fixture(scope="module")
 def fanout_workload():
-    """A 3-path SUM workload (tractable partial SUM, same shape as E13)
+    """A 3-path SUM workload (tractable partial SUM, same shape as E3)
     with enough fan-out that the pivot loop actually iterates."""
     return path_workload(
         3,

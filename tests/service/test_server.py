@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
@@ -16,6 +17,7 @@ from repro.service import (
     ServiceConfig,
     ServiceThread,
 )
+from repro.service import server as server_module
 from repro.workloads.path import path_workload
 
 QUERY = "R1(x1,x2), R2(x2,x3), R3(x3,x4)"
@@ -169,6 +171,68 @@ class TestValidation:
         assert response.status == 400
         assert "intractable" in response.payload["error"]
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("parallel", 2.7), ("parallel", True), ("parallel", 0),
+            ("seed", 1.9), ("seed", True), ("max_rows", 10.5),
+            ("epsilon", True), ("epsilon", "0.3"), ("timeout", "5"),
+        ],
+    )
+    def test_mistyped_knob_is_refused_not_truncated(self, service, knob, value):
+        _, client = service
+        response = client.query("demo", QUERY, RANKING, phis=[0.5], **{knob: value})
+        assert response.status == 400
+        assert knob in response.payload["error"]
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("parallel", "auto"), ("parallel", 2), ("seed", 3), ("timeout", 30), ("max_rows", 10**9)],
+    )
+    def test_well_typed_knob_is_accepted(self, service, workload, monkeypatch, knob, value):
+        monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")  # no worker processes to leak
+        _, client = service
+        response = client.query("demo", QUERY, RANKING, phis=[0.5], **{knob: value})
+        assert response.status == 200
+        expected = Engine(workload.db).prepare(QUERY, RANKING).quantile(0.5)
+        assert response.payload["results"][0]["weight"] == expected.weight
+
+
+class TestMalformedRequests:
+    """Raw bytes the hand-rolled HTTP reader must answer, not die on."""
+
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            (b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+            (b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"POST /query HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n{}", 413),
+            (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 100_000 + b"\r\n\r\n", 400),
+            (b"POST /query HTTP/1.1\r\nContent-Le", 408),
+            (b"POST /query HTTP/1.1\r\nContent-Length: 50\r\n\r\n{", 408),
+        ],
+        ids=["non-integer-length", "negative-length", "oversized-body",
+             "overlong-header", "stalled-in-headers", "short-body"],
+    )
+    def test_answered_with_a_status_and_no_traceback(
+        self, service, monkeypatch, caplog, capfd, raw, status
+    ):
+        svc, client = service
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT", 0.3)
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(raw)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        deadline = time.monotonic() + 5.0
+        while svc.pending_connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert svc.pending_connections == 0
+        assert not caplog.records
+        assert capfd.readouterr().err == ""
+        assert client.query("demo", QUERY, RANKING, phis=[0.5]).status == 200
+
 
 class TestBudgetsAndDegradation:
     def test_all_phis_budget_exhausted_504(self, service):
@@ -204,11 +268,14 @@ class TestBudgetsAndDegradation:
 
 class TestCoalescing:
     @staticmethod
-    def burst(svc, client, issue, clients):
+    def burst(svc, client, issue, clients, until=None):
         """Run ``issue(0) .. issue(clients - 1)`` concurrently with the first
         batch parked inside the executor until the coalescer has counted
-        every client, so the later arrivals must have merged behind it —
-        however short an execution is."""
+        every client (or ``until(stats)`` holds), so the later arrivals must
+        have merged behind it — however short an execution is."""
+        if until is None:
+            def until(stats):
+                return stats["coalescing"]["requests"] >= clients
         release = threading.Event()
         run_batch = svc._run_batch
 
@@ -222,8 +289,8 @@ class TestCoalescing:
             thread.start()
         try:
             deadline = time.monotonic() + 30
-            while client.stats()["coalescing"]["requests"] < clients:
-                assert time.monotonic() < deadline, "clients never reached the coalescer"
+            while not until(client.stats()):
+                assert time.monotonic() < deadline, "the burst never built up"
         finally:
             release.set()
         for thread in threads:
@@ -293,34 +360,22 @@ class TestShedding:
         try:
             client = ServiceClient.from_url(handle.url)
 
-            # With one slot and no queue, overlapping requests must shed —
-            # but on a warm engine 8 staggered threads can serialize and all
-            # answer 200.  A barrier makes the burst simultaneous, and the
-            # race retries a few times so a lucky serialization cannot flake
-            # the run.
-            statuses = []
-            for attempt in range(5):
-                responses = [None] * 8
-                barrier = threading.Barrier(8)
+            responses = [None] * 8
 
-                def issue(position):
-                    # Distinct seeds defeat coalescing so every request needs
-                    # its own slot.
-                    barrier.wait()
-                    responses[position] = client.query(
-                        "demo", QUERY, RANKING, phis=[0.5], seed=position + attempt * 8
-                    )
+            def issue(position):
+                # Distinct seeds defeat coalescing so every request needs
+                # its own slot.
+                responses[position] = client.query(
+                    "demo", QUERY, RANKING, phis=[0.5], seed=position
+                )
 
-                threads = [
-                    threading.Thread(target=issue, args=(i,)) for i in range(8)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                statuses = sorted(r.status for r in responses)
-                if 429 in statuses:
-                    break
+            # One slot, no queue, and the execution holding the slot parked
+            # until admission has turned someone away — which it must,
+            # at once or after queue_timeout, however short an execution is.
+            TestCoalescing.burst(
+                svc, client, issue, 8, until=lambda stats: stats["admission"]["shed"] >= 1
+            )
+            statuses = sorted(r.status for r in responses)
             assert 429 in statuses
             assert 200 in statuses  # overload never blanks the service out
             for response in responses:
