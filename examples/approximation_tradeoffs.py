@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 
-from repro import IntractableQueryError, QuantileSolver, SumRanking
+from repro import Engine, IntractableQueryError, SumRanking
 from repro.baselines import answer_weights
 from repro.bench.harness import observed_rank_error
 from repro.workloads.path import path_workload
@@ -38,10 +38,11 @@ def main() -> None:
     print(f"query    : {workload.query}")
     print(f"ranking  : {workload.ranking.describe()} (full SUM, 3 atoms)")
     print(f"db size  : {workload.database_size} tuples")
+    engine = Engine(workload.db)
 
     # Asking for an exact answer raises: the query is conditionally intractable.
     try:
-        QuantileSolver(workload.query, workload.db, workload.ranking).quantile(phi)
+        engine.quantile(workload.query, workload.ranking, phi)
     except IntractableQueryError as error:
         print(f"exact    : refused ({str(error).splitlines()[0][:70]}...)")
     print()
@@ -55,16 +56,15 @@ def main() -> None:
     print(f"{'epsilon':>8} {'method':>14} {'seconds':>9} {'weight':>9} {'rank error':>11}")
     for epsilon in (0.4, 0.2, 0.1, 0.05):
         for strategy in ("approx-pivot", "sampling"):
-            solver = QuantileSolver(
+            start = time.perf_counter()
+            result = engine.quantile(
                 workload.query,
-                workload.db,
                 workload.ranking,
+                phi,
                 epsilon=epsilon,
                 strategy="auto" if strategy == "approx-pivot" else "sampling",
                 seed=42,
             )
-            start = time.perf_counter()
-            result = solver.quantile(phi)
             elapsed = time.perf_counter() - start
             error = observed_rank_error(weights, result.weight, target)
             print(

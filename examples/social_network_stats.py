@@ -13,7 +13,7 @@ Run with:  python examples/social_network_stats.py
 
 from __future__ import annotations
 
-from repro import QuantileSolver, MaxRanking, MinRanking
+from repro import Engine, MaxRanking, MinRanking
 from repro.workloads.social import social_network_workload
 
 
@@ -25,9 +25,10 @@ def main() -> None:
         num_events=60,
         seed=2023,
     )
-    solver = QuantileSolver(workload.query, workload.db, workload.ranking)
-    plan = solver.plan()
-    total = solver.count()
+    engine = Engine(workload.db)
+    prepared = engine.prepare(workload.query, workload.ranking)
+    plan = prepared.plan()
+    total = prepared.count()
 
     print("Social network statistics (introduction example)")
     print(f"  query            : {workload.query}")
@@ -40,7 +41,7 @@ def main() -> None:
 
     print("Quantiles of total likes (l2 + l3) over all involved user triples:")
     for phi in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
-        result = solver.quantile(phi)
+        result = prepared.quantile(phi)
         print(f"  {int(phi * 100):3d}th percentile: {result.weight:7.0f} likes "
               f"({result.iterations} pivoting iterations)")
     print()
@@ -48,8 +49,7 @@ def main() -> None:
     # The same data can be ranked differently without rebuilding anything:
     # e.g. the smaller / larger of the two like counts.
     for ranking in (MinRanking(["l2", "l3"]), MaxRanking(["l2", "l3"])):
-        alt = QuantileSolver(workload.query, workload.db, ranking)
-        median = alt.quantile(0.5)
+        median = engine.quantile(workload.query, ranking, 0.5)
         print(f"median of {ranking.describe():14s}: {median.weight:7.0f} likes")
 
 

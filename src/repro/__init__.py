@@ -28,13 +28,11 @@ Quick start
 >>> [r.exact for r in pq.quantiles([0.25, 0.5, 0.75])]
 [True, True, True]
 
-The one-shot helpers (:func:`quantile`, :func:`selection`) and the
-:class:`QuantileSolver` facade remain available and are thin wrappers over
-the same engine.
+For a single answer, ``Engine(db).quantile(query, ranking, 0.5)`` prepares
+and executes in one call.
 """
 
 from repro.core.result import IterationStats, QuantileResult
-from repro.core.solver import QuantileSolver, quantile, selection
 from repro.engine import Engine, PreparedQuery, SolverPlan
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -85,13 +83,10 @@ __all__ = [
     # execution guardrails
     "ExecutionContext",
     "CancellationToken",
-    # solver
-    "QuantileSolver",
+    # results
     "SolverPlan",
     "QuantileResult",
     "IterationStats",
-    "quantile",
-    "selection",
     # errors
     "ReproError",
     "SchemaError",

@@ -11,7 +11,7 @@ from repro.approx.sketch import count_below, epsilon_sketch, sketch_count_below
 from repro.baselines.materialize import answer_weights
 from repro.bench.harness import ExperimentResult, observed_rank_error, time_call
 from repro.core.quantile import pivoting_quantile
-from repro.core.solver import QuantileSolver
+from repro.engine import PreparedQuery
 from repro.query.predicates import WeightInterval
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.minmax import MaxRanking
@@ -186,7 +186,9 @@ def run_a3(
         columns=["phi", "iterations", "seconds", "weight"],
     )
     for phi in phis:
-        solver = QuantileSolver(workload.query, workload.db, workload.ranking)
+        solver = PreparedQuery(
+            workload.query, workload.db, workload.ranking, termination_factor=1
+        )
         outcome, elapsed = time_call(lambda: solver.quantile(phi))
         result.rows.append(
             {

@@ -19,7 +19,7 @@ from repro.bench.harness import (
     observed_rank_error,
     time_call,
 )
-from repro.core.solver import QuantileSolver
+from repro.engine import PreparedQuery
 from repro.joins.counting import count_answers
 from repro.pivot.pivot_selection import select_pivot
 from repro.query.rewrite import ensure_canonical
@@ -44,9 +44,14 @@ def _compare_row(
     solver_kwargs: dict[str, Any] | None = None,
     baseline: bool = True,
 ) -> dict[str, Any]:
-    """Run the solver and (optionally) the materialize baseline on a workload."""
-    solver = QuantileSolver(
-        workload.query, workload.db, workload.ranking, **(solver_kwargs or {})
+    """Run the solver and (optionally) the materialize baseline on a workload.
+
+    The whole suite runs at ``termination_factor=1``: the paper's claims are
+    about Algorithm 1's own ``|D|`` cut, not the engine's default.
+    """
+    solver = PreparedQuery(
+        workload.query, workload.db, workload.ranking,
+        termination_factor=1, **(solver_kwargs or {}),
     )
     canonical = ensure_canonical(workload.query, workload.db)
     answers = count_answers(*canonical)
@@ -270,11 +275,12 @@ def run_e5(
         _, mat_time = time_call(
             lambda: materialize_quantile(workload.query, workload.db, workload.ranking, phi=phi)
         )
-        approx_solver = QuantileSolver(
-            workload.query, workload.db, workload.ranking, epsilon=epsilon
+        approx_solver = PreparedQuery(
+            workload.query, workload.db, workload.ranking, epsilon=epsilon,
+            termination_factor=1,
         )
         approx, approx_time = time_call(lambda: approx_solver.quantile(phi))
-        sampling_solver = QuantileSolver(
+        sampling_solver = PreparedQuery(
             workload.query, workload.db, workload.ranking, epsilon=epsilon,
             strategy="sampling", seed=seed,
         )
@@ -327,7 +333,10 @@ def run_e6(
         columns=["epsilon", "n", "answers", "approx_seconds", "observed_rank_error", "within_epsilon"],
     )
     for epsilon in epsilons:
-        solver = QuantileSolver(workload.query, workload.db, workload.ranking, epsilon=epsilon)
+        solver = PreparedQuery(
+            workload.query, workload.db, workload.ranking, epsilon=epsilon,
+            termination_factor=1,
+        )
         outcome, elapsed = time_call(lambda: solver.quantile(phi))
         error = observed_rank_error(weights, outcome.weight, target)
         result.rows.append(
@@ -369,10 +378,11 @@ def run_e7(
     for phi in phis:
         target = min(total - 1, int(phi * total))
         for epsilon in epsilons:
-            det = QuantileSolver(
-                workload.query, workload.db, workload.ranking, epsilon=epsilon
+            det = PreparedQuery(
+                workload.query, workload.db, workload.ranking, epsilon=epsilon,
+                termination_factor=1,
             ).quantile(phi)
-            samp = QuantileSolver(
+            samp = PreparedQuery(
                 workload.query, workload.db, workload.ranking, epsilon=epsilon,
                 strategy="sampling", seed=seed,
             ).quantile(phi)

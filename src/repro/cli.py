@@ -283,11 +283,13 @@ def serve_main(argv: list[str]) -> int:
 
     Exit codes: 0 = clean drain (every request finished or cancelled
     cooperatively), 5 = a connection had to be force-killed at shutdown,
-    2 = startup error (bad data directory, bind failure).
+    2 = startup error (bad data directory or guardrail default, bind failure).
     """
     import asyncio
     import os
+    import signal
 
+    from repro.kernels import backend_name
     from repro.service import QuantileService, ServiceConfig
 
     args = build_serve_parser().parse_args(argv)
@@ -303,8 +305,8 @@ def serve_main(argv: list[str]) -> int:
         prepared_budget_bytes=args.prepared_budget_mb * 1024 * 1024,
         drain_grace=args.drain_grace,
     )
-    service = QuantileService(config)
     try:
+        service = QuantileService(config)
         for spec in args.databases:
             name, _, directory = spec.partition("=")
             if not directory:
@@ -314,33 +316,24 @@ def serve_main(argv: list[str]) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
+    async def serve() -> int:
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, service.request_shutdown)
+            except NotImplementedError:  # pragma: no cover - non-POSIX
+                pass
+        await service.start()
+        print(
+            f"serving {sorted(service.pool.databases())} on "
+            f"http://{service.host}:{service.port} "
+            f"(kernel backend: {backend_name()})",
+            file=sys.stderr,
+        )
+        return await service.run_until_shutdown()
+
     try:
-        started = service
-
-        async def _announce_and_run() -> int:
-            from repro.kernels import backend_name
-
-            await started.start()
-            print(
-                f"serving {sorted(started.pool.databases())} on "
-                f"http://{started.host}:{started.port} "
-                f"(kernel backend: {backend_name()})",
-                file=sys.stderr,
-            )
-            return await started.run_until_shutdown()
-
-        import signal
-
-        async def _with_signals() -> int:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, started.request_shutdown)
-                except NotImplementedError:  # pragma: no cover - non-POSIX
-                    pass
-            return await _announce_and_run()
-
-        return asyncio.run(_with_signals())
+        return asyncio.run(serve())
     except OSError as error:  # bind failure
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -1,8 +1,7 @@
-"""The quantile join query solver: the paper's primary contribution."""
+"""The pivoting quantile algorithm (Algorithm 1) and its result types."""
 
 from repro.core.quantile import phi_for_index, pivoting_quantile, target_index_for
 from repro.core.result import IterationStats, QuantileResult
-from repro.core.solver import QuantileSolver, SolverPlan, quantile, selection
 
 __all__ = [
     "QuantileResult",
@@ -10,8 +9,4 @@ __all__ = [
     "pivoting_quantile",
     "phi_for_index",
     "target_index_for",
-    "QuantileSolver",
-    "SolverPlan",
-    "quantile",
-    "selection",
 ]

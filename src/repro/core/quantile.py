@@ -61,8 +61,9 @@ class CappedCache(dict):
 
 
 def check_phi(phi: float) -> None:
-    """Raise :class:`ValidationError` unless ``phi`` is a number in ``[0, 1]``."""
-    if not isinstance(phi, (int, float)) or not 0.0 <= phi <= 1.0:
+    """Raise :class:`ValidationError` unless ``phi`` is a number in ``[0, 1]``
+    (a bool is never a number)."""
+    if isinstance(phi, bool) or not isinstance(phi, (int, float)) or not 0.0 <= phi <= 1.0:
         raise ValidationError(f"phi must be a number in [0, 1], got {phi!r}")
 
 
@@ -104,7 +105,7 @@ def resolve_target(phi: float | None, index: int | None, total: int) -> int:
         raise EmptyResultError("the query has no answers, so no quantile exists")
     if index is None:
         return target_index_for(phi, total)  # type: ignore[arg-type]
-    if not isinstance(index, int) or not 0 <= index < total:
+    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < total:
         raise ValidationError(f"index must be an integer in [0, {total}), got {index!r}")
     return index
 

@@ -8,9 +8,9 @@ of the surviving rows).  Both representations are materialized lazily and
 cached, so consumers that only touch one column never pay for row tuples and
 vice versa.
 
-Views are what make trimming cheap: filtering, semijoin reduction, and
-projection produce stores that share the parent's column arrays and only
-record a survivor-position array (a mask) instead of copying rows.  View
+Views are what make trimming cheap: filtering and semijoin reduction produce
+stores that share the parent's column arrays and only record a
+survivor-position array (a mask) instead of copying rows.  View
 chains are collapsed eagerly — selecting from a view composes the positions
 into the base store's coordinates — so access stays O(1) per cell regardless
 of how many trims produced the store.
@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
-from repro.exceptions import ValidationError
 from repro.kernels import active_backend
 
 Value = Any
@@ -32,11 +31,10 @@ class ColumnStore:
     """Physical storage of one relation: rows, columns, or a masked view.
 
     Use the class methods :meth:`from_rows` and :meth:`from_columns` to build
-    leaf stores; derive views with :meth:`select` / :meth:`project` /
-    :meth:`snapshot`.  All derived stores are frozen with
-    respect to their base: appending to the base never changes a previously
-    created view, and appending to a view first privatizes its data
-    (copy-on-write).
+    leaf stores; derive views with :meth:`select` / :meth:`snapshot`.  All
+    derived stores are frozen with respect to their base: appending to the
+    base never changes a previously created view, and appending to a view
+    first privatizes its data (copy-on-write).
     """
 
     __slots__ = ("arity", "_rows", "_columns", "_base", "_positions", "_length")
@@ -159,27 +157,6 @@ class ColumnStore:
             return ColumnStore(self.arity, base=self._base, positions=self._positions)
         return ColumnStore(self.arity, base=self, positions=range(self._length))
 
-    def project(self, indices: Sequence[int]) -> "ColumnStore":
-        """Store keeping only the given columns (shared when possible).
-
-        For a leaf store the projected columns are the same list objects
-        (zero-copy); for a view they materialize once through the mask.
-        """
-        return ColumnStore.from_columns(
-            [self.column(i) for i in indices], length=self._length
-        )
-
-    def with_column(self, values: list[Value]) -> "ColumnStore":
-        """Store with one extra column appended (existing columns shared)."""
-        if len(values) != self._length:
-            raise ValidationError(
-                f"new column has {len(values)} values but the store holds "
-                f"{self._length} rows"
-            )
-        columns = [self.column(i) for i in range(self.arity)]
-        columns.append(values)
-        return ColumnStore.from_columns(columns, length=self._length)
-
     # ------------------------------------------------------------------ #
     # Mutation (copy-on-write for views)
     # ------------------------------------------------------------------ #
@@ -187,9 +164,9 @@ class ColumnStore:
         """Append one row, privatizing shared storage first (copy-on-write).
 
         Views materialize their rows into a private list.  Cached column
-        arrays are *dropped*, never extended in place: ``project`` and
-        ``column()`` hand the cached lists to other stores and callers, so
-        mutating them would grow previously created views.  Columns are
+        arrays are *dropped*, never extended in place: ``column()`` hands
+        the cached lists to callers, so mutating them would grow what a
+        caller already holds.  Columns are
         rebuilt lazily on the next access.
         """
         if self._base is not None:

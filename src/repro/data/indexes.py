@@ -5,10 +5,9 @@ Every :class:`~repro.data.relation.Relation` lazily owns an
 the join stack keeps rebuilding:
 
 * **hash indexes** keyed by an attribute subset — ``{key: [row positions]}``
-  — serving :meth:`Relation.group_by`, :meth:`Relation.semijoin`, and
-  :meth:`Relation.natural_join`;
-* **key sets** (the distinct key tuples of a hash index), serving the probe
-  side of semijoins and :meth:`Relation.__contains__`;
+  — serving the SUM trimmer's join groups;
+* **key sets** (the distinct key tuples of a hash index), serving
+  :meth:`Relation.__contains__`;
 * **weight orders** — row positions sorted by a caller-supplied key function,
   memoized under a caller-supplied hashable tag (which should embed the
   identifying objects themselves, never their ``id()``) — serving the
@@ -27,11 +26,7 @@ relations across requests): every index is built entirely off to the side —
 no lock held, so checkpoints and injected faults interrupt a build without
 leaving partial state — and published under a per-catalog lock with a
 re-check, so concurrent builders of the same index converge on one
-published structure and no reader can ever observe a half-built index.  For relations that are row-subset views of a parent relation (the
-result of ``filter``/``semijoin`` masking), weight orders are *derived* from
-the parent's order by filtering — an O(n) pass with no comparisons — instead
-of re-sorting, which is what lets repeated trims of the same base relation
-across pivot iterations and φ values skip the O(n log n) sort entirely.
+published structure and no reader can ever observe a half-built index.
 """
 
 from __future__ import annotations
@@ -201,13 +196,11 @@ class IndexCatalog:
         relation — callers typically use ``(ranking, atom variables, owned
         variables)``.  Embed identifying *objects* (identity hash), never
         their ``id()``: the memo table holds the tag, so the objects stay
-        alive and their ids cannot be recycled into stale hits.  When the
-        relation is a row-subset view of a parent relation, the parent's
-        memoized values are filtered through the survivor positions instead
-        of re-applying ``key``.  Values memoized before an append survive
-        it: a cached array shorter than the relation is extended with
-        ``key`` applied to the new rows only — into a fresh list, so readers
-        holding the old array never observe growth mid-scan.
+        alive and their ids cannot be recycled into stale hits.  Values
+        memoized before an append survive it: a cached array shorter than
+        the relation is extended with ``key`` applied to the new rows only —
+        into a fresh list, so readers holding the old array never observe
+        growth mid-scan.
         """
         signature: Hashable = ("__values__", tag)
         values = self._orders.get(signature)
@@ -225,25 +218,11 @@ class IndexCatalog:
             return self._publish_overwrite(self._orders, signature, extended)
         self.misses += 1
         checkpoint("index.weights", rows=len(self.relation))
-        relation = self.relation
-        derived = relation.parent_view()
-        if derived is not None:
-            parent, positions = derived
-            parent_values = parent.indexes.weight_values(tag, key)
-            values = active_backend().take(parent_values, positions)
-        else:
-            values = [key(row) for row in relation.rows]
+        values = [key(row) for row in self.relation.rows]
         return self._publish(self._orders, signature, values)
 
     def weight_order(self, tag: Hashable, key: Callable[[Row], Any]) -> list[int]:
-        """Row positions sorted by ``key(row)``, memoized under ``tag``.
-
-        When the relation is a row-subset view of a parent relation, the
-        parent's memoized order for the same tag is filtered instead of
-        re-sorting, which is what lets repeated trims of the same base
-        relation across pivot iterations and φ values skip the O(n log n)
-        sort entirely.
-        """
+        """Row positions sorted by ``key(row)``, memoized under ``tag``."""
         signature: Hashable = ("__order__", tag)
         order = self._orders.get(signature)
         if order is not None:
@@ -251,18 +230,7 @@ class IndexCatalog:
             return order
         self.misses += 1
         checkpoint("index.order", rows=len(self.relation))
-        relation = self.relation
-        derived = relation.parent_view()
-        if derived is not None:
-            parent, positions = derived
-            parent_order = parent.indexes.weight_order(tag, key)
-            position_to_own = {p: i for i, p in enumerate(positions)}
-            order = [
-                position_to_own[p] for p in parent_order if p in position_to_own
-            ]
-        else:
-            values = self.weight_values(tag, key)
-            order = active_backend().argsort(values)
+        order = active_backend().argsort(self.weight_values(tag, key))
         return self._publish(self._orders, signature, order)
 
     # ------------------------------------------------------------------ #

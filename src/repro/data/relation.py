@@ -4,19 +4,18 @@ A :class:`Relation` is the basic storage unit of the database substrate
 (README, *Architecture*).  Its logical model is unchanged — a named sequence
 of same-arity tuples plus a schema of attribute names — but the physical
 data now lives in a :class:`~repro.data.columns.ColumnStore`: per-column
-arrays with zero-copy masked views, so ``filter``/``semijoin``/``project``
-/``rename`` share the parent's storage instead of copying rows.  Each
-relation also lazily owns an :class:`~repro.data.indexes.IndexCatalog` of
-memoized hash indexes and sort orders (delta-maintained across appends,
-with order-derived structures recomputed lazily), which
-``semijoin``, ``group_by``, ``natural_join``, and ``__contains__`` consult
-instead of rebuilding their structures per call.
+arrays with zero-copy masked views, so ``select_rows``/``rename`` share the
+parent's storage instead of copying rows.  Each relation also lazily owns an
+:class:`~repro.data.indexes.IndexCatalog` of memoized hash indexes and sort
+orders (delta-maintained across appends, with order-derived structures
+recomputed lazily), which the trimmers and ``__contains__`` consult instead
+of rebuilding their structures per call.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 from repro.data.columns import ColumnStore
@@ -58,7 +57,7 @@ class Relation:
     [2, 4]
     """
 
-    __slots__ = ("name", "schema", "_index_of", "_store", "_catalog", "_parent", "_version")
+    __slots__ = ("name", "schema", "_index_of", "_store", "_catalog", "_version")
 
     def __init__(self, name: str, schema: Sequence[str], rows: Iterable[Row] = ()) -> None:
         self.name = name
@@ -79,7 +78,6 @@ class Relation:
             materialized.append(row)
         self._store = ColumnStore.from_rows(len(self.schema), materialized)
         self._catalog: IndexCatalog | None = None
-        self._parent: tuple["Relation", Sequence[int]] | None = None
         self._version = 0
 
     # ------------------------------------------------------------------ #
@@ -100,27 +98,11 @@ class Relation:
         return relation
 
     def select_rows(self, positions: Sequence[int], name: str | None = None) -> "Relation":
-        """Same-schema view keeping the rows at ``positions`` (a mask).
-
-        The view shares this relation's column storage and remembers its
-        parent, so derived indexes (sort orders) can be filtered from the
-        parent's catalog instead of rebuilt.
-        """
-        view = Relation.from_store(
+        """Same-schema view keeping the rows at ``positions`` (a mask),
+        sharing this relation's column storage."""
+        return Relation.from_store(
             name or self.name, self.schema, self._store.select(positions)
         )
-        view._parent = (self, positions)
-        return view
-
-    def parent_view(self) -> tuple["Relation", Sequence[int]] | None:
-        """The (parent relation, surviving positions) pair if this relation is
-        an unmutated row-subset view of another relation, else ``None``."""
-        if self._parent is None:
-            return None
-        parent, positions = self._parent
-        if self._version or len(positions) != len(self):
-            return None
-        return parent, positions
 
     # ------------------------------------------------------------------ #
     # Physical accessors
@@ -209,10 +191,6 @@ class Relation:
         """Return whether ``attribute`` is part of the schema."""
         return attribute in self._index_of
 
-    def value(self, row: Row, attribute: str) -> Value:
-        """Return the value assigned to ``attribute`` in ``row``."""
-        return row[self.position(attribute)]
-
     def column(self, attribute: str) -> list[Value]:
         """All values of one column, in row order.
 
@@ -222,13 +200,12 @@ class Relation:
         return self._store.column(self.position(attribute))
 
     # ------------------------------------------------------------------ #
-    # Relational operations (all linear time)
+    # Mutation and derivation
     # ------------------------------------------------------------------ #
     def add(self, row: Row) -> None:
         """Append a tuple, validating its arity.
 
-        Mutation detaches the relation from any parent view linkage (via the
-        version bump) but keeps the index catalog: hash indexes and key sets
+        Mutation keeps the index catalog: hash indexes and key sets
         absorb the new row in place, memoized weight-value arrays are
         extended lazily on next read, and only order-derived structures
         (sort orders, trimmer memos) are dropped — see
@@ -247,134 +224,6 @@ class Relation:
         if catalog is not None:
             catalog.note_append(row)
 
-    def filter(self, predicate: Callable[[Row], bool], name: str | None = None) -> "Relation":
-        """Return a masked view with the rows satisfying ``predicate``."""
-        rows = self._store.rows()
-        return self.select_rows(
-            [i for i, row in enumerate(rows) if predicate(row)], name
-        )
-
-    def filter_attribute(
-        self, attribute: str, predicate: Callable[[Value], bool], name: str | None = None
-    ) -> "Relation":
-        """Return a masked view keeping rows where ``predicate(value)`` holds
-        for the value of ``attribute``."""
-        column = self.column(attribute)
-        return self.select_rows(
-            [i for i, value in enumerate(column) if predicate(value)], name
-        )
-
-    def project(self, attributes: Sequence[str], name: str | None = None) -> "Relation":
-        """Project onto ``attributes`` (duplicates are preserved).
-
-        Column storage is shared with the parent relation (zero-copy).
-        """
-        positions = [self.position(a) for a in attributes]
-        return Relation.from_store(
-            name or self.name, tuple(attributes), self._store.project(positions)
-        )
-
-    def distinct(self, name: str | None = None) -> "Relation":
-        """Return a duplicate-free view (order of first occurrence preserved)."""
-        seen: set[Row] = set()
-        positions: list[int] = []
-        for index, row in enumerate(self._store.rows()):
-            if row not in seen:
-                seen.add(row)
-                positions.append(index)
-        return self.select_rows(positions, name)
-
     def rename(self, name: str) -> "Relation":
         """Return a copy of the relation under a new name (storage shared)."""
         return Relation.from_store(name, self.schema, self._store.snapshot())
-
-    def with_schema(self, schema: Sequence[str], name: str | None = None) -> "Relation":
-        """Return a copy with columns relabeled (arity must match)."""
-        if len(schema) != len(self.schema):
-            raise SchemaError(
-                f"cannot relabel relation {self.name!r} of arity {len(self.schema)} "
-                f"with schema of arity {len(schema)}"
-            )
-        return Relation.from_store(name or self.name, schema, self._store.snapshot())
-
-    def extend(
-        self,
-        attribute: str,
-        values: Callable[[Row], Value],
-        name: str | None = None,
-    ) -> "Relation":
-        """Return a new relation with one extra column computed per row."""
-        if self.has_attribute(attribute):
-            raise SchemaError(
-                f"relation {self.name!r} already has an attribute {attribute!r}"
-            )
-        new_column = [values(row) for row in self._store.rows()]
-        return Relation.from_store(
-            name or self.name,
-            self.schema + (attribute,),
-            self._store.snapshot().with_column(new_column),
-        )
-
-    def group_by(self, attributes: Sequence[str]) -> dict[Row, list[Row]]:
-        """Group rows by their values on ``attributes``.
-
-        Returns a dict mapping each distinct key (tuple of values, in the
-        order of ``attributes``) to the list of rows in that group.  An empty
-        ``attributes`` sequence returns a single group keyed by ``()``.
-        Backed by the memoized hash index of the catalog.
-        """
-        rows = self._store.rows()
-        return {
-            key: [rows[i] for i in indices]
-            for key, indices in self.indexes.hash_index(attributes).items()
-        }
-
-    def semijoin(self, other: "Relation", name: str | None = None) -> "Relation":
-        """Semi-join: keep rows that agree with at least one row of ``other``
-        on the shared attributes.  If there are no shared attributes and
-        ``other`` is non-empty, all rows are kept (Cartesian semantics).
-
-        Returns a masked view; both sides' hash structures are memoized in
-        their index catalogs.
-        """
-        shared = [a for a in self.schema if other.has_attribute(a)]
-        if not shared:
-            positions: Sequence[int] = range(len(self)) if len(other) else ()
-            return self.select_rows(positions, name)
-        other_keys = other.indexes.key_set(shared)
-        own_index = self.indexes.hash_index(shared)
-        mask = bytearray(len(self))
-        for key, indices in own_index.items():
-            if key in other_keys:
-                for i in indices:
-                    mask[i] = 1
-        return self.select_rows([i for i, keep in enumerate(mask) if keep], name)
-
-    def natural_join(self, other: "Relation", name: str | None = None) -> "Relation":
-        """Natural join on shared attribute names (hash join, linear + output).
-
-        The build side's hash index comes from ``other``'s memoized catalog.
-        """
-        shared = [a for a in self.schema if other.has_attribute(a)]
-        other_extra = [a for a in other.schema if not self.has_attribute(a)]
-        out_schema = self.schema + tuple(other_extra)
-        out_rows: list[Row] = []
-        other_rows = other.rows
-        extra_positions = [other.position(a) for a in other_extra]
-        if not shared:
-            for left in self.rows:
-                for right in other_rows:
-                    out_rows.append(left + tuple(right[p] for p in extra_positions))
-        else:
-            index = other.indexes.hash_index(shared)
-            self_shared_pos = [self.position(a) for a in shared]
-            for left in self.rows:
-                key = tuple(left[p] for p in self_shared_pos)
-                for right_index in index.get(key, ()):
-                    right = other_rows[right_index]
-                    out_rows.append(left + tuple(right[p] for p in extra_positions))
-        return Relation.from_store(
-            name or f"{self.name}_join_{other.name}",
-            out_schema,
-            ColumnStore.from_rows(len(out_schema), out_rows),
-        )

@@ -1,11 +1,9 @@
 """Prepared-query engine: pay query planning once, execute many times.
 
 The paper's headline result is that a φ-quantile over an acyclic join costs
-roughly the database size *after* a linear-time preprocessing pass.  The
-one-shot entry points (:func:`repro.core.solver.quantile`,
-:class:`repro.core.solver.QuantileSolver`) rebuild that preprocessing on every
-call; :class:`Engine` and :class:`PreparedQuery` implement the classic
-prepare-once/execute-many database pattern instead:
+roughly the database size *after* a linear-time preprocessing pass.
+:class:`Engine` and :class:`PreparedQuery` implement the classic
+prepare-once/execute-many database pattern around it:
 
 * :class:`Engine` owns a :class:`~repro.data.database.Database` and hands out
   prepared queries via :meth:`Engine.prepare` (memoizing them per
@@ -82,7 +80,7 @@ from repro.runtime import CancellationToken, ExecutionContext, checkpoint
 from repro.runtime.policy import degradation_ladder, validate_policy
 from repro.trim import Trimmer, exact_trimmer_for
 
-#: Strategy identifiers accepted by the engine and the legacy solver facade.
+#: Strategy identifiers accepted by the engine.
 STRATEGIES = ("auto", "exact-pivot", "approx-pivot", "sampling", "materialize")
 
 #: Default cap on memoized pivoting iterations per prepared query.
@@ -93,10 +91,6 @@ DEFAULT_PIVOT_CACHE_LIMIT = 256
 #: to ``termination_factor x |D|`` candidates, so this bound — not the pivot
 #: cache's — dominates the engine's memory ceiling.
 DEFAULT_ANSWER_CACHE_LIMIT = 32
-
-#: Sentinel distinguishing "knob not passed" from an explicit ``None``
-#: (which disables an engine-wide default budget for one prepared query).
-_UNSET: Any = object()
 
 
 @dataclass(frozen=True)
@@ -122,13 +116,14 @@ class SolverPlan:
 class PreparedQuery:
     """A (query, ranking) pair with all per-query preprocessing cached.
 
-    Obtained from :meth:`Engine.prepare`.  Preparation runs the linear-time
-    preprocessing of the paper exactly once — canonical rewrite, rooted join
-    tree, Yannakakis full semijoin reduction, answer count, strategy plan,
-    trimmer construction — and every subsequent :meth:`quantile`,
-    :meth:`quantiles`, :meth:`selection`, :meth:`median`, or :meth:`count`
-    call reuses it.  A pivot cache shared across calls additionally memoizes
-    the deterministic pivoting iterations per candidate weight interval.
+    Obtained from :meth:`Engine.prepare` (memoized per engine) or built
+    directly.  Preparation runs the linear-time preprocessing of the paper
+    exactly once — canonical rewrite, rooted join tree, Yannakakis full
+    semijoin reduction, answer count, strategy plan, trimmer construction —
+    and every subsequent :meth:`quantile`, :meth:`quantiles`,
+    :meth:`selection`, :meth:`median`, or :meth:`count` call reuses it.  A
+    pivot cache shared across calls additionally memoizes the deterministic
+    pivoting iterations per candidate weight interval.
 
     Parameters
     ----------
@@ -137,8 +132,9 @@ class PreparedQuery:
         specs of :meth:`JoinQuery.parse` / :func:`parse_ranking`
         (``"R(x1, x2), S(x2, x3)"``, ``"sum(x1, x3)"``).
     epsilon:
-        Allowed position error.  Required for conditionally intractable SUM
-        queries (unless ``strategy="materialize"``); optional otherwise.
+        Allowed position error, a number in ``(0, 1)``.  Required for
+        conditionally intractable SUM queries (unless
+        ``strategy="materialize"``); optional otherwise.
     strategy:
         ``"auto"`` (default) picks per the dichotomy; the other values force
         a specific algorithm.
@@ -207,6 +203,12 @@ class PreparedQuery:
         if strategy not in STRATEGIES:
             raise SolverError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         ranking.validate_for(query.variables)
+        if epsilon is not None and not (
+            isinstance(epsilon, (int, float))
+            and not isinstance(epsilon, bool)
+            and 0.0 < epsilon < 1.0
+        ):
+            raise ValidationError(f"epsilon must be a number in (0, 1), got {epsilon!r}")
         if timeout is not None and timeout <= 0:
             raise ValidationError(f"timeout must be positive, got {timeout!r}")
         if max_rows is not None and max_rows <= 0:
@@ -831,48 +833,17 @@ class PreparedQuery:
 class Engine:
     """A quantile-query engine over one database.
 
-    The engine owns a :class:`~repro.data.database.Database` and hands out
-    :class:`PreparedQuery` objects.  Prepared queries are memoized per
-    (query, ranking, epsilon, strategy, seed) signature — repeated
-    ``prepare`` calls for the same workload (the heavy-traffic case the
-    ROADMAP targets) return the *same* prepared query, sharing all cached
-    planning state.  Rankings with custom per-variable weight functions are
-    never memoized (their signatures are not reliably comparable).
-
-    Parameters
-    ----------
-    db:
-        The database all prepared queries run against.
-    pivot_cache_limit:
-        Per-prepared-query cap on memoized pivoting iterations (0 disables
-        pivot caching).
-    timeout, max_rows, on_budget:
-        Engine-wide execution-guardrail defaults, applied to every prepared
-        query unless overridden per :meth:`prepare` call (see
-        :class:`PreparedQuery` for semantics).
+    The engine owns a :class:`~repro.data.database.Database` and the memo of
+    the :class:`PreparedQuery` objects it has handed out, nothing else.
+    Prepared queries are memoized per resolved settings — repeated
+    ``prepare`` calls for the same workload return the *same* prepared
+    query, sharing all cached planning state.  Rankings with custom
+    per-variable weight functions are never memoized (their signatures are
+    not reliably comparable).
     """
 
-    def __init__(
-        self,
-        db: Database,
-        pivot_cache_limit: int = DEFAULT_PIVOT_CACHE_LIMIT,
-        timeout: float | None = None,
-        max_rows: int | None = None,
-        on_budget: str = "error",
-        parallel: int | str | None = None,
-    ) -> None:
-        if timeout is not None and timeout <= 0:
-            raise ValidationError(f"timeout must be positive, got {timeout!r}")
-        if max_rows is not None and max_rows <= 0:
-            raise ValidationError(f"max_rows must be positive, got {max_rows!r}")
-        validate_policy(on_budget)
-        resolve_shard_count(parallel)  # validate the engine-wide default
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.pivot_cache_limit = pivot_cache_limit
-        self.timeout = timeout
-        self.max_rows = max_rows
-        self.on_budget = on_budget
-        self.parallel = parallel
         self._prepared: dict[tuple[Any, ...], PreparedQuery] = {}
         # Guards the prepared-query memo so concurrent prepare() calls for
         # the same signature share one PreparedQuery (and its caches) instead
@@ -884,16 +855,9 @@ class Engine:
         self,
         query: JoinQuery | str,
         ranking: RankingFunction | str,
-        epsilon: float | None = None,
-        strategy: str = "auto",
-        seed: int | None = None,
+        *,
         eager: bool = True,
-        termination_factor: int | None = None,
-        timeout: float | None = _UNSET,  # type: ignore[assignment]
-        max_rows: int | None = _UNSET,  # type: ignore[assignment]
-        on_budget: str | None = None,
-        cancellation: CancellationToken | None = None,
-        parallel: int | str | None = _UNSET,  # type: ignore[assignment]
+        **knobs: Any,
     ) -> PreparedQuery:
         """Plan a (query, ranking) pair once and return the prepared query.
 
@@ -907,110 +871,52 @@ class Engine:
             every computation to first use — planning errors then surface on
             the first execution call instead of here (the command line and
             :meth:`count` prepare this way).
-        termination_factor:
-            Per-query override of the memory/speed trade-off (see
-            :class:`PreparedQuery`); ``None`` uses the class default.  Pass 1
-            to keep Algorithm 1's ``|D|`` memory bound.
-        timeout, max_rows, on_budget, cancellation:
-            Per-query execution guardrails (see :class:`PreparedQuery`);
-            unspecified knobs inherit the engine-wide defaults.  A prepared
+        knobs:
+            :class:`PreparedQuery`'s keyword parameters (``epsilon``,
+            ``strategy``, ``seed``, ``termination_factor``, ``timeout``,
+            ``max_rows``, ``on_budget``, ``cancellation``, ``parallel``, …),
+            defaulted and validated there and nowhere else.  A prepared
             query carrying a cancellation token is never memoized — the
             token is per-caller state.
-        parallel:
-            Shard the exact pivoting path across ``K`` worker processes —
-            a positive int, ``"auto"`` (= ``min(4, cpu_count)``), or
-            ``None`` for serial (see :class:`PreparedQuery`).  Unspecified,
-            inherits the engine-wide default.
         """
-        if isinstance(query, str):
-            query = JoinQuery.parse(query)
-        if isinstance(ranking, str):
-            ranking = parse_ranking(ranking)
-        if timeout is _UNSET:
-            timeout = self.timeout
-        if max_rows is _UNSET:
-            max_rows = self.max_rows
-        if on_budget is None:
-            on_budget = self.on_budget
-        if parallel is _UNSET:
-            parallel = self.parallel
-        kwargs: dict[str, Any] = {}
-        if termination_factor is not None:
-            kwargs["termination_factor"] = termination_factor
-        key = self._signature(
-            query,
-            ranking,
-            epsilon,
-            strategy,
-            seed,
-            termination_factor,
-            timeout,
-            max_rows,
-            on_budget,
-            cancellation,
-            parallel,
-        )
+        # Constructing is cheap (validation only, no preprocessing), and the
+        # candidate's attributes are the resolved settings the memo keys on.
+        candidate = PreparedQuery(query, self.db, ranking, **knobs)
+        key = self._signature(candidate)
         with self._lock:
-            prepared = self._prepared.get(key) if key is not None else None
-            if prepared is None:
-                prepared = PreparedQuery(
-                    query,
-                    self.db,
-                    ranking,
-                    epsilon=epsilon,
-                    strategy=strategy,
-                    seed=seed,
-                    pivot_cache_limit=self.pivot_cache_limit,
-                    timeout=timeout,
-                    max_rows=max_rows,
-                    on_budget=on_budget,
-                    cancellation=cancellation,
-                    parallel=parallel,
-                    **kwargs,
-                )
-                if key is not None:
-                    self._prepared[key] = prepared
+            prepared = (
+                candidate if key is None else self._prepared.setdefault(key, candidate)
+            )
         if eager:
             # Outside the memo lock: preprocessing can be heavy, and the
             # prepared query's own state lock already serializes it.
             prepared.prepare()
         return prepared
 
-    def _signature(
-        self,
-        query: JoinQuery,
-        ranking: RankingFunction,
-        epsilon: float | None,
-        strategy: str,
-        seed: int | None,
-        termination_factor: int | None,
-        timeout: float | None,
-        max_rows: int | None,
-        on_budget: str,
-        cancellation: CancellationToken | None,
-        parallel: int | str | None,
-    ) -> tuple[Any, ...] | None:
-        """Memoization key for a prepared query, or None if not memoizable."""
-        if getattr(ranking, "_weights", None):
+    @staticmethod
+    def _signature(prepared: PreparedQuery) -> tuple[Any, ...] | None:
+        """Memoization key of a prepared query, or None if not memoizable."""
+        if getattr(prepared.ranking, "_weights", None):
             return None
-        if cancellation is not None:
+        if prepared.cancellation is not None:
             # A cancellation token is per-caller, mutable state: sharing the
             # prepared query would let one caller's cancel abort another's.
             return None
         return (
-            query,
-            type(ranking),
-            ranking.weighted_variables,
-            epsilon,
-            strategy,
-            seed,
-            termination_factor,
-            timeout,
-            max_rows,
-            on_budget,
+            prepared.query,
+            type(prepared.ranking),
+            prepared.ranking.weighted_variables,
+            prepared.epsilon,
+            prepared.strategy,
+            prepared.seed,
+            prepared._pivot_cache_limit,
+            prepared.termination_factor,
+            prepared.timeout,
+            prepared.max_rows,
+            prepared.on_budget,
             # Resolved so parallel="auto" and parallel=<that count> share
             # one prepared query (identical plans, identical results).
-            resolve_shard_count(parallel),
+            prepared._shard_count,
         )
 
     # ------------------------------------------------------------------ #

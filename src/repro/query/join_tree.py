@@ -266,81 +266,3 @@ def build_join_tree_with_adjacent(
     if not forced_tree.satisfies_running_intersection():
         return None
     return forced_tree
-
-
-def make_binary(rooted: RootedJoinTree) -> "BinaryJoinTreePlan":
-    """Describe a binary version of a rooted join tree (Section 6).
-
-    Nodes with more than two children are split into a chain of copies, each
-    taking at most two of the original children.  The result is returned as a
-    plan (list of virtual nodes referencing original atom indices) rather than
-    a rewritten query, because the lossy trimming only needs the traversal
-    structure.
-    """
-    plan = BinaryJoinTreePlan()
-    counter = [0]
-
-    def fresh_id() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    def build(node: int) -> int:
-        children = list(rooted.children[node])
-        node_id = fresh_id()
-        plan.atom_of[node_id] = node
-        if len(children) <= 2:
-            plan.children_of[node_id] = [build(c) for c in children]
-            return node_id
-        # Chain of copies: the first copy keeps the first child and delegates
-        # the rest to a copy of itself.
-        first_child = children[0]
-        rest = children[1:]
-        current = node_id
-        plan.children_of[current] = [build(first_child)]
-        remaining = rest
-        while len(remaining) > 2:
-            copy_id = fresh_id()
-            plan.atom_of[copy_id] = node
-            plan.is_copy[copy_id] = True
-            plan.children_of[current].append(copy_id)
-            plan.children_of[copy_id] = [build(remaining[0])]
-            current = copy_id
-            remaining = remaining[1:]
-        if len(remaining) == 2:
-            copy_id = fresh_id()
-            plan.atom_of[copy_id] = node
-            plan.is_copy[copy_id] = True
-            plan.children_of[current].append(copy_id)
-            plan.children_of[copy_id] = [build(remaining[0]), build(remaining[1])]
-        elif len(remaining) == 1:
-            plan.children_of[current].append(build(remaining[0]))
-        return node_id
-
-    plan.root = build(rooted.root)
-    return plan
-
-
-@dataclass
-class BinaryJoinTreePlan:
-    """A binarized rooted join tree: virtual node ids mapped to atom indices.
-
-    ``is_copy`` marks virtual nodes that are duplicates of an original node
-    introduced to keep the fan-out at most two.
-    """
-
-    root: int = 0
-    atom_of: dict[int, int] = field(default_factory=dict)
-    children_of: dict[int, list[int]] = field(default_factory=dict)
-    is_copy: dict[int, bool] = field(default_factory=dict)
-
-    def max_children(self) -> int:
-        return max((len(c) for c in self.children_of.values()), default=0)
-
-    def height(self) -> int:
-        def depth(node: int) -> int:
-            kids = self.children_of.get(node, [])
-            if not kids:
-                return 0
-            return 1 + max(depth(k) for k in kids)
-
-        return depth(self.root)

@@ -26,6 +26,8 @@ from repro.data.database import Database
 from repro.engine import Engine, PreparedQuery
 from repro.exceptions import ValidationError
 from repro.joins.tree_cache import Fingerprint, database_fingerprint
+from repro.runtime import ExecutionContext
+from repro.runtime.policy import validate_policy
 
 #: Default byte budget for the prepared-query LRU (accounting bytes, see
 #: :meth:`PreparedQuery.estimated_bytes`).
@@ -50,8 +52,8 @@ class EnginePool:
     prepared_budget_bytes:
         Accounting-byte ceiling for all cached prepared queries together.
     timeout, max_rows, on_budget:
-        Engine-wide guardrail defaults applied to every registered engine
-        (requests can still override per call).
+        The service's guardrail defaults: :meth:`prepared` applies them to
+        every request that does not set its own.
     """
 
     def __init__(
@@ -63,6 +65,10 @@ class EnginePool:
     ) -> None:
         if prepared_budget_bytes < 1:
             raise ValidationError("prepared_budget_bytes must be positive")
+        # A bad default fails the service at start-up, not each request: the
+        # budgets are checked by the context that enforces them.
+        ExecutionContext(timeout=timeout, max_rows=max_rows)
+        validate_policy(on_budget)
         self.prepared_budget_bytes = prepared_budget_bytes
         self._timeout = timeout
         self._max_rows = max_rows
@@ -87,12 +93,7 @@ class EnginePool:
         """
         if not name:
             raise ValidationError("database name must be non-empty")
-        engine = Engine(
-            db,
-            timeout=self._timeout,
-            max_rows=self._max_rows,
-            on_budget=self._on_budget,
-        )
+        engine = Engine(db)
         with self._lock:
             self._engines[name] = engine
             for key in [k for k in self._prepared if k[0] == name]:
@@ -153,22 +154,16 @@ class EnginePool:
                 self.hits += 1
                 return cached
             self.misses += 1
-        kwargs: dict[str, Any] = {}
-        if timeout is not None:
-            kwargs["timeout"] = timeout
-        if max_rows is not None:
-            kwargs["max_rows"] = max_rows
-        if on_budget is not None:
-            kwargs["on_budget"] = on_budget
-        if parallel is not None:
-            kwargs["parallel"] = parallel
         prepared = engine.prepare(
             query,
             ranking,
             epsilon=epsilon,
             strategy=strategy,
             seed=seed,
-            **kwargs,
+            timeout=self._timeout if timeout is None else timeout,
+            max_rows=self._max_rows if max_rows is None else max_rows,
+            on_budget=self._on_budget if on_budget is None else on_budget,
+            parallel=parallel,
         )
         with self._lock:
             self._prepared[key] = prepared

@@ -120,9 +120,10 @@ class ServiceConfig:
 class QuantileService:
     """The service object: engine pool + admission + coalescing + lifecycle.
 
-    Use either :meth:`run` (blocking, installs signal handlers — what the
-    ``serve`` CLI subcommand calls) or :func:`start_in_thread` (background
-    thread — what tests and benches use).
+    One lifecycle: :meth:`start`, then :meth:`run_until_shutdown`.  The
+    ``serve`` CLI subcommand drives it on the main thread (with signal
+    handlers calling :meth:`request_shutdown`), :class:`ServiceThread` on a
+    background thread (tests, benches, smoke runs).
     """
 
     def __init__(self, config: ServiceConfig | None = None, pool: EnginePool | None = None) -> None:
@@ -190,19 +191,6 @@ class QuantileService:
         """Serve until a shutdown is requested, then drain; returns exit code."""
         await self._shutdown_requested.wait()
         return await self.shutdown()
-
-    async def run(self) -> int:
-        """Start, install signal handlers, serve, drain.  Returns exit code."""
-        import signal
-
-        await self.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self._shutdown_requested.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        return await self.run_until_shutdown()
 
     async def shutdown(self) -> int:
         """Graceful drain: stop accepting, shed the queue, drain, cancel.
@@ -406,9 +394,6 @@ class QuantileService:
                 )
             else:
                 raise
-        except ValidationError as error:
-            record.status, record.http_status, record.error = "error", 400, str(error)
-            status, payload, headers = 400, {"request_id": request_id, "error": str(error)}, {}
         except ReproError as error:
             record.status, record.http_status, record.error = "error", 400, str(error)
             status, payload, headers = 400, {"request_id": request_id, "error": str(error)}, {}

@@ -42,6 +42,7 @@ def _fault_test_deadline(request):
 
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.engine import PreparedQuery
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.ranking.lex import LexRanking
@@ -116,6 +117,20 @@ def three_path() -> tuple[JoinQuery, Database]:
         ]
     )
     return query, db
+
+
+def pivoting(query, db, ranking, **knobs) -> PreparedQuery:
+    """A prepared query at Algorithm 1's own ``|D|`` cut (the engine's default
+    factor would send fixtures this small straight to the terminal sort)."""
+    return PreparedQuery(query, db, ranking, termination_factor=1, **knobs)
+
+
+def semijoin_positions(left, right, on=("x",)) -> list[int]:
+    """Positions of ``left`` rows with a partner in ``right`` on ``on``: the
+    probe a semijoin makes, through both relations' memoized catalogs."""
+    keys = right.indexes.key_set(on)
+    index = left.indexes.hash_index(on)
+    return sorted(p for key, rows in index.items() if key in keys for p in rows)
 
 
 # ---------------------------------------------------------------------- #

@@ -10,7 +10,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.solver import QuantileSolver, quantile, selection
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.query.atom import Atom
@@ -19,7 +18,12 @@ from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking, MinRanking
 from repro.ranking.sum import SumRanking
 
-from tests.conftest import assert_valid_quantile, brute_force_weights, rank_error
+from tests.conftest import (
+    assert_valid_quantile,
+    brute_force_weights,
+    pivoting,
+    rank_error,
+)
 
 PHIS = (0.0, 0.1, 0.5, 0.9, 1.0)
 
@@ -29,7 +33,7 @@ class TestExactOnFixtures:
     def test_min_on_three_path(self, three_path, phi):
         query, db = three_path
         ranking = MinRanking(["x1", "x3", "x4"])
-        result = quantile(query, db, ranking, phi)
+        result = pivoting(query, db, ranking).quantile(phi)
         assert result.exact
         assert_valid_quantile(query, db, ranking, result, phi)
 
@@ -37,35 +41,35 @@ class TestExactOnFixtures:
     def test_max_on_three_path(self, three_path, phi):
         query, db = three_path
         ranking = MaxRanking(["x1", "x4"])
-        result = quantile(query, db, ranking, phi)
+        result = pivoting(query, db, ranking).quantile(phi)
         assert_valid_quantile(query, db, ranking, result, phi)
 
     @pytest.mark.parametrize("phi", PHIS)
     def test_lex_on_three_path(self, three_path, phi):
         query, db = three_path
         ranking = LexRanking(["x4", "x1"])
-        result = quantile(query, db, ranking, phi)
+        result = pivoting(query, db, ranking).quantile(phi)
         assert_valid_quantile(query, db, ranking, result, phi)
 
     @pytest.mark.parametrize("phi", PHIS)
     def test_partial_sum_on_three_path(self, three_path, phi):
         query, db = three_path
         ranking = SumRanking(["x1", "x2", "x3"])
-        result = quantile(query, db, ranking, phi)
+        result = pivoting(query, db, ranking).quantile(phi)
         assert_valid_quantile(query, db, ranking, result, phi)
 
     @pytest.mark.parametrize("phi", PHIS)
     def test_full_sum_on_binary_join(self, binary_join, phi):
         query, db = binary_join
         ranking = SumRanking(["x1", "x2", "x3"])
-        result = quantile(query, db, ranking, phi)
+        result = pivoting(query, db, ranking).quantile(phi)
         assert_valid_quantile(query, db, ranking, result, phi)
 
     def test_figure1_partial_sum_median(self, figure1_query, figure1_db):
         """SUM over {x1, x3} on the Figure 1 query: both variables live in the
         single atom S(x1, x3), so the exact pivoting strategy applies."""
         ranking = SumRanking(["x1", "x3"])
-        result = quantile(figure1_query, figure1_db, ranking, 0.5)
+        result = pivoting(figure1_query, figure1_db, ranking).quantile(0.5)
         assert_valid_quantile(figure1_query, figure1_db, ranking, result, 0.5)
 
     def test_selection_matches_sorted_oracle(self, binary_join):
@@ -73,7 +77,7 @@ class TestExactOnFixtures:
         ranking = SumRanking(["x1", "x2", "x3"])
         weights = brute_force_weights(query, db, ranking)
         for index in (0, 1, len(weights) // 2, len(weights) - 1):
-            result = selection(query, db, ranking, index)
+            result = pivoting(query, db, ranking).selection(index)
             below = sum(1 for w in weights if w < result.weight)
             at_most = sum(1 for w in weights if w <= result.weight)
             assert below <= index <= at_most - 1
@@ -84,7 +88,7 @@ class TestExactOnFixtures:
         workload = social_network_workload(
             num_admins=30, num_shares=60, num_attends=60, num_events=8, seed=3
         )
-        result = quantile(workload.query, workload.db, workload.ranking, 0.1)
+        result = pivoting(workload.query, workload.db, workload.ranking).quantile(0.1)
         assert_valid_quantile(workload.query, workload.db, workload.ranking, result, 0.1)
 
 
@@ -94,7 +98,7 @@ class TestApproximate:
     def test_full_sum_three_path_within_epsilon(self, three_path, phi, epsilon):
         query, db = three_path
         ranking = SumRanking(["x1", "x2", "x3", "x4"])
-        result = quantile(query, db, ranking, phi, epsilon=epsilon)
+        result = pivoting(query, db, ranking, epsilon=epsilon).quantile(phi)
         assert not result.exact
         assert result.strategy == "approx-pivot"
         assert query.satisfies(result.assignment, db)
@@ -103,7 +107,7 @@ class TestApproximate:
     def test_sampling_strategy_within_epsilon(self, three_path):
         query, db = three_path
         ranking = SumRanking(["x1", "x2", "x3", "x4"])
-        solver = QuantileSolver(query, db, ranking, epsilon=0.2, strategy="sampling", seed=5)
+        solver = pivoting(query, db, ranking, epsilon=0.2, strategy="sampling", seed=5)
         result = solver.quantile(0.5)
         assert result.strategy == "sampling"
         assert rank_error(query, db, ranking, result, 0.5) <= 0.2
@@ -116,7 +120,7 @@ class TestSelfJoins:
             [Relation("E", ("a", "b"), [(1, 2), (2, 3), (2, 4), (3, 5), (4, 1)])]
         )
         ranking = MinRanking(["x", "z"])
-        result = quantile(query, db, ranking, 0.5)
+        result = pivoting(query, db, ranking).quantile(0.5)
         assert_valid_quantile(query, db, ranking, result, 0.5)
 
     def test_self_join_sum(self):
@@ -126,7 +130,7 @@ class TestSelfJoins:
             [Relation("E", ("a", "b"), [(rng.randrange(8), rng.randrange(8)) for _ in range(30)])]
         )
         ranking = SumRanking(["x", "y", "z"])
-        result = quantile(query, db, ranking, 0.25)
+        result = pivoting(query, db, ranking).quantile(0.25)
         assert_valid_quantile(query, db, ranking, result, 0.25)
 
 
@@ -166,7 +170,7 @@ def test_exact_quantile_property(seed, rows, domain, phi, ranking_kind):
         "lex": LexRanking(["x2", "x4"]),
         "psum": SumRanking(["x2", "x3", "x4"]),
     }[ranking_kind]
-    result = quantile(query, db, ranking, phi)
+    result = pivoting(query, db, ranking).quantile(phi)
     assert result.exact
     assert_valid_quantile(query, db, ranking, result, phi)
 
@@ -184,6 +188,6 @@ def test_approximate_quantile_property(seed, rows, domain, phi):
         return
     ranking = SumRanking(["x1", "x2", "x3", "x4"])
     epsilon = 0.25
-    result = quantile(query, db, ranking, phi, epsilon=epsilon)
+    result = pivoting(query, db, ranking, epsilon=epsilon).quantile(phi)
     assert query.satisfies(result.assignment, db)
     assert rank_error(query, db, ranking, result, phi) <= epsilon

@@ -6,12 +6,16 @@ from repro.baselines.materialize import select_from_sorted, sorted_answers
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import Engine, PreparedQuery, SolverPlan
-from repro.exceptions import IntractableQueryError, RankingError, SolverError
+from repro.exceptions import (
+    IntractableQueryError,
+    RankingError,
+    SolverError,
+    ValidationError,
+)
 from repro.query.join_query import JoinQuery
 from repro.query.parser import parse_ranking
 from repro.ranking.minmax import MaxRanking
 from repro.ranking.sum import SumRanking
-from repro.core.solver import QuantileSolver, quantile
 
 from tests.conftest import assert_valid_quantile
 
@@ -54,6 +58,26 @@ class TestPrepare:
         assert a is not b and a is not c
         assert engine.prepared_count == 3
 
+    def test_memoization_keys_on_resolved_values(self, binary_join, engine):
+        query, _ = binary_join
+        ranking = SumRanking(["x1", "x3"])
+        default = engine.prepare(query, ranking)
+        assert default is engine.prepare(query, ranking, termination_factor=12)
+        assert default is engine.prepare(
+            query, ranking, on_budget="error", timeout=None, parallel=None
+        )
+        assert engine.prepared_count == 1
+
+    def test_engine_termination_factor_passthrough(self, binary_join, engine):
+        query, _ = binary_join
+        ranking = SumRanking(["x1", "x3"])
+        default = engine.prepare(query, ranking)
+        matched = engine.prepare(query, ranking, termination_factor=1)
+        assert default is not matched
+        assert matched.termination_factor == 1
+        assert engine.prepare(query, ranking, termination_factor=1) is matched
+        assert default.quantile(0.5).weight == matched.quantile(0.5).weight
+
     def test_clear_drops_memoized_queries(self, binary_join, engine):
         query, _ = binary_join
         engine.prepare(query, SumRanking(["x1", "x3"]))
@@ -84,6 +108,19 @@ class TestPrepare:
         query, db = binary_join
         with pytest.raises(SolverError):
             PreparedQuery(query, db, SumRanking(["x1"]), termination_factor=0)
+
+    @pytest.mark.parametrize("epsilon", [2.0, 1.0, 0.0, -0.1, float("nan"), True])
+    @pytest.mark.parametrize("strategy", ["approx-pivot", "sampling", "auto"])
+    def test_epsilon_outside_the_unit_interval_rejected(self, three_path, strategy, epsilon):
+        # One check, at construction, the same typed error under every
+        # strategy: approx-pivot used to accept 2.0 (only epsilon/4 was
+        # range-checked) and to report -0.1 as a TrimmingError about -0.025.
+        query, db = three_path
+        with pytest.raises(ValidationError, match="epsilon"):
+            PreparedQuery(
+                query, db, SumRanking(["x1", "x2", "x3", "x4"]),
+                strategy=strategy, epsilon=epsilon,
+            )
 
     def test_ranking_validated_against_query(self, binary_join):
         query, db = binary_join
@@ -164,6 +201,18 @@ class TestPreparedStateReuse:
         prepared.quantiles([0.2, 0.5, 0.8])
         assert prepared.tree_cache.misses == misses
 
+    def test_materialize_strategy_prepares_and_caches(self, binary_join, engine, monkeypatch):
+        query, _ = binary_join
+        prepared = engine.prepare(query, SumRanking(["x1", "x3"]), strategy="materialize")
+        import repro.engine as engine_module
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - should not run
+            raise AssertionError("materialization re-ran after eager prepare")
+
+        monkeypatch.setattr(engine_module, "sorted_answers", forbidden)
+        results = prepared.quantiles([0.25, 0.5, 0.75])
+        assert all(r.strategy == "materialize" and r.exact for r in results)
+
 
 class TestExecution:
     def test_batch_equals_per_phi_calls(self, binary_join):
@@ -184,7 +233,10 @@ class TestExecution:
         prepared = Engine(db).prepare(query, ranking)
         phis = [0.1, 0.5, 0.9]
         batch = prepared.quantiles(phis)
-        cold = [quantile(query, db, ranking, phi) for phi in phis]
+        cold = [
+            PreparedQuery(query, db, ranking, termination_factor=1).quantile(phi)
+            for phi in phis
+        ]
         assert [r.weight for r in batch] == [r.weight for r in cold]
 
     def test_batch_preserves_input_order(self, prepared):
@@ -267,56 +319,3 @@ class TestExecution:
         tree = prepared.join_tree()
         assert tree is prepared.join_tree()
         assert len(tree.tree.nodes()) == len(prepared.query.atoms)
-
-
-class TestLegacyFacadeWiring:
-    def test_solver_is_backed_by_prepared_query(self, binary_join):
-        query, db = binary_join
-        solver = QuantileSolver(query, db, SumRanking(["x1", "x3"]))
-        assert isinstance(solver.prepared, PreparedQuery)
-        assert solver.prepared is solver.prepared
-
-    def test_solver_uses_algorithm1_termination(self, binary_join):
-        query, db = binary_join
-        solver = QuantileSolver(query, db, SumRanking(["x1", "x3"]))
-        assert solver.prepared.termination_factor == 1
-
-    def test_solver_attribute_mutation_takes_effect(self, three_path):
-        query, db = three_path
-        solver = QuantileSolver(query, db, SumRanking(["x1", "x2", "x3", "x4"]))
-        with pytest.raises(IntractableQueryError):
-            solver.quantile(0.5)
-        solver.epsilon = 0.25
-        result = solver.quantile(0.5)
-        assert result.strategy == "approx-pivot"
-
-    def test_engine_termination_factor_passthrough(self, binary_join, engine):
-        query, _ = binary_join
-        ranking = SumRanking(["x1", "x3"])
-        default = engine.prepare(query, ranking)
-        matched = engine.prepare(query, ranking, termination_factor=1)
-        assert default is not matched
-        assert matched.termination_factor == 1
-        assert engine.prepare(query, ranking, termination_factor=1) is matched
-        assert default.quantile(0.5).weight == matched.quantile(0.5).weight
-
-    def test_materialize_strategy_prepares_and_caches(self, binary_join, engine, monkeypatch):
-        query, _ = binary_join
-        prepared = engine.prepare(query, SumRanking(["x1", "x3"]), strategy="materialize")
-        import repro.engine as engine_module
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - should not run
-            raise AssertionError("materialization re-ran after eager prepare")
-
-        monkeypatch.setattr(engine_module, "sorted_answers", forbidden)
-        results = prepared.quantiles([0.25, 0.5, 0.75])
-        assert all(r.strategy == "materialize" and r.exact for r in results)
-
-    def test_solver_batch_method(self, binary_join):
-        query, db = binary_join
-        solver = QuantileSolver(query, db, SumRanking(["x1", "x3"]))
-        results = solver.quantiles([0.25, 0.75])
-        assert [r.weight for r in results] == [
-            solver.quantile(0.25).weight,
-            solver.quantile(0.75).weight,
-        ]

@@ -31,7 +31,7 @@ class TestTargetIndex:
             target_index_for(1.5, 10)
         with pytest.raises(ValueError):
             target_index_for(-0.1, 10)
-        for not_a_number in ("0.5", [0.5], None, float("nan")):
+        for not_a_number in ("0.5", [0.5], None, float("nan"), True):
             with pytest.raises(ValidationError):
                 target_index_for(not_a_number, 10)
 
@@ -63,7 +63,7 @@ class TestPhiForIndex:
             phi_for_index(-1, 10)
         with pytest.raises(ValueError):
             phi_for_index(10, 10)
-        for not_an_int in ("3", 2.0, [3]):
+        for not_an_int in ("3", 2.0, [3], True):
             with pytest.raises(ValidationError):
                 phi_for_index(not_an_int, 10)
 
@@ -95,16 +95,15 @@ class TestDriver:
             prepared = PreparedQuery(
                 query, db, ranking, strategy=strategy, epsilon=0.2, seed=3
             )
-            for index in (10**9, -1, "3", 2.0):
+            # A bool is never a number, here as at the HTTP door.
+            for index in (10**9, -1, "3", 2.0, True, False):
                 with pytest.raises(ValidationError):
                     prepared.selection(index)
-            for phi in (1.5, "0.5", [0.5], float("nan")):
+            for phi in (1.5, "0.5", [0.5], float("nan"), True, False):
                 with pytest.raises(ValidationError):
                     prepared.quantile(phi)
                 with pytest.raises(ValidationError):
                     prepared.quantiles([0.5, phi])
-            # bool keeps its meaning as an int.
-            assert prepared.selection(True).target_index == 1
 
     def test_empty_result(self):
         query = JoinQuery([Atom("R", ("x", "y")), Atom("S", ("y", "z"))])

@@ -1,10 +1,10 @@
-"""Strategy selection and the public solver facade."""
+"""Strategy selection (the Theorem 5.6 dichotomy) through ``PreparedQuery``."""
 
 import pytest
 
-from repro.core.solver import STRATEGIES, QuantileSolver, quantile
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.engine import STRATEGIES
 from repro.exceptions import IntractableQueryError, RankingError, SolverError
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
@@ -12,7 +12,7 @@ from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking, MinRanking
 from repro.ranking.sum import SumRanking
 
-from tests.conftest import assert_valid_quantile
+from tests.conftest import assert_valid_quantile, pivoting
 
 
 def three_path_full_sum(three_path):
@@ -24,29 +24,29 @@ class TestPlanning:
     def test_min_max_lex_always_exact(self, three_path):
         query, db = three_path
         for ranking in (MinRanking(["x1"]), MaxRanking(["x4"]), LexRanking(["x1", "x4"])):
-            plan = QuantileSolver(query, db, ranking).plan()
+            plan = pivoting(query, db, ranking).plan()
             assert plan.strategy == "exact-pivot"
             assert plan.classification.is_tractable
 
     def test_tractable_sum_exact(self, three_path):
         query, db = three_path
-        plan = QuantileSolver(query, db, SumRanking(["x1", "x2", "x3"])).plan()
+        plan = pivoting(query, db, SumRanking(["x1", "x2", "x3"])).plan()
         assert plan.strategy == "exact-pivot"
 
     def test_intractable_sum_without_epsilon_raises(self, three_path):
         query, db, ranking = three_path_full_sum(three_path)
         with pytest.raises(IntractableQueryError):
-            QuantileSolver(query, db, ranking).plan()
+            pivoting(query, db, ranking).plan()
 
     def test_intractable_sum_with_epsilon_approximates(self, three_path):
         query, db, ranking = three_path_full_sum(three_path)
-        plan = QuantileSolver(query, db, ranking, epsilon=0.2).plan()
+        plan = pivoting(query, db, ranking, epsilon=0.2).plan()
         assert plan.strategy == "approx-pivot"
         assert not plan.classification.is_tractable
 
     def test_forced_materialize(self, three_path):
         query, db, ranking = three_path_full_sum(three_path)
-        solver = QuantileSolver(query, db, ranking, strategy="materialize")
+        solver = pivoting(query, db, ranking, strategy="materialize")
         result = solver.quantile(0.5)
         assert result.strategy == "materialize"
         assert result.exact
@@ -54,47 +54,47 @@ class TestPlanning:
 
     def test_forced_exact_pivot_on_intractable_raises(self, three_path):
         query, db, ranking = three_path_full_sum(three_path)
-        solver = QuantileSolver(query, db, ranking, strategy="exact-pivot")
+        solver = pivoting(query, db, ranking, strategy="exact-pivot")
         with pytest.raises(IntractableQueryError):
             solver.quantile(0.5)
 
     def test_unknown_strategy_rejected(self, three_path):
         query, db, ranking = three_path_full_sum(three_path)
         with pytest.raises(SolverError):
-            QuantileSolver(query, db, ranking, strategy="magic")
+            pivoting(query, db, ranking, strategy="magic")
         assert "auto" in STRATEGIES
 
     def test_sampling_requires_epsilon(self, three_path):
         query, db, ranking = three_path_full_sum(three_path)
-        solver = QuantileSolver(query, db, ranking, strategy="sampling")
+        solver = pivoting(query, db, ranking, strategy="sampling")
         with pytest.raises(SolverError):
             solver.quantile(0.5)
 
     def test_ranking_must_reference_query_variables(self, three_path):
         query, db = three_path
         with pytest.raises(RankingError):
-            QuantileSolver(query, db, SumRanking(["not_a_var"]))
+            pivoting(query, db, SumRanking(["not_a_var"]))
 
     def test_plan_is_cached(self, three_path):
         query, db = three_path
-        solver = QuantileSolver(query, db, MinRanking(["x1"]))
+        solver = pivoting(query, db, MinRanking(["x1"]))
         assert solver.plan() is solver.plan()
 
     def test_plan_reason_mentions_dichotomy(self, three_path):
         query, db = three_path
-        plan = QuantileSolver(query, db, SumRanking(["x1", "x2", "x3"])).plan()
+        plan = pivoting(query, db, SumRanking(["x1", "x2", "x3"])).plan()
         assert "tractable" in plan.reason
 
 
-class TestFacade:
+class TestExecution:
     def test_count(self, figure1_query, figure1_db):
-        solver = QuantileSolver(figure1_query, figure1_db, SumRanking(["x1"]))
+        solver = pivoting(figure1_query, figure1_db, SumRanking(["x1"]))
         assert solver.count() == 13
 
     def test_selection_and_quantile_agree(self, binary_join):
         query, db = binary_join
         ranking = SumRanking(["x1", "x2", "x3"])
-        solver = QuantileSolver(query, db, ranking)
+        solver = pivoting(query, db, ranking)
         total = solver.count()
         by_phi = solver.quantile(0.5)
         by_index = solver.selection(by_phi.target_index)
@@ -103,14 +103,14 @@ class TestFacade:
 
     def test_selection_via_sampling_strategy(self, three_path):
         query, db, ranking = three_path_full_sum(three_path)
-        solver = QuantileSolver(query, db, ranking, epsilon=0.3, strategy="sampling", seed=1)
+        solver = pivoting(query, db, ranking, epsilon=0.3, strategy="sampling", seed=1)
         result = solver.selection(5)
         assert result.strategy == "sampling"
         assert query.satisfies(result.assignment, db)
 
     def test_result_string_representation(self, binary_join):
         query, db = binary_join
-        result = quantile(query, db, SumRanking(["x1", "x3"]), 0.5)
+        result = pivoting(query, db, SumRanking(["x1", "x3"])).quantile(0.5)
         text = str(result)
         assert "exact" in text and "strategy" in text
 
@@ -126,7 +126,7 @@ class TestFacade:
             ]
         )
         with pytest.raises(IntractableQueryError):
-            QuantileSolver(triangle, db, SumRanking(["x", "y", "z"])).plan()
+            pivoting(triangle, db, SumRanking(["x", "y", "z"])).plan()
 
     def test_cyclic_query_can_still_be_materialized(self):
         triangle = JoinQuery(
@@ -140,5 +140,5 @@ class TestFacade:
             ]
         )
         ranking = SumRanking(["x", "y", "z"])
-        result = quantile(triangle, db, ranking, 0.5, strategy="materialize")
+        result = pivoting(triangle, db, ranking, strategy="materialize").quantile(0.5)
         assert result.weight == 6.0

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from repro.data.relation import Relation
 
+from tests.conftest import semijoin_positions
+
 
 def make_relation() -> Relation:
     return Relation(
@@ -133,15 +135,15 @@ class TestCorrectnessAfterAppend:
     def test_semijoin_after_interleaved_appends(self):
         left = make_relation()
         right = Relation("S", ("x",), [(2,)])
-        assert len(left.semijoin(right)) == 1  # builds both sides' indexes
+        assert semijoin_positions(left, right) == [1]  # builds both sides' indexes
         right.add((3,))
         left.add((2, "zz"))
-        result = left.semijoin(right)
+        result = left.select_rows(semijoin_positions(left, right))
         assert sorted(result.rows) == [(2, "b"), (2, "zz"), (3, "a")]
 
     def test_group_by_after_add_matches_cold_rebuild(self):
         warm = make_relation()
-        warm.group_by(["x"])  # builds the index before the append
+        warm.indexes.hash_index(["x"])  # builds the index before the append
         warm.add((1, "zz"))
         cold = Relation("R", ("x", "y"), list(warm.rows))
-        assert warm.group_by(["x"]) == cold.group_by(["x"])
+        assert warm.indexes.hash_index(["x"]) == cold.indexes.hash_index(["x"])

@@ -56,28 +56,6 @@ class TestViews:
         view = store.select([1, 2, 3]).select([0, 2])
         assert view.rows() == [(2, "b"), (4, "d")]
 
-    def test_project_shares_columns_on_leaf(self):
-        store = ColumnStore.from_columns([[1, 2], ["a", "b"]])
-        projected = store.project([1])
-        assert projected.column(0) is store.column(1)
-        assert projected.rows() == [("a",), ("b",)]
-
-    def test_project_duplicates_columns(self):
-        store = ColumnStore.from_rows(2, ROWS)
-        projected = store.project([0, 0])
-        assert projected.rows()[0] == (1, 1)
-
-    def test_with_column(self):
-        store = ColumnStore.from_rows(2, ROWS[:2])
-        extended = store.with_column([10, 20])
-        assert extended.rows() == [(1, "a", 10), (2, "b", 20)]
-
-    def test_with_column_wrong_length(self):
-        store = ColumnStore.from_rows(2, ROWS)
-        with pytest.raises(ValueError):
-            store.with_column([1])
-
-
 class TestMutation:
     def test_append_to_leaf(self):
         store = ColumnStore.from_rows(2, ROWS[:2])
@@ -86,20 +64,17 @@ class TestMutation:
         assert store.column(0) == [1, 2, 9]
 
     def test_append_does_not_mutate_previously_served_column(self):
-        store = ColumnStore.from_rows(2, ROWS[:2])
-        column = store.column(0)
-        store.append((9, "z"))
-        assert column == [1, 2]  # the handed-out list is frozen
-        assert store.column(0) == [1, 2, 9]
-
-    def test_append_does_not_grow_projection_of_row_leaf(self):
-        # Regression: project() shares the parent's cached column list, so
-        # append must drop (not extend) the cache or the projection grows.
-        store = ColumnStore.from_rows(2, ROWS[:3])
-        projected = store.project([0])
-        store.append((9, "z"))
-        assert len(projected) == 3
-        assert projected.rows() == [(1,), (2,), (3,)]
+        # column() hands out the cached list (for a column leaf, the stored
+        # array itself), so append must drop the cache, never extend it.
+        for store in (
+            ColumnStore.from_rows(2, ROWS[:2]),
+            ColumnStore.from_columns([[1, 2], ["a", "b"]]),
+        ):
+            column = store.column(0)
+            store.append((9, "z"))
+            assert column == [1, 2]  # the handed-out list is frozen
+            assert store.column(0) == [1, 2, 9]
+            assert store.rows() == ROWS[:2] + [(9, "z")]
 
     def test_snapshot_is_frozen_against_append(self):
         store = ColumnStore.from_rows(2, ROWS[:2])
@@ -114,10 +89,3 @@ class TestMutation:
         view.append((9, "z"))
         assert view.rows() == [(1, "a"), (2, "b"), (9, "z")]
         assert store.rows() == ROWS  # parent untouched
-
-    def test_append_does_not_corrupt_shared_projection(self):
-        store = ColumnStore.from_columns([[1, 2], ["a", "b"]])
-        projected = store.project([0])
-        store.append((3, "c"))
-        assert projected.rows() == [(1,), (2,)]
-        assert store.rows() == [(1, "a"), (2, "b"), (3, "c")]

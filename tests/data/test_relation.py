@@ -71,10 +71,6 @@ class TestSchemaAccess:
         assert relation.has_attribute("a")
         assert not relation.has_attribute("c")
 
-    def test_value(self):
-        relation = make_relation()
-        assert relation.value((7, 8), "b") == 8
-
     def test_column(self):
         relation = make_relation()
         assert relation.column("a") == [1, 2, 3, 2]
@@ -88,97 +84,8 @@ class TestOperations:
         with pytest.raises(SchemaError):
             relation.add((4,))
 
-    def test_filter(self):
-        relation = make_relation()
-        filtered = relation.filter(lambda row: row[0] >= 2)
-        assert len(filtered) == 3
-        assert len(relation) == 4  # original untouched
-
-    def test_filter_attribute(self):
-        relation = make_relation()
-        filtered = relation.filter_attribute("b", lambda v: v > 15)
-        assert sorted(filtered.column("b")) == [20, 25, 30]
-
-    def test_project_preserves_duplicates(self):
-        relation = Relation("R", ("a", "b"), [(1, 1), (1, 2)])
-        projected = relation.project(["a"])
-        assert projected.rows == [(1,), (1,)]
-        assert projected.schema == ("a",)
-
-    def test_project_reorders_columns(self):
-        relation = make_relation()
-        projected = relation.project(["b", "a"])
-        assert projected.rows[0] == (10, 1)
-
-    def test_distinct(self):
-        relation = Relation("R", ("a",), [(1,), (1,), (2,)])
-        assert len(relation.distinct()) == 2
-
     def test_rename(self):
         relation = make_relation()
         renamed = relation.rename("Other")
         assert renamed.name == "Other"
         assert renamed.rows == relation.rows
-
-    def test_with_schema(self):
-        relation = make_relation()
-        relabeled = relation.with_schema(("x", "y"))
-        assert relabeled.schema == ("x", "y")
-        assert relabeled.rows == relation.rows
-
-    def test_with_schema_wrong_arity(self):
-        with pytest.raises(SchemaError):
-            make_relation().with_schema(("x",))
-
-    def test_extend_adds_column(self):
-        relation = make_relation()
-        extended = relation.extend("total", lambda row: row[0] + row[1])
-        assert extended.schema == ("a", "b", "total")
-        assert extended.rows[0] == (1, 10, 11)
-
-    def test_extend_existing_attribute_rejected(self):
-        with pytest.raises(SchemaError):
-            make_relation().extend("a", lambda row: 0)
-
-    def test_group_by(self):
-        relation = make_relation()
-        groups = relation.group_by(["a"])
-        assert set(groups) == {(1,), (2,), (3,)}
-        assert len(groups[(2,)]) == 2
-
-    def test_group_by_empty_key(self):
-        relation = make_relation()
-        groups = relation.group_by([])
-        assert list(groups) == [()]
-        assert len(groups[()]) == 4
-
-
-class TestJoins:
-    def test_semijoin_shared_attributes(self):
-        left = Relation("L", ("a", "b"), [(1, 1), (2, 2), (3, 3)])
-        right = Relation("R", ("b", "c"), [(1, 10), (3, 30)])
-        reduced = left.semijoin(right)
-        assert sorted(reduced.column("b")) == [1, 3]
-
-    def test_semijoin_no_shared_attributes_nonempty(self):
-        left = Relation("L", ("a",), [(1,), (2,)])
-        right = Relation("R", ("b",), [(5,)])
-        assert len(left.semijoin(right)) == 2
-
-    def test_semijoin_no_shared_attributes_empty_other(self):
-        left = Relation("L", ("a",), [(1,), (2,)])
-        right = Relation("R", ("b",), [])
-        assert len(left.semijoin(right)) == 0
-
-    def test_natural_join(self):
-        left = Relation("L", ("a", "b"), [(1, 1), (2, 2)])
-        right = Relation("R", ("b", "c"), [(1, 10), (1, 11), (2, 20)])
-        joined = left.natural_join(right)
-        assert joined.schema == ("a", "b", "c")
-        assert len(joined) == 3
-
-    def test_natural_join_cartesian(self):
-        left = Relation("L", ("a",), [(1,), (2,)])
-        right = Relation("R", ("b",), [(7,), (8,)])
-        joined = left.natural_join(right)
-        assert len(joined) == 4

@@ -197,15 +197,6 @@ class TestSessionLifecycle:
             .quantile(0.5)
         )
 
-    def test_engine_level_parallel_default(self, inline_mode, fanout_workload):
-        workload = fanout_workload
-        engine = Engine(workload.db, parallel=2)
-        prepared = engine.prepare(workload.query, workload.ranking)
-        assert prepared.shards == 2
-        # Per-call override back to serial:
-        serial = engine.prepare(workload.query, workload.ranking, parallel=None)
-        assert serial.shards is None
-
     def test_closed_prepared_query_falls_back_silently(
         self, inline_mode, fanout_workload
     ):

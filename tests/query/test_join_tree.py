@@ -1,15 +1,11 @@
-"""Unit tests for join tree construction, rooting, and binarization."""
+"""Unit tests for join tree construction and rooting."""
 
 import pytest
 
 from repro.exceptions import CyclicQueryError, QueryError
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
-from repro.query.join_tree import (
-    build_join_tree,
-    build_join_tree_with_adjacent,
-    make_binary,
-)
+from repro.query.join_tree import build_join_tree, build_join_tree_with_adjacent
 
 
 def path_query(k):
@@ -139,24 +135,3 @@ class TestRootedTree:
     def test_max_children_star(self):
         rooted = build_join_tree(star_query(4)).rooted(root=0)
         assert rooted.max_children() == 3
-
-
-class TestBinaryTree:
-    def test_star_becomes_binary(self):
-        rooted = build_join_tree(star_query(5)).rooted(root=0)
-        plan = make_binary(rooted)
-        assert plan.max_children() <= 2
-        # Every original atom appears in the plan.
-        assert set(plan.atom_of.values()) == set(range(5))
-
-    def test_binary_plan_no_copies_for_paths(self):
-        rooted = build_join_tree(path_query(4)).rooted(root=0)
-        plan = make_binary(rooted)
-        assert not any(plan.is_copy.values())
-        assert plan.max_children() <= 1
-
-    def test_binary_height_bounded_by_atom_count(self):
-        query = star_query(6)
-        rooted = build_join_tree(query).rooted(root=0)
-        plan = make_binary(rooted)
-        assert plan.height() <= len(query)

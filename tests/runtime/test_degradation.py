@@ -170,24 +170,6 @@ class TestEngineDegradation:
             results = prepared.quantiles([0.25, 0.75])
         assert all(r.degraded for r in results)
 
-    def test_engine_defaults_flow_into_prepared_queries(self, three_path):
-        query, db = three_path
-        engine = Engine(db, max_rows=TIGHT_ROWS, on_budget="sampling")
-        prepared = engine.prepare(
-            query, MaxRanking(["x1", "x4"]), epsilon=0.3, eager=False,
-        )
-        with pytest.warns(DegradedResultWarning):
-            assert prepared.quantile(0.5).degraded
-
-    def test_prepare_override_beats_engine_default(self, three_path):
-        query, db = three_path
-        engine = Engine(db, max_rows=TIGHT_ROWS)
-        prepared = engine.prepare(
-            query, MaxRanking(["x1", "x4"]), max_rows=None, eager=False,
-        )
-        result = prepared.quantile(0.5)  # budget lifted per-query
-        assert not result.degraded
-
     def test_degradation_string_rendered(self, three_path):
         prepared = self._prepare(
             three_path, epsilon=0.3, max_rows=TIGHT_ROWS, on_budget="sampling",

@@ -138,6 +138,23 @@ class TestValidation:
         _, client = service
         assert client.query("demo", QUERY, RANKING, phis=[1.5]).status == 400
 
+    @pytest.mark.parametrize("target", [{"phis": [True]}, {"phis": True}, {"index": True}])
+    def test_a_bool_is_not_a_phi_or_an_index(self, service, target):
+        _, client = service
+        response = client.request(
+            "POST", "/query", {"db": "demo", "query": QUERY, "ranking": RANKING, **target}
+        )
+        assert response.status == 400
+
+    def test_epsilon_out_of_range_400(self, service):
+        _, client = service
+        response = client.query(
+            "demo", QUERY, "sum(x1, x2, x3, x4)", phis=[0.5],
+            epsilon=2.0, strategy="approx-pivot",
+        )
+        assert response.status == 400
+        assert "epsilon" in response.payload["error"]
+
     def test_phis_and_index_are_exclusive(self, service):
         _, client = service
         both = client.request(
@@ -257,6 +274,21 @@ class TestBudgetsAndDegradation:
         assert entry["strategy"] == "sampling"
         assert "->" in entry["degradation"]
         assert response.payload["degraded"] is True
+
+    def test_service_default_guardrail_applies_unless_the_request_sets_its_own(
+        self, workload
+    ):
+        service = QuantileService(ServiceConfig(default_max_rows=10))
+        service.pool.register("demo", workload.db)
+        handle = ServiceThread(service).start()
+        try:
+            client = ServiceClient.from_url(handle.url)
+            defaulted = client.query("demo", QUERY, RANKING, phis=[0.5])
+            assert defaulted.status == 504
+            assert defaulted.payload["results"][0]["error"]["budget"] == "rows"
+            assert client.query("demo", QUERY, RANKING, phis=[0.5], max_rows=10**9).status == 200
+        finally:
+            handle.shutdown()
 
     def test_server_survives_budget_errors(self, service):
         _, client = service

@@ -252,3 +252,12 @@ class TestCliNewSurface:
         assert run.returncode == 0
         assert run.stderr == ""
         assert json.loads(run.stdout)["shards"] == 2
+
+    @pytest.mark.parametrize("flag, value", [("--timeout", "-1"), ("--max-rows", "0")])
+    def test_serve_refuses_a_bad_default_guardrail_at_startup(
+        self, csv_database, capsys, flag, value
+    ):
+        """Service defaults are checked once, before binding — not answered
+        as a 400 by every later request."""
+        assert main(["serve", "--data", str(csv_database), "--port", "0", flag, value]) == 2
+        assert "must be positive" in capsys.readouterr().err
