@@ -40,6 +40,7 @@ from repro.query.predicates import RankPredicate
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.sum import SumRanking
 from repro.ranking.tuple_weights import owned_variables, row_weight, variable_to_atom_assignment
+from repro.runtime import checkpoint
 from repro.trim.base import TrimResult, Trimmer, fresh_variable
 
 
@@ -95,6 +96,7 @@ class LossySumTrimmer(Trimmer):
         for node in rooted.tree.nodes():
             atom = query[node]
             relation = db[atom.relation]
+            checkpoint("trim.lossy_scan", rows=len(relation))
             owned = owned_variables(mu, node)
             schema[node] = list(atom.variables)
             rows[node] = list(relation.rows)
@@ -162,6 +164,7 @@ class LossySumTrimmer(Trimmer):
         join_vars = rooted.join_variables(node, child)
         helper = fresh_variable(current_query, f"__sketch_v{node}_{child}")
 
+        checkpoint("trim.lossy_absorb", rows=len(rows[child]))
         child_schema = schema[child]
         child_positions = [child_schema.index(v) for v in join_vars]
         groups: dict[tuple, list[int]] = {}
@@ -200,6 +203,7 @@ class LossySumTrimmer(Trimmer):
         schema[child] = child_schema + [helper]
 
         # Parent side: one copy per bucket of the matching group.
+        checkpoint("trim.lossy_embed", rows=len(rows[node]))
         parent_schema = schema[node]
         parent_positions = [parent_schema.index(v) for v in join_vars]
         new_parent_rows: list[tuple] = []

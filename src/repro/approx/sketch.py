@@ -93,6 +93,7 @@ def epsilon_sketch(
         below_bucket += bucket_multiplicity
         members, values, bucket_multiplicity = [], [], 0
 
+    # repro-analysis: allow RPR001 -- kernel-like op: one uninterruptible pass over a join group; LossySumTrimmer checkpoints per (node, child)
     for index, value, mult in live:
         if members and bucket_multiplicity > epsilon * below_bucket:
             close()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable
 from typing import Any
 
 from repro.data.database import Database
@@ -343,16 +343,3 @@ def _materialize_atom(atom: Atom, relation: Relation) -> tuple[tuple[str, ...], 
         ):
             rows.append(tuple(row[first_position[var]] for var in distinct_vars))
     return tuple(distinct_vars), rows
-
-
-def merge_assignments(
-    base: Assignment, extra: Mapping[str, Any]
-) -> Assignment | None:
-    """Union two assignments, returning ``None`` on any conflict."""
-    merged = dict(base)
-    # repro-analysis: allow RPR001 -- bounded by query arity; callers checkpoint per answer
-    for variable, value in extra.items():
-        if variable in merged and merged[variable] != value:
-            return None
-        merged[variable] = value
-    return merged

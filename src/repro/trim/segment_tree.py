@@ -21,6 +21,7 @@ def tree_size(length: int) -> int:
     if length <= 0:
         return 1
     size = 1
+    # repro-analysis: allow RPR001 -- O(log n) doubling loop, no row work; callers batch-checkpoint per group
     while size < length:
         size *= 2
     return size
@@ -37,6 +38,7 @@ def ancestor_segments(length: int, position: int) -> list[int]:
         raise ValidationError(f"position {position} out of range [0, {length})")
     node = tree_size(length) + position
     out = []
+    # repro-analysis: allow RPR001 -- O(log n) heap ascent per tuple; per-row checkpoints would defeat block batching
     while node >= 1:
         out.append(node)
         node //= 2
@@ -57,6 +59,7 @@ def range_segments(length: int, lo: int, hi: int) -> list[int]:
     out: list[int] = []
     left = lo + size
     right = hi + size
+    # repro-analysis: allow RPR001 -- O(log n) canonical decomposition per group; caller checkpoints per row block
     while left < right:
         if left & 1:
             out.append(left)

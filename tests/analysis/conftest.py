@@ -11,17 +11,12 @@ import textwrap
 
 import pytest
 
-from repro.analysis.engine import Finding, ParsedModule, Rule
+from repro.analysis import Finding, ParsedModule, Rule, check_module
 
 
 def _run_rule(rule: Rule, path: str, source: str) -> list[Finding]:
-    module = ParsedModule.parse(path, textwrap.dedent(source))
-    findings = [
-        finding
-        for finding in rule.check(module)
-        if not module.waived(finding.rule_id, finding.line)
-    ]
-    return sorted(findings, key=lambda f: (f.line, f.column))
+    active, _waived = check_module(ParsedModule(path, textwrap.dedent(source)), [rule])
+    return active
 
 
 @pytest.fixture

@@ -1,47 +1,34 @@
-"""The AST engine: parsing helpers, waivers, finding identity, dispatch."""
+"""The shared machinery: parsing helpers, waivers, finding format, ``run``."""
 
 from __future__ import annotations
 
 import ast
 import textwrap
 
-from repro.analysis.engine import (
-    Analyzer,
+from repro.analysis import (
     Finding,
     ParsedModule,
-    Rule,
-    Severity,
     dotted_name,
     is_checkpoint_call,
     iter_python_files,
+    run,
 )
+
+LOOP = "def scan(rows):\n    for row in rows:\n        pass\n"
 
 
 def parse(source: str, path: str = "src/repro/example.py") -> ParsedModule:
-    return ParsedModule.parse(path, textwrap.dedent(source))
+    return ParsedModule(path, textwrap.dedent(source))
+
+
+def hot_dir(tmp_path):
+    """A directory RPR001 applies to, under ``tmp_path`` as the root."""
+    joins = tmp_path / "src" / "repro" / "joins"
+    joins.mkdir(parents=True)
+    return joins
 
 
 class TestParsedModule:
-    def test_scope_names_are_dotted_qualnames(self):
-        module = parse(
-            """
-            class Outer:
-                def method(self):
-                    x = 1
-
-            def top():
-                y = 2
-            """
-        )
-        assigns = [n for n in ast.walk(module.tree) if isinstance(n, ast.Assign)]
-        scopes = sorted(module.scope_name(a) for a in assigns)
-        assert scopes == ["Outer.method", "top"]
-
-    def test_module_level_scope_is_module(self):
-        module = parse("x = 1\n")
-        assign = next(n for n in ast.walk(module.tree) if isinstance(n, ast.Assign))
-        assert module.scope_name(assign) == "<module>"
-
     def test_enclosing_function_finds_innermost(self):
         module = parse(
             """
@@ -102,21 +89,9 @@ class TestWaivers:
 
 
 class TestFinding:
-    def test_key_excludes_line_number(self):
-        a = Finding("RPR001", Severity.ERROR, "a.py", 10, 1, "m", "f", "loop:for")
-        b = Finding("RPR001", Severity.ERROR, "a.py", 99, 5, "m", "f", "loop:for")
-        assert a.key == b.key == "RPR001:a.py:f:loop:for"
-
-    def test_to_dict_is_json_ready(self):
-        finding = Finding("RPR004", Severity.ERROR, "a.py", 3, 2, "msg", "g", "raise:X")
-        data = finding.to_dict()
-        assert data["rule"] == "RPR004"
-        assert data["line"] == 3
-        assert data["key"] == finding.key
-
     def test_render_is_path_line_col_prefixed(self):
-        finding = Finding("RPR001", Severity.ERROR, "a.py", 3, 2, "msg")
-        assert finding.render().startswith("a.py:3:2: RPR001")
+        finding = Finding("a.py", 3, 2, "RPR001", "msg")
+        assert finding.render() == "a.py:3:2: RPR001 msg"
 
 
 class TestHelpers:
@@ -134,42 +109,33 @@ class TestHelpers:
         assert not is_checkpoint_call(ast.parse("other('x')").body[0].value)
 
 
-class _AlwaysFire(Rule):
-    rule_id = "RPR001"
-    severity = Severity.ERROR
-    description = "test rule"
-
-    def applies_to(self, path):
-        return path.endswith(".py")
-
-    def check(self, module):
-        yield self.finding(module, module.tree.body[0], "fired", symbol="x")
-
-
 class TestAnalyzer:
     def test_run_collects_and_sorts_findings(self, tmp_path):
-        (tmp_path / "b.py").write_text("x = 1\n")
-        (tmp_path / "a.py").write_text("y = 2\n")
-        analyzer = Analyzer([_AlwaysFire()], root=tmp_path)
-        result = analyzer.run([tmp_path])
-        assert result.files_checked == 2
-        assert [f.path for f in result.findings] == ["a.py", "b.py"]
+        joins = hot_dir(tmp_path)
+        (joins / "b.py").write_text(LOOP)
+        (joins / "a.py").write_text(LOOP + "\n\n" + LOOP.replace("scan", "again"))
+        report = run([tmp_path], root=tmp_path)
+        assert report.files == ["src/repro/joins/a.py", "src/repro/joins/b.py"]
+        assert [(f.path, f.line) for f in report.findings] == [
+            ("src/repro/joins/a.py", 2),
+            ("src/repro/joins/a.py", 7),
+            ("src/repro/joins/b.py", 2),
+        ]
 
     def test_waived_findings_are_split_out(self, tmp_path):
-        (tmp_path / "a.py").write_text(
-            "x = 1  # repro-analysis: allow RPR001 -- test waiver\n"
+        (hot_dir(tmp_path) / "a.py").write_text(
+            LOOP.replace("rows:", "rows:  # repro-analysis: allow RPR001 -- test waiver")
         )
-        analyzer = Analyzer([_AlwaysFire()], root=tmp_path)
-        result = analyzer.run([tmp_path])
-        assert result.findings == []
-        assert len(result.waived) == 1
+        report = run([tmp_path], root=tmp_path)
+        assert report.findings == []
+        assert [f.rule_id for f in report.waived] == ["RPR001"]
 
     def test_syntax_error_becomes_rpr000(self, tmp_path):
         (tmp_path / "bad.py").write_text("def f(:\n")
-        analyzer = Analyzer([_AlwaysFire()], root=tmp_path)
-        result = analyzer.run([tmp_path])
-        assert [f.rule_id for f in result.parse_errors] == ["RPR000"]
-        assert result.all_findings[0].symbol == "syntax-error"
+        report = run([tmp_path], root=tmp_path)
+        (finding,) = report.findings
+        assert (finding.rule_id, finding.path, finding.line) == ("RPR000", "bad.py", 1)
+        assert finding.message.startswith("syntax error")
 
     def test_pycache_and_hidden_dirs_skipped(self, tmp_path):
         (tmp_path / "__pycache__").mkdir()

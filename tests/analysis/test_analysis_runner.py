@@ -1,13 +1,10 @@
-"""The ``python -m repro.analysis`` runner: exit codes, JSON report, baseline."""
+"""The ``python -m repro.analysis`` runner: output lines and exit codes."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.analysis.__main__ import main
-from repro.analysis.baseline import TODO_JUSTIFICATION
+from repro.analysis import main
 
 CLEAN = """\
 from repro.runtime import checkpoint
@@ -28,144 +25,36 @@ def scan(rows):
 
 
 @pytest.fixture
-def repo(tmp_path):
-    """A miniature repo tree the runner can analyze."""
+def repo(tmp_path, monkeypatch):
+    """A miniature repo tree, entered the way the tool is run: from its root."""
     joins = tmp_path / "src" / "repro" / "joins"
     joins.mkdir(parents=True)
     (joins / "clean.py").write_text(CLEAN)
+    monkeypatch.chdir(tmp_path)
     return tmp_path
-
-
-def run(repo, *argv):
-    return main(["--root", str(repo), "src/repro", *argv])
 
 
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, repo, capsys):
-        assert run(repo) == 0
-        assert "0 new" in capsys.readouterr().out
+        assert main(["src/repro"]) == 0
+        assert capsys.readouterr().out == "1 files checked: 0 findings, 0 waived\n"
 
     def test_seeded_violation_exits_one(self, repo, capsys):
         (repo / "src" / "repro" / "joins" / "bad.py").write_text(VIOLATION)
-        assert run(repo) == 1
-        out = capsys.readouterr().out
-        assert "RPR001" in out
-        assert "bad.py:3" in out
+        assert main(["src/repro"]) == 1
+        first, summary = capsys.readouterr().out.splitlines()
+        assert first.startswith("src/repro/joins/bad.py:3:5: RPR001 for loop")
+        assert summary == "2 files checked: 1 findings, 0 waived"
 
     def test_missing_path_exits_two(self, repo, capsys):
-        assert main(["--root", str(repo), "no/such/dir"]) == 2
+        assert main(["no/such/dir"]) == 2
         assert "does not exist" in capsys.readouterr().err
 
-    def test_bad_root_exits_two(self, repo, capsys):
-        assert main(["--root", str(repo / "nope"), "src/repro"]) == 2
-        assert "not a directory" in capsys.readouterr().err
-
-    def test_unknown_rule_id_exits_two(self, repo, capsys):
-        assert run(repo, "--select", "RPR999") == 2
-        assert "unknown rule ids" in capsys.readouterr().err
+    def test_no_arguments_checks_the_library(self, repo, capsys):
+        assert main([]) == 0
+        assert capsys.readouterr().out == "1 files checked: 0 findings, 0 waived\n"
 
     def test_syntax_error_exits_one(self, repo, capsys):
         (repo / "src" / "repro" / "joins" / "broken.py").write_text("def f(:\n")
-        assert run(repo) == 1
-        assert "RPR000" in capsys.readouterr().out
-
-
-class TestJsonReport:
-    def test_schema_of_json_output(self, repo, capsys):
-        (repo / "src" / "repro" / "joins" / "bad.py").write_text(VIOLATION)
-        code = run(repo, "--format", "json")
-        report = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert report["version"] == 1
-        assert report["files_checked"] == 2
-        assert report["new"] == 1
-        assert report["baselined"] == 0
-        assert report["waived"] == 0
-        assert report["stale_baseline_keys"] == []
-        assert {r["id"] for r in report["rules"]} == {
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-        }
-        (finding,) = report["findings"]
-        assert set(finding) == {
-            "rule", "severity", "path", "line", "column",
-            "message", "context", "symbol", "key",
-        }
-        assert finding["rule"] == "RPR001"
-        assert finding["path"] == "src/repro/joins/bad.py"
-
-    def test_output_file_written_for_text_format(self, repo, tmp_path, capsys):
-        report_path = tmp_path / "report.json"
-        code = run(repo, "--output", str(report_path))
-        capsys.readouterr()
-        assert code == 0
-        report = json.loads(report_path.read_text())
-        assert report["new"] == 0
-
-    def test_select_restricts_rules(self, repo, capsys):
-        (repo / "src" / "repro" / "joins" / "bad.py").write_text(VIOLATION)
-        code = run(repo, "--select", "RPR004", "--format", "json")
-        report = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert [r["id"] for r in report["rules"]] == ["RPR004"]
-        assert report["new"] == 0
-
-
-class TestBaselineWorkflow:
-    def test_update_baseline_then_clean_run(self, repo, capsys):
-        (repo / "src" / "repro" / "joins" / "bad.py").write_text(VIOLATION)
-        assert run(repo, "--update-baseline") == 0
-        capsys.readouterr()
-        assert run(repo) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_update_baseline_is_deterministic(self, repo, capsys):
-        (repo / "src" / "repro" / "joins" / "bad.py").write_text(VIOLATION)
-        baseline_path = repo / "analysis-baseline.json"
-        assert run(repo, "--update-baseline") == 0
-        first = baseline_path.read_text()
-        assert run(repo, "--update-baseline") == 0
-        assert baseline_path.read_text() == first
-        capsys.readouterr()
-
-    def test_update_baseline_preserves_justifications(self, repo, capsys):
-        (repo / "src" / "repro" / "joins" / "bad.py").write_text(VIOLATION)
-        baseline_path = repo / "analysis-baseline.json"
-        assert run(repo, "--update-baseline") == 0
-        data = json.loads(baseline_path.read_text())
-        (key,) = data["entries"]
-        assert data["entries"][key]["justification"] == TODO_JUSTIFICATION
-        data["entries"][key]["justification"] = "reviewed: bounded accumulator"
-        baseline_path.write_text(json.dumps(data))
-        # A second finding appears; regeneration must keep the reviewed text.
-        (repo / "src" / "repro" / "joins" / "bad2.py").write_text(VIOLATION)
-        assert run(repo, "--update-baseline") == 0
-        updated = json.loads(baseline_path.read_text())
-        assert updated["entries"][key]["justification"] == (
-            "reviewed: bounded accumulator"
-        )
-        new_key = next(k for k in updated["entries"] if k != key)
-        assert updated["entries"][new_key]["justification"] == TODO_JUSTIFICATION
-        capsys.readouterr()
-
-    def test_no_baseline_flag_reports_everything(self, repo, capsys):
-        (repo / "src" / "repro" / "joins" / "bad.py").write_text(VIOLATION)
-        assert run(repo, "--update-baseline") == 0
-        capsys.readouterr()
-        assert run(repo, "--no-baseline") == 1
-
-    def test_stale_keys_reported_when_code_is_fixed(self, repo, capsys):
-        bad = repo / "src" / "repro" / "joins" / "bad.py"
-        bad.write_text(VIOLATION)
-        assert run(repo, "--update-baseline") == 0
-        bad.write_text(CLEAN)
-        capsys.readouterr()
-        assert run(repo) == 0
-        assert "stale" in capsys.readouterr().out
-
-
-class TestListRules:
-    def test_list_rules_prints_all_ids(self, repo, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005"):
-            assert rule_id in out
+        assert main(["src/repro"]) == 1
+        assert "RPR000 syntax error" in capsys.readouterr().out

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
-from repro.analysis.rules.async_blocking import NoBlockingInAsyncRule
+from repro.analysis import rpr003_async_blocking
 
 PATH = "src/repro/service/server.py"
 
 
-def test_applies_only_under_service():
-    rule = NoBlockingInAsyncRule()
-    assert rule.applies_to("src/repro/service/server.py")
-    assert not rule.applies_to("src/repro/engine.py")
-    assert not rule.applies_to("src/repro/joins/yannakakis.py")
+SLEEPER = """
+    import time
+
+    async def handler():
+        time.sleep(1)
+    """
+
+
+def test_applies_only_under_service(run_rule):
+    assert len(run_rule(rpr003_async_blocking, PATH, SLEEPER)) == 1
+    assert run_rule(rpr003_async_blocking, "src/repro/engine.py", SLEEPER) == []
+    assert run_rule(rpr003_async_blocking, "src/repro/joins/yannakakis.py", SLEEPER) == []
 
 
 def test_time_sleep_in_async_def_flagged(run_rule):
     findings = run_rule(
-        NoBlockingInAsyncRule(),
+        rpr003_async_blocking,
         PATH,
         """
         import time
@@ -25,12 +32,13 @@ def test_time_sleep_in_async_def_flagged(run_rule):
             time.sleep(1)
         """,
     )
-    assert [f.symbol for f in findings] == ["call:time.sleep"]
+    assert [(f.rule_id, f.line) for f in findings] == [("RPR003", 5)]
+    assert "blocking call time.sleep() inside async def 'handler'" in findings[0].message
 
 
 def test_asyncio_sleep_passes(run_rule):
     findings = run_rule(
-        NoBlockingInAsyncRule(),
+        rpr003_async_blocking,
         PATH,
         """
         import asyncio
@@ -45,7 +53,7 @@ def test_asyncio_sleep_passes(run_rule):
 def test_sync_helper_inside_coroutine_not_flagged(run_rule):
     # The helper is assumed executor-bound: flagging it would punish the fix.
     findings = run_rule(
-        NoBlockingInAsyncRule(),
+        rpr003_async_blocking,
         PATH,
         """
         import time
@@ -61,7 +69,7 @@ def test_sync_helper_inside_coroutine_not_flagged(run_rule):
 
 def test_sleep_in_plain_def_not_flagged(run_rule):
     findings = run_rule(
-        NoBlockingInAsyncRule(),
+        rpr003_async_blocking,
         PATH,
         """
         import time
@@ -75,7 +83,7 @@ def test_sleep_in_plain_def_not_flagged(run_rule):
 
 def test_open_and_subprocess_and_pathlib_io_flagged(run_rule):
     findings = run_rule(
-        NoBlockingInAsyncRule(),
+        rpr003_async_blocking,
         PATH,
         """
         import subprocess
@@ -86,8 +94,8 @@ def test_open_and_subprocess_and_pathlib_io_flagged(run_rule):
             text = path.read_text()
         """,
     )
-    assert sorted(f.symbol for f in findings) == [
-        "call:open",
-        "call:read_text",
-        "call:subprocess.run",
+    assert [f.message.split(" inside")[0] for f in findings] == [
+        "blocking call subprocess.run()",
+        "blocking call open()",
+        "blocking call read_text()",
     ]

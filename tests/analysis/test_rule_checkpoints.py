@@ -2,24 +2,35 @@
 
 from __future__ import annotations
 
-from repro.analysis.rules.checkpoints import CheckpointDisciplineRule
+from repro.analysis import rpr001_checkpoints
 
 PATH = "src/repro/joins/example.py"
 
 
-def test_applies_only_to_hot_path_packages():
-    rule = CheckpointDisciplineRule()
-    assert rule.applies_to("src/repro/joins/yannakakis.py")
-    assert rule.applies_to("src/repro/pivot/pivot_selection.py")
-    assert rule.applies_to("src/repro/trim/base.py")
-    assert rule.applies_to("src/repro/baselines/materialize.py")
-    assert not rule.applies_to("src/repro/service/server.py")
-    assert not rule.applies_to("tests/joins/test_yannakakis.py".replace("tests", "x"))
+LOOP = """
+    def scan(rows):
+        for row in rows:
+            pass
+    """
+
+
+def test_applies_only_to_hot_path_packages(run_rule):
+    for path in (
+        "src/repro/joins/yannakakis.py",
+        "src/repro/pivot/pivot_selection.py",
+        "src/repro/trim/base.py",
+        "src/repro/approx/lossy_sum_trim.py",
+        "src/repro/parallel/merger.py",
+        "src/repro/baselines/materialize.py",
+    ):
+        assert len(run_rule(rpr001_checkpoints, path, LOOP)) == 1, path
+    assert run_rule(rpr001_checkpoints, "src/repro/service/server.py", LOOP) == []
+    assert run_rule(rpr001_checkpoints, "x/joins/test_yannakakis.py", LOOP) == []
 
 
 def test_loop_without_checkpoint_is_flagged(run_rule):
     findings = run_rule(
-        CheckpointDisciplineRule(),
+        rpr001_checkpoints,
         PATH,
         """
         def scan(rows):
@@ -29,13 +40,13 @@ def test_loop_without_checkpoint_is_flagged(run_rule):
             return total
         """,
     )
-    assert [f.symbol for f in findings] == ["loop:for"]
-    assert findings[0].context == "scan"
+    assert [(f.rule_id, f.line, f.column) for f in findings] == [("RPR001", 4, 5)]
+    assert "for loop in hot-path function 'scan'" in findings[0].message
 
 
 def test_checkpoint_in_loop_body_covers(run_rule):
     findings = run_rule(
-        CheckpointDisciplineRule(),
+        rpr001_checkpoints,
         PATH,
         """
         from repro.runtime import checkpoint
@@ -50,7 +61,7 @@ def test_checkpoint_in_loop_body_covers(run_rule):
 
 def test_checkpoint_anywhere_in_function_covers_inner_loops(run_rule):
     findings = run_rule(
-        CheckpointDisciplineRule(),
+        rpr001_checkpoints,
         PATH,
         """
         def scan(groups):
@@ -65,7 +76,7 @@ def test_checkpoint_anywhere_in_function_covers_inner_loops(run_rule):
 
 def test_method_style_checkpoint_counts(run_rule):
     findings = run_rule(
-        CheckpointDisciplineRule(),
+        rpr001_checkpoints,
         PATH,
         """
         def scan(ctx, rows):
@@ -78,7 +89,7 @@ def test_method_style_checkpoint_counts(run_rule):
 
 def test_while_loop_flagged_with_while_symbol(run_rule):
     findings = run_rule(
-        CheckpointDisciplineRule(),
+        rpr001_checkpoints,
         PATH,
         """
         def climb(n):
@@ -86,12 +97,13 @@ def test_while_loop_flagged_with_while_symbol(run_rule):
                 n //= 2
         """,
     )
-    assert [f.symbol for f in findings] == ["loop:while"]
+    assert len(findings) == 1
+    assert "while loop in hot-path function 'climb'" in findings[0].message
 
 
 def test_module_level_loop_flagged(run_rule):
     findings = run_rule(
-        CheckpointDisciplineRule(),
+        rpr001_checkpoints,
         PATH,
         """
         for i in range(3):
@@ -99,12 +111,12 @@ def test_module_level_loop_flagged(run_rule):
         """,
     )
     assert len(findings) == 1
-    assert findings[0].context == "<module>"
+    assert "'<module>'" in findings[0].message
 
 
 def test_comprehensions_not_flagged(run_rule):
     findings = run_rule(
-        CheckpointDisciplineRule(),
+        rpr001_checkpoints,
         PATH,
         """
         def build(rows):
@@ -116,7 +128,7 @@ def test_comprehensions_not_flagged(run_rule):
 
 def test_inline_waiver_silences(run_rule):
     findings = run_rule(
-        CheckpointDisciplineRule(),
+        rpr001_checkpoints,
         PATH,
         """
         def climb(n):

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from repro.analysis.rules.errors import TypedErrorsRule
+from repro.analysis import rpr004_typed_errors
 
 PATH = "src/repro/data/columns.py"
 
 
 def test_bare_value_error_flagged(run_rule):
     findings = run_rule(
-        TypedErrorsRule(),
+        rpr004_typed_errors,
         PATH,
         """
         def check(n):
@@ -17,12 +17,13 @@ def test_bare_value_error_flagged(run_rule):
                 raise ValueError("negative")
         """,
     )
-    assert [f.symbol for f in findings] == ["raise:ValueError"]
+    assert [(f.rule_id, f.line) for f in findings] == [("RPR004", 4)]
+    assert findings[0].message.startswith("raise ValueError in library code")
 
 
 def test_typed_error_passes(run_rule):
     findings = run_rule(
-        TypedErrorsRule(),
+        rpr004_typed_errors,
         PATH,
         """
         from repro.exceptions import ValidationError
@@ -37,7 +38,7 @@ def test_typed_error_passes(run_rule):
 
 def test_reraise_not_flagged(run_rule):
     findings = run_rule(
-        TypedErrorsRule(),
+        rpr004_typed_errors,
         PATH,
         """
         def passthrough():
@@ -52,7 +53,7 @@ def test_reraise_not_flagged(run_rule):
 
 def test_abstract_not_implemented_allowed(run_rule):
     findings = run_rule(
-        TypedErrorsRule(),
+        rpr004_typed_errors,
         PATH,
         """
         class Base:
@@ -66,7 +67,7 @@ def test_abstract_not_implemented_allowed(run_rule):
 
 def test_not_implemented_in_real_body_flagged(run_rule):
     findings = run_rule(
-        TypedErrorsRule(),
+        rpr004_typed_errors,
         PATH,
         """
         def partial(mode):
@@ -75,18 +76,20 @@ def test_not_implemented_in_real_body_flagged(run_rule):
             raise NotImplementedError("slow path missing")
         """,
     )
-    assert [f.symbol for f in findings] == ["raise:NotImplementedError"]
+    assert [f.message.split(" in library")[0] for f in findings] == [
+        "raise NotImplementedError"
+    ]
 
 
-def test_exceptions_module_is_exempt():
-    rule = TypedErrorsRule()
-    assert not rule.applies_to("src/repro/exceptions.py")
-    assert rule.applies_to("src/repro/engine.py")
+def test_exceptions_module_is_exempt(run_rule):
+    source = "raise ValueError('bridge')\n"
+    assert run_rule(rpr004_typed_errors, "src/repro/exceptions.py", source) == []
+    assert len(run_rule(rpr004_typed_errors, "src/repro/engine.py", source)) == 1
 
 
 def test_runtime_and_type_errors_flagged(run_rule):
     findings = run_rule(
-        TypedErrorsRule(),
+        rpr004_typed_errors,
         PATH,
         """
         def f(x):
@@ -95,7 +98,7 @@ def test_runtime_and_type_errors_flagged(run_rule):
             raise RuntimeError("boom")
         """,
     )
-    assert sorted(f.symbol for f in findings) == [
-        "raise:RuntimeError",
-        "raise:TypeError",
+    assert [f.message.split(" in library")[0] for f in findings] == [
+        "raise TypeError",
+        "raise RuntimeError",
     ]

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from repro.analysis.rules.locks import LockPublishRule
+from repro.analysis import rpr002_lock_publish
 
 PATH = "src/repro/joins/tree_cache.py"
 
 
 def test_unguarded_subscript_assignment_flagged(run_rule):
     findings = run_rule(
-        LockPublishRule(),
+        rpr002_lock_publish,
         PATH,
         """
         class TreeCache:
@@ -17,13 +17,13 @@ def test_unguarded_subscript_assignment_flagged(run_rule):
                 self._entries[key] = value
         """,
     )
-    assert [f.symbol for f in findings] == ["attr:_entries"]
-    assert findings[0].context == "TreeCache.put"
+    assert [(f.rule_id, f.line) for f in findings] == [("RPR002", 4)]
+    assert "mutation of TreeCache._entries" in findings[0].message
 
 
 def test_mutation_under_lock_passes(run_rule):
     findings = run_rule(
-        LockPublishRule(),
+        rpr002_lock_publish,
         PATH,
         """
         class TreeCache:
@@ -37,7 +37,7 @@ def test_mutation_under_lock_passes(run_rule):
 
 def test_rebinding_whole_dict_flagged(run_rule):
     findings = run_rule(
-        LockPublishRule(),
+        rpr002_lock_publish,
         PATH,
         """
         class TreeCache:
@@ -45,12 +45,13 @@ def test_rebinding_whole_dict_flagged(run_rule):
                 self._entries = {}
         """,
     )
-    assert [f.symbol for f in findings] == ["attr:_entries"]
+    assert len(findings) == 1
+    assert "mutation of TreeCache._entries" in findings[0].message
 
 
 def test_mutator_method_flagged(run_rule):
     findings = run_rule(
-        LockPublishRule(),
+        rpr002_lock_publish,
         PATH,
         """
         class TreeCache:
@@ -58,12 +59,13 @@ def test_mutator_method_flagged(run_rule):
                 self._entries.clear()
         """,
     )
-    assert [f.symbol for f in findings] == ["attr:_entries"]
+    assert len(findings) == 1
+    assert "mutation of TreeCache._entries" in findings[0].message
 
 
 def test_alias_cannot_launder_mutation(run_rule):
     findings = run_rule(
-        LockPublishRule(),
+        rpr002_lock_publish,
         PATH,
         """
         class TreeCache:
@@ -72,12 +74,13 @@ def test_alias_cannot_launder_mutation(run_rule):
                 entries[key] = value
         """,
     )
-    assert [f.symbol for f in findings] == ["attr:_entries"]
+    assert len(findings) == 1
+    assert "mutation of TreeCache._entries" in findings[0].message
 
 
 def test_alias_mutation_under_lock_passes(run_rule):
     findings = run_rule(
-        LockPublishRule(),
+        rpr002_lock_publish,
         PATH,
         """
         class TreeCache:
@@ -92,7 +95,7 @@ def test_alias_mutation_under_lock_passes(run_rule):
 
 def test_init_is_exempt(run_rule):
     findings = run_rule(
-        LockPublishRule(),
+        rpr002_lock_publish,
         PATH,
         """
         class TreeCache:
@@ -105,7 +108,7 @@ def test_init_is_exempt(run_rule):
 
 def test_unguarded_class_is_ignored(run_rule):
     findings = run_rule(
-        LockPublishRule(),
+        rpr002_lock_publish,
         PATH,
         """
         class SomethingElse:
@@ -118,7 +121,7 @@ def test_unguarded_class_is_ignored(run_rule):
 
 def test_unguarded_attribute_is_ignored(run_rule):
     findings = run_rule(
-        LockPublishRule(),
+        rpr002_lock_publish,
         PATH,
         """
         class TreeCache:
@@ -131,7 +134,7 @@ def test_unguarded_attribute_is_ignored(run_rule):
 
 def test_index_catalog_attributes_guarded(run_rule):
     findings = run_rule(
-        LockPublishRule(),
+        rpr002_lock_publish,
         "src/repro/data/indexes.py",
         """
         class IndexCatalog:
@@ -141,16 +144,16 @@ def test_index_catalog_attributes_guarded(run_rule):
                 self._orders[sig] = []
         """,
     )
-    assert sorted(f.symbol for f in findings) == [
-        "attr:_hash_indexes",
-        "attr:_key_sets",
-        "attr:_orders",
+    assert [f.message.split(" outside")[0] for f in findings] == [
+        "mutation of IndexCatalog._hash_indexes",
+        "mutation of IndexCatalog._key_sets",
+        "mutation of IndexCatalog._orders",
     ]
 
 
 def test_delete_outside_lock_flagged(run_rule):
     findings = run_rule(
-        LockPublishRule(),
+        rpr002_lock_publish,
         PATH,
         """
         class TreeCache:
@@ -158,4 +161,5 @@ def test_delete_outside_lock_flagged(run_rule):
                 del self._entries[key]
         """,
     )
-    assert [f.symbol for f in findings] == ["attr:_entries"]
+    assert len(findings) == 1
+    assert "mutation of TreeCache._entries" in findings[0].message

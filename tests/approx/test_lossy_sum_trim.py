@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 from repro.approx.lossy_sum_trim import LossySumTrimmer
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.exceptions import TrimmingError
+from repro.exceptions import BudgetExceededError, ExecutionCancelledError, TrimmingError
 from repro.joins.counting import count_answers
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.query.predicates import Comparison, RankPredicate
 from repro.ranking.minmax import MaxRanking
 from repro.ranking.sum import SumRanking
+from repro.runtime import CancellationToken, ExecutionContext
+from repro.testing import FaultPlan, InjectedFault, inject_faults
+from tests.conftest import pivoting
 
 
 def three_path_instance(seed=0, rows=15, domain=4):
@@ -166,6 +169,57 @@ class TestGuarantees:
         assert count_answers(result.query, result.database) == len(
             result.query.answers_brute_force(result.database)
         )
+
+
+class TestGuardrails:
+    """Algorithm 4 is cooperative like every other trim: its row passes reach
+    ``trim.lossy_*`` checkpoints, so budgets, cancellation and fault injection
+    see it.  No wall clock anywhere — each limit is already tripped when the
+    trim starts."""
+
+    def trim(self):
+        query, db = three_path_instance(seed=1)
+        trimmer = LossySumTrimmer(SumRanking(["x1", "x2", "x3", "x4"]), epsilon=0.2)
+        return trimmer.trim(query, db, RankPredicate(Comparison.LT, 14))
+
+    def test_row_budget_is_charged(self):
+        with ExecutionContext(max_rows=1):
+            with pytest.raises(BudgetExceededError) as excinfo:
+                self.trim()
+        assert excinfo.value.budget == "rows"
+        assert excinfo.value.checkpoint.startswith("trim.lossy_")
+
+    def test_cancellation_is_observed(self):
+        token = CancellationToken()
+        token.cancel("caller went away")
+        with ExecutionContext(cancellation=token):
+            with pytest.raises(ExecutionCancelledError) as excinfo:
+                self.trim()
+        assert excinfo.value.checkpoint.startswith("trim.lossy_")
+
+    def test_deadline_is_observed(self):
+        readings = iter([0.0])  # armed at 0; every later reading is past it
+        with ExecutionContext(timeout=1, clock=lambda: next(readings, 5.0)):
+            with pytest.raises(BudgetExceededError) as excinfo:
+                self.trim()
+        assert excinfo.value.budget == "timeout"
+        assert excinfo.value.checkpoint.startswith("trim.lossy_")
+
+    @pytest.mark.faults
+    @pytest.mark.parametrize(
+        "name", ["trim.lossy_scan", "trim.lossy_absorb", "trim.lossy_embed"]
+    )
+    def test_fault_then_clean_retry_matches_an_undisturbed_run(self, name):
+        query, db = three_path_instance(seed=1)
+        ranking = SumRanking(["x1", "x2", "x3", "x4"])
+        knobs = dict(epsilon=0.2, strategy="approx-pivot")
+        undisturbed = repr(pivoting(query, db, ranking, **knobs).quantile(0.5))
+        prepared = pivoting(query, db, ranking, **knobs)
+        with inject_faults(FaultPlan().arm(name, after=1)) as plan:
+            with pytest.raises(InjectedFault):
+                prepared.quantile(0.5)
+        assert plan.fired == [(name, 2)]
+        assert repr(prepared.quantile(0.5)) == undisturbed
 
 
 @settings(max_examples=15, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.exceptions import QueryError
-from repro.joins.message_passing import MaterializedTree, merge_assignments
+from repro.joins.message_passing import MaterializedTree
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.query.join_tree import build_join_tree
@@ -57,14 +57,3 @@ class TestMaterializedTree:
         tree = MaterializedTree(figure1_query, figure1_db, rooted=rooted)
         assert tree.root == 3
         assert tree.nodes_top_down()[0] == 3
-
-
-class TestMergeAssignments:
-    def test_disjoint(self):
-        assert merge_assignments({"a": 1}, {"b": 2}) == {"a": 1, "b": 2}
-
-    def test_consistent_overlap(self):
-        assert merge_assignments({"a": 1}, {"a": 1, "b": 2}) == {"a": 1, "b": 2}
-
-    def test_conflict(self):
-        assert merge_assignments({"a": 1}, {"a": 2}) is None
