@@ -11,7 +11,11 @@ the join stack keeps rebuilding:
 * **weight orders** — row positions sorted by a caller-supplied key function,
   memoized under a caller-supplied hashable tag (which should embed the
   identifying objects themselves, never their ``id()``) — serving the
-  trimmers' per-group sorts.
+  trimmers' per-group sorts;
+* **per-variable weight columns and orders** — ``weight(variable, value)``
+  per value of one column, and its stable argsort with the sorted weights —
+  which the MIN/MAX/LEX trims bisect instead of scanning rows, and which a
+  trim's output inherits from its base.
 
 Appends no longer drop the catalog wholesale: :meth:`Relation.add` calls
 :meth:`IndexCatalog.note_append`, which absorbs the new row into every
@@ -44,6 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 Value = Any
 Row = tuple[Value, ...]
 Key = tuple[Value, ...]
+#: ``weight(variable, value)``: a ranking's bound ``variable_weight`` / ``key_of``.
+VariableWeight = Callable[[str, Value], Any]
 
 
 class IndexCatalog:
@@ -54,7 +60,9 @@ class IndexCatalog:
     keeping memoized weight values warm across :meth:`Relation.add` calls.
     Appends assume a single writer (like :meth:`Relation.add` itself);
     concurrent readers remain safe because kept structures are only ever
-    extended and replaced structures are published whole.
+    extended and replaced structures are published whole.  ``relation`` is a
+    catalog-less twin of the owner over the same store (see
+    :attr:`Relation.indexes`): the catalog never points back at its owner.
     """
 
     __slots__ = (
@@ -202,24 +210,27 @@ class IndexCatalog:
         into a fresh list, so readers holding the old array never observe
         growth mid-scan.
         """
+        return self._values(
+            tag, lambda start: [key(row) for row in self.relation.rows[start:]]
+        )
+
+    def _values(self, tag: Hashable, tail: Callable[[int], list[Any]]) -> list[Any]:
+        """The array memoized under ``tag``; ``tail(start)`` computes its
+        entries for the rows from ``start`` on (all of them, or the appended)."""
         signature: Hashable = ("__values__", tag)
         values = self._orders.get(signature)
+        length = len(self.relation)
         if values is not None:
-            relation = self.relation
-            if len(values) == len(relation):
-                self.hits += 1
+            self.hits += 1
+            if len(values) == length:
                 return values
             # Stale-short after appends: keep the already-computed prefix.
-            self.hits += 1
-            checkpoint("index.weights", rows=len(relation) - len(values))
-            rows = relation.rows
-            extended = list(values)
-            extended.extend(key(row) for row in rows[len(values):])
+            checkpoint("index.weights", rows=length - len(values))
+            extended = values + tail(len(values))
             return self._publish_overwrite(self._orders, signature, extended)
         self.misses += 1
-        checkpoint("index.weights", rows=len(self.relation))
-        values = [key(row) for row in self.relation.rows]
-        return self._publish(self._orders, signature, values)
+        checkpoint("index.weights", rows=length)
+        return self._publish(self._orders, signature, tail(0))
 
     def weight_order(self, tag: Hashable, key: Callable[[Row], Any]) -> list[int]:
         """Row positions sorted by ``key(row)``, memoized under ``tag``."""
@@ -252,6 +263,60 @@ class IndexCatalog:
         checkpoint("index.memo")
         value = compute()
         return self._publish(self._orders, signature, value)
+
+    # ------------------------------------------------------------------ #
+    # Per-variable weight columns (MIN/MAX/LEX trims, pivot selection)
+    # ------------------------------------------------------------------ #
+    def column_weights(
+        self, position: int, variable: str, weight: VariableWeight
+    ) -> list[Any]:
+        """``weight(variable, value)`` per value of the column at ``position``.
+
+        Memoized under ``(weight, variable, position)`` — pass the ranking's
+        bound method itself (``ranking.variable_weight``, ``ranking.key_of``):
+        bound methods of one object compare and hash equal, so the function
+        is its own tag.  Kept across appends like :meth:`weight_values`.
+        """
+        column = self.relation.store.column
+        return self._values(
+            (weight, variable, position),
+            lambda start: [weight(variable, value) for value in column(position)[start:]],
+        )
+
+    def seed_column_weights(
+        self, position: int, variable: str, weight: VariableWeight, values: list[Any]
+    ) -> None:
+        """Install what :meth:`column_weights` would compute: a trim gathers
+        its output's weight columns from the relation it selected rows of."""
+        self._publish(self._orders, ("__values__", (weight, variable, position)), values)
+
+    def known_column_weights(
+        self, position: int, variable: str, weight: VariableWeight
+    ) -> list[Any] | None:
+        """:meth:`column_weights` if memoized or seeded and current, else
+        ``None`` — never computes, charges no rows."""
+        values = self._orders.get(("__values__", (weight, variable, position)))
+        if values is None or len(values) != len(self.relation):
+            return None
+        self.hits += 1
+        return values
+
+    def column_order(
+        self, position: int, variable: str, weight: VariableWeight
+    ) -> tuple[list[int], list[Any]]:
+        """Row positions stably sorted by :meth:`column_weights`, and the
+        weights in that order — so a bound on the variable's weight is two
+        bisects and the survivors one contiguous run of the order.  A memo:
+        built once per relation, dropped by :meth:`note_append`."""
+
+        def build() -> tuple[list[int], list[Any]]:
+            checkpoint("index.order", rows=len(self.relation))
+            kernel = active_backend()
+            values = self.column_weights(position, variable, weight)
+            order = kernel.argsort(values)
+            return order, kernel.take(values, order)
+
+        return self.memo(("column_order", weight, variable, position), build)
 
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

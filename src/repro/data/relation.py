@@ -124,13 +124,20 @@ class Relation:
         Creation is guarded by a module-wide lock so concurrent first readers
         share one catalog — two catalogs for the same relation would each
         rebuild every index, silently halving the service's cache hit rate.
+
+        The catalog indexes a catalog-less twin of this relation (same name,
+        schema and store; appends mutate the store in place, so the twin
+        never falls behind).  Pointing it back at ``self`` would make every
+        relation with a catalog a reference cycle: the columns of each
+        dropped trimmed relation would wait for the cyclic collector.
         """
         catalog = self._catalog
         if catalog is None:
             with _CATALOG_CREATION_LOCK:
                 catalog = self._catalog
                 if catalog is None:
-                    catalog = self._catalog = IndexCatalog(self)
+                    twin = Relation.from_store(self.name, self.schema, self._store)
+                    catalog = self._catalog = IndexCatalog(twin)
         return catalog
 
     @property

@@ -128,13 +128,11 @@ class ParallelSession:
         guards = self._guards()
         submitted: list[tuple[int, ShardFuture]] = [
             (shard, self._pool.submit(shard, op, payload, guards))
-            # repro-analysis: allow RPR001 -- O(K) fan-out, K = shard count
             for shard, op, payload in tasks
         ]
         payloads: list[Any] = []
         rows = 0
         for shard, future in submitted:
-            # repro-analysis: allow RPR001 -- O(K) gather, K = shard count
             payload, used = self._unwrap(shard, self._pool.result(shard, future))
             payloads.append(payload)
             rows += used

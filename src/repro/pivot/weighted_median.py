@@ -64,7 +64,6 @@ def weighted_median(
         raise ValidationError("items and multiplicities must have the same length")
     kept_items: list[Item] = []
     kept_mults: list[int] = []
-    # repro-analysis: allow RPR001 -- zero-weight filter: one linear pass; checkpoint follows
     for item, mult in zip(items, multiplicities):
         if mult > 0:
             kept_items.append(item)

@@ -3,22 +3,22 @@
 A lexicographic inequality ``(x1, ..., xr) <LEX λ`` decomposes into ``r``
 disjoint partitions: in partition ``i`` the first ``i−1`` keys equal the
 corresponding components of ``λ`` and the ``i``-th key is strictly smaller.
-Each partition is a conjunction of unary predicates, so the union-of-copies
-construction of Algorithm 3 applies unchanged; the trimming is linear and
-preserves acyclicity, recovering the known LEX tractability up to a log
-factor (Section 5.2).
+Each partition is a conjunction of bounds on single variables' keys ("equals
+c" is the interval ``[c, c]``) — runs of the relations' memoized key orders
+(:mod:`repro.trim.filters`) — so the union-of-copies construction of
+Algorithm 3 applies unchanged; the trimming is linear and preserves
+acyclicity, recovering the known LEX tractability up to a log factor
+(Section 5.2).  A two-sided region composes the two single-inequality trims.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Sequence
-from typing import Any
+from collections.abc import Sequence
 
 from repro.data.database import Database
 from repro.exceptions import TrimmingError
 from repro.query.join_query import JoinQuery
-from repro.query.predicates import RankPredicate
+from repro.query.predicates import RankPredicate, WeightInterval
 from repro.ranking.lex import LexRanking
 from repro.trim.base import TrimResult, Trimmer
 from repro.trim.filters import union_partitions
@@ -49,49 +49,28 @@ class LexTrimmer(Trimmer):
             )
         threshold = self._as_tuple(predicate.threshold, len(variables))
         upper = predicate.comparison.is_upper_bound
-        strict = predicate.comparison.is_strict
-        key = ranking.key_of
-
-        def equal_to(variable: str, component: float) -> Callable[[Any], bool]:
-            return lambda value: key(variable, value) == component
-
-        def below(variable: str, component: float) -> Callable[[Any], bool]:
-            return lambda value: key(variable, value) < component
-
-        def above(variable: str, component: float) -> Callable[[Any], bool]:
-            return lambda value: key(variable, value) > component
-
-        partitions = []
-        # repro-analysis: allow RPR001 -- bounded by ranking arity; row work checkpoints in union_partitions
-        for index, variable in enumerate(variables):
-            component = threshold[index]
-            if math.isinf(component) and (
-                (upper and component > 0) or (not upper and component < 0)
-            ):
-                # The bound is +inf for an upper bound (or -inf for a lower
-                # bound) at this position: every remaining value qualifies, so
-                # this partition absorbs everything consistent with the prefix.
-                conditions = {
-                    variables[j]: equal_to(variables[j], threshold[j]) for j in range(index)
-                }
-                partitions.append(conditions)
-                break
-            conditions = {
-                variables[j]: equal_to(variables[j], threshold[j]) for j in range(index)
+        equal = {
+            variable: WeightInterval(component, component, False, False)
+            for variable, component in zip(variables, threshold)
+        }
+        # Partition i: the keys before position i equal the threshold's, key i
+        # is strictly on the predicate's side of it.  Ordinary bounds are
+        # exact for ±inf components too (they occur when the data holds them).
+        partitions = [
+            {
+                **{prior: equal[prior] for prior in variables[:index]},
+                variable: (
+                    WeightInterval(high=component) if upper else WeightInterval(low=component)
+                ),
             }
-            conditions[variable] = (
-                below(variable, component) if upper else above(variable, component)
-            )
-            partitions.append(conditions)
-        if not strict:
+            for index, (variable, component) in enumerate(zip(variables, threshold))
+        ]
+        if not predicate.comparison.is_strict:
             # One extra partition for exact equality on every component.
-            partitions.append(
-                {
-                    variables[j]: equal_to(variables[j], threshold[j])
-                    for j in range(len(variables))
-                }
-            )
-        return union_partitions(query, db, partitions, partition_base_name="lex")
+            partitions.append(equal)
+        return union_partitions(
+            query, db, partitions, ranking.key_of, partition_base_name="lex"
+        )
 
     # ------------------------------------------------------------------ #
     @staticmethod

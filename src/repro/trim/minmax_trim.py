@@ -1,22 +1,22 @@
 """Exact trimming for MIN and MAX rankings (Lemma 5.2, Algorithm 3).
 
-For a MAX ranking, ``max < λ`` is enforced by filtering every weighted
-variable's occurrences; ``max > λ`` is expressed as a union of ``r`` disjoint
-partitions, the ``i``-th requiring the first ``i−1`` weighted variables to be
-``≤ λ`` and the ``i``-th to be ``> λ`` (Example 5.1 / Figure 3).  MIN is
-symmetric.  Both trims run in linear time and return an acyclic query, which
-yields Theorem 5.3.
+For a MAX ranking, ``max < λ`` holds when every weighted variable's weight is
+below ``λ``; ``max > λ`` is a union of ``r`` disjoint partitions, the ``i``-th
+requiring the first ``i−1`` weighted variables to be ``≤ λ`` and the ``i``-th
+to be ``> λ`` (Example 5.1 / Figure 3).  MIN is symmetric.  Every condition
+is a bound on one variable's weight — a run of the relation's memoized weight
+order (:mod:`repro.trim.filters`) — so a two-sided candidate region is one
+pass over the base relations: the every-variable bound is met into each
+partition of the other side.  The trim runs in linear time and returns an
+acyclic query, which yields Theorem 5.3.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from typing import Any
-
 from repro.data.database import Database
 from repro.exceptions import TrimmingError
 from repro.query.join_query import JoinQuery
-from repro.query.predicates import Comparison, RankPredicate
+from repro.query.predicates import RankPredicate, WeightInterval
 from repro.ranking.base import RankingFunction
 from repro.ranking.minmax import MaxRanking, MinRanking
 from repro.trim.base import TrimResult, Trimmer
@@ -38,6 +38,20 @@ class MinMaxTrimmer(Trimmer):
     def trim(
         self, query: JoinQuery, db: Database, predicate: RankPredicate
     ) -> TrimResult:
+        return self.trim_interval(query, db, predicate.interval())
+
+    def trim_interval(
+        self, query: JoinQuery, db: Database, interval: WeightInterval
+    ) -> TrimResult:
+        """Trim ``low < w(U_w) < high`` in one pass over ``db``.
+
+        Relation for relation and row for row what composing the two
+        single-inequality trims gives: the partitions of the *some variable*
+        side (``max > low`` / ``min < high``), each met with the *every
+        variable* bound of the other side (``max < high`` / ``min > low``).
+        """
+        if interval.is_unbounded:
+            return TrimResult(query, db)
         weighted = [
             v for v in self.ranking.weighted_variables if v in query.variables
         ]
@@ -45,65 +59,32 @@ class MinMaxTrimmer(Trimmer):
             raise TrimmingError(
                 "none of the weighted variables occur in the query; cannot trim"
             )
-        is_max = isinstance(self.ranking, MaxRanking)
-        if is_max and predicate.comparison.is_upper_bound:
-            return self._trim_by_filter(query, db, weighted, predicate)
-        if not is_max and not predicate.comparison.is_upper_bound:
-            return self._trim_by_filter(query, db, weighted, predicate)
-        return self._trim_by_partitions(query, db, weighted, predicate)
-
-    # ------------------------------------------------------------------ #
-    def _trim_by_filter(
-        self,
-        query: JoinQuery,
-        db: Database,
-        weighted: list[str],
-        predicate: RankPredicate,
-    ) -> TrimResult:
-        """``max <op λ`` with an upper bound / ``min <op λ`` with a lower bound:
-        every weighted variable must individually satisfy the bound."""
-        threshold = predicate.threshold
-        comparison = predicate.comparison
-
-        def make_condition(variable: str) -> Callable[[Any], bool]:
-            weight = self.ranking.variable_weight
-            return lambda value: comparison.holds(weight(variable, value), threshold)
-
-        conditions = {variable: make_condition(variable) for variable in weighted}
-        new_query, new_db = filter_variables(query, db, conditions)
-        return TrimResult(new_query, new_db)
-
-    def _trim_by_partitions(
-        self,
-        query: JoinQuery,
-        db: Database,
-        weighted: list[str],
-        predicate: RankPredicate,
-    ) -> TrimResult:
-        """``max <op λ`` with a lower bound / ``min <op λ`` with an upper bound:
-        union of one partition per weighted variable (Algorithm 3)."""
-        threshold = predicate.threshold
-        comparison = predicate.comparison
         weight = self.ranking.variable_weight
-        # The "witness" condition (variable i violates the bound in the right
-        # direction) and the "already decided" condition (variables before i
-        # do not).
-        if comparison is Comparison.GT:
-            witness = lambda var: (lambda v: weight(var, v) > threshold)  # noqa: E731
-            earlier = lambda var: (lambda v: weight(var, v) <= threshold)  # noqa: E731
-        elif comparison is Comparison.GE:
-            witness = lambda var: (lambda v: weight(var, v) >= threshold)  # noqa: E731
-            earlier = lambda var: (lambda v: weight(var, v) < threshold)  # noqa: E731
-        elif comparison is Comparison.LT:
-            witness = lambda var: (lambda v: weight(var, v) < threshold)  # noqa: E731
-            earlier = lambda var: (lambda v: weight(var, v) >= threshold)  # noqa: E731
-        else:  # Comparison.LE
-            witness = lambda var: (lambda v: weight(var, v) <= threshold)  # noqa: E731
-            earlier = lambda var: (lambda v: weight(var, v) > threshold)  # noqa: E731
-        partitions = []
-        # repro-analysis: allow RPR001 -- bounded by ranking arity; row work checkpoints in union_partitions
-        for index, variable in enumerate(weighted):
-            conditions = {prior: earlier(prior) for prior in weighted[:index]}
-            conditions[variable] = witness(variable)
-            partitions.append(conditions)
-        return union_partitions(query, db, partitions, partition_base_name="mm")
+        low, low_strict = interval.low, interval.low_strict
+        high, high_strict = interval.high, interval.high_strict
+        if isinstance(self.ranking, MaxRanking):
+            every = WeightInterval(high=high, high_strict=high_strict)
+            some = low
+            # Variables before the witness fail its bound (Algorithm 3).
+            earlier = WeightInterval(high=low, high_strict=not low_strict)
+        else:
+            every = WeightInterval(low=low, low_strict=low_strict)
+            some = high
+            earlier = WeightInterval(low=high, low_strict=not high_strict)
+        if some is None:
+            new_query, new_db = filter_variables(
+                query, db, dict.fromkeys(weighted, every), weight
+            )
+            return TrimResult(new_query, new_db)
+        earlier = earlier.meet(every)
+        # Partition i: variable i is the witness (inside the interval itself),
+        # the ones before it are not, the ones after it only obey ``every``.
+        partitions = [
+            {
+                **dict.fromkeys(weighted[:index], earlier),
+                variable: interval,
+                **dict.fromkeys(weighted[index + 1:], every),
+            }
+            for index, variable in enumerate(weighted)
+        ]
+        return union_partitions(query, db, partitions, weight, partition_base_name="mm")

@@ -4,6 +4,7 @@ including the invalidation guarantees after mutation."""
 from __future__ import annotations
 
 from repro.data.relation import Relation
+from repro.ranking.minmax import MaxRanking
 
 from tests.conftest import semijoin_positions
 
@@ -43,6 +44,25 @@ class TestHashIndex:
         assert relation.indexes.key_set(("y",)) == {("a",), ("b",), ("c",)}
 
 
+class TestLifetime:
+    def test_a_relation_with_a_catalog_is_not_a_reference_cycle(self):
+        # Trims drop thousands of relations that own a catalog; each must be
+        # freed by its last reference, not wait for the cyclic collector.
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            relation = make_relation()
+            relation.indexes.hash_index(("x",))
+            relation.add((9, "z"))
+            assert relation.indexes.hash_index(("x",))[(9,)] == [4]
+            del relation
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestOrders:
     def test_weight_order_and_values(self):
         relation = make_relation()
@@ -50,6 +70,39 @@ class TestOrders:
         order = relation.indexes.weight_order(("neg",), key)
         assert order == [3, 1, 0, 2]
         assert relation.indexes.weight_values(("neg",), key) == [-1, -2, -1, -3]
+
+    def test_column_order_is_the_stable_argsort_and_its_weights(self):
+        relation = make_relation()
+        ranking = MaxRanking(["x"])
+        weights = relation.indexes.column_weights(0, "x", ranking.variable_weight)
+        assert weights == [1.0, 2.0, 1.0, 3.0]
+        order = relation.indexes.column_order(0, "x", ranking.variable_weight)
+        assert order == ([0, 2, 1, 3], [1.0, 1.0, 2.0, 3.0])
+        # The bound method is its own tag: each access of it is a new object
+        # that compares equal, so it hits; another ranking's does not.
+        misses = relation.indexes.misses
+        assert relation.indexes.column_order(0, "x", ranking.variable_weight) is order
+        assert relation.indexes.misses == misses
+        other = MaxRanking(["x"], {"x": lambda value: -value})
+        assert relation.indexes.column_order(0, "x", other.variable_weight)[0] == [3, 1, 0, 2]
+
+    def test_seeded_column_weights_are_served_without_computing(self):
+        relation = make_relation()
+        weight = MaxRanking(["x"]).variable_weight
+        assert relation.indexes.known_column_weights(0, "x", weight) is None
+        seeded = [1.0, 2.0, 1.0, 3.0]
+        relation.indexes.seed_column_weights(0, "x", weight, seeded)
+        assert relation.indexes.known_column_weights(0, "x", weight) is seeded
+        assert relation.indexes.column_weights(0, "x", weight) is seeded
+        # After an append the seed is stale-short: not "known", extended on read,
+        # and the order (a memo) is rebuilt.
+        order, _ = relation.indexes.column_order(0, "x", weight)
+        relation.add((0, "z"))
+        assert relation.indexes.known_column_weights(0, "x", weight) is None
+        assert relation.indexes.column_weights(0, "x", weight) == seeded + [0.0]
+        assert seeded == [1.0, 2.0, 1.0, 3.0]
+        assert relation.indexes.column_order(0, "x", weight)[0] == [4, 0, 2, 1, 3]
+        assert order == [0, 2, 1, 3]
 
     def test_tag_objects_are_pinned_alive(self):
         # Tags embed identifying objects (e.g. the ranking); the memo table

@@ -35,7 +35,7 @@ pytestmark = pytest.mark.faults
 PHIS = [0.1, 0.5, 0.9]
 
 #: Call sites that declare an interruption point without charging rows.
-NO_ROW_CHARGE = {"direct_access.expand", "materialize.brute_force"}
+NO_ROW_CHARGE = {"direct_access.expand", "materialize.brute_force", "trim.inherit"}
 
 
 class RowLedger(ExecutionContext):
@@ -85,13 +85,14 @@ def cyclic_materialize_stage(query, db):
 
 
 STAGES = {
+    # ``index.order`` is the per-variable weight order the filters bisect.
     "min": (
         lambda q, db: batch(q, db, MinRanking(["x1", "x4"])),
-        {"trim.filter", "trim.union"},
+        {"trim.filter", "trim.union", "trim.inherit", "index.order"},
     ),
     "lex": (
         lambda q, db: batch(q, db, LexRanking(["x1", "x4"])),
-        {"trim.filter", "trim.union"},
+        {"trim.filter", "trim.union", "trim.inherit", "index.order"},
     ),
     "partial-sum, one atom": (
         lambda q, db: batch(q, db, SumRanking(["x1", "x2"])),

@@ -1,5 +1,6 @@
 """Exact trimming for lexicographic orders (Lemma 5.4)."""
 
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.engine import Engine
 from repro.exceptions import TrimmingError
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
@@ -69,8 +71,6 @@ class TestLexTrimmer:
         assert result.query.is_acyclic
 
     def test_infinite_upper_threshold_keeps_everything(self):
-        import math
-
         query, db = make_instance(seed=3)
         ranking = LexRanking(["x1", "x3"])
         trimmer = LexTrimmer(ranking)
@@ -121,3 +121,48 @@ def test_lex_trim_property_random(seed, threshold, upper):
     assert weights_of(result.query, result.database, ranking) == satisfying_weights(
         query, db, ranking, predicate
     )
+
+
+# ---------------------------------------------------------------------- #
+# ±inf in the data (not a sentinel: unbounded is ``WeightInterval``'s None)
+# ---------------------------------------------------------------------- #
+def test_infinite_threshold_component_is_an_ordinary_bound():
+    """``lex < (inf, 3)`` drops the rows equal to or above it: a ±inf
+    component arises only from a pivot whose data holds it."""
+    query = JoinQuery([Atom("R", ("x1", "x2"))])
+    db = Database(
+        [Relation("R", ("a", "b"), [(math.inf, 2), (math.inf, 3), (math.inf, 5), (1, 9)])]
+    )
+    ranking = LexRanking(["x1", "x2"])
+    for comparison, kept in [
+        (Comparison.LT, [(1.0, 9.0), (math.inf, 2.0)]),
+        (Comparison.LE, [(1.0, 9.0), (math.inf, 2.0), (math.inf, 3.0)]),
+    ]:
+        result = LexTrimmer(ranking).trim(
+            query, db, RankPredicate(comparison, (math.inf, 3.0))
+        )
+        assert weights_of(result.query, result.database, ranking) == kept
+
+
+@pytest.mark.parametrize("ranking_spec", ["lex(x1, x2)", "lex(x2, x1, x3)"])
+@pytest.mark.parametrize("infinity", [float("-inf"), float("inf")])
+def test_every_selection_over_infinite_values_equals_the_oracle(ranking_spec, infinity):
+    """Regression: the trimmer read a ±inf threshold component as "unbounded
+    from here on" and kept every remaining row, so with ±inf in the data 23
+    (and 106) of these 330 selections returned a wrong weight and 45 raised
+    ``SolverError("pivoting did not converge")``."""
+    values = [0, 0.0, -0.0, True, 1, 2, 2.0, -1.5, 0.5, 2**63 + 11, infinity]
+    db = Database(
+        [
+            Relation(f"R{arm}", ("x0", f"x{arm}"),
+                     [((i + arm) % 2, value) for i, value in enumerate(values)])
+            for arm in (1, 2, 3)
+        ]
+    )
+    query = "R1(x0, x1), R2(x0, x2), R3(x0, x3)"
+    oracle = Engine(db).prepare(query, ranking_spec, strategy="materialize")
+    pivoting = Engine(db).prepare(query, ranking_spec, termination_factor=1)
+    assert pivoting.count() == 330
+    assert [pivoting.selection(i).weight for i in range(330)] == [
+        oracle.selection(i).weight for i in range(330)
+    ]
