@@ -136,6 +136,16 @@ class PivotStep:
     count_gt: int
 
 
+class Terminal(Protocol):
+    """The remaining candidates of one interval, sorted by weight (``len()``
+    of them); what the answer cache holds and ``estimated_bytes`` charges."""
+
+    def __len__(self) -> int: ...
+    def estimated_bytes(self) -> int: ...
+    def select(self, position: int) -> tuple[Any, Assignment]:
+        """The (weight, assignment) at ``position``; the dict is the caller's."""
+
+
 class CandidateSource(Protocol):
     """What Algorithm 1 needs to know about the candidate answers.
 
@@ -157,8 +167,8 @@ class CandidateSource(Protocol):
 
     def terminal(
         self, interval: WeightInterval, handle: Any, keep: Collection[str]
-    ) -> SortedAnswers:
-        """``handle``'s candidates as weight-sorted columns over ``keep``."""
+    ) -> Terminal:
+        """``handle``'s candidates in weight order, assignments over ``keep``."""
 
 
 LocalHandle = tuple[JoinQuery, Database]
@@ -222,10 +232,7 @@ class LocalCandidates:
     def terminal(
         self, interval: WeightInterval, handle: LocalHandle, keep: Collection[str]
     ) -> SortedAnswers:
-        query, db = handle
-        return evaluate_sorted(
-            query, db, self.ranking, tree=self.tree_cache.get(query, db), keep=keep
-        )
+        return evaluate_sorted(*handle, self.ranking, self.tree_cache.get(*handle), keep)
 
 
 def run_pivoting(
@@ -238,7 +245,7 @@ def run_pivoting(
     exact: bool = True,
     epsilon: float | None = None,
     step_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
-    answer_cache: MutableMapping[WeightInterval, SortedAnswers] | None = None,
+    answer_cache: MutableMapping[WeightInterval, Terminal] | None = None,
 ) -> QuantileResult:
     """Algorithm 1 over a candidate source: the one pivoting loop.
 
@@ -310,20 +317,16 @@ def run_pivoting(
             weight = step.pivot_weight
             break
     else:
-        # Materialize the remaining candidates and finish with plain
-        # selection.  The weight-sorted candidate columns of a terminal
-        # interval are shared across calls through answer_cache (calls whose
-        # targets land in the same interval pay the enumerate-and-sort once).
+        # Sort the remaining candidates and finish with plain selection; the
+        # terminal of an interval is shared across calls through answer_cache
+        # (targets landing in one interval pay the enumerate-and-sort once).
         answers = answer_cache.get(interval)
         if answers is None:
             answers = source.terminal(interval, handle, keep)
-            if not answers[0]:
+            if not len(answers):
                 raise SolverError("no candidate answers remained to materialize")
             answer_cache[interval] = answers
-        weights, columns = answers
-        position = min(remaining_index, len(weights) - 1)
-        assignment = {variable: column[position] for variable, column in columns.items()}
-        weight = weights[position]
+        weight, assignment = answers.select(min(remaining_index, len(answers) - 1))
     return QuantileResult(
         assignment=assignment,
         weight=weight,
@@ -347,7 +350,7 @@ def pivoting_quantile(
     epsilon: float | None = None,
     termination_size: int | None = None,
     pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
-    answer_cache: MutableMapping[WeightInterval, SortedAnswers] | None = None,
+    answer_cache: MutableMapping[WeightInterval, Terminal] | None = None,
     tree_cache: TreeCache | None = None,
     source: LocalCandidates | None = None,
 ) -> QuantileResult:
@@ -372,9 +375,8 @@ def pivoting_quantile(
         pivot selection, trimming, and counting over repeated φ values.
     answer_cache:
         Mutable mapping from terminal candidate interval to its weight-sorted
-        answer columns (already projected to the query's variables), sharing
-        the final materialize-and-select step across calls that end in the
-        same interval.
+        answers (already projected to the query's variables), sharing the
+        final sort-and-select step across calls that end in one interval.
     tree_cache:
         Shared :class:`~repro.joins.tree_cache.TreeCache` so pivot
         selection, partition counting, and terminal materialization reuse

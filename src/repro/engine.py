@@ -797,13 +797,11 @@ class PreparedQuery:
         # Each cached tree re-materializes roughly the candidate database.
         total += len(self._tree_cache) * self.db.size * row_bytes
         # Each memoized pivot iteration keeps two trimmed sub-database views
-        # (masks over shared columns); each answer-cache entry (serial and
-        # sharded) a weight column plus one value column per variable, charged
-        # at their actual lengths (up to termination_factor * |D| each).
+        # (masks over shared columns); each answer-cache entry what it holds:
+        # serial, sorted prefix answers and picks; sharded, merged columns.
         total += self.pivot_cache_size * 1024
         for _, answers in list(self._caches.values()):
-            for weights, columns in list(answers.values()):
-                total += 8 * len(weights) * (1 + len(columns))
+            total += sum(terminal.estimated_bytes() for terminal in list(answers.values()))
         # Shard payloads are replicated into worker processes; charge the
         # shipped rows (broadcast replication included) at the same rate.
         if self._parallel_plan is not None:

@@ -42,6 +42,7 @@ class NodeState:
         self.variables, self.rows = _materialize_atom(atom, relation)
         self._columns: dict[int, list[Any]] = {}
         self._weights: dict[tuple[RankingFunction, int], list[Weight]] = {}
+        self._group_weights: dict[Hashable, list[Weight] | None] = {}
         self._groups: dict[tuple[str, ...], dict[Row, list[int]]] = {}
         self._group_ids: dict[tuple[str, ...], list[int]] = {}
 
@@ -76,6 +77,22 @@ class NodeState:
                 cached = [weight(variable, v) for v in self.column(position)]
             self._weights[ranking, position] = cached
         return cached
+
+    def group_weights(
+        self, ranking: RankingFunction, position: int, join_vars: tuple[str, ...]
+    ) -> list[Weight] | None:
+        """Per join group (in :meth:`groups` order) the one weight its rows
+        carry in a column, or ``None`` when some group mixes weights: "one"
+        is bit for bit (same ``repr``), and ``0 == 0.0 == -0.0`` share a group."""
+        key = (ranking, position, join_vars)
+        if key not in self._group_weights:
+            checkpoint("tree.group_weights", rows=len(self.rows))
+            weights = self.weight_column(ranking, position)
+            groups = self.groups(join_vars).values()
+            constant = all(len({repr(weights[i]) for i in rows}) == 1 for rows in groups)
+            per_group = [weights[rows[0]] for rows in groups] if constant else None
+            self._group_weights[key] = per_group
+        return self._group_weights[key]
 
     def groups(self, join_vars: tuple[str, ...]) -> dict[Row, list[int]]:
         """The rows' join groups under ``join_vars``: {key: [row indices]}."""
@@ -269,6 +286,13 @@ class MaterializedTree:
     ) -> list[Weight]:
         """``ranking``'s variable weights of one node column (cached, read-only)."""
         return self._nodes[node].weight_column(ranking, position)
+
+    def group_weights(
+        self, parent: int, child: int, position: int, ranking: RankingFunction
+    ) -> list[Weight] | None:
+        """:meth:`NodeState.group_weights` of one child column (cached, read-only)."""
+        join_vars = self._join_vars[(parent, child)]
+        return self._nodes[child].group_weights(ranking, position, join_vars)
 
     def num_child_groups(self, parent: int, child: int) -> int:
         """Number of join groups on one parent-child edge."""

@@ -13,12 +13,14 @@ of being rebuilt here.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Collection, Iterable, Sequence
 from itertools import chain, compress, repeat
 from typing import Any
 
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.joins.counting import subtree_counts
 from repro.joins.message_passing import MaterializedTree
 from repro.kernels import active_backend
 from repro.query.join_query import JoinQuery
@@ -26,38 +28,20 @@ from repro.ranking.base import RankingFunction, Weight
 from repro.runtime import checkpoint
 
 Assignment = dict[str, Any]
-Row = tuple[Any, ...]
-
-#: Weight-sorted answers as columns: the ascending weight column and one
-#: parallel value column per variable (in :func:`evaluate`'s dict key order).
-SortedAnswers = tuple[list[Weight], dict[str, list[Any]]]
+_Index = dict[int, list[int]]  # per placed node, the row of each partial answer
+_Fold = tuple[int, list[Weight]]  # a placed node and one weight per row of it
 
 
 def _reduced_row_flags(tree: MaterializedTree) -> dict[int, list[int]]:
     """Compute which rows survive the full reducer (bottom-up + top-down
-    semi-join passes).  A surviving row (flag 1) participates in at least one
-    answer.  Both passes run as whole-column kernel ops over the tree's dense
-    group-ordinal arrays: a semijoin is a per-group sum of 0/1 alive flags,
-    clamped back to 0/1 and gathered through the other side's ordinals."""
+    semi-join passes).  A surviving row (nonzero flag) participates in at
+    least one answer.  Bottom-up, a row dies if some child join group has no
+    surviving row: its subtree count is 0.  The top-down pass runs as
+    whole-column kernel ops over the tree's dense group-ordinal arrays: a
+    semijoin is a per-group sum of the flags, clamped to 0/1 and gathered
+    through the other side's ordinals."""
     kernel = active_backend()
-    alive: dict[int, list[int]] = {
-        node: [1] * len(tree.rows(node)) for node in tree.nodes_bottom_up()
-    }
-    # Bottom-up: a row dies if some child join group has no surviving row.
-    for node in tree.nodes_bottom_up():
-        checkpoint("yannakakis.reduce", rows=len(tree.rows(node)))
-        node_alive = alive[node]
-        for child in tree.children(node):
-            group_live = kernel.sum_by_group(
-                tree.child_group_ids(node, child),
-                alive[child],
-                tree.num_child_groups(node, child),
-            )
-            live01 = [1 if count else 0 for count in group_live]
-            live01.append(0)  # sentinel: parent key with no child group
-            gathered = kernel.take(live01, tree.parent_group_ids(node, child))
-            node_alive = kernel.multiply(node_alive, gathered)
-        alive[node] = node_alive
+    alive = dict(subtree_counts(tree))
     # Top-down: a child row dies if no surviving parent row selects its group.
     for node in tree.nodes_top_down():
         checkpoint("yannakakis.reduce", rows=len(tree.rows(node)))
@@ -197,6 +181,191 @@ def evaluate(
     return answers
 
 
+class SortedAnswers:
+    """The answers of :func:`evaluate`, sorted by weight, expanded only as far
+    as the ranking needs.
+
+    Position for position (ties included) this is
+    ``sorted(evaluate(query, db), key=ranking.weight_of)`` without a dict per
+    answer.  The tree is expanded level by level in top-down node order —
+    every partial answer replaced in place by the members of its join group
+    that have an answer below them — giving one row-index column per node in
+    :func:`evaluate`'s odometer order.  Weights are folded as ``weight_of``
+    folds them (``combine`` from ``identity`` in ranking order) from
+    ``variable_weight`` computed once per node row, so one stable argsort
+    reproduces the keyed sort.
+
+    The expansion stops before the *deferred* nodes: the longest suffix of
+    the top-down order whose nodes only multiply answers.  Such a node is the
+    last occurrence of no weighted variable, or it hangs off the expanded
+    prefix and is that only for join-key variables whose weight is one per
+    join group.  A prefix answer stands for the product of its frontier
+    edges' group counts — answers of its weight, adjacent in the stable
+    order — so :meth:`select` bisects to it and decodes the one extension
+    asked for, and :meth:`columns` expands the sorted prefix on.  ``keep``
+    restricts the assignments to those variables.
+    """
+
+    def __init__(
+        self, tree: MaterializedTree, ranking: RankingFunction, keep: Collection[str] | None = None
+    ) -> None:
+        kernel = active_backend()
+        self._tree, self._combine = tree, ranking.combine
+        self._counts = subtree_counts(tree)
+        order = tree.nodes_top_down()
+        self._parent_of = {child: node for node in order for child in tree.children(node)}
+        # The (node, column) each variable's value comes from: first occurrence
+        # fixes the key order, last occurrence the value — dict.update semantics.
+        source: dict[str, tuple[int, int]] = {}
+        for node in order:
+            source.update((v, (node, p)) for p, v in enumerate(tree.variables(node)))
+        weighted = [v for v in ranking.weighted_variables if v in source]
+        # Per join group of the edge above a node: its rows with an answer below
+        # them, ascending like evaluate()'s candidate lists.
+        self._members = {
+            node: [
+                list(compress(rows, map(self._counts[node].__getitem__, rows)))
+                for rows in tree.child_groups(self._parent_of[node], node).values()
+            ]
+            for node in order[1:]
+        }
+        # Deferred, last node first, as long as each only multiplies answers.
+        self._deferred: list[int] = []
+        keyed_parents: set[int] = set()
+        for node in reversed(order[1:]):
+            checkpoint("yannakakis.defer")
+            parent = self._parent_of[node]
+            mine = [v for v in weighted if source[v][0] == node]
+            if node in keyed_parents or not all(
+                v in tree.join_variables(parent, node)
+                and tree.group_weights(parent, node, source[v][1], ranking) is not None
+                for v in mine
+            ):
+                break
+            if mine:
+                keyed_parents.add(parent)
+            self._deferred.insert(0, node)
+        # The weights to fold, next one last: (node whose rows index it, column).
+        folds: list[_Fold] = []
+        for origin, p in map(source.__getitem__, reversed(weighted)):
+            if origin in self._deferred:
+                # One weight per join group: read where the parent row points.
+                parent = self._parent_of[origin]
+                per_group = [*tree.group_weights(parent, origin, p, ranking), None]
+                per_row = kernel.take(per_group, tree.parent_group_ids(parent, origin))
+                folds.append((parent, per_row))
+            else:
+                folds.append((origin, tree.weight_column(origin, p, ranking)))
+        prefix = order[: len(order) - len(self._deferred)]
+        index, weights = self._expand(prefix, {}, [ranking.identity], folds)
+        by_weight = kernel.argsort(weights)
+        self._weights = _gather(weights, by_weight)
+        self._index = {node: _gather(rows, by_weight) for node, rows in index.items()}
+        # Per join group of a deferred node, the answers below its members (the
+        # counting message); their product over a prefix answer's frontier edges
+        # is how many answers it stands for, kept as running totals (with
+        # nothing deferred: 1, 2, ... as a range, not a list).
+        self._sums = {
+            node: [sum(map(self._counts[node].__getitem__, rows)) for rows in self._members[node]]
+            for node in self._deferred
+        }
+        multiplicity = [1] * len(weights)
+        for node in self._deferred:
+            parent = self._parent_of[node]
+            if parent in index:
+                groups = kernel.take(tree.parent_group_ids(parent, node), self._index[parent])
+                multiplicity = kernel.multiply(multiplicity, kernel.take(self._sums[node], groups))
+        self._ends: Sequence[int] = (
+            kernel.prefix_sum(multiplicity) if self._deferred else range(1, len(weights) + 1)
+        )
+        self._kept = {v: origin for v, origin in source.items() if keep is None or v in keep}
+        self._picks: dict[int, tuple[Weight, Assignment]] = {}
+
+    def _expand(
+        self, nodes: list[int], index: _Index, weights: list[Weight], folds: list[_Fold]
+    ) -> tuple[_Index, list[Weight]]:
+        """Grow the partial answers by ``nodes``: each level replaces every
+        one by ``fanout`` copies, one per member, and charges those it adds.
+        The first grows the empty one (a ``weights`` of length 1, no ``index``)."""
+        tree, kernel = self._tree, active_backend()
+        produced = len(weights) if index else 0
+        for node in nodes:
+            members: Iterable[int]
+            if node == tree.root:
+                root_rows = kernel.masked_filter(self._counts[node])
+                members, fanout = root_rows, [len(root_rows)]
+            else:
+                parent, slices = self._parent_of[node], self._members[node]
+                selected = kernel.take(tree.parent_group_ids(parent, node), index[parent])
+                members = chain.from_iterable(map(slices.__getitem__, selected))
+                fanout = kernel.take(list(map(len, slices)), selected)
+            grown = sum(fanout)
+            checkpoint("yannakakis.answer", rows=grown - produced)
+            produced = grown
+            index = {placed: _replicate(rows, fanout) for placed, rows in index.items()}
+            index[node] = list(members)
+            weights = _replicate(weights, fanout)
+            # Fold as early as ranking order allows: a partial answer's weight is
+            # computed once and replicated, never recomputed per extension.
+            while folds and folds[-1][0] in index:
+                placed, per_row = folds.pop()
+                weights = list(map(self._combine, weights, map(per_row.__getitem__, index[placed])))
+        return index, weights
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def select(self, position: int) -> tuple[Weight, Assignment]:
+        """The (weight, assignment) at ``position``: decoded once, a dict per call."""
+        pick = self._picks.get(position)
+        if pick is None:
+            pick = self._picks[position] = self._decode(position)
+        return pick[0], dict(pick[1])
+
+    def _decode(self, position: int) -> tuple[Weight, Assignment]:
+        tree = self._tree
+        rank = bisect_right(self._ends, position)
+        start = self._ends[rank - 1] if rank else 0
+        # ``block`` answers share the rows chosen so far; ``offset`` is the
+        # position among them, in odometer order: earlier nodes turn slower.
+        offset, block = position - start, self._ends[rank] - start
+        rows = {node: column[rank] for node, column in self._index.items()}
+        for node in self._deferred:
+            checkpoint("yannakakis.decode")
+            parent, counts = self._parent_of[node], self._counts[node]
+            group = tree.parent_group_ids(parent, node)[rows[parent]]
+            # Each member stands for its own subtree count times the other
+            # open edges' group counts (``block``, once this edge's is out).
+            block //= self._sums[node][group]
+            for member in self._members[node][group]:
+                size = counts[member] * block
+                if offset < size:
+                    break
+                offset -= size
+            rows[node], block = member, size
+        return self._weights[rank], {
+            variable: tree.node_column(node, p)[rows[node]]
+            for variable, (node, p) in self._kept.items()
+        }
+
+    def columns(self) -> tuple[list[Weight], dict[str, list[Any]]]:
+        """Every answer: the ascending weight column and one parallel value
+        column per kept variable (in :func:`evaluate`'s dict key order)."""
+        index, weights = self._expand(self._deferred, self._index, self._weights, [])
+        # Plain indexing: answers must carry evaluate()'s very objects,
+        # whatever mix of int/float/bool a column holds.
+        return weights, {
+            variable: _gather(self._tree.node_column(node, p), index[node])
+            for variable, (node, p) in self._kept.items()
+        }
+
+    def estimated_bytes(self) -> int:
+        """8 bytes a slot: per prefix answer a weight, a row per placed node and
+        (some node deferred) a running total; per pick a weight and its values."""
+        per_prefix = 1 + len(self._index) + bool(self._deferred)
+        return 8 * (len(self._weights) * per_prefix + len(self._picks) * (1 + len(self._kept)))
+
+
 def evaluate_sorted(
     query: JoinQuery,
     db: Database,
@@ -204,86 +373,8 @@ def evaluate_sorted(
     tree: MaterializedTree | None = None,
     keep: Collection[str] | None = None,
 ) -> SortedAnswers:
-    """The answers of :func:`evaluate`, sorted by weight, as whole columns.
-
-    Position for position (ties included) this is
-    ``sorted(evaluate(query, db), key=ranking.weight_of)`` without building
-    a dict per answer.  The tree is expanded level by level in top-down node
-    order — every partial answer replaced in place by its alive join-group
-    members — giving one row-index column per node in :func:`evaluate`'s
-    odometer order.  Weights are folded as ``weight_of`` folds them
-    (``combine`` from ``identity`` over the ranking's variables in ranking
-    order) from ``variable_weight`` computed once per node row, so one
-    stable argsort reproduces the keyed sort.
-
-    ``keep`` restricts the value columns to those variables.  One checkpoint
-    per level charges the candidates that level adds (in total, the answers).
-    """
-    if tree is None:
-        tree = MaterializedTree(query, db)
-    alive = _reduced_row_flags(tree)
-    kernel = active_backend()
-    order = tree.nodes_top_down()
-    parent_of = {child: node for node in order for child in tree.children(node)}
-    # The (node, column) each variable's value comes from: first occurrence
-    # fixes the key order, last occurrence the value — dict.update semantics.
-    source: dict[str, tuple[int, int]] = {}
-    for node in order:
-        source.update((v, (node, p)) for p, v in enumerate(tree.variables(node)))
-    # Weighted variables still to fold, next one last.
-    pending = [v for v in reversed(ranking.weighted_variables) if v in source]
-
-    # One partial answer (the empty one) grows into all of them: each level
-    # replaces every partial answer by ``fanout`` copies, one per member.
-    index: dict[int, list[int]] = {}
-    weights: list[Weight] = [ranking.identity]
-    produced = 0
-    for node in order:
-        members: Iterable[int]
-        if node == tree.root:
-            root_rows = kernel.masked_filter(alive[node])
-            members, fanout = root_rows, [len(root_rows)]
-        else:
-            # Alive rows per join group, ascending like evaluate's candidate
-            # lists; alive parent rows always select a group that has some.
-            parent, node_alive = parent_of[node], alive[node]
-            slices = [
-                list(compress(rows, map(node_alive.__getitem__, rows)))
-                for rows in tree.child_groups(parent, node).values()
-            ]
-            selected = kernel.take(tree.parent_group_ids(parent, node), index[parent])
-            members = chain.from_iterable(map(slices.__getitem__, selected))
-            fanout = kernel.take(list(map(len, slices)), selected)
-        grown = sum(fanout)
-        checkpoint("yannakakis.answer", rows=grown - produced)
-        produced = grown
-        index = {placed: _replicate(rows, fanout) for placed, rows in index.items()}
-        index[node] = list(members)
-        weights = _replicate(weights, fanout)
-        # Fold as early as ranking order allows: a partial answer's weight is
-        # computed once and replicated, never recomputed per extension.
-        while pending and source[pending[-1]][0] in index:
-            variable = pending.pop()
-            origin, position = source[variable]
-            per_row = tree.weight_column(origin, position, ranking)
-            weights = list(
-                map(ranking.combine, weights, map(per_row.__getitem__, index[origin]))
-            )
-
-    # Plain indexing from here on: answers must carry evaluate()'s very
-    # objects, whatever mix of int/float/bool a column holds.
-    by_weight = kernel.argsort(weights)
-    if keep is not None:
-        source = {v: origin for v, origin in source.items() if v in keep}
-    sorted_index = {
-        node: _gather(index[node], by_weight)
-        for node in {node for node, _ in source.values()}
-    }
-    columns = {
-        variable: _gather(tree.node_column(node, position), sorted_index[node])
-        for variable, (node, position) in source.items()
-    }
-    return _gather(weights, by_weight), columns
+    """:class:`SortedAnswers` of (query, db), over ``tree`` if it is built."""
+    return SortedAnswers(MaterializedTree(query, db) if tree is None else tree, ranking, keep)
 
 
 def _replicate(values: Iterable[Any], counts: Iterable[int]) -> list[Any]:

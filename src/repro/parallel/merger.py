@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Collection, Iterable, MutableMapping
+from dataclasses import dataclass
 from typing import Any
 
 import repro.exceptions as _exceptions
-from repro.core.quantile import PivotStep, run_pivoting
+from repro.core.quantile import PivotStep, Terminal, run_pivoting
 from repro.core.result import QuantileResult
 from repro.exceptions import (
     BudgetExceededError,
@@ -39,7 +40,6 @@ from repro.exceptions import (
     ReproError,
     SolverError,
 )
-from repro.joins.yannakakis import SortedAnswers
 from repro.kernels import active_backend
 from repro.parallel.planner import ShardPlan
 from repro.parallel.pool import ShardFuture, ShardPool, create_pool
@@ -211,7 +211,7 @@ class RankMerger:
         original_variables: set[str],
         termination_size: int,
         step_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
-        answer_cache: MutableMapping[WeightInterval, SortedAnswers] | None = None,
+        answer_cache: MutableMapping[WeightInterval, Terminal] | None = None,
     ) -> QuantileResult:
         """Answer one quantile (or selection) query over the sharded order.
 
@@ -266,7 +266,7 @@ class RankMerger:
 
     def terminal(
         self, interval: WeightInterval, shard_counts: ShardCounts, keep: Collection[str]
-    ) -> SortedAnswers:
+    ) -> MergedAnswers:
         """Gather and merge the surviving shards' weight-sorted columns.
 
         Each shard ships a sorted weight column plus one value column per
@@ -288,11 +288,31 @@ class RankMerger:
                 column.extend(part)
         checkpoint("parallel.merge", rows=len(weights))
         order = active_backend().argsort(weights)
-        return [weights[i] for i in order], {
+        merged = {
             variable: [column[i] for i in order]
             for variable, column in zip(session.var_order, columns)
             if variable in keep
         }
+        return MergedAnswers([weights[i] for i in order], merged)
+
+
+@dataclass(frozen=True)
+class MergedAnswers:
+    """The shards' candidates as whole columns: the ascending weight column
+    and one parallel value column per variable."""
+
+    weights: list[Any]
+    columns: dict[str, list[Any]]
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def select(self, position: int) -> tuple[Any, dict[str, Any]]:
+        picked = {variable: column[position] for variable, column in self.columns.items()}
+        return self.weights[position], picked
+
+    def estimated_bytes(self) -> int:
+        return 8 * len(self.weights) * (1 + len(self.columns))
 
 
 __all__ = [

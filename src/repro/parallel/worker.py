@@ -202,7 +202,7 @@ def _terminal_answers(
     coordinator merges K sorted runs with one stable argsort.
     """
     handle, _ = _candidate(state, interval)
-    weights, columns = state.source.terminal(interval, handle, state.var_order)
+    weights, columns = state.source.terminal(interval, handle, state.var_order).columns()
     return weights, [columns[variable] for variable in state.var_order]
 
 

@@ -178,18 +178,50 @@ class TestPreparedStateReuse:
         self, binary_join, parallel, monkeypatch
     ):
         # The service's byte-budget eviction only sees what this estimate
-        # charges: a cached terminal costs its actual column lengths (the
-        # serial and the sharded mode's answer cache alike).
+        # charges: a cached terminal costs what it actually holds.  Serial,
+        # that is the sorted prefix answers (R2 only multiplies SUM(x1, x2):
+        # it is deferred) plus each memoized pick; sharded, the merged whole
+        # columns.
         monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
         query, db = binary_join
-        prepared = PreparedQuery(query, db, SumRanking(["x1", "x3"]), parallel=parallel)
+        prepared = PreparedQuery(query, db, SumRanking(["x1", "x2"]), parallel=parallel)
         prepared.quantile(0.5)
         [(_, cache)] = prepared._caches.values()
-        [(weights, columns)] = cache.values()
-        assert len(weights) == prepared.count() and len(columns) == 3
+        [terminal] = cache.values()
+        assert len(terminal) == prepared.count()
+        one_pick = prepared.estimated_bytes()
+        prepared.quantile(0.5)
+        assert prepared.estimated_bytes() == one_pick
+        prepared.quantile(0.25)
+        if parallel:
+            held = 8 * len(terminal) * (1 + 3)
+            assert prepared.estimated_bytes() == one_pick
+        else:
+            # Per prefix answer a weight, R1's row index and a running total;
+            # per pick a weight and three values.
+            prefix = len(terminal._weights)
+            assert terminal._deferred == [1] and prefix < len(terminal)
+            held = 8 * (3 * prefix + 2 * (1 + 3))
+            assert prepared.estimated_bytes() == one_pick + 8 * (1 + 3)
         with_entry = prepared.estimated_bytes()
         cache.clear()
-        assert with_entry - prepared.estimated_bytes() >= 8 * len(weights) * len(columns)
+        assert with_entry - prepared.estimated_bytes() == held
+
+    @pytest.mark.parametrize("parallel", [None, 2])
+    def test_returned_assignments_are_independent_across_calls(
+        self, binary_join, parallel, monkeypatch
+    ):
+        # The terminal memoizes its picks; every caller still owns its dict.
+        monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
+        query, db = binary_join
+        prepared = PreparedQuery(query, db, SumRanking(["x1", "x2"]), parallel=parallel)
+        first = prepared.quantile(0.5)
+        expected = dict(first.assignment)
+        first.assignment["x1"] = "mutated"
+        first.assignment.pop("x3")
+        again = prepared.quantile(0.5)
+        assert again.assignment == expected and list(again.assignment) == list(expected)
+        assert again.assignment is not prepared.quantile(0.5).assignment
 
     def test_tree_cache_shared_across_batch(self, prepared):
         prepared.quantiles([0.2, 0.5, 0.8])

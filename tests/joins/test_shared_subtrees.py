@@ -73,8 +73,9 @@ def observed(query, db, ranking, tree):
         pivot = repr(select_pivot(query, db, ranking, tree=tree))
     except EmptyResultError:
         pivot = "empty"
-    weights, columns = evaluate_sorted(query, db, ranking, tree=tree)
-    return count_answers(query, db, tree=tree), pivot, repr(weights), repr(columns)
+    answers = evaluate_sorted(query, db, ranking, tree=tree)
+    picks = [answers.select(position) for position in range(len(answers))]
+    return count_answers(query, db, tree=tree), pivot, repr(picks), repr(answers.columns())
 
 
 # ---------------------------------------------------------------------- #
@@ -169,6 +170,25 @@ def test_second_trimmed_tree_of_a_path_sum_touches_only_its_root():
     assert repr(pivot) == repr(select_pivot(q2, d2, ranking, tree=alone))
     assert (cache.node_hits, cache.node_misses) == (2, 4)
     assert "node_hits=2, node_misses=4" in repr(cache)
+
+
+def test_terminals_of_a_batch_scan_the_shared_leaf_for_one_weight_per_group_once():
+    """R3 is the last occurrence of x3, its join key with R2: every terminal
+    defers it on one verdict, kept on the node every trimmed tree shares."""
+    db = path_db()
+    ranking = SumRanking(["x1", "x2", "x3"])
+    pairs = trims(PATH, db, ranking, [(None, 20.0), (12.0, None), (5.0, 30.0)])
+    cache = TreeCache()
+    plan = FaultPlan()
+    with inject_faults(plan):
+        for query, trimmed in pairs:
+            tree = cache.get(query, trimmed)
+            answers = evaluate_sorted(query, trimmed, ranking, tree=tree)
+            assert answers._deferred == [2] and len(answers) == count_answers(
+                query, trimmed, tree=tree
+            )
+    assert plan.seen["tree.group_weights"] == 1
+    assert plan.seen["yannakakis.answer"] == 2 * len(pairs)
 
 
 # ---------------------------------------------------------------------- #

@@ -35,7 +35,12 @@ pytestmark = pytest.mark.faults
 PHIS = [0.1, 0.5, 0.9]
 
 #: Call sites that declare an interruption point without charging rows.
-NO_ROW_CHARGE = {"direct_access.expand", "materialize.brute_force", "trim.inherit"}
+NO_ROW_CHARGE = {
+    "direct_access.expand",
+    "materialize.brute_force",
+    "trim.inherit",
+    "yannakakis.decode",
+}
 
 
 class RowLedger(ExecutionContext):
@@ -101,6 +106,12 @@ STAGES = {
     "partial-sum, adjacent atoms": (
         lambda q, db: batch(q, db, SumRanking(["x1", "x2", "x3"])),
         {"trim.sum_group", "trim.sum_copy"},
+    ),
+    "terminal, leaf deferred": (
+        # Above the |D| cut every φ ends in a terminal: R1 x R2 is expanded
+        # and charged per level, R3 decoded per deferred node.
+        lambda q, db: batch(q, db, SumRanking(["x1", "x2", "x3"]), termination_factor=4),
+        {"yannakakis.answer", "yannakakis.decode"},
     ),
     "sampling": (
         sampling_stage,
