@@ -6,8 +6,8 @@ CI runs this as its own job.  The script:
 1. writes a 3-path workload to CSV and starts ``python -m repro.cli serve``
    as a real subprocess on a free port,
 2. waits for readiness, then sweeps it with concurrent clients — a mix of
-   coalescable quantile requests, per-request budget errors, and degraded
-   runs — asserting every response is structured,
+   same-key quantile requests sharing one prepared query, per-request budget
+   errors, and degraded runs — asserting every response is structured,
 3. requests a graceful shutdown over HTTP and requires the server process
    to exit 0 (``EXIT_OK``), which the server only reports when the drain
    finished with **zero orphaned tasks**.
@@ -76,7 +76,7 @@ def sweep(client: ServiceClient) -> list:
                 epsilon=0.3, max_rows=1500, on_budget="degrade", seed=7,
             )
         else:
-            # Identical knobs: these callers can coalesce into one batch.
+            # Identical knobs: these callers share one prepared query.
             responses[worker] = client.query(
                 "smoke", QUERY, RANKING, phis=[(worker + 1) / (CLIENTS + 1)]
             )
@@ -145,7 +145,7 @@ def main() -> int:
             stats = client.stats()
             print(
                 "kernel backend:", stats["kernel_backend"],
-                "| coalescing:", stats["coalescing"],
+                "| pool:", stats["pool"],
                 "| requests:", stats["requests"]["by_status"],
             )
             assert stats["kernel_backend"] == "python", stats

@@ -28,7 +28,7 @@ Two subcommands run the same engine as an always-on service::
         --query "R(x1, x2), S(x2, x3)" --ranking "sum(x1, x3)" --phi 0.5
 
 ``serve`` starts the long-running quantile service (one engine per
-registered database, request coalescing, admission control, graceful
+registered database, shared prepared queries, admission control, graceful
 drain on SIGTERM/SIGINT); ``client`` sends one request and maps the HTTP
 outcome back onto the CLI's exit codes (see README § Service).
 """

@@ -1,13 +1,12 @@
-"""Always-on quantile service: engine pool, admission control, coalescing.
+"""Always-on quantile service: engine pool, admission control, lifecycle.
 
-ROADMAP item 2: run the prepared-query engine as a long-lived process that
-many callers share safely.  The package splits into small layers:
+Runs the prepared-query engine as a long-lived process that many callers
+share safely.  The package splits into small layers:
 
 * :mod:`repro.service.pool` — named engines + byte-budgeted prepared LRU;
+  requests with the same signature share one prepared query;
 * :mod:`repro.service.admission` — bounded in-flight slots, queue-depth and
   queue-time limits, retry-after hints;
-* :mod:`repro.service.coalesce` — concurrent same-key φ requests merge into
-  one batch with per-caller outcome propagation;
 * :mod:`repro.service.records` — structured per-request records;
 * :mod:`repro.service.server` — the asyncio HTTP front-end and lifecycle
   (health/readiness, graceful drain, cooperative cancellation);
@@ -18,7 +17,6 @@ Everything is stdlib only, like the rest of the repository.
 
 from repro.service.admission import AdmissionController, ShedRequestError
 from repro.service.client import ServiceClient, ServiceResponse
-from repro.service.coalesce import BatchOutcome, Coalescer
 from repro.service.pool import (
     DEFAULT_PREPARED_BUDGET_BYTES,
     EnginePool,
@@ -38,8 +36,6 @@ __all__ = [
     "ShedRequestError",
     "ServiceClient",
     "ServiceResponse",
-    "BatchOutcome",
-    "Coalescer",
     "DEFAULT_PREPARED_BUDGET_BYTES",
     "EnginePool",
     "UnknownDatabaseError",

@@ -1,7 +1,7 @@
 """Engine pool: one engine per registered database, bounded prepared cache.
 
-The pool is the multi-tenant heart of the always-on service (ROADMAP item
-2).  It owns one :class:`~repro.engine.Engine` per registered database and
+The pool is the multi-tenant heart of the always-on service.  It owns one
+:class:`~repro.engine.Engine` per registered database and
 an LRU of :class:`~repro.engine.PreparedQuery` objects shared across all
 callers, bounded by a *byte budget* instead of an entry count: every
 prepared query reports a deterministic estimate of its resident cache bytes
@@ -11,9 +11,11 @@ until the estimate fits.  A single entry larger than the whole budget is
 still served (the request must be answerable) but is evicted as soon as
 another entry arrives.
 
-All methods are thread-safe: lookups run on the event loop, preparation
-runs in executor threads, and the underlying engine/prepared caches carry
-their own locks (PR 7's concurrency-safety layer).
+All methods are thread-safe, and the pool needs no per-key lock of its own:
+concurrent requests for one signature run at once on the one shared
+prepared query.  A cold build still happens once, because the engine's
+signature memo hands every caller the same object and that object's state
+lock serializes its preparation steps.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Any
 from repro.data.database import Database
 from repro.engine import Engine, PreparedQuery
 from repro.exceptions import ValidationError
-from repro.joins.tree_cache import Fingerprint, database_fingerprint
 from repro.runtime import ExecutionContext
 from repro.runtime.policy import validate_policy
 
@@ -112,14 +113,6 @@ class EnginePool:
         """Registered database names, sorted."""
         with self._lock:
             return sorted(self._engines)
-
-    def fingerprint(self, name: str) -> Fingerprint:
-        """The current fingerprint of a registered database.
-
-        Part of the coalescing key: two requests only merge when the
-        database content they would read is identical.
-        """
-        return database_fingerprint(self.engine(name).db)
 
     # ------------------------------------------------------------------ #
     # Prepared queries

@@ -3,18 +3,15 @@
 Every request that reaches the service — served, shed, degraded, errored, or
 cancelled — produces one :class:`RequestRecord`: a flat, JSON-serializable
 account of what happened (latency split into queue and execute time, the
-coalesce fan-in of the batch that served it, the degradation rungs taken,
-checkpoint counts).  The server appends them to a bounded :class:`RecordLog`
-and exposes recent records plus aggregate counters through ``GET /stats``,
-so operators can see shedding and degradation happening without scraping
-logs.
+degradation rungs taken, checkpoint counts).  The server appends them to a
+bounded :class:`RecordLog` and exposes recent records plus aggregate
+counters through ``GET /stats``, so operators can see shedding and
+degradation happening without scraping logs.
 """
 
 from __future__ import annotations
 
 import threading
-
-from repro.exceptions import ValidationError
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
 from typing import Any
@@ -22,7 +19,7 @@ from typing import Any
 #: Terminal states a request record can report.
 REQUEST_STATUSES = ("ok", "degraded", "shed", "error", "cancelled")
 
-#: Default bound on retained records.
+#: Bound on retained records (aggregate counters outlive it).
 DEFAULT_RECORD_LIMIT = 512
 
 
@@ -45,16 +42,12 @@ class RequestRecord:
     queue_seconds, execute_seconds, total_seconds:
         Latency split: time spent waiting for an execution slot, time inside
         the engine, and end-to-end.
-    coalesce_fan_in:
-        Number of callers whose requests were merged into the batch that
-        served this one (1 = no coalescing happened).
     degraded:
         Whether any returned result carries ``degraded=True``.
     degradation_rungs:
         The distinct degradation notes of the degraded results.
     checkpoints:
-        Runtime checkpoints observed by the batch execution (shared across
-        the batch's coalesced callers).
+        Runtime checkpoints observed while the request's targets ran.
     error:
         Error message for ``error``/``cancelled``/``shed`` outcomes.
     retry_after:
@@ -77,7 +70,6 @@ class RequestRecord:
     queue_seconds: float = 0.0
     execute_seconds: float = 0.0
     total_seconds: float = 0.0
-    coalesce_fan_in: int = 1
     degraded: bool = False
     degradation_rungs: list[str] = field(default_factory=list)
     checkpoints: int = 0
@@ -99,24 +91,17 @@ class RecordLog:
     ring, so long-running totals stay correct.
     """
 
-    def __init__(self, limit: int = DEFAULT_RECORD_LIMIT) -> None:
-        if limit < 1:
-            raise ValidationError("RecordLog limit must be at least 1")
-        self._records: deque[RequestRecord] = deque(maxlen=limit)
+    def __init__(self) -> None:
+        self._records: deque[RequestRecord] = deque(maxlen=DEFAULT_RECORD_LIMIT)
         self._lock = threading.Lock()
         self._by_status: Counter[str] = Counter()
         self._total = 0
-        self._coalesced = 0
-        self._max_fan_in = 0
 
     def append(self, record: RequestRecord) -> None:
         with self._lock:
             self._records.append(record)
             self._by_status[record.status] += 1
             self._total += 1
-            if record.coalesce_fan_in > 1:
-                self._coalesced += 1
-            self._max_fan_in = max(self._max_fan_in, record.coalesce_fan_in)
 
     def __len__(self) -> int:
         return self._total
@@ -133,6 +118,4 @@ class RecordLog:
             return {
                 "total": self._total,
                 "by_status": dict(self._by_status),
-                "coalesced_requests": self._coalesced,
-                "max_coalesce_fan_in": self._max_fan_in,
             }

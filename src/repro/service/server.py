@@ -7,9 +7,11 @@ prepared queries) and a robustness layer:
 * **admission control** (:mod:`repro.service.admission`) bounds in-flight
   executions and queue depth, shedding overload with 429 responses that
   carry retry-after hints;
-* **request coalescing** (:mod:`repro.service.coalesce`) merges concurrent
-  φ requests with the same (db, query, ranking, knobs, db-fingerprint) key
-  into one batch, so the paper's amortization applies across callers;
+* **one query path**: a ``/query`` is validated, admitted, run on the
+  executor against the pool's shared prepared query, and answered with one
+  result per requested target, in request order.  Concurrent requests with
+  the same (db, query, ranking, knobs) share that prepared query and its
+  caches, so the paper's amortization applies across callers;
 * **graceful lifecycle** — ``/healthz``/``/readyz`` endpoints, and a drain
   sequence that stops accepting, sheds the queue, waits out in-flight
   requests, and finally cancels stragglers through a shared
@@ -20,7 +22,7 @@ Endpoints (all JSON)::
 
     GET  /healthz          liveness (200 while the process runs)
     GET  /readyz           readiness (503 before start / while draining)
-    GET  /stats            pool, admission, coalescing, and record stats
+    GET  /stats            pool, admission, and record stats
     GET  /databases        registered database names
     POST /query            {"db", "query", "ranking", "phis" | "index", ...}
     POST /admin/shutdown   begin a graceful drain (202)
@@ -39,7 +41,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.quantile import check_phi
@@ -55,7 +57,6 @@ from repro.kernels import backend_name
 from repro.parallel.planner import default_shard_count, resolve_shard_count
 from repro.runtime import CancellationToken, ExecutionContext
 from repro.service.admission import AdmissionController, ShedRequestError
-from repro.service.coalesce import BatchOutcome, Coalescer
 from repro.service.pool import EnginePool
 from repro.service.records import RecordLog, RequestRecord
 
@@ -114,11 +115,10 @@ class ServiceConfig:
     prepared_budget_bytes: int = 256 * 1024 * 1024
     #: Seconds to wait for in-flight requests before cancelling them.
     drain_grace: float = 5.0
-    record_limit: int = 512
 
 
 class QuantileService:
-    """The service object: engine pool + admission + coalescing + lifecycle.
+    """The service object: engine pool + admission + lifecycle.
 
     One lifecycle: :meth:`start`, then :meth:`run_until_shutdown`.  The
     ``serve`` CLI subcommand drives it on the main thread (with signal
@@ -134,13 +134,12 @@ class QuantileService:
             max_rows=self.config.default_max_rows,
             on_budget=self.config.default_on_budget,
         )
-        self.records = RecordLog(self.config.record_limit)
+        self.records = RecordLog()
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             max_queue=self.config.max_queue,
             queue_timeout=self.config.queue_timeout,
         )
-        self.coalescer = Coalescer()
         self._drain_token = CancellationToken()
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.max_inflight, thread_name_prefix="repro-exec"
@@ -356,7 +355,8 @@ class QuantileService:
                 "default_shard_count": default_shard_count(),
             },
             "admission": self.admission.stats(),
-            "coalescing": self.coalescer.stats(),
+            # Read by benchmarks/e2e/service.py (service.coalesced_share).
+            "coalescing": {"requests": len(self.records), "merged_requests": 0},
             "requests": self.records.counters(),
             "recent": self.records.recent(50),
         }
@@ -469,38 +469,20 @@ class QuantileService:
         record.phis = list(targets)
         record.parallel = knobs.get("parallel")
 
-        key = (
-            mode,
-            db_name,
-            query,
-            ranking,
-            tuple(sorted(knobs.items())),
-            self.pool.fingerprint(db_name),
-        )
-
-        async def runner(
-            merged: tuple[float, ...],
-        ) -> tuple[dict[str, Any], float, int, int | None]:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                self._executor,
-                self._run_batch,
-                db_name,
-                query,
-                ranking,
-                knobs,
-                mode,
-                merged,
+        queue_seconds = await self.admission.acquire()
+        execute_seconds = 0.0
+        try:
+            outcomes, execute_seconds, record.checkpoints, record.shards = (
+                await asyncio.get_running_loop().run_in_executor(
+                    self._executor, self._run_batch,
+                    db_name, query, ranking, knobs, mode, targets,
+                )
             )
-
-        outcome = await self.coalescer.submit(
-            key,
-            targets,
-            admit=self.admission.acquire,
-            release=self.admission.release,
-            runner=runner,
-        )
-        return self._query_response(record, outcome, mode)
+        finally:
+            self.admission.release(execute_seconds)
+        record.queue_seconds = round(queue_seconds, 6)
+        record.execute_seconds = round(execute_seconds, 6)
+        return self._query_response(record, mode, targets, outcomes)
 
     def _guard_knobs(self, spec: dict[str, Any]) -> dict[str, Any]:
         """Validated solver/guardrail knobs a request may set.
@@ -532,7 +514,9 @@ class QuantileService:
         knobs: dict[str, Any],
         mode: str,
         targets: tuple[Any, ...],
-    ) -> tuple[dict[str, Any], float, int, int | None]:
+    ) -> tuple[dict[Any, Any], float, int, int | None]:
+        """Run each distinct target once: ``(outcomes by target, seconds,
+        checkpoints, shards)``; a target that failed maps to its error."""
         batch_started = time.perf_counter()
         prepared = self.pool.prepared(db_name, query, ranking, **knobs)
         outcomes: dict[Any, Any] = {}
@@ -541,16 +525,16 @@ class QuantileService:
         # prepared query's own per-call contexts keep their fresh budgets.
         context = ExecutionContext(cancellation=self._drain_token)
         with context:
-            for target in targets:
+            for target in dict.fromkeys(targets):
                 try:
                     if mode == "phi":
                         outcomes[target] = prepared.quantile(target)
                     else:
                         outcomes[target] = prepared.selection(target)
                 except (ReproError, ValueError) as error:
-                    # Per-target failure: delivered only to the callers that
-                    # asked for this target (ExecutionCancelledError included
-                    # — remaining targets fail fast at their first checkpoint).
+                    # Per-target failure: the other targets still answer
+                    # (ExecutionCancelledError included — remaining targets
+                    # fail fast at their first checkpoint).
                     outcomes[target] = error
         elapsed = time.perf_counter() - batch_started
         # Read after execution: the parallel session is built lazily, and a
@@ -560,14 +544,17 @@ class QuantileService:
         return outcomes, elapsed, context.checkpoints, shards
 
     def _query_response(
-        self, record: RequestRecord, outcome: BatchOutcome, mode: str
+        self, record: RequestRecord, mode: str,
+        targets: tuple[Any, ...], outcomes: dict[Any, Any],
     ) -> tuple[int, dict[str, Any], dict[str, str]]:
+        """One result per requested target, in request order."""
         results = []
         errors = 0
         cancelled = 0
         budget_tripped = 0
         degradations: list[str] = []
-        for target, value in outcome.outcomes.items():
+        for target in targets:
+            value = outcomes[target]
             if isinstance(value, BaseException):
                 errors += 1
                 if isinstance(value, ExecutionCancelledError):
@@ -587,17 +574,8 @@ class QuantileService:
                 )
                 continue
             result = value
-            degradation = result.degradation
-            if result.degraded and outcome.fan_in > 1:
-                # Per-caller honesty about shared runs: the caller learns its
-                # answer was degraded inside a coalesced batch, and how wide.
-                degradation = (
-                    f"{result.degradation} "
-                    f"[coalesced batch, fan-in={outcome.fan_in}]"
-                )
-                result = replace(result, degradation=degradation)
-            if result.degraded and degradation:
-                degradations.append(degradation)
+            if result.degraded and result.degradation:
+                degradations.append(result.degradation)
             results.append(
                 {
                     ("phi" if mode == "phi" else "index"): target,
@@ -609,14 +587,9 @@ class QuantileService:
                     "target_index": result.target_index,
                     "total_answers": result.total_answers,
                     "degraded": result.degraded,
-                    "degradation": degradation,
+                    "degradation": result.degradation,
                 }
             )
-        record.coalesce_fan_in = outcome.fan_in
-        record.queue_seconds = round(outcome.queue_seconds, 6)
-        record.execute_seconds = round(outcome.execute_seconds, 6)
-        record.checkpoints = outcome.checkpoints
-        record.shards = outcome.shards
         record.degraded = bool(degradations)
         record.degradation_rungs = sorted(set(degradations))
         if errors == len(results):
@@ -629,15 +602,13 @@ class QuantileService:
             else:
                 record.status = "error"
                 status = 400
-            first = next(iter(outcome.outcomes.values()))
-            record.error = str(first)
+            record.error = str(outcomes[targets[0]])
         else:
             record.status = "degraded" if degradations else "ok"
             status = 200
         payload = {
             "request_id": record.request_id,
             "db": record.db,
-            "coalesce_fan_in": outcome.fan_in,
             "queue_seconds": record.queue_seconds,
             "execute_seconds": record.execute_seconds,
             "degraded": record.degraded,

@@ -46,12 +46,6 @@ class TestRegistration:
         second = pool.prepared("demo", QUERY, RANKING)
         assert second is not first
 
-    def test_fingerprint_tracks_database(self, pool, workload):
-        before = pool.fingerprint("demo")
-        assert before == pool.fingerprint("demo")
-        next(iter(workload.db)).add(tuple([0] * 2))
-        assert pool.fingerprint("demo") != before
-
 
 class TestPreparedLRU:
     def test_hit_returns_same_object(self, pool):

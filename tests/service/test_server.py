@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.engine import Engine
-from repro.exceptions import ExecutionCancelledError
+from repro.engine import Engine, PreparedQuery
+from repro.exceptions import ExecutionCancelledError, ValidationError
 from repro.service import (
     QuantileService,
     ServiceClient,
@@ -26,6 +27,32 @@ RANKING = "sum(x1, x2)"
 #: (same shape as tests/runtime/test_degradation.py's three_path recipe).
 DEGRADE_RANKING = "max(x1, x4)"
 DEGRADE_KNOBS = dict(epsilon=0.3, max_rows=1500, on_budget="degrade", seed=7)
+
+
+def burst(svc, client, issue, clients, until):
+    """Run ``issue(0) .. issue(clients - 1)`` concurrently, with every
+    execution parked inside ``_run_batch`` until ``until(stats)`` holds, so
+    the burst builds up however short an execution is."""
+    release = threading.Event()
+    run_batch = svc._run_batch
+
+    def held_run_batch(*args):
+        assert release.wait(timeout=30)
+        return run_batch(*args)
+
+    svc._run_batch = held_run_batch
+    threads = [threading.Thread(target=issue, args=(i,)) for i in range(clients)]
+    for thread in threads:
+        thread.start()
+    try:
+        deadline = time.monotonic() + 30
+        while not until(client.stats()):
+            assert time.monotonic() < deadline, "the burst never built up"
+    finally:
+        release.set()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "a client never returned"
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +133,52 @@ class TestQueries:
             assert entry["total_answers"] == expected.total_answers
             assert entry["exact"] is True
 
+    def test_one_result_per_requested_target_in_request_order(self, service, workload):
+        _, client = service
+        response = client.query("demo", QUERY, RANKING, phis=[0.5, 0.5, 0.25])
+        assert response.status == 200
+        direct = Engine(workload.db).prepare(QUERY, RANKING)
+        results = response.payload["results"]
+        assert [entry["phi"] for entry in results] == [0.5, 0.5, 0.25]
+        assert [entry["weight"] for entry in results] == [
+            direct.quantile(phi).weight for phi in (0.5, 0.5, 0.25)
+        ]
+
+    def test_per_target_error_answers_a_partial_200(self, service, workload, monkeypatch):
+        _, client = service
+        direct = Engine(workload.db).prepare(QUERY, RANKING)
+        expected = [direct.quantile(0.25).weight, direct.quantile(0.75).weight]
+        quantile = PreparedQuery.quantile
+
+        def refusing_the_median(prepared, phi):
+            if phi == 0.5:
+                raise ValidationError("median refused")
+            return quantile(prepared, phi)
+
+        monkeypatch.setattr(PreparedQuery, "quantile", refusing_the_median)
+        response = client.query("demo", QUERY, RANKING, phis=[0.25, 0.5, 0.75])
+        assert response.status == 200
+        assert response.payload["partial"] is True
+        first, refused, last = response.payload["results"]
+        assert refused["error"]["type"] == "ValidationError"
+        assert [first["weight"], last["weight"]] == expected
+
+    def test_unexpected_error_is_a_structured_500_and_the_next_request_runs(
+        self, service, monkeypatch
+    ):
+        svc, client = service
+
+        def broken_run_batch(*args):
+            raise RuntimeError("engine died")
+
+        monkeypatch.setattr(svc, "_run_batch", broken_run_batch)
+        response = client.query("demo", QUERY, RANKING, phis=[0.5])
+        assert response.status == 500
+        assert response.payload["error"] == "RuntimeError: engine died"
+        assert client.stats()["admission"]["inflight"] == 0
+        monkeypatch.undo()
+        assert client.query("demo", QUERY, RANKING, phis=[0.5]).status == 200
+
     def test_selection_by_index(self, service, workload):
         _, client = service
         response = client.query("demo", QUERY, RANKING, index=5)
@@ -124,7 +197,6 @@ class TestQueries:
         payload = client.query("demo", QUERY, RANKING, phis=[0.5]).payload
         assert payload["queue_seconds"] >= 0.0
         assert payload["execute_seconds"] > 0.0
-        assert payload["coalesce_fan_in"] >= 1
 
 
 class TestValidation:
@@ -298,86 +370,39 @@ class TestBudgetsAndDegradation:
         assert client.query("demo", QUERY, RANKING, phis=[0.5]).status == 200
 
 
-class TestCoalescing:
-    @staticmethod
-    def burst(svc, client, issue, clients, until=None):
-        """Run ``issue(0) .. issue(clients - 1)`` concurrently with the first
-        batch parked inside the executor until the coalescer has counted
-        every client (or ``until(stats)`` holds), so the later arrivals must
-        have merged behind it — however short an execution is."""
-        if until is None:
-            def until(stats):
-                return stats["coalescing"]["requests"] >= clients
-        release = threading.Event()
-        run_batch = svc._run_batch
-
-        def held_run_batch(*args):
-            assert release.wait(timeout=30)
-            return run_batch(*args)
-
-        svc._run_batch = held_run_batch
-        threads = [threading.Thread(target=issue, args=(i,)) for i in range(clients)]
-        for thread in threads:
-            thread.start()
-        try:
-            deadline = time.monotonic() + 30
-            while not until(client.stats()):
-                assert time.monotonic() < deadline, "the burst never built up"
-        finally:
-            release.set()
-        for thread in threads:
-            thread.join()
-
-    def test_concurrent_identical_requests_coalesce(self, workload):
-        svc = QuantileService(ServiceConfig(max_inflight=1, max_queue=16, queue_timeout=10.0))
+class TestConcurrency:
+    def test_same_key_burst_shares_one_prepared_query(self, workload):
+        svc = QuantileService(ServiceConfig(max_inflight=8, max_queue=16, queue_timeout=10.0))
         svc.pool.register("demo", workload.db)
         handle = ServiceThread(svc).start()
         try:
             client = ServiceClient.from_url(handle.url)
+            phis = [0.1 * (position + 1) for position in range(8)]
             responses = [None] * 8
 
             def issue(position):
                 responses[position] = client.query(
-                    "demo", QUERY, RANKING, phis=[0.1 * (position + 1)]
+                    "demo", QUERY, RANKING, phis=[phis[position]]
                 )
 
-            self.burst(svc, client, issue, 8)
-            assert all(r.status == 200 for r in responses)
-            stats = client.stats()
-            # With one execution slot and the first batch still running,
-            # later arrivals must have merged: strictly fewer batches than
-            # requests.
-            assert stats["coalescing"]["batches"] < stats["coalescing"]["requests"]
-            assert stats["coalescing"]["max_fan_in"] >= 2
-            assert any(r.payload["coalesce_fan_in"] >= 2 for r in responses)
-        finally:
-            handle.shutdown()
-
-    def test_coalesced_degraded_answers_annotate_fan_in(self, workload):
-        svc = QuantileService(ServiceConfig(max_inflight=1, max_queue=16, queue_timeout=10.0))
-        svc.pool.register("demo", workload.db)
-        handle = ServiceThread(svc).start()
-        try:
-            client = ServiceClient.from_url(handle.url)
-            responses = [None] * 4
-
-            def issue(position):
-                responses[position] = client.query(
-                    "demo", QUERY, DEGRADE_RANKING,
-                    phis=[0.3 + 0.1 * position], **DEGRADE_KNOBS,
+            # All eight hold a slot at once, then run together on one cold
+            # prepared query, switching threads often enough to interleave
+            # its preparation and cache publishes.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                burst(
+                    svc, client, issue, 8,
+                    until=lambda stats: stats["admission"]["inflight"] == 8,
                 )
-
-            self.burst(svc, client, issue, 4)
-            assert all(r.status == 200 for r in responses)
-            shared = [r for r in responses if r.payload["coalesce_fan_in"] > 1]
-            assert shared, "expected at least one coalesced response"
-            for response in shared:
-                entry = response.payload["results"][0]
-                assert entry["degraded"] is True
-                assert (
-                    f"fan-in={response.payload['coalesce_fan_in']}"
-                    in entry["degradation"]
-                )
+            finally:
+                sys.setswitchinterval(interval)
+            assert [r.status for r in responses] == [200] * 8
+            direct = Engine(workload.db).prepare(QUERY, RANKING)
+            assert [r.payload["results"][0]["weight"] for r in responses] == [
+                direct.quantile(phi).weight for phi in phis
+            ]
+            assert svc.pool.prepared_count == 1
         finally:
             handle.shutdown()
 
@@ -395,18 +420,13 @@ class TestShedding:
             responses = [None] * 8
 
             def issue(position):
-                # Distinct seeds defeat coalescing so every request needs
-                # its own slot.
-                responses[position] = client.query(
-                    "demo", QUERY, RANKING, phis=[0.5], seed=position
-                )
+                # Identical requests: each one still needs its own slot.
+                responses[position] = client.query("demo", QUERY, RANKING, phis=[0.5])
 
             # One slot, no queue, and the execution holding the slot parked
             # until admission has turned someone away — which it must,
             # at once or after queue_timeout, however short an execution is.
-            TestCoalescing.burst(
-                svc, client, issue, 8, until=lambda stats: stats["admission"]["shed"] >= 1
-            )
+            burst(svc, client, issue, 8, until=lambda stats: stats["admission"]["shed"] >= 1)
             statuses = sorted(r.status for r in responses)
             assert 429 in statuses
             assert 200 in statuses  # overload never blanks the service out
@@ -432,7 +452,7 @@ class TestRecords:
         for key in (
             "request_id", "db", "query", "ranking", "phis", "status",
             "http_status", "queue_seconds", "execute_seconds", "total_seconds",
-            "coalesce_fan_in", "degraded", "degradation_rungs", "checkpoints",
+            "degraded", "degradation_rungs", "checkpoints",
         ):
             assert key in record
         assert record["status"] == "ok"
