@@ -8,6 +8,8 @@ CI runs this as its own job.  The script:
 2. waits for readiness, then sweeps it with concurrent clients — a mix of
    same-key quantile requests sharing one prepared query, per-request budget
    errors, and degraded runs — asserting every response is structured,
+   then repeats one request, which must be served from the cache with the
+   first answer,
 3. requests a graceful shutdown over HTTP and requires the server process
    to exit 0 (``EXIT_OK``), which the server only reports when the drain
    finished with **zero orphaned tasks**.
@@ -123,6 +125,18 @@ def main() -> int:
                 if r.status == 200 and r.payload.get("degraded")
             ]
             assert degraded, "the degradation recipe should have degraded"
+
+            # A repeated identical request is a replay of memoized steps,
+            # answered on the event loop with the first request's result.
+            first = client.query("smoke", QUERY, RANKING, phis=[0.3, 0.7])
+            again = client.query("smoke", QUERY, RANKING, phis=[0.3, 0.7])
+            assert first.status == again.status == 200, (first.payload, again.payload)
+            assert again.payload["results"] == first.payload["results"], (
+                "the replayed answer diverged from the first one"
+            )
+            served = client.stats()["recent"][-1]["served"]
+            assert served == "cache", served
+            print("repeated request: served from the cache (answer matches)")
 
             # Sharded parallel execution: the record must report its shard
             # count, and the answer must match the serial one bit for bit.

@@ -235,6 +235,32 @@ class LocalCandidates:
         return evaluate_sorted(*handle, self.ranking, self.tree_cache.get(*handle), keep)
 
 
+class CacheMiss(Exception):
+    """A :class:`CachedOnly` replay reached a step or terminal nobody memoized."""
+
+
+class CachedOnly:
+    """``source``'s candidates, answered only from the caches: a replay.
+
+    Run through :func:`run_pivoting` with a prepared query's step and answer
+    caches, it walks the memoized steps and selects from a memoized terminal
+    exactly as a warm call does, but it computes nothing: a step or terminal
+    the caches lack raises :class:`CacheMiss` instead.
+    """
+
+    def __init__(self, source: LocalCandidates) -> None:
+        self.query, self.db, self.trimmer = source.query, source.db, source.trimmer
+        self.total, self.root = source.total, source.root
+
+    def step(self, interval: WeightInterval, handle: LocalHandle) -> PivotStep:
+        raise CacheMiss(interval)
+
+    def terminal(
+        self, interval: WeightInterval, handle: LocalHandle, keep: Collection[str]
+    ) -> Terminal:
+        raise CacheMiss(interval)
+
+
 def run_pivoting(
     source: CandidateSource,
     phi: float | None,
@@ -352,7 +378,7 @@ def pivoting_quantile(
     pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
     answer_cache: MutableMapping[WeightInterval, Terminal] | None = None,
     tree_cache: TreeCache | None = None,
-    source: LocalCandidates | None = None,
+    source: LocalCandidates | CachedOnly | None = None,
 ) -> QuantileResult:
     """Run Algorithm 1 and return the requested (approximate) quantile.
 
@@ -386,7 +412,8 @@ def pivoting_quantile(
         A prebuilt :class:`LocalCandidates` over this very (canonical
         query, db, ranking, trimmer), which then supplies ``total`` and
         ``tree_cache`` — a prepared query builds it once instead of
-        validating, canonicalizing, and counting on every call.
+        validating, canonicalizing, and counting on every call — or a
+        :class:`CachedOnly` replay of one.
     """
     if source is None:
         ranking.validate_for(query.variables)

@@ -16,7 +16,9 @@ prepare-once/execute-many database pattern around it:
   :meth:`~PreparedQuery.count`.
 * Across calls, a shared pivot cache memoizes the deterministic pivoting
   iterations per candidate interval, so a batch of φ values re-runs only the
-  suffix of the search path where the target ranks diverge.
+  suffix of the search path where the target ranks diverge;
+  :meth:`~PreparedQuery.cached` answers a call whose whole path is memoized
+  without computing anything (the service does so on its event loop).
 
 Quick start
 -----------
@@ -38,6 +40,8 @@ from repro.approx.lossy_sum_trim import LossySumTrimmer
 from repro.approx.randomized import sampling_quantile
 from repro.baselines.materialize import select_from_sorted, sorted_answers
 from repro.core.quantile import (
+    CacheMiss,
+    CachedOnly,
     CappedCache,
     LocalCandidates,
     check_phi,
@@ -709,22 +713,60 @@ class PreparedQuery:
                 result = self._try_parallel(phi, index)
                 if result is not None:
                     return result
-            source = self._ensure_source(strategy)
-            pivot_cache, answer_cache = self._mode_caches(strategy)
-            return pivoting_quantile(
-                source.query,
-                source.db,
-                self.ranking,
-                source.trimmer,
-                phi=phi,
-                index=index,
-                epsilon=self.epsilon if strategy == "approx-pivot" else None,
-                termination_size=self.termination_factor * max(source.db.size, 1),
-                pivot_cache=pivot_cache,
-                answer_cache=answer_cache,
-                source=source,
+            return self._pivot(
+                strategy, self._ensure_source(strategy), self._mode_caches(strategy), phi, index
             )
         raise SolverError(f"unhandled strategy {strategy!r}")
+
+    def _pivot(
+        self,
+        strategy: str,
+        source: LocalCandidates | CachedOnly,
+        caches: tuple[CappedCache, CappedCache],
+        phi: float | None,
+        index: int | None,
+    ) -> QuantileResult:
+        """Algorithm 1 for one pivoting strategy over its serial caches."""
+        return pivoting_quantile(
+            source.query,
+            source.db,
+            self.ranking,
+            source.trimmer,
+            phi=phi,
+            index=index,
+            epsilon=self.epsilon if strategy == "approx-pivot" else None,
+            termination_size=self.termination_factor * max(source.db.size, 1),
+            pivot_cache=caches[0],
+            answer_cache=caches[1],
+            source=source,
+        )
+
+    def cached(
+        self, phi: float | None = None, index: int | None = None
+    ) -> QuantileResult | None:
+        """The result :meth:`quantile` / :meth:`selection` would return, if
+        the caches already hold every step and terminal it needs; else ``None``.
+
+        Computes nothing: it replays memoized pivoting steps and selects from
+        a memoized terminal, or gives up.  ``None`` also when the plan is not
+        made yet or is not a serial pivoting strategy, and for a sharded
+        query.  Invalid targets raise what :meth:`quantile` raises.
+        """
+        plan = self._plan
+        if plan is None or self._shard_count >= 2:
+            return None
+        source = self._sources.get(plan.strategy)
+        caches = self._caches.get(plan.strategy)
+        if source is None or caches is None:
+            return None
+        replay = CachedOnly(source)
+        try:
+            if not self._has_guards():
+                return self._pivot(plan.strategy, replay, caches, phi, index)
+            with self._fresh_context():
+                return self._pivot(plan.strategy, replay, caches, phi, index)
+        except (CacheMiss, BudgetExceededError):
+            return None
 
     def _solve_by_materialization(
         self, phi: float | None = None, index: int | None = None

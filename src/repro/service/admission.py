@@ -114,6 +114,13 @@ class AdmissionController:
             # (a free slot admits without queueing, whatever max_queue is).
             self.shed += 1
             raise ShedRequestError("queue full", self.retry_after_hint())
+        if not self._waiting and not self._semaphore.locked():
+            # A free slot and nobody queued ahead (FIFO): the semaphore grants
+            # it without suspending, so no task and no wait.
+            await self._semaphore.acquire()
+            self.admitted += 1
+            self._inflight += 1
+            return 0.0
         started = time.monotonic()
         self._waiting += 1
         acquire = asyncio.ensure_future(self._semaphore.acquire())

@@ -114,9 +114,43 @@ class EnginePool:
         with self._lock:
             return sorted(self._engines)
 
+    def __contains__(self, name: object) -> bool:
+        """Whether a database is registered under ``name``."""
+        return name in self._engines
+
     # ------------------------------------------------------------------ #
     # Prepared queries
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _key(
+        name: str,
+        query: str,
+        ranking: str,
+        epsilon: float | None = None,
+        strategy: str = "auto",
+        seed: int | None = None,
+        timeout: float | None = None,
+        max_rows: int | None = None,
+        on_budget: str | None = None,
+        parallel: int | str | None = None,
+    ) -> tuple[Any, ...]:
+        """The LRU key of one request signature."""
+        return (
+            name, query, ranking, epsilon, strategy, seed,
+            timeout, max_rows, on_budget, parallel,
+        )
+
+    def lookup(self, name: str, query: str, ranking: str, **knobs: Any) -> PreparedQuery | None:
+        """The cached prepared query for one request signature (a hit), or
+        ``None``; never builds one, so the event loop may call it."""
+        key = self._key(name, query, ranking, **knobs)
+        with self._lock:
+            cached = self._prepared.get(key)
+            if cached is not None:
+                self._prepared.move_to_end(key)
+                self.hits += 1
+            return cached
+
     def prepared(
         self,
         name: str,
@@ -136,16 +170,14 @@ class EnginePool:
         from an executor thread, never from the event loop.
         """
         engine = self.engine(name)
-        key = (
-            name, query, ranking, epsilon, strategy, seed,
-            timeout, max_rows, on_budget, parallel,
+        knobs: dict[str, Any] = dict(
+            epsilon=epsilon, strategy=strategy, seed=seed, timeout=timeout,
+            max_rows=max_rows, on_budget=on_budget, parallel=parallel,
         )
+        cached = self.lookup(name, query, ranking, **knobs)
+        if cached is not None:
+            return cached
         with self._lock:
-            cached = self._prepared.get(key)
-            if cached is not None:
-                self._prepared.move_to_end(key)
-                self.hits += 1
-                return cached
             self.misses += 1
         prepared = engine.prepare(
             query,
@@ -158,6 +190,7 @@ class EnginePool:
             on_budget=self._on_budget if on_budget is None else on_budget,
             parallel=parallel,
         )
+        key = self._key(name, query, ranking, **knobs)
         with self._lock:
             self._prepared[key] = prepared
             self._prepared.move_to_end(key)

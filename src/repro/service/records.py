@@ -47,7 +47,12 @@ class RequestRecord:
     degradation_rungs:
         The distinct degradation notes of the degraded results.
     checkpoints:
-        Runtime checkpoints observed while the request's targets ran.
+        Runtime checkpoints observed while the request's targets ran on the
+        executor; 0 when ``served`` is ``"cache"`` (a replay is not counted).
+    served:
+        Where the targets ran: ``"cache"`` (every one memoized, answered on
+        the event loop), ``"executor"``, or ``None`` when nothing ran (shed,
+        refused, unknown database).
     error:
         Error message for ``error``/``cancelled``/``shed`` outcomes.
     retry_after:
@@ -73,6 +78,7 @@ class RequestRecord:
     degraded: bool = False
     degradation_rungs: list[str] = field(default_factory=list)
     checkpoints: int = 0
+    served: str | None = None
     error: str | None = None
     retry_after: float | None = None
     parallel: int | str | None = None
@@ -95,12 +101,15 @@ class RecordLog:
         self._records: deque[RequestRecord] = deque(maxlen=DEFAULT_RECORD_LIMIT)
         self._lock = threading.Lock()
         self._by_status: Counter[str] = Counter()
+        self._by_served: Counter[str] = Counter(cache=0, executor=0)
         self._total = 0
 
     def append(self, record: RequestRecord) -> None:
         with self._lock:
             self._records.append(record)
             self._by_status[record.status] += 1
+            if record.served is not None:
+                self._by_served[record.served] += 1
             self._total += 1
 
     def __len__(self) -> int:
@@ -118,4 +127,5 @@ class RecordLog:
             return {
                 "total": self._total,
                 "by_status": dict(self._by_status),
+                "by_served": dict(self._by_served),
             }

@@ -7,11 +7,15 @@ prepared queries) and a robustness layer:
 * **admission control** (:mod:`repro.service.admission`) bounds in-flight
   executions and queue depth, shedding overload with 429 responses that
   carry retry-after hints;
-* **one query path**: a ``/query`` is validated, admitted, run on the
-  executor against the pool's shared prepared query, and answered with one
-  result per requested target, in request order.  Concurrent requests with
-  the same (db, query, ranking, knobs) share that prepared query and its
-  caches, so the paper's amortization applies across callers;
+* **two ways in, both behind admission**: a ``/query`` is validated,
+  admitted, run against the pool's shared prepared query, and answered with
+  one result per requested target, in request order.  When the prepared
+  query's caches already hold every target (a replay of memoized pivot
+  steps and terminals, :meth:`~repro.engine.PreparedQuery.cached`), the
+  request is answered on the event loop; everything else runs on the
+  executor.  Concurrent requests with the same (db, query, ranking, knobs)
+  share that prepared query and its caches, so the paper's amortization
+  applies across callers;
 * **graceful lifecycle** — ``/healthz``/``/readyz`` endpoints, and a drain
   sequence that stops accepting, sheds the queue, waits out in-flight
   requests, and finally cancels stragglers through a shared
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.quantile import check_phi
+from repro.engine import PreparedQuery
 from repro.exceptions import (
     BudgetExceededError,
     DegradedResultWarning,
@@ -69,6 +74,14 @@ EXIT_DIRTY_DRAIN = 5   # tasks had to be force-cancelled at shutdown
 REQUEST_TIMEOUT = 10.0
 #: Largest request body read into memory; a longer one is answered 413 unread.
 MAX_BODY_BYTES = 1024 * 1024
+
+#: The reason phrase of each status the service answers with.
+_REASONS = {
+    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
+    405: "Method Not Allowed", 408: "Request Timeout", 413: "Content Too Large",
+    429: "Too Many Requests", 500: "Internal Server Error",
+    503: "Service Unavailable", 504: "Gateway Timeout",
+}
 
 
 #: The type of each request knob.  A float knob also takes an int, a bool is
@@ -294,14 +307,9 @@ class QuantileService:
         payload: dict[str, Any],
         headers: dict[str, str],
     ) -> None:
-        reasons = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-                   405: "Method Not Allowed", 408: "Request Timeout",
-                   413: "Content Too Large", 429: "Too Many Requests",
-                   500: "Internal Server Error", 503: "Service Unavailable",
-                   504: "Gateway Timeout"}
         body = json.dumps(payload, default=str).encode()
         head = [
-            f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
             "Content-Type: application/json",
             f"Content-Length: {len(body)}",
             "Connection: close",
@@ -443,7 +451,7 @@ class QuantileService:
             raise ValidationError("'query' (a query spec string) is required")
         if not ranking or not isinstance(ranking, str):
             raise ValidationError("'ranking' (a ranking spec string) is required")
-        if db_name not in self.pool.databases():
+        if db_name not in self.pool:
             record.status, record.http_status = "error", 404
             record.error = f"unknown database {db_name!r}"
             return 404, {"request_id": record.request_id, "error": record.error}, {}
@@ -472,12 +480,20 @@ class QuantileService:
         queue_seconds = await self.admission.acquire()
         execute_seconds = 0.0
         try:
-            outcomes, execute_seconds, record.checkpoints, record.shards = (
-                await asyncio.get_running_loop().run_in_executor(
-                    self._executor, self._run_batch,
-                    db_name, query, ranking, knobs, mode, targets,
+            prepared = self.pool.lookup(db_name, query, ranking, **knobs)
+            replay_started = time.perf_counter()
+            outcomes = None if prepared is None else self._replay(prepared, mode, targets)
+            if outcomes is not None:
+                record.served = "cache"
+                execute_seconds = time.perf_counter() - replay_started
+            else:
+                record.served = "executor"
+                outcomes, execute_seconds, record.checkpoints, record.shards = (
+                    await asyncio.get_running_loop().run_in_executor(
+                        self._executor, self._run_batch,
+                        db_name, query, ranking, knobs, mode, targets, prepared,
+                    )
                 )
-            )
         finally:
             self.admission.release(execute_seconds)
         record.queue_seconds = round(queue_seconds, 6)
@@ -505,6 +521,27 @@ class QuantileService:
             knobs["parallel"] = parallel
         return knobs
 
+    @staticmethod
+    def _replay(
+        prepared: PreparedQuery, mode: str, targets: tuple[Any, ...]
+    ) -> dict[Any, Any] | None:
+        """Each distinct target's outcome from the prepared query's caches, or
+        ``None`` at the first one they do not hold.  Runs on the event loop:
+        :meth:`PreparedQuery.cached` computes nothing."""
+        outcomes: dict[Any, Any] = {}
+        for target in dict.fromkeys(targets):
+            try:
+                if mode == "phi":
+                    outcome = prepared.cached(phi=target)
+                else:
+                    outcome = prepared.cached(index=target)
+            except (ReproError, ValueError) as error:
+                outcome = error  # what the executor would answer, too
+            if outcome is None:
+                return None
+            outcomes[target] = outcome
+        return outcomes
+
     # Runs inside an executor thread: everything here is synchronous.
     def _run_batch(
         self,
@@ -514,11 +551,14 @@ class QuantileService:
         knobs: dict[str, Any],
         mode: str,
         targets: tuple[Any, ...],
+        prepared: PreparedQuery | None = None,
     ) -> tuple[dict[Any, Any], float, int, int | None]:
         """Run each distinct target once: ``(outcomes by target, seconds,
-        checkpoints, shards)``; a target that failed maps to its error."""
+        checkpoints, shards)``; a target that failed maps to its error.
+        ``prepared`` is the pool's entry when the request already looked it up."""
         batch_started = time.perf_counter()
-        prepared = self.pool.prepared(db_name, query, ranking, **knobs)
+        if prepared is None:
+            prepared = self.pool.prepared(db_name, query, ranking, **knobs)
         outcomes: dict[Any, Any] = {}
         # The ambient outer context carries the drain token: a shutdown
         # cancellation reaches every checkpoint of every strategy, while the

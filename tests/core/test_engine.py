@@ -16,6 +16,8 @@ from repro.query.join_query import JoinQuery
 from repro.query.parser import parse_ranking
 from repro.ranking.minmax import MaxRanking
 from repro.ranking.sum import SumRanking
+from repro.testing.faults import FaultPlan, inject_faults
+from repro.workloads.path import path_workload
 
 from tests.conftest import assert_valid_quantile
 
@@ -351,3 +353,70 @@ class TestExecution:
         tree = prepared.join_tree()
         assert tree is prepared.join_tree()
         assert len(tree.tree.nodes()) == len(prepared.query.atoms)
+
+
+PATH_QUERY = "R1(x1,x2), R2(x2,x3), R3(x3,x4)"
+PHIS = [i / 20 for i in range(1, 20)]
+#: (ranking, knobs): three exact-pivot rankings and the approx-pivot one.
+REPLAYED = [
+    ("sum(x1, x2)", {}),
+    ("max(x1, x4)", {}),
+    ("lex(x1, x4)", {}),
+    ("sum(x1, x2, x3, x4)", {"epsilon": 0.1}),
+]
+
+
+@pytest.fixture(scope="module")
+def path_db():
+    return path_workload(3, 50, 6, seed=5).db
+
+
+class TestCached:
+    """``PreparedQuery.cached``: a warm call replayed from the caches alone."""
+
+    @pytest.mark.parametrize("ranking, knobs", REPLAYED)
+    def test_a_warm_replay_is_the_call(self, path_db, ranking, knobs):
+        prepared = Engine(path_db).prepare(PATH_QUERY, ranking, **knobs)
+        assert prepared.plan().strategy == ("approx-pivot" if knobs else "exact-pivot")
+        prepared.quantiles(PHIS)
+        for phi in PHIS:
+            assert repr(prepared.cached(phi=phi)) == repr(prepared.quantile(phi))
+        total = prepared.count()
+        for index in (0, total // 2, total - 1):
+            expected = repr(prepared.selection(index))
+            assert repr(prepared.cached(index=index)) == expected
+
+    @pytest.mark.parametrize("ranking, knobs", REPLAYED)
+    def test_a_warm_replay_computes_nothing(self, path_db, ranking, knobs):
+        prepared = Engine(path_db).prepare(PATH_QUERY, ranking, **knobs)
+        prepared.quantiles(PHIS)
+        with inject_faults(FaultPlan()) as plan:
+            assert all(prepared.cached(phi=phi) is not None for phi in PHIS)
+        assert plan.seen["quantile.iteration"] > 0
+        assert set(plan.seen) <= {"quantile.iteration", "yannakakis.decode"}
+
+    def test_nothing_memoized_is_none(self, path_db):
+        prepared = Engine(path_db).prepare(PATH_QUERY, "sum(x1, x2)")
+        assert prepared.cached(phi=0.5) is None  # prepared, never run
+        prepared.quantile(0.5)
+        assert prepared.cached(phi=0.5) is not None
+        prepared.clear_pivot_cache()
+        assert prepared.cached(phi=0.5) is None
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"strategy": "materialize"}, {"strategy": "sampling", "epsilon": 0.1, "seed": 3}],
+    )
+    def test_a_non_pivot_plan_is_none(self, path_db, knobs):
+        prepared = Engine(path_db).prepare(PATH_QUERY, "sum(x1, x2)", **knobs)
+        prepared.quantile(0.5)
+        assert prepared.cached(phi=0.5) is None
+
+    def test_a_sharded_query_is_none(self, path_db, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
+        prepared = PreparedQuery(PATH_QUERY, path_db, "sum(x1, x2)", parallel=2)
+        try:
+            prepared.quantile(0.5)
+            assert prepared.cached(phi=0.5) is None
+        finally:
+            prepared.close()

@@ -44,6 +44,37 @@ class TestAcquireRelease:
         assert controller.stats()["avg_execute_seconds"] > before
 
 
+class TestFastPath:
+    def test_a_free_slot_is_taken_without_suspending_or_a_task(self):
+        async def scenario():
+            controller = AdmissionController(max_inflight=1)
+            tasks = len(asyncio.all_tasks())
+            attempt = controller.acquire()
+            with pytest.raises(StopIteration) as done:
+                attempt.send(None)  # completes on its first step
+            assert done.value.value == 0.0
+            assert len(asyncio.all_tasks()) == tasks
+            assert controller.inflight == 1 and controller.admitted == 1
+
+        run(scenario())
+
+    def test_a_newcomer_queues_behind_a_waiter(self):
+        async def scenario():
+            controller = AdmissionController(max_inflight=1, max_queue=4, queue_timeout=5.0)
+            await controller.acquire()
+            first = asyncio.ensure_future(controller.acquire())
+            await asyncio.sleep(0.01)
+            assert controller.waiting == 1
+            controller.release()  # the slot is `first`'s; it has not resumed yet
+            newcomer = controller.acquire()
+            newcomer.send(None)  # suspends: FIFO, it does not take the slot
+            newcomer.close()
+            await first
+            assert controller.inflight == 1 and controller.waiting == 0
+
+        run(scenario())
+
+
 class TestShedding:
     def test_queue_full_sheds_immediately(self):
         async def scenario():

@@ -55,6 +55,19 @@ def burst(svc, client, issue, clients, until):
         assert not thread.is_alive(), "a client never returned"
 
 
+def count_run_batch(svc):
+    """Record every ``_run_batch`` call (one per executor hop); returns the list."""
+    calls = []
+    run_batch = svc._run_batch
+
+    def counted_run_batch(*args):
+        calls.append(args)
+        return run_batch(*args)
+
+    svc._run_batch = counted_run_batch
+    return calls
+
+
 @pytest.fixture(scope="module")
 def workload():
     return path_workload(3, 50, 6, seed=5)
@@ -197,6 +210,110 @@ class TestQueries:
         payload = client.query("demo", QUERY, RANKING, phis=[0.5]).payload
         assert payload["queue_seconds"] >= 0.0
         assert payload["execute_seconds"] > 0.0
+
+
+class TestLoopReplay:
+    """A request whose targets are all memoized is answered on the event
+    loop; anything else takes the executor hop, as every request once did."""
+
+    def test_an_identical_warm_request_skips_the_executor(self, service):
+        svc, client = service
+        calls = count_run_batch(svc)
+        first = client.query("demo", QUERY, RANKING, phis=[0.25, 0.5])
+        assert len(calls) == 1
+        again = client.query("demo", QUERY, RANKING, phis=[0.25, 0.5])
+        assert len(calls) == 1
+        assert again.status == first.status == 200
+        assert again.payload["results"] == first.payload["results"]
+        stats = client.stats()
+        cold, warm = stats["recent"][-2:]
+        assert (cold["served"], warm["served"]) == ("executor", "cache")
+        assert cold["checkpoints"] > 0 and warm["checkpoints"] == 0
+        assert stats["requests"]["by_served"] == {"cache": 1, "executor": 1}
+        # One pool lookup per request: a miss, then a hit.
+        assert (stats["pool"]["misses"], stats["pool"]["hits"]) == (1, 1)
+
+    def test_a_cached_and_a_new_phi_run_once_in_request_order(self, service, workload):
+        svc, client = service
+        probe = Engine(workload.db).prepare(QUERY, RANKING)
+        probe.quantile(0.05)
+        assert probe.cached(phi=0.95) is None  # 0.95 needs steps 0.05 did not take
+        client.query("demo", QUERY, RANKING, phis=[0.05])
+        calls = count_run_batch(svc)
+        response = client.query("demo", QUERY, RANKING, phis=[0.95, 0.05])
+        assert len(calls) == 1
+        assert [entry["phi"] for entry in response.payload["results"]] == [0.95, 0.05]
+        assert [entry["weight"] for entry in response.payload["results"]] == [
+            probe.quantile(0.95).weight, probe.quantile(0.05).weight
+        ]
+        stats = client.stats()
+        assert stats["recent"][-1]["served"] == "executor"
+        # The hit whose replay missed was counted once, not again on the executor.
+        assert (stats["pool"]["misses"], stats["pool"]["hits"]) == (1, 1)
+
+    def test_an_out_of_range_index_answers_as_on_the_executor(self, service, workload):
+        svc, client = service
+        total = Engine(workload.db).prepare(QUERY, RANKING).count()
+        cold = client.query("demo", QUERY, RANKING, index=total)
+        client.query("demo", QUERY, RANKING, phis=[0.5])
+        calls = count_run_batch(svc)
+        warm = client.query("demo", QUERY, RANKING, index=total)
+        assert not calls and client.stats()["recent"][-1]["served"] == "cache"
+        assert warm.status == cold.status == 400
+        assert warm.payload["results"] == cold.payload["results"] == [
+            {
+                "index": total,
+                "error": {
+                    "type": "ValidationError",
+                    "message": f"index must be an integer in [0, {total}), got {total}",
+                    "budget": None,
+                    "checkpoint": None,
+                },
+            }
+        ]
+        assert warm.payload["partial"] is cold.payload["partial"] is False
+
+    @pytest.mark.parametrize("max_queue", [0, 4])
+    def test_a_warm_request_still_waits_for_a_slot(self, workload, max_queue):
+        svc = QuantileService(
+            ServiceConfig(max_inflight=1, max_queue=max_queue, queue_timeout=10.0)
+        )
+        svc.pool.register("demo", workload.db)
+        handle = ServiceThread(svc).start()
+        try:
+            client = ServiceClient.from_url(handle.url)
+            assert client.query("demo", QUERY, RANKING, phis=[0.5]).status == 200
+            warm = []
+            sender = threading.Thread(
+                target=lambda: warm.append(client.query("demo", QUERY, RANKING, phis=[0.5]))
+            )
+
+            def warm_request_turned_away_or_queued(stats):
+                admission = stats["admission"]
+                if admission["inflight"] < 1:
+                    return False
+                if sender.ident is None:
+                    sender.start()  # only once the cold request holds the slot
+                return admission["shed"] >= 1 or admission["waiting"] >= 1
+
+            # The one slot is held by a cold request parked in _run_batch.
+            burst(
+                svc, client,
+                lambda _: client.query("demo", QUERY, DEGRADE_RANKING, phis=[0.5]),
+                1, until=warm_request_turned_away_or_queued,
+            )
+            sender.join(timeout=30)
+            assert not sender.is_alive()
+            (response,) = warm
+            if max_queue:
+                assert response.status == 200
+                assert response.payload["queue_seconds"] > 0.0
+                assert client.stats()["recent"][-1]["served"] == "cache"
+            else:
+                assert response.status == 429
+                assert response.payload["reason"] == "queue full"
+        finally:
+            handle.shutdown()
 
 
 class TestValidation:
