@@ -23,9 +23,10 @@ def subtree_counts(tree: MaterializedTree) -> dict[int, list[int]]:
     rows, where entry ``i`` is the number of partial query answers for the
     subtree rooted at row ``i`` (``cnt(t)`` in Example 2.1).
 
-    Each node's counts are kept in its subtree state (callers treat them as
-    read-only): counting and pivot selection over one tree, and trees whose
-    databases share a subtree's relations, pay for that subtree once.
+    Each node's counts are kept in its subtree state and each edge's
+    :func:`group_sums` in the child's (callers treat them as read-only):
+    counting and pivot selection over one tree, and trees whose databases
+    share a subtree's relations, pay for that subtree and its edge up once.
     """
     kernel = active_backend()
     counts: dict[int, list[int]] = {}
@@ -40,17 +41,25 @@ def subtree_counts(tree: MaterializedTree) -> dict[int, list[int]]:
                 # Whole-column form of the ⊕/⊗ message pass: per-group sums of
                 # the child counts, gathered through each parent row's group
                 # ordinal (the sentinel slot holds 0 = dangling), multiplied in.
-                group_sums = kernel.sum_by_group(
-                    tree.child_group_ids(node, child),
-                    counts[child],
-                    tree.num_child_groups(node, child),
-                )
-                group_sums.append(0)  # sentinel: parent key with no child group
-                gathered = kernel.take(group_sums, tree.parent_group_ids(node, child))
+                sums = group_sums(tree, node, child, counts[child])
+                gathered = kernel.take(sums, tree.parent_group_ids(node, child))
                 node_counts = kernel.multiply(node_counts, gathered)
             state.counts = node_counts
         counts[node] = node_counts
     return counts
+
+
+def group_sums(tree: MaterializedTree, parent: int, child: int, counts: list[int]) -> list[int]:
+    """Per join group of the edge the answers below it (its members' child
+    ``counts`` summed), then 0 for a parent key with no child group."""
+
+    def build() -> list[int]:
+        ids, size = tree.child_group_ids(parent, child), tree.num_child_groups(parent, child)
+        sums = active_backend().sum_by_group(ids, counts, size)
+        sums.append(0)
+        return sums
+
+    return tree.group_message(parent, child, "sums", build)
 
 
 def count_from_tree(tree: MaterializedTree) -> int:

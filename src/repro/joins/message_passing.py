@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections.abc import Hashable
-from typing import Any
+from collections.abc import Callable, Hashable
+from typing import Any, TypeVar
 
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -26,6 +26,7 @@ from repro.runtime import checkpoint
 
 Row = tuple[Any, ...]
 Assignment = dict[str, Any]
+T = TypeVar("T")
 
 
 class NodeState:
@@ -124,14 +125,17 @@ class SubtreeState:
     so trees over databases that share those relations share, under the key
     ``(node state, child subtree states)``: per child the group ordinal each
     parent row selects, the subtree counts (written by ``subtree_counts``),
-    and per ranking the pivot message (written by ``select_pivot``).  Filled
-    in like a :class:`NodeState`.
+    per ranking the pivot message (written by ``select_pivot``), and per
+    parent's join variables what the join groups send up: count sums, live
+    members and per ranking pivot medians (:meth:`MaterializedTree.group_message`).
+    Filled in like a :class:`NodeState`.
     """
 
     def __init__(self) -> None:
         self.parent_group_ids: dict[SubtreeState, list[int]] = {}
         self.counts: list[int] | None = None
         self.pivots: dict[RankingFunction, Any] = {}
+        self.sent: dict[Hashable, Any] = {}
 
 
 class StateTable:
@@ -335,6 +339,16 @@ class MaterializedTree:
                 gids = [ordinal_of.get(key, sentinel) for key in zip(*columns)]
             state.parent_group_ids[below] = gids
         return gids
+
+    def group_message(self, parent: int, child: int, kind: Hashable, build: Callable[[], T]) -> T:
+        """What the child's join groups send up the edge (per group, then the
+        sentinel): ``build()``, kept on the child's subtree state under (join
+        variables, ``kind``).  Only the :meth:`parent_group_ids` gather is per tree."""
+        sent, key = self._subtrees[child].sent, (self._join_vars[(parent, child)], kind)
+        message: T | None = sent.get(key)
+        if message is None:
+            message = sent[key] = build()
+        return message
 
     # ------------------------------------------------------------------ #
     # Row helpers

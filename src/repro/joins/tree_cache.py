@@ -105,17 +105,16 @@ class TreeCache:
         return len(self._entries)
 
     def _lookup(self, key: tuple[int, int], db: Database) -> MaterializedTree | None:
-        """Return the cached fresh tree for ``key``, dropping a stale entry."""
+        """The cached fresh tree for ``key`` or None, dropping a stale entry;
+        a hit or a miss is counted under the lock (threads share a cache)."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                return None
-            _, _, _, fingerprint, tree = entry
-            if fingerprint == database_fingerprint(db):
+            if entry is not None and entry[3] == database_fingerprint(db):
                 self.hits += 1
                 self._entries.move_to_end(key)
-                return tree
-            del self._entries[key]
+                return entry[4]
+            self._entries.pop(key, None)
+            self.misses += 1
             return None
 
     def get(
@@ -135,7 +134,6 @@ class TreeCache:
         tree = self._lookup(key, db)
         if tree is not None:
             return tree
-        self.misses += 1
         # Build fully off to the side before publishing: if the construction
         # is interrupted (budget trip, cancellation, injected fault) no entry
         # is installed and the next call rebuilds from scratch; a concurrent

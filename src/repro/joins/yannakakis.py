@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.joins.counting import subtree_counts
+from repro.joins.counting import group_sums, subtree_counts
 from repro.joins.message_passing import MaterializedTree
 from repro.kernels import active_backend
 from repro.query.join_query import JoinQuery
@@ -220,13 +220,8 @@ class SortedAnswers:
         for node in order:
             source.update((v, (node, p)) for p, v in enumerate(tree.variables(node)))
         weighted = [v for v in ranking.weighted_variables if v in source]
-        # Per join group of the edge above a node: its rows with an answer below
-        # them, ascending like evaluate()'s candidate lists.
         self._members = {
-            node: [
-                list(compress(rows, map(self._counts[node].__getitem__, rows)))
-                for rows in tree.child_groups(self._parent_of[node], node).values()
-            ]
+            node: _live_members(tree, self._parent_of[node], node, self._counts[node])
             for node in order[1:]
         }
         # Deferred, last node first, as long as each only multiplies answers.
@@ -266,7 +261,7 @@ class SortedAnswers:
         # is how many answers it stands for, kept as running totals (with
         # nothing deferred: 1, 2, ... as a range, not a list).
         self._sums = {
-            node: [sum(map(self._counts[node].__getitem__, rows)) for rows in self._members[node]]
+            node: group_sums(tree, self._parent_of[node], node, self._counts[node])
             for node in self._deferred
         }
         multiplicity = [1] * len(weights)
@@ -375,6 +370,19 @@ def evaluate_sorted(
 ) -> SortedAnswers:
     """:class:`SortedAnswers` of (query, db), over ``tree`` if it is built."""
     return SortedAnswers(MaterializedTree(query, db) if tree is None else tree, ranking, keep)
+
+
+def _live_members(
+    tree: MaterializedTree, parent: int, child: int, counts: list[int]
+) -> list[list[int]]:
+    """Per join group of the edge its rows with an answer below them (nonzero
+    ``counts``), ascending like evaluate()'s candidate lists."""
+
+    def build() -> list[list[int]]:
+        groups = tree.child_groups(parent, child).values()
+        return [list(compress(rows, map(counts.__getitem__, rows))) for rows in groups]
+
+    return tree.group_message(parent, child, "members", build)
 
 
 def _replicate(values: Iterable[Any], counts: Iterable[int]) -> list[Any]:

@@ -69,6 +69,8 @@ def select_pivot(
     tree:
         Optionally, an already materialized tree for (query, db) — shared
         with counting through a :class:`~repro.joins.tree_cache.TreeCache`.
+        Messages and each edge's group medians are kept on the subtree states,
+        so a tree new only at its root (a SUM trim) builds the root's alone.
 
     Raises
     ------
@@ -152,15 +154,8 @@ def _message(
     for child in tree.children(node):
         below = messages[child]
         node_c *= below.c / 2.0
-        # Weighted median per join group (Lemma 4.5), all groups at once,
-        # gathered through each row's group ordinal.
-        medians = segmented_weighted_median(
-            tree.child_group_ids(node, child),
-            below.weights,
-            counts[child],
-            tree.num_child_groups(node, child),
-        )
-        medians.append(len(counts[child]))  # sentinel: parent key with no child group
+        # Weighted median per join group (Lemma 4.5), gathered per row.
+        medians = _group_medians(tree, node, child, ranking, below.weights, counts[child])
         picked = kernel.take(medians, tree.parent_group_ids(node, child))
         chosen.append(picked)
         # Union with the child's pivot (Lemma 4.6): its values win, as in
@@ -174,3 +169,19 @@ def _message(
         if variable in columns:
             weight = list(map(ranking.combine, weight, columns[variable]))
     return _Message(columns, weight, chosen, node_c)
+
+
+def _group_medians(
+    tree: MaterializedTree, parent: int, child: int, ranking: RankingFunction,
+    weights: list[Weight], counts: list[int],
+) -> list[int]:
+    """Per join group of the edge its weighted median child row under the child
+    message's ``weights``, then ``len(counts)`` for a key with no child group."""
+
+    def build() -> list[int]:
+        ids, size = tree.child_group_ids(parent, child), tree.num_child_groups(parent, child)
+        medians = segmented_weighted_median(ids, weights, counts, size)
+        medians.append(len(counts))
+        return medians
+
+    return tree.group_message(parent, child, ("medians", ranking), build)

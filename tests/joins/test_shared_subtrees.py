@@ -29,7 +29,8 @@ from repro.joins.counting import count_answers
 from repro.joins.message_passing import MaterializedTree, StateTable
 from repro.joins.tree_cache import TreeCache
 from repro.joins.yannakakis import evaluate, evaluate_sorted
-from repro.pivot import select_pivot
+from repro.pivot import pivot_selection, select_pivot
+from repro.pivot.weighted_median import segmented_weighted_median
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.query.join_tree import build_join_tree
@@ -118,6 +119,27 @@ def test_two_rankings_over_one_cached_tree_keep_their_own_messages():
         assert shared == observed(PATH, db, ranking, MaterializedTree(PATH, db))
 
 
+def test_a_leaf_under_two_parents_sends_each_its_own_group_messages():
+    """One ``R2`` leaf state, grouped on ``x2`` under ``R1`` and on ``x3``
+    under ``R3``: what it sends is keyed by join variables and ranking."""
+    db = path_db()
+    under_r1 = JoinQuery([Atom("R1", ("x1", "x2")), Atom("R2", ("x2", "x3"))])
+    under_r3 = JoinQuery([Atom("R3", ("x3", "x4")), Atom("R2", ("x2", "x3"))])
+    cache = TreeCache()
+    first, second = cache.get(under_r1, db), cache.get(under_r3, db)
+    assert first.subtree(1) is second.subtree(1)
+    assert first.join_variables(0, 1) != second.join_variables(0, 1)
+    for ranking in (
+        SumRanking(["x2", "x3"]),
+        SumRanking(["x2", "x3"], {"x3": lambda value: -10 * value}),
+    ):
+        for query, tree in ((under_r1, first), (under_r3, second)):
+            assert observed(query, db, ranking, tree) == observed(
+                query, db, ranking, MaterializedTree(query, db)
+            )
+    assert len(first.subtree(1).sent) == 2 * 4  # per edge: sums, members, 2 medians
+
+
 def test_two_rootings_share_nodes_but_group_them_by_their_own_join_variables():
     """``R2`` is grouped on ``x2`` under ``R1`` and on ``x3`` under ``R3``."""
     db = path_db()
@@ -145,7 +167,8 @@ def test_second_trimmed_tree_of_a_path_sum_touches_only_its_root():
     assert d1["R3"] is d2["R3"] is db["R3"]
 
     cache = TreeCache()
-    select_pivot(q1, d1, ranking, tree=cache.get(q1, d1))
+    first = cache.get(q1, d1)
+    select_pivot(q1, d1, ranking, tree=first)
     plan = FaultPlan()
     with inject_faults(plan), ExecutionContext() as context:
         tree = cache.get(q2, d2)
@@ -155,13 +178,13 @@ def test_second_trimmed_tree_of_a_path_sum_touches_only_its_root():
     assert plan.seen["tree.materialize"] == 1
     assert plan.seen["tree.group"] == plan.seen["tree.group_ids"] == 0
     assert plan.seen["counting.node"] == plan.seen["pivot.node"] == 1
-    assert plan.seen["pivot.median"] == 1 + 1  # the root's one edge, the root
+    # The root's edge sends the medians the first tree built: only the root's.
+    assert plan.seen["pivot.median"] == 1
     root_rows = len(d2["R1"])
-    live_below = sum(1 for count in tree.subtree(1).counts if count)
     live_root = sum(1 for count in tree.subtree(0).counts if count)
     # atom scan, materialize, parent ids, counting and pivot node: the root's
-    # rows each; the two medians: the live rows they order.
-    assert context.rows_used == 5 * root_rows + live_below + live_root
+    # rows each; the root's median: the live rows it orders.
+    assert context.rows_used == 5 * root_rows + live_root
     # No tree can share a root subtree: its message is not kept.
     assert not tree.subtree(0).pivots and ranking in tree.subtree(1).pivots
 
@@ -170,6 +193,12 @@ def test_second_trimmed_tree_of_a_path_sum_touches_only_its_root():
     assert repr(pivot) == repr(select_pivot(q2, d2, ranking, tree=alone))
     assert (cache.node_hits, cache.node_misses) == (2, 4)
     assert "node_hits=2, node_misses=4" in repr(cache)
+    # The terminals read the root's edge and R3's edge off the shared states.
+    before = evaluate_sorted(q1, d1, ranking, tree=first)
+    after = evaluate_sorted(q2, d2, ranking, tree=tree)
+    assert after._deferred == [2]
+    assert after._members[1] is before._members[1] and after._members[2] is before._members[2]
+    assert after._sums[2] is before._sums[2]
 
 
 def test_terminals_of_a_batch_scan_the_shared_leaf_for_one_weight_per_group_once():
@@ -287,6 +316,53 @@ def test_fault_on_a_later_trimmed_tree_leaves_no_partial_state(name):
     assert (result.weight, result.target_index) == (oracle.weight, oracle.target_index)
 
 
+@pytest.mark.faults
+def test_fault_while_the_shared_root_edge_medians_are_built_keeps_no_entry(monkeypatch):
+    """The first trimmed tree builds the medians its root edge shares with
+    every later one; a fault mid-build leaves them to the retry, built once."""
+    ranking = SumRanking(["x1", "x2", "x3"])
+    seen: Counter[str] = Counter()
+    base_medians = []
+
+    def hook(name):
+        seen[name] += 1
+        if name == "trim.sum_copy" and not base_medians:
+            base_medians.append(seen["pivot.median"])
+
+    previous = set_fault_hook(hook)
+    try:
+        clean = PreparedQuery(PATH, path_db(), ranking, termination_factor=1)
+        clean_result = repr(clean.quantile(0.5))
+    finally:
+        set_fault_hook(previous)
+    built = []
+
+    def recorded(group_ids, *args):
+        built.append(group_ids)
+        return segmented_weighted_median(group_ids, *args)
+
+    monkeypatch.setattr(pivot_selection, "segmented_weighted_median", recorded)
+    prepared = PreparedQuery(PATH, path_db(), ranking, termination_factor=1)
+
+    def trimmed_trees():
+        trees = [entry[4] for entry in prepared.tree_cache._entries.values()]
+        return [tree for tree in trees if tree.query != PATH]
+
+    with inject_faults(FaultPlan().arm("pivot.median", after=base_medians[0])) as plan:
+        with pytest.raises(InjectedFault):
+            prepared.quantile(0.5)
+    assert plan.fired == [("pivot.median", base_medians[0] + 1)]
+    shared = trimmed_trees()[0]
+    assert built[-1] is shared.child_group_ids(0, 1)  # the fault hit its build
+    assert all(tree.subtree(1) is shared.subtree(1) for tree in trimmed_trees())
+    join_vars = shared.join_variables(0, 1)
+    assert (join_vars, ("medians", ranking)) not in shared.subtree(1).sent
+    built.clear()
+    assert repr(prepared.quantile(0.5)) == clean_result
+    assert sum(group_ids is shared.child_group_ids(0, 1) for group_ids in built) == 1
+    assert (join_vars, ("medians", ranking)) in shared.subtree(1).sent
+
+
 # ---------------------------------------------------------------------- #
 # (f) Concurrent builders converge on one state per key
 # ---------------------------------------------------------------------- #
@@ -338,6 +414,7 @@ def test_two_threads_building_over_shared_relations_hold_the_same_states():
         sys.setswitchinterval(interval)
         set_fault_hook(previous)
     assert not any(thread.is_alive() for thread in threads) and len(trees) == 2
+    assert cache.misses == 2  # counted under the lock: neither miss is lost
     assert cache.node_misses == 6  # both threads missed every node
     for node in (1, 2):
         assert trees[0].subtree(node) is trees[1].subtree(node)
