@@ -30,10 +30,10 @@ to the code it excuses.
 
 **Known blind spot.**  RPR002 is lexical: it sees mutations of
 ``self.<guarded>`` and of local aliases of it.  It does *not* see a guarded
-dict mutated through a helper's *parameter* — ``IndexCatalog._publish`` and
-``_publish_overwrite`` receive ``self._orders`` & co. as ``table`` and take
-the lock themselves; removing the lock there is silent.  Those two helpers
-are the whole list; keep it that way rather than growing the rule.
+dict mutated through a helper's *parameter* — ``IndexCatalog._publish``
+receives ``self._orders`` & co. as ``table`` and takes the lock itself;
+removing the lock there is silent.  That helper is the whole list; keep it
+that way rather than growing the rule.
 """
 
 from __future__ import annotations

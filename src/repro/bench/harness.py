@@ -43,10 +43,6 @@ class ExperimentResult:
     rows: list[dict[str, Any]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def column_values(self, column: str) -> list[Any]:
-        """All values of one column, in row order."""
-        return [row.get(column) for row in self.rows]
-
 
 def time_call(func: Callable[[], Any]) -> tuple[Any, float]:
     """Run ``func`` once and return ``(result, seconds)`` (wall clock)."""

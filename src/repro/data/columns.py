@@ -10,7 +10,8 @@ vice versa.
 
 Views are what make trimming cheap: filtering and semijoin reduction produce
 stores that share the parent's column arrays and only record a
-survivor-position array (a mask) instead of copying rows.  View
+survivor-position array (a mask) instead of copying rows.  Sharing is safe
+because no store is ever mutated: a trim builds a new store.  View
 chains are collapsed eagerly — selecting from a view composes the positions
 into the base store's coordinates — so access stays O(1) per cell regardless
 of how many trims produced the store.
@@ -31,10 +32,8 @@ class ColumnStore:
     """Physical storage of one relation: rows, columns, or a masked view.
 
     Use the class methods :meth:`from_rows` and :meth:`from_columns` to build
-    leaf stores; derive views with :meth:`select` / :meth:`snapshot`.  All
-    derived stores are frozen with respect to their base: appending to the
-    base never changes a previously created view, and appending to a view
-    first privatizes its data (copy-on-write).
+    leaf stores; derive views with :meth:`select`.  A store's rows never
+    change once built, so a view can share its base's arrays for good.
     """
 
     __slots__ = ("arity", "_rows", "_columns", "_base", "_positions", "_length")
@@ -149,35 +148,6 @@ class ColumnStore:
         else:
             base = self
         return ColumnStore(self.arity, base=base, positions=list(positions))
-
-    def snapshot(self) -> "ColumnStore":
-        """Frozen view of the current rows (immune to later appends)."""
-        if self._base is not None:
-            # Views are already frozen; share the composed coordinates.
-            return ColumnStore(self.arity, base=self._base, positions=self._positions)
-        return ColumnStore(self.arity, base=self, positions=range(self._length))
-
-    # ------------------------------------------------------------------ #
-    # Mutation (copy-on-write for views)
-    # ------------------------------------------------------------------ #
-    def append(self, row: Row) -> None:
-        """Append one row, privatizing shared storage first (copy-on-write).
-
-        Views materialize their rows into a private list.  Cached column
-        arrays are *dropped*, never extended in place: ``column()`` hands
-        the cached lists to callers, so mutating them would grow what a
-        caller already holds.  Columns are
-        rebuilt lazily on the next access.
-        """
-        if self._base is not None:
-            self._rows = self.rows()  # fresh list owned by this store
-            self._base = None
-            self._positions = None
-        elif self._rows is None:
-            self._rows = self.rows()  # fresh (zip-built) list owned here
-        self._columns = None
-        self._rows.append(row)
-        self._length += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "view" if self._base is not None else "leaf"

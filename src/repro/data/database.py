@@ -1,10 +1,10 @@
 """Databases: named collections of relations.
 
 A :class:`Database` maps relation symbols to :class:`~repro.data.relation.Relation`
-instances and provides the convenience operations the quantile algorithms need:
-size accounting (``n`` = total number of tuples, the complexity parameter of
-the paper), copying, and per-relation replacement when a trimming rewrites the
-instance.
+instances and provides size accounting (``n`` = total number of tuples, the
+complexity parameter of the paper).  Like its relations, a database is a
+value once built: a trimming that rewrites the instance builds a new
+database, putting the relations it leaves alone into it by identity.
 """
 
 from __future__ import annotations
@@ -89,41 +89,17 @@ class Database:
         return self._relations.get(name, default)
 
     # ------------------------------------------------------------------ #
-    # Mutation / construction helpers
+    # Construction helper
     # ------------------------------------------------------------------ #
-    def add(self, relation: Relation, replace: bool = False) -> None:
-        """Register a relation under its own name.
+    def add(self, relation: Relation) -> None:
+        """Register a relation under its own name, while the database is
+        being built.
 
         Raises :class:`~repro.exceptions.SchemaError` if a relation with the
-        same name already exists and ``replace`` is false.
+        same name already exists.
         """
-        if relation.name in self._relations and not replace:
+        if relation.name in self._relations:
             raise SchemaError(
                 f"database already contains a relation named {relation.name!r}"
             )
         self._relations[relation.name] = relation
-
-    def replace(self, relation: Relation) -> None:
-        """Insert-or-overwrite a relation under its own name."""
-        self._relations[relation.name] = relation
-
-    def remove(self, name: str) -> None:
-        """Drop a relation from the database."""
-        if name not in self._relations:
-            raise SchemaError(f"database has no relation named {name!r}")
-        del self._relations[name]
-
-    def copy(self) -> "Database":
-        """A database of new relation objects that are frozen views of these
-        relations' stores (no row is copied; an append to either side first
-        privatizes its own storage).  New objects mean nothing cached per
-        relation is shared, which is why the trimmers do not use it: they put
-        the relations they leave alone into their result by identity."""
-        clone = Database()
-        for rel in self._relations.values():
-            clone.add(rel.rename(rel.name))
-        return clone
-
-    def restrict(self, names: Iterable[str]) -> "Database":
-        """Return a new database containing only the relations in ``names``."""
-        return Database([self[name] for name in names])

@@ -17,13 +17,9 @@ the join stack keeps rebuilding:
   which the MIN/MAX/LEX trims bisect instead of scanning rows, and which a
   trim's output inherits from its base.
 
-Appends no longer drop the catalog wholesale: :meth:`Relation.add` calls
-:meth:`IndexCatalog.note_append`, which absorbs the new row into every
-built hash index and key set in place, keeps memoized weight-value arrays
-(extended lazily by :meth:`weight_values` on next read), and drops only the
-order-derived structures — sort orders and trimmer memos — whose shape
-depends on the global row order.  A stale index can still never be served:
-everything kept is delta-correct, everything order-dependent is recomputed.
+A relation's rows never change once it is built, so nothing the catalog
+holds can go stale: every structure is built once and kept for the
+relation's lifetime.
 
 The catalog is safe under concurrent readers (the always-on service shares
 relations across requests): every index is built entirely off to the side —
@@ -55,14 +51,9 @@ VariableWeight = Callable[[str, Value], Any]
 class IndexCatalog:
     """Memoized physical access structures of one relation.
 
-    Obtained via :attr:`Relation.indexes`; survives appends — the relation
-    calls :meth:`note_append` so hash indexes and key sets stay current,
-    keeping memoized weight values warm across :meth:`Relation.add` calls.
-    Appends assume a single writer (like :meth:`Relation.add` itself);
-    concurrent readers remain safe because kept structures are only ever
-    extended and replaced structures are published whole.  ``relation`` is a
-    catalog-less twin of the owner over the same store (see
-    :attr:`Relation.indexes`): the catalog never points back at its owner.
+    Obtained via :attr:`Relation.indexes`.  ``relation`` is a catalog-less
+    twin of the owner over the same store (see :attr:`Relation.indexes`):
+    the catalog never points back at its owner.
     """
 
     __slots__ = (
@@ -100,47 +91,6 @@ class IndexCatalog:
                 return existing
             table[signature] = value
             return value
-
-    def _publish_overwrite(self, table: dict[Any, Any], signature: Hashable, value: Any) -> Any:
-        """Install ``value`` under ``signature`` unconditionally.
-
-        Used when replacing a structure that is known stale (e.g. a
-        weight-value array shorter than the relation after appends): unlike
-        :meth:`_publish`, the fresh structure must win.  Readers holding the
-        old structure are unaffected — it is never mutated, only superseded.
-        """
-        with self._lock:
-            table[signature] = value
-            return value
-
-    # ------------------------------------------------------------------ #
-    # Append maintenance
-    # ------------------------------------------------------------------ #
-    def note_append(self, row: Row) -> None:
-        """Absorb one appended row (called by :meth:`Relation.add`).
-
-        Hash indexes and key sets take the new row in O(built indexes);
-        weight-value arrays are kept (extended lazily by
-        :meth:`weight_values` when next read); sort orders and trimmer
-        memos are dropped — their shape depends on the global row order, so
-        a delta append cannot patch them.  Single-writer, like
-        :meth:`Relation.add`.
-        """
-        relation = self.relation
-        position = len(relation) - 1
-        with self._lock:
-            for signature, index in self._hash_indexes.items():
-                key = tuple(row[relation.position(a)] for a in signature)
-                index.setdefault(key, []).append(position)
-            for signature, keys in self._key_sets.items():
-                keys.add(tuple(row[relation.position(a)] for a in signature))
-            stale = [
-                s
-                for s in self._orders
-                if isinstance(s, tuple) and s and s[0] in ("__order__", "__memo__")
-            ]
-            for signature in stale:
-                del self._orders[signature]
 
     # ------------------------------------------------------------------ #
     # Hash indexes
@@ -204,33 +154,20 @@ class IndexCatalog:
         relation — callers typically use ``(ranking, atom variables, owned
         variables)``.  Embed identifying *objects* (identity hash), never
         their ``id()``: the memo table holds the tag, so the objects stay
-        alive and their ids cannot be recycled into stale hits.  Values
-        memoized before an append survive it: a cached array shorter than
-        the relation is extended with ``key`` applied to the new rows only —
-        into a fresh list, so readers holding the old array never observe
-        growth mid-scan.
+        alive and their ids cannot be recycled into stale hits.
         """
-        return self._values(
-            tag, lambda start: [key(row) for row in self.relation.rows[start:]]
-        )
+        return self._values(tag, lambda: [key(row) for row in self.relation.rows])
 
-    def _values(self, tag: Hashable, tail: Callable[[int], list[Any]]) -> list[Any]:
-        """The array memoized under ``tag``; ``tail(start)`` computes its
-        entries for the rows from ``start`` on (all of them, or the appended)."""
+    def _values(self, tag: Hashable, compute: Callable[[], list[Any]]) -> list[Any]:
+        """The per-row array memoized under ``tag``, built by ``compute()``."""
         signature: Hashable = ("__values__", tag)
         values = self._orders.get(signature)
-        length = len(self.relation)
         if values is not None:
             self.hits += 1
-            if len(values) == length:
-                return values
-            # Stale-short after appends: keep the already-computed prefix.
-            checkpoint("index.weights", rows=length - len(values))
-            extended = values + tail(len(values))
-            return self._publish_overwrite(self._orders, signature, extended)
+            return values
         self.misses += 1
-        checkpoint("index.weights", rows=length)
-        return self._publish(self._orders, signature, tail(0))
+        checkpoint("index.weights", rows=len(self.relation))
+        return self._publish(self._orders, signature, compute())
 
     def weight_order(self, tag: Hashable, key: Callable[[Row], Any]) -> list[int]:
         """Row positions sorted by ``key(row)``, memoized under ``tag``."""
@@ -252,8 +189,7 @@ class IndexCatalog:
 
         Used by trimmers to cache interval-independent constructions (e.g.
         the segment-annotated group side of the SUM trimming) that would
-        otherwise be rebuilt on every pivot iteration.  Like every other
-        index, the memo dies with the catalog when the relation mutates.
+        otherwise be rebuilt on every pivot iteration.
         """
         signature: Hashable = ("__memo__", tag)
         if signature in self._orders:
@@ -275,12 +211,12 @@ class IndexCatalog:
         Memoized under ``(weight, variable, position)`` — pass the ranking's
         bound method itself (``ranking.variable_weight``, ``ranking.key_of``):
         bound methods of one object compare and hash equal, so the function
-        is its own tag.  Kept across appends like :meth:`weight_values`.
+        is its own tag.
         """
         column = self.relation.store.column
         return self._values(
             (weight, variable, position),
-            lambda start: [weight(variable, value) for value in column(position)[start:]],
+            lambda: [weight(variable, value) for value in column(position)],
         )
 
     def seed_column_weights(
@@ -293,10 +229,10 @@ class IndexCatalog:
     def known_column_weights(
         self, position: int, variable: str, weight: VariableWeight
     ) -> list[Any] | None:
-        """:meth:`column_weights` if memoized or seeded and current, else
-        ``None`` — never computes, charges no rows."""
+        """:meth:`column_weights` if memoized or seeded, else ``None`` —
+        never computes, charges no rows."""
         values = self._orders.get(("__values__", (weight, variable, position)))
-        if values is None or len(values) != len(self.relation):
+        if values is None:
             return None
         self.hits += 1
         return values
@@ -307,7 +243,7 @@ class IndexCatalog:
         """Row positions stably sorted by :meth:`column_weights`, and the
         weights in that order — so a bound on the variable's weight is two
         bisects and the survivors one contiguous run of the order.  A memo:
-        built once per relation, dropped by :meth:`note_append`."""
+        built once per relation."""
 
         def build() -> tuple[list[int], list[Any]]:
             checkpoint("index.order", rows=len(self.relation))

@@ -4,12 +4,12 @@ A :class:`Relation` is the basic storage unit of the database substrate
 (README, *Architecture*).  Its logical model is unchanged — a named sequence
 of same-arity tuples plus a schema of attribute names — but the physical
 data now lives in a :class:`~repro.data.columns.ColumnStore`: per-column
-arrays with zero-copy masked views, so ``select_rows``/``rename`` share the
-parent's storage instead of copying rows.  Each relation also lazily owns an
-:class:`~repro.data.indexes.IndexCatalog` of memoized hash indexes and sort
-orders (delta-maintained across appends, with order-derived structures
-recomputed lazily), which the trimmers and ``__contains__`` consult instead
-of rebuilding their structures per call.
+arrays with zero-copy masked views, so ``select_rows`` shares the parent's
+storage instead of copying rows.  A relation is a value: its rows are fixed
+when it is built, and trims and reductions build new relations.  Each
+relation lazily owns an :class:`~repro.data.indexes.IndexCatalog` of memoized
+hash indexes and sort orders, which the trimmers and ``__contains__``
+consult instead of rebuilding their structures per call.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ _CATALOG_CREATION_LOCK = threading.Lock()
 
 
 class Relation:
-    """A named relation with a fixed schema and a list of tuples.
+    """A named relation with a fixed schema and a fixed list of tuples.
 
     Parameters
     ----------
@@ -57,7 +57,7 @@ class Relation:
     [2, 4]
     """
 
-    __slots__ = ("name", "schema", "_index_of", "_store", "_catalog", "_version")
+    __slots__ = ("name", "schema", "_index_of", "_store", "_catalog")
 
     def __init__(self, name: str, schema: Sequence[str], rows: Iterable[Row] = ()) -> None:
         self.name = name
@@ -78,7 +78,6 @@ class Relation:
             materialized.append(row)
         self._store = ColumnStore.from_rows(len(self.schema), materialized)
         self._catalog: IndexCatalog | None = None
-        self._version = 0
 
     # ------------------------------------------------------------------ #
     # Internal constructors (trusted storage, no per-row validation)
@@ -119,15 +118,14 @@ class Relation:
 
     @property
     def indexes(self) -> IndexCatalog:
-        """The memoized index catalog (created lazily, kept across appends).
+        """The memoized index catalog (created lazily).
 
         Creation is guarded by a module-wide lock so concurrent first readers
         share one catalog — two catalogs for the same relation would each
         rebuild every index, silently halving the service's cache hit rate.
 
         The catalog indexes a catalog-less twin of this relation (same name,
-        schema and store; appends mutate the store in place, so the twin
-        never falls behind).  Pointing it back at ``self`` would make every
+        schema and store).  Pointing it back at ``self`` would make every
         relation with a catalog a reference cycle: the columns of each
         dropped trimmed relation would wait for the cyclic collector.
         """
@@ -139,11 +137,6 @@ class Relation:
                     twin = Relation.from_store(self.name, self.schema, self._store)
                     catalog = self._catalog = IndexCatalog(twin)
         return catalog
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: bumped by every :meth:`add`."""
-        return self._version
 
     # ------------------------------------------------------------------ #
     # Basic container protocol
@@ -205,32 +198,3 @@ class Relation:
         read-only.
         """
         return self._store.column(self.position(attribute))
-
-    # ------------------------------------------------------------------ #
-    # Mutation and derivation
-    # ------------------------------------------------------------------ #
-    def add(self, row: Row) -> None:
-        """Append a tuple, validating its arity.
-
-        Mutation keeps the index catalog: hash indexes and key sets
-        absorb the new row in place, memoized weight-value arrays are
-        extended lazily on next read, and only order-derived structures
-        (sort orders, trimmer memos) are dropped — see
-        :meth:`IndexCatalog.note_append`.  Appends assume a single writer;
-        concurrent readers are safe.
-        """
-        row = tuple(row)
-        if len(row) != len(self.schema):
-            raise SchemaError(
-                f"tuple {row!r} has arity {len(row)}, but relation {self.name!r} "
-                f"expects arity {len(self.schema)}"
-            )
-        self._store.append(row)
-        self._version += 1
-        catalog = self._catalog
-        if catalog is not None:
-            catalog.note_append(row)
-
-    def rename(self, name: str) -> "Relation":
-        """Return a copy of the relation under a new name (storage shared)."""
-        return Relation.from_store(name, self.schema, self._store.snapshot())

@@ -30,10 +30,11 @@ T = TypeVar("T")
 
 
 class NodeState:
-    """One atom over one version of one relation: rows, columns, join groups.
+    """One atom over one relation: rows, columns, join groups.
 
-    A function of ``(atom variables, relation, relation.version)`` alone, so
-    every tree whose database holds the relation shares it.  The parts are
+    A function of ``(atom variables, relation)`` alone (a relation never
+    changes once built), so every tree whose database holds the relation
+    shares it.  The parts are
     computed on first use, whole, and stored by one assignment: a racing
     reader stores an equal value, an interrupted computation stores nothing.
     """
@@ -214,13 +215,12 @@ class MaterializedTree:
         for node in self.rooted.tree.nodes():
             atom = query[node]
             relation = db[atom.relation]
-            key = (atom.variables, id(relation), relation.version)
+            key = (atom.variables, id(relation))
             state = table.get(key, node=True)
             if state is None:
                 state = NodeState(atom, relation)
                 checkpoint("tree.materialize", rows=len(state.rows))
-                if relation.version == key[2]:  # else appended to mid-scan: not shared
-                    state = table.publish(key, state)
+                state = table.publish(key, state)
             nodes[node] = state
         self._nodes = nodes
         self._join_vars: dict[tuple[int, int], tuple[str, ...]] = {}

@@ -9,16 +9,12 @@ materialization and join-group hashing up to three times (count the two trim
 partitions, then re-materialize the chosen one for the next pivot
 selection).
 
-A :class:`TreeCache` memoizes trees per (query, database) *identity* with a
-cheap staleness check: alongside the tree it records a fingerprint of every
-relation's ``(id, version)``, so a database whose relations were mutated (or
-swapped) after the tree was built is transparently rebuilt rather than
-served stale.  Entries are evicted least-recently-used; each entry keeps
-strong references to its query, its database, *and* the fingerprinted
-relation objects themselves, so Python cannot recycle any id the key or the
-fingerprint is built from while the entry is alive (a relation removed from
-the database by ``replace`` would otherwise be freed, letting a new relation
-reuse its id at version 0 and alias the stale fingerprint).
+A :class:`TreeCache` memoizes trees per (query, database) *identity*.
+Queries, databases and relations never change once built, so a cached tree
+can never go stale and needs no check.  Entries are evicted
+least-recently-used; each entry keeps strong references to its query and its
+database, so Python cannot recycle an id the key is built from while the
+entry is alive.
 
 Below the tree level the cache owns one weak-valued
 :class:`~repro.joins.message_passing.StateTable`: cached trees over databases
@@ -55,18 +51,6 @@ from repro.runtime import checkpoint
 #: bounded by this many times the candidate database size.
 DEFAULT_TREE_CACHE_LIMIT = 32
 
-Fingerprint = tuple[tuple[int, int], ...]
-
-
-def database_fingerprint(db: Database) -> Fingerprint:
-    """Cheap identity+version snapshot of every relation in ``db``.
-
-    Two fingerprints agree iff the database still holds the *same* relation
-    objects and none of them has been mutated through
-    :meth:`~repro.data.relation.Relation.add` since the snapshot.
-    """
-    return tuple((id(relation), relation.version) for relation in db)
-
 
 class TreeCache:
     """LRU cache of :class:`MaterializedTree` objects keyed by (query, db).
@@ -86,12 +70,10 @@ class TreeCache:
         if limit < 1:
             raise ValidationError("TreeCache limit must be at least 1")
         self.limit = limit
-        # key -> (query, db, relations, fingerprint, tree).  The query/db
-        # (the key's ids) and the fingerprinted relation objects are all kept
-        # alive so none of the ids can be recycled while the entry exists.
+        # key -> (query, db, tree).  The query and db (the key's ids) are kept
+        # alive so neither id can be recycled while the entry exists.
         self._entries: OrderedDict[
-            tuple[int, int],
-            tuple[JoinQuery, Database, tuple, Fingerprint, MaterializedTree],
+            tuple[int, int], tuple[JoinQuery, Database, MaterializedTree]
         ] = OrderedDict()
         # Guards lookups, publishes, and eviction.  Never held while a tree
         # is being built, so concurrent readers of other keys (and injected
@@ -104,19 +86,6 @@ class TreeCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _lookup(self, key: tuple[int, int], db: Database) -> MaterializedTree | None:
-        """The cached fresh tree for ``key`` or None, dropping a stale entry;
-        a hit or a miss is counted under the lock (threads share a cache)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[3] == database_fingerprint(db):
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return entry[4]
-            self._entries.pop(key, None)
-            self.misses += 1
-            return None
-
     def get(
         self,
         query: JoinQuery,
@@ -125,40 +94,33 @@ class TreeCache:
     ) -> MaterializedTree:
         """The materialized tree for (query, db), built at most once.
 
-        A cached tree is served regardless of ``rooted`` — any rooting
-        supports counting, reduction, enumeration, and pivot selection — but
-        a stale tree (relations mutated or replaced since it was built) is
-        discarded and rebuilt.
+        A cached tree is served regardless of ``rooted``: any rooting
+        supports counting, reduction, enumeration, and pivot selection.
         """
         key = (id(query), id(db))
-        tree = self._lookup(key, db)
-        if tree is not None:
-            return tree
+        # A hit or a miss is counted under the lock (threads share a cache).
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self.hits += 1
+                self._entries.move_to_end(key)
+                return entry[-1]
+            self.misses += 1
         # Build fully off to the side before publishing: if the construction
         # is interrupted (budget trip, cancellation, injected fault) no entry
         # is installed and the next call rebuilds from scratch; a concurrent
         # reader can never observe the tree mid-build.
-        fingerprint = database_fingerprint(db)
         checkpoint("tree_cache.build")
         tree = MaterializedTree(query, db, rooted=rooted, states=self._states)
-        relations = tuple(db)
         with self._lock:
-            current = database_fingerprint(db)
             # A concurrent builder may have published while we were building;
-            # keep the first published fresh entry so every caller shares one
-            # tree (and its memoized subtree counts).
-            entry = self._entries.get(key)
-            if entry is not None and entry[3] == current:
-                self._entries.move_to_end(key)
-                return entry[4]
-            if fingerprint == current:
-                self._entries[key] = (query, db, relations, fingerprint, tree)
-                while len(self._entries) > self.limit:
-                    self._entries.popitem(last=False)
-            # else: the database mutated while we were building — serve the
-            # tree to this caller (it matches what it read) but never publish
-            # a fingerprint that no longer describes the relations.
-        return tree
+            # keep the first published entry so every caller shares one tree
+            # (and its memoized subtree counts).
+            entry = self._entries.setdefault(key, (query, db, tree))
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.limit:
+                self._entries.popitem(last=False)
+        return entry[-1]
 
     @property
     def node_hits(self) -> int:

@@ -70,20 +70,17 @@ def full_reduce(
         tree = MaterializedTree(query, db)
     alive = _reduced_row_flags(tree)
     kernel = active_backend()
-    reduced = Database()
+    reduced: dict[str, Relation] = {}
     for node in tree.nodes_top_down():
-        atom = query[node]
         checkpoint("yannakakis.rebuild", rows=len(tree.rows(node)))
         rows = kernel.take(tree.rows(node), kernel.masked_filter(alive[node]))
-        name = atom.relation
+        name = query[node].relation
         if name in reduced:
             # Self-join: intersect survivors across atom occurrences.
             existing = reduced[name]
             rows = [row for row in rows if row in existing]
-            reduced.replace(Relation(name, tree.variables(node), rows))
-        else:
-            reduced.add(Relation(name, tree.variables(node), rows))
-    return reduced
+        reduced[name] = Relation(name, tree.variables(node), rows)
+    return Database(reduced)
 
 
 def evaluate(

@@ -34,20 +34,6 @@ class Hypergraph:
     # ------------------------------------------------------------------ #
     # Basic structure
     # ------------------------------------------------------------------ #
-    @property
-    def maximal_hyperedges(self) -> list[frozenset[str]]:
-        """Hyperedges not strictly contained in another hyperedge (``mh(H)``)."""
-        maximal: list[frozenset[str]] = []
-        for i, edge in enumerate(self.hyperedges):
-            contained = any(
-                edge < other or (edge == other and j < i)
-                for j, other in enumerate(self.hyperedges)
-                if j != i
-            )
-            if not contained:
-                maximal.append(edge)
-        return maximal
-
     def adjacent(self, u: str, v: str) -> bool:
         """Whether two vertices co-occur in some hyperedge."""
         return any(u in edge and v in edge for edge in self.hyperedges)
@@ -181,12 +167,3 @@ class Hypergraph:
                 if len(path) >= min_length:
                     return True
         return False
-
-    def max_chordless_path_length(self, endpoints: Iterable[str]) -> int:
-        """Maximum number of *vertices* of a chordless path between two endpoints."""
-        points = sorted(set(endpoints))
-        best = 0
-        for source, target in combinations(points, 2):
-            for path in self.chordless_paths(source, target):
-                best = max(best, len(path))
-        return best

@@ -137,26 +137,11 @@ class RootedJoinTree:
         """Maximum depth over all nodes."""
         return max(self.depth(node) for node in self.tree.nodes())
 
-    def subtree_nodes(self, node: int) -> list[int]:
-        """All nodes of the subtree rooted at ``node`` (including it)."""
-        out = [node]
-        frontier = [node]
-        while frontier:
-            current = frontier.pop()
-            for child in self.children[current]:
-                out.append(child)
-                frontier.append(child)
-        return out
-
     def join_variables(self, parent: int, child: int) -> tuple[str, ...]:
         """Variables shared between a parent node and a child node, in a
         deterministic order (sorted)."""
         shared = self.query[parent].variable_set & self.query[child].variable_set
         return tuple(sorted(shared))
-
-    def max_children(self) -> int:
-        """Maximum number of children over all nodes."""
-        return max((len(kids) for kids in self.children.values()), default=0)
 
 
 # ---------------------------------------------------------------------- #

@@ -52,7 +52,3 @@ class SumRanking(RankingFunction):
 
     def minus_infinity(self) -> float:
         return -math.inf
-
-    def is_full_sum(self, query_variables: Sequence[str] | frozenset[str]) -> bool:
-        """Whether this ranking sums over all variables of the query."""
-        return set(self.weighted_variables) == set(query_variables)

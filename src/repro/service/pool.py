@@ -5,11 +5,12 @@ The pool is the multi-tenant heart of the always-on service.  It owns one
 an LRU of :class:`~repro.engine.PreparedQuery` objects shared across all
 callers, bounded by a *byte budget* instead of an entry count: every
 prepared query reports a deterministic estimate of its resident cache bytes
-(:meth:`PreparedQuery.estimated_bytes`), and the pool evicts
-least-recently-used entries — from both its own LRU and the engine's memo —
-until the estimate fits.  A single entry larger than the whole budget is
-still served (the request must be answerable) but is evicted as soon as
-another entry arrives.
+(:meth:`PreparedQuery.estimated_bytes`, counted once per prepared query
+however many request spellings share it), and the pool evicts
+least-recently-used entries until the estimate fits, dropping a prepared
+query from the engine's memo when its last entry leaves.  A single entry
+larger than the whole budget is still served (the request must be
+answerable) but is evicted as soon as another entry arrives.
 
 All methods are thread-safe, and the pool needs no per-key lock of its own:
 concurrent requests for one signature run at once on the one shared
@@ -76,6 +77,8 @@ class EnginePool:
         self._on_budget = on_budget
         self._engines: dict[str, Engine] = {}
         #: LRU of (db name, query spec, ranking spec, knobs) -> PreparedQuery.
+        #: The engine memoizes by parsed signature, so spellings of one
+        #: request ("sum(x1,x2)", "sum(x1, x2)") are keys of one object.
         self._prepared: OrderedDict[tuple, PreparedQuery] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -206,14 +209,18 @@ class EnginePool:
         """
         while len(self._prepared) > 1 and self.estimated_bytes() > self.prepared_budget_bytes:
             key, evicted = self._prepared.popitem(last=False)
+            self.evictions += 1
+            if any(pq is evicted for pq in self._prepared.values()):
+                continue  # another spelling of the same request still holds it
             engine = self._engines.get(key[0])
             if engine is not None:
                 engine.evict(evicted)
-            self.evictions += 1
 
     def estimated_bytes(self) -> int:
-        """Accounting-byte total of every cached prepared query."""
-        return sum(pq.estimated_bytes() for pq in self._prepared.values())
+        """Accounting-byte total of the cached prepared queries, each counted
+        once however many request spellings (LRU keys) share it."""
+        distinct = {id(pq): pq for pq in self._prepared.values()}
+        return sum(pq.estimated_bytes() for pq in distinct.values())
 
     @property
     def prepared_count(self) -> int:

@@ -53,9 +53,9 @@ def test_phi_and_index_exclusive(figure1_query, figure1_db):
 
 
 def test_empty_result(figure1_query, figure1_db):
-    figure1_db.replace(Relation("R", ("x1", "x2"), []))
+    db = Database([Relation(r.name, r.schema, []) if r.name == "R" else r for r in figure1_db])
     with pytest.raises(EmptyResultError):
-        materialize_quantile(figure1_query, figure1_db, MinRanking(["x3"]), phi=0.5)
+        materialize_quantile(figure1_query, db, MinRanking(["x3"]), phi=0.5)
 
 
 def test_cyclic_query_supported():

@@ -78,7 +78,6 @@ class TestReporting:
         )
         text = format_table(result)
         assert "T0" in text and "a note" in text and "demo" in text
-        assert result.column_values("a") == [1, 10]
 
 
 class TestJsonReport:

@@ -125,14 +125,6 @@ def pivoting(query, db, ranking, **knobs) -> PreparedQuery:
     return PreparedQuery(query, db, ranking, termination_factor=1, **knobs)
 
 
-def semijoin_positions(left, right, on=("x",)) -> list[int]:
-    """Positions of ``left`` rows with a partner in ``right`` on ``on``: the
-    probe a semijoin makes, through both relations' memoized catalogs."""
-    keys = right.indexes.key_set(on)
-    index = left.indexes.hash_index(on)
-    return sorted(p for key, rows in index.items() if key in keys for p in rows)
-
-
 # ---------------------------------------------------------------------- #
 # Oracles
 # ---------------------------------------------------------------------- #

@@ -55,37 +55,3 @@ class TestViews:
         store = ColumnStore.from_rows(2, ROWS)
         view = store.select([1, 2, 3]).select([0, 2])
         assert view.rows() == [(2, "b"), (4, "d")]
-
-class TestMutation:
-    def test_append_to_leaf(self):
-        store = ColumnStore.from_rows(2, ROWS[:2])
-        store.append((9, "z"))
-        assert store.rows() == ROWS[:2] + [(9, "z")]
-        assert store.column(0) == [1, 2, 9]
-
-    def test_append_does_not_mutate_previously_served_column(self):
-        # column() hands out the cached list (for a column leaf, the stored
-        # array itself), so append must drop the cache, never extend it.
-        for store in (
-            ColumnStore.from_rows(2, ROWS[:2]),
-            ColumnStore.from_columns([[1, 2], ["a", "b"]]),
-        ):
-            column = store.column(0)
-            store.append((9, "z"))
-            assert column == [1, 2]  # the handed-out list is frozen
-            assert store.column(0) == [1, 2, 9]
-            assert store.rows() == ROWS[:2] + [(9, "z")]
-
-    def test_snapshot_is_frozen_against_append(self):
-        store = ColumnStore.from_rows(2, ROWS[:2])
-        frozen = store.snapshot()
-        store.append((9, "z"))
-        assert frozen.rows() == ROWS[:2]
-        assert len(frozen) == 2
-
-    def test_append_to_view_is_copy_on_write(self):
-        store = ColumnStore.from_rows(2, ROWS)
-        view = store.select([0, 1])
-        view.append((9, "z"))
-        assert view.rows() == [(1, "a"), (2, "b"), (9, "z")]
-        assert store.rows() == ROWS  # parent untouched

@@ -42,11 +42,6 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             db.add(Relation("R", ("a",), []))
 
-    def test_add_with_replace(self):
-        db = make_db()
-        db.add(Relation("R", ("a",), [(9,)]), replace=True)
-        assert db["R"].schema == ("a",)
-
 
 class TestAccess:
     def test_getitem_missing(self):
@@ -72,30 +67,3 @@ class TestAccess:
 
     def test_repr(self):
         assert "R[2]" in repr(make_db())
-
-
-class TestMutation:
-    def test_replace(self):
-        db = make_db()
-        db.replace(Relation("S", ("b", "c"), [(9, 9), (8, 8)]))
-        assert len(db["S"]) == 2
-
-    def test_remove(self):
-        db = make_db()
-        db.remove("S")
-        assert "S" not in db
-        with pytest.raises(SchemaError):
-            db.remove("S")
-
-    def test_copy_is_independent(self):
-        db = make_db()
-        clone = db.copy()
-        clone["R"].add((5, 6))
-        assert len(db["R"]) == 2
-        assert len(clone["R"]) == 3
-
-    def test_restrict(self):
-        db = make_db()
-        only_r = db.restrict(["R"])
-        assert only_r.relation_names == ["R"]
-        assert "S" not in only_r

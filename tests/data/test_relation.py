@@ -74,18 +74,3 @@ class TestSchemaAccess:
     def test_column(self):
         relation = make_relation()
         assert relation.column("a") == [1, 2, 3, 2]
-
-
-class TestOperations:
-    def test_add_validates_arity(self):
-        relation = make_relation()
-        relation.add((4, 40))
-        assert len(relation) == 5
-        with pytest.raises(SchemaError):
-            relation.add((4,))
-
-    def test_rename(self):
-        relation = make_relation()
-        renamed = relation.rename("Other")
-        assert renamed.name == "Other"
-        assert renamed.rows == relation.rows

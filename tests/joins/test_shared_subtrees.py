@@ -3,8 +3,8 @@
 Trimmed databases hand back the base's untouched relations by identity, and
 trees built through one cache share what they know about them.  The
 differential test pins that sharing never changes an answer; the crafted
-tests pin what is shared, what is not, when it dies, and that a fault or an
-append leaves nothing stale behind.
+tests pin what is shared, what is not, when it dies, and that a fault leaves
+nothing partial behind.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.materialize import materialize_quantile
-from repro.core.quantile import pivoting_quantile
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import PreparedQuery
@@ -246,35 +245,7 @@ def test_shared_state_dies_with_the_last_cached_tree_using_it(drop):
 
 
 # ---------------------------------------------------------------------- #
-# (d) An append to a shared relation: nothing stale is reused
-# ---------------------------------------------------------------------- #
-def test_append_to_a_relation_shared_by_base_and_trims():
-    db = path_db()
-    ranking = SumRanking(["x1", "x2", "x3"])
-    trimmer = exact_trimmer_for(ranking)
-    cache = TreeCache()
-
-    def quantile():
-        return pivoting_quantile(
-            PATH, db, ranking, trimmer, phi=0.5, termination_size=1, tree_cache=cache
-        )
-
-    def oracle():
-        return materialize_quantile(PATH, db, ranking, phi=0.5)
-
-    before = quantile()
-    assert (before.weight, before.target_index) == (oracle().weight, oracle().target_index)
-    # R3 is in the base and, by identity, in every trimmed database; the
-    # cache still holds trees over all of them when it grows.
-    for _ in range(25):
-        db["R3"].add((1, 0))
-    after = quantile()
-    assert after.total_answers > before.total_answers
-    assert (after.weight, after.target_index) == (oracle().weight, oracle().target_index)
-
-
-# ---------------------------------------------------------------------- #
-# (e) A fault while a later tree is built or read leaves nothing partial
+# (d) A fault while a later tree is built or read leaves nothing partial
 # ---------------------------------------------------------------------- #
 # The cover (R2, R3) is below the root: every trimmed tree shares R1's node
 # and R3's subtree, and groups, counts and pivots its own R2 in between.
@@ -345,7 +316,7 @@ def test_fault_while_the_shared_root_edge_medians_are_built_keeps_no_entry(monke
     prepared = PreparedQuery(PATH, path_db(), ranking, termination_factor=1)
 
     def trimmed_trees():
-        trees = [entry[4] for entry in prepared.tree_cache._entries.values()]
+        trees = [entry[-1] for entry in prepared.tree_cache._entries.values()]
         return [tree for tree in trees if tree.query != PATH]
 
     with inject_faults(FaultPlan().arm("pivot.median", after=base_medians[0])) as plan:
@@ -364,7 +335,7 @@ def test_fault_while_the_shared_root_edge_medians_are_built_keeps_no_entry(monke
 
 
 # ---------------------------------------------------------------------- #
-# (f) Concurrent builders converge on one state per key
+# (e) Concurrent builders converge on one state per key
 # ---------------------------------------------------------------------- #
 def test_first_state_published_under_a_key_is_the_one_everybody_gets():
     class State:

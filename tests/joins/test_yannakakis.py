@@ -30,8 +30,8 @@ def test_limit_caps_output(figure1_query, figure1_db):
 
 
 def test_empty_result(figure1_query, figure1_db):
-    figure1_db.replace(Relation("U", ("x4", "x5"), []))
-    assert evaluate(figure1_query, figure1_db) == []
+    db = Database([Relation(r.name, r.schema, []) if r.name == "U" else r for r in figure1_db])
+    assert evaluate(figure1_query, db) == []
 
 
 def test_full_reduce_removes_dangling():

@@ -132,7 +132,9 @@ class TestPlanStructure:
 
     def test_dangling_routed_rows_are_dropped_and_counted(self):
         query, db = path_db()
-        db["C"].add((99, 999))  # z=99 joins no B row anywhere
+        c = db["C"]
+        # z=99 joins no B row anywhere
+        db = Database([db["A"], db["B"], Relation("C", c.schema, c.rows + [(99, 999)])])
         plan = ShardPlanner(2, broadcast_threshold=0).plan(query, db)
         assert plan.dropped_rows >= 1
         for shard in range(2):

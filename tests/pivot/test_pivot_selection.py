@@ -53,9 +53,9 @@ def test_single_relation_median():
 
 
 def test_empty_result_raises(figure1_query, figure1_db):
-    figure1_db.replace(Relation("U", ("x4", "x5"), []))
+    db = Database([Relation(r.name, r.schema, []) if r.name == "U" else r for r in figure1_db])
     with pytest.raises(EmptyResultError):
-        select_pivot(figure1_query, figure1_db, SumRanking(["x1"]))
+        select_pivot(figure1_query, db, SumRanking(["x1"]))
 
 
 def test_pivot_validity_all_rankings(three_path):

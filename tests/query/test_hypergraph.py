@@ -49,12 +49,6 @@ class TestAcyclicity:
 
 
 class TestStructure:
-    def test_maximal_hyperedges(self):
-        graph = hg({"a", "b", "c"}, {"a", "b"}, {"c", "d"})
-        maximal = graph.maximal_hyperedges
-        assert frozenset({"a", "b"}) not in maximal
-        assert len(maximal) == 2
-
     def test_adjacent(self):
         graph = hg({"a", "b"}, {"b", "c"})
         assert graph.adjacent("a", "b")
@@ -102,11 +96,6 @@ class TestChordlessPaths:
         assert four_path.has_long_chordless_path({"a", "e"}, min_length=4)
         assert four_path.has_long_chordless_path({"a", "d"}, min_length=4)
         assert not four_path.has_long_chordless_path({"a", "c"}, min_length=4)
-
-    def test_max_chordless_path_length(self):
-        three_path = hg({"a", "b"}, {"b", "c"}, {"c", "d"})
-        assert three_path.max_chordless_path_length({"a", "d"}) == 4
-        assert three_path.max_chordless_path_length({"a", "c"}) == 3
 
     def test_same_vertex_yields_nothing(self):
         graph = hg({"a", "b"})

@@ -121,17 +121,7 @@ class TestRootedTree:
         assert rooted.height() == 2
         assert rooted.depth(2) == 2
 
-    def test_subtree_nodes(self):
-        query = path_query(3)
-        rooted = build_join_tree(query).rooted(root=0)
-        assert sorted(rooted.subtree_nodes(1)) == [1, 2]
-        assert sorted(rooted.subtree_nodes(0)) == [0, 1, 2]
-
     def test_join_variables(self):
         query = path_query(3)
         rooted = build_join_tree(query).rooted(root=0)
         assert rooted.join_variables(0, 1) == ("x1",)
-
-    def test_max_children_star(self):
-        rooted = build_join_tree(star_query(4)).rooted(root=0)
-        assert rooted.max_children() == 3

@@ -38,11 +38,6 @@ class TestSumRanking:
         assert ranking.plus_infinity() == math.inf
         assert ranking.minus_infinity() == -math.inf
 
-    def test_is_full_sum(self):
-        ranking = SumRanking(["a", "b"])
-        assert ranking.is_full_sum({"a", "b"})
-        assert not ranking.is_full_sum({"a", "b", "c"})
-
     def test_validate_for(self):
         ranking = SumRanking(["a", "missing"])
         with pytest.raises(RankingError):

@@ -110,6 +110,35 @@ class TestByteBudgetEviction:
         assert ("demo", QUERY, RANKING, None, "auto", None) in keys
         assert ("demo", QUERY, RANKING, None, "auto", 3) not in keys
 
+    def test_spellings_of_one_request_count_once(self):
+        # Raw request strings key the LRU, but the engine memoizes by parsed
+        # signature: these three keys hold one prepared query.
+        pool = EnginePool()
+        pool.register("demo", path_workload(3, 60, join_domain=6, seed=5).db)
+        first = pool.prepared("demo", QUERY, "sum(x1, x2)")
+        assert pool.prepared("demo", QUERY, "sum(x1,x2)") is first
+        assert pool.prepared("demo", QUERY, "sum(x1, x2)", on_budget="error") is first
+        assert pool.prepared_count == 3
+        assert pool.estimated_bytes() == first.estimated_bytes()
+        # A budget of 2.5 such queries fits one more: nothing is evicted ...
+        pool.prepared_budget_bytes = first.estimated_bytes() * 5 // 2
+        other = pool.prepared("demo", QUERY, "max(x1, x4)")
+        assert pool.estimated_bytes() == first.estimated_bytes() + other.estimated_bytes()
+        assert pool.evictions == 0
+        # ... and a fourth spelling is served the memoized query, not a cold one.
+        assert pool.prepared("demo", QUERY, "sum( x1 , x2 )") is first
+
+    def test_shared_query_leaves_the_engine_with_its_last_key(self, workload):
+        pool = EnginePool(prepared_budget_bytes=1)
+        pool.register("demo", workload.db)
+        engine = pool.engine("demo")
+        first = pool.prepared("demo", QUERY, "sum(x1, x2)")
+        pool.prepared("demo", QUERY, "sum(x1,x2)")  # evicts the first key only
+        assert pool.evictions == 1
+        assert engine.prepare(QUERY, RANKING) is first
+        pool.prepared("demo", QUERY, RANKING, seed=3)  # evicts the last key
+        assert engine.prepare(QUERY, RANKING) is not first
+
     def test_stats_shape(self, pool):
         pool.prepared("demo", QUERY, RANKING)
         stats = pool.stats()
