@@ -138,24 +138,6 @@ def main() -> int:
             assert served == "cache", served
             print("repeated request: served from the cache (answer matches)")
 
-            # Sharded parallel execution: the record must report its shard
-            # count, and the answer must match the serial one bit for bit.
-            serial = client.query("smoke", QUERY, RANKING, phis=[0.5])
-            parallel = client.query(
-                "smoke", QUERY, RANKING, phis=[0.5], parallel=2
-            )
-            assert parallel.status == 200, parallel.payload
-            assert parallel.payload["parallel"] == 2, parallel.payload
-            assert parallel.payload["shards"] == 2, parallel.payload
-            assert (
-                parallel.payload["results"][0]["weight"]
-                == serial.payload["results"][0]["weight"]
-            ), "parallel answer diverged from serial"
-            print(
-                "parallel request: shards =", parallel.payload["shards"],
-                "(answer matches serial)",
-            )
-
             stats = client.stats()
             print(
                 "kernel backend:", stats["kernel_backend"],

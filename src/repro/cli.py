@@ -10,9 +10,7 @@ Usage (installed as ``python -m repro.cli``)::
 
 The data directory must contain one CSV file per relation (header row =
 attribute names).  Atoms bind relation columns to query variables by
-position; the query can be given either as one ``--query`` spec or as
-repeated ``--atom`` flags.  The ranking is either a spec such as
-``"sum(x1, x3)"`` or the legacy pair ``--ranking sum --weights x1,x3``.
+position.  ``--ranking`` is required except with ``--count-only``.
 
 ``--phi`` may be repeated and/or comma-separated; multiple φ values run as
 one batch over a single prepared query (planning and preprocessing are paid
@@ -47,26 +45,14 @@ from repro.exceptions import (
     ExecutionCancelledError,
     ReproError,
 )
-from repro.parallel.planner import resolve_shard_count
 from repro.runtime.policy import DEGRADATION_POLICIES
-from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
-from repro.query.parser import parse_atom as _parse_atom_spec
 from repro.query.parser import parse_ranking
-from repro.query.parser import RANKING_KINDS, ranking_class
 from repro.ranking.base import RankingFunction
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.result import QuantileResult
     from repro.engine import SolverPlan
-
-
-def parse_atom(text: str) -> Atom:
-    """Parse ``"R(x, y)"`` into an :class:`Atom` (argparse-friendly errors)."""
-    try:
-        return _parse_atom_spec(text)
-    except ReproError as error:
-        raise argparse.ArgumentTypeError(str(error)) from error
 
 
 def parse_query_spec(text: str) -> JoinQuery:
@@ -75,19 +61,6 @@ def parse_query_spec(text: str) -> JoinQuery:
         return JoinQuery.parse(text)
     except ReproError as error:
         raise argparse.ArgumentTypeError(str(error)) from error
-
-
-def parse_parallel(text: str) -> int | str:
-    """Parse ``--parallel``: a positive shard count or ``auto``."""
-    try:
-        value: int | str = int(text)
-    except ValueError:
-        value = text
-    try:
-        resolve_shard_count(value)
-    except ReproError as error:
-        raise argparse.ArgumentTypeError(str(error)) from error
-    return value
 
 
 def parse_phi_list(text: str) -> list[float]:
@@ -107,31 +80,13 @@ def parse_phi_list(text: str) -> list[float]:
     return phis
 
 
-def build_ranking(kind: str, weighted: list[str]) -> RankingFunction:
-    """Instantiate the requested ranking over the given variables.
-
-    Instantiates the class directly (not via a spec round-trip) so the legacy
-    ``--ranking kind --weights ...`` path keeps accepting any variable names
-    the relations use.
-    """
-    return ranking_class(kind)(weighted)
-
-
-def resolve_ranking(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RankingFunction:
-    """Build the ranking from ``--ranking`` (+ optional ``--weights``)."""
-    if "(" in args.ranking:
-        if args.weights:
-            parser.error("--weights cannot be combined with a ranking spec like 'sum(x1, x3)'")
-        return parse_ranking(args.ranking)
-    if args.ranking.lower() not in RANKING_KINDS:
-        parser.error(
-            f"unknown ranking {args.ranking!r}; expected one of {sorted(RANKING_KINDS)} "
-            "or a spec like 'sum(x1, x3)'"
-        )
-    if not args.weights:
-        parser.error(f"--ranking {args.ranking} requires --weights (or use a spec form)")
-    weighted = [v.strip() for v in args.weights.split(",") if v.strip()]
-    return build_ranking(args.ranking, weighted)
+def parse_ranking_spec(text: str) -> RankingFunction:
+    """Parse a ``--ranking`` spec such as ``"sum(x1, x3)"`` (argparse-friendly
+    errors)."""
+    try:
+        return parse_ranking(text)
+    except ReproError as error:
+        raise argparse.ArgumentTypeError(str(error)) from error
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,21 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory containing one CSV file per relation (header = attributes)",
     )
     parser.add_argument(
-        "--query", type=parse_query_spec, default=None,
-        help='full query spec, e.g. "R(x1, x2), S(x2, x3)" (alternative to --atom)',
+        "--query", type=parse_query_spec, required=True,
+        help='query spec, e.g. "R(x1, x2), S(x2, x3)"',
     )
     parser.add_argument(
-        "--atom", action="append", type=parse_atom, dest="atoms",
-        help='query atom, e.g. "R(x1, x2)"; repeat for every atom',
-    )
-    parser.add_argument(
-        "--ranking", default="sum",
-        help="ranking function: sum/min/max/lex with --weights, "
-        'or a spec such as "sum(x1, x3)" (default: sum)',
-    )
-    parser.add_argument(
-        "--weights", default=None,
-        help="comma-separated weighted variables, in priority order for lex",
+        "--ranking", type=parse_ranking_spec, default=None,
+        help='ranking spec, e.g. "sum(x1, x3)"; lex ranks its variables in '
+        "the order given (required unless --count-only)",
     )
     parser.add_argument(
         "--phi", action="append", type=parse_phi_list, dest="phis", default=None,
@@ -190,11 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with approx/sampling/materialize, or walk the full degrade ladder "
         "(default: error)",
     )
-    parser.add_argument(
-        "--parallel", type=parse_parallel, default=None,
-        help="shard the exact pivoting path across K worker processes "
-        "(a positive integer, or 'auto' for min(4, cores); default: serial)",
-    )
     parser.add_argument("--count-only", action="store_true", help="only print |Q(D)| and exit")
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     return parser
@@ -204,7 +146,6 @@ def _result_record(
     result: QuantileResult,
     plan: SolverPlan,
     phi: float | None,
-    shards: int | None = None,
 ) -> dict[str, Any]:
     record: dict[str, Any] = {
         "strategy": result.strategy,
@@ -218,7 +159,6 @@ def _result_record(
         "pivot_iterations": result.iterations,
         "degraded": result.degraded,
         "degradation": result.degradation,
-        "shards": shards,
     }
     if phi is not None:
         record = {"phi": phi, **record}
@@ -359,11 +299,6 @@ def build_client_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeout", type=float, default=None, help="per-execution wall-clock budget")
     parser.add_argument("--max-rows", type=int, default=None, help="per-execution row budget")
     parser.add_argument("--on-budget", default=None, help="degradation policy override")
-    parser.add_argument(
-        "--parallel", type=parse_parallel, default=None,
-        help="shard the exact pivoting path across K worker processes "
-        "(a positive integer or 'auto')",
-    )
     parser.add_argument("--stats", action="store_true", help="print service stats and exit")
     parser.add_argument("--health", action="store_true", help="print health/readiness and exit")
     parser.add_argument("--shutdown", action="store_true", help="ask the service to drain and exit")
@@ -406,7 +341,6 @@ def client_main(argv: list[str]) -> int:
             phis=phis, index=args.index,
             epsilon=args.epsilon, strategy=args.strategy, seed=args.seed,
             timeout=args.timeout, max_rows=args.max_rows, on_budget=args.on_budget,
-            parallel=args.parallel,
         )
     except OSError as error:
         print(f"error: cannot reach service at {args.url}: {error}", file=sys.stderr)
@@ -433,8 +367,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if (args.query is None) == (not args.atoms):
-        parser.error("provide the query via exactly one of --query and --atom")
+    if not args.count_only and args.ranking is None:
+        parser.error("--ranking is required (unless --count-only)")
     phis: list[float] = [phi for group in (args.phis or []) for phi in group]
     if not args.count_only and (not phis) == (args.index is None):
         parser.error("provide exactly one of --phi and --index (or --count-only)")
@@ -443,39 +377,25 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         db = load_database_csv(args.data)
-        query = args.query if args.query is not None else JoinQuery(args.atoms)
         engine = Engine(db)
-        try:
-            if args.count_only:
-                # Counting needs no ranking; don't force --weights for it.
-                payload: object = {"answers": engine.count(query), "database_size": db.size}
+        if args.count_only:
+            payload: object = {"answers": engine.count(args.query), "database_size": db.size}
+        else:
+            prepared = engine.prepare(
+                args.query, args.ranking,
+                epsilon=args.epsilon, strategy=args.strategy, seed=args.seed,
+                timeout=args.timeout, max_rows=args.max_rows,
+                on_budget=args.on_budget, eager=False,
+            )
+            plan = prepared.plan()
+            if phis:
+                results = prepared.quantiles(phis)
+                records = [
+                    _result_record(result, plan, phi) for phi, result in zip(phis, results)
+                ]
+                payload = records if len(records) > 1 else records[0]
             else:
-                ranking = resolve_ranking(parser, args)
-                prepared = engine.prepare(
-                    query, ranking,
-                    epsilon=args.epsilon, strategy=args.strategy, seed=args.seed,
-                    timeout=args.timeout, max_rows=args.max_rows,
-                    on_budget=args.on_budget, parallel=args.parallel,
-                    eager=False,
-                )
-                plan = prepared.plan()
-                if phis:
-                    results = prepared.quantiles(phis)
-                    # Shard count is read after execution (the parallel session
-                    # is built lazily on the first exact-pivot call).
-                    shards = prepared.shards
-                    records = [
-                        _result_record(result, plan, phi, shards)
-                        for phi, result in zip(phis, results)
-                    ]
-                    payload = records if len(records) > 1 else records[0]
-                else:
-                    result = prepared.selection(args.index)
-                    payload = _result_record(result, plan, None, prepared.shards)
-        finally:
-            # Shut the shard workers down here: left to the interpreter's
-            # exit handlers they end in "Bad file descriptor" noise on stderr.
-            engine.clear()
+                payload = _result_record(prepared.selection(args.index), plan, None)
     except BudgetExceededError as error:
         print(f"error: {error}", file=sys.stderr)
         return 3

@@ -87,10 +87,10 @@ from repro.trim import Trimmer, exact_trimmer_for
 #: Strategy identifiers accepted by the engine.
 STRATEGIES = ("auto", "exact-pivot", "approx-pivot", "sampling", "materialize")
 
-#: Default cap on memoized pivoting iterations per prepared query.
+#: Cap on memoized pivoting iterations per prepared query and mode.
 DEFAULT_PIVOT_CACHE_LIMIT = 256
 
-#: Default cap on memoized terminal answer columns per prepared query.  Kept
+#: Cap on memoized terminal answer columns per prepared query and mode.  Kept
 #: much smaller than the pivot-cache limit: each entry holds columns of up
 #: to ``termination_factor x |D|`` candidates, so this bound — not the pivot
 #: cache's — dominates the engine's memory ceiling.
@@ -144,9 +144,6 @@ class PreparedQuery:
         a specific algorithm.
     seed:
         Seed for the randomized sampling strategy.
-    pivot_cache_limit:
-        Maximum number of memoized pivoting iterations (0 disables the
-        cache).
     termination_factor:
         The pivoting loop materializes-and-selects once at most
         ``termination_factor × |D|`` candidates remain (Algorithm 1 uses
@@ -176,12 +173,12 @@ class PreparedQuery:
         :class:`~repro.exceptions.ExecutionCancelledError`.
     parallel:
         Shard the exact pivoting path across ``K`` worker processes
-        (:mod:`repro.parallel`): a positive int fixes K, ``"auto"`` picks
-        ``min(4, cpu_count)``, ``None`` (default) stays serial.  Only the
-        ``exact-pivot`` strategy shards; every other strategy (and every
-        degradation rung) runs single-process.  Results are bit-identical to
-        the serial path; a crashed worker degrades the call to the serial
-        algorithm with a degradation note instead of failing it.
+        (:mod:`repro.parallel`): a positive int is K, ``None`` (default)
+        stays serial.  Only the ``exact-pivot`` strategy shards; every other
+        strategy (and every degradation rung) runs single-process.  Results
+        are bit-identical to the serial path; a crashed worker degrades the
+        call to the serial algorithm with a degradation note instead of
+        failing it.
     """
 
     def __init__(
@@ -192,13 +189,12 @@ class PreparedQuery:
         epsilon: float | None = None,
         strategy: str = "auto",
         seed: int | None = None,
-        pivot_cache_limit: int = DEFAULT_PIVOT_CACHE_LIMIT,
         termination_factor: int = 12,
         timeout: float | None = None,
         max_rows: int | None = None,
         on_budget: str = "error",
         cancellation: CancellationToken | None = None,
-        parallel: int | str | None = None,
+        parallel: int | None = None,
     ) -> None:
         if isinstance(query, str):
             query = JoinQuery.parse(query)
@@ -246,7 +242,6 @@ class PreparedQuery:
         # source (the lossy trimmer of approx-pivot must never be confused
         # with the exact ones).
         self._sources: dict[str, LocalCandidates] = {}
-        self._pivot_cache_limit = pivot_cache_limit
         # {mode: (step cache, answer cache)}, mode being a pivoting strategy
         # or "sharded".  Both caches are keyed by candidate weight interval,
         # but entries are not interchangeable between modes: a lossy trim of
@@ -499,8 +494,7 @@ class PreparedQuery:
         """The (step, answer) caches of one mode (created on first use)."""
         caches = self._caches.get(mode)
         if caches is None:
-            limit = self._pivot_cache_limit
-            fresh = CappedCache(limit), CappedCache(min(limit, DEFAULT_ANSWER_CACHE_LIMIT))
+            fresh = CappedCache(DEFAULT_PIVOT_CACHE_LIMIT), CappedCache(DEFAULT_ANSWER_CACHE_LIMIT)
             with self._state_lock:
                 caches = self._caches.setdefault(mode, fresh)
         return caches
@@ -949,13 +943,10 @@ class Engine:
             prepared.epsilon,
             prepared.strategy,
             prepared.seed,
-            prepared._pivot_cache_limit,
             prepared.termination_factor,
             prepared.timeout,
             prepared.max_rows,
             prepared.on_budget,
-            # Resolved so parallel="auto" and parallel=<that count> share
-            # one prepared query (identical plans, identical results).
             prepared._shard_count,
         )
 

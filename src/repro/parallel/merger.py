@@ -67,11 +67,10 @@ class ParallelSession:
         self,
         plan: ShardPlan,
         ranking: RankingFunction,
-        mode: str | None = None,
     ) -> None:
         self.plan = plan
         self.ranking = ranking
-        self._pool: ShardPool = create_pool(plan.num_shards, mode)
+        self._pool: ShardPool = create_pool(plan.num_shards)
         self.shard_totals: ShardCounts = ()
         self.total = 0
         self.reduced_rows = 0

@@ -7,12 +7,7 @@ pick the anchor variable ``x`` shared with the most other atoms (the
 
 * every atom containing ``x`` is hash-partitioned on ``x`` — a row with
   ``x = v`` lives exactly in shard ``h(v) mod K``;
-* every other atom is routed along the join tree rooted at the anchor: a row
-  goes to the (union of) shards holding parent rows it joins with, and rows
-  joining nothing are dropped (they are dangling — Yannakakis would remove
-  them anyway);
-* small relations (and any child of a broadcast parent, which cannot be
-  routed) are *broadcast* — replicated to every shard.
+* every other atom is *broadcast* — replicated to every shard.
 
 Because every answer binds ``x`` to exactly one value, the K shard answer
 sets are **disjoint** and their union is exactly ``Q(D)``: per-shard answer
@@ -28,7 +23,6 @@ any re-planning.
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass, field
 from typing import Any
@@ -37,48 +31,21 @@ from repro.data.database import Database
 from repro.exceptions import ValidationError
 from repro.kernels import active_backend
 from repro.query.join_query import JoinQuery
-from repro.query.join_tree import build_join_tree
 from repro.runtime import checkpoint
-
-#: Relations at or below this many rows are replicated to every shard
-#: instead of being routed: the replication cost is bounded and broadcasting
-#: keeps the routing maps small.
-DEFAULT_BROADCAST_THRESHOLD = 1024
 
 #: ``(schema, per-column value lists)`` — the pickled-once payload of one
 #: relation shard (flat columns, no per-row tuples).
 ShardColumns = tuple[tuple[str, ...], list[list[Any]]]
 
 
-def default_shard_count() -> int:
-    """The ``cpu_count``-aware default K shared by ``parallel="auto"`` and
-    ``bench --quick``: ``min(4, cores)``, deterministic on a given host."""
-    return min(4, os.cpu_count() or 1)
-
-
-def resolve_shard_count(parallel: int | str | None) -> int:
-    """Normalize the user-facing ``parallel`` knob to a shard count.
-
-    ``None`` → 0 (serial), ``"auto"`` → :func:`default_shard_count`, a
-    positive int is taken as-is.  Anything else raises
-    :class:`~repro.exceptions.ValidationError`.
-    """
+def resolve_shard_count(parallel: int | None) -> int:
+    """Normalize the ``parallel`` knob to a shard count: ``None`` → 0
+    (serial), a positive int as-is, anything else
+    :class:`~repro.exceptions.ValidationError`."""
     if parallel is None:
         return 0
-    if isinstance(parallel, str):
-        if parallel == "auto":
-            return default_shard_count()
-        raise ValidationError(
-            f"parallel must be a positive integer or 'auto', got {parallel!r}"
-        )
-    if isinstance(parallel, bool) or not isinstance(parallel, int):
-        raise ValidationError(
-            f"parallel must be a positive integer or 'auto', got {parallel!r}"
-        )
-    if parallel < 1:
-        raise ValidationError(
-            f"parallel must be a positive integer or 'auto', got {parallel!r}"
-        )
+    if isinstance(parallel, bool) or not isinstance(parallel, int) or parallel < 1:
+        raise ValidationError(f"parallel must be a positive integer, got {parallel!r}")
     return parallel
 
 
@@ -114,7 +81,7 @@ class ShardPlan:
         Canonical relation name of the anchor atom (the largest relation).
     partition_variable:
         The anchor variable rows are hashed on.
-    hashed, routed, broadcast:
+    hashed, broadcast:
         Canonical relation names by placement mode.
     atoms:
         ``(relation name, variables)`` per canonical atom — enough for a
@@ -122,39 +89,22 @@ class ShardPlan:
     shard_relations:
         Per shard: ``{relation name: (schema, column lists)}``.
     shard_rows:
-        Input rows shipped to each shard (after routing/broadcast).
-    dropped_rows:
-        Dangling rows discarded during routing (provably in no answer).
+        Input rows shipped to each shard (broadcast rows count in each).
     """
 
     num_shards: int
     anchor: str
     partition_variable: str
     hashed: tuple[str, ...]
-    routed: tuple[str, ...]
     broadcast: tuple[str, ...]
     atoms: tuple[tuple[str, tuple[str, ...]], ...]
     shard_relations: list[dict[str, ShardColumns]] = field(repr=False)
     shard_rows: list[int] = field(default_factory=list)
-    dropped_rows: int = 0
 
     @property
     def total_rows(self) -> int:
         """Input rows across all shards (counts broadcast replication)."""
         return sum(self.shard_rows)
-
-    def describe(self) -> dict[str, Any]:
-        """JSON-friendly summary (for ``/stats`` and bench metadata)."""
-        return {
-            "num_shards": self.num_shards,
-            "anchor": self.anchor,
-            "partition_variable": self.partition_variable,
-            "hashed": list(self.hashed),
-            "routed": list(self.routed),
-            "broadcast": list(self.broadcast),
-            "shard_rows": list(self.shard_rows),
-            "dropped_rows": self.dropped_rows,
-        }
 
 
 class ShardPlanner:
@@ -164,27 +114,20 @@ class ShardPlanner:
     ----------
     num_shards:
         K ≥ 1.  K = 1 degenerates to a single shard holding everything.
-    broadcast_threshold:
-        Relations at or below this size are replicated instead of routed.
     """
 
-    def __init__(
-        self,
-        num_shards: int,
-        broadcast_threshold: int = DEFAULT_BROADCAST_THRESHOLD,
-    ) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValidationError(f"num_shards must be >= 1, got {num_shards}")
         self.num_shards = num_shards
-        self.broadcast_threshold = broadcast_threshold
 
     # ------------------------------------------------------------------ #
     def plan(self, query: JoinQuery, db: Database) -> ShardPlan:
         """Partition a *canonical* (query, database) pair into K shards.
 
         Canonical means one relation per atom
-        (:func:`repro.query.rewrite.ensure_canonical`), so routing decisions
-        are per-atom and self-joins cannot alias a relation across modes.
+        (:func:`repro.query.rewrite.ensure_canonical`), so placement is
+        per-atom and self-joins cannot alias a relation across modes.
         """
         checkpoint("parallel.plan", rows=db.size)
         atoms = list(query.atoms)
@@ -192,49 +135,17 @@ class ShardPlanner:
             range(len(atoms)), key=lambda i: (len(db[atoms[i].relation]), -i)
         )
         partition_variable = self._partition_variable(query, anchor_index)
-        rooted = build_join_tree(query).rooted(anchor_index)
-
-        K = self.num_shards
         # Per atom: list of per-shard row positions, or None for broadcast.
-        assignments: dict[int, list[list[int]] | None] = {}
-        dropped = 0
-        for node in rooted.top_down_order():
-            atom = atoms[node]
+        assignments: list[list[list[int]] | None] = []
+        for atom in atoms:
             relation = db[atom.relation]
             checkpoint("parallel.plan", rows=len(relation))
-            if partition_variable in atom.variable_set:
-                assignments[node] = self._hash_assign(
-                    relation.column(partition_variable), K
-                )
-                continue
-            parent = rooted.parent[node]
-            assert parent is not None  # only the anchor is a root, and it has x
-            parent_assignment = assignments[parent]
-            if parent_assignment is None or len(relation) <= self.broadcast_threshold:
-                # A broadcast parent's rows exist in every shard, so a child
-                # cannot be routed — it must broadcast too (correctness, not
-                # an optimization).  Small relations broadcast by choice.
-                assignments[node] = None
-                continue
-            join_vars = rooted.join_variables(parent, node)
-            key_to_shards = self._parent_key_map(
-                db[atoms[parent].relation], parent_assignment, join_vars
+            assignments.append(
+                self._hash_assign(relation.column(partition_variable), self.num_shards)
+                if partition_variable in atom.variable_set
+                else None
             )
-            per_shard: list[list[int]] = [[] for _ in range(K)]
-            columns = [relation.column(v) for v in join_vars]
-            for i in range(len(relation)):
-                key = tuple(column[i] for column in columns)
-                shards = key_to_shards.get(key)
-                if not shards:
-                    dropped += 1  # dangling: joins no surviving parent row
-                    continue
-                for s in shards:
-                    per_shard[s].append(i)
-            assignments[node] = per_shard
-
-        return self._build_plan(
-            atoms, db, anchor_index, partition_variable, assignments, dropped
-        )
+        return self._build_plan(atoms, db, anchor_index, partition_variable, assignments)
 
     # ------------------------------------------------------------------ #
     def _partition_variable(self, query: JoinQuery, anchor_index: int) -> str:
@@ -262,38 +173,19 @@ class ShardPlanner:
             per_shard[stable_shard_hash(value) % num_shards].append(i)
         return per_shard
 
-    @staticmethod
-    def _parent_key_map(
-        parent: Any,
-        parent_assignment: list[list[int]],
-        join_vars: tuple[str, ...],
-    ) -> dict[tuple[Any, ...], set[int]]:
-        """``{join key: shards holding a parent row with that key}``."""
-        columns = [parent.column(v) for v in join_vars]
-        key_to_shards: dict[tuple[Any, ...], set[int]] = {}
-        # repro-analysis: allow RPR001 -- one uninterruptible linear pass; plan() checkpoints per relation
-        for shard, positions in enumerate(parent_assignment):
-            # repro-analysis: allow RPR001 -- one uninterruptible linear pass; plan() checkpoints per relation
-            for p in positions:
-                key = tuple(column[p] for column in columns)
-                key_to_shards.setdefault(key, set()).add(shard)
-        return key_to_shards
-
     def _build_plan(
         self,
         atoms: list[Any],
         db: Database,
         anchor_index: int,
         partition_variable: str,
-        assignments: dict[int, list[list[int]] | None],
-        dropped: int,
+        assignments: list[list[list[int]] | None],
     ) -> ShardPlan:
         backend = active_backend()
         K = self.num_shards
         shard_relations: list[dict[str, ShardColumns]] = [{} for _ in range(K)]
         shard_rows = [0] * K
         hashed: list[str] = []
-        routed: list[str] = []
         broadcast: list[str] = []
         for node, atom in enumerate(atoms):
             relation = db[atom.relation]
@@ -307,10 +199,7 @@ class ShardPlanner:
                     shard_relations[s][atom.relation] = (schema, columns)
                     shard_rows[s] += len(relation)
                 continue
-            if partition_variable in atom.variable_set:
-                hashed.append(atom.relation)
-            else:
-                routed.append(atom.relation)
+            hashed.append(atom.relation)
             full_columns = [relation.column(a) for a in schema]
             for s in range(K):
                 positions = assignment[s]
@@ -322,21 +211,17 @@ class ShardPlanner:
             anchor=atoms[anchor_index].relation,
             partition_variable=partition_variable,
             hashed=tuple(hashed),
-            routed=tuple(routed),
             broadcast=tuple(broadcast),
             atoms=tuple((atom.relation, atom.variables) for atom in atoms),
             shard_relations=shard_relations,
             shard_rows=shard_rows,
-            dropped_rows=dropped,
         )
 
 
 __all__ = [
-    "DEFAULT_BROADCAST_THRESHOLD",
     "ShardColumns",
     "ShardPlan",
     "ShardPlanner",
-    "default_shard_count",
     "resolve_shard_count",
     "stable_shard_hash",
 ]

@@ -8,10 +8,10 @@ always land on lane ``s`` and never re-ship the shard.
 
 An :class:`InlinePool` implements the same surface synchronously in the
 calling process: deterministic, debuggable, and free of fork overhead —
-used by tests and selectable via ``REPRO_PARALLEL_MODE=inline``.  Inline
-tasks run under the coordinator's *ambient* execution context (the pool
-reports ``inline = True`` so the coordinator skips per-task guard splitting
-and double row-charging).
+tests substitute it for :func:`create_pool`.  Inline tasks run under the
+coordinator's *ambient* execution context (the pool reports
+``inline = True`` so the coordinator skips per-task guard splitting and
+double row-charging).
 
 Crash semantics: a dead worker surfaces as
 :class:`~repro.exceptions.WorkerCrashError` (the engine degrades the call
@@ -22,7 +22,6 @@ eviction, ``PreparedQuery.close`` — surfaces as
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -34,10 +33,6 @@ from repro.exceptions import (
     WorkerPoolClosedError,
 )
 from repro.parallel.worker import TaskResult, run_shard_task
-
-#: Environment knob selecting the pool implementation: ``process`` (default)
-#: or ``inline`` (synchronous, for deterministic tests).
-PARALLEL_MODE_ENV_VAR = "REPRO_PARALLEL_MODE"
 
 Guards = tuple[float | None, int | None] | None
 
@@ -212,20 +207,13 @@ class InlinePool:
             _SHARD_STATES.pop(self._state_base + shard, None)
 
 
-def create_pool(num_shards: int, mode: str | None = None) -> WorkerPool | InlinePool:
-    """Build the pool selected by ``mode`` or ``REPRO_PARALLEL_MODE``."""
-    resolved = mode or os.environ.get(PARALLEL_MODE_ENV_VAR) or "process"
-    if resolved == "process":
-        return WorkerPool(num_shards)
-    if resolved == "inline":
-        return InlinePool(num_shards)
-    raise ValidationError(
-        f"unknown parallel mode {resolved!r}; expected 'process' or 'inline'"
-    )
+def create_pool(num_shards: int) -> WorkerPool:
+    """The pool a :class:`~repro.parallel.merger.ParallelSession` runs on:
+    K worker processes (tests patch this to :class:`InlinePool`)."""
+    return WorkerPool(num_shards)
 
 
 __all__ = [
-    "PARALLEL_MODE_ENV_VAR",
     "Guards",
     "InlinePool",
     "ShardFuture",

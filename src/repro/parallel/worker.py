@@ -101,9 +101,6 @@ def run_shard_task(
 def _dispatch(state_key: int, op: str, payload: Any) -> Any:
     if op == "init":
         return _init_shard(state_key, payload)
-    if op == "close":
-        _SHARD_STATES.pop(state_key, None)
-        return None
     operation = _OPERATIONS.get(op)
     if operation is None:
         raise ReproError(f"unknown shard operation {op!r}")

@@ -82,10 +82,18 @@ class RankingFunction(abc.ABC):
 
         The default applies the per-variable weight function (identity if not
         configured) and returns a plain number; LEX overrides this to embed
-        the number at the variable's lexicographic position.
+        the number at the variable's lexicographic position.  A value whose
+        weight is not a number, or is NaN (which has no order), raises
+        :class:`RankingError`; ±inf is a weight.
         """
         weight_fn = self._weights.get(variable)
-        return float(value) if weight_fn is None else float(weight_fn(value))
+        try:
+            weight = float(value) if weight_fn is None else float(weight_fn(value))
+        except (TypeError, ValueError, OverflowError) as error:
+            raise _not_a_weight(variable, value) from error
+        if weight != weight:
+            raise _not_a_weight(variable, value)
+        return weight
 
     # ------------------------------------------------------------------ #
     # Aggregation over assignments
@@ -131,3 +139,7 @@ class RankingFunction(abc.ABC):
 
     def __repr__(self) -> str:
         return self.describe()
+
+
+def _not_a_weight(variable: str, value: Value) -> RankingError:
+    return RankingError(f"{variable} = {value!r} has no weight (a float other than NaN)")

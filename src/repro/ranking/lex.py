@@ -65,10 +65,9 @@ class LexRanking(RankingFunction):
         return (-math.inf,) * self.arity
 
     # ------------------------------------------------------------------ #
-    def key_of(self, variable: str, value: Any) -> float:
-        """The scalar key ``w'_x(value)`` of one variable."""
-        key_fn = self._weights.get(variable)
-        return float(value) if key_fn is None else float(key_fn(value))
+    #: The scalar key ``w'_x(value)`` of one variable: the base class's
+    #: numeric weight, before :meth:`variable_weight` embeds it.
+    key_of = RankingFunction.variable_weight
 
     def variable_weight(self, variable: str, value: Any) -> tuple[float, ...]:
         """Embed one variable's key at its lexicographic position."""

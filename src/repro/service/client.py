@@ -103,8 +103,7 @@ class ServiceClient:
         """POST one quantile (or selection) request.
 
         ``knobs`` may carry ``epsilon``, ``strategy``, ``seed``, ``timeout``,
-        ``max_rows``, ``on_budget``, ``parallel`` — the same overrides the
-        engine accepts.
+        ``max_rows``, ``on_budget`` — the overrides the service accepts.
         """
         body: dict[str, Any] = {"db": db, "query": query, "ranking": ranking}
         if phis is not None:

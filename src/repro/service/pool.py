@@ -135,13 +135,9 @@ class EnginePool:
         timeout: float | None = None,
         max_rows: int | None = None,
         on_budget: str | None = None,
-        parallel: int | str | None = None,
     ) -> tuple[Any, ...]:
         """The LRU key of one request signature."""
-        return (
-            name, query, ranking, epsilon, strategy, seed,
-            timeout, max_rows, on_budget, parallel,
-        )
+        return (name, query, ranking, epsilon, strategy, seed, timeout, max_rows, on_budget)
 
     def lookup(self, name: str, query: str, ranking: str, **knobs: Any) -> PreparedQuery | None:
         """The cached prepared query for one request signature (a hit), or
@@ -165,7 +161,6 @@ class EnginePool:
         timeout: float | None = None,
         max_rows: int | None = None,
         on_budget: str | None = None,
-        parallel: int | str | None = None,
     ) -> PreparedQuery:
         """The shared prepared query for one request signature (LRU-cached).
 
@@ -175,7 +170,7 @@ class EnginePool:
         engine = self.engine(name)
         knobs: dict[str, Any] = dict(
             epsilon=epsilon, strategy=strategy, seed=seed, timeout=timeout,
-            max_rows=max_rows, on_budget=on_budget, parallel=parallel,
+            max_rows=max_rows, on_budget=on_budget,
         )
         cached = self.lookup(name, query, ranking, **knobs)
         if cached is not None:
@@ -191,7 +186,6 @@ class EnginePool:
             timeout=self._timeout if timeout is None else timeout,
             max_rows=self._max_rows if max_rows is None else max_rows,
             on_budget=self._on_budget if on_budget is None else on_budget,
-            parallel=parallel,
         )
         key = self._key(name, query, ranking, **knobs)
         with self._lock:

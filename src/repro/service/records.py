@@ -57,12 +57,6 @@ class RequestRecord:
         Error message for ``error``/``cancelled``/``shed`` outcomes.
     retry_after:
         Suggested seconds to wait before retrying (shed responses only).
-    parallel:
-        The request's ``parallel`` knob (K, ``"auto"``, or ``None``).
-    shards:
-        Shard count of the live parallel session that served the request,
-        or ``None`` when it ran single-process (including silent serial
-        fallbacks — the record reports what actually executed).
     """
 
     request_id: int
@@ -81,8 +75,6 @@ class RequestRecord:
     served: str | None = None
     error: str | None = None
     retry_after: float | None = None
-    parallel: int | str | None = None
-    shards: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form (what ``GET /stats`` returns)."""

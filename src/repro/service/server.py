@@ -41,7 +41,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -59,7 +58,6 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.kernels import backend_name
-from repro.parallel.planner import default_shard_count, resolve_shard_count
 from repro.runtime import CancellationToken, ExecutionContext
 from repro.service.admission import AdmissionController, ShedRequestError
 from repro.service.pool import EnginePool
@@ -85,7 +83,7 @@ _REASONS = {
 
 
 #: The type of each request knob.  A float knob also takes an int, a bool is
-#: never a number; ``parallel`` has its own rule, :func:`resolve_shard_count`.
+#: never a number.
 _KNOB_TYPES: dict[str, type[Any]] = {
     "epsilon": float,
     "strategy": str,
@@ -358,10 +356,6 @@ class QuantileService:
             "draining": self._draining,
             "pending_connections": self.pending_connections,
             "pool": self.pool.stats(),
-            "parallel": {
-                "cpu_count": os.cpu_count() or 1,
-                "default_shard_count": default_shard_count(),
-            },
             "admission": self.admission.stats(),
             # Read by benchmarks/e2e/service.py (service.coalesced_share).
             "coalescing": {"requests": len(self.records), "merged_requests": 0},
@@ -475,7 +469,6 @@ class QuantileService:
             mode = "index"
         knobs = self._guard_knobs(spec)
         record.phis = list(targets)
-        record.parallel = knobs.get("parallel")
 
         queue_seconds = await self.admission.acquire()
         execute_seconds = 0.0
@@ -488,7 +481,7 @@ class QuantileService:
                 execute_seconds = time.perf_counter() - replay_started
             else:
                 record.served = "executor"
-                outcomes, execute_seconds, record.checkpoints, record.shards = (
+                outcomes, execute_seconds, record.checkpoints = (
                     await asyncio.get_running_loop().run_in_executor(
                         self._executor, self._run_batch,
                         db_name, query, ranking, knobs, mode, targets, prepared,
@@ -503,8 +496,8 @@ class QuantileService:
     def _guard_knobs(self, spec: dict[str, Any]) -> dict[str, Any]:
         """Validated solver/guardrail knobs a request may set.
 
-        A value of the wrong JSON type is refused, never coerced: 2.7 shards
-        or a ``true`` epsilon is a client bug, not a request for 2 or 1.0.
+        A value of the wrong JSON type is refused, never coerced: a seed of
+        1.9 or a ``true`` epsilon is a client bug, not a request for 1 or 1.0.
         """
         knobs: dict[str, Any] = {}
         for name, kind in _KNOB_TYPES.items():
@@ -515,10 +508,6 @@ class QuantileService:
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ValidationError(f"invalid value for {name!r}: {value!r}")
             knobs[name] = kind(value)
-        parallel = spec.get("parallel")
-        if parallel is not None:
-            resolve_shard_count(parallel)  # the engine's rule; raises ValidationError
-            knobs["parallel"] = parallel
         return knobs
 
     @staticmethod
@@ -552,9 +541,9 @@ class QuantileService:
         mode: str,
         targets: tuple[Any, ...],
         prepared: PreparedQuery | None = None,
-    ) -> tuple[dict[Any, Any], float, int, int | None]:
+    ) -> tuple[dict[Any, Any], float, int]:
         """Run each distinct target once: ``(outcomes by target, seconds,
-        checkpoints, shards)``; a target that failed maps to its error.
+        checkpoints)``; a target that failed maps to its error.
         ``prepared`` is the pool's entry when the request already looked it up."""
         batch_started = time.perf_counter()
         if prepared is None:
@@ -577,11 +566,7 @@ class QuantileService:
                     # fail fast at their first checkpoint).
                     outcomes[target] = error
         elapsed = time.perf_counter() - batch_started
-        # Read after execution: the parallel session is built lazily, and a
-        # crash/close mid-batch means the batch (partly) ran serial — report
-        # what is actually live now.
-        shards = getattr(prepared, "shards", None)
-        return outcomes, elapsed, context.checkpoints, shards
+        return outcomes, elapsed, context.checkpoints
 
     def _query_response(
         self, record: RequestRecord, mode: str,
@@ -652,8 +637,6 @@ class QuantileService:
             "queue_seconds": record.queue_seconds,
             "execute_seconds": record.execute_seconds,
             "degraded": record.degraded,
-            "parallel": record.parallel,
-            "shards": record.shards,
             "partial": 0 < errors < len(results),
             "results": results,
         }

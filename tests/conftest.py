@@ -43,12 +43,20 @@ def _fault_test_deadline(request):
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import PreparedQuery
+from repro.parallel import merger
+from repro.parallel.pool import InlinePool
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking, MinRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime.context import set_fault_hook
+
+
+@pytest.fixture()
+def inline_mode(monkeypatch):
+    """Run shard pools synchronously in-process (deterministic, no fork cost)."""
+    monkeypatch.setattr(merger, "create_pool", InlinePool)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,5 +1,7 @@
 """Tests for the prepared-query engine (Engine / PreparedQuery)."""
 
+import math
+
 import pytest
 
 from repro.baselines.materialize import select_from_sorted, sorted_answers
@@ -177,14 +179,13 @@ class TestPreparedStateReuse:
 
     @pytest.mark.parametrize("parallel", [None, 2])
     def test_estimated_bytes_charges_cached_terminal_columns(
-        self, binary_join, parallel, monkeypatch
+        self, binary_join, parallel, inline_mode
     ):
         # The service's byte-budget eviction only sees what this estimate
         # charges: a cached terminal costs what it actually holds.  Serial,
         # that is the sorted prefix answers (R2 only multiplies SUM(x1, x2):
         # it is deferred) plus each memoized pick; sharded, the merged whole
         # columns.
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
         query, db = binary_join
         prepared = PreparedQuery(query, db, SumRanking(["x1", "x2"]), parallel=parallel)
         prepared.quantile(0.5)
@@ -211,10 +212,9 @@ class TestPreparedStateReuse:
 
     @pytest.mark.parametrize("parallel", [None, 2])
     def test_returned_assignments_are_independent_across_calls(
-        self, binary_join, parallel, monkeypatch
+        self, binary_join, parallel, inline_mode
     ):
         # The terminal memoizes its picks; every caller still owns its dict.
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
         query, db = binary_join
         prepared = PreparedQuery(query, db, SumRanking(["x1", "x2"]), parallel=parallel)
         first = prepared.quantile(0.5)
@@ -412,11 +412,48 @@ class TestCached:
         prepared.quantile(0.5)
         assert prepared.cached(phi=0.5) is None
 
-    def test_a_sharded_query_is_none(self, path_db, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
+    def test_a_sharded_query_is_none(self, path_db, inline_mode):
         prepared = PreparedQuery(PATH_QUERY, path_db, "sum(x1, x2)", parallel=2)
         try:
             prepared.quantile(0.5)
             assert prepared.cached(phi=0.5) is None
         finally:
             prepared.close()
+
+
+class TestNanWeights:
+    """NaN has no order: every strategy refuses it with a typed error
+    instead of answering from an inconsistent sort."""
+
+    @pytest.fixture(scope="class")
+    def nan_db(self):
+        x1 = (1.0, 2.0, 3.0, math.nan)
+        r = Relation("R", ("x1", "x2"), [(x1[i % 4], i % 5) for i in range(40)])
+        s = Relation("S", ("x2", "x3"), [(i % 5, float(i % 7)) for i in range(40)])
+        return Database([r, s])
+
+    @pytest.mark.parametrize(
+        "ranking", ["sum(x1, x3)", "min(x1, x3)", "max(x1, x3)", "lex(x1, x3)"]
+    )
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"strategy": "exact-pivot"},
+            {"strategy": "exact-pivot", "termination_factor": 1},
+            {"strategy": "sampling", "epsilon": 0.1, "seed": 3},
+            {"strategy": "materialize"},
+        ],
+        ids=["exact-pivot", "exact-pivot-factor-1", "sampling", "materialize"],
+    )
+    def test_every_strategy_raises_ranking_error(self, nan_db, ranking, knobs):
+        prepared = Engine(nan_db).prepare("R(x1, x2), S(x2, x3)", ranking, eager=False, **knobs)
+        with pytest.raises(RankingError, match="x1 = nan"):
+            prepared.quantiles([0.0, 0.5, 1.0])
+
+    def test_approx_pivot_raises_ranking_error(self, nan_db):
+        prepared = Engine(nan_db).prepare(
+            "R(x1, x2), S(x2, x3)", "sum(x1, x3)", eager=False,
+            strategy="approx-pivot", epsilon=0.1,
+        )
+        with pytest.raises(RankingError, match="x1 = nan"):
+            prepared.quantile(0.5)

@@ -8,12 +8,6 @@ from repro.ranking.sum import SumRanking
 from repro.workloads.path import path_workload
 
 
-@pytest.fixture()
-def inline_mode(monkeypatch):
-    """Run pools synchronously in-process (deterministic, no fork cost)."""
-    monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
-
-
 @pytest.fixture(scope="module")
 def fanout_workload():
     """A 3-path SUM workload (tractable partial SUM, same shape as E3)

@@ -16,7 +16,7 @@ from repro.exceptions import (
 )
 from repro.parallel.merger import ParallelSession
 from repro.parallel.planner import ShardPlanner
-from repro.parallel.worker import run_shard_task
+from repro.parallel.worker import _SHARD_STATES, run_shard_task
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.ranking.sum import SumRanking
@@ -62,7 +62,7 @@ class TestWorkerGuards:
         )
         assert status == "ok"
         assert rows == 0
-        run_shard_task(20_001, "close", None, None)
+        _SHARD_STATES.pop(20_001)
 
 
 class TestEnvelopeUnwrap:

@@ -1,14 +1,17 @@
 """Merge correctness: parallel answers are bit-identical to serial ones.
 
-All tests here run the pools inline (``REPRO_PARALLEL_MODE=inline``) so
+All tests here run the pools inline (the ``inline_mode`` fixture) so
 they are deterministic and fork-free; real process pools are exercised in
 ``test_process_pool.py``.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import repro.engine
 from repro.baselines.materialize import select_from_sorted, sorted_answers
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -145,6 +148,29 @@ class TestParallelMatchesSerial:
                 serial.quantile(phi)
             )
 
+    def test_a_large_relation_without_the_partition_variable(self, inline_mode):
+        # R3 has 1 200 rows and no x2: every shard holds all of it.
+        rng = random.Random(5)
+        db = Database(
+            [
+                Relation("R1", ("x1", "x2"), [(rng.randrange(500), i % 10) for i in range(1600)]),
+                Relation("R2", ("x2", "x3"), [(i % 10, rng.randrange(8)) for i in range(30)]),
+                Relation("R3", ("x3", "x4"), [(i % 8, rng.randrange(90)) for i in range(1200)]),
+            ]
+        )
+        query, ranking = "R1(x1, x2), R2(x2, x3), R3(x3, x4)", "sum(x1, x3)"
+        serial = Engine(db).prepare(query, ranking)
+        parallel = Engine(db).prepare(query, ranking, parallel=2)
+        plan = parallel._parallel_plan
+        assert plan.broadcast == ("R3",) and plan.partition_variable == "x2"
+        assert [result_key(r) for r in parallel.quantiles(PHIS)] == [
+            result_key(r) for r in serial.quantiles(PHIS)
+        ]
+        total = serial.count()
+        for index in (0, total // 3, total - 1):
+            assert result_key(parallel.selection(index)) == result_key(
+                serial.selection(index)
+            )
 
     @pytest.mark.parametrize("shards", [1, 2, 3])
     def test_tie_heavy_terminals_with_an_empty_shard(self, inline_mode, shards):
@@ -180,23 +206,6 @@ class TestParallelMatchesSerial:
 
 
 class TestSessionLifecycle:
-    def test_auto_resolves_on_this_host(self, inline_mode, fanout_workload):
-        workload = fanout_workload
-        prepared = Engine(workload.db).prepare(
-            workload.query, workload.ranking, parallel="auto"
-        )
-        import os
-
-        if (os.cpu_count() or 1) >= 2:
-            assert prepared.shards == min(4, os.cpu_count())
-        else:
-            assert prepared.shards is None  # serial on a single core
-        assert result_key(prepared.quantile(0.5)) == result_key(
-            Engine(workload.db)
-            .prepare(workload.query, workload.ranking)
-            .quantile(0.5)
-        )
-
     def test_closed_prepared_query_falls_back_silently(
         self, inline_mode, fanout_workload
     ):
@@ -256,10 +265,12 @@ class TestShardedCaches:
 
     @pytest.mark.parametrize("parallel", [None, 2])
     def test_cache_limit_zero_memoizes_nothing_on_either_path(
-        self, inline_mode, fanout_workload, parallel
+        self, inline_mode, fanout_workload, parallel, monkeypatch
     ):
+        monkeypatch.setattr(repro.engine, "DEFAULT_PIVOT_CACHE_LIMIT", 0)
+        monkeypatch.setattr(repro.engine, "DEFAULT_ANSWER_CACHE_LIMIT", 0)
         workload = fanout_workload
-        off = self.prepared(workload, parallel=parallel, pivot_cache_limit=0)
+        off = self.prepared(workload, parallel=parallel)
         phis = PHIS[::3]
         results = off.quantiles(phis)
         assert off.shards == parallel

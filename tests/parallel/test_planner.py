@@ -7,15 +7,10 @@ import pytest
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.exceptions import ValidationError
-from repro.parallel.planner import (
-    DEFAULT_BROADCAST_THRESHOLD,
-    ShardPlanner,
-    default_shard_count,
-    resolve_shard_count,
-    stable_shard_hash,
-)
+from repro.parallel.planner import ShardPlanner, resolve_shard_count, stable_shard_hash
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
+from repro.workloads.path import path_workload
 
 
 def path_db(anchor_rows=40, child_rows=30, tail_rows=20):
@@ -29,9 +24,6 @@ def path_db(anchor_rows=40, child_rows=30, tail_rows=20):
 class TestResolveShardCount:
     def test_none_is_serial(self):
         assert resolve_shard_count(None) == 0
-
-    def test_auto_uses_shared_default(self):
-        assert resolve_shard_count("auto") == default_shard_count()
 
     def test_positive_int_passes_through(self):
         assert resolve_shard_count(3) == 3
@@ -93,53 +85,10 @@ class TestPlanStructure:
 
     def test_small_relations_broadcast(self):
         query, db = path_db()
-        plan = ShardPlanner(2).plan(query, db)  # default threshold 1024
+        plan = ShardPlanner(2).plan(query, db)
         assert "C" in plan.broadcast
         schemas = [plan.shard_relations[s]["C"] for s in range(2)]
         assert schemas[0] is schemas[1] or schemas[0] == schemas[1]
-
-    def test_large_relations_route_along_the_tree(self):
-        query, db = path_db()
-        plan = ShardPlanner(2, broadcast_threshold=0).plan(query, db)
-        assert plan.routed == ("C",)
-        # Every shipped C row joins some B row in the same shard.
-        for shard in range(2):
-            b_schema, b_columns = plan.shard_relations[shard]["B"]
-            b_z = set(b_columns[b_schema.index("z")])
-            c_schema, c_columns = plan.shard_relations[shard]["C"]
-            assert set(c_columns[c_schema.index("z")]) <= b_z
-
-    def test_broadcast_parent_forces_child_broadcast(self):
-        # A(x,y) — B(y,z) — C(z,w) — D(w,u): make C small (broadcast) and D
-        # large; D cannot be routed through a replicated parent, so it must
-        # broadcast too (correctness, not an optimization).
-        a = Relation("A", ("x", "y"), [(i, i % 4) for i in range(50)])
-        b = Relation("B", ("y", "z"), [(i % 4, i % 3) for i in range(40)])
-        c = Relation("C", ("z", "w"), [(i % 3, i % 2) for i in range(2)])
-        d = Relation("D", ("w", "u"), [(i % 2, i) for i in range(30)])
-        query = JoinQuery(
-            [
-                Atom("A", ("x", "y")),
-                Atom("B", ("y", "z")),
-                Atom("C", ("z", "w")),
-                Atom("D", ("w", "u")),
-            ]
-        )
-        plan = ShardPlanner(2, broadcast_threshold=5).plan(query, Database([a, b, c, d]))
-        assert "C" in plan.broadcast
-        assert "D" in plan.broadcast
-        assert "D" not in plan.routed
-
-    def test_dangling_routed_rows_are_dropped_and_counted(self):
-        query, db = path_db()
-        c = db["C"]
-        # z=99 joins no B row anywhere
-        db = Database([db["A"], db["B"], Relation("C", c.schema, c.rows + [(99, 999)])])
-        plan = ShardPlanner(2, broadcast_threshold=0).plan(query, db)
-        assert plan.dropped_rows >= 1
-        for shard in range(2):
-            schema, columns = plan.shard_relations[shard]["C"]
-            assert 99 not in columns[schema.index("z")]
 
     def test_single_shard_degenerates_to_everything(self):
         query, db = path_db()
@@ -147,18 +96,33 @@ class TestPlanStructure:
         assert plan.num_shards == 1
         assert plan.shard_rows[0] == plan.total_rows
 
-    def test_describe_is_json_friendly(self):
-        import json
-
-        query, db = path_db()
-        summary = ShardPlanner(2).plan(query, db).describe()
-        assert summary["num_shards"] == 2
-        assert summary["partition_variable"] == "y"
-        json.dumps(summary)  # must not raise
-
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValidationError):
             ShardPlanner(0)
 
-    def test_default_threshold_is_documented_value(self):
-        assert DEFAULT_BROADCAST_THRESHOLD == 1024
+    def test_every_atom_without_the_partition_variable_broadcasts(self):
+        # C has 2 000 rows: size never decides placement, only the variable.
+        query, db = path_db(anchor_rows=3000, tail_rows=2000)
+        plan = ShardPlanner(2).plan(query, db)
+        assert (plan.hashed, plan.broadcast) == (("A", "B"), ("C",))
+        for shard in range(2):
+            schema, columns = plan.shard_relations[shard]["C"]
+            assert list(zip(*columns)) == db["C"].rows
+
+
+class TestBenchmarkShapedPlan:
+    @pytest.mark.parametrize(
+        ("seed", "shard_rows"), [(1823, [1197, 1203]), (7, [1234, 1166])]
+    )
+    def test_path_rows_hash_the_first_two_atoms_and_broadcast_the_third(
+        self, seed, shard_rows
+    ):
+        # The sharded benchmark's shape: a 600-row 3-path sharded K = 2.
+        workload = path_workload(3, 600, join_domain=30, seed=seed)
+        plan = ShardPlanner(2).plan(workload.query, workload.db)
+        assert (plan.anchor, plan.partition_variable) == ("R1", "x2")
+        assert (plan.hashed, plan.broadcast) == (("R1", "R2"), ("R3",))
+        assert plan.shard_rows == shard_rows
+        for shard in range(2):
+            schema, columns = plan.shard_relations[shard]["R3"]
+            assert list(zip(*columns)) == workload.db["R3"].rows

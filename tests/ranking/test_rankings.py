@@ -120,3 +120,25 @@ class TestLexRanking:
 
     def test_arity(self):
         assert LexRanking(["a", "b", "c"]).arity == 3
+
+
+class TestWeightsMustBeNumbers:
+    RANKINGS = [SumRanking(["a"]), MinRanking(["a"]), MaxRanking(["a"]), LexRanking(["a"])]
+
+    @pytest.mark.parametrize("ranking", RANKINGS, ids=lambda r: r.name)
+    @pytest.mark.parametrize(
+        "value", ["foo", math.nan, "nan", None, 10**400],
+        ids=["text", "nan", "nan-text", "none", "huge-int"],
+    )
+    def test_a_value_without_an_ordered_weight_is_a_ranking_error(self, ranking, value):
+        with pytest.raises(RankingError, match=r"^a = "):
+            ranking.variable_weight("a", value)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, "-inf"])
+    def test_infinities_are_weights(self, value):
+        assert SumRanking(["a"]).variable_weight("a", value) == float(value)
+        assert LexRanking(["a"]).key_of("a", value) == float(value)
+
+    def test_a_weight_function_returning_nan_is_refused(self):
+        with pytest.raises(RankingError):
+            SumRanking(["a"], weights={"a": lambda v: math.nan}).variable_weight("a", 1)

@@ -140,8 +140,7 @@ STAGES = {
 
 
 @pytest.mark.parametrize("stage", STAGES)
-def test_stage_reaches_its_checkpoints(stage, three_path, monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
+def test_stage_reaches_its_checkpoints(stage, three_path, inline_mode):
     run_stage, names = STAGES[stage]
     query, db = three_path
     with RowLedger() as ledger, inject_faults(FaultPlan()) as plan:

@@ -380,7 +380,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "knob, value",
         [
-            ("parallel", 2.7), ("parallel", True), ("parallel", 0),
             ("seed", 1.9), ("seed", True), ("max_rows", 10.5),
             ("epsilon", True), ("epsilon", "0.3"), ("timeout", "5"),
         ],
@@ -393,15 +392,27 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "knob, value",
-        [("parallel", "auto"), ("parallel", 2), ("seed", 3), ("timeout", 30), ("max_rows", 10**9)],
+        [("seed", 3), ("timeout", 30), ("max_rows", 10**9)],
     )
-    def test_well_typed_knob_is_accepted(self, service, workload, monkeypatch, knob, value):
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")  # no worker processes to leak
+    def test_well_typed_knob_is_accepted(self, service, workload, knob, value):
         _, client = service
         response = client.query("demo", QUERY, RANKING, phis=[0.5], **{knob: value})
         assert response.status == 200
         expected = Engine(workload.db).prepare(QUERY, RANKING).quantile(0.5)
         assert response.payload["results"][0]["weight"] == expected.weight
+
+    def test_an_old_clients_parallel_field_is_ignored(self, service, workload):
+        # Sharding is a library option only: like any unknown field,
+        # "parallel" is ignored, and the serial answer is the same answer.
+        _, client = service
+        response = client.query("demo", QUERY, RANKING, phis=[0.5], parallel=2)
+        assert response.status == 200
+        assert "parallel" not in response.payload and "shards" not in response.payload
+        expected = Engine(workload.db).prepare(QUERY, RANKING).quantile(0.5)
+        assert response.payload["results"][0]["weight"] == expected.weight
+        stats = client.stats()
+        assert "parallel" not in stats
+        assert not {"parallel", "shards"} & set(stats["recent"][-1])
 
 
 class TestMalformedRequests:
@@ -599,5 +610,5 @@ class TestDrainCancellation:
         svc = QuantileService(ServiceConfig())
         svc.pool.register("demo", workload.db)
         svc._drain_token.cancel("test drain")
-        outcomes, _, _, _ = svc._run_batch("demo", QUERY, RANKING, {}, "phi", (0.5,))
+        outcomes, _, _ = svc._run_batch("demo", QUERY, RANKING, {}, "phi", (0.5,))
         assert isinstance(outcomes[0.5], ExecutionCancelledError)

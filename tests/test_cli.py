@@ -1,17 +1,11 @@
 """Command-line interface tests (quantile queries over CSV directories)."""
 
 import json
-import multiprocessing
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import repro
-from repro.cli import main, parse_atom
+from repro.cli import main
 from repro.data.database import Database
 from repro.data.io import save_database_csv
 from repro.data.relation import Relation
@@ -31,34 +25,16 @@ def csv_database(tmp_path):
     return directory
 
 
-class TestParseAtom:
-    def test_basic(self):
-        atom = parse_atom("R(x, y)")
-        assert atom.relation == "R" and atom.variables == ("x", "y")
-
-    def test_whitespace(self):
-        assert parse_atom("  S ( a ,b )").variables == ("a", "b")
-
-    def test_invalid(self):
-        import argparse
-
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_atom("not an atom")
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_atom("R()")
-
-
 class TestCli:
     def base_args(self, csv_database):
         return [
             "--data", str(csv_database),
-            "--atom", "R(x1, x2)",
-            "--atom", "S(x2, x3)",
+            "--query", "R(x1, x2), S(x2, x3)",
         ]
 
     def test_median_sum(self, csv_database, capsys):
         code = main(self.base_args(csv_database) + [
-            "--ranking", "sum", "--weights", "x1,x3", "--phi", "0.5",
+            "--ranking", "sum(x1, x3)", "--phi", "0.5",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -66,7 +42,7 @@ class TestCli:
 
     def test_json_output(self, csv_database, capsys):
         code = main(self.base_args(csv_database) + [
-            "--ranking", "max", "--weights", "x1,x3", "--phi", "0.25", "--json",
+            "--ranking", "max(x1, x3)", "--phi", "0.25", "--json",
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -76,7 +52,7 @@ class TestCli:
 
     def test_count_only(self, csv_database, capsys):
         code = main(self.base_args(csv_database) + [
-            "--weights", "x1", "--count-only", "--json",
+            "--count-only", "--json",
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -84,7 +60,7 @@ class TestCli:
 
     def test_selection_by_index(self, csv_database, capsys):
         code = main(self.base_args(csv_database) + [
-            "--ranking", "lex", "--weights", "x3,x1", "--index", "0", "--json",
+            "--ranking", "lex(x3, x1)", "--index", "0", "--json",
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -93,16 +69,16 @@ class TestCli:
     def test_phi_and_index_both_rejected(self, csv_database):
         with pytest.raises(SystemExit):
             main(self.base_args(csv_database) + [
-                "--weights", "x1", "--phi", "0.5", "--index", "3",
+                "--ranking", "sum(x1)", "--phi", "0.5", "--index", "3",
             ])
 
     def test_neither_phi_nor_index_rejected(self, csv_database):
         with pytest.raises(SystemExit):
-            main(self.base_args(csv_database) + ["--weights", "x1"])
+            main(self.base_args(csv_database) + ["--ranking", "sum(x1)"])
 
     def test_library_errors_are_reported(self, csv_database, capsys):
         code = main(self.base_args(csv_database) + [
-            "--weights", "does_not_exist", "--phi", "0.5",
+            "--ranking", "sum(does_not_exist)", "--phi", "0.5",
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
@@ -110,8 +86,8 @@ class TestCli:
     def test_missing_data_directory(self, tmp_path, capsys):
         code = main([
             "--data", str(tmp_path / "missing"),
-            "--atom", "R(x, y)",
-            "--weights", "x",
+            "--query", "R(x, y)",
+            "--ranking", "sum(x)",
             "--phi", "0.5",
         ])
         assert code == 2
@@ -129,23 +105,6 @@ class TestCliNewSurface:
         payload = json.loads(capsys.readouterr().out)
         assert payload["phi"] == 0.5
         assert set(payload["assignment"]) == {"x1", "x2", "x3"}
-
-    def test_query_and_atom_both_rejected(self, csv_database):
-        with pytest.raises(SystemExit):
-            main([
-                "--data", str(csv_database),
-                "--query", "R(x1, x2)",
-                "--atom", "S(x2, x3)",
-                "--weights", "x1", "--phi", "0.5",
-            ])
-
-    def test_ranking_spec_with_weights_rejected(self, csv_database):
-        with pytest.raises(SystemExit):
-            main([
-                "--data", str(csv_database),
-                "--query", "R(x1, x2), S(x2, x3)",
-                "--ranking", "sum(x1)", "--weights", "x1", "--phi", "0.5",
-            ])
 
     def test_comma_separated_phis_emit_json_list(self, csv_database, capsys):
         code = main([
@@ -230,28 +189,35 @@ class TestCliNewSurface:
                 "--ranking", "sum(x1)", "--phi", "0.5",
             ])
 
-    def test_parallel_run_closes_its_workers(self, csv_database, capsys):
-        """Regression: the shard workers outlived ``main`` and the interpreter
-        tore them down at exit with ``Exception ignored in: <module
-        'threading'> ... OSError: [Errno 9] Bad file descriptor`` on stderr."""
-        argv = [
-            "--data", str(csv_database),
+    def test_ranking_required_unless_count_only(self, csv_database):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "--data", str(csv_database),
+                "--query", "R(x1, x2), S(x2, x3)", "--phi", "0.5",
+            ])
+        assert exit_info.value.code == 2
+
+    def test_bad_ranking_spec_rejected(self, csv_database):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "--data", str(csv_database),
+                "--query", "R(x1, x2), S(x2, x3)",
+                "--ranking", "median(x1)", "--phi", "0.5",
+            ])
+        assert exit_info.value.code == 2
+
+    def test_a_weighted_cell_that_is_not_a_number_is_an_error(self, tmp_path, capsys):
+        directory = tmp_path / "db"
+        directory.mkdir()
+        (directory / "R.csv").write_text("x1,x2\n1,0\nfoo,1\n2,1\n")
+        (directory / "S.csv").write_text("x2,x3\n0,5\n1,6\n")
+        code = main([
+            "--data", str(directory),
             "--query", "R(x1, x2), S(x2, x3)",
-            "--ranking", "sum(x1, x3)",
-            "--phi", "0.5", "--parallel", "2", "--json",
-        ]
-        assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["shards"] == 2
-        assert multiprocessing.active_children() == []
-        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
-        env.pop("REPRO_PARALLEL_MODE", None)  # real worker processes
-        run = subprocess.run(
-            [sys.executable, "-m", "repro.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert run.returncode == 0
-        assert run.stderr == ""
-        assert json.loads(run.stdout)["shards"] == 2
+            "--ranking", "sum(x1, x3)", "--phi", "0.5",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: x1 = 'foo'")
 
     @pytest.mark.parametrize("flag, value", [("--timeout", "-1"), ("--max-rows", "0")])
     def test_serve_refuses_a_bad_default_guardrail_at_startup(
