@@ -139,7 +139,8 @@ def run_e1(
     return _scaling_experiment(
         "E1",
         "MAX quantile on a 3-path query, scaling the database size",
-        "Theorem 5.3: MIN/MAX %JQ is solvable in O(n log n) for every acyclic JQ",
+        "Theorem 5.3: MIN/MAX %JQ is solvable in O(n log n) for every acyclic JQ "
+        "(log n weight probes of one O(n) masked count each)",
         workloads,
         phi,
     )

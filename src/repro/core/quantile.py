@@ -20,13 +20,15 @@ With an exact trimmer the returned answer is an exact φ-quantile; with an
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, MutableMapping
+from collections.abc import Collection, Iterator, MutableMapping
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Protocol
 
 from repro.data.database import Database
 from repro.exceptions import EmptyResultError, SolverError, ValidationError
-from repro.joins.counting import count_answers
+from repro.joins.counting import count_answers, difference_witness, subtree_counts
 from repro.joins.tree_cache import TreeCache
 from repro.joins.yannakakis import SortedAnswers, evaluate_sorted
 from repro.core.result import IterationStats, QuantileResult
@@ -35,6 +37,7 @@ from repro.query.join_query import JoinQuery
 from repro.query.predicates import WeightInterval
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.base import RankingFunction
+from repro.ranking.minmax import MinRanking
 from repro.runtime import checkpoint
 from repro.trim.base import Trimmer
 
@@ -196,6 +199,7 @@ class LocalCandidates:
         self.db = db
         self.ranking = ranking
         self.trimmer = trimmer
+        self.lossy = trimmer.lossy
         self.tree_cache = tree_cache
         self.root: LocalHandle = (query, db)
         self.total = (
@@ -236,29 +240,159 @@ class LocalCandidates:
 
 
 class CacheMiss(Exception):
-    """A :class:`CachedOnly` replay reached a step or terminal nobody memoized."""
+    """A :func:`replay` needed a step, terminal or probe nobody memoized."""
 
 
-class CachedOnly:
-    """``source``'s candidates, answered only from the caches: a replay.
+_REPLAYING: ContextVar[bool] = ContextVar("repro_replaying", default=False)
 
-    Run through :func:`run_pivoting` with a prepared query's step and answer
-    caches, it walks the memoized steps and selects from a memoized terminal
-    exactly as a warm call does, but it computes nothing: a step or terminal
-    the caches lack raises :class:`CacheMiss` instead.
+
+@contextmanager
+def replay() -> Iterator[None]:
+    """Inside, :func:`run_pivoting` computes nothing: a miss raises :class:`CacheMiss`."""
+    token = _REPLAYING.set(True)
+    try:
+        yield
+    finally:
+        _REPLAYING.reset(token)
+
+
+def computing(miss: Any) -> None:
+    """Called before a memo miss is computed: raises inside :func:`replay`."""
+    if _REPLAYING.get():
+        raise CacheMiss(miss)
+
+
+class WeightBisection:
+    """The serial MIN/MAX candidate source: bisection over the input weights.
+
+    An answer weighs what one of its rows weighs (min or max over the row's
+    weighted columns), so the sorted set ``W`` of row weights holds every
+    answer weight, and the answers lighter than ``W[i]`` are one count of the
+    base tree keeping only the rows whose weight allows it (Example 2.1;
+    Theorem 5.3's O(|D| log |D|)).  MAX is MIN over negated weights.  A
+    handle is an index range ``[lo, hi)`` of ``W`` (``hi`` ``None``: to the
+    end); a step pivots on its middle, a terminal bisects the rest.  ``W`` is
+    built on first use; each memo entry (answers below ``W[i]``, one answer
+    per tie block ``{weight = W[i]}``) is stored whole, by one assignment.
     """
 
-    def __init__(self, source: LocalCandidates) -> None:
-        self.query, self.db, self.trimmer = source.query, source.db, source.trimmer
-        self.total, self.root = source.total, source.root
+    lossy = False
 
-    def step(self, interval: WeightInterval, handle: LocalHandle) -> PivotStep:
-        raise CacheMiss(interval)
+    def __init__(
+        self, query: JoinQuery, db: Database, ranking: RankingFunction, tree_cache: TreeCache, total: int
+    ) -> None:
+        self.query, self.db, self.ranking = query, db, ranking
+        self.tree_cache, self.total = tree_cache, total
+        self.root: tuple[int, int | None] = (0, None)
+        self._sign = 1.0 if isinstance(ranking, MinRanking) else -1.0
+        self._base: tuple[Any, dict[int, list[Any]], list[Any]] | None = None
+        self._below: dict[int, int] = {0: 0}
+        self._ties: dict[int, tuple[Any, Assignment]] = {}
 
-    def terminal(
-        self, interval: WeightInterval, handle: LocalHandle, keep: Collection[str]
-    ) -> Terminal:
-        raise CacheMiss(interval)
+    def _weights(self) -> tuple[Any, dict[int, list[Any]], list[Any]]:
+        """(base tree, signed row weights per weighted node, ``W``)."""
+        if self._base is None:
+            tree = self.tree_cache.get(self.query, self.db)
+            columns: dict[int, list[Any]] = {}
+            for node in tree.nodes_top_down():
+                found = [
+                    tree.weight_column(node, p, self.ranking)
+                    for p, v in enumerate(tree.variables(node))
+                    if v in self.ranking.weighted_variables
+                ]
+                if found:
+                    checkpoint("bisection.weights", rows=len(tree.rows(node)))
+                    if self._sign < 0:
+                        found = [[-w for w in column] for column in found]
+                    columns[node] = found[0] if len(found) == 1 else [min(w) for w in zip(*found)]
+            ordered = [self._sign * w for w in sorted({w for c in columns.values() for w in c})]
+            self._base = (tree, columns, ordered if self._sign > 0 else ordered[::-1])
+        return self._base
+
+    def _probe(self, i: int, strict: bool) -> tuple[int, dict[int, list[int]], dict[int, list[int]]]:
+        """(answers, counts, masks) keeping rows signed >= (strict: >) signed ``W[i]``."""
+        tree, columns, ordered = self._weights()
+        t = self._sign * ordered[i]
+        masks: dict[int, list[int]] = {
+            node: [w > t for w in column] if strict else [w >= t for w in column]
+            for node, column in columns.items()
+        }
+        counts = subtree_counts(tree, masks)
+        return sum(counts[tree.root]), counts, masks
+
+    def below(self, i: int) -> int:
+        """How many answers weigh less than ``W[i]`` (``i`` up to ``len(W)``)."""
+        below = self._below.get(i)
+        if below is None:
+            if i == len(self._weights()[2]):
+                return self.total
+            computing(i)
+            kept = self._probe(i, strict=self._sign < 0)[0]
+            below = self._below[i] = self.total - kept if self._sign > 0 else kept
+        return below
+
+    def tie(self, i: int, split: tuple[dict[int, list[int]], ...] | None = None) -> tuple[Any, Assignment]:
+        """(weight, answer) of one answer weighing ``W[i]``: ``split`` is ``_probe``'s
+        counts at ``W[i]`` and its strict counts and masks, when at hand."""
+        tie = self._ties.get(i)
+        if tie is None:
+            computing(("tie", i))
+            if split is None:
+                split = (self._probe(i, False)[1], *self._probe(i, True)[1:])
+            assignment = difference_witness(self._weights()[0], *split)
+            tie = self._ties[i] = (self.ranking.weight_of(assignment), assignment)
+        return tie
+
+    def _range(self, handle: tuple[int, int | None]) -> tuple[int, int]:
+        return handle[0], len(self._weights()[2]) if handle[1] is None else handle[1]
+
+    def step(self, interval: WeightInterval, handle: tuple[int, int | None]) -> PivotStep:
+        lo, hi = self._range(handle)
+        mid = (lo + hi) // 2
+        kept, at_least, _ = self._probe(mid, False)
+        kept_over, over, masks = self._probe(mid, True)
+        edges = (self.total - kept, self.total - kept_over) if self._sign > 0 else (kept_over, kept)
+        self._below[mid], self._below[mid + 1] = edges
+        weight: Any = self._weights()[2][mid]
+        assignment: Assignment = {}
+        if kept > kept_over:
+            weight, assignment = self.tie(mid, (at_least, over, masks))
+        return PivotStep(
+            assignment, weight, 0.5, (lo, mid), edges[0] - self.below(lo),
+            (mid + 1, hi), self.below(hi) - edges[1],
+        )
+
+    def terminal(self, interval: WeightInterval, handle: Any, keep: Collection[str]) -> BisectionTerminal:
+        return BisectionTerminal(self, *self._range(handle), keep)
+
+    def estimated_bytes(self) -> int:
+        """Accounting proxy for the row weights, ``W`` and the memos."""
+        held = 0 if self._base is None else sum(map(len, self._base[1].values()))
+        return 16 * held + 64 * len(self._below) + 256 * len(self._ties)
+
+
+class BisectionTerminal:
+    """The candidates of one :class:`WeightBisection` index range; a select
+    bisects the rest of the range on the source's memoized counts."""
+
+    def __init__(self, source: WeightBisection, lo: int, hi: int, keep: Collection[str]) -> None:
+        self.source, self.lo, self.hi, self.keep = source, lo, hi, keep
+        self._size = source.below(hi) - source.below(lo)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def estimated_bytes(self) -> int:
+        return 64
+
+    def select(self, position: int) -> tuple[Any, Assignment]:
+        lo, hi, below = self.lo, self.hi, self.source.below
+        rank = below(lo) + position
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if below(mid) <= rank else (lo, mid)
+        weight, assignment = self.source.tie(lo)
+        return weight, project(assignment, self.keep)
 
 
 def run_pivoting(
@@ -299,6 +433,7 @@ def run_pivoting(
         checkpoint("quantile.iteration")
         step = step_cache.get(interval)
         if step is None:
+            computing(interval)
             step = step_cache[interval] = source.step(interval, handle)
         if iteration_cap == 0:
             # Derive a generous cap from the guaranteed elimination fraction.
@@ -348,6 +483,7 @@ def run_pivoting(
         # (targets landing in one interval pay the enumerate-and-sort once).
         answers = answer_cache.get(interval)
         if answers is None:
+            computing(interval)
             answers = source.terminal(interval, handle, keep)
             if not len(answers):
                 raise SolverError("no candidate answers remained to materialize")
@@ -370,7 +506,7 @@ def pivoting_quantile(
     query: JoinQuery,
     db: Database,
     ranking: RankingFunction,
-    trimmer: Trimmer,
+    trimmer: Trimmer | None,
     phi: float | None = None,
     index: int | None = None,
     epsilon: float | None = None,
@@ -378,7 +514,7 @@ def pivoting_quantile(
     pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
     answer_cache: MutableMapping[WeightInterval, Terminal] | None = None,
     tree_cache: TreeCache | None = None,
-    source: LocalCandidates | CachedOnly | None = None,
+    source: LocalCandidates | WeightBisection | None = None,
 ) -> QuantileResult:
     """Run Algorithm 1 and return the requested (approximate) quantile.
 
@@ -388,8 +524,8 @@ def pivoting_quantile(
     Parameters
     ----------
     trimmer:
-        The trimming construction for the ranking's inequalities; its
-        ``lossy`` flag decides whether the result is exact.
+        The trimming construction for the ranking's inequalities (``None``
+        with a ``source``); its ``lossy`` flag decides exactness.
     epsilon:
         Reported approximation parameter (for lossy trimmers).
     termination_size:
@@ -410,12 +546,14 @@ def pivoting_quantile(
         rebuilding it.
     source:
         A prebuilt :class:`LocalCandidates` over this very (canonical
-        query, db, ranking, trimmer), which then supplies ``total`` and
-        ``tree_cache`` — a prepared query builds it once instead of
-        validating, canonicalizing, and counting on every call — or a
-        :class:`CachedOnly` replay of one.
+        query, db, ranking, trimmer) or :class:`WeightBisection` over the
+        canonical query, db and ranking, which then supplies ``total``,
+        ``tree_cache`` and exactness — a prepared query builds it once
+        instead of validating, canonicalizing, and counting on every call.
     """
     if source is None:
+        if trimmer is None:
+            raise SolverError("pivoting_quantile needs a trimmer or a source")
         ranking.validate_for(query.variables)
         base_query, base_db = ensure_canonical(query, db)
         if tree_cache is None:
@@ -431,7 +569,7 @@ def pivoting_quantile(
         index,
         set(query.variables),
         termination_size,
-        exact=not source.trimmer.lossy,
+        exact=not source.lossy,
         epsilon=epsilon,
         step_cache=pivot_cache,
         answer_cache=answer_cache,

@@ -41,13 +41,14 @@ from repro.approx.randomized import sampling_quantile
 from repro.baselines.materialize import select_from_sorted, sorted_answers
 from repro.core.quantile import (
     CacheMiss,
-    CachedOnly,
     CappedCache,
     LocalCandidates,
+    WeightBisection,
     check_phi,
     phi_for_index,
     pivoting_quantile,
     project,
+    replay,
     resolve_target,
 )
 from repro.core.result import QuantileResult
@@ -78,9 +79,10 @@ from repro.query.join_tree import RootedJoinTree, build_join_tree
 from repro.query.parser import parse_ranking
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.base import RankingFunction
-from repro.ranking.minmax import MinRanking
+from repro.ranking.minmax import MaxRanking, MinRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime import CancellationToken, ExecutionContext, checkpoint
+from repro.runtime.context import check_limits
 from repro.runtime.policy import degradation_ladder, validate_policy
 from repro.trim import Trimmer, exact_trimmer_for
 
@@ -209,10 +211,9 @@ class PreparedQuery:
             and 0.0 < epsilon < 1.0
         ):
             raise ValidationError(f"epsilon must be a number in (0, 1), got {epsilon!r}")
-        if timeout is not None and timeout <= 0:
-            raise ValidationError(f"timeout must be positive, got {timeout!r}")
-        if max_rows is not None and max_rows <= 0:
-            raise ValidationError(f"max_rows must be positive, got {max_rows!r}")
+        check_limits(
+            timeout=timeout, max_rows=max_rows, termination_factor=termination_factor
+        )
         validate_policy(on_budget)
         self.query = query
         self.db = db
@@ -226,8 +227,6 @@ class PreparedQuery:
         self.cancellation = cancellation
         self.parallel = parallel
         self._shard_count = resolve_shard_count(parallel)
-        if termination_factor < 1:
-            raise SolverError("termination_factor must be at least 1")
         self.termination_factor = termination_factor
         # Prepared state, each computed at most once per prepared query.
         self._plan: SolverPlan | None = None
@@ -241,7 +240,7 @@ class PreparedQuery:
         # over this prepared query's lifetime, each over its own candidate
         # source (the lossy trimmer of approx-pivot must never be confused
         # with the exact ones).
-        self._sources: dict[str, LocalCandidates] = {}
+        self._sources: dict[str, LocalCandidates | WeightBisection] = {}
         # {mode: (step cache, answer cache)}, mode being a pivoting strategy
         # or "sharded".  Both caches are keyed by candidate weight interval,
         # but entries are not interchangeable between modes: a lossy trim of
@@ -454,24 +453,29 @@ class PreparedQuery:
                     self._materialized = materialized
         return materialized
 
-    def _ensure_source(self, strategy: str) -> LocalCandidates:
-        """The local candidate source of one pivoting strategy (built once).
+    def _ensure_source(self, strategy: str) -> LocalCandidates | WeightBisection:
+        """The serial candidate source of one pivoting strategy (built once).
 
-        Bundles the reduced base, ``|Q(D)|``, the tree cache, and the
-        strategy's trimmer, so an execution call does no per-query setup.
+        Bundles the reduced base, ``|Q(D)|``, the tree cache and the
+        strategy's trimmer (exact MIN/MAX bisects weights instead), so an
+        execution call does no per-query setup.
         """
         source = self._sources.get(strategy)
         if source is None:
             with self._state_lock:
                 source = self._sources.get(strategy)
                 if source is None:
-                    source = self._sources[strategy] = LocalCandidates(
-                        *self._ensure_reduced(),
-                        self.ranking,
-                        self._build_trimmer(strategy),
-                        self._tree_cache,
-                        self._ensure_total(),
-                    )
+                    base, total = self._ensure_reduced(), self._ensure_total()
+                    if strategy == "exact-pivot" and isinstance(
+                        self.ranking, (MinRanking, MaxRanking)
+                    ):
+                        source = WeightBisection(*base, self.ranking, self._tree_cache, total)
+                    else:
+                        trimmer = self._build_trimmer(strategy)
+                        source = LocalCandidates(
+                            *base, self.ranking, trimmer, self._tree_cache, total
+                        )
+                    self._sources[strategy] = source
         return source
 
     def _build_trimmer(self, strategy: str) -> Trimmer:
@@ -715,7 +719,7 @@ class PreparedQuery:
     def _pivot(
         self,
         strategy: str,
-        source: LocalCandidates | CachedOnly,
+        source: LocalCandidates | WeightBisection,
         caches: tuple[CappedCache, CappedCache],
         phi: float | None,
         index: int | None,
@@ -725,7 +729,7 @@ class PreparedQuery:
             source.query,
             source.db,
             self.ranking,
-            source.trimmer,
+            None,
             phi=phi,
             index=index,
             epsilon=self.epsilon if strategy == "approx-pivot" else None,
@@ -753,12 +757,12 @@ class PreparedQuery:
         caches = self._caches.get(plan.strategy)
         if source is None or caches is None:
             return None
-        replay = CachedOnly(source)
         try:
-            if not self._has_guards():
-                return self._pivot(plan.strategy, replay, caches, phi, index)
-            with self._fresh_context():
-                return self._pivot(plan.strategy, replay, caches, phi, index)
+            with replay():
+                if not self._has_guards():
+                    return self._pivot(plan.strategy, source, caches, phi, index)
+                with self._fresh_context():
+                    return self._pivot(plan.strategy, source, caches, phi, index)
         except (CacheMiss, BudgetExceededError):
             return None
 
@@ -838,6 +842,8 @@ class PreparedQuery:
         total += self.pivot_cache_size * 1024
         for _, answers in list(self._caches.values()):
             total += sum(terminal.estimated_bytes() for terminal in list(answers.values()))
+        bisections = [s for s in list(self._sources.values()) if isinstance(s, WeightBisection)]
+        total += sum(source.estimated_bytes() for source in bisections)  # weights, memos
         # Shard payloads are replicated into worker processes; charge the
         # shipped rows (broadcast replication included) at the same rate.
         if self._parallel_plan is not None:
@@ -850,10 +856,11 @@ class PreparedQuery:
         return self._tree_cache
 
     def clear_pivot_cache(self) -> None:
-        """Drop the memoized pivoting iterations, serial and sharded
-        (prepared state is kept)."""
+        """Drop the memoized pivoting iterations, serial and sharded, and the
+        candidate sources' memos (prepared state is kept)."""
         with self._state_lock:
             self._caches.clear()
+            self._sources.clear()
         self._tree_cache.clear()
 
     def __repr__(self) -> str:

@@ -9,6 +9,9 @@ so no separate semi-join pass is needed.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from typing import Any
+
 from repro.data.database import Database
 from repro.joins.message_passing import MaterializedTree
 from repro.kernels import active_backend
@@ -16,7 +19,9 @@ from repro.query.join_query import JoinQuery
 from repro.runtime import checkpoint
 
 
-def subtree_counts(tree: MaterializedTree) -> dict[int, list[int]]:
+def subtree_counts(
+    tree: MaterializedTree, masks: Mapping[int, list[int]] | None = None
+) -> dict[int, list[int]]:
     """Per-tuple counts of partial answers rooted at each tuple.
 
     Returns a mapping from node (atom index) to a list parallel to the node's
@@ -27,31 +32,37 @@ def subtree_counts(tree: MaterializedTree) -> dict[int, list[int]]:
     :func:`group_sums` in the child's (callers treat them as read-only):
     counting and pivot selection over one tree, and trees whose databases
     share a subtree's relations, pay for that subtree and its edge up once.
+    With ``masks`` a row counts its 0/1 mask entry instead of 1 (so only the
+    partial answers whose every row is kept count), and nothing is kept.
     """
     kernel = active_backend()
     counts: dict[int, list[int]] = {}
     for node in tree.nodes_bottom_up():
         state = tree.subtree(node)
-        node_counts = state.counts
+        node_counts = state.counts if masks is None else None
         if node_counts is None:
             rows = tree.rows(node)
-            checkpoint("counting.node", rows=len(rows))
-            node_counts = [1] * len(rows)
+            checkpoint("counting.node" if masks is None else "counting.masked", rows=len(rows))
+            node_counts = [1] * len(rows) if masks is None or node not in masks else masks[node]
             for child in tree.children(node):
                 # Whole-column form of the ⊕/⊗ message pass: per-group sums of
                 # the child counts, gathered through each parent row's group
                 # ordinal (the sentinel slot holds 0 = dangling), multiplied in.
-                sums = group_sums(tree, node, child, counts[child])
+                sums = group_sums(tree, node, child, counts[child], keep=masks is None)
                 gathered = kernel.take(sums, tree.parent_group_ids(node, child))
                 node_counts = kernel.multiply(node_counts, gathered)
-            state.counts = node_counts
+            if masks is None:
+                state.counts = node_counts
         counts[node] = node_counts
     return counts
 
 
-def group_sums(tree: MaterializedTree, parent: int, child: int, counts: list[int]) -> list[int]:
+def group_sums(
+    tree: MaterializedTree, parent: int, child: int, counts: list[int], keep: bool = True
+) -> list[int]:
     """Per join group of the edge the answers below it (its members' child
-    ``counts`` summed), then 0 for a parent key with no child group."""
+    ``counts`` summed), then 0 for a parent key with no child group; kept on
+    the edge unless ``keep`` is false."""
 
     def build() -> list[int]:
         ids, size = tree.child_group_ids(parent, child), tree.num_child_groups(parent, child)
@@ -59,7 +70,37 @@ def group_sums(tree: MaterializedTree, parent: int, child: int, counts: list[int
         sums.append(0)
         return sums
 
-    return tree.group_message(parent, child, "sums", build)
+    return tree.group_message(parent, child, "sums", build) if keep else build()
+
+
+def difference_witness(
+    tree: MaterializedTree,
+    counts: Mapping[int, list[int]],
+    excluded: Mapping[int, list[int]],
+    excluded_masks: Mapping[int, list[int]],
+) -> dict[str, Any]:
+    """One answer that ``counts`` counts and ``excluded`` does not: masked
+    :func:`subtree_counts`, ``excluded``'s masks keeping a subset of the rows.
+    Top down, a row's answers leave ``excluded`` through its own mask or one
+    child group where ``counts`` is larger again; other children take any
+    member ``counts`` counts."""
+    root = tree.root
+    assignment: dict[str, Any] = {}
+    pending = [(root, next(r for r, c in enumerate(counts[root]) if c > excluded[root][r]), True)]
+    while pending:
+        checkpoint("counting.witness")
+        node, row, differ = pending.pop()
+        values = tree.rows(node)[row]
+        assignment.update(zip(tree.variables(node), values))
+        differ = differ and (node not in excluded_masks or bool(excluded_masks[node][row]))
+        for child in tree.children(node):
+            members = tree.child_groups(node, child)[tree.parent_group_key(node, values, child)]
+            kept, dropped = counts[child], excluded[child]
+            pick = next((m for m in members if kept[m] > dropped[m]), None) if differ else None
+            differ = differ and pick is None
+            pending.append((child, pick, True) if pick is not None
+                           else (child, next(m for m in members if kept[m]), False))
+    return assignment
 
 
 def count_from_tree(tree: MaterializedTree) -> int:

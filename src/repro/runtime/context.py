@@ -35,6 +35,7 @@ swallows — cancellation always propagates).
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from contextvars import ContextVar
@@ -67,6 +68,20 @@ def set_fault_hook(hook: Callable[[str], None] | None) -> Callable[[str], None] 
     previous = _fault_hook
     _fault_hook = hook
     return previous
+
+
+def check_limits(**limits: Any) -> None:
+    """Raise :class:`ValidationError` unless each limit given is ``None``, a
+    finite real > 0 (``timeout``) or an int >= 1 (the others), and no bool:
+    NaN or inf compares false everywhere and would switch a guard off."""
+    for name, value in limits.items():
+        real = name == "timeout"
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, (int, float) if real else int)
+            or not (0 < value < math.inf if real else value >= 1)
+        ):
+            kind = "a finite number" if real else "an integer"
+            raise ValidationError(f"{name} must be positive and {kind}, got {value!r}")
 
 
 def current_context() -> "ExecutionContext | None":
@@ -177,10 +192,7 @@ class ExecutionContext:
         cancellation: CancellationToken | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if timeout is not None and timeout <= 0:
-            raise ValidationError(f"timeout must be positive, got {timeout!r}")
-        if max_rows is not None and max_rows <= 0:
-            raise ValidationError(f"max_rows must be positive, got {max_rows!r}")
+        check_limits(timeout=timeout, max_rows=max_rows)
         self.timeout = timeout
         self.max_rows = max_rows
         self.cancellation = cancellation

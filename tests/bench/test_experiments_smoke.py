@@ -94,6 +94,7 @@ class TestMicroExperiments:
     def test_a3_phi_sweep(self):
         result = ablations.run_a3(phis=(0.1, 0.9), n=100, seed=14)
         assert len(result.rows) == 2
+        assert all(row["iterations"] for row in result.rows)  # Algorithm 1 ran
 
     def test_a4_c_decreases_with_width(self):
         result = ablations.run_a4(arms=(2, 3), n=80, seed=15)

@@ -152,11 +152,18 @@ def quantile_target(phi: float, total: int) -> int:
 def assert_valid_quantile(query, db, ranking, result, phi) -> None:
     """Check that ``result`` is an exact φ-quantile of ``Q(D)`` under ``ranking``.
 
-    Validity: the answer must be a genuine query answer, and the target index
-    must fall within the tie range of its weight in the sorted weight list.
+    Validity: the answer must be a genuine query answer, the target index
+    must fall within the tie range of its weight in the sorted weight list,
+    and the weight is bit for bit the returned answer's own (the tie
+    contract: ``0.0`` and ``-0.0`` tie, but an answer weighing ``-0.0`` is
+    not reported as ``0.0``).
     """
     assert query.satisfies(result.assignment, db), (
         f"returned assignment {result.assignment} is not a query answer"
+    )
+    own = ranking.weight_of(result.assignment)
+    assert repr(result.weight) == repr(own), (
+        f"reported weight {result.weight!r} but the answer weighs {own!r}"
     )
     weights = brute_force_weights(query, db, ranking)
     total = len(weights)

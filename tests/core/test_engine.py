@@ -110,8 +110,26 @@ class TestPrepare:
 
     def test_invalid_termination_factor_rejected(self, binary_join):
         query, db = binary_join
-        with pytest.raises(SolverError):
+        with pytest.raises(ValidationError):
             PreparedQuery(query, db, SumRanking(["x1"]), termination_factor=0)
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("termination_factor", float("nan")), ("termination_factor", float("inf")),
+            ("termination_factor", -float("inf")), ("termination_factor", 1.5),
+            ("termination_factor", True), ("termination_factor", "5"),
+            ("timeout", float("nan")), ("timeout", float("inf")), ("timeout", True),
+            ("timeout", "5"), ("max_rows", float("nan")), ("max_rows", float("inf")),
+            ("max_rows", 1.5), ("max_rows", True), ("max_rows", "5"),
+        ],
+    )
+    def test_non_finite_or_mistyped_knob_rejected(self, binary_join, knob, value):
+        # A NaN termination factor used to skip Algorithm 1 altogether (the
+        # cut compares false) and a NaN budget never tripped.
+        query, db = binary_join
+        with pytest.raises(ValidationError, match=knob):
+            PreparedQuery(query, db, SumRanking(["x1"]), **{knob: value})
 
     @pytest.mark.parametrize("epsilon", [2.0, 1.0, 0.0, -0.1, float("nan"), True])
     @pytest.mark.parametrize("strategy", ["approx-pivot", "sampling", "auto"])

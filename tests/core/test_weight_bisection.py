@@ -1,0 +1,161 @@
+"""Serial exact MIN/MAX: weight bisection over masked counts on the base tree.
+
+* Differential, over ``tests/conftest.py::join_instances`` with a hostile
+  value set (0 / 0.0 / -0.0 / False and 1 / True ties, a big int, ±inf):
+  every φ and selection equals the materialize oracle's weight and rank, is
+  an answer of the join, and ``repr(result.weight)`` is the repr of the
+  returned answer's own weight (the tie contract in README).
+* A replay (``PreparedQuery.cached``) computes no probe.
+* A probe interrupted by a fault, a budget or a cancellation leaves no memo
+  entry behind: the retry equals a fresh run.
+* The memo is charged by ``estimated_bytes``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.baselines.materialize import materialize_quantile
+from repro.core.quantile import WeightBisection
+from repro.engine import Engine, PreparedQuery
+from repro.exceptions import BudgetExceededError, EmptyResultError, ExecutionCancelledError
+from repro.ranking.minmax import MaxRanking, MinRanking
+from repro.runtime import CancellationToken, ExecutionContext
+from repro.testing import FaultPlan, InjectedFault, inject_faults
+from repro.workloads.path import path_workload
+
+from tests.conftest import at_checkpoint, join_instances
+
+HOSTILE = [0, 0.0, -0.0, False, True, 2**63 + 11, math.inf, -math.inf]
+PHIS = [(i + 1) / 20 for i in range(19)]
+PATH_QUERY = "R1(x1, x2), R2(x2, x3), R3(x3, x4)"
+
+
+def assert_oracle(query, db, ranking, result, **target):
+    oracle = materialize_quantile(query, db, ranking, **target)
+    assert (result.weight, result.target_index) == (oracle.weight, oracle.target_index)
+    assert query.satisfies(result.assignment, db)
+    assert repr(result.weight) == repr(ranking.weight_of(result.assignment))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    instance=join_instances(values=HOSTILE),
+    kind=st.sampled_from([MinRanking, MaxRanking]),
+    factor=st.sampled_from([1, 12]),
+)
+def test_min_max_match_the_oracle_and_the_tie_contract(instance, kind, factor):
+    query, db, drawn = instance
+    ranking = kind(list(drawn.weighted_variables))
+    prepared = PreparedQuery(query, db, ranking, termination_factor=factor)
+    total = prepared.count()
+    if not total:
+        with pytest.raises(EmptyResultError):
+            prepared.quantile(0.5)
+        return
+    for phi, result in zip(PHIS, prepared.quantiles(PHIS)):
+        assert_oracle(query, db, ranking, result, phi=phi)
+    for index in (0, total // 3, total - 1):
+        assert_oracle(query, db, ranking, prepared.selection(index), index=index)
+
+
+@pytest.fixture(scope="module")
+def path_db():
+    return path_workload(3, 60, 6, seed=11).db
+
+
+def fresh(db, ranking="max(x1, x4)", **knobs):
+    return Engine(db).prepare(PATH_QUERY, ranking, termination_factor=1, **knobs)
+
+
+def key(result):
+    return repr((result.weight, result.target_index, result.assignment))
+
+
+@pytest.mark.parametrize("ranking", ["min(x1, x2, x4)", "max(x1, x4)"])
+def test_serial_exact_min_max_bisects(path_db, ranking):
+    prepared = fresh(path_db, ranking)
+    assert isinstance(prepared._ensure_source("exact-pivot"), WeightBisection)
+    result = prepared.quantile(0.5)
+    assert result.strategy == "exact-pivot" and result.exact and result.iterations
+
+
+@pytest.mark.parametrize("ranking", ["min(x1, x2, x4)", "max(x1, x4)"])
+def test_a_replay_after_one_phi_computes_no_probe(path_db, ranking):
+    prepared = fresh(path_db, ranking)
+    warmed = prepared.quantile(0.5).target_index
+    reference = fresh(path_db, ranking)
+    answered = []
+    with inject_faults(FaultPlan()) as plan:
+        replays = [prepared.cached(index=i) for i in range(prepared.count())]
+    assert set(plan.seen) <= {"quantile.iteration"}
+    for index, replayed in enumerate(replays):
+        if replayed is not None:
+            expected = reference.selection(index)
+            assert (replayed.weight, replayed.target_index) == (
+                expected.weight, expected.target_index
+            )
+            answered.append(index)
+    assert warmed in answered
+    # Other targets of the warmed tie block are answered, targets that need
+    # a probe nobody made are not.
+    assert len(answered) > 1 and len(answered) < len(replays)
+
+
+def interrupt_then_compare(db, interrupt):
+    """Run a batch interrupted at every n-th probe, retry, compare."""
+    reference = [key(r) for r in fresh(db).quantiles(PHIS)]
+    prepared = fresh(db)
+    interrupted = 0
+    for occurrence in range(1, 40, 3):
+        with pytest.raises((InjectedFault, BudgetExceededError, ExecutionCancelledError)):
+            interrupt(prepared, occurrence)
+        interrupted += 1
+    assert interrupted
+    source = prepared._ensure_source("exact-pivot")
+    check = fresh(db)._ensure_source("exact-pivot")
+    for i, below in source._below.items():
+        assert below == check.below(i)
+    assert [key(r) for r in prepared.quantiles(PHIS)] == reference
+
+
+@pytest.mark.faults
+class TestInterruptedProbes:
+    def test_a_fault_in_a_probe_leaves_no_trace(self, path_db):
+        def interrupt(prepared, occurrence):
+            plan = FaultPlan().arm("counting.masked", after=occurrence)
+            with inject_faults(plan):
+                prepared.quantiles(PHIS)
+
+        interrupt_then_compare(path_db, interrupt)
+
+    def test_a_budget_in_a_probe_leaves_no_trace(self, path_db):
+        def interrupt(prepared, occurrence):
+            with ExecutionContext(max_rows=60 * occurrence):
+                prepared.quantiles(PHIS)
+
+        interrupt_then_compare(path_db, interrupt)
+
+    def test_a_cancellation_in_a_probe_leaves_no_trace(self, path_db):
+        def interrupt(prepared, occurrence):
+            token = CancellationToken()
+            with ExecutionContext(cancellation=token):
+                with at_checkpoint("counting.masked", occurrence, token.cancel):
+                    prepared.quantiles(PHIS)
+
+        interrupt_then_compare(path_db, interrupt)
+
+
+def test_estimated_bytes_grow_with_the_memo(path_db):
+    prepared = fresh(path_db)
+    before = prepared.estimated_bytes()
+    prepared.quantile(0.5)
+    once = prepared.estimated_bytes()
+    source = prepared._ensure_source("exact-pivot")
+    memo = source.estimated_bytes()
+    prepared.quantiles(PHIS)
+    assert before < once < prepared.estimated_bytes()
+    assert 0 < memo < source.estimated_bytes()

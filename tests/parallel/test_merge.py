@@ -13,6 +13,7 @@ import pytest
 
 import repro.engine
 from repro.baselines.materialize import select_from_sorted, sorted_answers
+from repro.core.quantile import LocalCandidates, run_pivoting
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import Engine, PreparedQuery
@@ -22,6 +23,7 @@ from repro.query.join_query import JoinQuery
 from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MinRanking
 from repro.ranking.sum import SumRanking
+from repro.trim import exact_trimmer_for
 from repro.workloads.path import path_workload
 from repro.workloads.star import star_workload
 
@@ -303,7 +305,9 @@ class TestOneLoopTwoSources:
         # Serial and sharded run the same loop over two candidate sources; a
         # single shard holds every candidate, so not only the selected rank
         # but the whole result — assignment, iterations, per-iteration
-        # stats — must be equal.
+        # stats — must be equal.  The serial source is Algorithm 1's, the one
+        # the shard workers run: a prepared query answers MIN by weight
+        # bisection instead, which must agree on weight and rank.
         ranking = K1_RANKINGS[ranking]
         workload = K1_SHAPES[shape](ranking)
         serial = PreparedQuery(
@@ -316,16 +320,29 @@ class TestOneLoopTwoSources:
         merger = RankMerger(session)
         total = serial.count()
         assert session.total == total
+        algorithm1 = LocalCandidates(
+            *serial._ensure_reduced(), ranking, exact_trimmer_for(ranking),
+            serial.tree_cache, total,
+        )
         caches = {"step_cache": {}, "answer_cache": {}}
+        serial_caches = {"step_cache": {}, "answer_cache": {}}
         keep = set(workload.query.variables)
         termination_size = max(session.reduced_rows, 1)
+
+        def serial_run(phi, index):
+            return run_pivoting(
+                algorithm1, phi, index, keep, termination_size, **serial_caches
+            )
+
         iterated = 0
         for phi in PHIS:
             merged = merger.solve(phi, None, keep, termination_size, **caches)
-            assert merged == serial.quantile(phi)
+            assert merged == serial_run(phi, None)
+            assert result_key(merged) == result_key(serial.quantile(phi))
             iterated += merged.iterations
         for index in range(0, total, max(1, total // 23)):
             merged = merger.solve(None, index, keep, termination_size, **caches)
-            assert merged == serial.selection(index)
+            assert merged == serial_run(None, index)
+            assert result_key(merged) == result_key(serial.selection(index))
         assert iterated, "the sweep never entered the pivoting loop"
         session.close()

@@ -17,6 +17,7 @@ occurrences deterministically cover concurrent builds.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -264,3 +265,40 @@ class TestPreparedQueryUnderConcurrentFaults:
         # After the fault window closes every φ answers exactly right.
         for phi in phis:
             assert fresh.quantile(phi).weight == expected[phi]
+
+    def test_concurrent_bisection_probes_with_faults_stay_correct(self):
+        # Serial MIN/MAX memoizes probes and tie answers on one shared source:
+        # ten threads race the same probes while some of them fault.
+        workload = path_workload(3, 40, 6, seed=8)
+        engine = Engine(workload.db)
+        reference = engine.prepare(QUERY_SPEC, "max(x1, x4)", termination_factor=1)
+        phis = [0.1, 0.25, 0.5, 0.75, 0.9]
+        expected = {phi: reference.quantile(phi).weight for phi in phis}
+        fresh = engine.prepare(QUERY_SPEC, "max(x1, x4)", termination_factor=1, seed=99)
+        plan = FaultPlan().arm("counting.masked", after=5).arm("counting.witness", after=2)
+        barrier = threading.Barrier(10)
+        outcomes = []
+        lock = threading.Lock()
+
+        def worker(position):
+            barrier.wait()
+            phi = phis[position % len(phis)]
+            try:
+                weight = fresh.quantile(phi).weight
+            except InjectedFault:
+                weight = "faulted"
+            with lock:
+                outcomes.append((phi, weight))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with inject_faults(plan, strict=False):
+                hammer(10, worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(weight in ("faulted", expected[phi]) for phi, weight in outcomes)
+        for phi in phis:
+            assert fresh.quantile(phi).weight == expected[phi]
+        source, check = (pq._ensure_source("exact-pivot") for pq in (fresh, reference))
+        assert all(below == check.below(i) for i, below in source._below.items())

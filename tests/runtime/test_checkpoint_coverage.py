@@ -40,6 +40,7 @@ NO_ROW_CHARGE = {
     "materialize.brute_force",
     "trim.inherit",
     "yannakakis.decode",
+    "counting.witness",
 }
 
 
@@ -90,11 +91,13 @@ def cyclic_materialize_stage(query, db):
 
 
 STAGES = {
-    # ``index.order`` is the per-variable weight order the filters bisect.
+    # Weight bisection: the row weights, one masked count per probe, and a
+    # top-down decode per tie block answered.
     "min": (
         lambda q, db: batch(q, db, MinRanking(["x1", "x4"])),
-        {"trim.filter", "trim.union", "trim.inherit", "index.order"},
+        {"bisection.weights", "counting.masked", "counting.witness"},
     ),
+    # ``index.order`` is the per-variable weight order the filters bisect.
     "lex": (
         lambda q, db: batch(q, db, LexRanking(["x1", "x4"])),
         {"trim.filter", "trim.union", "trim.inherit", "index.order"},

@@ -55,6 +55,20 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ExecutionContext(max_rows=max_rows)
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("timeout", float("nan")), ("timeout", float("inf")), ("timeout", True),
+            ("timeout", "5"), ("max_rows", float("nan")), ("max_rows", float("inf")),
+            ("max_rows", 1.5), ("max_rows", True), ("max_rows", "5"),
+        ],
+    )
+    def test_non_finite_or_mistyped_limit_rejected(self, knob, value):
+        # NaN compares false against every bound: it used to switch the
+        # budget off instead of being refused.
+        with pytest.raises(ValidationError, match=knob):
+            ExecutionContext(**{knob: value})
+
     def test_validation_error_is_a_value_error(self):
         with pytest.raises(ValueError):
             ExecutionContext(timeout=-1)

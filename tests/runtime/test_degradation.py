@@ -1,8 +1,11 @@
 """Degradation policies: tripped budgets fall back instead of dying.
 
 The row budget is a deterministic work proxy, so these tests pick thresholds
-from measured strategy costs on the ``three_path`` fixture (exact-pivot
-~6.3k rows, materialize ~3.9k, sampling ~0.5k) and never depend on timing.
+from measured strategy costs of one φ on the ``three_path`` fixture and never
+depend on timing.  Under ``max(x1, x4)``: exact-pivot (weight bisection)
+~3.3k rows cold and still ~0.9k after a tripped call, materialize ~4.3k,
+sampling ~0.95k.  Under ``lex(x1, x4)`` exact-pivot runs Algorithm 1's trims,
+~6.6k rows, the only exact plan here that costs more than materialize.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from repro.exceptions import (
     ExecutionCancelledError,
     SolverError,
 )
+from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime import CancellationToken
@@ -26,9 +30,10 @@ from repro.runtime.policy import (
 )
 from tests.conftest import rank_error
 
-#: Trips exact-pivot (~6.3k rows) and materialize (~3.9k); fits sampling.
-TIGHT_ROWS = 1500
-#: Trips exact-pivot only; fits materialize and sampling.
+#: Trips MAX's exact-pivot, cold or after a tripped call, and materialize;
+#: fits sampling.
+TIGHT_ROWS = 1000
+#: Trips LEX's exact-pivot only; fits materialize and sampling.
 LOOSE_ROWS = 5000
 
 
@@ -67,11 +72,11 @@ class TestPolicyLadder:
 
 
 class TestEngineDegradation:
-    def _prepare(self, three_path, **kwargs):
+    def _prepare(self, three_path, ranking=MaxRanking(["x1", "x4"]), **kwargs):
         query, db = three_path
         kwargs.setdefault("seed", 7)
         kwargs.setdefault("eager", False)
-        return Engine(db).prepare(query, MaxRanking(["x1", "x4"]), **kwargs)
+        return Engine(db).prepare(query, ranking, **kwargs)
 
     def test_error_policy_raises(self, three_path):
         prepared = self._prepare(three_path, max_rows=TIGHT_ROWS)
@@ -104,7 +109,8 @@ class TestEngineDegradation:
 
     def test_degrades_to_materialize_stays_exact(self, three_path):
         prepared = self._prepare(
-            three_path, max_rows=LOOSE_ROWS, on_budget="materialize",
+            three_path, LexRanking(["x1", "x4"]), max_rows=LOOSE_ROWS,
+            on_budget="materialize",
         )
         with pytest.warns(DegradedResultWarning):
             result = prepared.quantile(0.5)
@@ -113,7 +119,7 @@ class TestEngineDegradation:
         assert result.exact  # materialize is a lossless fallback
 
     def test_all_rungs_tripped_reraises_budget_error(self, three_path):
-        # materialize (~3.9k rows) trips the tight budget too.
+        # materialize (~4.3k rows) trips the tight budget too.
         prepared = self._prepare(
             three_path, max_rows=TIGHT_ROWS, on_budget="materialize",
         )

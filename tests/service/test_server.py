@@ -392,6 +392,18 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "knob, value",
+        [("timeout", float("nan")), ("timeout", float("inf"))],
+    )
+    def test_out_of_range_limit_is_refused(self, service, knob, value):
+        # Python's json reads NaN and Infinity; a NaN timeout used to be
+        # answered 200 with no deadline at all.
+        _, client = service
+        response = client.query("demo", QUERY, RANKING, phis=[0.5], **{knob: value})
+        assert response.status == 400
+        assert knob in response.payload["error"]
+
+    @pytest.mark.parametrize(
+        "knob, value",
         [("seed", 3), ("timeout", 30), ("max_rows", 10**9)],
     )
     def test_well_typed_knob_is_accepted(self, service, workload, knob, value):
