@@ -14,7 +14,6 @@ from repro.core.quantile import pivoting_quantile
 from repro.engine import PreparedQuery
 from repro.query.predicates import WeightInterval
 from repro.query.rewrite import ensure_canonical
-from repro.ranking.lex import LexRanking
 from repro.ranking.sum import SumRanking
 from repro.trim.sum_adjacent_trim import SumAdjacentTrimmer
 from repro.workloads.path import path_workload
@@ -175,9 +174,9 @@ def run_a3(
     seed: int = 61,
 ) -> ExperimentResult:
     """Cost of the pivoting algorithm across the quantile position φ (under
-    LEX, which runs Algorithm 1's trims; serial MIN/MAX bisects weights)."""
+    partial SUM, which runs Algorithm 1's trims; MIN/MAX/LEX bisect keys)."""
     workload = path_workload(
-        3, n, join_domain=max(2, n // 15), ranking=LexRanking(["x1", "x4"]), seed=seed
+        3, n, join_domain=max(2, n // 15), ranking=SumRanking(["x1", "x2", "x3"]), seed=seed
     )
     result = ExperimentResult(
         experiment="A3",

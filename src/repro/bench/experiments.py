@@ -179,7 +179,8 @@ def run_e2(
     return _scaling_experiment(
         "E2",
         "LEX quantile on a 3-path query, scaling the database size",
-        "Section 5.2: LEX %JQ runs in O(n log n) via lexicographic trimming",
+        "Section 5.2: LEX %JQ runs in O(n log n) for every acyclic JQ "
+        "(sum_j log|W_j| key probes of one O(n) masked count each)",
         workloads,
         phi,
     )

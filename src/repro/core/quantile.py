@@ -20,7 +20,7 @@ With an exact trimmer the returned answer is an exact φ-quantile; with an
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Iterator, MutableMapping
+from collections.abc import Callable, Collection, Iterable, Iterator, MutableMapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -37,6 +37,7 @@ from repro.query.join_query import JoinQuery
 from repro.query.predicates import WeightInterval
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.base import RankingFunction
+from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MinRanking
 from repro.runtime import checkpoint
 from repro.trim.base import Trimmer
@@ -262,18 +263,40 @@ def computing(miss: Any) -> None:
         raise CacheMiss(miss)
 
 
-class WeightBisection:
-    """The serial MIN/MAX candidate source: bisection over the input weights.
+#: W-indices into the sorted keys of the leading weight positions: ``path[:-1]``
+#: fixes a block (the answers keyed so on the first positions), ``path[-1]``
+#: is an index into the next position's keys.
+Path = tuple[int, ...]
+#: A :class:`WeightBisection` handle: a block and an index range ``[lo, hi)``
+#: of the next position's keys (``hi`` ``None``: to the end).
+BisectionHandle = tuple[Path, int, int | None]
 
-    An answer weighs what one of its rows weighs (min or max over the row's
-    weighted columns), so the sorted set ``W`` of row weights holds every
-    answer weight, and the answers lighter than ``W[i]`` are one count of the
-    base tree keeping only the rows whose weight allows it (Example 2.1;
-    Theorem 5.3's O(|D| log |D|)).  MAX is MIN over negated weights.  A
-    handle is an index range ``[lo, hi)`` of ``W`` (``hi`` ``None``: to the
-    end); a step pivots on its middle, a terminal bisects the rest.  ``W`` is
-    built on first use; each memo entry (answers below ``W[i]``, one answer
-    per tie block ``{weight = W[i]}``) is stored whole, by one assignment.
+
+def _kept(column: list[Any], t: Any, above: bool, strict: bool) -> list[int]:
+    """The 0/1 mask of the keys below ``t`` (``above``: above it), ``strict`` or not."""
+    if above:
+        return [w > t for w in column] if strict else [w >= t for w in column]
+    return [w < t for w in column] if strict else [w <= t for w in column]
+
+
+class WeightBisection:
+    """The exact MIN/MAX/LEX candidate source: bisection over the input keys.
+
+    An answer's weight is read off its rows one *position* at a time: MIN
+    (MAX) is one position, what one row weighs (min or max over the row's
+    weighted columns); LEX has one per variable, the key its rows give it.
+    So the sorted set ``W_j`` of the base rows' keys holds every answer's
+    j-th component, and the answers of a block (first ``j`` components
+    fixed) lighter than ``W_j[i]`` are one count of the base tree keeping
+    only the rows whose keys allow it (Example 2.1; Theorem 5.3's and
+    §5.2's O(|D| log |D|)).  The k-th answer is found by bisecting ``W_j``
+    to the block holding rank k, rebasing k into that block and going on
+    with position j + 1.  A handle is a block and an index range of the next
+    position's keys: a step halves it (on the last position around its
+    middle key, whose tie block is the pivot; before it no block is a tie
+    block), a terminal bisects the rest.  ``W`` is built on first use; each
+    memo entry (answers below a key, one answer per tie block of a full
+    weight) is stored whole, by one assignment.
     """
 
     lossy = False
@@ -283,101 +306,150 @@ class WeightBisection:
     ) -> None:
         self.query, self.db, self.ranking = query, db, ranking
         self.tree_cache, self.total = tree_cache, total
-        self.root: tuple[int, int | None] = (0, None)
-        self._sign = 1.0 if isinstance(ranking, MinRanking) else -1.0
-        self._base: tuple[Any, dict[int, list[Any]], list[Any]] | None = None
-        self._below: dict[int, int] = {0: 0}
-        self._ties: dict[int, tuple[Any, Assignment]] = {}
+        self.root: BisectionHandle = ((), 0, None)
+        self._lex = isinstance(ranking, LexRanking)
+        variables = ranking.weighted_variables
+        self._positions: list[tuple[str, ...]] = [(v,) for v in variables] if self._lex else [variables]
+        self._key = ranking.key_of if isinstance(ranking, LexRanking) else ranking.variable_weight
+        # MIN keeps the rows at or above a key, MAX and LEX those below it.
+        self._above = isinstance(ranking, MinRanking)
+        # A step halves one position's key range and |W_j| <= |Q(D)|, so a run
+        # takes at most r·log2|Q(D)| + r + 1 steps: inside Algorithm 1's cap
+        # for this c, r·log2|Q(D)| + 20 (MIN/MAX, r = 1: c = 1/2).
+        self._c = 1 - 0.5 ** (1 / len(self._positions))
+        self._base: tuple[Any, list[dict[int, list[Any]]], list[list[Any]]] | None = None
+        self._below: dict[Path, int] = {}
+        self._ties: dict[Path, tuple[Any, Assignment]] = {}
 
-    def _weights(self) -> tuple[Any, dict[int, list[Any]], list[Any]]:
-        """(base tree, signed row weights per weighted node, ``W``)."""
+    def _weights(self) -> tuple[Any, list[dict[int, list[Any]]], list[list[Any]]]:
+        """(base tree, per position the row keys of each node holding it, per position ``W``)."""
         if self._base is None:
             tree = self.tree_cache.get(self.query, self.db)
-            columns: dict[int, list[Any]] = {}
-            for node in tree.nodes_top_down():
-                found = [
-                    tree.weight_column(node, p, self.ranking)
-                    for p, v in enumerate(tree.variables(node))
-                    if v in self.ranking.weighted_variables
-                ]
-                if found:
-                    checkpoint("bisection.weights", rows=len(tree.rows(node)))
-                    if self._sign < 0:
-                        found = [[-w for w in column] for column in found]
-                    columns[node] = found[0] if len(found) == 1 else [min(w) for w in zip(*found)]
-            ordered = [self._sign * w for w in sorted({w for c in columns.values() for w in c})]
-            self._base = (tree, columns, ordered if self._sign > 0 else ordered[::-1])
+            fold: Callable[[Iterable[Any]], Any] = min if self._above else max
+            columns: list[dict[int, list[Any]]] = []
+            for variables in self._positions:
+                keyed: dict[int, list[Any]] = {}
+                for node in tree.nodes_top_down():
+                    found = [
+                        [self._key(v, value) for value in tree.node_column(node, p)]
+                        for p, v in enumerate(tree.variables(node))
+                        if v in variables
+                    ]
+                    if found:
+                        checkpoint("bisection.weights", rows=len(tree.rows(node)))
+                        keyed[node] = found[0] if len(found) == 1 else [fold(w) for w in zip(*found)]
+                columns.append(keyed)
+            keys = [sorted({w for c in keyed.values() for w in c}) for keyed in columns]
+            self._base = (tree, columns, keys)
         return self._base
 
-    def _probe(self, i: int, strict: bool) -> tuple[int, dict[int, list[int]], dict[int, list[int]]]:
-        """(answers, counts, masks) keeping rows signed >= (strict: >) signed ``W[i]``."""
-        tree, columns, ordered = self._weights()
-        t = self._sign * ordered[i]
+    def _probe(self, path: Path, strict: bool) -> tuple[int, dict[int, list[int]], dict[int, list[int]]]:
+        """(answers, counts, masks) of ``path``'s block keeping the rows keyed
+        below (strict) / at most ``W_j[path[-1]]`` — MIN: above / at least."""
+        tree, columns, keys = self._weights()
+        j = len(path) - 1
+        t = keys[j][path[-1]]
         masks: dict[int, list[int]] = {
-            node: [w > t for w in column] if strict else [w >= t for w in column]
-            for node, column in columns.items()
+            node: _kept(column, t, self._above, strict) for node, column in columns[j].items()
         }
+        for k, i in enumerate(path[:-1]):
+            fixed = keys[k][i]
+            for node, column in columns[k].items():
+                equal: list[int] = [w == fixed for w in column]
+                masks[node] = [a and b for a, b in zip(masks[node], equal)] if node in masks else equal
         counts = subtree_counts(tree, masks)
         return sum(counts[tree.root]), counts, masks
 
-    def below(self, i: int) -> int:
-        """How many answers weigh less than ``W[i]`` (``i`` up to ``len(W)``)."""
-        below = self._below.get(i)
+    def _block(self, prefix: Path) -> int:
+        """How many answers ``prefix``'s keys fix."""
+        if not prefix:
+            return self.total
+        return self.below((*prefix[:-1], prefix[-1] + 1)) - self.below(prefix)
+
+    def below(self, path: Path) -> int:
+        """How many answers of ``path[:-1]``'s block key below ``W_j[path[-1]]``
+        (the index up to ``len(W_j)``)."""
+        below = self._below.get(path)
         if below is None:
-            if i == len(self._weights()[2]):
-                return self.total
-            computing(i)
-            kept = self._probe(i, strict=self._sign < 0)[0]
-            below = self._below[i] = self.total - kept if self._sign > 0 else kept
+            i, keys = path[-1], self._weights()[2][len(path) - 1]
+            if i in (0, len(keys)):
+                return 0 if i == 0 else self._block(path[:-1])
+            computing(path)
+            kept = self._probe(path, strict=not self._above)[0]
+            below = self._below[path] = self._block(path[:-1]) - kept if self._above else kept
         return below
 
-    def tie(self, i: int, split: tuple[dict[int, list[int]], ...] | None = None) -> tuple[Any, Assignment]:
-        """(weight, answer) of one answer weighing ``W[i]``: ``split`` is ``_probe``'s
-        counts at ``W[i]`` and its strict counts and masks, when at hand."""
-        tie = self._ties.get(i)
+    def tie(self, path: Path, split: tuple[dict[int, list[int]], ...] | None = None) -> tuple[Any, Assignment]:
+        """(weight, answer) of one answer keyed ``path`` on every position:
+        ``split`` is ``_probe``'s counts at ``path`` and its strict counts and
+        masks, when at hand."""
+        tie = self._ties.get(path)
         if tie is None:
-            computing(("tie", i))
+            computing(("tie", path))
             if split is None:
-                split = (self._probe(i, False)[1], *self._probe(i, True)[1:])
+                split = (self._probe(path, False)[1], *self._probe(path, True)[1:])
             assignment = difference_witness(self._weights()[0], *split)
-            tie = self._ties[i] = (self.ranking.weight_of(assignment), assignment)
+            tie = self._ties[path] = (self.ranking.weight_of(assignment), assignment)
         return tie
 
-    def _range(self, handle: tuple[int, int | None]) -> tuple[int, int]:
-        return handle[0], len(self._weights()[2]) if handle[1] is None else handle[1]
+    def _range(self, handle: BisectionHandle) -> tuple[Path, int, int]:
+        """``handle``'s block and bounds; a one-key range before the last
+        position is that key's block over the next position's keys."""
+        keys = self._weights()[2]
+        prefix, lo, end = handle
+        hi = len(keys[len(prefix)]) if end is None else end
+        while hi - lo == 1 and len(prefix) < len(keys) - 1:
+            prefix, lo, hi = (*prefix, lo), 0, len(keys[len(prefix) + 1])
+        return prefix, lo, hi
 
-    def step(self, interval: WeightInterval, handle: tuple[int, int | None]) -> PivotStep:
-        lo, hi = self._range(handle)
+    def _weight_at(self, path: Path) -> Any:
+        """The keys ``path`` names (a LEX weight or its prefix; MIN/MAX: the key)."""
+        keys = self._weights()[2]
+        weight = tuple(keys[k][i] for k, i in enumerate(path))
+        return weight if self._lex else weight[0]
+
+    def step(self, interval: WeightInterval, handle: BisectionHandle) -> PivotStep:
+        prefix, lo, hi = self._range(handle)
         mid = (lo + hi) // 2
-        kept, at_least, _ = self._probe(mid, False)
-        kept_over, over, masks = self._probe(mid, True)
-        edges = (self.total - kept, self.total - kept_over) if self._sign > 0 else (kept_over, kept)
-        self._below[mid], self._below[mid + 1] = edges
-        weight: Any = self._weights()[2][mid]
+        path, low, high = (*prefix, mid), self.below((*prefix, lo)), self.below((*prefix, hi))
+        if len(path) < len(self._positions):
+            # A block of a prefix is no tie block: split in two, nothing equal.
+            below = self.below(path)
+            return PivotStep(
+                {}, self._weight_at(path), self._c,
+                (prefix, lo, mid), below - low, (prefix, mid, hi), high - below,
+            )
+        block = self._block(prefix)
+        kept, at_least, _ = self._probe(path, False)
+        kept_over, over, masks = self._probe(path, True)
+        edges = (block - kept, block - kept_over) if self._above else (kept_over, kept)
+        self._below[path], self._below[(*prefix, mid + 1)] = edges
+        weight: Any = self._weight_at(path)
         assignment: Assignment = {}
         if kept > kept_over:
-            weight, assignment = self.tie(mid, (at_least, over, masks))
+            weight, assignment = self.tie(path, (at_least, over, masks))
         return PivotStep(
-            assignment, weight, 0.5, (lo, mid), edges[0] - self.below(lo),
-            (mid + 1, hi), self.below(hi) - edges[1],
+            assignment, weight, self._c,
+            (prefix, lo, mid), edges[0] - low, (prefix, mid + 1, hi), high - edges[1],
         )
 
-    def terminal(self, interval: WeightInterval, handle: Any, keep: Collection[str]) -> BisectionTerminal:
-        return BisectionTerminal(self, *self._range(handle), keep)
+    def terminal(self, interval: WeightInterval, handle: BisectionHandle, keep: Collection[str]) -> BisectionTerminal:
+        return BisectionTerminal(self, handle, keep)
 
     def estimated_bytes(self) -> int:
-        """Accounting proxy for the row weights, ``W`` and the memos."""
-        held = 0 if self._base is None else sum(map(len, self._base[1].values()))
+        """Accounting proxy for the row keys, ``W`` and the memos."""
+        held = 0 if self._base is None else sum(len(c) for keyed in self._base[1] for c in keyed.values())
         return 16 * held + 64 * len(self._below) + 256 * len(self._ties)
 
 
 class BisectionTerminal:
-    """The candidates of one :class:`WeightBisection` index range; a select
-    bisects the rest of the range on the source's memoized counts."""
+    """The candidates of one :class:`WeightBisection` handle; a select
+    bisects the rest, position by position, on the source's memoized counts."""
 
-    def __init__(self, source: WeightBisection, lo: int, hi: int, keep: Collection[str]) -> None:
-        self.source, self.lo, self.hi, self.keep = source, lo, hi, keep
-        self._size = source.below(hi) - source.below(lo)
+    def __init__(self, source: WeightBisection, handle: BisectionHandle, keep: Collection[str]) -> None:
+        self.source, self.keep = source, keep
+        self.range = prefix, lo, hi = source._range(handle)
+        self._size = source.below((*prefix, hi)) - source.below((*prefix, lo))
 
     def __len__(self) -> int:
         return self._size
@@ -386,12 +458,19 @@ class BisectionTerminal:
         return 64
 
     def select(self, position: int) -> tuple[Any, Assignment]:
-        lo, hi, below = self.lo, self.hi, self.source.below
-        rank = below(lo) + position
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if below(mid) <= rank else (lo, mid)
-        weight, assignment = self.source.tie(lo)
+        source, below = self.source, self.source.below
+        prefix, lo, hi = self.range
+        rank = below((*prefix, lo)) + position
+        while True:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if below((*prefix, mid)) <= rank else (lo, mid)
+            path = (*prefix, lo)
+            if len(path) == len(source._positions):
+                break
+            rank -= below(path)  # into the block: its ranks start at 0
+            prefix, lo, hi = source._range((path, 0, None))
+        weight, assignment = source.tie(path)
         return weight, project(assignment, self.keep)
 
 

@@ -11,11 +11,7 @@ the join stack keeps rebuilding:
 * **weight orders** — row positions sorted by a caller-supplied key function,
   memoized under a caller-supplied hashable tag (which should embed the
   identifying objects themselves, never their ``id()``) — serving the
-  trimmers' per-group sorts;
-* **per-variable weight columns and orders** — ``weight(variable, value)``
-  per value of one column, and its stable argsort with the sorted weights —
-  which the MIN/MAX/LEX trims bisect instead of scanning rows, and which a
-  trim's output inherits from its base.
+  trimmers' per-group sorts.
 
 A relation's rows never change once it is built, so nothing the catalog
 holds can go stale: every structure is built once and kept for the
@@ -44,8 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 Value = Any
 Row = tuple[Value, ...]
 Key = tuple[Value, ...]
-#: ``weight(variable, value)``: a ranking's bound ``variable_weight`` / ``key_of``.
-VariableWeight = Callable[[str, Value], Any]
 
 
 class IndexCatalog:
@@ -156,10 +150,6 @@ class IndexCatalog:
         their ``id()``: the memo table holds the tag, so the objects stay
         alive and their ids cannot be recycled into stale hits.
         """
-        return self._values(tag, lambda: [key(row) for row in self.relation.rows])
-
-    def _values(self, tag: Hashable, compute: Callable[[], list[Any]]) -> list[Any]:
-        """The per-row array memoized under ``tag``, built by ``compute()``."""
         signature: Hashable = ("__values__", tag)
         values = self._orders.get(signature)
         if values is not None:
@@ -167,7 +157,8 @@ class IndexCatalog:
             return values
         self.misses += 1
         checkpoint("index.weights", rows=len(self.relation))
-        return self._publish(self._orders, signature, compute())
+        values = [key(row) for row in self.relation.rows]
+        return self._publish(self._orders, signature, values)
 
     def weight_order(self, tag: Hashable, key: Callable[[Row], Any]) -> list[int]:
         """Row positions sorted by ``key(row)``, memoized under ``tag``."""
@@ -199,60 +190,6 @@ class IndexCatalog:
         checkpoint("index.memo")
         value = compute()
         return self._publish(self._orders, signature, value)
-
-    # ------------------------------------------------------------------ #
-    # Per-variable weight columns (MIN/MAX/LEX trims, pivot selection)
-    # ------------------------------------------------------------------ #
-    def column_weights(
-        self, position: int, variable: str, weight: VariableWeight
-    ) -> list[Any]:
-        """``weight(variable, value)`` per value of the column at ``position``.
-
-        Memoized under ``(weight, variable, position)`` — pass the ranking's
-        bound method itself (``ranking.variable_weight``, ``ranking.key_of``):
-        bound methods of one object compare and hash equal, so the function
-        is its own tag.
-        """
-        column = self.relation.store.column
-        return self._values(
-            (weight, variable, position),
-            lambda: [weight(variable, value) for value in column(position)],
-        )
-
-    def seed_column_weights(
-        self, position: int, variable: str, weight: VariableWeight, values: list[Any]
-    ) -> None:
-        """Install what :meth:`column_weights` would compute: a trim gathers
-        its output's weight columns from the relation it selected rows of."""
-        self._publish(self._orders, ("__values__", (weight, variable, position)), values)
-
-    def known_column_weights(
-        self, position: int, variable: str, weight: VariableWeight
-    ) -> list[Any] | None:
-        """:meth:`column_weights` if memoized or seeded, else ``None`` —
-        never computes, charges no rows."""
-        values = self._orders.get(("__values__", (weight, variable, position)))
-        if values is None:
-            return None
-        self.hits += 1
-        return values
-
-    def column_order(
-        self, position: int, variable: str, weight: VariableWeight
-    ) -> tuple[list[int], list[Any]]:
-        """Row positions stably sorted by :meth:`column_weights`, and the
-        weights in that order — so a bound on the variable's weight is two
-        bisects and the survivors one contiguous run of the order.  A memo:
-        built once per relation."""
-
-        def build() -> tuple[list[int], list[Any]]:
-            checkpoint("index.order", rows=len(self.relation))
-            kernel = active_backend()
-            values = self.column_weights(position, variable, weight)
-            order = kernel.argsort(values)
-            return order, kernel.take(values, order)
-
-        return self.memo(("column_order", weight, variable, position), build)
 
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -79,12 +79,13 @@ from repro.query.join_tree import RootedJoinTree, build_join_tree
 from repro.query.parser import parse_ranking
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.base import RankingFunction
+from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking, MinRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime import CancellationToken, ExecutionContext, checkpoint
 from repro.runtime.context import check_limits
 from repro.runtime.policy import degradation_ladder, validate_policy
-from repro.trim import Trimmer, exact_trimmer_for
+from repro.trim import SumAdjacentTrimmer, Trimmer
 
 #: Strategy identifiers accepted by the engine.
 STRATEGIES = ("auto", "exact-pivot", "approx-pivot", "sampling", "materialize")
@@ -174,13 +175,15 @@ class PreparedQuery:
         Cancellation is never degraded — it always propagates as
         :class:`~repro.exceptions.ExecutionCancelledError`.
     parallel:
-        Shard the exact pivoting path across ``K`` worker processes
-        (:mod:`repro.parallel`): a positive int is K, ``None`` (default)
-        stays serial.  Only the ``exact-pivot`` strategy shards; every other
-        strategy (and every degradation rung) runs single-process.  Results
-        are bit-identical to the serial path; a crashed worker degrades the
-        call to the serial algorithm with a degradation note instead of
-        failing it.
+        Shard the exact pivoting path of a SUM ranking across ``K`` worker
+        processes (:mod:`repro.parallel`): a positive int is K, ``None``
+        (default) stays serial.  Only SUM under the ``exact-pivot`` strategy
+        shards; MIN, MAX and LEX, every other strategy and every degradation
+        rung run serial, and :attr:`parallel_note` says why.  A sharded
+        result has the serial path's weight, target index and total; its
+        assignment may be another answer of the same tie block.  A crashed
+        worker degrades the call to the serial algorithm with a degradation
+        note instead of failing it.
     """
 
     def __init__(
@@ -457,7 +460,7 @@ class PreparedQuery:
         """The serial candidate source of one pivoting strategy (built once).
 
         Bundles the reduced base, ``|Q(D)|``, the tree cache and the
-        strategy's trimmer (exact MIN/MAX bisects weights instead), so an
+        strategy's trimmer (exact MIN/MAX/LEX bisects keys instead), so an
         execution call does no per-query setup.
         """
         source = self._sources.get(strategy)
@@ -467,7 +470,7 @@ class PreparedQuery:
                 if source is None:
                     base, total = self._ensure_reduced(), self._ensure_total()
                     if strategy == "exact-pivot" and isinstance(
-                        self.ranking, (MinRanking, MaxRanking)
+                        self.ranking, (MinRanking, MaxRanking, LexRanking)
                     ):
                         source = WeightBisection(*base, self.ranking, self._tree_cache, total)
                     else:
@@ -485,14 +488,18 @@ class PreparedQuery:
             if not isinstance(self.ranking, SumRanking):
                 raise SolverError("the approx-pivot strategy only applies to SUM rankings")
             return LossySumTrimmer(self.ranking, epsilon=self.epsilon / 4.0)
-        if isinstance(self.ranking, SumRanking) and self.strategy == "exact-pivot":
+        if not isinstance(self.ranking, SumRanking):
+            raise RankingError(
+                f"no exact trimming construction is known for {self.ranking.describe()}"
+            )
+        if self.strategy == "exact-pivot":
             classification = self.classification()
             if not classification.is_tractable:
                 raise IntractableQueryError(
                     "exact-pivot was forced but the SUM query is conditionally "
                     f"intractable: {classification.reason}"
                 )
-        return exact_trimmer_for(self.ranking)
+        return SumAdjacentTrimmer(self.ranking)
 
     def _mode_caches(self, mode: str) -> tuple[CappedCache, CappedCache]:
         """The (step, answer) caches of one mode (created on first use)."""
@@ -530,6 +537,9 @@ class PreparedQuery:
                 self._parallel_note = (
                     f"strategy {self.plan().strategy!r} does not shard"
                 )
+                return None
+            if not isinstance(self.ranking, SumRanking):
+                self._parallel_note = f"ranking {self.ranking.describe()} does not shard"
                 return None
             base_query, base_db = self._ensure_reduced()
             total = self._ensure_total()
@@ -747,11 +757,11 @@ class PreparedQuery:
 
         Computes nothing: it replays memoized pivoting steps and selects from
         a memoized terminal, or gives up.  ``None`` also when the plan is not
-        made yet or is not a serial pivoting strategy, and for a sharded
-        query.  Invalid targets raise what :meth:`quantile` raises.
+        made yet or is not a serial pivoting strategy, and while shard
+        workers are live.  Invalid targets raise what :meth:`quantile` raises.
         """
         plan = self._plan
-        if plan is None or self._shard_count >= 2:
+        if plan is None or self.shards is not None:
             return None
         source = self._sources.get(plan.strategy)
         caches = self._caches.get(plan.strategy)

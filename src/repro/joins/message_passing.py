@@ -61,22 +61,11 @@ class NodeState:
         return cached
 
     def weight_column(self, ranking: RankingFunction, position: int) -> list[Weight]:
-        """``ranking.variable_weight`` of one column's values (read-only).
-
-        Rows passed through from the relation unchanged first ask the
-        relation's catalog: a MIN/MAX-trimmed relation inherited the column
-        from its base, so pivoting over a trimmed tree computes no weight.
-        """
+        """``ranking.variable_weight`` of one column's values (read-only)."""
         cached = self._weights.get((ranking, position))
         if cached is None:
-            variable = self.variables[position]
-            weight = ranking.variable_weight
-            if len(self.variables) == self.relation.arity:
-                cached = self.relation.indexes.known_column_weights(
-                    position, variable, weight
-                )
-            if cached is None:
-                cached = [weight(variable, v) for v in self.column(position)]
+            variable, weight = self.variables[position], ranking.variable_weight
+            cached = [weight(variable, v) for v in self.column(position)]
             self._weights[ranking, position] = cached
         return cached
 

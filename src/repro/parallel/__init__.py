@@ -1,6 +1,7 @@
 """Sharded parallel execution: hash-partitioned Yannakakis + mergeable ranks.
 
-The package splits a φ-quantile computation across K processes:
+The package splits a SUM φ-quantile computation across K processes (MIN,
+MAX and LEX bisect keys serially, with no trims to shard):
 
 * :mod:`~repro.parallel.planner` hash-partitions the database into K
   disjoint sub-databases (every atom holding the partition variable is
@@ -13,7 +14,8 @@ The package splits a φ-quantile computation across K processes:
 * :mod:`~repro.parallel.merger` is the candidate source that feeds the one
   pivoting loop (:func:`repro.core.quantile.run_pivoting`) K-way sums of the
   shards' candidate counts — rank counts over disjoint shards are mergeable
-  summaries, so the answer is bit-identical to the serial path.
+  summaries, so the answer's weight and rank are bit-identical to the
+  serial path's.
 
 This module must not import :mod:`repro.engine` (the engine imports us).
 """

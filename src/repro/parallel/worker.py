@@ -42,7 +42,7 @@ from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.query.predicates import WeightInterval
 from repro.runtime import ExecutionContext
-from repro.trim import exact_trimmer_for
+from repro.trim import SumAdjacentTrimmer
 
 #: Cap on memoized candidate intervals per shard (mirrors the coordinator's
 #: pivot-cache bound; evicted intervals are recomputed from the base).
@@ -141,7 +141,7 @@ def _init_shard(state_key: int, payload: dict[str, Any]) -> tuple[int, int]:
     reduced = full_reduce(query, db, tree=tree_cache.get(query, db))
     ranking = payload["ranking"]
     source = LocalCandidates(
-        query, reduced, ranking, exact_trimmer_for(ranking), tree_cache
+        query, reduced, ranking, SumAdjacentTrimmer(ranking), tree_cache
     )
     state = _ShardState(source, var_order=tuple(sorted(query.variables)))
     state.candidates[WeightInterval()] = (source.root, source.total)

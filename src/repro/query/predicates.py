@@ -57,13 +57,6 @@ class RankPredicate:
         """Whether an answer with the given weight satisfies the predicate."""
         return self.comparison.holds(weight, self.threshold)
 
-    def interval(self) -> "WeightInterval":
-        """The one-sided interval of the weights satisfying the predicate."""
-        strict = self.comparison.is_strict
-        if self.comparison.is_upper_bound:
-            return WeightInterval(high=self.threshold, high_strict=strict)
-        return WeightInterval(low=self.threshold, low_strict=strict)
-
     def __str__(self) -> str:
         return f"w(U_w) {self.comparison.value} {self.threshold!r}"
 
@@ -110,21 +103,6 @@ class WeightInterval:
             op = Comparison.LT if self.high_strict else Comparison.LE
             out.append(RankPredicate(op, self.high))
         return out
-
-    def meet(self, other: "WeightInterval") -> "WeightInterval":
-        """The intersection of the two intervals: on each side the tighter
-        bound, the strict one when both name the same weight."""
-        low, low_strict = self.low, self.low_strict
-        if other.low is not None and (
-            low is None or other.low > low or (other.low == low and other.low_strict)
-        ):
-            low, low_strict = other.low, other.low_strict
-        high, high_strict = self.high, self.high_strict
-        if other.high is not None and (
-            high is None or other.high < high or (other.high == high and other.high_strict)
-        ):
-            high, high_strict = other.high, other.high_strict
-        return WeightInterval(low, high, low_strict, high_strict)
 
     def with_high(self, high: Weight, strict: bool = True) -> "WeightInterval":
         """A copy of the interval with the upper bound replaced."""

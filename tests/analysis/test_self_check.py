@@ -62,16 +62,15 @@ def seeded(rule, path: str, old: str, new: str, occurrence: int = 1):
     return findings
 
 
-#: The nine checkpoint deletions only RPR001 caught when the audit was run.
-#: ``tests/runtime/test_checkpoint_coverage.py`` now pins six of them by
-#: *name*; a name cannot tell which of several same-named sites went dark, so
-#: for the three ``parallel.*`` duplicates the rule is still the only catcher.
+#: The checkpoint deletions only RPR001 caught when the audit was run (nine;
+#: two went with the MIN/MAX/LEX trims).  ``tests/runtime/test_checkpoint_coverage.py``
+#: now pins four of them by *name*; a name cannot tell which of several
+#: same-named sites went dark, so for the three ``parallel.*`` duplicates the
+#: rule is still the only catcher.
 AUDITED_SITES = [
     ("src/repro/joins/direct_access.py", 'checkpoint("direct_access.build"', 1),
     ("src/repro/joins/direct_access.py", 'checkpoint("direct_access.iter"', 1),
     ("src/repro/joins/direct_access.py", 'checkpoint("direct_access.expand"', 1),
-    ("src/repro/trim/filters.py", 'checkpoint("trim.filter"', 1),
-    ("src/repro/trim/filters.py", 'checkpoint("trim.union"', 1),
     ("src/repro/trim/sum_adjacent_trim.py", 'checkpoint("trim.sum_group"', 1),
     ("src/repro/parallel/merger.py", 'checkpoint("parallel.merge"', 1),
     ("src/repro/parallel/merger.py", 'checkpoint("parallel.merge"', 2),

@@ -199,11 +199,16 @@ def rank_error(query, db, ranking, result, phi) -> float:
 VALUES = [0, 0.0, -0.0, 1, 2, 2.0, -1.5, 0.5]
 
 
+#: The rankings :func:`join_instances` draws from; ``sum*`` are the SUM ones.
+RANKING_KINDS = ("sum", "sum-custom", "sum-typed", "min", "max", "lex")
+
+
 @st.composite
-def join_instances(draw, values=VALUES):
+def join_instances(draw, values=VALUES, kinds=RANKING_KINDS):
     """A random acyclic join (path / star / hierarchy, 2-5 atoms) over tiny,
     duplicate-heavy relations — dangling rows and empty joins included —
-    optionally with a cartesian edge, an ``R(x, x)`` atom and a self-join."""
+    optionally with a cartesian edge, an ``R(x, x)`` atom and a self-join,
+    and a ranking of one of ``kinds``."""
     value = st.sampled_from(values)
     rows = st.lists(st.tuples(value, value), max_size=8)
     shape = draw(st.sampled_from(["path", "star", "hierarchy"]))
@@ -233,7 +238,7 @@ def join_instances(draw, values=VALUES):
     weighted = draw(
         st.lists(st.sampled_from(sorted(query.variables)), min_size=1, unique=True)
     )
-    kind = draw(st.sampled_from(["sum", "sum-custom", "sum-typed", "min", "max", "lex"]))
+    kind = draw(st.sampled_from(kinds))
     ranking = {
         "sum": lambda: SumRanking(weighted),
         "sum-custom": lambda: SumRanking(weighted, {weighted[0]: lambda v: 1 - 2.5 * v}),

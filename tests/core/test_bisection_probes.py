@@ -1,0 +1,269 @@
+"""The probes of exact MIN/MAX/LEX weight bisection, one at a time.
+
+:class:`repro.core.quantile.WeightBisection` answers what the §4/§5 trims
+(Lemma 5.2, Example 5.1, Lemma 5.4) answered with a trimmed database: how
+many answers lie on one side of a weight.  Here every such count, each
+pivot step and every decoded tie is checked against brute force on small
+path joins:
+
+* ``W`` is the sorted set of the rows' keys and holds every answer's weight;
+* each predicate shape (<, <=, >, >=) around every key is one masked count;
+* LEX counts inside a block (leading components fixed) and a step before
+  the last position splits in two, with no tie block;
+* a terminal's selections are the oracle's weights in order, so the rank is
+  rebased into each block it descends into.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from repro.data.database import Database
+from repro.data.relation import Relation
+from repro.engine import PreparedQuery
+from repro.exceptions import RankingError
+from repro.query.atom import Atom
+from repro.query.join_query import JoinQuery
+from repro.query.predicates import Comparison
+from repro.ranking.lex import LexRanking
+from repro.ranking.minmax import MaxRanking, MinRanking
+
+
+def make_instance(seed=0, rows=25, domain=20):
+    rng = random.Random(seed)
+    query = JoinQuery(
+        [Atom("R", ("x1", "x2")), Atom("S", ("x2", "x3")), Atom("T", ("x3", "x4"))]
+    )
+    db = Database(
+        [
+            Relation("R", ("a", "b"), [(rng.randrange(domain), rng.randrange(4)) for _ in range(rows)]),
+            Relation("S", ("a", "b"), [(rng.randrange(4), rng.randrange(4)) for _ in range(rows)]),
+            Relation("T", ("a", "b"), [(rng.randrange(4), rng.randrange(domain)) for _ in range(rows)]),
+        ]
+    )
+    return query, db
+
+
+def source_of(query, db, ranking):
+    return PreparedQuery(query, db, ranking)._ensure_source("exact-pivot")
+
+
+def weights(query, db, ranking):
+    return sorted(ranking.weight_of(a) for a in query.answers_brute_force(db))
+
+
+MINMAX = {"min": MinRanking, "max": MaxRanking}
+LEX_VARIABLES = {1: ["x4"], 2: ["x1", "x4"], 3: ["x3", "x1", "x4"]}
+
+
+@pytest.mark.parametrize("ranking_cls", MINMAX.values(), ids=MINMAX)
+@pytest.mark.parametrize("seed", [0, 3, 4])
+def test_below_counts_the_lighter_answers(ranking_cls, seed):
+    query, db = make_instance(seed)
+    ranking = ranking_cls(["x1", "x3", "x4"])
+    source = source_of(query, db, ranking)
+    keys = source._weights()[2][0]
+    oracle = weights(query, db, ranking)
+    for i in range(len(keys) + 1):
+        bound = keys[i] if i < len(keys) else math.inf
+        assert source.below((i,)) == sum(w < bound for w in oracle)
+
+
+@pytest.mark.parametrize("ranking_cls", MINMAX.values(), ids=MINMAX)
+def test_the_keys_are_the_sorted_row_keys_and_hold_every_weight(ranking_cls):
+    query, db = make_instance(5)
+    ranking = ranking_cls(["x1", "x2", "x4"])
+    keys = source_of(query, db, ranking)._weights()[2]
+    assert len(keys) == 1 and keys[0] == sorted(set(keys[0]))
+    assert set(weights(query, db, ranking)) <= set(keys[0])
+
+
+@pytest.mark.parametrize("comparison", list(Comparison))
+@pytest.mark.parametrize("ranking_cls", MINMAX.values(), ids=MINMAX)
+def test_every_predicate_shape_is_one_masked_count(comparison, ranking_cls):
+    """What the MIN/MAX trim kept for ``w <op> t`` is one probe: MAX keeps
+    the rows keyed below (strict) / at most ``t``, MIN those above / at
+    least, and the other side is the complement."""
+    query, db = make_instance(seed=3)
+    ranking = ranking_cls(["x1", "x3", "x4"])
+    source = source_of(query, db, ranking)
+    oracle = weights(query, db, ranking)
+    keeps_upper = ranking_cls is MaxRanking
+    for i, threshold in enumerate(source._weights()[2][0]):
+        strict = comparison.is_strict if comparison.is_upper_bound == keeps_upper else not comparison.is_strict
+        kept = source._probe((i,), strict)[0]
+        count = kept if comparison.is_upper_bound == keeps_upper else source.total - kept
+        assert count == sum(comparison.holds(w, threshold) for w in oracle)
+
+
+def test_example_51_max_around_ten():
+    """Example 5.1's ranking, max{x1, x2, x3}, split around the key 10."""
+    query = JoinQuery([Atom("A", ("x1", "x2")), Atom("B", ("x2", "x3"))])
+    rng = random.Random(1)
+    db = Database(
+        [
+            Relation("A", ("a", "b"), [(rng.randrange(20), rng.randrange(20)) for _ in range(30)]),
+            Relation("B", ("a", "b"), [(rng.randrange(20), rng.randrange(20)) for _ in range(30)]),
+        ]
+    )
+    ranking = MaxRanking(["x1", "x2", "x3"])
+    source = source_of(query, db, ranking)
+    oracle = weights(query, db, ranking)
+    i = source._weights()[2][0].index(10)
+    assert source.below((i,)) == sum(w < 10 for w in oracle)
+    assert source.below((i + 1,)) == sum(w <= 10 for w in oracle)
+    assert source.total - source.below((i + 1,)) == sum(w > 10 for w in oracle)
+
+
+def block_oracle(oracle, prefix, j, bound):
+    return sum(w[:j] == prefix and w[j] < bound for w in oracle)
+
+
+@pytest.mark.parametrize("arity", LEX_VARIABLES)
+@pytest.mark.parametrize("seed", [2, 7])
+def test_lex_below_counts_inside_each_block(arity, seed):
+    query, db = make_instance(seed, rows=12, domain=5)
+    ranking = LexRanking(LEX_VARIABLES[arity])
+    source = source_of(query, db, ranking)
+    keys = source._weights()[2]
+    oracle = weights(query, db, ranking)
+    prefixes = [()]
+    for j in range(arity):
+        for path in prefixes:
+            prefix = tuple(keys[k][i] for k, i in enumerate(path))
+            for i in range(len(keys[j]) + 1):
+                bound = keys[j][i] if i < len(keys[j]) else math.inf
+                assert source.below((*path, i)) == block_oracle(oracle, prefix, j, bound)
+        prefixes = [(*path, i) for path in prefixes for i in range(len(keys[j]))]
+
+
+def test_a_one_key_range_is_the_next_positions_block():
+    query, db = make_instance(2, rows=12, domain=5)
+    source = source_of(query, db, LexRanking(["x1", "x3", "x4"]))
+    keys = source._weights()[2]
+    assert source._range(((), 1, 2)) == ((1,), 0, len(keys[1]))
+    # A one-key range of the second position goes down again; of the last it stays.
+    assert source._range(((1,), 0, 1)) == ((1, 0), 0, len(keys[2]))
+    assert source._range(((1, 0), 2, 3)) == ((1, 0), 2, 3)
+
+
+def test_a_step_before_the_last_position_has_no_tie_block():
+    query, db = make_instance(2, rows=12, domain=5)
+    ranking = LexRanking(["x1", "x4"])
+    source = source_of(query, db, ranking)
+    keys = source._weights()[2]
+    step = source.step(None, source.root)
+    mid = len(keys[0]) // 2
+    assert step.pivot_assignment == {}
+    assert step.pivot_weight == (keys[0][mid],)
+    oracle = weights(query, db, ranking)
+    assert step.count_lt == sum(w[0] < keys[0][mid] for w in oracle)
+    assert step.count_lt + step.count_gt == source.total
+    assert step.lt == ((), 0, mid) and step.gt == ((), mid, len(keys[0]))
+
+
+RANKINGS = {
+    "min": lambda: MinRanking(["x1", "x3", "x4"]),
+    "max": lambda: MaxRanking(["x1", "x4"]),
+    "lex1": lambda: LexRanking(["x4"]),
+    "lex2": lambda: LexRanking(["x1", "x4"]),
+    "lex3": lambda: LexRanking(["x3", "x1", "x4"]),
+}
+
+
+def last_position_handle(source):
+    """The root handle, descended to the last position through one-key ranges."""
+    keys = source._weights()[2]
+    prefix = ()
+    while len(prefix) < len(keys) - 1:
+        prefix = (*prefix, len(keys[len(prefix)]) // 2)
+    return (prefix, 0, None)
+
+
+@pytest.mark.parametrize("name", RANKINGS)
+def test_a_last_position_step_splits_around_its_tie_block(name):
+    query, db = make_instance(4, rows=14, domain=6)
+    ranking = RANKINGS[name]()
+    source = source_of(query, db, ranking)
+    handle = last_position_handle(source)
+    prefix = handle[0]
+    keys = source._weights()[2]
+    fixed = tuple(keys[k][i] for k, i in enumerate(prefix))
+    block = [w for w in weights(query, db, ranking) if not prefix or w[: len(prefix)] == fixed]
+    step = source.step(None, handle)
+    pivot = keys[-1][len(keys[-1]) // 2]
+    component = (lambda w: w[-1]) if isinstance(ranking, LexRanking) else (lambda w: w)
+    equal = sum(component(w) == pivot for w in block)
+    assert step.count_lt == sum(component(w) < pivot for w in block)
+    assert step.count_gt == sum(component(w) > pivot for w in block)
+    assert step.count_lt + equal + step.count_gt == len(block)
+    if equal:
+        assert query.satisfies(step.pivot_assignment, db)
+        assert repr(ranking.weight_of(step.pivot_assignment)) == repr(step.pivot_weight)
+    else:
+        assert step.pivot_assignment == {}
+
+
+@pytest.mark.parametrize("name", RANKINGS)
+def test_terminal_selections_rebase_the_rank_into_each_block(name):
+    query, db = make_instance(4, rows=14, domain=6)
+    ranking = RANKINGS[name]()
+    source = source_of(query, db, ranking)
+    terminal = source.terminal(None, source.root, sorted(query.variables))
+    oracle = weights(query, db, ranking)
+    assert len(terminal) == len(oracle) == source.total
+    for position, expected in enumerate(oracle):
+        weight, assignment = terminal.select(position)
+        assert weight == expected
+        assert query.satisfies(assignment, db)
+
+
+@pytest.mark.parametrize("name", RANKINGS)
+def test_each_tie_decodes_one_answer_of_its_weight(name):
+    query, db = make_instance(4, rows=14, domain=6)
+    ranking = RANKINGS[name]()
+    source = source_of(query, db, ranking)
+    keys = source._weights()[2]
+    present = set(weights(query, db, ranking))
+    paths = [()]
+    for column in keys:
+        paths = [(*path, i) for path in paths for i in range(len(column))]
+    decoded = 0
+    for path in paths:
+        weight = source._weight_at(path)
+        if weight in present:
+            tie_weight, assignment = source.tie(path)
+            assert tie_weight == weight
+            assert repr(ranking.weight_of(assignment)) == repr(tie_weight)
+            assert query.satisfies(assignment, db)
+            assert source.tie(path)[1] is assignment  # memoized
+            decoded += 1
+    assert decoded == len(present)
+
+
+@pytest.mark.parametrize(
+    "ranking", [MinRanking(["zzz"]), MaxRanking(["x1", "zzz"]), LexRanking(["x1", "missing"])]
+)
+def test_every_ranking_variable_must_occur(ranking):
+    query, db = make_instance()
+    with pytest.raises(RankingError):
+        PreparedQuery(query, db, ranking).quantile(0.5)
+
+
+def test_an_infinite_key_is_an_ordinary_key():
+    """``lex < (inf, 3)`` counts the rows below it: ±inf is a key the data
+    holds, not "unbounded" (that is ``WeightInterval``'s None)."""
+    query = JoinQuery([Atom("R", ("x1", "x2"))])
+    db = Database(
+        [Relation("R", ("a", "b"), [(math.inf, 2), (math.inf, 3), (math.inf, 5), (1, 9)])]
+    )
+    source = source_of(query, db, LexRanking(["x1", "x2"]))
+    first, second = source._weights()[2]
+    at_inf, at_three = first.index(math.inf), second.index(3)
+    assert source.below((at_inf,)) == 1
+    assert source.below((at_inf, at_three)) == 1
+    assert source.below((at_inf, at_three + 1)) == 2
+    assert source._probe((at_inf, at_three), False)[0] == 2

@@ -9,9 +9,7 @@ from repro.engine import PreparedQuery
 from repro.exceptions import EmptyResultError, ValidationError
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
-from repro.ranking.minmax import MaxRanking
 from repro.ranking.sum import SumRanking
-from repro.trim.minmax_trim import MinMaxTrimmer
 from repro.trim.sum_adjacent_trim import SumAdjacentTrimmer
 
 from tests.conftest import assert_valid_quantile
@@ -126,9 +124,9 @@ class TestDriver:
 
     def test_stats_are_recorded(self, three_path):
         query, db = three_path
-        ranking = MaxRanking(["x1", "x4"])
+        ranking = SumRanking(["x1", "x2", "x3"])
         result = pivoting_quantile(
-            query, db, ranking, MinMaxTrimmer(ranking), phi=0.5, termination_size=1
+            query, db, ranking, SumAdjacentTrimmer(ranking), phi=0.5, termination_size=1
         )
         assert result.iterations == len(result.stats)
         assert result.iterations >= 1
@@ -139,15 +137,15 @@ class TestDriver:
 
     def test_exact_flag_follows_trimmer(self, three_path):
         query, db = three_path
-        ranking = MaxRanking(["x1", "x4"])
-        result = pivoting_quantile(query, db, ranking, MinMaxTrimmer(ranking), phi=0.5)
+        ranking = SumRanking(["x1", "x2", "x3"])
+        result = pivoting_quantile(query, db, ranking, SumAdjacentTrimmer(ranking), phi=0.5)
         assert result.exact
         assert result.strategy == "exact-pivot"
 
     def test_assignment_projected_to_original_variables(self, three_path):
         query, db = three_path
-        ranking = MaxRanking(["x1", "x4"])
-        result = pivoting_quantile(query, db, ranking, MinMaxTrimmer(ranking), phi=0.5)
+        ranking = SumRanking(["x1", "x2", "x3"])
+        result = pivoting_quantile(query, db, ranking, SumAdjacentTrimmer(ranking), phi=0.5)
         assert set(result.assignment) == set(query.variables)
 
     def test_termination_size_zero_forces_pivot_loop(self, binary_join):

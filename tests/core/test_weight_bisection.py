@@ -1,10 +1,11 @@
-"""Serial exact MIN/MAX: weight bisection over masked counts on the base tree.
+"""Exact MIN/MAX/LEX: key bisection over masked counts on the base tree.
 
 * Differential, over ``tests/conftest.py::join_instances`` with a hostile
-  value set (0 / 0.0 / -0.0 / False and 1 / True ties, a big int, ±inf):
-  every φ and selection equals the materialize oracle's weight and rank, is
-  an answer of the join, and ``repr(result.weight)`` is the repr of the
-  returned answer's own weight (the tie contract in README).
+  value set (0 / 0.0 / -0.0 / False and 1 / True ties, a big int, ±inf), for
+  MIN/MAX and for LEX of arity 1-3 (also under a key that maps distinct
+  values to one key): every φ and selection equals the materialize oracle's
+  weight and rank, is an answer of the join, and ``repr(result.weight)`` is
+  the repr of the returned answer's own weight (the tie contract in README).
 * A replay (``PreparedQuery.cached``) computes no probe.
 * A probe interrupted by a fault, a budget or a cancellation leaves no memo
   entry behind: the retry equals a fresh run.
@@ -20,8 +21,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.baselines.materialize import materialize_quantile
 from repro.core.quantile import WeightBisection
+from repro.data.database import Database
+from repro.data.relation import Relation
 from repro.engine import Engine, PreparedQuery
 from repro.exceptions import BudgetExceededError, EmptyResultError, ExecutionCancelledError
+from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking, MinRanking
 from repro.runtime import CancellationToken, ExecutionContext
 from repro.testing import FaultPlan, InjectedFault, inject_faults
@@ -41,15 +45,22 @@ def assert_oracle(query, db, ranking, result, **target):
     assert repr(result.weight) == repr(ranking.weight_of(result.assignment))
 
 
+RANKINGS = {
+    "min/max": [MinRanking, MaxRanking],
+    # Arity 1-3; ``abs`` keys distinct values alike (±inf, 0.0 and -0.0).
+    "lex": [
+        lambda variables: LexRanking(variables[:3]),
+        lambda variables: LexRanking(variables[:3], {variables[:3][-1]: abs}),
+    ],
+}
+
+
+@pytest.mark.parametrize("family", RANKINGS)
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    instance=join_instances(values=HOSTILE),
-    kind=st.sampled_from([MinRanking, MaxRanking]),
-    factor=st.sampled_from([1, 12]),
-)
-def test_min_max_match_the_oracle_and_the_tie_contract(instance, kind, factor):
+@given(instance=join_instances(values=HOSTILE), data=st.data(), factor=st.sampled_from([1, 12]))
+def test_bisection_matches_the_oracle_and_the_tie_contract(family, instance, data, factor):
     query, db, drawn = instance
-    ranking = kind(list(drawn.weighted_variables))
+    ranking = data.draw(st.sampled_from(RANKINGS[family]))(list(drawn.weighted_variables))
     prepared = PreparedQuery(query, db, ranking, termination_factor=factor)
     total = prepared.count()
     if not total:
@@ -75,7 +86,7 @@ def key(result):
     return repr((result.weight, result.target_index, result.assignment))
 
 
-@pytest.mark.parametrize("ranking", ["min(x1, x2, x4)", "max(x1, x4)"])
+@pytest.mark.parametrize("ranking", ["min(x1, x2, x4)", "max(x1, x4)", "lex(x4, x2, x1)"])
 def test_serial_exact_min_max_bisects(path_db, ranking):
     prepared = fresh(path_db, ranking)
     assert isinstance(prepared._ensure_source("exact-pivot"), WeightBisection)
@@ -83,7 +94,7 @@ def test_serial_exact_min_max_bisects(path_db, ranking):
     assert result.strategy == "exact-pivot" and result.exact and result.iterations
 
 
-@pytest.mark.parametrize("ranking", ["min(x1, x2, x4)", "max(x1, x4)"])
+@pytest.mark.parametrize("ranking", ["min(x1, x2, x4)", "max(x1, x4)", "lex(x1, x4)"])
 def test_a_replay_after_one_phi_computes_no_probe(path_db, ranking):
     prepared = fresh(path_db, ranking)
     warmed = prepared.quantile(0.5).target_index
@@ -105,10 +116,10 @@ def test_a_replay_after_one_phi_computes_no_probe(path_db, ranking):
     assert len(answered) > 1 and len(answered) < len(replays)
 
 
-def interrupt_then_compare(db, interrupt):
+def interrupt_then_compare(db, ranking, interrupt):
     """Run a batch interrupted at every n-th probe, retry, compare."""
-    reference = [key(r) for r in fresh(db).quantiles(PHIS)]
-    prepared = fresh(db)
+    reference = [key(r) for r in fresh(db, ranking).quantiles(PHIS)]
+    prepared = fresh(db, ranking)
     interrupted = 0
     for occurrence in range(1, 40, 3):
         with pytest.raises((InjectedFault, BudgetExceededError, ExecutionCancelledError)):
@@ -116,41 +127,43 @@ def interrupt_then_compare(db, interrupt):
         interrupted += 1
     assert interrupted
     source = prepared._ensure_source("exact-pivot")
-    check = fresh(db)._ensure_source("exact-pivot")
-    for i, below in source._below.items():
-        assert below == check.below(i)
+    check = fresh(db, ranking)._ensure_source("exact-pivot")
+    for path, below in source._below.items():
+        assert below == check.below(path)
     assert [key(r) for r in prepared.quantiles(PHIS)] == reference
 
 
 @pytest.mark.faults
+@pytest.mark.parametrize("ranking", ["max(x1, x4)", "lex(x4, x2, x1)"])
 class TestInterruptedProbes:
-    def test_a_fault_in_a_probe_leaves_no_trace(self, path_db):
+    def test_a_fault_in_a_probe_leaves_no_trace(self, path_db, ranking):
         def interrupt(prepared, occurrence):
             plan = FaultPlan().arm("counting.masked", after=occurrence)
             with inject_faults(plan):
                 prepared.quantiles(PHIS)
 
-        interrupt_then_compare(path_db, interrupt)
+        interrupt_then_compare(path_db, ranking, interrupt)
 
-    def test_a_budget_in_a_probe_leaves_no_trace(self, path_db):
+    def test_a_budget_in_a_probe_leaves_no_trace(self, path_db, ranking):
         def interrupt(prepared, occurrence):
             with ExecutionContext(max_rows=60 * occurrence):
                 prepared.quantiles(PHIS)
 
-        interrupt_then_compare(path_db, interrupt)
+        interrupt_then_compare(path_db, ranking, interrupt)
 
-    def test_a_cancellation_in_a_probe_leaves_no_trace(self, path_db):
+    def test_a_cancellation_in_a_probe_leaves_no_trace(self, path_db, ranking):
         def interrupt(prepared, occurrence):
             token = CancellationToken()
             with ExecutionContext(cancellation=token):
                 with at_checkpoint("counting.masked", occurrence, token.cancel):
                     prepared.quantiles(PHIS)
 
-        interrupt_then_compare(path_db, interrupt)
+        interrupt_then_compare(path_db, ranking, interrupt)
 
 
-def test_estimated_bytes_grow_with_the_memo(path_db):
-    prepared = fresh(path_db)
+@pytest.mark.parametrize("ranking", ["max(x1, x4)", "lex(x4, x2, x1)"])
+def test_estimated_bytes_grow_with_the_memo(path_db, ranking):
+    prepared = fresh(path_db, ranking)
     before = prepared.estimated_bytes()
     prepared.quantile(0.5)
     once = prepared.estimated_bytes()
@@ -159,3 +172,26 @@ def test_estimated_bytes_grow_with_the_memo(path_db):
     prepared.quantiles(PHIS)
     assert before < once < prepared.estimated_bytes()
     assert 0 < memo < source.estimated_bytes()
+
+
+@pytest.mark.parametrize("ranking_spec", ["lex(x1, x2)", "lex(x2, x1, x3)"])
+@pytest.mark.parametrize("infinity", [float("-inf"), float("inf")])
+def test_every_selection_over_infinite_values_equals_the_oracle(ranking_spec, infinity):
+    """Regression: ±inf keys are ordinary keys.  (Algorithm 1's LEX trim once
+    read a ±inf threshold component as "unbounded from here on": 23 (and
+    106) of these 330 selections returned a wrong weight.)"""
+    values = [0, 0.0, -0.0, True, 1, 2, 2.0, -1.5, 0.5, 2**63 + 11, infinity]
+    db = Database(
+        [
+            Relation(f"R{arm}", ("x0", f"x{arm}"),
+                     [((i + arm) % 2, value) for i, value in enumerate(values)])
+            for arm in (1, 2, 3)
+        ]
+    )
+    query = "R1(x0, x1), R2(x0, x2), R3(x0, x3)"
+    oracle = Engine(db).prepare(query, ranking_spec, strategy="materialize")
+    bisection = Engine(db).prepare(query, ranking_spec, termination_factor=1)
+    assert bisection.count() == 330
+    assert [bisection.selection(i).weight for i in range(330)] == [
+        oracle.selection(i).weight for i in range(330)
+    ]

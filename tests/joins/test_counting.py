@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.exceptions import CyclicQueryError
-from repro.joins.counting import count_answers, count_from_tree, subtree_counts
+from repro.joins.counting import (
+    count_answers,
+    count_from_tree,
+    difference_witness,
+    subtree_counts,
+)
 from repro.joins.message_passing import MaterializedTree
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
@@ -114,3 +119,100 @@ def test_count_matches_brute_force_random(seed, num_atoms, rows, domain):
     ]
     query, db = JoinQuery(atoms), Database(relations)
     assert count_answers(query, db) == len(query.answers_brute_force(db))
+
+
+# ---------------------------------------------------------------------- #
+# Masked counts (what weight bisection probes) and their witness decode.
+# ---------------------------------------------------------------------- #
+def figure1_tree(query, db):
+    return MaterializedTree(query, db, rooted=build_join_tree(query).rooted(root=0))
+
+
+def kept_database(query, db, tree, masks):
+    """``db`` with every masked node's dropped rows left out."""
+    relations = {atom.relation: db[atom.relation] for atom in query}
+    for node, mask in masks.items():
+        name = query[node].relation
+        rows = [row for row, keep in zip(tree.rows(node), mask) if keep]
+        relations[name] = Relation(name, db[name].schema, rows)
+    return Database(list(relations.values()))
+
+
+def rows_of(query, tree, assignment):
+    return {
+        node: tuple(assignment[v] for v in tree.variables(node)) for node in range(len(query))
+    }
+
+
+@pytest.mark.parametrize("node", range(4))
+def test_masking_one_node_counts_the_join_without_its_dropped_rows(
+    figure1_query, figure1_db, node
+):
+    tree = figure1_tree(figure1_query, figure1_db)
+    masks = {node: [i % 2 for i in range(len(tree.rows(node)))]}
+    counts = subtree_counts(tree, masks)
+    expected = count_answers(figure1_query, kept_database(figure1_query, figure1_db, tree, masks))
+    assert sum(counts[tree.root]) == expected < 13
+
+
+def test_an_all_ones_mask_counts_like_no_mask(figure1_query, figure1_db):
+    tree = figure1_tree(figure1_query, figure1_db)
+    masks = {node: [1] * len(tree.rows(node)) for node in range(4)}
+    assert subtree_counts(tree, masks) == subtree_counts(figure1_tree(figure1_query, figure1_db))
+
+
+def test_masked_counts_keep_nothing_on_the_tree(figure1_query, figure1_db):
+    tree = figure1_tree(figure1_query, figure1_db)
+    subtree_counts(tree, {3: [0, 1, 1]})
+    for node in range(4):
+        assert tree.subtree(node).counts is None
+        assert tree.subtree(node).sent == {}
+    # The unmasked pass afterwards is the plain one, and it is kept.
+    assert count_from_tree(tree) == 13
+    assert tree.subtree(tree.root).counts is not None
+
+
+@pytest.mark.parametrize("node", range(4))
+def test_the_witness_is_an_answer_the_mask_drops(figure1_query, figure1_db, node):
+    tree = figure1_tree(figure1_query, figure1_db)
+    masks = {node: [0] + [1] * (len(tree.rows(node)) - 1)}
+    witness = difference_witness(tree, subtree_counts(tree), subtree_counts(tree, masks), masks)
+    assert figure1_query.satisfies(witness, figure1_db)
+    assert rows_of(figure1_query, tree, witness)[node] == tree.rows(node)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    num_atoms=st.integers(min_value=1, max_value=3),
+    rows=st.integers(min_value=0, max_value=10),
+)
+def test_masked_count_and_witness_match_brute_force_random(seed, num_atoms, rows):
+    """Nested masks ``wide`` ⊇ ``narrow`` on random paths: each masked count
+    is the join of the kept rows, and the witness is an answer ``wide`` keeps
+    and ``narrow`` drops."""
+    rng = random.Random(seed)
+    query = JoinQuery([Atom(f"R{i}", (f"x{i}", f"x{i+1}")) for i in range(num_atoms)])
+    db = Database(
+        [
+            Relation(
+                f"R{i}", (f"x{i}", f"x{i+1}"),
+                sorted({(rng.randrange(3), rng.randrange(3)) for _ in range(rows)}),
+            )
+            for i in range(num_atoms)
+        ]
+    )
+    tree = MaterializedTree(query, db, rooted=build_join_tree(query).rooted(root=0))
+    wide = {node: [rng.random() < 0.8 for _ in tree.rows(node)] for node in range(num_atoms)}
+    narrow = {
+        node: [keep and rng.random() < 0.6 for keep in mask] for node, mask in wide.items()
+    }
+    counts = {}
+    for name, masks in (("wide", wide), ("narrow", narrow)):
+        counts[name] = subtree_counts(tree, masks)
+        expected = len(query.answers_brute_force(kept_database(query, db, tree, masks)))
+        assert sum(counts[name][tree.root]) == expected
+    if sum(counts["wide"][tree.root]) > sum(counts["narrow"][tree.root]):
+        witness = difference_witness(tree, counts["wide"], counts["narrow"], narrow)
+        assert query.satisfies(witness, kept_database(query, db, tree, wide))
+        assert not query.satisfies(witness, kept_database(query, db, tree, narrow))

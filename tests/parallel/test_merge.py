@@ -20,10 +20,8 @@ from repro.engine import Engine, PreparedQuery
 from repro.parallel.merger import ParallelSession, RankMerger
 from repro.parallel.planner import ShardPlanner
 from repro.query.join_query import JoinQuery
-from repro.ranking.lex import LexRanking
-from repro.ranking.minmax import MinRanking
 from repro.ranking.sum import SumRanking
-from repro.trim import exact_trimmer_for
+from repro.trim import SumAdjacentTrimmer
 from repro.workloads.path import path_workload
 from repro.workloads.star import star_workload
 
@@ -291,8 +289,6 @@ K1_SHAPES = {
 }
 K1_RANKINGS = {
     "sum": SumRanking(["x1", "x2"]),
-    "min": MinRanking(["x1", "x2", "x3"]),
-    "lex": LexRanking(["x1", "x3"]),
 }
 
 
@@ -305,9 +301,7 @@ class TestOneLoopTwoSources:
         # Serial and sharded run the same loop over two candidate sources; a
         # single shard holds every candidate, so not only the selected rank
         # but the whole result — assignment, iterations, per-iteration
-        # stats — must be equal.  The serial source is Algorithm 1's, the one
-        # the shard workers run: a prepared query answers MIN by weight
-        # bisection instead, which must agree on weight and rank.
+        # stats — must be equal.
         ranking = K1_RANKINGS[ranking]
         workload = K1_SHAPES[shape](ranking)
         serial = PreparedQuery(
@@ -321,7 +315,7 @@ class TestOneLoopTwoSources:
         total = serial.count()
         assert session.total == total
         algorithm1 = LocalCandidates(
-            *serial._ensure_reduced(), ranking, exact_trimmer_for(ranking),
+            *serial._ensure_reduced(), ranking, SumAdjacentTrimmer(ranking),
             serial.tree_cache, total,
         )
         caches = {"step_cache": {}, "answer_cache": {}}
@@ -346,3 +340,25 @@ class TestOneLoopTwoSources:
             assert result_key(merged) == result_key(serial.selection(index))
         assert iterated, "the sweep never entered the pivoting loop"
         session.close()
+
+
+@pytest.mark.parametrize(
+    "ranking", ["min(x1, x2, x3)", "max(x1, x3)", "lex(x1, x3)", "lex(x4, x2, x1)"]
+)
+def test_only_sum_shards_every_other_ranking_runs_serial(inline_mode, ranking):
+    # MIN, MAX and LEX bisect keys on the base tree: parallel=2 records why it
+    # does not shard and returns the serial result, repr for repr.
+    workload = path_workload(3, 120, 6, seed=29)
+    serial = Engine(workload.db).prepare(workload.query, ranking, termination_factor=1)
+    sharded = Engine(workload.db).prepare(
+        workload.query, ranking, termination_factor=1, parallel=2
+    )
+    assert sharded.shards is None
+    assert serial.ranking.describe() in sharded.parallel_note
+    total = serial.count()
+    assert [repr(r) for r in sharded.quantiles(PHIS)] == [
+        repr(r) for r in serial.quantiles(PHIS)
+    ]
+    for index in (0, total // 3, total - 1):
+        assert repr(sharded.selection(index)) == repr(serial.selection(index))
+    assert sharded.cached(phi=0.5) == serial.quantile(0.5)

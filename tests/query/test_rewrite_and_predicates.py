@@ -118,22 +118,6 @@ class TestWeightInterval:
         assert not narrowed.contains(11)
         assert not narrowed.contains(2)
 
-    def test_predicate_interval_roundtrip(self):
-        for comparison in Comparison:
-            predicate = RankPredicate(comparison, 3)
-            assert predicate.interval().predicates() == [predicate]
-
-    def test_meet_takes_the_tighter_bound_and_strict_on_a_tie(self):
-        closed = WeightInterval(1, 5, low_strict=False, high_strict=False)
-        assert closed.meet(WeightInterval(low=2)) == WeightInterval(2, 5, True, False)
-        assert closed.meet(WeightInterval(low=1, high=5)) == WeightInterval(1, 5)
-        assert WeightInterval(low=1, high=5).meet(closed) == WeightInterval(1, 5)
-        assert closed.meet(WeightInterval(high=9)) == closed
-        assert WeightInterval().meet(closed) == closed
-        for weight in (0, 1, 3, 5, 6):
-            both = closed.contains(weight) and WeightInterval(low=1).contains(weight)
-            assert closed.meet(WeightInterval(low=1)).contains(weight) == both
-
     def test_str(self):
         assert str(WeightInterval(low=1, high=2)) == "(1, 2)"
         assert "-inf" in str(WeightInterval())

@@ -266,15 +266,16 @@ class TestPreparedQueryUnderConcurrentFaults:
         for phi in phis:
             assert fresh.quantile(phi).weight == expected[phi]
 
-    def test_concurrent_bisection_probes_with_faults_stay_correct(self):
-        # Serial MIN/MAX memoizes probes and tie answers on one shared source:
+    @pytest.mark.parametrize("ranking", ["max(x1, x4)", "lex(x4, x2, x1)"])
+    def test_concurrent_bisection_probes_with_faults_stay_correct(self, ranking):
+        # MIN/MAX/LEX memoize probes and tie answers on one shared source:
         # ten threads race the same probes while some of them fault.
         workload = path_workload(3, 40, 6, seed=8)
         engine = Engine(workload.db)
-        reference = engine.prepare(QUERY_SPEC, "max(x1, x4)", termination_factor=1)
+        reference = engine.prepare(QUERY_SPEC, ranking, termination_factor=1)
         phis = [0.1, 0.25, 0.5, 0.75, 0.9]
         expected = {phi: reference.quantile(phi).weight for phi in phis}
-        fresh = engine.prepare(QUERY_SPEC, "max(x1, x4)", termination_factor=1, seed=99)
+        fresh = engine.prepare(QUERY_SPEC, ranking, termination_factor=1, seed=99)
         plan = FaultPlan().arm("counting.masked", after=5).arm("counting.witness", after=2)
         barrier = threading.Barrier(10)
         outcomes = []

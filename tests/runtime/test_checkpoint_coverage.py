@@ -38,7 +38,6 @@ PHIS = [0.1, 0.5, 0.9]
 NO_ROW_CHARGE = {
     "direct_access.expand",
     "materialize.brute_force",
-    "trim.inherit",
     "yannakakis.decode",
     "counting.witness",
 }
@@ -97,10 +96,11 @@ STAGES = {
         lambda q, db: batch(q, db, MinRanking(["x1", "x4"])),
         {"bisection.weights", "counting.masked", "counting.witness"},
     ),
-    # ``index.order`` is the per-variable weight order the filters bisect.
+    # The same per position: each LEX variable's row keys, one masked count
+    # per probe of a block, one decode per full-weight tie block.
     "lex": (
         lambda q, db: batch(q, db, LexRanking(["x1", "x4"])),
-        {"trim.filter", "trim.union", "trim.inherit", "index.order"},
+        {"bisection.weights", "counting.masked", "counting.witness"},
     ),
     "partial-sum, one atom": (
         lambda q, db: batch(q, db, SumRanking(["x1", "x2"])),

@@ -4,8 +4,9 @@ The row budget is a deterministic work proxy, so these tests pick thresholds
 from measured strategy costs of one φ on the ``three_path`` fixture and never
 depend on timing.  Under ``max(x1, x4)``: exact-pivot (weight bisection)
 ~3.3k rows cold and still ~0.9k after a tripped call, materialize ~4.3k,
-sampling ~0.95k.  Under ``lex(x1, x4)`` exact-pivot runs Algorithm 1's trims,
-~6.6k rows, the only exact plan here that costs more than materialize.
+sampling ~0.95k.  Under ``lex(x1, x4)`` exact-pivot bisects keys too, ~3.6k
+rows.  The full ``sum(x1, x2, x3, x4)`` (ε = 0.3) plans approx-pivot, ~17k
+rows: the only plan here that costs well over materialize.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.exceptions import (
     ExecutionCancelledError,
     SolverError,
 )
-from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime import CancellationToken
@@ -33,7 +33,7 @@ from tests.conftest import rank_error
 #: Trips MAX's exact-pivot, cold or after a tripped call, and materialize;
 #: fits sampling.
 TIGHT_ROWS = 1000
-#: Trips LEX's exact-pivot only; fits materialize and sampling.
+#: Trips the full SUM's approx-pivot only; fits materialize and sampling.
 LOOSE_ROWS = 5000
 
 
@@ -109,8 +109,8 @@ class TestEngineDegradation:
 
     def test_degrades_to_materialize_stays_exact(self, three_path):
         prepared = self._prepare(
-            three_path, LexRanking(["x1", "x4"]), max_rows=LOOSE_ROWS,
-            on_budget="materialize",
+            three_path, SumRanking(["x1", "x2", "x3", "x4"]), epsilon=0.3,
+            max_rows=LOOSE_ROWS, on_budget="materialize",
         )
         with pytest.warns(DegradedResultWarning):
             result = prepared.quantile(0.5)

@@ -14,6 +14,7 @@ from repro.query.join_query import JoinQuery
 from repro.query.predicates import Comparison, RankPredicate, WeightInterval
 from repro.ranking.minmax import MaxRanking
 from repro.ranking.sum import SumRanking
+from repro.trim.base import TrimResult, fresh_variable
 from repro.trim.sum_adjacent_trim import SumAdjacentTrimmer
 
 
@@ -200,3 +201,18 @@ def test_interval_trim_property_random(seed, threshold, low):
     assert weights_of(result.query, result.database, ranking) == expected_weights(
         query, db, ranking, interval=interval
     )
+
+
+class TestHelpers:
+    def test_fresh_variable_avoids_collisions(self):
+        query = JoinQuery([Atom("R", ("v", "v_1"))])
+        assert fresh_variable(query, "v") == "v_2"
+        assert fresh_variable(query, "w") == "w"
+
+    def test_trim_result_merge(self):
+        query, db = three_path_instance()
+        first = TrimResult(query, db, helper_variables={"a"})
+        second = TrimResult(query, db, helper_variables={"b"}, lossy=True)
+        merged = first.merged_with(second)
+        assert merged.helper_variables == {"a", "b"}
+        assert merged.lossy
