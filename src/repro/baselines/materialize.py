@@ -10,16 +10,17 @@ for tests and as the baseline that the benchmark experiments compare against.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from typing import Any
 
 from repro.data.database import Database
-from repro.exceptions import CyclicQueryError
-from repro.core.quantile import resolve_target
+from repro.exceptions import CyclicQueryError, SolverError
+from repro.core.quantile import PivotStep, resolve_target
 from repro.core.result import QuantileResult
 from repro.joins.yannakakis import evaluate
 from repro.query.join_query import JoinQuery
+from repro.query.predicates import WeightInterval
 from repro.ranking.base import RankingFunction
-from repro.runtime import checkpoint
 
 Assignment = dict[str, Any]
 
@@ -33,7 +34,6 @@ def _materialize_answers(query: JoinQuery, db: Database) -> list[Assignment]:
     try:
         return evaluate(query, db)
     except CyclicQueryError:
-        checkpoint("materialize.brute_force")
         return query.answers_brute_force(db)
 
 
@@ -52,13 +52,46 @@ def sorted_answers(
 ) -> list[Assignment]:
     """Materialize all answers, sorted ascending by their ranking weight.
 
-    The prepared-query engine caches this list so that repeated quantile
-    calls under the ``materialize`` strategy pay the join once.
+    The prepared-query engine holds it in a :class:`MaterializedAnswers`,
+    so repeated ``materialize`` calls pay the join once.
     """
     ranking.validate_for(query.variables)
     answers = _materialize_answers(query, db)
     answers.sort(key=ranking.weight_of)
     return answers
+
+
+class MaterializedAnswers:
+    """The ``materialize`` source: Algorithm 1 with zero pivot steps over
+    every answer of the original (possibly cyclic) query, sorted once.  Its
+    root is itself, the terminal, and its ``size`` its answer count, so the
+    loop never steps it and the answer cache replays it."""
+
+    strategy = "materialize"
+
+    def __init__(self, query: JoinQuery, db: Database, ranking: RankingFunction) -> None:
+        self.query, self.db, self.ranking = query, db, ranking
+        self.answers = sorted_answers(query, db, ranking)
+        self.total = self.size = len(self.answers)
+        self.root = self
+
+    def __len__(self) -> int:
+        return self.total
+
+    def step(self, interval: WeightInterval, handle: "MaterializedAnswers") -> PivotStep:
+        raise SolverError("materialized answers are never pivoted")
+
+    def terminal(
+        self, interval: WeightInterval, handle: "MaterializedAnswers", keep: Collection[str]
+    ) -> "MaterializedAnswers":
+        return self
+
+    def select(self, position: int) -> tuple[Any, Assignment]:
+        answer = self.answers[position]
+        return self.ranking.weight_of(answer), dict(answer)
+
+    def estimated_bytes(self) -> int:
+        return len(self.answers) * (len(self.query.variables) + 1) * 16
 
 
 def select_from_sorted(

@@ -155,7 +155,10 @@ class CandidateSource(Protocol):
 
     A *handle* names the candidate set of one weight interval; the loop only
     carries handles from a :class:`PivotStep` back into the next call.
+    ``strategy`` is the result's; only ``"approx-pivot"`` is inexact.
     """
+
+    strategy: str
 
     @property
     def total(self) -> int:
@@ -173,6 +176,17 @@ class CandidateSource(Protocol):
         self, interval: WeightInterval, handle: Any, keep: Collection[str]
     ) -> Terminal:
         """``handle``'s candidates in weight order, assignments over ``keep``."""
+
+
+class PreparedSource(CandidateSource, Protocol):
+    """A prepared query's source of one strategy: the loop stops at
+    ``termination_factor × size`` candidates (materialize: ``size == total``)."""
+
+    query: JoinQuery
+    db: Database
+    size: int
+
+    def estimated_bytes(self) -> int: ...
 
 
 LocalHandle = tuple[JoinQuery, Database]
@@ -200,9 +214,10 @@ class LocalCandidates:
         self.db = db
         self.ranking = ranking
         self.trimmer = trimmer
-        self.lossy = trimmer.lossy
+        self.strategy = "approx-pivot" if trimmer.lossy else "exact-pivot"
         self.tree_cache = tree_cache
         self.root: LocalHandle = (query, db)
+        self.size = db.size
         self.total = (
             count_answers(query, db, tree=tree_cache.get(query, db))
             if total is None
@@ -238,6 +253,9 @@ class LocalCandidates:
         self, interval: WeightInterval, handle: LocalHandle, keep: Collection[str]
     ) -> SortedAnswers:
         return evaluate_sorted(*handle, self.ranking, self.tree_cache.get(*handle), keep)
+
+    def estimated_bytes(self) -> int:
+        return 0  # trims are charged per pivot step, trees by the tree cache
 
 
 class CacheMiss(Exception):
@@ -299,13 +317,13 @@ class WeightBisection:
     weight) is stored whole, by one assignment.
     """
 
-    lossy = False
+    strategy = "exact-pivot"
 
     def __init__(
         self, query: JoinQuery, db: Database, ranking: RankingFunction, tree_cache: TreeCache, total: int
     ) -> None:
         self.query, self.db, self.ranking = query, db, ranking
-        self.tree_cache, self.total = tree_cache, total
+        self.tree_cache, self.total, self.size = tree_cache, total, db.size
         self.root: BisectionHandle = ((), 0, None)
         self._lex = isinstance(ranking, LexRanking)
         variables = ranking.weighted_variables
@@ -481,18 +499,18 @@ def run_pivoting(
     keep: Collection[str],
     termination_size: int,
     *,
-    exact: bool = True,
     epsilon: float | None = None,
     step_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
     answer_cache: MutableMapping[WeightInterval, Terminal] | None = None,
 ) -> QuantileResult:
     """Algorithm 1 over a candidate source: the one pivoting loop.
 
-    Serial execution runs it over a :class:`LocalCandidates`, sharded
-    execution over a :class:`~repro.parallel.merger.RankMerger`; see
+    Serial execution runs it over a prepared query's :class:`PreparedSource`,
+    sharded execution over a :class:`~repro.parallel.merger.RankMerger`; see
     :func:`pivoting_quantile` for the parameters.  ``keep`` is the set of
     variables the returned assignment is projected to.
     """
+    exact = source.strategy != "approx-pivot"
     total = source.total
     target = resolve_target(phi, index, total)
     # Without a shared cache each call memoizes into its own throwaway dict.
@@ -573,9 +591,9 @@ def run_pivoting(
         weight=weight,
         target_index=target,
         total_answers=total,
-        strategy="exact-pivot" if exact else "approx-pivot",
+        strategy=source.strategy,
         exact=exact,
-        epsilon=epsilon,
+        epsilon=None if exact else epsilon,
         iterations=len(stats),
         stats=tuple(stats),
     )
@@ -593,7 +611,7 @@ def pivoting_quantile(
     pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
     answer_cache: MutableMapping[WeightInterval, Terminal] | None = None,
     tree_cache: TreeCache | None = None,
-    source: LocalCandidates | WeightBisection | None = None,
+    source: PreparedSource | None = None,
 ) -> QuantileResult:
     """Run Algorithm 1 and return the requested (approximate) quantile.
 
@@ -604,12 +622,12 @@ def pivoting_quantile(
     ----------
     trimmer:
         The trimming construction for the ranking's inequalities (``None``
-        with a ``source``); its ``lossy`` flag decides exactness.
+        with a ``source``); its ``lossy`` flag makes the answer approx-pivot's.
     epsilon:
         Reported approximation parameter (for lossy trimmers).
     termination_size:
         Materialize-and-select once at most this many candidates remain
-        (default: the database size, as in Algorithm 1).
+        (default: the source's ``size``, |D| as in Algorithm 1).
     pivot_cache:
         Mutable mapping from candidate interval to :class:`PivotStep`, shared
         across calls with the same (query, db, ranking, trimmer) to amortize
@@ -624,11 +642,11 @@ def pivoting_quantile(
         one materialized tree per (query, database) pair instead of each
         rebuilding it.
     source:
-        A prebuilt :class:`LocalCandidates` over this very (canonical
-        query, db, ranking, trimmer) or :class:`WeightBisection` over the
-        canonical query, db and ranking, which then supplies ``total``,
-        ``tree_cache`` and exactness — a prepared query builds it once
-        instead of validating, canonicalizing, and counting on every call.
+        A prepared query's prebuilt source over this query, db and ranking
+        (built once instead of validating, canonicalizing, and counting on
+        every call), which then supplies ``total``, the tree cache, and the
+        result's strategy and exactness; ``epsilon`` is reported by an
+        ``"approx-pivot"`` one only.
     """
     if source is None:
         if trimmer is None:
@@ -641,14 +659,13 @@ def pivoting_quantile(
             tree_cache = TreeCache()
         source = LocalCandidates(base_query, base_db, ranking, trimmer, tree_cache)
     if termination_size is None:
-        termination_size = max(source.db.size, 1)
+        termination_size = max(source.size, 1)
     return run_pivoting(
         source,
         phi,
         index,
         set(query.variables),
         termination_size,
-        exact=not source.lossy,
         epsilon=epsilon,
         step_cache=pivot_cache,
         answer_cache=answer_cache,

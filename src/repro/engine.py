@@ -10,11 +10,14 @@ prepare-once/execute-many database pattern around it:
   (query, ranking, parameters) so repeated traffic shares preparation).
 * :class:`PreparedQuery` computes once and caches the canonical rewrite, the
   rooted join tree, the Yannakakis semijoin-reduced database, the answer
-  count ``|Q(D)|``, the strategy plan, and the trimmer — then exposes
+  count ``|Q(D)|``, the strategy plan, and one candidate source per strategy
+  (its trimmer, its key bisection, or its sorted answers) — then exposes
   :meth:`~PreparedQuery.quantile`, batch :meth:`~PreparedQuery.quantiles`,
   :meth:`~PreparedQuery.selection`, :meth:`~PreparedQuery.median`, and
   :meth:`~PreparedQuery.count`.
-* Across calls, a shared pivot cache memoizes the deterministic pivoting
+* Every strategy but ``sampling`` runs Algorithm 1 over its source;
+  ``materialize`` is the loop with zero pivot steps over all answers, sorted.
+  Across calls, a shared pivot cache memoizes the deterministic pivoting
   iterations per candidate interval, so a batch of φ values re-runs only the
   suffix of the search path where the target ranks diverge;
   :meth:`~PreparedQuery.cached` answers a call whose whole path is memoized
@@ -38,11 +41,12 @@ from typing import Any
 
 from repro.approx.lossy_sum_trim import LossySumTrimmer
 from repro.approx.randomized import sampling_quantile
-from repro.baselines.materialize import select_from_sorted, sorted_answers
+from repro.baselines.materialize import MaterializedAnswers
 from repro.core.quantile import (
     CacheMiss,
     CappedCache,
     LocalCandidates,
+    PreparedSource,
     WeightBisection,
     check_phi,
     phi_for_index,
@@ -55,6 +59,7 @@ from repro.core.result import QuantileResult
 from repro.data.database import Database
 from repro.exceptions import (
     BudgetExceededError,
+    CyclicQueryError,
     DegradedResultWarning,
     IntractableQueryError,
     RankingError,
@@ -126,8 +131,8 @@ class PreparedQuery:
     Obtained from :meth:`Engine.prepare` (memoized per engine) or built
     directly.  Preparation runs the linear-time preprocessing of the paper
     exactly once — canonical rewrite, rooted join tree, Yannakakis full
-    semijoin reduction, answer count, strategy plan, trimmer construction —
-    and every subsequent :meth:`quantile`, :meth:`quantiles`,
+    semijoin reduction, answer count, strategy plan, the plan's candidate
+    source — and every subsequent :meth:`quantile`, :meth:`quantiles`,
     :meth:`selection`, :meth:`median`, or :meth:`count` call reuses it.  A
     pivot cache shared across calls additionally memoizes the deterministic
     pivoting iterations per candidate weight interval.
@@ -166,9 +171,10 @@ class PreparedQuery:
         (default) raises :class:`~repro.exceptions.BudgetExceededError`;
         ``"approx"``, ``"sampling"``, and ``"materialize"`` retry once with
         that strategy under a fresh budget; ``"degrade"`` walks the full
-        ladder approx → sampling → materialize.  Degraded results carry
-        ``degraded=True`` and a :class:`~repro.exceptions.DegradedResultWarning`
-        is issued.
+        ladder approx → sampling → materialize, skipping a rung the query
+        cannot run (approx under MIN/MAX/LEX, either without ``epsilon``).
+        Degraded results carry ``degraded=True`` and a
+        :class:`~repro.exceptions.DegradedResultWarning` is issued.
     cancellation:
         Optional shared :class:`~repro.runtime.CancellationToken`; cancelling
         it aborts any in-flight execution at its next checkpoint.
@@ -238,14 +244,13 @@ class PreparedQuery:
         self._rooted_tree: RootedJoinTree | None = None
         self._reduced_db: Database | None = None
         self._total: int | None = None
-        self._materialized: list[dict[str, Any]] | None = None
-        # Per-strategy state: degradation may run several pivoting strategies
-        # over this prepared query's lifetime, each over its own candidate
-        # source (the lossy trimmer of approx-pivot must never be confused
-        # with the exact ones).
-        self._sources: dict[str, LocalCandidates | WeightBisection] = {}
-        # {mode: (step cache, answer cache)}, mode being a pivoting strategy
-        # or "sharded".  Both caches are keyed by candidate weight interval,
+        # Per-strategy state: degradation may run several strategies over
+        # this prepared query's lifetime, each over its own candidate source
+        # (the lossy trimmer of approx-pivot must never be confused with the
+        # exact ones).
+        self._sources: dict[str, PreparedSource] = {}
+        # {mode: (step cache, answer cache)}, mode being a strategy with a
+        # source or "sharded".  Both caches are keyed by candidate weight interval,
         # but entries are not interchangeable between modes: a lossy trim of
         # an interval drops answers an exact trim keeps, and a cached step's
         # candidate handles mean something only to the source that made them.
@@ -299,15 +304,12 @@ class PreparedQuery:
 
     def _prepare_all(self) -> None:
         plan = self.plan()
-        if plan.strategy in ("exact-pivot", "approx-pivot"):
-            self._ensure_source(plan.strategy)
-            if plan.strategy == "exact-pivot":
-                self._ensure_parallel()
-        elif plan.strategy == "sampling":
-            self._ensure_canonical()
+        if plan.strategy == "sampling":
             self._ensure_total()
-        elif plan.strategy == "materialize":
-            self._ensure_materialized()
+            return
+        self._ensure_source(plan.strategy)
+        if plan.strategy == "exact-pivot":
+            self._ensure_parallel()
 
     def classification(self) -> SumClassification:
         """Dichotomy classification of the (query, ranking) pair (cached)."""
@@ -370,8 +372,14 @@ class PreparedQuery:
     # Execution
     # ------------------------------------------------------------------ #
     def count(self) -> int:
-        """Number of answers ``|Q(D)|`` (computed once, then cached)."""
-        return self._ensure_total()
+        """Number of answers ``|Q(D)|`` (computed once, then cached); under
+        ``materialize``, also of a cyclic query (its sorted answers)."""
+        try:
+            return self._ensure_total()
+        except CyclicQueryError:
+            if self.strategy != "materialize":
+                raise
+            return self._ensure_source("materialize").total
 
     def quantile(self, phi: float) -> QuantileResult:
         """Return the φ-quantile of the query answers."""
@@ -445,41 +453,30 @@ class PreparedQuery:
                     self._total = total
         return total
 
-    def _ensure_materialized(self) -> list[dict[str, Any]]:
-        """All answers sorted by weight (for the ``materialize`` strategy)."""
-        materialized = self._materialized
-        if materialized is None:
-            with self._state_lock:
-                materialized = self._materialized
-                if materialized is None:
-                    materialized = sorted_answers(self.query, self.db, self.ranking)
-                    self._materialized = materialized
-        return materialized
-
-    def _ensure_source(self, strategy: str) -> LocalCandidates | WeightBisection:
-        """The serial candidate source of one pivoting strategy (built once).
-
-        Bundles the reduced base, ``|Q(D)|``, the tree cache and the
-        strategy's trimmer (exact MIN/MAX/LEX bisects keys instead), so an
-        execution call does no per-query setup.
-        """
+    def _ensure_source(self, strategy: str) -> PreparedSource:
+        """The source of one strategy but sampling, built once: the sorted
+        answers of the original (possibly cyclic) query, or the reduced base,
+        ``|Q(D)|``, tree cache and trimmer (exact MIN/MAX/LEX: key bisection).
+        A strategy invalid for this query raises before it reduces or counts."""
         source = self._sources.get(strategy)
         if source is None:
             with self._state_lock:
                 source = self._sources.get(strategy)
                 if source is None:
-                    base, total = self._ensure_reduced(), self._ensure_total()
-                    if strategy == "exact-pivot" and isinstance(
-                        self.ranking, (MinRanking, MaxRanking, LexRanking)
-                    ):
-                        source = WeightBisection(*base, self.ranking, self._tree_cache, total)
-                    else:
-                        trimmer = self._build_trimmer(strategy)
-                        source = LocalCandidates(
-                            *base, self.ranking, trimmer, self._tree_cache, total
-                        )
-                    self._sources[strategy] = source
+                    source = self._sources[strategy] = self._build_source(strategy)
         return source
+
+    def _build_source(self, strategy: str) -> PreparedSource:
+        if strategy == "materialize":
+            return MaterializedAnswers(self.query, self.db, self.ranking)
+        bisect = strategy == "exact-pivot" and isinstance(
+            self.ranking, (MinRanking, MaxRanking, LexRanking)
+        )
+        trimmer = None if bisect else self._build_trimmer(strategy)
+        base, total = self._ensure_reduced(), self._ensure_total()
+        if trimmer is None:
+            return WeightBisection(*base, self.ranking, self._tree_cache, total)
+        return LocalCandidates(*base, self.ranking, trimmer, self._tree_cache, total)
 
     def _build_trimmer(self, strategy: str) -> Trimmer:
         if strategy == "approx-pivot":
@@ -675,28 +672,22 @@ class PreparedQuery:
     ) -> QuantileResult:
         """Walk the degradation ladder after ``planned`` tripped a budget.
 
-        Every rung runs under a fresh budget.  A rung that trips again (or
-        turns out to be invalid for this query) is skipped; cancellation
-        always propagates.  If no rung succeeds, the last budget error is
-        re-raised.
+        Every rung runs under a fresh budget.  A rung that trips again, or
+        is invalid for this query (which it raises before it reduces or
+        counts), is skipped; cancellation always propagates.  If no rung succeeds,
+        the last budget error is re-raised.
         """
         first = tripped
-        ladder = degradation_ladder(
-            self.on_budget,
-            planned,
-            approx_available=(
-                isinstance(self.ranking, SumRanking) and self.epsilon is not None
-            ),
-            sampling_available=self.epsilon is not None,
-        )
-        for rung in ladder:
+        for rung in degradation_ladder(self.on_budget, planned):
             try:
                 with self._fresh_context():
                     result = self._execute(rung, phi, index)
             except BudgetExceededError as again:
                 tripped = again
                 continue
-            except (SolverError, TrimmingError, RankingError, IntractableQueryError):
+            except (
+                SolverError, TrimmingError, RankingError, IntractableQueryError, CyclicQueryError
+            ):
                 # The rung is invalid for this (query, ranking); try the next.
                 continue
             note = (
@@ -712,29 +703,22 @@ class PreparedQuery:
     ) -> QuantileResult:
         """Run one concrete strategy (planned or a degradation rung)."""
         checkpoint("engine.execute")
-        if strategy == "materialize":
-            return self._solve_by_materialization(phi=phi, index=index)
         if strategy == "sampling":
             return self._solve_by_sampling(phi=phi, index=index)
-        if strategy in ("exact-pivot", "approx-pivot"):
-            if strategy == "exact-pivot" and self._shard_count >= 2:
-                result = self._try_parallel(phi, index)
-                if result is not None:
-                    return result
-            return self._pivot(
-                strategy, self._ensure_source(strategy), self._mode_caches(strategy), phi, index
-            )
-        raise SolverError(f"unhandled strategy {strategy!r}")
+        if strategy == "exact-pivot" and self._shard_count >= 2:
+            result = self._try_parallel(phi, index)
+            if result is not None:
+                return result
+        return self._pivot(self._ensure_source(strategy), self._mode_caches(strategy), phi, index)
 
     def _pivot(
         self,
-        strategy: str,
-        source: LocalCandidates | WeightBisection,
+        source: PreparedSource,
         caches: tuple[CappedCache, CappedCache],
         phi: float | None,
         index: int | None,
     ) -> QuantileResult:
-        """Algorithm 1 for one pivoting strategy over its serial caches."""
+        """Algorithm 1 over one strategy's source and serial caches."""
         return pivoting_quantile(
             source.query,
             source.db,
@@ -742,8 +726,8 @@ class PreparedQuery:
             None,
             phi=phi,
             index=index,
-            epsilon=self.epsilon if strategy == "approx-pivot" else None,
-            termination_size=self.termination_factor * max(source.db.size, 1),
+            epsilon=self.epsilon,
+            termination_size=self.termination_factor * max(source.size, 1),
             pivot_cache=caches[0],
             answer_cache=caches[1],
             source=source,
@@ -756,9 +740,10 @@ class PreparedQuery:
         the caches already hold every step and terminal it needs; else ``None``.
 
         Computes nothing: it replays memoized pivoting steps and selects from
-        a memoized terminal, or gives up.  ``None`` also when the plan is not
-        made yet or is not a serial pivoting strategy, and while shard
-        workers are live.  Invalid targets raise what :meth:`quantile` raises.
+        a memoized terminal (``materialize``: its sorted answers), or gives
+        up.  ``None`` also when the plan is not made yet or is sampling, and
+        while shard workers are live.  Invalid targets raise what
+        :meth:`quantile` raises.
         """
         plan = self._plan
         if plan is None or self.shards is not None:
@@ -770,23 +755,11 @@ class PreparedQuery:
         try:
             with replay():
                 if not self._has_guards():
-                    return self._pivot(plan.strategy, source, caches, phi, index)
+                    return self._pivot(source, caches, phi, index)
                 with self._fresh_context():
-                    return self._pivot(plan.strategy, source, caches, phi, index)
+                    return self._pivot(source, caches, phi, index)
         except (CacheMiss, BudgetExceededError):
             return None
-
-    def _solve_by_materialization(
-        self, phi: float | None = None, index: int | None = None
-    ) -> QuantileResult:
-        """Materialize-and-select, paying the join once per prepared query.
-
-        Works on the original (possibly cyclic) query/database, like the
-        baseline it replaces.
-        """
-        return select_from_sorted(
-            self._ensure_materialized(), self.ranking, phi=phi, index=index
-        )
 
     def _solve_by_sampling(
         self, phi: float | None = None, index: int | None = None
@@ -830,9 +803,9 @@ class PreparedQuery:
         """Coarse, deterministic estimate of this prepared query's cache bytes.
 
         Counts the structures a prepared query holds beyond the base
-        database: the semijoin-reduced database, the materialized answer list,
-        the tree cache's materialized rows, and the interval-keyed
-        pivot/answer caches.  Rows are charged a flat per-row constant — this
+        database: the semijoin-reduced database, the tree cache's
+        materialized rows, the interval-keyed pivot/answer caches, and the
+        candidate sources.  Rows are charged a flat per-row constant — this
         is an *accounting proxy* (like the row budget), not a measurement, so
         the service's byte-budget eviction behaves identically on every
         platform.
@@ -841,19 +814,17 @@ class PreparedQuery:
         total = 4096  # fixed overhead: plan, trimmers, tree metadata
         if self._reduced_db is not None:
             total += self._reduced_db.size * row_bytes
-        if self._materialized is not None:
-            arity = len(self.query.variables) + 1
-            total += len(self._materialized) * arity * 16
         # Each cached tree re-materializes roughly the candidate database.
         total += len(self._tree_cache) * self.db.size * row_bytes
         # Each memoized pivot iteration keeps two trimmed sub-database views
         # (masks over shared columns); each answer-cache entry what it holds:
         # serial, sorted prefix answers and picks; sharded, merged columns.
         total += self.pivot_cache_size * 1024
+        # Each source and terminal once: materialize's is its own terminal.
+        held: dict[int, Any] = {id(s): s for s in list(self._sources.values())}
         for _, answers in list(self._caches.values()):
-            total += sum(terminal.estimated_bytes() for terminal in list(answers.values()))
-        bisections = [s for s in list(self._sources.values()) if isinstance(s, WeightBisection)]
-        total += sum(source.estimated_bytes() for source in bisections)  # weights, memos
+            held.update((id(t), t) for t in list(answers.values()))
+        total += sum(structure.estimated_bytes() for structure in held.values())
         # Shard payloads are replicated into worker processes; charge the
         # shipped rows (broadcast replication included) at the same rate.
         if self._parallel_plan is not None:
@@ -867,7 +838,8 @@ class PreparedQuery:
 
     def clear_pivot_cache(self) -> None:
         """Drop the memoized pivoting iterations, serial and sharded, and the
-        candidate sources' memos (prepared state is kept)."""
+        candidate sources with their memos (materialize's sorted answers
+        too); the rest of the prepared state is kept."""
         with self._state_lock:
             self._caches.clear()
             self._sources.clear()

@@ -191,6 +191,8 @@ class RankMerger:
     reuse the expensive early rounds exactly like the serial path does.
     """
 
+    strategy = "exact-pivot"
+
     def __init__(self, session: ParallelSession) -> None:
         self.session = session
 

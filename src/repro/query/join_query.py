@@ -14,6 +14,7 @@ from repro.data.database import Database
 from repro.exceptions import QueryError, SchemaError
 from repro.query.atom import Atom
 from repro.query.hypergraph import Hypergraph
+from repro.runtime import checkpoint
 
 Assignment = dict[str, Any]
 
@@ -153,6 +154,7 @@ class JoinQuery:
             relation = db[atom.relation]
             extended: list[Assignment] = []
             for assignment in partial:
+                checkpoint("materialize.brute_force", rows=len(relation.rows))
                 for row in relation.rows:
                     merged = _merge_assignment(assignment, atom.variables, row)
                     if merged is not None:

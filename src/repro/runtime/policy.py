@@ -7,12 +7,11 @@ how much work they give up::
 
     exact (pivot or materialize)  →  approx-pivot  →  sampling  →  error
 
-``approx-pivot`` (deterministic ε-approximation, SUM rankings only) and
-``sampling`` (randomized ε-approximation) both need an ``epsilon``;
-``materialize`` is the exact always-valid fallback for validity failures but
-is also the most expensive strategy, so it sits at the *end* of the
-``degrade`` ladder — it is only attempted when every approximation is
-unavailable or also tripped.
+``materialize``, exact but the most expensive, ends the ``degrade`` ladder.
+The ladder names every rung of the policy; whether one applies is the
+engine's to say.  One that does not (approx-pivot under MIN/MAX/LEX, either
+approximation without ``epsilon``, both on a cyclic query) raises before it
+reduces or counts anything, and is skipped.
 
 Each fallback rung runs under a **fresh budget equal to the original**, so a
 single-rung policy (e.g. ``on_budget="sampling"``) returns or errors within
@@ -23,25 +22,18 @@ from __future__ import annotations
 
 from repro.exceptions import SolverError
 
-#: Accepted values of the engine's ``on_budget`` knob.
-#:
-#: * ``"error"`` — raise :class:`~repro.exceptions.BudgetExceededError`.
-#: * ``"approx"`` — retry once with the deterministic ε-approximation
-#:   (``approx-pivot``; SUM rankings with ``epsilon`` only).
-#: * ``"sampling"`` — retry once with the randomized sampling strategy
-#:   (needs ``epsilon``).
-#: * ``"materialize"`` — retry once with exact materialize-and-select.
-#: * ``"degrade"`` — walk the full ladder: approx-pivot, then sampling,
-#:   then materialize, then error.
-DEGRADATION_POLICIES = ("error", "approx", "sampling", "materialize", "degrade")
-
-_POLICY_RUNGS = {
+#: The engine's ``on_budget`` values, each with the strategies it retries in
+#: order: ``"error"`` raises the :class:`~repro.exceptions.BudgetExceededError`,
+#: ``"degrade"`` walks the whole ladder, the others retry once.
+_POLICY_RUNGS: dict[str, tuple[str, ...]] = {
     "error": (),
     "approx": ("approx-pivot",),
     "sampling": ("sampling",),
     "materialize": ("materialize",),
     "degrade": ("approx-pivot", "sampling", "materialize"),
 }
+#: Accepted values of the engine's ``on_budget`` knob.
+DEGRADATION_POLICIES = tuple(_POLICY_RUNGS)
 
 
 def validate_policy(policy: str) -> str:
@@ -54,35 +46,8 @@ def validate_policy(policy: str) -> str:
     return policy
 
 
-def degradation_ladder(
-    policy: str,
-    planned: str,
-    approx_available: bool,
-    sampling_available: bool,
-) -> list[str]:
-    """The fallback strategies to attempt, in order, after a tripped budget.
-
-    Parameters
-    ----------
-    policy:
-        The configured ``on_budget`` policy.
-    planned:
-        The strategy that tripped (never retried — it already failed under
-        this budget).
-    approx_available:
-        Whether ``approx-pivot`` is valid for the query (SUM ranking with an
-        ``epsilon``).
-    sampling_available:
-        Whether ``sampling`` is valid (an ``epsilon`` was provided).
-    """
+def degradation_ladder(policy: str, planned: str) -> list[str]:
+    """The fallback strategies to attempt, in order, after ``planned`` (the
+    strategy that tripped, never retried) tripped a budget under ``policy``."""
     validate_policy(policy)
-    ladder = []
-    for rung in _POLICY_RUNGS[policy]:
-        if rung == planned:
-            continue
-        if rung == "approx-pivot" and not approx_available:
-            continue
-        if rung == "sampling" and not sampling_available:
-            continue
-        ladder.append(rung)
-    return ladder
+    return [rung for rung in _POLICY_RUNGS[policy] if rung != planned]

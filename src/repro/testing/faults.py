@@ -28,6 +28,7 @@ when arming points on a path the workload only sometimes takes).
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from typing import Iterator
@@ -89,6 +90,8 @@ class FaultPlan:
         self._armed: dict[str, tuple[int, BaseException | None]] = {}
         self.seen: Counter[str] = Counter()
         self.fired: list[tuple[str, int]] = []
+        # Concurrency tests share one plan across threads: a fault fires once.
+        self._lock = threading.Lock()
 
     def arm(
         self,
@@ -115,17 +118,18 @@ class FaultPlan:
 
     def observe(self, name: str) -> None:
         """The fault hook: count the checkpoint, fire if armed and due."""
-        self.seen[name] += 1
-        armed = self._armed.get(name)
-        if armed is None:
-            return
-        remaining, error = armed
-        if remaining > 0:
-            self._armed[name] = (remaining - 1, error)
-            return
-        del self._armed[name]
-        occurrence = self.seen[name]
-        self.fired.append((name, occurrence))
+        with self._lock:
+            self.seen[name] += 1
+            armed = self._armed.get(name)
+            if armed is None:
+                return
+            remaining, error = armed
+            if remaining > 0:
+                self._armed[name] = (remaining - 1, error)
+                return
+            del self._armed[name]
+            occurrence = self.seen[name]
+            self.fired.append((name, occurrence))
         raise error if error is not None else InjectedFault(name, occurrence)
 
     def unseen_armed(self) -> list[str]:

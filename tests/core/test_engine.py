@@ -1,6 +1,7 @@
 """Tests for the prepared-query engine (Engine / PreparedQuery)."""
 
 import math
+import random
 
 import pytest
 
@@ -9,6 +10,8 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import Engine, PreparedQuery, SolverPlan
 from repro.exceptions import (
+    BudgetExceededError,
+    ExecutionCancelledError,
     IntractableQueryError,
     RankingError,
     SolverError,
@@ -18,6 +21,8 @@ from repro.query.join_query import JoinQuery
 from repro.query.parser import parse_ranking
 from repro.ranking.minmax import MaxRanking
 from repro.ranking.sum import SumRanking
+from repro.runtime import CancellationToken
+from repro.runtime.context import set_fault_hook
 from repro.testing.faults import FaultPlan, inject_faults
 from repro.workloads.path import path_workload
 
@@ -256,14 +261,15 @@ class TestPreparedStateReuse:
     def test_materialize_strategy_prepares_and_caches(self, binary_join, engine, monkeypatch):
         query, _ = binary_join
         prepared = engine.prepare(query, SumRanking(["x1", "x3"]), strategy="materialize")
-        import repro.engine as engine_module
+        import repro.baselines.materialize as materialize_module
 
         def forbidden(*args, **kwargs):  # pragma: no cover - should not run
             raise AssertionError("materialization re-ran after eager prepare")
 
-        monkeypatch.setattr(engine_module, "sorted_answers", forbidden)
+        monkeypatch.setattr(materialize_module, "sorted_answers", forbidden)
         results = prepared.quantiles([0.25, 0.5, 0.75])
         assert all(r.strategy == "materialize" and r.exact for r in results)
+        assert all(r.iterations == 0 for r in results)  # zero pivot steps
 
 
 class TestExecution:
@@ -375,12 +381,14 @@ class TestExecution:
 
 PATH_QUERY = "R1(x1,x2), R2(x2,x3), R3(x3,x4)"
 PHIS = [i / 20 for i in range(1, 20)]
-#: (ranking, knobs): three exact-pivot rankings and the approx-pivot one.
+#: (ranking, knobs): three exact-pivot rankings, the approx-pivot one, and
+#: materialize.
 REPLAYED = [
     ("sum(x1, x2)", {}),
     ("max(x1, x4)", {}),
     ("lex(x1, x4)", {}),
     ("sum(x1, x2, x3, x4)", {"epsilon": 0.1}),
+    ("sum(x1, x2)", {"strategy": "materialize"}),
 ]
 
 
@@ -395,7 +403,8 @@ class TestCached:
     @pytest.mark.parametrize("ranking, knobs", REPLAYED)
     def test_a_warm_replay_is_the_call(self, path_db, ranking, knobs):
         prepared = Engine(path_db).prepare(PATH_QUERY, ranking, **knobs)
-        assert prepared.plan().strategy == ("approx-pivot" if knobs else "exact-pivot")
+        planned = "approx-pivot" if "epsilon" in knobs else "exact-pivot"
+        assert prepared.plan().strategy == knobs.get("strategy", planned)
         prepared.quantiles(PHIS)
         for phi in PHIS:
             assert repr(prepared.cached(phi=phi)) == repr(prepared.quantile(phi))
@@ -410,7 +419,8 @@ class TestCached:
         prepared.quantiles(PHIS)
         with inject_faults(FaultPlan()) as plan:
             assert all(prepared.cached(phi=phi) is not None for phi in PHIS)
-        assert plan.seen["quantile.iteration"] > 0
+        # materialize takes zero pivot steps: its replay passes no checkpoint.
+        assert plan.seen["quantile.iteration"] > 0 or prepared.plan().strategy == "materialize"
         assert set(plan.seen) <= {"quantile.iteration", "yannakakis.decode"}
 
     def test_nothing_memoized_is_none(self, path_db):
@@ -421,11 +431,8 @@ class TestCached:
         prepared.clear_pivot_cache()
         assert prepared.cached(phi=0.5) is None
 
-    @pytest.mark.parametrize(
-        "knobs",
-        [{"strategy": "materialize"}, {"strategy": "sampling", "epsilon": 0.1, "seed": 3}],
-    )
-    def test_a_non_pivot_plan_is_none(self, path_db, knobs):
+    def test_a_sampling_plan_is_none(self, path_db):
+        knobs = {"strategy": "sampling", "epsilon": 0.1, "seed": 3}
         prepared = Engine(path_db).prepare(PATH_QUERY, "sum(x1, x2)", **knobs)
         prepared.quantile(0.5)
         assert prepared.cached(phi=0.5) is None
@@ -475,3 +482,88 @@ class TestNanWeights:
         )
         with pytest.raises(RankingError, match="x1 = nan"):
             prepared.quantile(0.5)
+
+
+def triangle(rows, seed=3):
+    """A cyclic triangle join: ``rows`` random rows per relation."""
+    rng = random.Random(seed)
+    query = JoinQuery.parse("R(x, y), S(y, z), T(z, x)")
+    db = Database(
+        [
+            Relation(name, ("a", "b"), [(rng.randrange(20), rng.randrange(20)) for _ in range(rows)])
+            for name in "RST"
+        ]
+    )
+    return query, db
+
+
+class TestCyclicMaterialize:
+    """``materialize`` is the one strategy a cyclic query can run: its
+    nested-loop join honors budgets and cancellation, and ``count()`` agrees
+    with its quantiles."""
+
+    @pytest.mark.parametrize("eager", [True, False])
+    def test_count_agrees_with_quantile(self, eager):
+        query, db = triangle(30)
+        prepared = Engine(db).prepare(query, "sum(x, y)", strategy="materialize", eager=eager)
+        total = prepared.count()
+        assert total == len(query.answers_brute_force(db)) > 0
+        assert prepared.quantile(0.5).total_answers == total
+
+    def test_an_acyclic_count_does_not_materialize(self, binary_join, monkeypatch):
+        import repro.baselines.materialize as materialize_module
+
+        query, db = binary_join
+        prepared = Engine(db).prepare(query, "sum(x1, x3)", strategy="materialize", eager=False)
+        monkeypatch.setattr(materialize_module, "sorted_answers", None)
+        assert prepared.count() == len(query.answers_brute_force(db))
+
+    def test_row_budget_trips_inside_the_join(self):
+        query, db = triangle(60)
+        prepared = Engine(db).prepare(
+            query, "sum(x, y)", strategy="materialize", max_rows=1000, eager=False
+        )
+        with pytest.raises(BudgetExceededError) as excinfo:
+            prepared.quantile(0.5)
+        assert excinfo.value.budget == "rows"
+        assert excinfo.value.checkpoint == "materialize.brute_force"
+
+    def test_timeout_trips_inside_the_join(self):
+        # Unguarded, this join takes about half a second.
+        query, db = triangle(400)
+        prepared = Engine(db).prepare(
+            query, "sum(x, y)", strategy="materialize", timeout=0.05, eager=False
+        )
+        with pytest.raises(BudgetExceededError) as excinfo:
+            prepared.quantile(0.5)
+        assert excinfo.value.budget == "timeout"
+
+    def test_no_approximate_rung_applies(self):
+        # approx-pivot and sampling need a join tree: both rungs are skipped.
+        query, db = triangle(60)
+        prepared = Engine(db).prepare(
+            query, "sum(x, y)", strategy="materialize", epsilon=0.3, max_rows=1000,
+            on_budget="degrade", eager=False,
+        )
+        with pytest.raises(BudgetExceededError):
+            prepared.quantile(0.5)
+
+    def test_cancellation_reaches_the_join(self):
+        query, db = triangle(60)
+        token = CancellationToken()
+        seen = []
+
+        def cancel_mid_join(name):
+            seen.append(name)
+            if seen.count("materialize.brute_force") == 2:
+                token.cancel("shutting down")
+
+        prepared = Engine(db).prepare(
+            query, "sum(x, y)", strategy="materialize", cancellation=token, eager=False
+        )
+        previous = set_fault_hook(cancel_mid_join)
+        try:
+            with pytest.raises(ExecutionCancelledError):
+                prepared.quantile(0.5)
+        finally:
+            set_fault_hook(previous)

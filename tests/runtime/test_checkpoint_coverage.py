@@ -37,7 +37,6 @@ PHIS = [0.1, 0.5, 0.9]
 #: Call sites that declare an interruption point without charging rows.
 NO_ROW_CHARGE = {
     "direct_access.expand",
-    "materialize.brute_force",
     "yannakakis.decode",
     "counting.witness",
 }

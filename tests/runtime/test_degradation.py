@@ -6,14 +6,18 @@ depend on timing.  Under ``max(x1, x4)``: exact-pivot (weight bisection)
 ~3.3k rows cold and still ~0.9k after a tripped call, materialize ~4.3k,
 sampling ~0.95k.  Under ``lex(x1, x4)`` exact-pivot bisects keys too, ~3.6k
 rows.  The full ``sum(x1, x2, x3, x4)`` (ε = 0.3) plans approx-pivot, ~17k
-rows: the only plan here that costs well over materialize.
+rows: the only plan here that costs well over materialize.  On the
+one-to-one path of :func:`one_to_one` it is the other way round under MAX:
+exact-pivot ~20k rows cold, materialize ~5.7k.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import Engine
+from repro.data.database import Database
+from repro.data.relation import Relation
+from repro.engine import Engine, PreparedQuery
 from repro.exceptions import (
     BudgetExceededError,
     DegradedResultWarning,
@@ -23,6 +27,7 @@ from repro.exceptions import (
 from repro.ranking.minmax import MaxRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime import CancellationToken
+from repro.testing import FaultPlan, inject_faults
 from repro.runtime.policy import (
     DEGRADATION_POLICIES,
     degradation_ladder,
@@ -35,6 +40,8 @@ from tests.conftest import rank_error
 TIGHT_ROWS = 1000
 #: Trips the full SUM's approx-pivot only; fits materialize and sampling.
 LOOSE_ROWS = 5000
+#: On :func:`one_to_one`: trips MAX's exact-pivot, fits materialize.
+BETWEEN_ROWS = 8000
 
 
 class TestPolicyLadder:
@@ -50,25 +57,18 @@ class TestPolicyLadder:
             validate_policy("shrug")
 
     def test_error_policy_has_no_rungs(self):
-        assert degradation_ladder("error", "exact-pivot", True, True) == []
+        assert degradation_ladder("error", "exact-pivot") == []
 
     def test_full_ladder_order(self):
-        assert degradation_ladder("degrade", "exact-pivot", True, True) == [
+        assert degradation_ladder("degrade", "exact-pivot") == [
             "approx-pivot", "sampling", "materialize",
         ]
 
     def test_planned_strategy_never_retried(self):
-        assert degradation_ladder("degrade", "sampling", True, True) == [
+        assert degradation_ladder("degrade", "sampling") == [
             "approx-pivot", "materialize",
         ]
-        assert degradation_ladder("materialize", "materialize", True, True) == []
-
-    def test_unavailable_approximations_skipped(self):
-        assert degradation_ladder("degrade", "exact-pivot", False, False) == [
-            "materialize",
-        ]
-        assert degradation_ladder("approx", "exact-pivot", False, True) == []
-        assert degradation_ladder("sampling", "exact-pivot", True, False) == []
+        assert degradation_ladder("materialize", "materialize") == []
 
 
 class TestEngineDegradation:
@@ -198,3 +198,54 @@ class TestApproxRungOnSum:
         assert result.degraded
         assert result.strategy in ("approx-pivot", "sampling")
         assert rank_error(query, db, ranking, result, 0.5) <= 0.3
+
+
+def one_to_one(n=300):
+    """A 3-path whose every row joins exactly one row per relation."""
+    db = Database(
+        [Relation(name, ("a", "b"), [(i, i) for i in range(n)]) for name in ("R1", "R2", "R3")]
+    )
+    return "R1(x1, x2), R2(x2, x3), R3(x3, x4)", db
+
+
+class TestInvalidRungs:
+    """The ladder names every rung of the policy; a rung that does not apply
+    to the query raises before doing any work, so it is skipped at no cost."""
+
+    def test_max_without_epsilon_degrades_to_materialize(self):
+        query, db = one_to_one()
+        prepared = Engine(db).prepare(
+            query, "max(x1, x4)", max_rows=BETWEEN_ROWS, on_budget="degrade", eager=False,
+        )
+        with pytest.warns(DegradedResultWarning):
+            result = prepared.quantile(0.5)
+        assert result.strategy == "materialize" and result.exact
+        assert result.degradation.startswith("exact-pivot -> materialize (")
+
+    @staticmethod
+    def _tripped_materialize(on_budget):
+        """The budget error of a tripped ``materialize`` plan under MAX, and
+        the checkpoints the call passed."""
+        query, db = one_to_one()
+        prepared = PreparedQuery(
+            query, db, "max(x1, x4)", strategy="materialize", epsilon=0.3,
+            max_rows=3000, on_budget=on_budget,
+        )
+        with inject_faults(FaultPlan()) as plan, pytest.raises(BudgetExceededError) as excinfo:
+            prepared.quantile(0.5)
+        return excinfo.value, plan.seen
+
+    def test_an_invalid_rung_reraises_the_original_error(self):
+        original, _ = self._tripped_materialize("error")
+        reraised, _ = self._tripped_materialize("approx")
+        assert (reraised.checkpoint, str(reraised)) == (original.checkpoint, str(original))
+
+    def test_an_invalid_rung_does_no_work(self):
+        # approx-pivot under MAX is refused before it reduces or counts.
+        _, planned = self._tripped_materialize("error")
+        _, degraded = self._tripped_materialize("approx")
+        layers = ("trim.", "yannakakis.", "tree.", "counting.")
+        work = [name for name in degraded if name.startswith(layers)]
+        assert work
+        assert {n: degraded[n] for n in work} == {n: planned[n] for n in work}
+        assert degraded["engine.execute"] == planned["engine.execute"] + 1

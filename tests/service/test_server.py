@@ -233,6 +233,19 @@ class TestLoopReplay:
         # One pool lookup per request: a miss, then a hit.
         assert (stats["pool"]["misses"], stats["pool"]["hits"]) == (1, 1)
 
+    def test_a_repeated_materialize_request_skips_the_executor(self, service):
+        svc, client = service
+        calls = count_run_batch(svc)
+        first = client.query("demo", QUERY, RANKING, phis=[0.5], strategy="materialize")
+        again = client.query("demo", QUERY, RANKING, phis=[0.5], strategy="materialize")
+        assert len(calls) == 1
+        assert again.status == first.status == 200
+        assert again.payload["results"] == first.payload["results"]
+        assert first.payload["results"][0]["strategy"] == "materialize"
+        cold, warm = client.stats()["recent"][-2:]
+        assert (cold["served"], warm["served"]) == ("executor", "cache")
+        assert warm["checkpoints"] == 0
+
     def test_a_cached_and_a_new_phi_run_once_in_request_order(self, service, workload):
         svc, client = service
         probe = Engine(workload.db).prepare(QUERY, RANKING)
