@@ -36,12 +36,12 @@ from repro.approx.sketch import epsilon_sketch
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.query.join_tree import RootedJoinTree, build_join_tree
-from repro.query.predicates import RankPredicate
+from repro.query.predicates import WeightInterval
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.sum import SumRanking
 from repro.ranking.tuple_weights import owned_variables, row_weight, variable_to_atom_assignment
 from repro.runtime import checkpoint
-from repro.trim.base import TrimResult, Trimmer, fresh_variable
+from repro.trim.base import Trimmer, fresh_variable
 
 
 class LossySumTrimmer(Trimmer):
@@ -76,14 +76,31 @@ class LossySumTrimmer(Trimmer):
         height = max(1, rooted.height())
         return self.epsilon / (4.0 ** height)
 
-    def trim(
-        self, query: JoinQuery, db: Database, predicate: RankPredicate
-    ) -> TrimResult:
+    def trim_interval(
+        self, query: JoinQuery, db: Database, interval: WeightInterval
+    ) -> tuple[JoinQuery, Database]:
+        """The lower bound's trim, then the upper bound's over its output:
+        each sketch rounds toward its own bound, so one embedding cannot
+        serve both sides."""
+        if interval.low is not None:
+            query, db = self._trim_side(
+                query, db, WeightInterval(low=interval.low, low_strict=interval.low_strict)
+            )
+        if interval.high is not None:
+            query, db = self._trim_side(
+                query, db, WeightInterval(high=interval.high, high_strict=interval.high_strict)
+            )
+        return query, db
+
+    def _trim_side(
+        self, query: JoinQuery, db: Database, side: WeightInterval
+    ) -> tuple[JoinQuery, Database]:
+        """Algorithm 4 for the one-sided interval ``side``."""
         query, db = ensure_canonical(query, db)
         weighted = frozenset(self.ranking.weighted_variables) & query.variables
         if not weighted:
             raise TrimmingError("none of the SUM variables occur in the query")
-        direction = "upper" if predicate.comparison.is_upper_bound else "lower"
+        direction = "upper" if side.low is None else "lower"
         sketch_eps = self.sketch_epsilon(query)
         rooted = build_join_tree(query).rooted()
         mu = variable_to_atom_assignment(query, weighted)
@@ -106,11 +123,10 @@ class LossySumTrimmer(Trimmer):
             ]
             sigma_m[node] = [1] * len(relation.rows)
 
-        helper_variables: set[str] = set()
         current_query = query
         for node in rooted.bottom_up_order():
             for child in rooted.children[node]:
-                current_query, helper = self._absorb_child(
+                current_query = self._absorb_child(
                     current_query,
                     node,
                     child,
@@ -122,15 +138,10 @@ class LossySumTrimmer(Trimmer):
                     sketch_eps,
                     direction,
                 )
-                helper_variables.add(helper)
 
-        # Drop root tuples whose accumulated sum violates the predicate.
+        # Drop root tuples whose accumulated sum falls outside the bound.
         root = rooted.root
-        keep = [
-            index
-            for index, total in enumerate(sigma_s[root])
-            if predicate.holds(total)
-        ]
+        keep = [index for index, total in enumerate(sigma_s[root]) if side.contains(total)]
         rows[root] = [rows[root][i] for i in keep]
         sigma_s[root] = [sigma_s[root][i] for i in keep]
         sigma_m[root] = [sigma_m[root][i] for i in keep]
@@ -142,9 +153,7 @@ class LossySumTrimmer(Trimmer):
             new_atoms.append(Atom(atom.relation, tuple(schema[node])))
             new_db.add(Relation(atom.relation, tuple(schema[node]), rows[node]))
         # Preserve original atom order (nodes() is already in atom order).
-        return TrimResult(
-            JoinQuery(new_atoms), new_db, helper_variables=helper_variables, lossy=True
-        )
+        return JoinQuery(new_atoms), new_db
 
     # ------------------------------------------------------------------ #
     def _absorb_child(
@@ -159,7 +168,7 @@ class LossySumTrimmer(Trimmer):
         sigma_m: dict[int, list[int]],
         sketch_eps: float,
         direction: str,
-    ) -> tuple[JoinQuery, str]:
+    ) -> JoinQuery:
         """Sketch one child's messages and embed them into parent and child."""
         join_vars = rooted.join_variables(node, child)
         helper = fresh_variable(current_query, f"__sketch_v{node}_{child}")
@@ -229,4 +238,4 @@ class LossySumTrimmer(Trimmer):
                 new_atoms.append(Atom(atom.relation, atom.variables + (helper,)))
             else:
                 new_atoms.append(atom)
-        return JoinQuery(new_atoms), helper
+        return JoinQuery(new_atoms)

@@ -1,19 +1,28 @@
 """The pivoting quantile algorithm (Algorithm 1, Sections 3 and 3.1).
 
-Given an acyclic join query, a database, a ranking function, a requested
-position, and a trimmer for the ranking's inequalities, the algorithm
-repeatedly
+Given an acyclic join query, a database, a ranking function and a requested
+position, the algorithm repeatedly
 
 1. selects a c-pivot among the current candidate answers (Section 4),
-2. trims the less-than and greater-than partitions from the *original*
-   database, restricted to the current candidate interval, and
-3. counts the partitions to decide where the requested index falls,
+2. splits the candidates into the answers lighter and heavier than the
+   pivot, within the current candidate interval, and
+3. counts both parts to decide where the requested index falls,
 
-until the index falls into the equal-to partition (the pivot is returned) or
-the candidate set is small enough to materialize with the Yannakakis
-algorithm and finish with plain selection.
+until the index falls into the equal-to part (the pivot is returned) or the
+candidate set is small enough to sort and finish with plain selection.
 
-With an exact trimmer the returned answer is an exact φ-quantile; with an
+The loop (:func:`run_pivoting`) sees the candidates only through a
+:class:`CandidateSource`, one per strategy:
+
+* :class:`LocalCandidates` — SUM: a trimmer's ``trim_interval`` rewrites the
+  *original* database to each interval (Definitions 3.2 / 3.5), then the
+  rewritten join is counted, pivoted and sorted;
+* :class:`WeightBisection` — MIN, MAX and LEX: bisection over the base rows'
+  sorted keys with one masked count per probe, no trims;
+* ``baselines.materialize.MaterializedAnswers`` — every answer sorted once,
+  zero pivot steps.
+
+With an exact source the returned answer is an exact φ-quantile; with an
 ε-lossy trimmer it is a (φ ± ε)-quantile (Lemmas 3.3 and 3.6).
 """
 
@@ -232,8 +241,7 @@ class LocalCandidates:
         copy factors of the segment/partition constructions (and, for lossy
         trimmers, the answer loss).
         """
-        trimmed = self.trimmer.trim_interval(self.query, self.db, interval)
-        query, db = trimmed.query, trimmed.database
+        query, db = self.trimmer.trim_interval(self.query, self.db, interval)
         return (query, db), count_answers(query, db, tree=self.tree_cache.get(query, db))
 
     def pivot(self, handle: LocalHandle) -> PivotResult:
@@ -621,8 +629,9 @@ def pivoting_quantile(
     Parameters
     ----------
     trimmer:
-        The trimming construction for the ranking's inequalities (``None``
-        with a ``source``); its ``lossy`` flag makes the answer approx-pivot's.
+        The SUM trimmer whose ``trim_interval`` rewrites the base to each
+        candidate interval (``None`` with a ``source``); its ``lossy`` flag
+        makes the answer approx-pivot's.
     epsilon:
         Reported approximation parameter (for lossy trimmers).
     termination_size:

@@ -1,64 +1,17 @@
-"""Predicates over the aggregated answer weight ``w(U_w)``.
+"""The candidate region of Algorithm 1: an interval of answer weights.
 
-The partitioning step of the pivoting framework (Section 3) generates
-inequalities of the form ``w(U_w) < λ`` and ``w(U_w) > λ`` that the trimming
-subroutines must remove from the query.  :class:`RankPredicate` is the common
-currency between the driver (Algorithm 1) and the trimmers, and
-:class:`WeightInterval` bundles the pair of inequalities that delimit the
-current candidate region.
+The partitioning step of the pivoting framework (Section 3) narrows the
+candidate answers to those with ``low < w(U_w) < high``;
+:class:`WeightInterval` is the common currency between the driver and the
+trimmers, which remove both inequalities from the query in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any
 
 Weight = Any
-
-
-class Comparison(str, Enum):
-    """Comparison operators on the weight domain."""
-
-    LT = "<"
-    LE = "<="
-    GT = ">"
-    GE = ">="
-
-    @property
-    def is_upper_bound(self) -> bool:
-        """Whether the predicate bounds the weight from above (``<`` / ``<=``)."""
-        return self in (Comparison.LT, Comparison.LE)
-
-    @property
-    def is_strict(self) -> bool:
-        """Whether the comparison excludes equality."""
-        return self in (Comparison.LT, Comparison.GT)
-
-    def holds(self, weight: Weight, threshold: Weight) -> bool:
-        """Evaluate ``weight <op> threshold``."""
-        if self is Comparison.LT:
-            return weight < threshold
-        if self is Comparison.LE:
-            return weight <= threshold
-        if self is Comparison.GT:
-            return weight > threshold
-        return weight >= threshold
-
-
-@dataclass(frozen=True)
-class RankPredicate:
-    """An inequality ``w(U_w) <op> threshold`` on the answer weight."""
-
-    comparison: Comparison
-    threshold: Weight
-
-    def holds(self, weight: Weight) -> bool:
-        """Whether an answer with the given weight satisfies the predicate."""
-        return self.comparison.holds(weight, self.threshold)
-
-    def __str__(self) -> str:
-        return f"w(U_w) {self.comparison.value} {self.threshold!r}"
 
 
 @dataclass(frozen=True)
@@ -92,17 +45,6 @@ class WeightInterval:
     def is_unbounded(self) -> bool:
         """Whether neither side is bounded (the full weight domain)."""
         return self.low is None and self.high is None
-
-    def predicates(self) -> list[RankPredicate]:
-        """The (zero, one, or two) rank predicates equivalent to the interval."""
-        out: list[RankPredicate] = []
-        if self.low is not None:
-            op = Comparison.GT if self.low_strict else Comparison.GE
-            out.append(RankPredicate(op, self.low))
-        if self.high is not None:
-            op = Comparison.LT if self.high_strict else Comparison.LE
-            out.append(RankPredicate(op, self.high))
-        return out
 
     def with_high(self, high: Weight, strict: bool = True) -> "WeightInterval":
         """A copy of the interval with the upper bound replaced."""

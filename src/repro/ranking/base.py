@@ -28,9 +28,8 @@ Value = Any
 class RankingFunction(abc.ABC):
     """Abstract aggregate ranking function over a set of weighted variables.
 
-    Subclasses define the aggregate (``aggregate``/``combine``), the neutral
-    weight of an empty multiset (``identity``), and the extreme weights used
-    as unbounded interval endpoints.
+    Subclasses define the aggregate (``combine``) and the neutral weight of
+    an empty multiset (``identity``).
     """
 
     #: Short human-readable name ("SUM", "MIN", "MAX", "LEX").
@@ -65,14 +64,6 @@ class RankingFunction(abc.ABC):
     @abc.abstractmethod
     def combine(self, left: Weight, right: Weight) -> Weight:
         """Aggregate two already-aggregated weights (associative, commutative)."""
-
-    @abc.abstractmethod
-    def plus_infinity(self) -> Weight:
-        """A weight strictly greater than every achievable answer weight."""
-
-    @abc.abstractmethod
-    def minus_infinity(self) -> Weight:
-        """A weight strictly smaller than every achievable answer weight."""
 
     # ------------------------------------------------------------------ #
     # Variable weights

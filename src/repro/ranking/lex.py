@@ -8,7 +8,6 @@ is lexicographic on the resulting tuples.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
@@ -57,12 +56,6 @@ class LexRanking(RankingFunction):
 
     def combine(self, left: Weight, right: Weight) -> tuple[float, ...]:
         return tuple(a + b for a, b in zip(left, right))
-
-    def plus_infinity(self) -> tuple[float, ...]:
-        return (math.inf,) * self.arity
-
-    def minus_infinity(self) -> tuple[float, ...]:
-        return (-math.inf,) * self.arity
 
     # ------------------------------------------------------------------ #
     #: The scalar key ``w'_x(value)`` of one variable: the base class's

@@ -39,12 +39,6 @@ class MinRanking(RankingFunction):
     def combine(self, left: float, right: float) -> float:
         return left if left <= right else right
 
-    def plus_infinity(self) -> float:
-        return math.inf
-
-    def minus_infinity(self) -> float:
-        return -math.inf
-
 
 class MaxRanking(RankingFunction):
     """Order answers by ``max_{x in U_w} w_x(q[x])``.
@@ -71,9 +65,3 @@ class MaxRanking(RankingFunction):
 
     def combine(self, left: float, right: float) -> float:
         return left if left >= right else right
-
-    def plus_infinity(self) -> float:
-        return math.inf
-
-    def minus_infinity(self) -> float:
-        return -math.inf

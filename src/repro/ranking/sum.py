@@ -6,7 +6,6 @@ distinction that drives the dichotomy of Theorem 5.6.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from typing import Any
 
@@ -46,9 +45,3 @@ class SumRanking(RankingFunction):
 
     def combine(self, left: float, right: float) -> float:
         return left + right
-
-    def plus_infinity(self) -> float:
-        return math.inf
-
-    def minus_infinity(self) -> float:
-        return -math.inf

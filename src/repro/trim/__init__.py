@@ -5,11 +5,10 @@ Algorithm 1 trims for SUM only (Theorem 5.6's tractable side here, Theorem
 counting bisection (:class:`repro.core.quantile.WeightBisection`).
 """
 
-from repro.trim.base import TrimResult, Trimmer
+from repro.trim.base import Trimmer
 from repro.trim.sum_adjacent_trim import SumAdjacentTrimmer
 
 __all__ = [
     "Trimmer",
-    "TrimResult",
     "SumAdjacentTrimmer",
 ]

@@ -1,66 +1,33 @@
-"""Trimmer interface: removing weight inequalities from a query.
+"""Trimmer interface: removing the candidate interval's inequalities from a query.
 
-Definition 3.2 (predicate trimming): given a query ``Q`` and a predicate
-``P`` over the answer weight, produce a new query ``Q'`` (of constant size,
-with ``var(Q) ⊆ var(Q')``) and database ``D'`` such that ``Q'(D')`` is in
-bijection with the answers of ``Q`` satisfying ``P`` — the bijection simply
-drops the helper variables introduced by the trimming.
+Algorithm 1 asks a trimmer for one thing: the candidate region between two
+weight bounds.  Definition 3.2 (predicate trimming), applied to both bounds:
+given a query ``Q`` and an interval ``I`` of answer weights, produce a new
+query ``Q'`` (of constant size, with ``var(Q) ⊆ var(Q')``) and database
+``D'`` such that ``Q'(D')`` is in bijection with the answers of ``Q`` whose
+weight lies in ``I`` — the bijection drops the helper variables
+``var(Q') − var(Q)`` that the trimming introduced.
 
 Definition 3.5 (ε-lossy trimming) relaxes the bijection to an injection that
-retains at least a ``1 − ε`` fraction of the satisfying answers.
+retains at least a ``1 − ε`` fraction of the answers inside ``I``.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 
 from repro.data.database import Database
 from repro.query.join_query import JoinQuery
-from repro.query.predicates import RankPredicate, WeightInterval
+from repro.query.predicates import WeightInterval
 from repro.ranking.base import RankingFunction
-
-
-@dataclass
-class TrimResult:
-    """The rewritten query/database produced by a trimming.
-
-    Attributes
-    ----------
-    query, database:
-        The new query ``Q'`` and database ``D'``.
-    helper_variables:
-        Variables introduced by the trimming (partition identifiers, segment
-        or bucket identifiers).  Dropping them from an answer of ``Q'`` gives
-        the corresponding answer of the original query.
-    lossy:
-        Whether the trimming is allowed to lose answers (Definition 3.5).
-    """
-
-    query: JoinQuery
-    database: Database
-    helper_variables: set[str] = field(default_factory=set)
-    lossy: bool = False
-
-    def merged_with(self, later: "TrimResult") -> "TrimResult":
-        """Combine bookkeeping of two successive trimmings (the later one wins
-        for the query/database, helper variables accumulate)."""
-        return TrimResult(
-            query=later.query,
-            database=later.database,
-            helper_variables=self.helper_variables | later.helper_variables,
-            lossy=self.lossy or later.lossy,
-        )
 
 
 class Trimmer(abc.ABC):
     """Base class of all trimming constructions.
 
     A trimmer is specific to a ranking function (it must know how the weight
-    aggregates over variables) and implements :meth:`trim` for a single
-    inequality.  :meth:`trim_interval` composes two trims for the candidate
-    region of Algorithm 1; subclasses may override it with a more economical
-    single-pass construction.
+    aggregates over variables) and implements :meth:`trim_interval`, whose
+    ``(Q', D')`` is the handle a candidate source counts, pivots and sorts.
     """
 
     #: Whether trims produced by this trimmer lose answers (Definition 3.5).
@@ -69,32 +36,12 @@ class Trimmer(abc.ABC):
     def __init__(self, ranking: RankingFunction) -> None:
         self.ranking = ranking
 
-    # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def trim(
-        self, query: JoinQuery, db: Database, predicate: RankPredicate
-    ) -> TrimResult:
-        """Trim a single inequality ``w(U_w) <op> λ`` from the query."""
-
     def trim_interval(
         self, query: JoinQuery, db: Database, interval: WeightInterval
-    ) -> TrimResult:
-        """Trim a two-sided candidate region ``low < w(U_w) < high``.
-
-        The default implementation composes the (at most two) single-predicate
-        trims, exactly as Algorithm 1 does.
-        """
-        result = TrimResult(query, db, lossy=self.lossy)
-        # repro-analysis: allow RPR001 -- at most two predicates; trim() checkpoints per row block
-        for predicate in interval.predicates():
-            step = self.trim(result.query, result.database, predicate)
-            result = result.merged_with(step)
-        return result
-
-    def supports(self, query: JoinQuery) -> bool:
-        """Whether this trimmer can be applied to ``query`` (and to every
-        query reachable from it by further trims)."""
-        return True
+    ) -> tuple[JoinQuery, Database]:
+        """``(Q', D')`` for the answers with ``interval.low < w(U_w) <
+        interval.high`` (each bound possibly non-strict or absent)."""
 
 
 def fresh_variable(query: JoinQuery, base: str) -> str:

@@ -32,7 +32,6 @@ tuple's partial sum.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from typing import Any
 
@@ -45,12 +44,12 @@ from repro.exceptions import TrimmingError
 from repro.query.atom import Atom
 from repro.query.classify import find_adjacent_cover
 from repro.query.join_query import JoinQuery
-from repro.query.predicates import RankPredicate, WeightInterval
+from repro.query.predicates import WeightInterval
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.sum import SumRanking
 from repro.ranking.tuple_weights import owned_variables, row_weight, variable_to_atom_assignment
 from repro.runtime import checkpoint
-from repro.trim.base import TrimResult, Trimmer, fresh_variable
+from repro.trim.base import Trimmer, fresh_variable
 from repro.trim.segment_tree import ancestor_segments, range_segments
 
 
@@ -65,36 +64,12 @@ class SumAdjacentTrimmer(Trimmer):
         super().__init__(ranking)
 
     # ------------------------------------------------------------------ #
-    def supports(self, query: JoinQuery) -> bool:
-        weighted = frozenset(self.ranking.weighted_variables) & query.variables
-        return find_adjacent_cover(query, weighted) is not None
-
-    def trim(
-        self, query: JoinQuery, db: Database, predicate: RankPredicate
-    ) -> TrimResult:
-        if predicate.comparison.is_upper_bound:
-            interval = WeightInterval(
-                low=None,
-                high=predicate.threshold,
-                high_strict=predicate.comparison.is_strict,
-            )
-        else:
-            interval = WeightInterval(
-                low=predicate.threshold,
-                high=None,
-                low_strict=predicate.comparison.is_strict,
-            )
-        return self.trim_interval(query, db, interval)
-
     def trim_interval(
         self, query: JoinQuery, db: Database, interval: WeightInterval
-    ) -> TrimResult:
-        """Single-pass trimming of a two-sided interval.
-
-        Overridden (rather than composing two single-predicate trims) because
-        the admissible positions for an interval are still one contiguous
-        range per group, so one segment construction suffices.
-        """
+    ) -> tuple[JoinQuery, Database]:
+        """Single-pass trimming of a two-sided interval: the admissible
+        positions are still one contiguous range per group, so one segment
+        construction serves both bounds."""
         query, db = ensure_canonical(query, db)
         weighted = frozenset(self.ranking.weighted_variables) & query.variables
         if not weighted:
@@ -107,7 +82,7 @@ class SumAdjacentTrimmer(Trimmer):
             )
         _, nodes = cover
         if interval.is_unbounded:
-            return TrimResult(query, db)
+            return query, db
         if len(nodes) == 1:
             return self._trim_single_node(query, db, weighted, nodes[0], interval)
         return self._trim_adjacent_pair(query, db, weighted, nodes, interval)
@@ -120,7 +95,7 @@ class SumAdjacentTrimmer(Trimmer):
         weighted: frozenset[str],
         node: int,
         interval: WeightInterval,
-    ) -> TrimResult:
+    ) -> tuple[JoinQuery, Database]:
         """All weighted variables in one atom: filter that atom's relation.
 
         The per-row partial weights are memoized in the relation's index
@@ -156,7 +131,7 @@ class SumAdjacentTrimmer(Trimmer):
             stop = kernel.searchsorted(sorted_weights, [interval.high], high_side)[0]
         positions = order[start:stop]
         positions.sort()  # restore row order for the surviving view
-        return TrimResult(query, _replacing(db, relation.select_rows(positions)))
+        return query, _replacing(db, relation.select_rows(positions))
 
     def _trim_adjacent_pair(
         self,
@@ -165,7 +140,7 @@ class SumAdjacentTrimmer(Trimmer):
         weighted: frozenset[str],
         nodes: tuple[int, ...],
         interval: WeightInterval,
-    ) -> TrimResult:
+    ) -> tuple[JoinQuery, Database]:
         copy_side, group_side = nodes
         copy_atom = query[copy_side]
         group_atom = query[group_side]
@@ -252,8 +227,8 @@ class SumAdjacentTrimmer(Trimmer):
             ("sum_weights",) + copy_tag,
             lambda row: row_weight(ranking, copy_atom.variables, row, copy_owned),
         )
-        low = -math.inf if interval.low is None else interval.low
-        high = math.inf if interval.high is None else interval.high
+        low, high = interval.low, interval.high
+        low_strict, high_strict = interval.low_strict, interval.high_strict
         copy_positions = [copy_relation.position(v) for v in join_vars]
         checkpoint("trim.sum_copy", rows=len(copy_relation))
         new_copy_rows: list[tuple] = []
@@ -263,23 +238,40 @@ class SumAdjacentTrimmer(Trimmer):
                 continue
             weights, rows = sorted_groups[key]
             length = len(rows)
-            own_weight = copy_weights[row_index]
-            # Admissible group weights w_S with low < own + w_S < high (bounds
-            # possibly non-strict), i.e. w_S in (low - own, high - own).
-            low_threshold = low - own_weight
-            high_threshold = high - own_weight
-            if interval.low is None:
+            own = copy_weights[row_index]
+            # Admissible group weights w_S: low < own + w_S < high (bounds
+            # possibly non-strict).  Bisect on low - own and high - own, then
+            # settle each edge on own + w_S itself: float subtraction does not
+            # undo the addition (0.4 - 0.1 > 0.3), and own + w_S is monotone
+            # in w_S, so only neighbours of the bisected edge can move.
+            if low is None:
                 start = 0
-            elif interval.low_strict:
-                start = bisect_right(weights, low_threshold)
+            elif low_strict:
+                start = bisect_right(weights, low - own)
+                while start < length and own + weights[start] <= low:
+                    start += 1
+                while start and own + weights[start - 1] > low:
+                    start -= 1
             else:
-                start = bisect_left(weights, low_threshold)
-            if interval.high is None:
+                start = bisect_left(weights, low - own)
+                while start < length and own + weights[start] < low:
+                    start += 1
+                while start and own + weights[start - 1] >= low:
+                    start -= 1
+            if high is None:
                 stop = length
-            elif interval.high_strict:
-                stop = bisect_left(weights, high_threshold)
+            elif high_strict:
+                stop = bisect_left(weights, high - own)
+                while stop < length and own + weights[stop] < high:
+                    stop += 1
+                while stop and own + weights[stop - 1] >= high:
+                    stop -= 1
             else:
-                stop = bisect_right(weights, high_threshold)
+                stop = bisect_right(weights, high - own)
+                while stop < length and own + weights[stop] <= high:
+                    stop += 1
+                while stop and own + weights[stop - 1] > high:
+                    stop -= 1
             if start >= stop:
                 continue
             gid = group_index[key]
@@ -299,11 +291,7 @@ class SumAdjacentTrimmer(Trimmer):
             copy_relation.schema + (segment_variable,),
             ColumnStore.from_rows(copy_relation.arity + 1, new_copy_rows),
         )
-        return TrimResult(
-            new_query,
-            _replacing(db, new_copy_relation, new_group_relation),
-            helper_variables={segment_variable},
-        )
+        return new_query, _replacing(db, new_copy_relation, new_group_relation)
 
 
 def _replacing(db: Database, *relations: Relation) -> Database:

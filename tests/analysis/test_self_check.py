@@ -91,7 +91,7 @@ def test_lossy_trim_without_any_checkpoint_is_flagged():
     source = (REPO_ROOT / path).read_text(encoding="utf-8")
     mutated = source.replace('checkpoint("trim.lossy_', 'str("trim.lossy_')
     findings, _ = check_module(ParsedModule(path, mutated), [rpr001_checkpoints])
-    assert {f.message.split("'")[1] for f in findings} == {"trim", "_absorb_child"}
+    assert {f.message.split("'")[1] for f in findings} == {"_trim_side", "_absorb_child"}
 
 
 def test_state_table_publish_outside_the_lock_is_flagged():

@@ -12,12 +12,12 @@ from repro.exceptions import BudgetExceededError, ExecutionCancelledError, Trimm
 from repro.joins.counting import count_answers
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
-from repro.query.predicates import Comparison, RankPredicate
+from repro.query.predicates import WeightInterval
 from repro.ranking.minmax import MaxRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime import CancellationToken, ExecutionContext
 from repro.testing import FaultPlan, InjectedFault, inject_faults
-from tests.conftest import pivoting
+from tests.conftest import COMPARISONS, one_sided, pivoting
 
 
 def three_path_instance(seed=0, rows=15, domain=4):
@@ -50,23 +50,21 @@ def star_instance(seed=0, rows=12, domain=3):
     return query, db
 
 
-def satisfying_weights(query, db, ranking, predicate):
+def satisfying_weights(query, db, ranking, interval):
     return sorted(
         w for w in (ranking.weight_of(a) for a in query.answers_brute_force(db))
-        if predicate.holds(w)
+        if interval.contains(w)
     )
 
 
-def check_lossy_guarantee(query, db, ranking, predicate, epsilon, result):
+def check_lossy_guarantee(query, db, ranking, interval, epsilon, trimmed):
     """Definition 3.5: injection into the satisfying answers, losing ≤ ε of them."""
-    kept = [
-        ranking.weight_of(a)
-        for a in result.query.answers_brute_force(result.database)
-    ]
-    satisfying = satisfying_weights(query, db, ranking, predicate)
-    # Injection: every kept answer satisfies the predicate ...
+    trimmed_query, trimmed_db = trimmed
+    kept = [ranking.weight_of(a) for a in trimmed_query.answers_brute_force(trimmed_db)]
+    satisfying = satisfying_weights(query, db, ranking, interval)
+    # Injection: every kept answer lies inside the interval ...
     for weight in kept:
-        assert predicate.holds(weight)
+        assert interval.contains(weight)
     # ... and kept answers are a sub-multiset of the satisfying ones.
     assert len(kept) <= len(satisfying)
     remaining = list(satisfying)
@@ -109,50 +107,68 @@ class TestPaperFigure4:
     def test_trim_keeps_only_satisfying_answers(self):
         # Sums of x+y+z: 9, 10, 11.  Trim < 11 with a coarse epsilon.
         trimmer = LossySumTrimmer(self.ranking, epsilon=0.4)
-        predicate = RankPredicate(Comparison.LT, 11)
-        result = trimmer.trim(self.query, self.db, predicate)
-        check_lossy_guarantee(self.query, self.db, self.ranking, predicate, 0.4, result)
+        interval = WeightInterval(high=11)
+        trimmed = trimmer.trim_interval(self.query, self.db, interval)
+        check_lossy_guarantee(self.query, self.db, self.ranking, interval, 0.4, trimmed)
 
     def test_helper_column_added_to_both_relations(self):
         trimmer = LossySumTrimmer(self.ranking, epsilon=0.4)
-        result = trimmer.trim(self.query, self.db, RankPredicate(Comparison.LT, 11))
-        assert len(result.helper_variables) == 1
-        helper = next(iter(result.helper_variables))
-        for atom in result.query:
+        trimmed_query, _ = trimmer.trim_interval(self.query, self.db, WeightInterval(high=11))
+        (helper,) = trimmed_query.variables - self.query.variables
+        for atom in trimmed_query:
             assert helper in atom.variable_set
-        assert result.lossy
+        assert trimmer.lossy
 
     def test_exactness_with_tiny_epsilon(self):
         """With a very small ε every bucket is a singleton, so nothing is lost."""
         trimmer = LossySumTrimmer(self.ranking, epsilon=0.001)
-        predicate = RankPredicate(Comparison.LT, 11)
-        result = trimmer.trim(self.query, self.db, predicate)
+        interval = WeightInterval(high=11)
+        trimmed_query, trimmed_db = trimmer.trim_interval(self.query, self.db, interval)
         kept = sorted(
-            self.ranking.weight_of(a)
-            for a in result.query.answers_brute_force(result.database)
+            self.ranking.weight_of(a) for a in trimmed_query.answers_brute_force(trimmed_db)
         )
-        assert kept == satisfying_weights(self.query, self.db, self.ranking, predicate)
+        assert kept == satisfying_weights(self.query, self.db, self.ranking, interval)
 
 
 class TestGuarantees:
-    @pytest.mark.parametrize("comparison", [Comparison.LT, Comparison.LE, Comparison.GT, Comparison.GE])
+    @pytest.mark.parametrize("comparison", COMPARISONS)
     @pytest.mark.parametrize("epsilon", [0.05, 0.3])
     def test_three_path(self, comparison, epsilon):
         query, db = three_path_instance(seed=1)
         ranking = SumRanking(["x1", "x2", "x3", "x4"])
         trimmer = LossySumTrimmer(ranking, epsilon=epsilon)
-        predicate = RankPredicate(comparison, 14)
-        result = trimmer.trim(query, db, predicate)
-        check_lossy_guarantee(query, db, ranking, predicate, epsilon, result)
-        assert result.query.is_acyclic
+        interval = one_sided(comparison, 14)
+        trimmed = trimmer.trim_interval(query, db, interval)
+        check_lossy_guarantee(query, db, ranking, interval, epsilon, trimmed)
+        assert trimmed[0].is_acyclic
 
     def test_star_query_multiple_children(self):
         query, db = star_instance(seed=2)
         ranking = SumRanking(["a", "b", "c"])
         trimmer = LossySumTrimmer(ranking, epsilon=0.25)
-        predicate = RankPredicate(Comparison.LT, 15)
-        result = trimmer.trim(query, db, predicate)
-        check_lossy_guarantee(query, db, ranking, predicate, 0.25, result)
+        interval = WeightInterval(high=15)
+        trimmed = trimmer.trim_interval(query, db, interval)
+        check_lossy_guarantee(query, db, ranking, interval, 0.25, trimmed)
+
+    @pytest.mark.parametrize("seed", [1, 5, 6])
+    def test_two_sided_interval_keeps_only_original_answers_inside_it(self, seed):
+        """Both bounds in one call: every kept answer, helpers dropped, is an
+        original answer (as often as the original has it) whose weight lies
+        inside the interval."""
+        query, db = three_path_instance(seed=seed)
+        ranking = SumRanking(["x1", "x2", "x3", "x4"])
+        interval = WeightInterval(low=9, high=18, low_strict=False)
+        trimmer = LossySumTrimmer(ranking, epsilon=0.2)
+        trimmed_query, trimmed_db = trimmer.trim_interval(query, db, interval)
+        originals = [tuple(sorted(a.items())) for a in query.answers_brute_force(db)]
+        kept = [
+            {v: value for v, value in answer.items() if v in query.variables}
+            for answer in trimmed_query.answers_brute_force(trimmed_db)
+        ]
+        assert kept
+        for answer in kept:
+            assert interval.contains(ranking.weight_of(answer))
+            originals.remove(tuple(sorted(answer.items())))
 
     def test_paper_budget_is_tighter(self):
         query, db = three_path_instance(seed=3)
@@ -165,9 +181,9 @@ class TestGuarantees:
         query, db = three_path_instance(seed=4)
         ranking = SumRanking(["x1", "x2", "x3", "x4"])
         trimmer = LossySumTrimmer(ranking, epsilon=0.2)
-        result = trimmer.trim(query, db, RankPredicate(Comparison.LT, 16))
-        assert count_answers(result.query, result.database) == len(
-            result.query.answers_brute_force(result.database)
+        trimmed_query, trimmed_db = trimmer.trim_interval(query, db, WeightInterval(high=16))
+        assert count_answers(trimmed_query, trimmed_db) == len(
+            trimmed_query.answers_brute_force(trimmed_db)
         )
 
 
@@ -180,7 +196,7 @@ class TestGuardrails:
     def trim(self):
         query, db = three_path_instance(seed=1)
         trimmer = LossySumTrimmer(SumRanking(["x1", "x2", "x3", "x4"]), epsilon=0.2)
-        return trimmer.trim(query, db, RankPredicate(Comparison.LT, 14))
+        return trimmer.trim_interval(query, db, WeightInterval(high=14))
 
     def test_row_budget_is_charged(self):
         with ExecutionContext(max_rows=1):
@@ -233,6 +249,6 @@ def test_lossy_trim_property_random(seed, threshold, epsilon, upper):
     query, db = three_path_instance(seed=seed, rows=10, domain=3)
     ranking = SumRanking(["x1", "x2", "x3", "x4"])
     trimmer = LossySumTrimmer(ranking, epsilon=epsilon)
-    predicate = RankPredicate(Comparison.LT if upper else Comparison.GT, threshold)
-    result = trimmer.trim(query, db, predicate)
-    check_lossy_guarantee(query, db, ranking, predicate, epsilon, result)
+    interval = one_sided("<" if upper else ">", threshold)
+    trimmed = trimmer.trim_interval(query, db, interval)
+    check_lossy_guarantee(query, db, ranking, interval, epsilon, trimmed)

@@ -47,6 +47,7 @@ from repro.parallel import merger
 from repro.parallel.pool import InlinePool
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
+from repro.query.predicates import WeightInterval
 from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking, MinRanking
 from repro.ranking.sum import SumRanking
@@ -136,6 +137,18 @@ def pivoting(query, db, ranking, **knobs) -> PreparedQuery:
 # ---------------------------------------------------------------------- #
 # Oracles
 # ---------------------------------------------------------------------- #
+#: The four one-sided comparisons ``w <op> t``, by :func:`one_sided`.
+COMPARISONS = ("<", "<=", ">", ">=")
+
+
+def one_sided(op: str, threshold) -> WeightInterval:
+    """The interval of the weights ``w`` with ``w <op> threshold``."""
+    strict = not op.endswith("=")
+    if op.startswith("<"):
+        return WeightInterval(high=threshold, high_strict=strict)
+    return WeightInterval(low=threshold, low_strict=strict)
+
+
 def brute_force_weights(query: JoinQuery, db: Database, ranking) -> list:
     """All answer weights, sorted ascending (nested-loop enumeration)."""
     answers = query.answers_brute_force(db)

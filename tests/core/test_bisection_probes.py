@@ -27,9 +27,9 @@ from repro.engine import PreparedQuery
 from repro.exceptions import RankingError
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
-from repro.query.predicates import Comparison
 from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking, MinRanking
+from tests.conftest import COMPARISONS, one_sided
 
 
 def make_instance(seed=0, rows=25, domain=20):
@@ -81,9 +81,9 @@ def test_the_keys_are_the_sorted_row_keys_and_hold_every_weight(ranking_cls):
     assert set(weights(query, db, ranking)) <= set(keys[0])
 
 
-@pytest.mark.parametrize("comparison", list(Comparison))
+@pytest.mark.parametrize("shape", COMPARISONS)
 @pytest.mark.parametrize("ranking_cls", MINMAX.values(), ids=MINMAX)
-def test_every_predicate_shape_is_one_masked_count(comparison, ranking_cls):
+def test_every_predicate_shape_is_one_masked_count(shape, ranking_cls):
     """What the MIN/MAX trim kept for ``w <op> t`` is one probe: MAX keeps
     the rows keyed below (strict) / at most ``t``, MIN those above / at
     least, and the other side is the complement."""
@@ -91,12 +91,12 @@ def test_every_predicate_shape_is_one_masked_count(comparison, ranking_cls):
     ranking = ranking_cls(["x1", "x3", "x4"])
     source = source_of(query, db, ranking)
     oracle = weights(query, db, ranking)
+    upper, strict = shape.startswith("<"), not shape.endswith("=")
     keeps_upper = ranking_cls is MaxRanking
     for i, threshold in enumerate(source._weights()[2][0]):
-        strict = comparison.is_strict if comparison.is_upper_bound == keeps_upper else not comparison.is_strict
-        kept = source._probe((i,), strict)[0]
-        count = kept if comparison.is_upper_bound == keeps_upper else source.total - kept
-        assert count == sum(comparison.holds(w, threshold) for w in oracle)
+        kept = source._probe((i,), strict if upper == keeps_upper else not strict)[0]
+        count = kept if upper == keeps_upper else source.total - kept
+        assert count == sum(map(one_sided(shape, threshold).contains, oracle))
 
 
 def test_example_51_max_around_ten():

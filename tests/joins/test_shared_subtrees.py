@@ -31,6 +31,7 @@ from repro.joins.yannakakis import evaluate, evaluate_sorted
 from repro.pivot import pivot_selection, select_pivot
 from repro.pivot.weighted_median import segmented_weighted_median
 from repro.query.atom import Atom
+from repro.query.classify import find_adjacent_cover
 from repro.query.join_query import JoinQuery
 from repro.query.join_tree import build_join_tree
 from repro.query.predicates import WeightInterval
@@ -62,8 +63,7 @@ def path_db():
 def trims(query, db, ranking, bounds):
     """The (query, database) pairs of ``trim_interval`` for each (low, high)."""
     trimmer = SumAdjacentTrimmer(ranking)
-    results = [trimmer.trim_interval(query, db, WeightInterval(*pair)) for pair in bounds]
-    return [(result.query, result.database) for result in results]
+    return [trimmer.trim_interval(query, db, WeightInterval(*pair)) for pair in bounds]
 
 
 def observed(query, db, ranking, tree):
@@ -88,7 +88,8 @@ def test_trees_through_one_cache_equal_throwaway_trees(instance, data):
     query, db = ensure_canonical(query, db)
     pairs = [(query, db)]
     weights = sorted({ranking.weight_of(answer) for answer in evaluate(query, db)})
-    if weights and SumAdjacentTrimmer(ranking).supports(query):
+    weighted = frozenset(ranking.weighted_variables) & query.variables
+    if weights and find_adjacent_cover(query, weighted) is not None:
         bound = st.sampled_from([None, *weights])
         bounds = data.draw(
             st.lists(st.tuples(bound, bound, st.booleans(), st.booleans()), max_size=4)

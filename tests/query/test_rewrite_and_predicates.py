@@ -1,12 +1,10 @@
-"""Unit tests for canonicalization (self-join elimination) and weight predicates."""
-
-import pytest
+"""Unit tests for canonicalization (self-join elimination) and the candidate weight interval."""
 
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
-from repro.query.predicates import Comparison, RankPredicate, WeightInterval
+from repro.query.predicates import WeightInterval
 from repro.query.rewrite import atom_relation_name, canonicalize, ensure_canonical, is_canonical
 
 
@@ -55,44 +53,11 @@ class TestCanonicalize:
         assert again_db is new_db
 
 
-class TestComparison:
-    @pytest.mark.parametrize(
-        "op,weight,threshold,expected",
-        [
-            (Comparison.LT, 1, 2, True),
-            (Comparison.LT, 2, 2, False),
-            (Comparison.LE, 2, 2, True),
-            (Comparison.GT, 3, 2, True),
-            (Comparison.GT, 2, 2, False),
-            (Comparison.GE, 2, 2, True),
-        ],
-    )
-    def test_holds(self, op, weight, threshold, expected):
-        assert op.holds(weight, threshold) is expected
-
-    def test_direction_flags(self):
-        assert Comparison.LT.is_upper_bound and Comparison.LE.is_upper_bound
-        assert not Comparison.GT.is_upper_bound
-        assert Comparison.LT.is_strict and Comparison.GT.is_strict
-        assert not Comparison.LE.is_strict
-
-
-class TestRankPredicate:
-    def test_holds(self):
-        predicate = RankPredicate(Comparison.GE, 5.0)
-        assert predicate.holds(5.0)
-        assert not predicate.holds(4.9)
-
-    def test_str(self):
-        assert "<" in str(RankPredicate(Comparison.LT, 3))
-
-
 class TestWeightInterval:
     def test_unbounded(self):
         interval = WeightInterval()
         assert interval.is_unbounded
         assert interval.contains(-1e9) and interval.contains(1e9)
-        assert interval.predicates() == []
 
     def test_open_interval(self):
         interval = WeightInterval(low=1, high=5)
@@ -103,13 +68,6 @@ class TestWeightInterval:
     def test_closed_interval(self):
         interval = WeightInterval(low=1, high=5, low_strict=False, high_strict=False)
         assert interval.contains(1) and interval.contains(5)
-
-    def test_predicates_roundtrip(self):
-        interval = WeightInterval(low=1, high=5)
-        predicates = interval.predicates()
-        assert len(predicates) == 2
-        comparisons = {p.comparison for p in predicates}
-        assert comparisons == {Comparison.GT, Comparison.LT}
 
     def test_with_bounds(self):
         interval = WeightInterval()

@@ -56,17 +56,6 @@ def test_adding_a_variable_is_combine(assignment, extra_var, extra_value):
         assert ranking.weight_of(extended) == expected
 
 
-@given(assignment=assignments)
-def test_weight_between_infinities(assignment):
-    """Every achievable weight lies strictly between the two sentinel bounds."""
-    for ranking in rankings():
-        weight = ranking.weight_of(assignment)
-        assert ranking.minus_infinity() < ranking.plus_infinity()
-        if assignment:
-            assert weight <= ranking.plus_infinity()
-            assert weight >= ranking.minus_infinity()
-
-
 @given(values_list=st.lists(values, min_size=1, max_size=6))
 def test_aggregate_matches_python_builtin(values_list):
     """SUM/MIN/MAX aggregates agree with Python's sum/min/max on floats."""
