@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.quantile import check_phi
 from repro.data.database import Database
 from repro.exceptions import ValidationError
 from repro.joins.message_passing import MaterializedTree
@@ -74,8 +75,7 @@ def sampling_quantile(
         direct-access structure is then built over it instead of
         re-materializing the atoms.
     """
-    if not 0 <= phi <= 1:
-        raise ValidationError(f"phi must be in [0, 1], got {phi}")
+    check_phi(phi)
     if not 0 < epsilon < 1:
         raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
     if not 0 < delta < 1:

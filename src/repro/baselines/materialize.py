@@ -20,7 +20,7 @@ from repro.core.result import QuantileResult
 from repro.joins.yannakakis import evaluate
 from repro.query.join_query import JoinQuery
 from repro.query.predicates import WeightInterval
-from repro.ranking.base import RankingFunction
+from repro.ranking.base import RankingFunction, nan_answer_error
 
 Assignment = dict[str, Any]
 
@@ -37,14 +37,19 @@ def _materialize_answers(query: JoinQuery, db: Database) -> list[Assignment]:
         return query.answers_brute_force(db)
 
 
+def _weights(answers: list[Assignment], ranking: RankingFunction) -> list[Any]:
+    """Each answer's weight; a NaN one (a SUM of +inf and -inf) raises."""
+    weights = list(map(ranking.weight_of, answers))
+    if any(weight != weight for weight in weights):
+        raise nan_answer_error(ranking)
+    return weights
+
+
 def answer_weights(
     query: JoinQuery, db: Database, ranking: RankingFunction
 ) -> list[Any]:
     """Materialize all answers and return their weights, sorted ascending."""
-    answers = _materialize_answers(query, db)
-    weights = [ranking.weight_of(answer) for answer in answers]
-    weights.sort()
-    return weights
+    return sorted(_weights(_materialize_answers(query, db), ranking))
 
 
 def sorted_answers(
@@ -57,8 +62,8 @@ def sorted_answers(
     """
     ranking.validate_for(query.variables)
     answers = _materialize_answers(query, db)
-    answers.sort(key=ranking.weight_of)
-    return answers
+    weights = _weights(answers, ranking)
+    return [answers[i] for i in sorted(range(len(answers)), key=weights.__getitem__)]
 
 
 class MaterializedAnswers:

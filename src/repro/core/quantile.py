@@ -37,7 +37,10 @@ from typing import Any, Protocol
 
 from repro.data.database import Database
 from repro.exceptions import EmptyResultError, SolverError, ValidationError
-from repro.joins.counting import count_answers, difference_witness, subtree_counts
+from repro.joins.counting import (
+    count_answers, count_from_tree, difference_witness, subtree_counts,
+)
+from repro.joins.message_passing import MaterializedTree
 from repro.joins.tree_cache import TreeCache
 from repro.joins.yannakakis import SortedAnswers, evaluate_sorted
 from repro.core.result import IterationStats, QuantileResult
@@ -45,9 +48,10 @@ from repro.pivot.pivot_selection import PivotResult, select_pivot
 from repro.query.join_query import JoinQuery
 from repro.query.predicates import WeightInterval
 from repro.query.rewrite import ensure_canonical
-from repro.ranking.base import RankingFunction
+from repro.ranking.base import RankingFunction, nan_answer_error
 from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MinRanking
+from repro.ranking.sum import SumRanking
 from repro.runtime import checkpoint
 from repro.trim.base import Trimmer
 
@@ -198,6 +202,44 @@ class PreparedSource(CandidateSource, Protocol):
     def estimated_bytes(self) -> int: ...
 
 
+def refuse_nan_sums(tree: MaterializedTree, ranking: RankingFunction) -> None:
+    """Raise :class:`RankingError` if some answer of ``tree`` weighs NaN.
+
+    No variable weighs NaN, but a SUM whose answer adds a +inf weight to a
+    -inf one does, and NaN has no order.  The answers holding both are
+    counted with masks over each variable's weight column at its last
+    occurrence top-down (the one ``weight_of`` reads, and the column pivot
+    selection and the terminal sort compute anyway); a column whose sum is
+    finite holds no infinity and is not scanned.
+    """
+    if not isinstance(ranking, SumRanking):
+        return
+    source: dict[str, tuple[int, int]] = {}
+    for node in tree.nodes_top_down():
+        source.update((v, (node, p)) for p, v in enumerate(tree.variables(node)))
+    # Per sign, per node: 1 for the rows keeping no variable of that weight.
+    clean: dict[float, dict[int, list[int]]] = {math.inf: {}, -math.inf: {}}
+    for node, p in (source[v] for v in ranking.weighted_variables if v in source):
+        column = tree.weight_column(node, p, ranking)
+        if not math.isfinite(sum(column)):
+            for sign, masks in clean.items():
+                _meet(masks, node, [int(w != sign) for w in column])
+    plus, minus = clean.values()
+    if not plus or not minus:
+        return
+    neither = dict(plus)
+    for node, kept in minus.items():
+        _meet(neither, node, kept)
+    without = [sum(subtree_counts(tree, masks)[tree.root]) for masks in (plus, minus, neither)]
+    if count_from_tree(tree) - without[0] - without[1] + without[2]:
+        raise nan_answer_error(ranking)
+
+
+def _meet(masks: dict[int, list[int]], node: int, kept: list[int]) -> None:
+    """Keep in ``masks[node]`` only the rows ``kept`` keeps too."""
+    masks[node] = [a & b for a, b in zip(masks[node], kept)] if node in masks else kept
+
+
 LocalHandle = tuple[JoinQuery, Database]
 
 
@@ -244,10 +286,17 @@ class LocalCandidates:
         query, db = self.trimmer.trim_interval(self.query, self.db, interval)
         return (query, db), count_answers(query, db, tree=self.tree_cache.get(query, db))
 
+    def _tree(self, handle: LocalHandle) -> MaterializedTree:
+        """``handle``'s tree; the base's answers are every answer, so its tree
+        is first searched for one weighing NaN."""
+        tree = self.tree_cache.get(*handle)
+        if handle[1] is self.db:
+            refuse_nan_sums(tree, self.ranking)
+        return tree
+
     def pivot(self, handle: LocalHandle) -> PivotResult:
         """A c-pivot among ``handle``'s candidates (Section 4)."""
-        query, db = handle
-        return select_pivot(query, db, self.ranking, tree=self.tree_cache.get(query, db))
+        return select_pivot(*handle, self.ranking, tree=self._tree(handle))
 
     def step(self, interval: WeightInterval, handle: LocalHandle) -> PivotStep:
         pivot = self.pivot(handle)
@@ -260,7 +309,7 @@ class LocalCandidates:
     def terminal(
         self, interval: WeightInterval, handle: LocalHandle, keep: Collection[str]
     ) -> SortedAnswers:
-        return evaluate_sorted(*handle, self.ranking, self.tree_cache.get(*handle), keep)
+        return evaluate_sorted(*handle, self.ranking, self._tree(handle), keep)
 
     def estimated_bytes(self) -> int:
         return 0  # trims are charged per pivot step, trees by the tree cache

@@ -52,6 +52,7 @@ from repro.core.quantile import (
     phi_for_index,
     pivoting_quantile,
     project,
+    refuse_nan_sums,
     replay,
     resolve_target,
 )
@@ -771,6 +772,8 @@ class PreparedQuery:
         target = resolve_target(phi, index, total)
         if phi is None:
             phi = phi_for_index(target, total)
+        tree = self._tree_cache.get(canonical_query, canonical_db)
+        refuse_nan_sums(tree, self.ranking)
         outcome = sampling_quantile(
             canonical_query,
             canonical_db,
@@ -778,7 +781,7 @@ class PreparedQuery:
             phi=phi,
             epsilon=self.epsilon,
             seed=self.seed,
-            tree=self._tree_cache.get(canonical_query, canonical_db),
+            tree=tree,
         )
         return QuantileResult(
             assignment=project(outcome.assignment, set(self.query.variables)),

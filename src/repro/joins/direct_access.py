@@ -36,7 +36,7 @@ class DirectAccess:
 
     Examples
     --------
-    >>> # doctest setup omitted; see tests/joins/test_direct_access.py
+    >>> # doctest setup omitted; see tests/joins/test_direct_access_and_sampling.py
     """
 
     def __init__(

@@ -51,9 +51,11 @@ def canonicalize(query: JoinQuery, db: Database) -> tuple[JoinQuery, Database]:
                 distinct_vars.append(variable)
         rows = []
         for row in source.rows:
+            # A column is not compared with itself: NaN != NaN.
             consistent = all(
                 row[pos] == row[first_position[var]]
                 for pos, var in enumerate(atom.variables)
+                if pos != first_position[var]
             )
             if consistent:
                 rows.append(tuple(row[first_position[var]] for var in distinct_vars))

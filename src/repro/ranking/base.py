@@ -134,3 +134,9 @@ class RankingFunction(abc.ABC):
 
 def _not_a_weight(variable: str, value: Value) -> RankingError:
     return RankingError(f"{variable} = {value!r} has no weight (a float other than NaN)")
+
+
+def nan_answer_error(ranking: RankingFunction) -> RankingError:
+    """The error for a SUM of +inf and -inf: the answer weighs NaN, which has
+    no order."""
+    return RankingError(f"an answer's {ranking.describe()} adds +inf to -inf, which is NaN")

@@ -8,7 +8,11 @@ import signal
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
+
+#: ``--hypothesis-profile=deep``: ten times the default examples, and ten
+#: times the differential lattice's (``tests/test_lattice.py`` scales by it).
+settings.register_profile("deep", max_examples=1000)
 
 #: Hard wall-clock ceiling for any one fault-injection test.  A regression
 #: that makes a checkpoint uninterruptible (or a fault leave a cache in a
@@ -217,13 +221,13 @@ RANKING_KINDS = ("sum", "sum-custom", "sum-typed", "min", "max", "lex")
 
 
 @st.composite
-def join_instances(draw, values=VALUES, kinds=RANKING_KINDS):
+def join_instances(draw, values=VALUES, kinds=RANKING_KINDS, min_rows=0):
     """A random acyclic join (path / star / hierarchy, 2-5 atoms) over tiny,
-    duplicate-heavy relations — dangling rows and empty joins included —
-    optionally with a cartesian edge, an ``R(x, x)`` atom and a self-join,
-    and a ranking of one of ``kinds``."""
+    duplicate-heavy relations of at least ``min_rows`` rows — dangling rows
+    and empty joins included — optionally with a cartesian edge, an
+    ``R(x, x)`` atom and a self-join, and a ranking of one of ``kinds``."""
     value = st.sampled_from(values)
-    rows = st.lists(st.tuples(value, value), max_size=8)
+    rows = st.lists(st.tuples(value, value), min_size=min_rows, max_size=8)
     shape = draw(st.sampled_from(["path", "star", "hierarchy"]))
     atoms = [("R0", ("v0", "v1"))]
     for i in range(1, draw(st.integers(1, 3)) + 1):
@@ -244,7 +248,7 @@ def join_instances(draw, values=VALUES, kinds=RANKING_KINDS):
     ]
     if len(atoms) < 5 and draw(st.booleans()):  # cartesian edge
         atoms.append(("C", ("c",)))
-        singles = draw(st.lists(value, max_size=3))
+        singles = draw(st.lists(value, min_size=min_rows, max_size=3))
         relations.append(Relation("C", ("a0",), [(single,) for single in singles]))
     query = JoinQuery([Atom(name, variables) for name, variables in atoms])
     db = Database(relations)

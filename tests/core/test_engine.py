@@ -26,8 +26,6 @@ from repro.runtime.context import set_fault_hook
 from repro.testing.faults import FaultPlan, inject_faults
 from repro.workloads.path import path_workload
 
-from tests.conftest import assert_valid_quantile
-
 
 @pytest.fixture
 def engine(binary_join):
@@ -273,50 +271,12 @@ class TestPreparedStateReuse:
 
 
 class TestExecution:
-    def test_batch_equals_per_phi_calls(self, binary_join):
-        query, db = binary_join
-        ranking = SumRanking(["x1", "x2", "x3"])
-        prepared = Engine(db).prepare(query, ranking)
-        phis = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
-        batch = prepared.quantiles(phis)
-        singles = [prepared.quantile(phi) for phi in phis]
-        assert [r.weight for r in batch] == [r.weight for r in singles]
-        assert [r.target_index for r in batch] == [r.target_index for r in singles]
-        for phi, result in zip(phis, batch):
-            assert_valid_quantile(query, db, ranking, result, phi)
-
-    def test_batch_matches_legacy_cold_calls(self, binary_join):
-        query, db = binary_join
-        ranking = SumRanking(["x1", "x2", "x3"])
-        prepared = Engine(db).prepare(query, ranking)
-        phis = [0.1, 0.5, 0.9]
-        batch = prepared.quantiles(phis)
-        cold = [
-            PreparedQuery(query, db, ranking, termination_factor=1).quantile(phi)
-            for phi in phis
-        ]
-        assert [r.weight for r in batch] == [r.weight for r in cold]
-
     def test_batch_preserves_input_order(self, prepared):
         results = prepared.quantiles([0.9, 0.1, 0.5])
         assert results[0].target_index >= results[2].target_index >= results[1].target_index
 
-    def test_batch_rejects_invalid_phi(self, prepared):
-        with pytest.raises(ValueError):
-            prepared.quantiles([0.5, 1.5])
-        with pytest.raises(ValueError):
-            prepared.quantiles([0.5, "oops"])
-
     def test_median(self, prepared):
         assert prepared.median().weight == prepared.quantile(0.5).weight
-
-    def test_selection_agrees_with_quantile(self, prepared):
-        by_phi = prepared.quantile(0.5)
-        by_index = prepared.selection(by_phi.target_index)
-        assert by_index.weight == by_phi.weight
-
-    def test_count_matches_result_totals(self, prepared):
-        assert prepared.count() == prepared.quantile(0.5).total_answers
 
     def test_sampling_selection_hits_requested_index(self, three_path):
         query, db = three_path
@@ -327,15 +287,6 @@ class TestExecution:
         total = prepared.count()
         for index in (0, 1, total // 2, total - 1):
             assert prepared.selection(index).target_index == index
-
-    def test_engine_one_shot_helpers(self, binary_join):
-        query, db = binary_join
-        engine = Engine(db)
-        ranking = SumRanking(["x1", "x3"])
-        result = engine.quantile(query, ranking, 0.5)
-        assert result.weight == engine.selection(query, ranking, result.target_index).weight
-        assert len(engine.quantiles(query, ranking, [0.25, 0.75])) == 2
-        assert engine.count(query) == result.total_answers
 
     @pytest.mark.parametrize(
         "ranking", ["sum(x1, x4)", "min(x1, x3)", "max(x1, x4)", "lex(x1, x3)"]
@@ -401,19 +352,6 @@ class TestCached:
     """``PreparedQuery.cached``: a warm call replayed from the caches alone."""
 
     @pytest.mark.parametrize("ranking, knobs", REPLAYED)
-    def test_a_warm_replay_is_the_call(self, path_db, ranking, knobs):
-        prepared = Engine(path_db).prepare(PATH_QUERY, ranking, **knobs)
-        planned = "approx-pivot" if "epsilon" in knobs else "exact-pivot"
-        assert prepared.plan().strategy == knobs.get("strategy", planned)
-        prepared.quantiles(PHIS)
-        for phi in PHIS:
-            assert repr(prepared.cached(phi=phi)) == repr(prepared.quantile(phi))
-        total = prepared.count()
-        for index in (0, total // 2, total - 1):
-            expected = repr(prepared.selection(index))
-            assert repr(prepared.cached(index=index)) == expected
-
-    @pytest.mark.parametrize("ranking, knobs", REPLAYED)
     def test_a_warm_replay_computes_nothing(self, path_db, ranking, knobs):
         prepared = Engine(path_db).prepare(PATH_QUERY, ranking, **knobs)
         prepared.quantiles(PHIS)
@@ -446,20 +384,46 @@ class TestCached:
             prepared.close()
 
 
+NAN_X1 = [((1.0, 2.0, 3.0, math.nan)[i % 4], i % 5) for i in range(40)]
+#: (query, two-column tables, ranking, error message) per case: a variable
+#: weighing NaN, or a SUM adding +inf to -inf where no variable weighs NaN.
+NAN_CASES = {
+    **{
+        ranking: (
+            "R(x1, x2), S(x2, x3)",
+            {"R": NAN_X1, "S": [(i % 5, float(i % 7)) for i in range(40)]},
+            ranking,
+            "x1 = nan",
+        )
+        for ranking in ("sum(x1, x3)", "min(x1, x3)", "max(x1, x3)", "lex(x1, x3)")
+    },
+    "sum(x, z) of inf and -inf": (
+        "R(x, y), S(y, z)",
+        {"R": [(0, 0), (math.inf, 1)], "S": [(0, 0), (1, -math.inf)]},
+        "sum(x, z)",
+        r"adds \+inf to -inf",
+    ),
+    # v1 = inf weighs 1 - 2.5 * inf = -inf, v0 = inf weighs inf.
+    "one-atom sum of inf and -inf": (
+        "R0(v0, v1), R0(v1, v2)",
+        {"R0": [(0, 0), (0, 0), (0, 0), (True, 0), (math.inf, math.inf)]},
+        SumRanking(["v1", "v0"], {"v1": lambda v: 1 - 2.5 * v}),
+        r"adds \+inf to -inf",
+    ),
+}
+
+
+def nan_engine(case):
+    query, tables, ranking, message = NAN_CASES[case]
+    db = Database([Relation(name, ("a", "b"), rows) for name, rows in tables.items()])
+    return Engine(db), query, ranking, message
+
+
 class TestNanWeights:
     """NaN has no order: every strategy refuses it with a typed error
     instead of answering from an inconsistent sort."""
 
-    @pytest.fixture(scope="class")
-    def nan_db(self):
-        x1 = (1.0, 2.0, 3.0, math.nan)
-        r = Relation("R", ("x1", "x2"), [(x1[i % 4], i % 5) for i in range(40)])
-        s = Relation("S", ("x2", "x3"), [(i % 5, float(i % 7)) for i in range(40)])
-        return Database([r, s])
-
-    @pytest.mark.parametrize(
-        "ranking", ["sum(x1, x3)", "min(x1, x3)", "max(x1, x3)", "lex(x1, x3)"]
-    )
+    @pytest.mark.parametrize("case", NAN_CASES)
     @pytest.mark.parametrize(
         "knobs",
         [
@@ -470,17 +434,18 @@ class TestNanWeights:
         ],
         ids=["exact-pivot", "exact-pivot-factor-1", "sampling", "materialize"],
     )
-    def test_every_strategy_raises_ranking_error(self, nan_db, ranking, knobs):
-        prepared = Engine(nan_db).prepare("R(x1, x2), S(x2, x3)", ranking, eager=False, **knobs)
-        with pytest.raises(RankingError, match="x1 = nan"):
+    def test_every_strategy_raises_ranking_error(self, case, knobs):
+        engine, query, ranking, message = nan_engine(case)
+        prepared = engine.prepare(query, ranking, eager=False, **knobs)
+        with pytest.raises(RankingError, match=message):
             prepared.quantiles([0.0, 0.5, 1.0])
 
-    def test_approx_pivot_raises_ranking_error(self, nan_db):
-        prepared = Engine(nan_db).prepare(
-            "R(x1, x2), S(x2, x3)", "sum(x1, x3)", eager=False,
-            strategy="approx-pivot", epsilon=0.1,
+    def test_approx_pivot_raises_ranking_error(self):
+        engine, query, ranking, message = nan_engine("sum(x1, x3)")
+        prepared = engine.prepare(
+            query, ranking, eager=False, strategy="approx-pivot", epsilon=0.1
         )
-        with pytest.raises(RankingError, match="x1 = nan"):
+        with pytest.raises(RankingError, match=message):
             prepared.quantile(0.5)
 
 

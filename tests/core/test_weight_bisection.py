@@ -1,11 +1,8 @@
 """Exact MIN/MAX/LEX: key bisection over masked counts on the base tree.
 
-* Differential, over ``tests/conftest.py::join_instances`` with a hostile
-  value set (0 / 0.0 / -0.0 / False and 1 / True ties, a big int, ±inf), for
-  MIN/MAX and for LEX of arity 1-3 (also under a key that maps distinct
-  values to one key): every φ and selection equals the materialize oracle's
-  weight and rank, is an answer of the join, and ``repr(result.weight)`` is
-  the repr of the returned answer's own weight (the tie contract in README).
+* Every φ and selection against the oracle, over hostile values and LEX of
+  arity 1-3 (also under a key that maps distinct values to one key), is
+  ``tests/test_lattice.py``.
 * A replay (``PreparedQuery.cached``) computes no probe.
 * A probe interrupted by a fault, a budget or a cancellation leaves no memo
   entry behind: the retry equals a fresh run.
@@ -14,63 +11,21 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.baselines.materialize import materialize_quantile
 from repro.core.quantile import WeightBisection
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.engine import Engine, PreparedQuery
-from repro.exceptions import BudgetExceededError, EmptyResultError, ExecutionCancelledError
-from repro.ranking.lex import LexRanking
-from repro.ranking.minmax import MaxRanking, MinRanking
+from repro.engine import Engine
+from repro.exceptions import BudgetExceededError, ExecutionCancelledError
 from repro.runtime import CancellationToken, ExecutionContext
 from repro.testing import FaultPlan, InjectedFault, inject_faults
 from repro.workloads.path import path_workload
 
-from tests.conftest import at_checkpoint, join_instances
+from tests.conftest import at_checkpoint
 
-HOSTILE = [0, 0.0, -0.0, False, True, 2**63 + 11, math.inf, -math.inf]
 PHIS = [(i + 1) / 20 for i in range(19)]
 PATH_QUERY = "R1(x1, x2), R2(x2, x3), R3(x3, x4)"
-
-
-def assert_oracle(query, db, ranking, result, **target):
-    oracle = materialize_quantile(query, db, ranking, **target)
-    assert (result.weight, result.target_index) == (oracle.weight, oracle.target_index)
-    assert query.satisfies(result.assignment, db)
-    assert repr(result.weight) == repr(ranking.weight_of(result.assignment))
-
-
-RANKINGS = {
-    "min/max": [MinRanking, MaxRanking],
-    # Arity 1-3; ``abs`` keys distinct values alike (±inf, 0.0 and -0.0).
-    "lex": [
-        lambda variables: LexRanking(variables[:3]),
-        lambda variables: LexRanking(variables[:3], {variables[:3][-1]: abs}),
-    ],
-}
-
-
-@pytest.mark.parametrize("family", RANKINGS)
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(instance=join_instances(values=HOSTILE), data=st.data(), factor=st.sampled_from([1, 12]))
-def test_bisection_matches_the_oracle_and_the_tie_contract(family, instance, data, factor):
-    query, db, drawn = instance
-    ranking = data.draw(st.sampled_from(RANKINGS[family]))(list(drawn.weighted_variables))
-    prepared = PreparedQuery(query, db, ranking, termination_factor=factor)
-    total = prepared.count()
-    if not total:
-        with pytest.raises(EmptyResultError):
-            prepared.quantile(0.5)
-        return
-    for phi, result in zip(PHIS, prepared.quantiles(PHIS)):
-        assert_oracle(query, db, ranking, result, phi=phi)
-    for index in (0, total // 3, total - 1):
-        assert_oracle(query, db, ranking, prepared.selection(index), index=index)
 
 
 @pytest.fixture(scope="module")
