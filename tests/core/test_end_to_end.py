@@ -1,13 +1,21 @@
 """Exact SUM through Algorithm 1's pivot steps: the solver vs the
-brute-force oracle on fixtures with thousands of answers.
+brute-force oracle on fixtures with thousands of answers, and on two
+self-joins.
 
 Every strategy, entry point and ranking against an oracle is
 ``tests/test_lattice.py``; its tiny joins seldom pivot through the
 adjacent-atoms SUM trim, and these fixtures always do.
 """
 
+import random
+
 import pytest
 
+from repro.data.database import Database
+from repro.data.relation import Relation
+from repro.query.atom import Atom
+from repro.query.join_query import JoinQuery
+from repro.ranking.minmax import MinRanking
 from repro.ranking.sum import SumRanking
 
 from tests.conftest import assert_valid_quantile, brute_force_weights, pivoting
@@ -55,3 +63,24 @@ class TestExactOnFixtures:
         )
         result = pivoting(workload.query, workload.db, workload.ranking).quantile(0.1)
         assert_valid_quantile(workload.query, workload.db, workload.ranking, result, 0.1)
+
+
+class TestSelfJoins:
+    def test_self_join_min(self):
+        query = JoinQuery([Atom("E", ("x", "y")), Atom("E", ("y", "z"))])
+        db = Database(
+            [Relation("E", ("a", "b"), [(1, 2), (2, 3), (2, 4), (3, 5), (4, 1)])]
+        )
+        ranking = MinRanking(["x", "z"])
+        result = pivoting(query, db, ranking).quantile(0.5)
+        assert_valid_quantile(query, db, ranking, result, 0.5)
+
+    def test_self_join_sum(self):
+        query = JoinQuery([Atom("E", ("x", "y")), Atom("E", ("y", "z"))])
+        rng = random.Random(0)
+        db = Database(
+            [Relation("E", ("a", "b"), [(rng.randrange(8), rng.randrange(8)) for _ in range(30)])]
+        )
+        ranking = SumRanking(["x", "y", "z"])
+        result = pivoting(query, db, ranking).quantile(0.25)
+        assert_valid_quantile(query, db, ranking, result, 0.25)

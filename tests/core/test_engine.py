@@ -275,6 +275,12 @@ class TestExecution:
         results = prepared.quantiles([0.9, 0.1, 0.5])
         assert results[0].target_index >= results[2].target_index >= results[1].target_index
 
+    def test_batch_rejects_invalid_phi(self, prepared):
+        with pytest.raises(ValueError):
+            prepared.quantiles([0.5, 1.5])
+        with pytest.raises(ValueError):
+            prepared.quantiles([0.5, "oops"])
+
     def test_median(self, prepared):
         assert prepared.median().weight == prepared.quantile(0.5).weight
 

@@ -7,9 +7,11 @@ from repro.data.relation import Relation
 from repro.exceptions import IntractableQueryError, SolverError
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
+from repro.ranking.lex import LexRanking
+from repro.ranking.minmax import MaxRanking, MinRanking
 from repro.ranking.sum import SumRanking
 
-from tests.conftest import pivoting
+from tests.conftest import assert_valid_quantile, pivoting
 
 
 def three_path_full_sum(three_path):
@@ -18,6 +20,43 @@ def three_path_full_sum(three_path):
 
 
 class TestPlanning:
+    def test_min_max_lex_always_exact(self, three_path):
+        query, db = three_path
+        for ranking in (MinRanking(["x1"]), MaxRanking(["x4"]), LexRanking(["x1", "x4"])):
+            plan = pivoting(query, db, ranking).plan()
+            assert plan.strategy == "exact-pivot"
+            assert plan.classification.is_tractable
+
+    def test_tractable_sum_exact(self, three_path):
+        query, db = three_path
+        plan = pivoting(query, db, SumRanking(["x1", "x2", "x3"])).plan()
+        assert plan.strategy == "exact-pivot"
+
+    def test_intractable_sum_without_epsilon_raises(self, three_path):
+        query, db, ranking = three_path_full_sum(three_path)
+        with pytest.raises(IntractableQueryError):
+            pivoting(query, db, ranking).plan()
+
+    def test_intractable_sum_with_epsilon_approximates(self, three_path):
+        query, db, ranking = three_path_full_sum(three_path)
+        plan = pivoting(query, db, ranking, epsilon=0.2).plan()
+        assert plan.strategy == "approx-pivot"
+        assert not plan.classification.is_tractable
+
+    def test_forced_materialize(self, three_path):
+        query, db, ranking = three_path_full_sum(three_path)
+        solver = pivoting(query, db, ranking, strategy="materialize")
+        result = solver.quantile(0.5)
+        assert result.strategy == "materialize"
+        assert result.exact
+        assert_valid_quantile(query, db, ranking, result, 0.5)
+
+    def test_forced_exact_pivot_on_intractable_raises(self, three_path):
+        query, db, ranking = three_path_full_sum(three_path)
+        solver = pivoting(query, db, ranking, strategy="exact-pivot")
+        with pytest.raises(IntractableQueryError):
+            solver.quantile(0.5)
+
     def test_sampling_requires_epsilon(self, three_path):
         query, db, ranking = three_path_full_sum(three_path)
         solver = pivoting(query, db, ranking, strategy="sampling")
@@ -31,6 +70,17 @@ class TestPlanning:
 
 
 class TestExecution:
+    def test_count(self, figure1_query, figure1_db):
+        solver = pivoting(figure1_query, figure1_db, SumRanking(["x1"]))
+        assert solver.count() == 13
+
+    def test_selection_via_sampling_strategy(self, three_path):
+        query, db, ranking = three_path_full_sum(three_path)
+        solver = pivoting(query, db, ranking, epsilon=0.3, strategy="sampling", seed=1)
+        result = solver.selection(5)
+        assert result.strategy == "sampling"
+        assert query.satisfies(result.assignment, db)
+
     def test_result_string_representation(self, binary_join):
         query, db = binary_join
         result = pivoting(query, db, SumRanking(["x1", "x3"])).quantile(0.5)
