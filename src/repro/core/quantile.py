@@ -14,11 +14,14 @@ candidate set is small enough to sort and finish with plain selection.
 The loop (:func:`run_pivoting`) sees the candidates only through a
 :class:`CandidateSource`, one per strategy:
 
-* :class:`LocalCandidates` — SUM: a trimmer's ``trim_interval`` rewrites the
-  *original* database to each interval (Definitions 3.2 / 3.5), then the
-  rewritten join is counted, pivoted and sorted;
-* :class:`WeightBisection` — MIN, MAX and LEX: bisection over the base rows'
-  sorted keys with one masked count per probe, no trims;
+* :class:`CoverCounting` — exact SUM over a cover pair (Theorem 5.6 /
+  Lemma D.1): one counting pass over one of the pair per step, no trims;
+* :class:`WeightBisection` — MIN, MAX, LEX and one-node SUM: bisection over
+  the base rows' sorted keys with one masked count per probe, no trims;
+* :class:`LocalCandidates` — ``approx-pivot`` and the shard workers: a
+  trimmer's ``trim_interval`` rewrites the *original* database to each
+  interval (Definitions 3.2 / 3.5), then the rewritten join is counted,
+  pivoted and sorted;
 * ``baselines.materialize.MaterializedAnswers`` — every answer sorted once,
   zero pivot steps.
 
@@ -29,29 +32,36 @@ With an exact source the returned answer is an exact φ-quantile; with an
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Collection, Iterable, Iterator, MutableMapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
+from operator import add, itemgetter
 from typing import Any, Protocol
 
 from repro.data.database import Database
 from repro.exceptions import EmptyResultError, SolverError, ValidationError
 from repro.joins.counting import (
-    count_answers, count_from_tree, difference_witness, subtree_counts,
+    count_answers, count_from_tree, difference_witness, group_sums, subtree_counts,
 )
 from repro.joins.message_passing import MaterializedTree
 from repro.joins.tree_cache import TreeCache
 from repro.joins.yannakakis import SortedAnswers, evaluate_sorted
 from repro.core.result import IterationStats, QuantileResult
 from repro.pivot.pivot_selection import PivotResult, select_pivot
+from repro.kernels import active_backend
 from repro.query.join_query import JoinQuery
+from repro.query.join_tree import JoinTree
 from repro.query.predicates import WeightInterval
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.base import RankingFunction, nan_answer_error
 from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MinRanking
 from repro.ranking.sum import SumRanking
+from repro.ranking.tuple_weights import owned_variables, row_weight, variable_to_atom_assignment
 from repro.runtime import checkpoint
 from repro.trim.base import Trimmer
 
@@ -247,9 +257,9 @@ class LocalCandidates:
     """The in-process candidate source: trimmed (query, database) pairs.
 
     ``query``/``db`` are the canonical (usually semijoin-reduced) base.  A
-    prepared query builds one per pivoting strategy and each shard worker
-    one per shard, so this is the only caller of the trim, count, pivot
-    selection, and terminal enumeration that pivoting is made of.
+    prepared query builds one for ``approx-pivot`` and each shard worker one
+    per shard, so this is the only caller of the trims, pivot selection and
+    sorted terminal that pivoting over trimmed databases is made of.
     """
 
     def __init__(
@@ -355,7 +365,8 @@ def _kept(column: list[Any], t: Any, above: bool, strict: bool) -> list[int]:
 
 
 class WeightBisection:
-    """The exact MIN/MAX/LEX candidate source: bisection over the input keys.
+    """The exact MIN/MAX/LEX candidate source: bisection over the input keys
+    (and exact SUM on one cover node: MAX's one position, the node's row sums).
 
     An answer's weight is read off its rows one *position* at a time: MIN
     (MAX) is one position, what one row weighs (min or max over the row's
@@ -377,11 +388,13 @@ class WeightBisection:
     strategy = "exact-pivot"
 
     def __init__(
-        self, query: JoinQuery, db: Database, ranking: RankingFunction, tree_cache: TreeCache, total: int
+        self, query: JoinQuery, db: Database, ranking: RankingFunction, tree_cache: TreeCache,
+        total: int, cover: int | None = None,
     ) -> None:
         self.query, self.db, self.ranking = query, db, ranking
         self.tree_cache, self.total, self.size = tree_cache, total, db.size
         self.root: BisectionHandle = ((), 0, None)
+        self._cover = cover  # SUM: the one node holding every weighted variable
         self._lex = isinstance(ranking, LexRanking)
         variables = ranking.weighted_variables
         self._positions: list[tuple[str, ...]] = [(v,) for v in variables] if self._lex else [variables]
@@ -400,9 +413,10 @@ class WeightBisection:
         """(base tree, per position the row keys of each node holding it, per position ``W``)."""
         if self._base is None:
             tree = self.tree_cache.get(self.query, self.db)
+            refuse_nan_sums(tree, self.ranking)
             fold: Callable[[Iterable[Any]], Any] = min if self._above else max
             columns: list[dict[int, list[Any]]] = []
-            for variables in self._positions:
+            for variables in self._positions if self._cover is None else ():
                 keyed: dict[int, list[Any]] = {}
                 for node in tree.nodes_top_down():
                     found = [
@@ -414,6 +428,9 @@ class WeightBisection:
                         checkpoint("bisection.weights", rows=len(tree.rows(node)))
                         keyed[node] = found[0] if len(found) == 1 else [fold(w) for w in zip(*found)]
                 columns.append(keyed)
+            if self._cover is not None:
+                owned = sorted(self.ranking.weighted_variables)
+                columns.append({self._cover: row_sums(tree, self._cover, self.ranking, owned)})
             keys = [sorted({w for c in keyed.values() for w in c}) for keyed in columns]
             self._base = (tree, columns, keys)
         return self._base
@@ -547,6 +564,171 @@ class BisectionTerminal:
             prefix, lo, hi = source._range((path, 0, None))
         weight, assignment = source.tie(path)
         return weight, project(assignment, self.keep)
+
+
+def row_sums(tree: MaterializedTree, node: int, ranking: RankingFunction, owned: list[str]) -> list[Any]:
+    """Per row of ``node`` the SUM of its ``owned`` variables' weights, folded
+    in ``owned``'s order (``row_weight``, as the trims fold it)."""
+    checkpoint("cover.row_sums", rows=len(tree.rows(node)))
+    return [row_weight(ranking, tree.variables(node), row, owned) for row in tree.rows(node)]
+
+
+#: A :class:`CoverCounting` handle: the folds ``(low, high)`` its candidates
+#: lie strictly between (``None``: unbounded).
+CoverHandle = tuple[Any, Any]
+#: An S join group: its live rows sorted by w_S, their w_S, prefix sums of down.
+_Group = tuple[list[int], list[Any], list[int]]
+#: A live R row (w_R, up, its S group, row index); what a source builds first.
+_Row = tuple[Any, int, _Group, int]
+_Built = tuple[list[_Row], MaterializedTree, MaterializedTree, dict[int, list[int]]]
+
+
+class CoverCounting:
+    """The exact SUM candidate source over a cover pair: counting, no trims.
+
+    Theorem 5.6 / Lemma D.1 put every weighted variable of a tractable SUM
+    on two adjacent join-tree nodes R and S (one node: :class:`WeightBisection`
+    keyed by its row sums).  Rooted at R, with S a child, an answer is an R
+    row r, an S row s of r's join group and ``up(r) · down(s)`` extensions
+    (r's other subtree counts, s's own: Example 2.1), weighing
+    ``w_R(r) + w_S(s)`` under μ (shared variables to R).  So with each S
+    group's rows sorted by ``w_S`` and prefix sums of ``down``, the answers
+    of a handle are per R row one contiguous range of its group, found by
+    bisection.  A step is one pass over R: the weighted median of the
+    per-row range medians is a 1/4-pivot (Section 4), and lt and gt are
+    counted from the same ranges; the terminal sorts the pairs left in the
+    ranges, each standing for its ``up · down`` answers.  Handles carry
+    bounds in that fold; a pair reports the ``weight_of`` of its decoded
+    answer, memoized per pair.  Everything is built on the first step.
+    """
+
+    strategy = "exact-pivot"
+
+    def __init__(
+        self, query: JoinQuery, db: Database, ranking: RankingFunction, tree_cache: TreeCache,
+        total: int, cover: tuple[JoinTree, tuple[int, ...]],
+    ) -> None:
+        self.query, self.db, self.ranking = query, db, ranking
+        self.tree_cache, self.total, self.size = tree_cache, total, db.size
+        self.root: CoverHandle = (None, None)
+        self._cover = cover
+        self._built: _Built | None = None
+        self._decoded: dict[tuple[int, int], tuple[Any, Assignment]] = {}
+
+    def _build(self) -> _Built:
+        """(live R rows, base tree, the tree rooted at R, its subtree counts)."""
+        if self._built is None:
+            join_tree, (r, s) = self._cover
+            base = tree = self.tree_cache.get(self.query, self.db)
+            refuse_nan_sums(base, self.ranking)
+            if tree.root != r or s not in tree.children(r):
+                tree = MaterializedTree(self.query, self.db, join_tree.rooted(r), self.tree_cache.states)
+            mu = variable_to_atom_assignment(self.query, self.ranking.weighted_variables, [r, s])
+            w_r, w_s = (row_sums(tree, n, self.ranking, owned_variables(mu, n)) for n in (r, s))
+            counts, kernel = subtree_counts(tree), active_backend()
+            up = [1] * len(w_r)
+            for child in set(tree.children(r)) - {s}:
+                sums = group_sums(tree, r, child, counts[child])
+                up = kernel.multiply(up, kernel.take(sums, tree.parent_group_ids(r, child)))
+            groups: list[_Group] = []
+            for members in tree.child_groups(r, s).values():
+                live = sorted((m for m in members if counts[s][m]), key=w_s.__getitem__)
+                down = accumulate((counts[s][m] for m in live), initial=0)
+                groups.append((live, [w_s[m] for m in live], list(down)))
+            groups.append(([], [], [0]))  # the sentinel group of an unmatched R row
+            ids = tree.parent_group_ids(r, s)
+            rows = [(w_r[i], up[i], groups[ids[i]], i) for i in range(len(w_r)) if up[i]]
+            self._built = rows, base, tree, counts
+        return self._built
+
+    def _ranges(self, handle: CoverHandle) -> list[tuple[_Row, int, int]]:
+        """Per live R row, the range ``[start, stop)`` of its group whose
+        folds lie strictly inside ``handle`` (rows with an empty one left out)."""
+        low, high = handle
+        rows = self._build()[0]
+        checkpoint("cover.ranges", rows=len(rows))
+        ranges = []
+        for row in rows:
+            fold, weights = partial(add, row[0]), row[2][1]
+            start = 0 if low is None else bisect_right(weights, low, key=fold)
+            stop = len(weights) if high is None else bisect_left(weights, high, key=fold)
+            if start < stop:
+                ranges.append((row, start, stop))
+        return ranges
+
+    def decode(self, pair: tuple[int, int]) -> tuple[Any, Assignment]:
+        """(weight, answer) of one answer through an (R row, S row) ``pair``:
+        the first live member of every other group, top down."""
+        found = self._decoded.get(pair)
+        if found is None:
+            computing(("decode", pair))
+            checkpoint("cover.decode")
+            _, base, tree, counts = self._build()
+            chosen = dict(zip(self._cover[1], pair))  # node -> row index
+            for node in tree.nodes_top_down():
+                row = tree.rows(node)[chosen[node]]
+                for child in tree.children(node):
+                    if child not in chosen:
+                        members = tree.child_groups(node, child)[tree.parent_group_key(node, row, child)]
+                        chosen[child] = next(m for m in members if counts[child][m])
+            assignment = base.assignment_of({n: tree.rows(n)[i] for n, i in chosen.items()})
+            found = self._decoded[pair] = (self.ranking.weight_of(assignment), assignment)
+        return found
+
+    def step(self, interval: WeightInterval, handle: CoverHandle) -> PivotStep:
+        ranges = self._ranges(handle)
+        medians: list[tuple[Any, int, int, int]] = []  # per row: (fold, answers, pair)
+        for (own, up, (members, weights, down), r), start, stop in ranges:
+            size = down[stop] - down[start]
+            m = bisect_right(down, down[start] + (size - 1) // 2) - 1
+            medians.append((own + weights[m], up * size, r, members[m]))
+        medians.sort(key=itemgetter(0))
+        ends = list(accumulate(median[1] for median in medians))
+        pivot, _, r, s = medians[bisect_left(ends, (ends[-1] + 1) // 2)]  # the weighted median
+        lt = gt = 0
+        for (own, up, (_, weights, down), _), start, stop in ranges:
+            fold = partial(add, own)
+            lt += up * (down[bisect_left(weights, pivot, start, stop, key=fold)] - down[start])
+            gt += up * (down[stop] - down[bisect_right(weights, pivot, start, stop, key=fold)])
+        weight, assignment = self.decode((r, s))
+        return PivotStep(assignment, weight, 0.25, (handle[0], pivot), lt, (pivot, handle[1]), gt)
+
+    def terminal(self, interval: WeightInterval, handle: CoverHandle, keep: Collection[str]) -> CoverTerminal:
+        pairs = [
+            (own + weights[k], up * (down[k + 1] - down[k]), r, members[k])
+            for (own, up, (members, weights, down), r), start, stop in self._ranges(handle)
+            for k in range(start, stop)
+        ]
+        checkpoint("cover.terminal", rows=len(pairs))
+        pairs.sort(key=itemgetter(0))
+        return CoverTerminal(self, [p[2:] for p in pairs], list(accumulate(p[1] for p in pairs)), keep)
+
+    def estimated_bytes(self) -> int:  # the per-row arrays and the decoded answers
+        held = 0 if self._built is None else 2 * len(self._built[0]) + sum(map(len, self._built[3].values()))
+        return 32 * held + 256 * len(self._decoded)
+
+
+class CoverTerminal:
+    """The (R row, S row) pairs of one :class:`CoverCounting` handle in fold
+    order, each standing for its ``up · down`` answers: a select bisects
+    their running totals and decodes the pair once; a warm select is a copy."""
+
+    def __init__(self, source: CoverCounting, pairs: list[tuple[int, int]], ends: list[int], keep: Collection[str]) -> None:
+        self.source, self.pairs, self.ends, self.keep = source, pairs, ends, keep
+        self._picks: dict[int, tuple[Any, Assignment]] = {}
+
+    def __len__(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def estimated_bytes(self) -> int:
+        return 24 * len(self.pairs) + 64 * len(self._picks)
+
+    def select(self, position: int) -> tuple[Any, Assignment]:
+        pick = self._picks.get(position)
+        if pick is None:
+            weight, answer = self.source.decode(self.pairs[bisect_right(self.ends, position)])
+            pick = self._picks[position] = weight, project(answer, self.keep)
+        return pick[0], dict(pick[1])
 
 
 def run_pivoting(

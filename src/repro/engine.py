@@ -11,7 +11,7 @@ prepare-once/execute-many database pattern around it:
 * :class:`PreparedQuery` computes once and caches the canonical rewrite, the
   rooted join tree, the Yannakakis semijoin-reduced database, the answer
   count ``|Q(D)|``, the strategy plan, and one candidate source per strategy
-  (its trimmer, its key bisection, or its sorted answers) — then exposes
+  (cover counting, key bisection, a lossy trimmer, or sorted answers) — then exposes
   :meth:`~PreparedQuery.quantile`, batch :meth:`~PreparedQuery.quantiles`,
   :meth:`~PreparedQuery.selection`, :meth:`~PreparedQuery.median`, and
   :meth:`~PreparedQuery.count`.
@@ -45,6 +45,7 @@ from repro.baselines.materialize import MaterializedAnswers
 from repro.core.quantile import (
     CacheMiss,
     CappedCache,
+    CoverCounting,
     LocalCandidates,
     PreparedSource,
     WeightBisection,
@@ -79,6 +80,7 @@ from repro.query.classify import (
     SumClassification,
     classify_always_tractable,
     classify_sum,
+    find_adjacent_cover,
 )
 from repro.query.join_query import JoinQuery
 from repro.query.join_tree import RootedJoinTree, build_join_tree
@@ -91,7 +93,6 @@ from repro.ranking.sum import SumRanking
 from repro.runtime import CancellationToken, ExecutionContext, checkpoint
 from repro.runtime.context import check_limits
 from repro.runtime.policy import degradation_ladder, validate_policy
-from repro.trim import SumAdjacentTrimmer, Trimmer
 
 #: Strategy identifiers accepted by the engine.
 STRATEGIES = ("auto", "exact-pivot", "approx-pivot", "sampling", "materialize")
@@ -457,7 +458,7 @@ class PreparedQuery:
     def _ensure_source(self, strategy: str) -> PreparedSource:
         """The source of one strategy but sampling, built once: the sorted
         answers of the original (possibly cyclic) query, or the reduced base,
-        ``|Q(D)|``, tree cache and trimmer (exact MIN/MAX/LEX: key bisection).
+        ``|Q(D)|``, tree cache and exact SUM's cover / approx-pivot's trimmer.
         A strategy invalid for this query raises before it reduces or counts."""
         source = self._sources.get(strategy)
         if source is None:
@@ -470,34 +471,29 @@ class PreparedQuery:
     def _build_source(self, strategy: str) -> PreparedSource:
         if strategy == "materialize":
             return MaterializedAnswers(self.query, self.db, self.ranking)
-        bisect = strategy == "exact-pivot" and isinstance(
-            self.ranking, (MinRanking, MaxRanking, LexRanking)
-        )
-        trimmer = None if bisect else self._build_trimmer(strategy)
-        base, total = self._ensure_reduced(), self._ensure_total()
-        if trimmer is None:
-            return WeightBisection(*base, self.ranking, self._tree_cache, total)
-        return LocalCandidates(*base, self.ranking, trimmer, self._tree_cache, total)
-
-    def _build_trimmer(self, strategy: str) -> Trimmer:
+        ranking, is_sum = self.ranking, isinstance(self.ranking, SumRanking)
         if strategy == "approx-pivot":
             if self.epsilon is None:
                 raise SolverError("the approx-pivot strategy requires epsilon")
-            if not isinstance(self.ranking, SumRanking):
+            if not is_sum:
                 raise SolverError("the approx-pivot strategy only applies to SUM rankings")
-            return LossySumTrimmer(self.ranking, epsilon=self.epsilon / 4.0)
-        if not isinstance(self.ranking, SumRanking):
-            raise RankingError(
-                f"no exact trimming construction is known for {self.ranking.describe()}"
+            trimmer = LossySumTrimmer(ranking, epsilon=self.epsilon / 4.0)
+            base, total = self._ensure_reduced(), self._ensure_total()
+            return LocalCandidates(*base, ranking, trimmer, self._tree_cache, total)
+        if not isinstance(ranking, (SumRanking, MinRanking, MaxRanking, LexRanking)):
+            raise RankingError(f"no exact trimming construction is known for {ranking.describe()}")
+        # SUM: the one or two adjacent nodes holding every weighted variable.
+        weighted = frozenset(ranking.weighted_variables)
+        cover = find_adjacent_cover(self._ensure_canonical()[0], weighted) if is_sum else None
+        if is_sum and cover is None:
+            raise IntractableQueryError(
+                "exact-pivot was forced but the SUM query is conditionally "
+                f"intractable: {self.classification().reason}"
             )
-        if self.strategy == "exact-pivot":
-            classification = self.classification()
-            if not classification.is_tractable:
-                raise IntractableQueryError(
-                    "exact-pivot was forced but the SUM query is conditionally "
-                    f"intractable: {classification.reason}"
-                )
-        return SumAdjacentTrimmer(self.ranking)
+        base, total = self._ensure_reduced(), self._ensure_total()
+        if cover is not None and len(cover[1]) == 2:
+            return CoverCounting(*base, ranking, self._tree_cache, total, cover)
+        return WeightBisection(*base, ranking, self._tree_cache, total, cover and cover[1][0])
 
     def _mode_caches(self, mode: str) -> tuple[CappedCache, CappedCache]:
         """The (step, answer) caches of one mode (created on first use)."""
@@ -819,9 +815,9 @@ class PreparedQuery:
             total += self._reduced_db.size * row_bytes
         # Each cached tree re-materializes roughly the candidate database.
         total += len(self._tree_cache) * self.db.size * row_bytes
-        # Each memoized pivot iteration keeps two trimmed sub-database views
-        # (masks over shared columns); each answer-cache entry what it holds:
-        # serial, sorted prefix answers and picks; sharded, merged columns.
+        # A memoized pivot iteration keeps two handles (approx-pivot: trimmed
+        # sub-database views); each answer-cache entry what it holds: serial,
+        # sorted prefix answers or (r, s) pairs; sharded, merged columns.
         total += self.pivot_cache_size * 1024
         # Each source and terminal once: materialize's is its own terminal.
         held: dict[int, Any] = {id(s): s for s in list(self._sources.values())}

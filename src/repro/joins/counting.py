@@ -83,15 +83,14 @@ def difference_witness(
     :func:`subtree_counts`, ``excluded``'s masks keeping a subset of the rows.
     Top down, a row's answers leave ``excluded`` through its own mask or one
     child group where ``counts`` is larger again; other children take any
-    member ``counts`` counts."""
+    member ``counts`` counts.  The rows are read as ``assignment_of`` reads them."""
     root = tree.root
-    assignment: dict[str, Any] = {}
+    chosen: dict[int, tuple[Any, ...]] = {}
     pending = [(root, next(r for r, c in enumerate(counts[root]) if c > excluded[root][r]), True)]
     while pending:
         checkpoint("counting.witness")
         node, row, differ = pending.pop()
-        values = tree.rows(node)[row]
-        assignment.update(zip(tree.variables(node), values))
+        values = chosen[node] = tree.rows(node)[row]
         differ = differ and (node not in excluded_masks or bool(excluded_masks[node][row]))
         for child in tree.children(node):
             members = tree.child_groups(node, child)[tree.parent_group_key(node, values, child)]
@@ -100,7 +99,7 @@ def difference_witness(
             differ = differ and pick is None
             pending.append((child, pick, True) if pick is not None
                            else (child, next(m for m in members if kept[m]), False))
-    return assignment
+    return tree.assignment_of(chosen)
 
 
 def count_from_tree(tree: MaterializedTree) -> int:

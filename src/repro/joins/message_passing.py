@@ -346,6 +346,16 @@ class MaterializedTree:
         """The variable assignment represented by one row of a node."""
         return dict(zip(self.variables(node), row))
 
+    def assignment_of(self, rows: dict[int, Row]) -> Assignment:
+        """One answer from a row per node, read in top-down order as
+        :func:`~repro.joins.yannakakis.evaluate` reads it: a variable several
+        atoms hold takes its last occurrence's value (``0`` and ``0.0`` join,
+        but a weight function may tell them apart)."""
+        assignment: Assignment = {}
+        for node in self.nodes_top_down():  # repro-analysis: allow RPR001 -- one pass over the atoms
+            assignment.update(zip(self.variables(node), rows[node]))
+        return assignment
+
     def parent_group_key(self, parent: int, row: Row, child: int) -> Row:
         """The join-group key a parent row selects in one of its children."""
         positions = self._parent_positions[(parent, child)]

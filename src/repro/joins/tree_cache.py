@@ -123,6 +123,12 @@ class TreeCache:
         return entry[-1]
 
     @property
+    def states(self) -> StateTable:
+        """The table the cached trees share states through; a tree built off
+        the cache under another rooting shares them too."""
+        return self._states
+
+    @property
     def node_hits(self) -> int:
         """Nodes of built trees whose state another live tree already held."""
         return self._states.node_hits

@@ -44,6 +44,7 @@ def _fault_test_deadline(request):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
+from repro.core.quantile import LocalCandidates
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import PreparedQuery
@@ -56,12 +57,26 @@ from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking, MinRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime.context import set_fault_hook
+from repro.trim import SumAdjacentTrimmer
 
 
 @pytest.fixture()
 def inline_mode(monkeypatch):
     """Run shard pools synchronously in-process (deterministic, no fork cost)."""
     monkeypatch.setattr(merger, "create_pool", InlinePool)
+
+
+def trimming(prepared: PreparedQuery) -> PreparedQuery:
+    """``prepared`` with exact SUM over trimmed databases: its exact-pivot
+    source is ``LocalCandidates`` over ``SumAdjacentTrimmer``, what a shard
+    worker runs, so the trim, pivot-selection and sorted-terminal layers stay
+    reachable through the engine (its own source counts over the cover)."""
+    base, total = prepared._ensure_reduced(), prepared._ensure_total()
+    trimmer = SumAdjacentTrimmer(prepared.ranking)
+    prepared._sources["exact-pivot"] = LocalCandidates(
+        *base, prepared.ranking, trimmer, prepared.tree_cache, total
+    )
+    return prepared
 
 
 # ---------------------------------------------------------------------- #
@@ -266,6 +281,22 @@ def join_instances(draw, values=VALUES, kinds=RANKING_KINDS, min_rows=0):
         "lex": lambda: LexRanking(weighted),
     }[kind]()
     return query, db, ranking
+
+
+@st.composite
+def pivoting_joins(draw, values=VALUES):
+    """A 3-arm star ``R0(v0, v1), R1(v0, v2), R2(v0, v3)`` of 10 rows a
+    relation whose hub takes one or two of ``values`` (so 0 / 0.0 / False
+    still meet) and whose arms add 0..7 to them: hundreds of answers over 30
+    rows, enough that a SUM pivots at Algorithm 1's own ``|D|`` cut.  A star,
+    so a pair of arms covering a SUM has the third below its root: the cover
+    counts multiply a non-trivial ``up``."""
+    hub = st.sampled_from(draw(st.lists(st.sampled_from(values), min_size=1, max_size=2)))
+    arm = st.sampled_from([*values, *range(8)])
+    rows = st.lists(st.tuples(hub, arm), min_size=10, max_size=10)
+    relations = [Relation(f"R{i}", ("a0", "a1"), draw(rows)) for i in range(3)]
+    query = JoinQuery([Atom(f"R{i}", ("v0", f"v{i + 1}")) for i in range(3)])
+    return query, Database(relations)
 
 
 def fanout_instance():

@@ -26,6 +26,8 @@ from repro.runtime.context import set_fault_hook
 from repro.testing.faults import FaultPlan, inject_faults
 from repro.workloads.path import path_workload
 
+from tests.conftest import trimming
+
 
 @pytest.fixture
 def engine(binary_join):
@@ -209,6 +211,8 @@ class TestPreparedStateReuse:
         # columns.
         query, db = binary_join
         prepared = PreparedQuery(query, db, SumRanking(["x1", "x2"]), parallel=parallel)
+        if not parallel:
+            trimming(prepared)  # the serial sorted terminal: the trimmed-database source's
         prepared.quantile(0.5)
         [(_, cache)] = prepared._caches.values()
         [terminal] = cache.values()

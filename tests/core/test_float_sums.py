@@ -7,8 +7,10 @@ does not undo addition (``0.4 − 0.1 > 0.3``), so every edge is settled on
 ``own + w_S`` itself.  Without that, every answer of the pivot's weight fell
 below it, the equal-to part counted 0 and the loop stalled.
 
-Two stalls remain, pinned as strict xfails until it is decided what an exact
-SUM means over floats and over typed weights.
+Exact SUM counts over the cover and reports each answer's own ``weight_of``
+(README, "SUM by counting over the cover", states both decisions), so it
+answers the two cases below.  The lossy trim of ``approx-pivot`` still
+stalls on them: strict xfails.
 """
 
 from __future__ import annotations
@@ -52,13 +54,18 @@ def test_decimal_sums_equal_materialize(strategy, ranking, varied):
         ]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=SolverError,
-    reason="the trim sums own_R + own_S, which rounds differently from "
-    "weight_of's fold in ranking order (c + b + a)",
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        "exact-pivot",
+        pytest.param("approx-pivot", marks=pytest.mark.xfail(
+            strict=True,
+            raises=SolverError,
+            reason="the lossy trim sums own_R + own_S, which rounds differently "
+            "from weight_of's fold in ranking order (c + b + a)",
+        )),
+    ],
 )
-@pytest.mark.parametrize("strategy", ["exact-pivot", "approx-pivot"])
 def test_reassociated_sum_equals_materialize(strategy):
     db = decimal_db(varied=False)
     knobs = {"epsilon": 0.1} if strategy == "approx-pivot" else {}
@@ -67,13 +74,18 @@ def test_reassociated_sum_equals_materialize(strategy):
     assert got.weight == expected.weight
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=SolverError,
-    reason="the trim weighs the cover atom's 0, but the pivot's assignment "
-    "carries T's 0.0, which the weight function tells apart",
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        "auto",
+        pytest.param("approx-pivot", marks=pytest.mark.xfail(
+            strict=True,
+            raises=SolverError,
+            reason="the lossy trim weighs the cover atom's 0, but the pivot's "
+            "assignment carries T's 0.0, which the weight function tells apart",
+        )),
+    ],
 )
-@pytest.mark.parametrize("strategy", ["auto", "approx-pivot"])
 def test_typed_weight_of_a_shared_variable_equals_materialize(strategy):
     db = Database(
         [

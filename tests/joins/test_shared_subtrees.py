@@ -43,7 +43,7 @@ from repro.runtime.context import set_fault_hook
 from repro.testing import FaultPlan, InjectedFault, inject_faults
 from repro.trim import SumAdjacentTrimmer
 
-from tests.conftest import RANKING_KINDS, join_instances
+from tests.conftest import RANKING_KINDS, join_instances, trimming
 
 PATH = JoinQuery(
     [Atom("R1", ("x1", "x2")), Atom("R2", ("x2", "x3")), Atom("R3", ("x3", "x4"))]
@@ -262,9 +262,9 @@ def seen_when_the_second_trim_starts():
         if name == "trim.sum_copy" and seen[name] == 2:
             snapshot.update(seen)
 
+    clean = trimming(PreparedQuery(PATH, path_db(), INNER, termination_factor=1))
     previous = set_fault_hook(hook)
     try:
-        clean = PreparedQuery(PATH, path_db(), INNER, termination_factor=1)
         result = clean.quantile(0.5)
     finally:
         set_fault_hook(previous)
@@ -276,7 +276,7 @@ def seen_when_the_second_trim_starts():
 def test_fault_on_a_later_trimmed_tree_leaves_no_partial_state(name):
     snapshot, clean_result, clean_size = seen_when_the_second_trim_starts()
     assert clean_size > 1
-    prepared = PreparedQuery(PATH, path_db(), INNER, termination_factor=1)
+    prepared = trimming(PreparedQuery(PATH, path_db(), INNER, termination_factor=1))
     with inject_faults(FaultPlan().arm(name, after=snapshot[name])) as plan:
         with pytest.raises(InjectedFault):
             prepared.quantile(0.5)
@@ -301,9 +301,9 @@ def test_fault_while_the_shared_root_edge_medians_are_built_keeps_no_entry(monke
         if name == "trim.sum_copy" and not base_medians:
             base_medians.append(seen["pivot.median"])
 
+    clean = trimming(PreparedQuery(PATH, path_db(), ranking, termination_factor=1))
     previous = set_fault_hook(hook)
     try:
-        clean = PreparedQuery(PATH, path_db(), ranking, termination_factor=1)
         clean_result = repr(clean.quantile(0.5))
     finally:
         set_fault_hook(previous)
@@ -314,7 +314,7 @@ def test_fault_while_the_shared_root_edge_medians_are_built_keeps_no_entry(monke
         return segmented_weighted_median(group_ids, *args)
 
     monkeypatch.setattr(pivot_selection, "segmented_weighted_median", recorded)
-    prepared = PreparedQuery(PATH, path_db(), ranking, termination_factor=1)
+    prepared = trimming(PreparedQuery(PATH, path_db(), ranking, termination_factor=1))
 
     def trimmed_trees():
         trees = [entry[-1] for entry in prepared.tree_cache._entries.values()]

@@ -40,6 +40,7 @@ from tests.conftest import (
     at_checkpoint,
     fanout_instance,
     join_instances,
+    trimming,
 )
 
 
@@ -360,7 +361,7 @@ def test_cancellation_between_nodes_raises_cancelled():
 @pytest.mark.faults
 def test_fault_in_a_median_leaves_no_step_cache_entry():
     query, db, ranking = fanout_instance()
-    prepared = PreparedQuery(query, db, ranking, termination_factor=1)
+    prepared = trimming(PreparedQuery(query, db, ranking, termination_factor=1))
     with inject_faults(FaultPlan().arm("pivot.median", after=1)):
         with pytest.raises(InjectedFault):
             prepared.quantile(0.5)

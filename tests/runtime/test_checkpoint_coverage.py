@@ -30,6 +30,8 @@ from repro.ranking.sum import SumRanking
 from repro.runtime import ExecutionContext
 from repro.testing import FaultPlan, inject_faults
 
+from tests.conftest import trimming
+
 pytestmark = pytest.mark.faults
 
 PHIS = [0.1, 0.5, 0.9]
@@ -39,6 +41,7 @@ NO_ROW_CHARGE = {
     "direct_access.expand",
     "yannakakis.decode",
     "counting.witness",
+    "cover.decode",
 }
 
 
@@ -56,11 +59,14 @@ class RowLedger(ExecutionContext):
         super().checkpoint(name, rows)
 
 
-def batch(query, db, ranking, termination_factor=1, **knobs):
-    """A φ-batch at Algorithm 1's own ``|D|`` cut, so these fixtures pivot."""
+def batch(query, db, ranking, termination_factor=1, trim=False, **knobs):
+    """A φ-batch at Algorithm 1's own ``|D|`` cut, so these fixtures pivot;
+    ``trim``: exact SUM over trimmed databases, as a shard worker runs it."""
     prepared = PreparedQuery(
         query, db, ranking, termination_factor=termination_factor, **knobs
     )
+    if trim:
+        trimming(prepared)
     try:
         prepared.quantiles(PHIS)
     finally:
@@ -101,18 +107,31 @@ STAGES = {
         lambda q, db: batch(q, db, LexRanking(["x1", "x4"])),
         {"bisection.weights", "counting.masked", "counting.witness"},
     ),
-    "partial-sum, one atom": (
+    # Exact SUM, one covering atom: bisection over its row sums.
+    "sum, one atom": (
         lambda q, db: batch(q, db, SumRanking(["x1", "x2"])),
+        {"cover.row_sums", "counting.masked", "counting.witness"},
+    ),
+    # Exact SUM over a cover pair: the row sums, one pass over R1 per step
+    # and terminal (charged its rows), the terminal's pairs, a decode per pair.
+    "sum, cover pair": (
+        lambda q, db: batch(q, db, SumRanking(["x1", "x2", "x3"])),
+        {"cover.row_sums", "cover.ranges", "cover.terminal", "cover.decode"},
+    ),
+    "partial-sum, one atom": (
+        lambda q, db: batch(q, db, SumRanking(["x1", "x2"]), trim=True),
         {"trim.sum_filter"},
     ),
     "partial-sum, adjacent atoms": (
-        lambda q, db: batch(q, db, SumRanking(["x1", "x2", "x3"])),
+        lambda q, db: batch(q, db, SumRanking(["x1", "x2", "x3"]), trim=True),
         {"trim.sum_group", "trim.sum_copy"},
     ),
     "terminal, leaf deferred": (
         # Above the |D| cut every φ ends in a terminal: R1 x R2 is expanded
         # and charged per level, R3 decoded per deferred node.
-        lambda q, db: batch(q, db, SumRanking(["x1", "x2", "x3"]), termination_factor=4),
+        lambda q, db: batch(
+            q, db, SumRanking(["x1", "x2", "x3"]), termination_factor=4, trim=True
+        ),
         {"yannakakis.answer", "yannakakis.decode"},
     ),
     "sampling": (

@@ -14,7 +14,7 @@ from repro.ranking.sum import SumRanking
 from repro.runtime import checkpoint
 from repro.runtime.context import set_fault_hook
 from repro.testing import FaultCoverageError, FaultPlan, InjectedFault, inject_faults
-from tests.conftest import assert_valid_quantile
+from tests.conftest import assert_valid_quantile, trimming
 
 pytestmark = pytest.mark.faults
 
@@ -173,7 +173,7 @@ class TestCacheConsistencyAfterFaults:
         # that build and the catalog must stay reusable, not half-filled.
         query, db = three_path
         ranking = SumRanking(["x1", "x2"])  # partial SUM: tractable, exact
-        prepared = Engine(db).prepare(query, ranking, eager=False)
+        prepared = trimming(Engine(db).prepare(query, ranking, eager=False))
         plan = FaultPlan().arm("index.weights")
         with inject_faults(plan):
             with pytest.raises(InjectedFault):
