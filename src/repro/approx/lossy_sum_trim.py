@@ -47,8 +47,6 @@ from repro.trim.base import Trimmer, fresh_variable
 class LossySumTrimmer(Trimmer):
     """ε-lossy trimmer for SUM over arbitrary acyclic join queries."""
 
-    lossy = True
-
     def __init__(
         self,
         ranking: SumRanking,

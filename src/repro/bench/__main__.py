@@ -27,7 +27,6 @@ QUICK_OVERRIDES: dict[str, dict] = {
     "E10": {"fanouts": (2, 10, 20), "n": 400},
     "E11": {"multiset_size": 5000},
     "A1": {"n": 100},
-    "A2": {"n": 400},
     "A3": {"phis": (0.1, 0.5, 0.9), "n": 300},
     "A4": {"arms": (2, 3), "n": 200},
 }

@@ -1,4 +1,4 @@
-"""Micro-benchmarks and ablations: E11 (sketch), A1–A4 (design decisions)."""
+"""Micro-benchmarks and ablations: E11 (sketch), A1, A3, A4 (design decisions)."""
 
 from __future__ import annotations
 
@@ -12,10 +12,8 @@ from repro.baselines.materialize import answer_weights
 from repro.bench.harness import ExperimentResult, observed_rank_error, time_call
 from repro.core.quantile import pivoting_quantile
 from repro.engine import PreparedQuery
-from repro.query.predicates import WeightInterval
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.sum import SumRanking
-from repro.trim.sum_adjacent_trim import SumAdjacentTrimmer
 from repro.workloads.path import path_workload
 from repro.workloads.star import star_workload
 
@@ -119,56 +117,6 @@ def run_a1(
 
 
 # ---------------------------------------------------------------------- #
-# A2: one interval trim vs two composed one-sided trims
-# ---------------------------------------------------------------------- #
-def run_a2(
-    n: int = 800,
-    seed: int = 59,
-) -> ExperimentResult:
-    """Size/time of the adjacent-SUM trim: one interval pass vs two composed trims."""
-    workload = path_workload(
-        3, n, join_domain=max(2, n // 15), ranking=SumRanking(["x1", "x2", "x3"]), seed=seed
-    )
-    ranking = workload.ranking
-    assert isinstance(ranking, SumRanking)
-    trimmer = SumAdjacentTrimmer(ranking)
-    query, db = ensure_canonical(workload.query, workload.db)
-    weights = answer_weights(workload.query, workload.db, ranking)
-    low = weights[len(weights) // 4]
-    high = weights[3 * len(weights) // 4]
-    interval = WeightInterval(low=low, high=high)
-    result = ExperimentResult(
-        experiment="A2",
-        title="Adjacent-SUM trimming: single interval pass vs composed trims",
-        claim="Lemma 5.5: trimming both bounds in one pass is a constant-factor "
-        "optimization over trimming the low bound, then the high bound of its "
-        "output; both represent the same answer set",
-        columns=["variant", "seconds", "output_tuples", "answers"],
-    )
-    single, single_time = time_call(lambda: trimmer.trim_interval(query, db, interval))
-    composed, composed_time = time_call(
-        lambda: trimmer.trim_interval(
-            *trimmer.trim_interval(query, db, WeightInterval(low=low)), WeightInterval(high=high)
-        )
-    )
-    from repro.joins.counting import count_answers
-
-    for variant, (trimmed_query, trimmed_db), elapsed in (
-        ("interval (single pass)", single, single_time),
-        ("composed (two trims)", composed, composed_time),
-    ):
-        result.rows.append(
-            {
-                "variant": variant,
-                "seconds": round(elapsed, 4),
-                "output_tuples": trimmed_db.size,
-                "answers": count_answers(trimmed_query, trimmed_db),
-            }
-        )
-    return result
-
-
-# ---------------------------------------------------------------------- #
 # A3: phi sensitivity
 # ---------------------------------------------------------------------- #
 def run_a3(
@@ -177,7 +125,7 @@ def run_a3(
     seed: int = 61,
 ) -> ExperimentResult:
     """Cost of the pivoting algorithm across the quantile position φ (under
-    partial SUM, which runs Algorithm 1's trims; MIN/MAX/LEX bisect keys)."""
+    partial SUM, which counts over the cover pair; MIN/MAX/LEX bisect keys)."""
     workload = path_workload(
         3, n, join_domain=max(2, n // 15), ranking=SumRanking(["x1", "x2", "x3"]), seed=seed
     )

@@ -22,7 +22,7 @@ class ExperimentResult:
     Attributes
     ----------
     experiment:
-        Experiment identifier (``"E1"``, ``"A2"``, ...).
+        Experiment identifier (``"E1"``, ``"A3"``, ...).
     title:
         One-line title shown above the table.
     claim:

@@ -22,7 +22,6 @@ EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentResult], str]] = {
     "E10": (experiments.run_e10, "crossover vs answer blow-up"),
     "E11": (ablations.run_e11, "epsilon-sketch compression micro-benchmark"),
     "A1": (ablations.run_a1, "ablation: sketch-epsilon budget (practical vs paper)"),
-    "A2": (ablations.run_a2, "ablation: interval trim vs composed trims"),
     "A3": (ablations.run_a3, "ablation: sensitivity to phi"),
     "A4": (ablations.run_a4, "ablation: pivot quality vs join-tree width"),
 }

@@ -18,22 +18,23 @@ The loop (:func:`run_pivoting`) sees the candidates only through a
   Lemma D.1): one counting pass over one of the pair per step, no trims;
 * :class:`WeightBisection` — MIN, MAX, LEX and one-node SUM: bisection over
   the base rows' sorted keys with one masked count per probe, no trims;
-* :class:`LocalCandidates` — ``approx-pivot`` and the shard workers: a
-  trimmer's ``trim_interval`` rewrites the *original* database to each
-  interval (Definitions 3.2 / 3.5), then the rewritten join is counted,
-  pivoted and sorted;
+* :class:`LocalCandidates` — ``approx-pivot`` only: the ε-lossy trimmer's
+  ``trim_interval`` rewrites the *original* database to each interval
+  (Definition 3.5), then the rewritten join is counted, pivoted and sorted;
 * ``baselines.materialize.MaterializedAnswers`` — every answer sorted once,
   zero pivot steps.
 
-With an exact source the returned answer is an exact φ-quantile; with an
-ε-lossy trimmer it is a (φ ± ε)-quantile (Lemmas 3.3 and 3.6).
+With an exact source the returned answer is an exact φ-quantile; with the
+ε-lossy trimmer it is a (φ ± ε)-quantile (Lemma 3.6).  Sharded execution
+runs the same loop over :class:`~repro.parallel.merger.RankMerger`, which
+merges the shard workers' :class:`CoverCounting` counts and pairs.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Collection, Iterable, Iterator, MutableMapping
+from collections.abc import Callable, Collection, Iterable, Iterator, MutableMapping, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -51,7 +52,7 @@ from repro.joins.message_passing import MaterializedTree
 from repro.joins.tree_cache import TreeCache
 from repro.joins.yannakakis import SortedAnswers, evaluate_sorted
 from repro.core.result import IterationStats, QuantileResult
-from repro.pivot.pivot_selection import PivotResult, select_pivot
+from repro.pivot.pivot_selection import select_pivot
 from repro.kernels import active_backend
 from repro.query.join_query import JoinQuery
 from repro.query.join_tree import JoinTree
@@ -72,9 +73,9 @@ class CappedCache(dict):
     """A dict that silently stops accepting new keys past a size limit.
 
     Bounds the memory held by the interval-keyed pivot and answer caches
-    (serial and sharded) and the shard workers' candidate cache; existing
-    entries keep being served, and overwriting an existing key is always
-    allowed.  A limit of 0 (or less) stores nothing: the cache is off.
+    (serial and sharded); existing entries keep being served, and
+    overwriting an existing key is always allowed.  A limit of 0 (or less)
+    stores nothing: the cache is off.
     """
 
     def __init__(self, limit: int) -> None:
@@ -254,13 +255,17 @@ LocalHandle = tuple[JoinQuery, Database]
 
 
 class LocalCandidates:
-    """The in-process candidate source: trimmed (query, database) pairs.
+    """``approx-pivot``'s candidate source: ε-lossy trimmed (query, database) pairs.
 
-    ``query``/``db`` are the canonical (usually semijoin-reduced) base.  A
-    prepared query builds one for ``approx-pivot`` and each shard worker one
-    per shard, so this is the only caller of the trims, pivot selection and
-    sorted terminal that pivoting over trimmed databases is made of.
+    ``query``/``db`` are the canonical (usually semijoin-reduced) base.  Each
+    interval's candidates are the trimmer's ``trim_interval`` of the base,
+    counted, pivoted (``select_pivot``) and sorted (``evaluate_sorted``)
+    over their own tree, so this is the only caller of the trims, pivot
+    selection and sorted terminal that pivoting over trimmed databases is
+    made of.
     """
+
+    strategy = "approx-pivot"
 
     def __init__(
         self,
@@ -275,7 +280,6 @@ class LocalCandidates:
         self.db = db
         self.ranking = ranking
         self.trimmer = trimmer
-        self.strategy = "approx-pivot" if trimmer.lossy else "exact-pivot"
         self.tree_cache = tree_cache
         self.root: LocalHandle = (query, db)
         self.size = db.size
@@ -289,9 +293,8 @@ class LocalCandidates:
         """Trim the base to ``interval`` and count what is left.
 
         Trims always restart from the (canonical, possibly semijoin-reduced)
-        base: re-applying a trimmer to its own output would compound the
-        copy factors of the segment/partition constructions (and, for lossy
-        trimmers, the answer loss).
+        base: re-applying a lossy trimmer to its own output would compound
+        its answer loss.
         """
         query, db = self.trimmer.trim_interval(self.query, self.db, interval)
         return (query, db), count_answers(query, db, tree=self.tree_cache.get(query, db))
@@ -304,12 +307,8 @@ class LocalCandidates:
             refuse_nan_sums(tree, self.ranking)
         return tree
 
-    def pivot(self, handle: LocalHandle) -> PivotResult:
-        """A c-pivot among ``handle``'s candidates (Section 4)."""
-        return select_pivot(*handle, self.ranking, tree=self._tree(handle))
-
     def step(self, interval: WeightInterval, handle: LocalHandle) -> PivotStep:
-        pivot = self.pivot(handle)
+        pivot = select_pivot(*handle, self.ranking, tree=self._tree(handle))
         lt, count_lt = self.candidate(interval.with_high(pivot.weight, strict=True))
         gt, count_gt = self.candidate(interval.with_low(pivot.weight, strict=True))
         return PivotStep(
@@ -603,6 +602,7 @@ class CoverCounting:
     """
 
     strategy = "exact-pivot"
+    c = 0.25  # the weighted median of the per-row range medians (Section 4)
 
     def __init__(
         self, query: JoinQuery, db: Database, ranking: RankingFunction, tree_cache: TreeCache,
@@ -641,7 +641,7 @@ class CoverCounting:
             self._built = rows, base, tree, counts
         return self._built
 
-    def _ranges(self, handle: CoverHandle) -> list[tuple[_Row, int, int]]:
+    def ranges(self, handle: CoverHandle) -> list[tuple[_Row, int, int]]:
         """Per live R row, the range ``[start, stop)`` of its group whose
         folds lie strictly inside ``handle`` (rows with an empty one left out)."""
         low, high = handle
@@ -675,8 +675,10 @@ class CoverCounting:
             found = self._decoded[pair] = (self.ranking.weight_of(assignment), assignment)
         return found
 
-    def step(self, interval: WeightInterval, handle: CoverHandle) -> PivotStep:
-        ranges = self._ranges(handle)
+    @staticmethod
+    def median(ranges: list[tuple[_Row, int, int]]) -> tuple[Any, tuple[int, int]]:
+        """The weighted median of the per-row range medians: its fold and
+        (R row, S row) pair, a 1/4-pivot of the answers ``ranges`` hold."""
         medians: list[tuple[Any, int, int, int]] = []  # per row: (fold, answers, pair)
         for (own, up, (members, weights, down), r), start, stop in ranges:
             size = down[stop] - down[start]
@@ -684,24 +686,39 @@ class CoverCounting:
             medians.append((own + weights[m], up * size, r, members[m]))
         medians.sort(key=itemgetter(0))
         ends = list(accumulate(median[1] for median in medians))
-        pivot, _, r, s = medians[bisect_left(ends, (ends[-1] + 1) // 2)]  # the weighted median
+        fold, _, r, s = medians[bisect_left(ends, (ends[-1] + 1) // 2)]
+        return fold, (r, s)
+
+    @staticmethod
+    def split(ranges: list[tuple[_Row, int, int]], fold: Any) -> tuple[int, int]:
+        """How many answers of ``ranges`` fold strictly below / above ``fold``."""
         lt = gt = 0
         for (own, up, (_, weights, down), _), start, stop in ranges:
-            fold = partial(add, own)
-            lt += up * (down[bisect_left(weights, pivot, start, stop, key=fold)] - down[start])
-            gt += up * (down[stop] - down[bisect_right(weights, pivot, start, stop, key=fold)])
-        weight, assignment = self.decode((r, s))
-        return PivotStep(assignment, weight, 0.25, (handle[0], pivot), lt, (pivot, handle[1]), gt)
+            key = partial(add, own)
+            lt += up * (down[bisect_left(weights, fold, start, stop, key=key)] - down[start])
+            gt += up * (down[stop] - down[bisect_right(weights, fold, start, stop, key=key)])
+        return lt, gt
 
-    def terminal(self, interval: WeightInterval, handle: CoverHandle, keep: Collection[str]) -> CoverTerminal:
+    def step(self, interval: WeightInterval, handle: CoverHandle) -> PivotStep:
+        ranges = self.ranges(handle)
+        pivot, pair = self.median(ranges)
+        lt, gt = self.split(ranges, pivot)
+        weight, assignment = self.decode(pair)
+        return PivotStep(assignment, weight, self.c, (handle[0], pivot), lt, (pivot, handle[1]), gt)
+
+    def pairs(self, handle: CoverHandle) -> list[tuple[Any, int, int, int]]:
+        """``handle``'s (fold, answers, R row, S row) pairs in fold order."""
         pairs = [
             (own + weights[k], up * (down[k + 1] - down[k]), r, members[k])
-            for (own, up, (members, weights, down), r), start, stop in self._ranges(handle)
+            for (own, up, (members, weights, down), r), start, stop in self.ranges(handle)
             for k in range(start, stop)
         ]
         checkpoint("cover.terminal", rows=len(pairs))
         pairs.sort(key=itemgetter(0))
-        return CoverTerminal(self, [p[2:] for p in pairs], list(accumulate(p[1] for p in pairs)), keep)
+        return pairs
+
+    def terminal(self, interval: WeightInterval, handle: CoverHandle, keep: Collection[str]) -> CoverTerminal:
+        return CoverTerminal(self.decode, self.pairs(handle), keep)
 
     def estimated_bytes(self) -> int:  # the per-row arrays and the decoded answers
         held = 0 if self._built is None else 2 * len(self._built[0]) + sum(map(len, self._built[3].values()))
@@ -709,24 +726,29 @@ class CoverCounting:
 
 
 class CoverTerminal:
-    """The (R row, S row) pairs of one :class:`CoverCounting` handle in fold
-    order, each standing for its ``up · down`` answers: a select bisects
-    their running totals and decodes the pair once; a warm select is a copy."""
+    """Candidates in fold order as ``(fold, answers, *key)`` pairs, each
+    standing for its ``answers``: a select bisects their running totals and
+    ``decode``s the key once; a warm select is a copy."""
 
-    def __init__(self, source: CoverCounting, pairs: list[tuple[int, int]], ends: list[int], keep: Collection[str]) -> None:
-        self.source, self.pairs, self.ends, self.keep = source, pairs, ends, keep
+    def __init__(
+        self, decode: Callable[[Any], tuple[Any, Assignment]], pairs: Sequence[tuple[Any, ...]],
+        keep: Collection[str],
+    ) -> None:
+        self.decode, self.keep = decode, keep
+        self.keys = [p[2:] for p in pairs]
+        self.ends = list(accumulate(p[1] for p in pairs))
         self._picks: dict[int, tuple[Any, Assignment]] = {}
 
     def __len__(self) -> int:
         return self.ends[-1] if self.ends else 0
 
     def estimated_bytes(self) -> int:
-        return 24 * len(self.pairs) + 64 * len(self._picks)
+        return 24 * len(self.keys) + 64 * len(self._picks)
 
     def select(self, position: int) -> tuple[Any, Assignment]:
         pick = self._picks.get(position)
         if pick is None:
-            weight, answer = self.source.decode(self.pairs[bisect_right(self.ends, position)])
+            weight, answer = self.decode(self.keys[bisect_right(self.ends, position)])
             pick = self._picks[position] = weight, project(answer, self.keep)
         return pick[0], dict(pick[1])
 
@@ -860,11 +882,11 @@ def pivoting_quantile(
     Parameters
     ----------
     trimmer:
-        The SUM trimmer whose ``trim_interval`` rewrites the base to each
-        candidate interval (``None`` with a ``source``); its ``lossy`` flag
-        makes the answer approx-pivot's.
+        The ε-lossy SUM trimmer whose ``trim_interval`` rewrites the base to
+        each candidate interval, for an ``"approx-pivot"`` answer (``None``
+        with a ``source``).
     epsilon:
-        Reported approximation parameter (for lossy trimmers).
+        Reported approximation parameter.
     termination_size:
         Materialize-and-select once at most this many candidates remain
         (default: the source's ``size``, |D| as in Algorithm 1).

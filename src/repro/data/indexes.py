@@ -4,14 +4,12 @@ Every :class:`~repro.data.relation.Relation` lazily owns an
 :class:`IndexCatalog`.  The catalog memoizes the physical access structures
 the join stack keeps rebuilding:
 
-* **hash indexes** keyed by an attribute subset — ``{key: [row positions]}``
-  — serving the SUM trimmer's join groups;
+* **hash indexes** keyed by an attribute subset — ``{key: [row positions]}``;
 * **key sets** (the distinct key tuples of a hash index), serving
   :meth:`Relation.__contains__`;
 * **weight orders** — row positions sorted by a caller-supplied key function,
   memoized under a caller-supplied hashable tag (which should embed the
-  identifying objects themselves, never their ``id()``) — serving the
-  trimmers' per-group sorts.
+  identifying objects themselves, never their ``id()``).
 
 A relation's rows never change once it is built, so nothing the catalog
 holds can go stale: every structure is built once and kept for the
@@ -178,9 +176,8 @@ class IndexCatalog:
     def memo(self, tag: Hashable, compute: Callable[[], Any]) -> Any:
         """Memoize an arbitrary structure derived from the relation's rows.
 
-        Used by trimmers to cache interval-independent constructions (e.g.
-        the segment-annotated group side of the SUM trimming) that would
-        otherwise be rebuilt on every pivot iteration.
+        For interval-independent constructions that would otherwise be
+        rebuilt on every pivot iteration.
         """
         signature: Hashable = ("__memo__", tag)
         if signature in self._orders:

@@ -8,8 +8,8 @@ arrays with zero-copy masked views, so ``select_rows`` shares the parent's
 storage instead of copying rows.  A relation is a value: its rows are fixed
 when it is built, and trims and reductions build new relations.  Each
 relation lazily owns an :class:`~repro.data.indexes.IndexCatalog` of memoized
-hash indexes and sort orders, which the trimmers and ``__contains__``
-consult instead of rebuilding their structures per call.
+hash indexes and sort orders, which ``__contains__`` consults instead of
+rebuilding its key set per call.
 """
 
 from __future__ import annotations

@@ -184,10 +184,12 @@ class PreparedQuery:
         :class:`~repro.exceptions.ExecutionCancelledError`.
     parallel:
         Shard the exact pivoting path of a SUM ranking across ``K`` worker
-        processes (:mod:`repro.parallel`): a positive int is K, ``None``
-        (default) stays serial.  Only SUM under the ``exact-pivot`` strategy
-        shards; MIN, MAX and LEX, every other strategy and every degradation
-        rung run serial, and :attr:`parallel_note` says why.  A sharded
+        processes (:mod:`repro.parallel`), each counting over the cover pair
+        of its shard: a positive int is K, ``None`` (default) stays serial.
+        Only a SUM whose weighted variables need two adjacent atoms shards
+        under the ``exact-pivot`` strategy; a one-atom SUM, MIN, MAX and LEX,
+        every other strategy and every degradation rung run serial, and
+        :attr:`parallel_note` says why.  A sharded
         result has the serial path's weight, target index and total; its
         assignment may be another answer of the same tie block.  A crashed
         worker degrades the call to the serial algorithm with a degradation
@@ -532,7 +534,9 @@ class PreparedQuery:
                     f"strategy {self.plan().strategy!r} does not shard"
                 )
                 return None
-            if not isinstance(self.ranking, SumRanking):
+            if not isinstance(self._ensure_source("exact-pivot"), CoverCounting):
+                # Key bisection (MIN, MAX, LEX, one-node SUM) runs serial: its
+                # shard-local key indices are not mergeable.
                 self._parallel_note = f"ranking {self.ranking.describe()} does not shard"
                 return None
             base_query, base_db = self._ensure_reduced()
@@ -816,8 +820,9 @@ class PreparedQuery:
         # Each cached tree re-materializes roughly the candidate database.
         total += len(self._tree_cache) * self.db.size * row_bytes
         # A memoized pivot iteration keeps two handles (approx-pivot: trimmed
-        # sub-database views); each answer-cache entry what it holds: serial,
-        # sorted prefix answers or (r, s) pairs; sharded, merged columns.
+        # sub-database views); each answer-cache entry what it holds: sorted
+        # prefix answers (approx-pivot) or the cover's pairs, serial or
+        # merged from the shards.
         total += self.pivot_cache_size * 1024
         # Each source and terminal once: materialize's is its own terminal.
         held: dict[int, Any] = {id(s): s for s in list(self._sources.values())}

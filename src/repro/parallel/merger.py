@@ -7,15 +7,17 @@ for any weight interval, the global candidate count is the sum of the
 per-shard counts.
 
 There is one pivoting loop, :func:`repro.core.quantile.run_pivoting`, and
-two candidate sources for it.  The serial engine's source is a
-:class:`~repro.core.quantile.LocalCandidates`; :class:`RankMerger` is the
-sharded one: its candidate handles are per-shard count tuples, its ``step``
-asks the largest surviving shard to *propose* a pivot and fans the lt/gt
-counting out to every surviving shard, and its ``terminal`` merges the
-shards' sorted columns.  The returned weight, target index, and total are
-therefore bit-identical to the serial path (with K > 1 the pivot
-trajectory may differ, which only changes iteration diagnostics, never the
-selected rank).
+every shard worker runs the serial engine's exact SUM source,
+:class:`~repro.core.quantile.CoverCounting`, over its shard.  A handle of
+that source is a pair of bounds on the cover's fold ``w_R + w_S``, the same
+function in every shard, so :class:`RankMerger` is the sharded source over
+the same handles: its ``step`` asks the largest surviving shard to
+*propose* a pivot fold and fans the lt/gt counting out to every surviving
+shard, and its ``terminal`` merges the shards' sorted (fold, answers, R row,
+S row) pairs and decodes a selected pair on the shard that owns it.  The
+returned weight, target index, and total are therefore bit-identical to the
+serial path (with K > 1 the pivot trajectory may differ, which only changes
+iteration diagnostics, never the selected rank).
 
 :class:`ParallelSession` owns the pool plus per-shard bookkeeping and
 threads the runtime guardrails through: in process mode each task carries
@@ -28,11 +30,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Collection, Iterable, MutableMapping
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 import repro.exceptions as _exceptions
-from repro.core.quantile import PivotStep, Terminal, run_pivoting
+from repro.core.quantile import (
+    CoverCounting, CoverHandle, CoverTerminal, PivotStep, Terminal, run_pivoting,
+)
 from repro.core.result import QuantileResult
 from repro.exceptions import (
     BudgetExceededError,
@@ -40,7 +44,6 @@ from repro.exceptions import (
     ReproError,
     SolverError,
 )
-from repro.kernels import active_backend
 from repro.parallel.planner import ShardPlan
 from repro.parallel.pool import ShardFuture, ShardPool, create_pool
 from repro.parallel.worker import TaskResult
@@ -49,6 +52,8 @@ from repro.ranking.base import RankingFunction
 from repro.runtime import checkpoint, current_context
 
 ShardCounts = tuple[int, ...]
+#: A :class:`RankMerger` handle: the fold bounds and each shard's candidates.
+MergedHandle = tuple[CoverHandle, ShardCounts]
 
 
 class ParallelSession:
@@ -74,9 +79,6 @@ class ParallelSession:
         self.shard_totals: ShardCounts = ()
         self.total = 0
         self.reduced_rows = 0
-        self.var_order: tuple[str, ...] = tuple(
-            sorted({v for _, variables in plan.atoms for v in variables})
-        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -184,11 +186,12 @@ class ParallelSession:
 class RankMerger:
     """The sharded candidate source: every count is a K-way sum.
 
-    A candidate handle is the tuple of per-shard candidate counts (not just
-    their sum): the merger needs them to pick the next proposer and to skip
-    empty shards.  :meth:`solve` runs the shared pivoting loop over it; the
-    prepared query passes its interval-keyed caches in, so repeated φ values
-    reuse the expensive early rounds exactly like the serial path does.
+    A candidate handle is the shards' common fold bounds plus the tuple of
+    per-shard candidate counts (not just their sum): the merger needs them
+    to pick the next proposer and to skip empty shards.  :meth:`solve` runs
+    the shared pivoting loop over it; the prepared query passes its
+    interval-keyed caches in, so repeated φ values reuse the expensive early
+    rounds exactly like the serial path does.
     """
 
     strategy = "exact-pivot"
@@ -201,8 +204,8 @@ class RankMerger:
         return self.session.total
 
     @property
-    def root(self) -> ShardCounts:
-        return self.session.shard_totals
+    def root(self) -> MergedHandle:
+        return (None, None), self.session.shard_totals
 
     # ------------------------------------------------------------------ #
     def solve(
@@ -229,25 +232,24 @@ class RankMerger:
             answer_cache=answer_cache,
         )
 
+    def _active(self, shard_counts: ShardCounts) -> list[int]:
+        return [s for s in range(self.session.num_shards) if shard_counts[s] > 0]
+
     # ------------------------------------------------------------------ #
-    def step(self, interval: WeightInterval, shard_counts: ShardCounts) -> PivotStep:
+    def step(self, interval: WeightInterval, handle: MergedHandle) -> PivotStep:
         """One pivoting round: the largest shard proposes, everyone counts."""
-        session = self.session
-        active = [s for s in range(session.num_shards) if shard_counts[s] > 0]
+        (low, high), shard_counts = handle
+        active = self._active(shard_counts)
         if not active:
             raise SolverError("no shard holds candidates for the current interval")
         # Largest surviving shard proposes (ties break to the lowest shard):
         # its local candidate distribution is the best stand-in for the
         # global one, so its c-pivot keeps the global elimination fraction.
         proposer = max(active, key=lambda s: (shard_counts[s], -s))
-        [pivot] = session.fan_out([(proposer, "pivot", interval)])
-        if pivot is None:
-            raise SolverError(
-                f"shard {proposer} reported no candidates despite a nonzero count"
-            )
-        pivot_weight, pivot_assignment, pivot_c = pivot
+        session = self.session
+        [(fold, weight, assignment)] = session.fan_out([(proposer, "pivot", (low, high))])
         outcomes = session.fan_out(
-            (shard, "counts", (interval, pivot_weight)) for shard in active
+            (shard, "counts", ((low, high), fold)) for shard in active
         )
         lt_counts = [0] * session.num_shards
         gt_counts = [0] * session.num_shards
@@ -256,64 +258,34 @@ class RankMerger:
             lt_counts[shard] = count_lt
             gt_counts[shard] = count_gt
         return PivotStep(
-            dict(pivot_assignment),
-            pivot_weight,
-            pivot_c,
-            tuple(lt_counts),
-            sum(lt_counts),
-            tuple(gt_counts),
-            sum(gt_counts),
+            assignment, weight, CoverCounting.c,
+            ((low, fold), tuple(lt_counts)), sum(lt_counts),
+            ((fold, high), tuple(gt_counts)), sum(gt_counts),
         )
 
     def terminal(
-        self, interval: WeightInterval, shard_counts: ShardCounts, keep: Collection[str]
-    ) -> MergedAnswers:
-        """Gather and merge the surviving shards' weight-sorted columns.
+        self, interval: WeightInterval, handle: MergedHandle, keep: Collection[str]
+    ) -> CoverTerminal:
+        """The surviving shards' pairs merged by fold, keyed ``(shard, R row,
+        S row)``; equal folds keep shard order (a stable sort), so the result
+        is deterministic across runs.  A select decodes its pair on the shard
+        that owns it, once per position."""
+        bounds, shard_counts = handle
+        active = self._active(shard_counts)
+        outcomes = self.session.fan_out((shard, "terminal", bounds) for shard in active)
+        merged = [
+            (fold, answers, shard, r, s)
+            for shard, pairs in zip(active, outcomes)
+            for fold, answers, r, s in pairs
+        ]
+        checkpoint("parallel.merge", rows=len(merged))
+        merged.sort(key=itemgetter(0))
+        return CoverTerminal(self._decode, merged, keep)
 
-        Each shard ships a sorted weight column plus one value column per
-        ``var_order`` variable; the shard-order concatenation is merged with
-        one stable argsort (equal weights keep shard order, so the result is
-        deterministic across runs).
-        """
-        session = self.session
-        weights: list[Any] = []
-        columns: list[list[Any]] = [[] for _ in session.var_order]
-        outcomes = session.fan_out(
-            (shard, "terminal", interval)
-            for shard in range(session.num_shards)
-            if shard_counts[shard] > 0
-        )
-        for shard_weights, shard_columns in outcomes:
-            weights.extend(shard_weights)
-            for column, part in zip(columns, shard_columns):
-                column.extend(part)
-        checkpoint("parallel.merge", rows=len(weights))
-        order = active_backend().argsort(weights)
-        merged = {
-            variable: [column[i] for i in order]
-            for variable, column in zip(session.var_order, columns)
-            if variable in keep
-        }
-        return MergedAnswers([weights[i] for i in order], merged)
-
-
-@dataclass(frozen=True)
-class MergedAnswers:
-    """The shards' candidates as whole columns: the ascending weight column
-    and one parallel value column per variable."""
-
-    weights: list[Any]
-    columns: dict[str, list[Any]]
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def select(self, position: int) -> tuple[Any, dict[str, Any]]:
-        picked = {variable: column[position] for variable, column in self.columns.items()}
-        return self.weights[position], picked
-
-    def estimated_bytes(self) -> int:
-        return 8 * len(self.weights) * (1 + len(self.columns))
+    def _decode(self, key: tuple[int, int, int]) -> tuple[Any, dict[str, Any]]:
+        shard, *pair = key
+        [decoded] = self.session.fan_out([(shard, "decode", tuple(pair))])
+        return decoded
 
 
 __all__ = [

@@ -1,6 +1,6 @@
 """Shard planning: hash-partition an acyclic join into K disjoint sub-databases.
 
-The φ-quantile pipeline (reduce → count → trim → pivot) is embarrassingly
+The φ-quantile pipeline (reduce → count → pivot) is embarrassingly
 partitionable by join-key hash: pick the largest relation (the *anchor*),
 pick the anchor variable ``x`` shared with the most other atoms (the
 *partition variable*), and split the database into K shards so that

@@ -2,7 +2,7 @@
 
 A :class:`WorkerPool` runs one single-worker
 :class:`~concurrent.futures.ProcessPoolExecutor` *lane* per shard, so a
-shard's state (reduced database, tree cache, candidate cache) lives in
+shard's state (reduced database, tree cache, cover source) lives in
 exactly one process for the pool's whole lifetime — tasks for shard ``s``
 always land on lane ``s`` and never re-ship the shard.
 

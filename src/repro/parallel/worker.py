@@ -1,16 +1,17 @@
-"""Per-shard worker: a local candidate source over one shard.
+"""Per-shard worker: the serial cover-pair source over one shard.
 
 Each shard process holds a :class:`_ShardState` — a
-:class:`~repro.core.quantile.LocalCandidates` over the rebuilt canonical
-query and the shard's Yannakakis-reduced database (the very class the
-serial engine pivots over), plus an interval-keyed candidate cache — and
-answers four operations shipped by the coordinator through
-:func:`run_shard_task`:
+:class:`~repro.core.quantile.CoverCounting` over the rebuilt canonical query
+and the shard's Yannakakis-reduced database (the very class the serial
+engine pivots over, built lazily on its first pivot as it is serially) —
+and answers the operations shipped by the coordinator through
+:func:`run_shard_task`; a handle is the source's own pair of fold bounds:
 
 * ``init``    — build the shard from flat column payloads, reduce, count;
-* ``pivot``   — propose a c-pivot among the shard's current candidates;
-* ``counts``  — trim lt/gt partitions for a pivot weight and count them;
-* ``terminal``— the remaining candidates as weight-sorted columns.
+* ``pivot``   — the shard's weighted-median fold and its decoded answer;
+* ``counts``  — how many candidates fold strictly below / above a fold;
+* ``terminal``— the candidates' sorted (fold, answers, R row, S row) pairs;
+* ``decode``  — the (weight, answer) of one (R row, S row) pair.
 
 The coordinator (:class:`~repro.parallel.merger.RankMerger`) combines these
 into the ``step``/``terminal`` of a candidate source for the one pivoting
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.core.quantile import CappedCache, LocalCandidates, LocalHandle
+from repro.core.quantile import CoverCounting, CoverHandle
 from repro.data.columns import ColumnStore
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -35,18 +36,15 @@ from repro.exceptions import (
     BudgetExceededError,
     ExecutionCancelledError,
     ReproError,
+    SolverError,
 )
+from repro.joins.counting import count_answers
 from repro.joins.tree_cache import TreeCache
 from repro.joins.yannakakis import full_reduce
 from repro.query.atom import Atom
+from repro.query.classify import find_adjacent_cover
 from repro.query.join_query import JoinQuery
-from repro.query.predicates import WeightInterval
 from repro.runtime import ExecutionContext
-from repro.trim import SumAdjacentTrimmer
-
-#: Cap on memoized candidate intervals per shard (mirrors the coordinator's
-#: pivot-cache bound; evicted intervals are recomputed from the base).
-DEFAULT_CANDIDATE_CACHE_LIMIT = 256
 
 #: ``(status, payload, rows_used)`` — the cross-process result envelope.
 TaskResult = tuple[str, Any, int]
@@ -54,13 +52,17 @@ TaskResult = tuple[str, Any, int]
 
 @dataclass
 class _ShardState:
-    """Everything one worker process keeps for one shard."""
+    """Everything one worker process keeps for one shard: its source and
+    the ranges of the last handle asked about (a round's pivot and counts
+    read the same ones)."""
 
-    source: LocalCandidates  # over the shard database after full reduction
-    var_order: tuple[str, ...]
-    candidates: CappedCache = field(
-        default_factory=lambda: CappedCache(DEFAULT_CANDIDATE_CACHE_LIMIT)
-    )
+    source: CoverCounting  # over the shard database after full reduction
+    last: tuple[CoverHandle, list[Any]] | None = None
+
+    def ranges(self, handle: CoverHandle) -> list[Any]:
+        if self.last is None or self.last[0] != handle:
+            self.last = handle, self.source.ranges(handle)
+        return self.last[1]
 
 
 #: Shard states of this worker process, keyed by the coordinator-assigned id.
@@ -125,7 +127,7 @@ def _init_shard(state_key: int, payload: dict[str, Any]) -> tuple[int, int]:
 
     Returns ``(answer count, reduced database size)``.  The unreduced shard
     is dropped immediately — like the serial engine, everything downstream
-    (trims, pivots, terminal enumeration) restarts from the reduced base.
+    (the cover's rows, pivots, terminal pairs) starts from the reduced base.
     """
     query = JoinQuery(
         [Atom(name, variables) for name, variables in payload["atoms"]]
@@ -140,77 +142,35 @@ def _init_shard(state_key: int, payload: dict[str, Any]) -> tuple[int, int]:
     tree_cache = TreeCache()
     reduced = full_reduce(query, db, tree=tree_cache.get(query, db))
     ranking = payload["ranking"]
-    source = LocalCandidates(
-        query, reduced, ranking, SumAdjacentTrimmer(ranking), tree_cache
-    )
-    state = _ShardState(source, var_order=tuple(sorted(query.variables)))
-    state.candidates[WeightInterval()] = (source.root, source.total)
-    _SHARD_STATES[state_key] = state
-    return source.total, reduced.size
+    total = count_answers(query, reduced, tree=tree_cache.get(query, reduced))
+    cover = find_adjacent_cover(query, frozenset(ranking.weighted_variables))
+    if cover is None or len(cover[1]) != 2:
+        raise SolverError(f"{ranking.describe()} has no cover pair to shard")
+    source = CoverCounting(query, reduced, ranking, tree_cache, total, cover)
+    _SHARD_STATES[state_key] = _ShardState(source)
+    return total, reduced.size
 
 
-def _candidate(state: _ShardState, interval: WeightInterval) -> tuple[LocalHandle, int]:
-    """The ((query, database), count) candidate for one interval.
-
-    Cached per interval; on a cache miss (including eviction past the cap)
-    the candidate is re-trimmed from the reduced base — exactly how the
-    serial loop derives its current candidate set, so shard-local candidates
-    agree with what a serial run restricted to this shard would hold.
-    """
-    entry = state.candidates.get(interval)
-    if entry is None:
-        entry = state.candidates[interval] = state.source.candidate(interval)
-    return entry
+def _propose_pivot(state: _ShardState, handle: CoverHandle) -> tuple[Any, Any, dict[str, Any]]:
+    """(fold, weight, answer) of this shard's pivot among ``handle``'s candidates."""
+    fold, pair = state.source.median(state.ranges(handle))
+    return (fold, *state.source.decode(pair))
 
 
-def _propose_pivot(
-    state: _ShardState, interval: WeightInterval
-) -> tuple[Any, dict[str, Any], float] | None:
-    """Propose this shard's c-pivot for the interval, or ``None`` if empty."""
-    handle, count = _candidate(state, interval)
-    if count == 0:
-        return None
-    pivot = state.source.pivot(handle)
-    return pivot.weight, pivot.assignment, pivot.c
-
-
-def _partition_counts(
-    state: _ShardState, payload: tuple[WeightInterval, Any]
-) -> tuple[int, int]:
-    """Count this shard's candidates strictly below / above a pivot weight.
-
-    Both partitions are trimmed from the reduced base restricted to the full
-    accumulated interval (never from a previous trim's output) and cached,
-    so the next round's pivot proposal reuses them.
-    """
-    interval, pivot_weight = payload
-    _, count_lt = _candidate(state, interval.with_high(pivot_weight, strict=True))
-    _, count_gt = _candidate(state, interval.with_low(pivot_weight, strict=True))
-    return count_lt, count_gt
-
-
-def _terminal_answers(
-    state: _ShardState, interval: WeightInterval
-) -> tuple[list[Any], list[list[Any]]]:
-    """This shard's remaining candidates, weight-sorted, as columns.
-
-    Answers travel as the sorted weight column plus one value column per
-    ``var_order`` variable — flat lists, never per-answer objects — so the
-    coordinator merges K sorted runs with one stable argsort.
-    """
-    handle, _ = _candidate(state, interval)
-    weights, columns = state.source.terminal(interval, handle, state.var_order).columns()
-    return weights, [columns[variable] for variable in state.var_order]
+def _partition_counts(state: _ShardState, payload: tuple[CoverHandle, Any]) -> tuple[int, int]:
+    """Count this shard's candidates folding strictly below / above a fold."""
+    handle, fold = payload
+    return state.source.split(state.ranges(handle), fold)
 
 
 _OPERATIONS: dict[str, Callable[[_ShardState, Any], Any]] = {
     "pivot": _propose_pivot,
     "counts": _partition_counts,
-    "terminal": _terminal_answers,
+    "terminal": lambda state, handle: state.source.pairs(handle),
+    "decode": lambda state, pair: state.source.decode(pair),
 }
 
 __all__ = [
-    "DEFAULT_CANDIDATE_CACHE_LIMIT",
     "TaskResult",
     "run_shard_task",
     "crash_for_tests",

@@ -9,7 +9,7 @@ self-join-free JQ is tractable (quasilinear %JQ) exactly when
 
 Lemma D.1 shows these conditions are equivalent to the existence of a join
 tree in which ``U_w`` is covered by one node or two *adjacent* nodes — which
-is exactly what the exact SUM trimming (Lemma 5.5) needs.  This module
+is exactly what exact SUM's counting over the cover pair needs.  This module
 implements both views: the structural test and the constructive search for the
 adjacent cover (via the forced-edge maximum-spanning-tree construction of
 :mod:`repro.query.join_tree`).

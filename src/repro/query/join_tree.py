@@ -8,7 +8,7 @@ Construction uses the classical characterization (Maier / Bernstein & Goodman):
 for an acyclic hypergraph, a tree over the hyperedges is a join tree if and
 only if it is a maximum-weight spanning tree of the *intersection graph*, whose
 edge weights are ``|e_i ∩ e_j|``.  This also lets us force a chosen pair of
-atoms to be adjacent (needed by the partial-SUM trimming, Lemma D.1): a join
+atoms to be adjacent (needed by the partial-SUM cover pair, Lemma D.1): a join
 tree with that edge exists iff forcing the edge does not decrease the maximum
 spanning-tree weight.
 """

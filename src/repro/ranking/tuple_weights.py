@@ -25,7 +25,7 @@ def variable_to_atom_assignment(
     """Build the mapping ``μ`` from weighted variables to owning atoms.
 
     Each variable is assigned to one atom that contains it.  Atoms listed in
-    ``preferred_atoms`` are tried first (used by the adjacent-SUM trimming to
+    ``preferred_atoms`` are tried first (used by exact SUM's cover pair to
     keep all weights on the designated pair of atoms).
 
     Raises

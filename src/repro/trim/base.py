@@ -30,9 +30,6 @@ class Trimmer(abc.ABC):
     ``(Q', D')`` is the handle a candidate source counts, pivots and sorts.
     """
 
-    #: Whether trims produced by this trimmer lose answers (Definition 3.5).
-    lossy: bool = False
-
     def __init__(self, ranking: RankingFunction) -> None:
         self.ranking = ranking
 

@@ -117,7 +117,6 @@ class TestPaperFigure4:
         (helper,) = trimmed_query.variables - self.query.variables
         for atom in trimmed_query:
             assert helper in atom.variable_set
-        assert trimmer.lossy
 
     def test_exactness_with_tiny_epsilon(self):
         """With a very small ε every bucket is a singleton, so nothing is lost."""

@@ -86,11 +86,6 @@ class TestMicroExperiments:
         for row in result.rows:
             assert row["within_epsilon"]
 
-    def test_a2_variants_agree(self):
-        result = ablations.run_a2(n=120, seed=13)
-        answers = {row["answers"] for row in result.rows}
-        assert len(answers) == 1  # both variants represent the same answer set
-
     def test_a3_phi_sweep(self):
         result = ablations.run_a3(phis=(0.1, 0.9), n=100, seed=14)
         assert len(result.rows) == 2

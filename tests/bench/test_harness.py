@@ -113,7 +113,7 @@ class TestJsonReport:
 class TestRegistry:
     def test_every_experiment_registered(self):
         expected = {"E1", "E1b", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9",
-                    "E10", "E11", "A1", "A2", "A3", "A4"}
+                    "E10", "E11", "A1", "A3", "A4"}
         assert expected == set(EXPERIMENTS)
 
     def test_get_experiment_case_insensitive(self):

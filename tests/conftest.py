@@ -44,7 +44,6 @@ def _fault_test_deadline(request):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
-from repro.core.quantile import LocalCandidates
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import PreparedQuery
@@ -57,26 +56,12 @@ from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking, MinRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime.context import set_fault_hook
-from repro.trim import SumAdjacentTrimmer
 
 
 @pytest.fixture()
 def inline_mode(monkeypatch):
     """Run shard pools synchronously in-process (deterministic, no fork cost)."""
     monkeypatch.setattr(merger, "create_pool", InlinePool)
-
-
-def trimming(prepared: PreparedQuery) -> PreparedQuery:
-    """``prepared`` with exact SUM over trimmed databases: its exact-pivot
-    source is ``LocalCandidates`` over ``SumAdjacentTrimmer``, what a shard
-    worker runs, so the trim, pivot-selection and sorted-terminal layers stay
-    reachable through the engine (its own source counts over the cover)."""
-    base, total = prepared._ensure_reduced(), prepared._ensure_total()
-    trimmer = SumAdjacentTrimmer(prepared.ranking)
-    prepared._sources["exact-pivot"] = LocalCandidates(
-        *base, prepared.ranking, trimmer, prepared.tree_cache, total
-    )
-    return prepared
 
 
 # ---------------------------------------------------------------------- #

@@ -26,7 +26,6 @@ from repro.runtime.context import set_fault_hook
 from repro.testing.faults import FaultPlan, inject_faults
 from repro.workloads.path import path_workload
 
-from tests.conftest import trimming
 
 
 @pytest.fixture
@@ -205,14 +204,17 @@ class TestPreparedStateReuse:
         self, binary_join, parallel, inline_mode
     ):
         # The service's byte-budget eviction only sees what this estimate
-        # charges: a cached terminal costs what it actually holds.  Serial,
-        # that is the sorted prefix answers (R2 only multiplies SUM(x1, x2):
-        # it is deferred) plus each memoized pick; sharded, the merged whole
-        # columns.
+        # charges: a cached terminal costs what it actually holds.  Serial
+        # (approx-pivot's sorted terminal), that is the sorted prefix answers
+        # (R2 only multiplies SUM(x1, x2): it is deferred) plus each memoized
+        # pick; sharded, the merged cover pairs plus each memoized pick.
         query, db = binary_join
-        prepared = PreparedQuery(query, db, SumRanking(["x1", "x2"]), parallel=parallel)
-        if not parallel:
-            trimming(prepared)  # the serial sorted terminal: the trimmed-database source's
+        if parallel:
+            prepared = PreparedQuery(query, db, SumRanking(["x1", "x3"]), parallel=parallel)
+        else:
+            prepared = PreparedQuery(
+                query, db, SumRanking(["x1", "x2"]), strategy="approx-pivot", epsilon=0.1
+            )
         prepared.quantile(0.5)
         [(_, cache)] = prepared._caches.values()
         [terminal] = cache.values()
@@ -222,8 +224,10 @@ class TestPreparedStateReuse:
         assert prepared.estimated_bytes() == one_pick
         prepared.quantile(0.25)
         if parallel:
-            held = 8 * len(terminal) * (1 + 3)
-            assert prepared.estimated_bytes() == one_pick
+            # Per merged pair its (shard, R row, S row) key; per pick 64.
+            assert prepared.shards == parallel
+            held = 24 * len(terminal.keys) + 64 * 2
+            assert prepared.estimated_bytes() == one_pick + 64
         else:
             # Per prefix answer a weight, R1's row index and a running total;
             # per pick a weight and three values.
@@ -241,7 +245,7 @@ class TestPreparedStateReuse:
     ):
         # The terminal memoizes its picks; every caller still owns its dict.
         query, db = binary_join
-        prepared = PreparedQuery(query, db, SumRanking(["x1", "x2"]), parallel=parallel)
+        prepared = PreparedQuery(query, db, SumRanking(["x1", "x3"]), parallel=parallel)
         first = prepared.quantile(0.5)
         expected = dict(first.assignment)
         first.assignment["x1"] = "mutated"
@@ -386,9 +390,10 @@ class TestCached:
         assert prepared.cached(phi=0.5) is None
 
     def test_a_sharded_query_is_none(self, path_db, inline_mode):
-        prepared = PreparedQuery(PATH_QUERY, path_db, "sum(x1, x2)", parallel=2)
+        prepared = PreparedQuery(PATH_QUERY, path_db, "sum(x1, x3)", parallel=2)
         try:
             prepared.quantile(0.5)
+            assert prepared.shards == 2
             assert prepared.cached(phi=0.5) is None
         finally:
             prepared.close()

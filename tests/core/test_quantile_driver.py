@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.quantile import phi_for_index, pivoting_quantile, target_index_for
+from repro.approx.lossy_sum_trim import LossySumTrimmer
+from repro.core.quantile import phi_for_index, pivoting_quantile, run_pivoting, target_index_for
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import PreparedQuery
@@ -10,7 +11,6 @@ from repro.exceptions import EmptyResultError, ValidationError
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.ranking.sum import SumRanking
-from repro.trim.sum_adjacent_trim import SumAdjacentTrimmer
 
 from tests.conftest import assert_valid_quantile
 
@@ -70,22 +70,29 @@ class TestPhiForIndex:
             phi_for_index(0, 0)
 
 
+def exact(query, db, ranking, phi=None, index=None, termination_size=None):
+    """Algorithm 1 over a prepared query's exact source, at its ``|D|`` cut
+    by default: the loop's contract does not depend on the source."""
+    source = PreparedQuery(query, db, ranking, strategy="exact-pivot")._ensure_source("exact-pivot")
+    if termination_size is None:
+        termination_size = max(source.size, 1)
+    return run_pivoting(source, phi, index, set(query.variables), termination_size)
+
+
 class TestDriver:
     def test_phi_and_index_are_mutually_exclusive(self, binary_join):
         query, db = binary_join
         ranking = SumRanking(["x1", "x3"])
-        trimmer = SumAdjacentTrimmer(ranking)
         with pytest.raises(ValueError):
-            pivoting_quantile(query, db, ranking, trimmer)
+            exact(query, db, ranking)
         with pytest.raises(ValueError):
-            pivoting_quantile(query, db, ranking, trimmer, phi=0.5, index=3)
+            exact(query, db, ranking, phi=0.5, index=3)
 
     def test_index_out_of_range(self, binary_join):
         query, db = binary_join
         ranking = SumRanking(["x1", "x3"])
-        trimmer = SumAdjacentTrimmer(ranking)
         with pytest.raises(ValueError):
-            pivoting_quantile(query, db, ranking, trimmer, index=10**9)
+            exact(query, db, ranking, index=10**9)
         # A malformed request is the same typed error from every strategy
         # and entry point (these used to be bare TypeErrors, selection(2.0)
         # from inside the terminal select).
@@ -110,7 +117,7 @@ class TestDriver:
         )
         ranking = SumRanking(["x"])
         with pytest.raises(EmptyResultError):
-            pivoting_quantile(query, db, ranking, SumAdjacentTrimmer(ranking), phi=0.5)
+            exact(query, db, ranking, phi=0.5)
         # Every strategy and entry point raises the same typed error
         # (selection under "sampling" used to raise SolverError).
         for strategy in ("exact-pivot", "sampling", "materialize"):
@@ -125,9 +132,7 @@ class TestDriver:
     def test_stats_are_recorded(self, three_path):
         query, db = three_path
         ranking = SumRanking(["x1", "x2", "x3"])
-        result = pivoting_quantile(
-            query, db, ranking, SumAdjacentTrimmer(ranking), phi=0.5, termination_size=1
-        )
+        result = exact(query, db, ranking, phi=0.5, termination_size=1)
         assert result.iterations == len(result.stats)
         assert result.iterations >= 1
         for stat in result.stats:
@@ -135,17 +140,21 @@ class TestDriver:
             assert stat.count_lt >= 0 and stat.count_gt >= 0 and stat.count_eq >= 0
             assert 0 < stat.c <= 0.5
 
-    def test_exact_flag_follows_trimmer(self, three_path):
+    def test_exact_flag_follows_the_source(self, three_path):
         query, db = three_path
         ranking = SumRanking(["x1", "x2", "x3"])
-        result = pivoting_quantile(query, db, ranking, SumAdjacentTrimmer(ranking), phi=0.5)
+        result = exact(query, db, ranking, phi=0.5)
         assert result.exact
         assert result.strategy == "exact-pivot"
+        trimmer = LossySumTrimmer(ranking, epsilon=0.1)
+        result = pivoting_quantile(query, db, ranking, trimmer, phi=0.5, epsilon=0.4)
+        assert not result.exact
+        assert (result.strategy, result.epsilon) == ("approx-pivot", 0.4)
 
     def test_assignment_projected_to_original_variables(self, three_path):
         query, db = three_path
         ranking = SumRanking(["x1", "x2", "x3"])
-        result = pivoting_quantile(query, db, ranking, SumAdjacentTrimmer(ranking), phi=0.5)
+        result = exact(query, db, ranking, phi=0.5)
         assert set(result.assignment) == set(query.variables)
 
     def test_termination_size_zero_forces_pivot_loop(self, binary_join):
@@ -153,30 +162,22 @@ class TestDriver:
         partition instead of materializing."""
         query, db = binary_join
         ranking = SumRanking(["x1", "x2", "x3"])
-        result = pivoting_quantile(
-            query, db, ranking, SumAdjacentTrimmer(ranking), phi=0.5, termination_size=0
-        )
+        result = exact(query, db, ranking, phi=0.5, termination_size=0)
         assert_valid_quantile(query, db, ranking, result, 0.5)
         assert result.stats[-1].chosen == "eq"
 
     def test_large_termination_size_materializes_immediately(self, binary_join):
         query, db = binary_join
         ranking = SumRanking(["x1", "x2", "x3"])
-        result = pivoting_quantile(
-            query, db, ranking, SumAdjacentTrimmer(ranking), phi=0.5,
-            termination_size=10**9,
-        )
+        result = exact(query, db, ranking, phi=0.5, termination_size=10**9)
         assert result.iterations == 0
         assert_valid_quantile(query, db, ranking, result, 0.5)
 
     def test_selection_by_index(self, binary_join):
         query, db = binary_join
         ranking = SumRanking(["x1", "x2", "x3"])
-        trimmer = SumAdjacentTrimmer(ranking)
-        total = pivoting_quantile(
-            query, db, ranking, trimmer, phi=0.0
-        ).total_answers
+        total = exact(query, db, ranking, phi=0.0).total_answers
         for index in (0, total // 3, total - 1):
-            result = pivoting_quantile(query, db, ranking, trimmer, index=index)
+            result = exact(query, db, ranking, index=index)
             phi_equivalent = index / total
             assert_valid_quantile(query, db, ranking, result, phi_equivalent)

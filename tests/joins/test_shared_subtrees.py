@@ -1,7 +1,8 @@
 """Node and subtree state shared between the trees of one ``TreeCache``.
 
-Trimmed databases hand back the base's untouched relations by identity, and
-trees built through one cache share what they know about them.  The
+Databases that hold some relations by identity (a restricted root, another
+rooting of the same join) build trees through one cache that share what
+they know about those relations.  The
 differential test pins that sharing never changes an answer; the crafted
 tests pin what is shared, what is not, when it dies, and that a fault leaves
 nothing partial behind.
@@ -19,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.materialize import materialize_quantile
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import PreparedQuery
@@ -27,23 +27,20 @@ from repro.exceptions import EmptyResultError
 from repro.joins.counting import count_answers
 from repro.joins.message_passing import MaterializedTree, StateTable
 from repro.joins.tree_cache import TreeCache
-from repro.joins.yannakakis import evaluate, evaluate_sorted
+from repro.joins.yannakakis import evaluate_sorted
 from repro.pivot import pivot_selection, select_pivot
 from repro.pivot.weighted_median import segmented_weighted_median
 from repro.query.atom import Atom
-from repro.query.classify import find_adjacent_cover
 from repro.query.join_query import JoinQuery
 from repro.query.join_tree import build_join_tree
-from repro.query.predicates import WeightInterval
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.minmax import MinRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime import ExecutionContext
 from repro.runtime.context import set_fault_hook
 from repro.testing import FaultPlan, InjectedFault, inject_faults
-from repro.trim import SumAdjacentTrimmer
 
-from tests.conftest import RANKING_KINDS, join_instances, trimming
+from tests.conftest import RANKING_KINDS, join_instances
 
 PATH = JoinQuery(
     [Atom("R1", ("x1", "x2")), Atom("R2", ("x2", "x3")), Atom("R3", ("x3", "x4"))]
@@ -60,10 +57,21 @@ def path_db():
     )
 
 
-def trims(query, db, ranking, bounds):
-    """The (query, database) pairs of ``trim_interval`` for each (low, high)."""
-    trimmer = SumAdjacentTrimmer(ranking)
-    return [trimmer.trim_interval(query, db, WeightInterval(*pair)) for pair in bounds]
+def restricted(db, name, dropped):
+    """``db`` without the rows of relation ``name`` at the ``dropped``
+    positions; every other relation is ``db``'s own, by identity."""
+    dropped = set(dropped)
+    return Database(
+        [
+            Relation(r.name, r.schema, [row for i, row in enumerate(r.rows) if i not in dropped])
+            if r.name == name else r
+            for r in db
+        ]
+    )
+
+
+#: The R1 rows each of three variants of ``path_db()`` drops: they differ in R1 only.
+ROOTS = [range(0, 40, 3), range(1, 40, 3), range(0, 20)]
 
 
 def observed(query, db, ranking, tree):
@@ -86,24 +94,15 @@ def observed(query, db, ranking, tree):
 def test_trees_through_one_cache_equal_throwaway_trees(instance, data):
     query, db, ranking = instance
     query, db = ensure_canonical(query, db)
-    pairs = [(query, db)]
-    weights = sorted({ranking.weight_of(answer) for answer in evaluate(query, db)})
-    weighted = frozenset(ranking.weighted_variables) & query.variables
-    if weights and find_adjacent_cover(query, weighted) is not None:
-        bound = st.sampled_from([None, *weights])
-        bounds = data.draw(
-            st.lists(st.tuples(bound, bound, st.booleans(), st.booleans()), max_size=4)
-        )
-        pairs += trims(query, db, ranking, bounds)
+    names = [relation.name for relation in db]
+    cuts = data.draw(
+        st.lists(st.tuples(st.sampled_from(names), st.sets(st.integers(0, 9))), max_size=4)
+    )
+    pairs = [(query, db)] + [(query, restricted(db, *cut)) for cut in cuts]
     cache = TreeCache()
-    for trimmed_query, trimmed_db in pairs:
-        shared = observed(
-            trimmed_query, trimmed_db, ranking, cache.get(trimmed_query, trimmed_db)
-        )
-        alone = observed(
-            trimmed_query, trimmed_db, ranking,
-            MaterializedTree(trimmed_query, trimmed_db),
-        )
+    for query, variant in pairs:
+        shared = observed(query, variant, ranking, cache.get(query, variant))
+        alone = observed(query, variant, ranking, MaterializedTree(query, variant))
         assert shared == alone
 
 
@@ -154,26 +153,22 @@ def test_two_rootings_share_nodes_but_group_them_by_their_own_join_variables():
 
 
 # ---------------------------------------------------------------------- #
-# (b) What the second trimmed tree still has to do
+# (b) What a second tree, new only at its root, still has to do
 # ---------------------------------------------------------------------- #
-def test_second_trimmed_tree_of_a_path_sum_touches_only_its_root():
+def test_second_tree_new_only_at_its_root_touches_only_its_root():
     db = path_db()
     ranking = SumRanking(["x1", "x2", "x3"])
-    (q1, d1), (q2, d2) = trims(PATH, db, ranking, [(None, 20.0), (12.0, None)])
-    # The SUM trim rewrote the two covering atoms; the group side is one
-    # object for every interval and R3 is the base's own.
-    assert d1["R1"] is not d2["R1"]
-    assert d1["R2"] is d2["R2"] and d1["R2"] is not db["R2"]
-    assert d1["R3"] is d2["R3"] is db["R3"]
+    d1, d2 = (restricted(db, "R1", rows) for rows in ROOTS[:2])
+    assert d1["R2"] is d2["R2"] is db["R2"] and d1["R3"] is d2["R3"] is db["R3"]
 
     cache = TreeCache()
-    first = cache.get(q1, d1)
-    select_pivot(q1, d1, ranking, tree=first)
+    first = cache.get(PATH, d1)
+    select_pivot(PATH, d1, ranking, tree=first)
     plan = FaultPlan()
     with inject_faults(plan), ExecutionContext() as context:
-        tree = cache.get(q2, d2)
-        total = count_answers(q2, d2, tree=tree)
-        pivot = select_pivot(q2, d2, ranking, tree=tree)
+        tree = cache.get(PATH, d2)
+        total = count_answers(PATH, d2, tree=tree)
+        pivot = select_pivot(PATH, d2, ranking, tree=tree)
     assert tree.root == 0
     assert plan.seen["tree.materialize"] == 1
     assert plan.seen["tree.group"] == plan.seen["tree.group_ids"] == 0
@@ -188,14 +183,14 @@ def test_second_trimmed_tree_of_a_path_sum_touches_only_its_root():
     # No tree can share a root subtree: its message is not kept.
     assert not tree.subtree(0).pivots and ranking in tree.subtree(1).pivots
 
-    alone = MaterializedTree(q2, d2)
-    assert total == count_answers(q2, d2, tree=alone)
-    assert repr(pivot) == repr(select_pivot(q2, d2, ranking, tree=alone))
+    alone = MaterializedTree(PATH, d2)
+    assert total == count_answers(PATH, d2, tree=alone)
+    assert repr(pivot) == repr(select_pivot(PATH, d2, ranking, tree=alone))
     assert (cache.node_hits, cache.node_misses) == (2, 4)
     assert "node_hits=2, node_misses=4" in repr(cache)
     # The terminals read the root's edge and R3's edge off the shared states.
-    before = evaluate_sorted(q1, d1, ranking, tree=first)
-    after = evaluate_sorted(q2, d2, ranking, tree=tree)
+    before = evaluate_sorted(PATH, d1, ranking, tree=first)
+    after = evaluate_sorted(PATH, d2, ranking, tree=tree)
     assert after._deferred == [2]
     assert after._members[1] is before._members[1] and after._members[2] is before._members[2]
     assert after._sums[2] is before._sums[2]
@@ -203,21 +198,21 @@ def test_second_trimmed_tree_of_a_path_sum_touches_only_its_root():
 
 def test_terminals_of_a_batch_scan_the_shared_leaf_for_one_weight_per_group_once():
     """R3 is the last occurrence of x3, its join key with R2: every terminal
-    defers it on one verdict, kept on the node every trimmed tree shares."""
+    defers it on one verdict, kept on the node every tree of the batch shares."""
     db = path_db()
     ranking = SumRanking(["x1", "x2", "x3"])
-    pairs = trims(PATH, db, ranking, [(None, 20.0), (12.0, None), (5.0, 30.0)])
+    variants = [restricted(db, "R1", rows) for rows in ROOTS]
     cache = TreeCache()
     plan = FaultPlan()
     with inject_faults(plan):
-        for query, trimmed in pairs:
-            tree = cache.get(query, trimmed)
-            answers = evaluate_sorted(query, trimmed, ranking, tree=tree)
+        for variant in variants:
+            tree = cache.get(PATH, variant)
+            answers = evaluate_sorted(PATH, variant, ranking, tree=tree)
             assert answers._deferred == [2] and len(answers) == count_answers(
-                query, trimmed, tree=tree
+                PATH, variant, tree=tree
             )
     assert plan.seen["tree.group_weights"] == 1
-    assert plan.seen["yannakakis.answer"] == 2 * len(pairs)
+    assert plan.seen["yannakakis.answer"] == 2 * len(variants)
 
 
 # ---------------------------------------------------------------------- #
@@ -226,10 +221,9 @@ def test_terminals_of_a_batch_scan_the_shared_leaf_for_one_weight_per_group_once
 @pytest.mark.parametrize("drop", ["clear", "evict"])
 def test_shared_state_dies_with_the_last_cached_tree_using_it(drop):
     db = path_db()
-    ranking = SumRanking(["x1", "x2", "x3"])
-    pairs = trims(PATH, db, ranking, [(None, 20.0), (12.0, None), (5.0, 30.0)])
+    variants = [restricted(db, "R1", rows) for rows in ROOTS]
     cache = TreeCache(limit=2)
-    trees = [cache.get(query, trimmed) for query, trimmed in pairs]
+    trees = [cache.get(PATH, variant) for variant in variants]
     assert trees[0].subtree(1) is trees[1].subtree(1) is trees[2].subtree(1)
     subtree, node = weakref.ref(trees[0].subtree(1)), weakref.ref(trees[0]._nodes[1])
     del trees
@@ -248,21 +242,29 @@ def test_shared_state_dies_with_the_last_cached_tree_using_it(drop):
 # ---------------------------------------------------------------------- #
 # (d) A fault while a later tree is built or read leaves nothing partial
 # ---------------------------------------------------------------------- #
-# The cover (R2, R3) is below the root: every trimmed tree shares R1's node
-# and R3's subtree, and groups, counts and pivots its own R2 in between.
+# approx-pivot builds, counts and pivots one tree per ε-lossy trim; the cover
+# (R2, R3) sits below the root.
 INNER = SumRanking(["x3", "x4"])
 
 
+def approx_inner():
+    return PreparedQuery(
+        PATH, path_db(), INNER, termination_factor=1, strategy="approx-pivot", epsilon=0.2
+    )
+
+
 def seen_when_the_second_trim_starts():
+    """Checkpoint counts when the first step's second trim starts (a trim
+    scans each atom once per bound), with the clean result and cache size."""
     seen: Counter[str] = Counter()
     snapshot: Counter[str] = Counter()
 
     def hook(name):
         seen[name] += 1
-        if name == "trim.sum_copy" and seen[name] == 2:
+        if name == "trim.lossy_scan" and seen[name] == len(PATH) + 1:
             snapshot.update(seen)
 
-    clean = trimming(PreparedQuery(PATH, path_db(), INNER, termination_factor=1))
+    clean = approx_inner()
     previous = set_fault_hook(hook)
     try:
         result = clean.quantile(0.5)
@@ -276,7 +278,7 @@ def seen_when_the_second_trim_starts():
 def test_fault_on_a_later_trimmed_tree_leaves_no_partial_state(name):
     snapshot, clean_result, clean_size = seen_when_the_second_trim_starts()
     assert clean_size > 1
-    prepared = trimming(PreparedQuery(PATH, path_db(), INNER, termination_factor=1))
+    prepared = approx_inner()
     with inject_faults(FaultPlan().arm(name, after=snapshot[name])) as plan:
         with pytest.raises(InjectedFault):
             prepared.quantile(0.5)
@@ -284,29 +286,16 @@ def test_fault_on_a_later_trimmed_tree_leaves_no_partial_state(name):
     result = prepared.quantile(0.5)
     assert repr(result) == clean_result
     assert prepared.pivot_cache_size == clean_size
-    oracle = materialize_quantile(PATH, path_db(), INNER, phi=0.5)
-    assert (result.weight, result.target_index) == (oracle.weight, oracle.target_index)
 
 
 @pytest.mark.faults
 def test_fault_while_the_shared_root_edge_medians_are_built_keeps_no_entry(monkeypatch):
-    """The first trimmed tree builds the medians its root edge shares with
-    every later one; a fault mid-build leaves them to the retry, built once."""
+    """The first tree builds the medians its root edge shares with every
+    tree new only at its root; a fault mid-build leaves them to the retry,
+    built once."""
     ranking = SumRanking(["x1", "x2", "x3"])
-    seen: Counter[str] = Counter()
-    base_medians = []
-
-    def hook(name):
-        seen[name] += 1
-        if name == "trim.sum_copy" and not base_medians:
-            base_medians.append(seen["pivot.median"])
-
-    clean = trimming(PreparedQuery(PATH, path_db(), ranking, termination_factor=1))
-    previous = set_fault_hook(hook)
-    try:
-        clean_result = repr(clean.quantile(0.5))
-    finally:
-        set_fault_hook(previous)
+    db = path_db()
+    first, second = (restricted(db, "R1", rows) for rows in ROOTS[:2])
     built = []
 
     def recorded(group_ids, *args):
@@ -314,25 +303,24 @@ def test_fault_while_the_shared_root_edge_medians_are_built_keeps_no_entry(monke
         return segmented_weighted_median(group_ids, *args)
 
     monkeypatch.setattr(pivot_selection, "segmented_weighted_median", recorded)
-    prepared = trimming(PreparedQuery(PATH, path_db(), ranking, termination_factor=1))
-
-    def trimmed_trees():
-        trees = [entry[-1] for entry in prepared.tree_cache._entries.values()]
-        return [tree for tree in trees if tree.query != PATH]
-
-    with inject_faults(FaultPlan().arm("pivot.median", after=base_medians[0])) as plan:
+    cache = TreeCache()
+    tree = cache.get(PATH, first)
+    # Bottom up: R2's edge to R3 builds its medians first, then the root's.
+    with inject_faults(FaultPlan().arm("pivot.median", after=1)) as plan:
         with pytest.raises(InjectedFault):
-            prepared.quantile(0.5)
-    assert plan.fired == [("pivot.median", base_medians[0] + 1)]
-    shared = trimmed_trees()[0]
-    assert built[-1] is shared.child_group_ids(0, 1)  # the fault hit its build
-    assert all(tree.subtree(1) is shared.subtree(1) for tree in trimmed_trees())
-    join_vars = shared.join_variables(0, 1)
-    assert (join_vars, ("medians", ranking)) not in shared.subtree(1).sent
+            select_pivot(PATH, first, ranking, tree=tree)
+    assert plan.fired == [("pivot.median", 2)]
+    assert built[-1] is tree.child_group_ids(0, 1)  # the fault hit its build
+    join_vars = tree.join_variables(0, 1)
+    assert (join_vars, ("medians", ranking)) not in tree.subtree(1).sent
     built.clear()
-    assert repr(prepared.quantile(0.5)) == clean_result
-    assert sum(group_ids is shared.child_group_ids(0, 1) for group_ids in built) == 1
-    assert (join_vars, ("medians", ranking)) in shared.subtree(1).sent
+    clean = repr(select_pivot(PATH, first, ranking, tree=MaterializedTree(PATH, first)))
+    assert repr(select_pivot(PATH, first, ranking, tree=tree)) == clean
+    later = cache.get(PATH, second)
+    assert later.subtree(1) is tree.subtree(1)
+    select_pivot(PATH, second, ranking, tree=later)
+    assert sum(group_ids is tree.child_group_ids(0, 1) for group_ids in built) == 1
+    assert (join_vars, ("medians", ranking)) in tree.subtree(1).sent
 
 
 # ---------------------------------------------------------------------- #
@@ -355,7 +343,7 @@ def test_first_state_published_under_a_key_is_the_one_everybody_gets():
 def test_two_threads_building_over_shared_relations_hold_the_same_states():
     db = path_db()
     ranking = SumRanking(["x1", "x2", "x3"])
-    pairs = trims(PATH, db, ranking, [(None, 20.0), (12.0, None)])
+    pairs = [(PATH, restricted(db, "R1", rows)) for rows in ROOTS[:2]]
     cache = TreeCache()
     barrier = threading.Barrier(2)
     trees: dict[int, MaterializedTree] = {}

@@ -13,15 +13,17 @@ import pytest
 
 import repro.engine
 from repro.baselines.materialize import select_from_sorted, sorted_answers
-from repro.core.quantile import LocalCandidates, run_pivoting
+from repro.core.quantile import run_pivoting
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import Engine, PreparedQuery
+from repro.exceptions import SolverError
+from repro.parallel import worker
 from repro.parallel.merger import ParallelSession, RankMerger
 from repro.parallel.planner import ShardPlanner
 from repro.query.join_query import JoinQuery
+from repro.query.predicates import WeightInterval
 from repro.ranking.sum import SumRanking
-from repro.trim import SumAdjacentTrimmer
 from repro.workloads.path import path_workload
 from repro.workloads.star import star_workload
 
@@ -177,7 +179,7 @@ class TestParallelMatchesSerial:
         # x2 picks both the shard and the weight range (100 * x2 + 0..3), so
         # a terminal interval usually lies inside one key's range — the other
         # shards' terminals are empty — and every weight is tied many times:
-        # the merged columns must still select exactly the serial rank.
+        # the merged pairs must still select exactly the serial rank.
         r = Relation(
             "R", ("x1", "x2"), [(100 * (i % 4) + i % 3, i % 4) for i in range(120)]
         )
@@ -191,9 +193,9 @@ class TestParallelMatchesSerial:
         terminal_counts = []
         merge_terminal = merger.terminal
 
-        def recording_terminal(interval, shard_counts, keep):
-            terminal_counts.append(shard_counts)
-            return merge_terminal(interval, shard_counts, keep)
+        def recording_terminal(interval, handle, keep):
+            terminal_counts.append(handle[1])  # (fold bounds, per-shard counts)
+            return merge_terminal(interval, handle, keep)
 
         merger.terminal = recording_terminal
         assert session.total == serial.count() == 480
@@ -283,17 +285,18 @@ class TestShardedCaches:
         assert all(not steps and not answers for steps, answers in off._caches.values())
 
 
+#: Per shape a SUM whose weighted variables need two adjacent atoms (the
+#: path's x1 and x3; two star arms): what shards.
 K1_SHAPES = {
-    "path": lambda ranking: path_workload(3, 120, 6, ranking=ranking, seed=29),
-    "star": lambda ranking: star_workload(3, 60, 5, ranking=ranking, seed=31),
-}
-K1_RANKINGS = {
-    "sum": SumRanking(["x1", "x2"]),
+    "path": lambda: path_workload(3, 120, 6, ranking=SumRanking(["x1", "x3"]), seed=29),
+    # The pair R2-R3 lies below the root: the source reroots the shard's tree.
+    "path-inner": lambda: path_workload(3, 120, 6, ranking=SumRanking(["x2", "x4"]), seed=29),
+    "star": lambda: star_workload(3, 60, 5, ranking=SumRanking(["x1", "x2"]), seed=31),
 }
 
 
 class TestOneLoopTwoSources:
-    @pytest.mark.parametrize("ranking", K1_RANKINGS)
+    @pytest.mark.parametrize("ranking", ["sum"])
     @pytest.mark.parametrize("shape", K1_SHAPES)
     def test_k1_sharded_result_equals_serial_in_every_field(
         self, inline_mode, shape, ranking
@@ -302,8 +305,8 @@ class TestOneLoopTwoSources:
         # single shard holds every candidate, so not only the selected rank
         # but the whole result — assignment, iterations, per-iteration
         # stats — must be equal.
-        ranking = K1_RANKINGS[ranking]
-        workload = K1_SHAPES[shape](ranking)
+        workload = K1_SHAPES[shape]()
+        ranking = workload.ranking
         serial = PreparedQuery(
             workload.query, workload.db, ranking, termination_factor=1
         )
@@ -314,10 +317,7 @@ class TestOneLoopTwoSources:
         merger = RankMerger(session)
         total = serial.count()
         assert session.total == total
-        algorithm1 = LocalCandidates(
-            *serial._ensure_reduced(), ranking, SumAdjacentTrimmer(ranking),
-            serial.tree_cache, total,
-        )
+        algorithm1 = serial._ensure_source("exact-pivot")
         caches = {"step_cache": {}, "answer_cache": {}}
         serial_caches = {"step_cache": {}, "answer_cache": {}}
         keep = set(workload.query.variables)
@@ -343,11 +343,14 @@ class TestOneLoopTwoSources:
 
 
 @pytest.mark.parametrize(
-    "ranking", ["min(x1, x2, x3)", "max(x1, x3)", "lex(x1, x3)", "lex(x4, x2, x1)"]
+    "ranking",
+    ["min(x1, x2, x3)", "max(x1, x3)", "lex(x1, x3)", "lex(x4, x2, x1)", "sum(x1, x2)"],
 )
 def test_only_sum_shards_every_other_ranking_runs_serial(inline_mode, ranking):
-    # MIN, MAX and LEX bisect keys on the base tree: parallel=2 records why it
-    # does not shard and returns the serial result, repr for repr.
+    # MIN, MAX, LEX and a SUM on one atom (R1 holds x1 and x2) bisect keys on
+    # the base tree, whose shard-local key indices do not merge: parallel=2
+    # records why it does not shard and returns the serial result, repr for
+    # repr.
     workload = path_workload(3, 120, 6, seed=29)
     serial = Engine(workload.db).prepare(workload.query, ranking, termination_factor=1)
     sharded = Engine(workload.db).prepare(
@@ -362,3 +365,69 @@ def test_only_sum_shards_every_other_ranking_runs_serial(inline_mode, ranking):
     for index in (0, total // 3, total - 1):
         assert repr(sharded.selection(index)) == repr(serial.selection(index))
     assert sharded.cached(phi=0.5) == serial.quantile(0.5)
+
+
+class TestCoverShards:
+    """Each shard worker holds the serial ``CoverCounting`` over its shard."""
+
+    def start(self, query, db, ranking, shards):
+        session = ParallelSession(ShardPlanner(shards).plan(query, db), ranking)
+        session.start()
+        return session
+
+    def sources(self, session):
+        base = session._pool._state_base
+        return [worker._SHARD_STATES[base + s].source for s in range(session.num_shards)]
+
+    def test_init_reduces_and_counts_but_builds_no_source(self, inline_mode, fanout_workload):
+        workload = fanout_workload
+        session = self.start(workload.query, workload.db, workload.ranking, 2)
+        assert session.total == Engine(workload.db).count(workload.query)
+        assert all(source._built is None for source in self.sources(session))
+        RankMerger(session).solve(0.5, None, set(workload.query.variables), 1)
+        assert all(source._built is not None for source in self.sources(session))
+        session.close()
+
+    def test_a_one_atom_sum_is_refused_by_the_workers(self, inline_mode):
+        workload = path_workload(3, 60, 6, ranking=SumRanking(["x1", "x2"]), seed=3)
+        session = ParallelSession(
+            ShardPlanner(2).plan(workload.query, workload.db), workload.ranking
+        )
+        with pytest.raises(SolverError, match="no cover pair"):
+            session.start()
+        session.close()
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_the_merged_terminal_keeps_equal_folds_in_shard_order(self, inline_mode, shards):
+        # Four keys, three distinct folds per key: ties within and across shards.
+        r = Relation("R", ("x1", "x2"), [(i % 3, i % 4) for i in range(48)])
+        s = Relation("S", ("x2", "x3"), [(i % 4, i % 2) for i in range(16)])
+        query, ranking = JoinQuery.parse("R(x1,x2), S(x2,x3)"), SumRanking(["x1", "x3"])
+        session = self.start(query, Database([r, s]), ranking, shards)
+        merger = RankMerger(session)
+        terminal = merger.terminal(WeightInterval(), merger.root, query.variables)
+        pairs = [source.pairs((None, None)) for source in self.sources(session)]
+        expected = sorted(
+            ((p[0], shard, *p[2:]) for shard, own in enumerate(pairs) for p in own),
+            key=lambda p: p[0],
+        )
+        assert terminal.keys == [p[1:] for p in expected]
+        assert len(terminal) == session.total
+        assert len({p[0] for p in expected}) < len(expected)  # ties exist
+        session.close()
+
+    def test_a_warm_batch_never_fans_out(self, inline_mode, fanout_workload):
+        workload = fanout_workload
+        prepared = PreparedQuery(workload.query, workload.db, workload.ranking, parallel=2)
+        cold = prepared.quantiles(PHIS)
+        session, rounds = prepared._parallel_session, []
+        fan_out = session.fan_out
+
+        def counted(tasks):
+            rounds.append(list(tasks))
+            return fan_out(rounds[-1])
+
+        session.fan_out = counted
+        assert prepared.quantiles(PHIS) == cold
+        assert rounds == []
+        prepared.close()

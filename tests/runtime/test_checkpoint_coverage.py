@@ -9,7 +9,9 @@ rows, that a recording ``ExecutionContext`` was charged some.
 
 What this cannot see is one of several sites sharing a name going dark
 (``parallel.plan`` x3, ``parallel.merge`` x2): those stay with RPR001
-(``tests/analysis/test_self_check.py``) where the rule can see them.
+(``tests/analysis/test_self_check.py``) where the rule can see them, but
+for the terminal's ``parallel.merge``, which guards no loop and is the one
+that charges rows inline.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from repro.ranking.minmax import MinRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime import ExecutionContext
 from repro.testing import FaultPlan, inject_faults
-
-from tests.conftest import trimming
 
 pytestmark = pytest.mark.faults
 
@@ -59,14 +59,11 @@ class RowLedger(ExecutionContext):
         super().checkpoint(name, rows)
 
 
-def batch(query, db, ranking, termination_factor=1, trim=False, **knobs):
-    """A φ-batch at Algorithm 1's own ``|D|`` cut, so these fixtures pivot;
-    ``trim``: exact SUM over trimmed databases, as a shard worker runs it."""
+def batch(query, db, ranking, termination_factor=1, **knobs):
+    """A φ-batch at Algorithm 1's own ``|D|`` cut, so these fixtures pivot."""
     prepared = PreparedQuery(
         query, db, ranking, termination_factor=termination_factor, **knobs
     )
-    if trim:
-        trimming(prepared)
     try:
         prepared.quantiles(PHIS)
     finally:
@@ -118,19 +115,13 @@ STAGES = {
         lambda q, db: batch(q, db, SumRanking(["x1", "x2", "x3"])),
         {"cover.row_sums", "cover.ranges", "cover.terminal", "cover.decode"},
     ),
-    "partial-sum, one atom": (
-        lambda q, db: batch(q, db, SumRanking(["x1", "x2"]), trim=True),
-        {"trim.sum_filter"},
-    ),
-    "partial-sum, adjacent atoms": (
-        lambda q, db: batch(q, db, SumRanking(["x1", "x2", "x3"]), trim=True),
-        {"trim.sum_group", "trim.sum_copy"},
-    ),
     "terminal, leaf deferred": (
-        # Above the |D| cut every φ ends in a terminal: R1 x R2 is expanded
-        # and charged per level, R3 decoded per deferred node.
+        # approx-pivot's sorted terminal, above the |D| cut: every φ ends in
+        # one, R1 x R2 is expanded and charged per level, R3 decoded per
+        # deferred node.
         lambda q, db: batch(
-            q, db, SumRanking(["x1", "x2", "x3"]), termination_factor=4, trim=True
+            q, db, SumRanking(["x1", "x2", "x3"]), termination_factor=4,
+            strategy="approx-pivot", epsilon=0.2,
         ),
         {"yannakakis.answer", "yannakakis.decode"},
     ),

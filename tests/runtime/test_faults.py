@@ -10,11 +10,10 @@ import pytest
 from repro.engine import Engine
 from repro.exceptions import ReproError
 from repro.ranking.minmax import MaxRanking
-from repro.ranking.sum import SumRanking
 from repro.runtime import checkpoint
 from repro.runtime.context import set_fault_hook
 from repro.testing import FaultCoverageError, FaultPlan, InjectedFault, inject_faults
-from tests.conftest import assert_valid_quantile, trimming
+from tests.conftest import assert_valid_quantile
 
 pytestmark = pytest.mark.faults
 
@@ -166,23 +165,6 @@ class TestCacheConsistencyAfterFaults:
             prepared.clear_pivot_cache()
 
         assert prepared.quantile(0.5).weight == baseline.weight
-
-    def test_fault_mid_index_build_leaves_catalog_reusable(self, three_path):
-        # The SUM trims sort through the per-relation index catalog
-        # ("index.weights" builds the memoized weight columns); interrupt
-        # that build and the catalog must stay reusable, not half-filled.
-        query, db = three_path
-        ranking = SumRanking(["x1", "x2"])  # partial SUM: tractable, exact
-        prepared = trimming(Engine(db).prepare(query, ranking, eager=False))
-        plan = FaultPlan().arm("index.weights")
-        with inject_faults(plan):
-            with pytest.raises(InjectedFault):
-                prepared.quantile(0.25)
-        assert plan.fired
-
-        results = prepared.quantiles([0.25, 0.5, 0.75])
-        for phi, result in zip([0.25, 0.5, 0.75], results):
-            assert_valid_quantile(query, db, ranking, result, phi)
 
 
 class TestNoHookLeaks:

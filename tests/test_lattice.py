@@ -28,12 +28,20 @@ service's factor 12).  The oracle is the nested-loop join, with
   MIN/MAX/LEX, an empty join, an answer weighing NaN (+inf plus -inf);
   invalid targets raise ``ValidationError``.
 
+An exact SUM point (``sum``, ``sum-full``) also runs sharded, ``parallel=2``
+over inline pools, against the same oracle: it shards exactly when its
+serial source counts over a cover pair, and its merged terminal keeps equal
+folds in shard order.  Few drawn joins spread over both shards, so each
+exact ``sum`` example adds a star whose hub holds both shards' values
+(``spread_points``), pivoting at factor 1.
+
 A new strategy, entry point or ranking is one more value on an axis.  Not
 covered: ranks of a SUM pivot whose answers' weights round differently in
 another order of addition (exact SUM orders by the cover's fold, README
 "SUM by counting over the cover"; ``approx-pivot`` may stall: the strict
 xfail ``test_reassociated_sum_equals_materialize``), ``sum-typed`` weights
-(``tests/core/test_float_sums.py``), and sharding (``tests/parallel/``).
+(``tests/core/test_float_sums.py``), and sharding's process pools, guards
+and crashes (``tests/parallel/``).
 ``--hypothesis-profile=deep`` runs ten times the examples.
 """
 
@@ -47,20 +55,28 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import Any
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, note, settings, strategies as st
 
+from repro.core.quantile import CoverCounting
 from repro.core.result import QuantileResult
 from repro.data.database import Database
+from repro.data.relation import Relation
 from repro.engine import STRATEGIES, Engine, PreparedQuery
 from repro.exceptions import (
     EmptyResultError, IntractableQueryError, RankingError, ReproError, SolverError,
     ValidationError,
 )
+from repro.parallel import merger
+from repro.parallel.pool import InlinePool
+from repro.query.atom import Atom
 from repro.query.classify import classify_sum
 from repro.query.join_query import JoinQuery
+from repro.query.predicates import WeightInterval
 from repro.ranking.base import RankingFunction
 from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking, MinRanking
@@ -129,6 +145,20 @@ def points(draw, strategy: str, kind: str) -> Point:
     elif strategy == "auto":
         knobs["epsilon"] = draw(st.sampled_from((None, *EPSILONS)))
     return Point(query, db, ranking, kind, knobs)
+
+
+@st.composite
+def spread_points(draw, knobs: dict[str, Any]) -> Point:
+    """``pivoting_joins``' 3-arm star with a hub of one value of each shard
+    (hash 0: 0 / 0.0 / False, hash 1: 1 / 1.0 / True) under a SUM of two
+    arms, at factor 1: every round merges two shards' counts."""
+    palette = draw(st.lists(st.sampled_from(HOSTILE), min_size=2, max_size=5, unique_by=repr))
+    hub = st.sampled_from([draw(st.sampled_from(alike)) for alike in ((0, 0.0, False), (1, 1.0, True))])
+    rows = st.lists(st.tuples(hub, st.sampled_from([*palette, *range(8)])), min_size=10, max_size=10)
+    db = Database([Relation(f"R{i}", ("a0", "a1"), draw(rows)) for i in range(3)])
+    query = JoinQuery([Atom(f"R{i}", ("v0", f"v{i + 1}")) for i in range(3)])
+    ranking = SumRanking(draw(st.permutations(["v1", "v2", "v3"]))[:2])
+    return Point(query, db, ranking, "sum", dict(knobs, termination_factor=1))
 
 
 @dataclass
@@ -309,6 +339,37 @@ def check_service(service, point: Point, targets, cold: list[Any]) -> None:
         assert post(dict(request, **bad))[0] == 400
 
 
+def targets_of(total: int) -> list[tuple[str, Any]]:
+    """The φ grid, then the selections 0, N/3 and N - 1."""
+    selections = dict.fromkeys((0, total // 3, max(total - 1, 0)))
+    return [("phi", phi) for phi in GRID] + [("index", index) for index in selections]
+
+
+def check_sharded(point: Point, truth: Oracle, targets) -> None:
+    """The point over two inline shard workers: every outcome passes the
+    oracle, it shards iff its serial source counts over a cover pair, and
+    the root's merged terminal is the shards' pairs stably sorted by fold,
+    shard by shard."""
+    note(f"sharded: {point!r}")
+    with mock.patch.object(merger, "create_pool", InlinePool):
+        sharded = PreparedQuery(point.query, point.db, point.ranking, parallel=2, **point.knobs)
+        try:
+            for (mode, target), result in zip(targets, run(sharded.quantiles, sharded.selection, targets)):
+                check(point, truth, mode, target, result)
+            if truth.refusal is not None:
+                return
+            pair = isinstance(sharded._ensure_source("exact-pivot"), CoverCounting)
+            assert (sharded.shards == 2) == pair, sharded.parallel_note
+            if pair:
+                rank = sharded._parallel_merger
+                pairs = rank.session.fan_out((s, "terminal", rank.root[0]) for s in (0, 1))
+                merged = sorted(((p[0], s, *p[2:]) for s in (0, 1) for p in pairs[s]), key=itemgetter(0))
+                terminal = rank.terminal(WeightInterval(), rank.root, point.query.variables)
+                assert terminal.keys == [p[1:] for p in merged]
+        finally:
+            sharded.close()
+
+
 @pytest.mark.parametrize("kind", sorted(RANKINGS))
 @pytest.mark.parametrize("strategy", STRATEGIES)
 #: A tenth of the profile's examples per (strategy, ranking) cell: 350 in
@@ -324,8 +385,7 @@ def test_every_entry_point_agrees_with_the_oracle(service, strategy, kind, data)
     note(repr(point))
     truth = oracle(point)
     total = len(truth.weights)
-    selections = dict.fromkeys((0, total // 3, max(total - 1, 0)))
-    targets = [("phi", phi) for phi in GRID] + [("index", index) for index in selections]
+    targets = targets_of(total)
 
     prepared = PreparedQuery(point.query, point.db, point.ranking, **point.knobs)
     cold = run(prepared.quantiles, prepared.selection, targets)
@@ -361,3 +421,10 @@ def test_every_entry_point_agrees_with_the_oracle(service, strategy, kind, data)
 
     if point.kind in SPEC_KINDS and point.knobs["termination_factor"] == 12:
         check_service(service, point, targets, cold)
+
+    if point.kind in ("sum", "sum-full") and truth.planned == "exact-pivot":
+        check_sharded(point, truth, targets)
+        if point.kind == "sum":
+            spread = data.draw(spread_points(point.knobs))
+            truth = oracle(spread)
+            check_sharded(spread, truth, targets_of(len(truth.weights)))
