@@ -416,6 +416,33 @@ class TestCoverShards:
         assert len({p[0] for p in expected}) < len(expected)  # ties exist
         session.close()
 
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_each_round_counts_what_the_serial_source_counts(self, inline_mode, shards):
+        # Per-shard counts at the proposer's fold are mergeable: each shard's
+        # lt / gt is its own source's split, and their sums are the serial
+        # source's split of the same fold bounds.
+        workload = path_workload(3, 90, 6, ranking=SumRanking(["x1", "x3"]), seed=11)
+        serial = PreparedQuery(workload.query, workload.db, workload.ranking)
+        source = serial._ensure_source("exact-pivot")
+        session = self.start(workload.query, workload.db, workload.ranking, shards)
+        merger, shard_sources = RankMerger(session), self.sources(session)
+        pending, rounds = [merger.root], 0
+        while pending and rounds < 12:
+            handle = pending.pop(0)
+            if sum(handle[1]) < 2:
+                continue
+            step = merger.step(WeightInterval(), handle)
+            rounds += 1
+            bounds, fold = handle[0], step.lt[0][1]
+            assert (step.count_lt, step.count_gt) == source.split(source.ranges(bounds), fold)
+            for shard, shard_source in enumerate(shard_sources):
+                own = shard_source.split(shard_source.ranges(bounds), fold) if handle[1][shard] else (0, 0)
+                assert (step.lt[1][shard], step.gt[1][shard]) == own
+            assert (step.lt[0], step.gt[0]) == ((bounds[0], fold), (fold, bounds[1]))
+            pending += [step.lt, step.gt]
+        assert rounds >= 3
+        session.close()
+
     def test_a_warm_batch_never_fans_out(self, inline_mode, fanout_workload):
         workload = fanout_workload
         prepared = PreparedQuery(workload.query, workload.db, workload.ranking, parallel=2)
