@@ -30,10 +30,8 @@ to the code it excuses.
 
 **Known blind spot.**  RPR002 is lexical: it sees mutations of
 ``self.<guarded>`` and of local aliases of it.  It does *not* see a guarded
-dict mutated through a helper's *parameter* — ``IndexCatalog._publish``
-receives ``self._orders`` & co. as ``table`` and takes the lock itself;
-removing the lock there is silent.  That helper is the whole list; keep it
-that way rather than growing the rule.
+dict mutated through a helper's *parameter*; no such helper exists, so keep
+it that way rather than growing the rule.
 """
 
 from __future__ import annotations
@@ -212,7 +210,7 @@ def rpr001_checkpoints(module: ParsedModule) -> Iterator[Finding]:
 GUARDED_CLASSES: dict[str, frozenset[str]] = {
     "TreeCache": frozenset({"_entries"}),
     "StateTable": frozenset({"_states"}),
-    "IndexCatalog": frozenset({"_hash_indexes", "_key_sets", "_orders"}),
+    "IndexCatalog": frozenset({"_key_sets"}),
 }
 
 #: Method calls that mutate a dict / OrderedDict / set in place.

@@ -579,7 +579,13 @@ CoverHandle = tuple[Any, Any]
 _Group = tuple[list[int], list[Any], list[int]]
 #: A live R row (w_R, up, its S group, row index); what a source builds first.
 _Row = tuple[Any, int, _Group, int]
+#: A live R row and the range ``[start, stop)`` of its group inside a handle.
+_Range = tuple[_Row, int, int]
 _Built = tuple[list[_Row], MaterializedTree, MaterializedTree, dict[int, list[int]]]
+
+#: How many handles' ranges a :class:`CoverCounting` carries: two per step,
+#: for as many steps as a prepared query's step cache holds by default.
+CARRIED_RANGES_LIMIT = 512
 
 
 class CoverCounting:
@@ -592,13 +598,17 @@ class CoverCounting:
     (r's other subtree counts, s's own: Example 2.1), weighing
     ``w_R(r) + w_S(s)`` under μ (shared variables to R).  So with each S
     group's rows sorted by ``w_S`` and prefix sums of ``down``, the answers
-    of a handle are per R row one contiguous range of its group, found by
-    bisection.  A step is one pass over R: the weighted median of the
-    per-row range medians is a 1/4-pivot (Section 4), and lt and gt are
-    counted from the same ranges; the terminal sorts the pairs left in the
-    ranges, each standing for its ``up · down`` answers.  Handles carry
-    bounds in that fold; a pair reports the ``weight_of`` of its decoded
-    answer, memoized per pair.  Everything is built on the first step.
+    of a handle are per R row one contiguous range of its group.  The
+    root's ranges are the whole groups; a child's are cut from its parent's
+    by the split that counts the parent's lt and gt, and carried to the
+    child's handle, so a step costs O(live rows of its handle · log group)
+    and bisects no row over its whole group again.  A step is one pass over
+    the ranges: the weighted median of the per-row range medians is a
+    1/4-pivot (Section 4), and lt and gt are counted by the same cuts that
+    carry the children; the terminal sorts the pairs left in the ranges,
+    each standing for its ``up · down`` answers.  Handles carry bounds in
+    that fold; a pair reports the ``weight_of`` of its decoded answer,
+    memoized per pair.  Everything is built on the first step.
     """
 
     strategy = "exact-pivot"
@@ -614,6 +624,8 @@ class CoverCounting:
         self._cover = cover
         self._built: _Built | None = None
         self._decoded: dict[tuple[int, int], tuple[Any, Assignment]] = {}
+        # handle -> its ranges, cut by its parent's split; never mutated.
+        self._carried: CappedCache = CappedCache(CARRIED_RANGES_LIMIT)
 
     def _build(self) -> _Built:
         """(live R rows, base tree, the tree rooted at R, its subtree counts)."""
@@ -641,12 +653,24 @@ class CoverCounting:
             self._built = rows, base, tree, counts
         return self._built
 
-    def ranges(self, handle: CoverHandle) -> list[tuple[_Row, int, int]]:
+    def ranges(self, handle: CoverHandle) -> list[_Range]:
         """Per live R row, the range ``[start, stop)`` of its group whose
-        folds lie strictly inside ``handle`` (rows with an empty one left out)."""
-        low, high = handle
+        folds lie strictly inside ``handle`` (rows with an empty one left
+        out): what the parent's split carried, else bisected afresh (the
+        root, and a handle the cap kept no entry for)."""
+        carried = self._carried.get(handle)
+        if carried is not None:
+            checkpoint("cover.ranges", rows=len(carried))
+            return carried
         rows = self._build()[0]
         checkpoint("cover.ranges", rows=len(rows))
+        return self._bisected(handle, rows)
+
+    @staticmethod
+    def _bisected(handle: CoverHandle, rows: list[_Row]) -> list[_Range]:
+        """``handle``'s ranges bisected on its fold bounds over whole groups
+        (an unbounded side bisects nothing: the root's are whole groups)."""
+        low, high = handle
         ranges = []
         for row in rows:
             fold, weights = partial(add, row[0]), row[2][1]
@@ -676,7 +700,7 @@ class CoverCounting:
         return found
 
     @staticmethod
-    def median(ranges: list[tuple[_Row, int, int]]) -> tuple[Any, tuple[int, int]]:
+    def median(ranges: list[_Range]) -> tuple[Any, tuple[int, int]]:
         """The weighted median of the per-row range medians: its fold and
         (R row, S row) pair, a 1/4-pivot of the answers ``ranges`` hold."""
         medians: list[tuple[Any, int, int, int]] = []  # per row: (fold, answers, pair)
@@ -690,20 +714,39 @@ class CoverCounting:
         return fold, (r, s)
 
     @staticmethod
-    def split(ranges: list[tuple[_Row, int, int]], fold: Any) -> tuple[int, int]:
-        """How many answers of ``ranges`` fold strictly below / above ``fold``."""
+    def split(ranges: list[_Range], fold: Any) -> tuple[int, int, list[_Range], list[_Range]]:
+        """How many answers of ``ranges`` fold strictly below / above
+        ``fold``, and the ranges of each side: every row's range cut at
+        ``fold`` (rows with an empty side left out of that side)."""
         lt = gt = 0
-        for (own, up, (_, weights, down), _), start, stop in ranges:
+        below: list[_Range] = []
+        above: list[_Range] = []
+        for row, start, stop in ranges:
+            own, up, (_, weights, down), _ = row
             key = partial(add, own)
-            lt += up * (down[bisect_left(weights, fold, start, stop, key=key)] - down[start])
-            gt += up * (down[stop] - down[bisect_right(weights, fold, start, stop, key=key)])
+            cut = bisect_left(weights, fold, start, stop, key=key)
+            if start < cut:
+                lt += up * (down[cut] - down[start])
+                below.append((row, start, cut))
+            cut = bisect_right(weights, fold, cut, stop, key=key)
+            if cut < stop:
+                gt += up * (down[stop] - down[cut])
+                above.append((row, cut, stop))
+        return lt, gt, below, above
+
+    def counts(self, handle: CoverHandle, ranges: list[_Range], fold: Any) -> tuple[int, int]:
+        """How many of ``handle``'s answers (its ``ranges``) fold strictly
+        below / above ``fold``; each side's ranges are carried to its handle."""
+        lt, gt, below, above = self.split(ranges, fold)
+        self._carried[handle[0], fold] = below
+        self._carried[fold, handle[1]] = above
         return lt, gt
 
     def step(self, interval: WeightInterval, handle: CoverHandle) -> PivotStep:
         ranges = self.ranges(handle)
         pivot, pair = self.median(ranges)
-        lt, gt = self.split(ranges, pivot)
         weight, assignment = self.decode(pair)
+        lt, gt = self.counts(handle, ranges, pivot)
         return PivotStep(assignment, weight, self.c, (handle[0], pivot), lt, (pivot, handle[1]), gt)
 
     def pairs(self, handle: CoverHandle) -> list[tuple[Any, int, int, int]]:
@@ -720,9 +763,11 @@ class CoverCounting:
     def terminal(self, interval: WeightInterval, handle: CoverHandle, keep: Collection[str]) -> CoverTerminal:
         return CoverTerminal(self.decode, self.pairs(handle), keep)
 
-    def estimated_bytes(self) -> int:  # the per-row arrays and the decoded answers
+    def estimated_bytes(self) -> int:
+        """The per-row arrays, the decoded answers and the carried ranges."""
         held = 0 if self._built is None else 2 * len(self._built[0]) + sum(map(len, self._built[3].values()))
-        return 32 * held + 256 * len(self._decoded)
+        carried = sum(map(len, list(self._carried.values())))
+        return 32 * held + 256 * len(self._decoded) + 64 * carried
 
 
 class CoverTerminal:

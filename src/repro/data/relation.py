@@ -8,8 +8,8 @@ arrays with zero-copy masked views, so ``select_rows`` shares the parent's
 storage instead of copying rows.  A relation is a value: its rows are fixed
 when it is built, and trims and reductions build new relations.  Each
 relation lazily owns an :class:`~repro.data.indexes.IndexCatalog` of memoized
-hash indexes and sort orders, which ``__contains__`` consults instead of
-rebuilding its key set per call.
+key sets, which ``__contains__`` consults instead of rebuilding its key set
+per call.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ Value = Any
 Row = tuple[Value, ...]
 
 #: Guards lazy catalog creation across all relations.  Held only for the
-#: instant of constructing an empty :class:`IndexCatalog`; index builds
+#: instant of constructing an empty :class:`IndexCatalog`; key-set builds
 #: themselves synchronize on the catalog's own publish lock.
 _CATALOG_CREATION_LOCK = threading.Lock()
 
@@ -122,7 +122,7 @@ class Relation:
 
         Creation is guarded by a module-wide lock so concurrent first readers
         share one catalog — two catalogs for the same relation would each
-        rebuild every index, silently halving the service's cache hit rate.
+        rebuild every key set, silently halving the service's cache hit rate.
 
         The catalog indexes a catalog-less twin of this relation (same name,
         schema and store).  Pointing it back at ``self`` would make every

@@ -1,15 +1,17 @@
 """Per-shard worker: the serial cover-pair source over one shard.
 
-Each shard process holds a :class:`_ShardState` — a
-:class:`~repro.core.quantile.CoverCounting` over the rebuilt canonical query
-and the shard's Yannakakis-reduced database (the very class the serial
-engine pivots over, built lazily on its first pivot as it is serially) —
-and answers the operations shipped by the coordinator through
-:func:`run_shard_task`; a handle is the source's own pair of fold bounds:
+Each shard process holds a :class:`~repro.core.quantile.CoverCounting` over
+the rebuilt canonical query and the shard's Yannakakis-reduced database (the
+very class the serial engine pivots over, built lazily on its first pivot as
+it is serially) and answers the operations shipped by the coordinator
+through :func:`run_shard_task`; a handle is the source's own pair of fold
+bounds, and its ranges are what the source carried from the split that made
+it, as serially:
 
 * ``init``    — build the shard from flat column payloads, reduce, count;
 * ``pivot``   — the shard's weighted-median fold and its decoded answer;
-* ``counts``  — how many candidates fold strictly below / above a fold;
+* ``counts``  — how many candidates fold strictly below / above a fold,
+  carrying both sides' ranges to their handles for the next round;
 * ``terminal``— the candidates' sorted (fold, answers, R row, S row) pairs;
 * ``decode``  — the (weight, answer) of one (R row, S row) pair.
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any
 
 from repro.core.quantile import CoverCounting, CoverHandle
@@ -50,23 +51,8 @@ from repro.runtime import ExecutionContext
 TaskResult = tuple[str, Any, int]
 
 
-@dataclass
-class _ShardState:
-    """Everything one worker process keeps for one shard: its source and
-    the ranges of the last handle asked about (a round's pivot and counts
-    read the same ones)."""
-
-    source: CoverCounting  # over the shard database after full reduction
-    last: tuple[CoverHandle, list[Any]] | None = None
-
-    def ranges(self, handle: CoverHandle) -> list[Any]:
-        if self.last is None or self.last[0] != handle:
-            self.last = handle, self.source.ranges(handle)
-        return self.last[1]
-
-
-#: Shard states of this worker process, keyed by the coordinator-assigned id.
-_SHARD_STATES: dict[int, _ShardState] = {}
+#: Shard sources of this worker process, keyed by the coordinator-assigned id.
+_SHARD_STATES: dict[int, CoverCounting] = {}
 
 
 # ---------------------------------------------------------------------- #
@@ -106,12 +92,12 @@ def _dispatch(state_key: int, op: str, payload: Any) -> Any:
     operation = _OPERATIONS.get(op)
     if operation is None:
         raise ReproError(f"unknown shard operation {op!r}")
-    state = _SHARD_STATES.get(state_key)
-    if state is None:
+    source = _SHARD_STATES.get(state_key)
+    if source is None:
         raise ReproError(
             f"shard state {state_key} is not initialized in this worker"
         )
-    return operation(state, payload)
+    return operation(source, payload)
 
 
 def crash_for_tests() -> None:  # pragma: no cover - kills the process
@@ -147,27 +133,27 @@ def _init_shard(state_key: int, payload: dict[str, Any]) -> tuple[int, int]:
     if cover is None or len(cover[1]) != 2:
         raise SolverError(f"{ranking.describe()} has no cover pair to shard")
     source = CoverCounting(query, reduced, ranking, tree_cache, total, cover)
-    _SHARD_STATES[state_key] = _ShardState(source)
+    _SHARD_STATES[state_key] = source
     return total, reduced.size
 
 
-def _propose_pivot(state: _ShardState, handle: CoverHandle) -> tuple[Any, Any, dict[str, Any]]:
+def _propose_pivot(source: CoverCounting, handle: CoverHandle) -> tuple[Any, Any, dict[str, Any]]:
     """(fold, weight, answer) of this shard's pivot among ``handle``'s candidates."""
-    fold, pair = state.source.median(state.ranges(handle))
-    return (fold, *state.source.decode(pair))
+    fold, pair = source.median(source.ranges(handle))
+    return (fold, *source.decode(pair))
 
 
-def _partition_counts(state: _ShardState, payload: tuple[CoverHandle, Any]) -> tuple[int, int]:
+def _partition_counts(source: CoverCounting, payload: tuple[CoverHandle, Any]) -> tuple[int, int]:
     """Count this shard's candidates folding strictly below / above a fold."""
     handle, fold = payload
-    return state.source.split(state.ranges(handle), fold)
+    return source.counts(handle, source.ranges(handle), fold)
 
 
-_OPERATIONS: dict[str, Callable[[_ShardState, Any], Any]] = {
+_OPERATIONS: dict[str, Callable[[CoverCounting, Any], Any]] = {
     "pivot": _propose_pivot,
     "counts": _partition_counts,
-    "terminal": lambda state, handle: state.source.pairs(handle),
-    "decode": lambda state, pair: state.source.decode(pair),
+    "terminal": CoverCounting.pairs,
+    "decode": CoverCounting.decode,
 }
 
 __all__ = [

@@ -96,7 +96,7 @@ def checkpoint(name: str, rows: int = 0) -> None:
     ----------
     name:
         Stable dotted identifier of the call site (``"yannakakis.answer"``,
-        ``"index.hash"``, ...).  Budget errors report it, and the fault
+        ``"index.keys"``, ...).  Budget errors report it, and the fault
         harness targets it.
     rows:
         Number of rows the caller processed or materialized since its last

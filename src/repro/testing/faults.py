@@ -5,7 +5,7 @@ fault point.  A test arms a :class:`FaultPlan` with the checkpoint name and
 the occurrence number at which to blow up, activates it with
 :func:`inject_faults`, and runs the workload::
 
-    plan = FaultPlan().arm("index.hash", after=2)
+    plan = FaultPlan().arm("tree_cache.build", after=2)
     with inject_faults(plan):
         with pytest.raises(InjectedFault):
             engine.prepare(query, db, ranking)

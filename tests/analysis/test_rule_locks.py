@@ -138,16 +138,14 @@ def test_index_catalog_attributes_guarded(run_rule):
         "src/repro/data/indexes.py",
         """
         class IndexCatalog:
-            def install(self, sig, index):
-                self._hash_indexes[sig] = index
-                self._key_sets[sig] = set()
-                self._orders[sig] = []
+            def install(self, sig, keys):
+                self._key_sets[sig] = keys
+                self._key_sets.setdefault(sig, keys)
         """,
     )
     assert [f.message.split(" outside")[0] for f in findings] == [
-        "mutation of IndexCatalog._hash_indexes",
         "mutation of IndexCatalog._key_sets",
-        "mutation of IndexCatalog._orders",
+        "mutation of IndexCatalog._key_sets",
     ]
 
 

@@ -6,8 +6,9 @@ handle are one contiguous range of the row's S group.  These cases check
 that counting against a nested loop: every comparison against a bound
 (``split``), open, one-sided and unbounded handles (``ranges`` and
 ``pairs``), tenths whose sums round, the introduction's social-network
-query, random 3-paths, a SUM that one node covers (key bisection over its
-row sums), the weighted median of the per-row range medians on hand-built
+query, random 3-paths (whose splits cut each side's ranges as bisecting
+its bounds would), a SUM that one node covers (key bisection over its row
+sums), the weighted median of the per-row range medians on hand-built
 ranges, and the ``CoverTerminal`` that selects from the pairs left.
 """
 
@@ -70,7 +71,7 @@ def held(source, handle):
 
 def split_count(source, comparison, bound):
     """The answers ``w <comparison> bound``, from one ``split`` of the root."""
-    lt, gt = source.split(source.ranges(source.root), bound)
+    lt, gt, _, _ = source.split(source.ranges(source.root), bound)
     return {"<": lt, ">": gt, "<=": source.total - gt, ">=": source.total - lt}[comparison]
 
 
@@ -176,14 +177,17 @@ def test_the_social_network_query_counts_its_cover():
 )
 def test_interval_counts_property_random(seed, low, high):
     """Random 3-paths: an open handle holds exactly the answers strictly
-    inside, and a split of it counts each side."""
+    inside, and a split of it counts each side and cuts each side's ranges
+    as bisecting that side's bounds would."""
     query, db = three_path_instance(seed=seed, rows=10, domain=4)
     source, weights = cover_source(query, db, SumRanking(["x1", "x2", "x3"]))
     inside = [w for w in weights if low < w < high]
     assert held(source, (low, high)) == len(inside)
     middle = (low + high) // 2
     expected = (sum(w < middle for w in inside), sum(w > middle for w in inside))
-    assert source.split(source.ranges((low, high)), middle) == expected
+    lt, gt, below, above = source.split(source.ranges((low, high)), middle)
+    assert (lt, gt) == expected
+    assert (below, above) == (source.ranges((low, middle)), source.ranges((middle, high)))
 
 
 @pytest.mark.parametrize("ranking", ["sum(x1, x2)", "sum(x2, x3)", "sum(x3, x4)", "sum(x3)"])
@@ -255,14 +259,14 @@ def test_median_is_a_quarter_pivot_and_split_counts_each_side(rows):
     total = sum(p[1] for p in pairs)
     fold, pair = CoverCounting.median(ranges)
     assert any((p[0], p[2], p[3]) == (fold, *pair) for p in pairs)
-    lt, gt = CoverCounting.split(ranges, fold)
+    lt, gt, _, _ = CoverCounting.split(ranges, fold)
     assert 4 * max(lt, gt) <= 3 * total
     for bound in sorted({p[0] for p in pairs}):
         expected = (
             sum(p[1] for p in pairs if p[0] < bound),
             sum(p[1] for p in pairs if p[0] > bound),
         )
-        assert CoverCounting.split(ranges, bound) == expected, bound
+        assert CoverCounting.split(ranges, bound)[:2] == expected, bound
 
 
 # --------------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ Readers hammer the shared caches — :class:`TreeCache`,
 fail mid-flight through the deterministic fault hook.  The invariant in
 every scenario: a reader either gets the injected fault (when the fault
 fires on its own thread) or a **fully consistent answer**; nobody ever
-observes a half-built tree, a partial index, or a wrong result, and after
+observes a half-built tree, a partial key set, or a wrong result, and after
 the faults stop everything still answers correctly.
 
 The fault hook is process-wide, so these tests arm checkpoints that only
@@ -164,25 +164,25 @@ class TestTreeCacheUnderConcurrentFaults:
 class TestIndexCatalogUnderConcurrentFaults:
     def test_faulted_index_build_leaves_no_partial_state(self):
         rows = [(value % 7, value % 5) for value in range(200)]
-        reference = dict(Relation("R", ("a", "b"), rows).indexes.hash_index(("a",)))
+        reference = set(Relation("R", ("a", "b"), rows).indexes.key_set(("a",)))
         relation = Relation("R", ("a", "b"), rows)  # fresh, empty catalog
 
-        gate = BlockingFaultGate("index.hash", expected=2)
+        gate = BlockingFaultGate("index.keys", expected=2)
         barrier = threading.Barrier(8)
-        indexes = []
+        key_sets = []
         faults = []
         lock = threading.Lock()
 
         def worker(_position):
             barrier.wait()
             try:
-                index = relation.indexes.hash_index(("a",))
+                keys = relation.indexes.key_set(("a",))
             except InjectedFault as fault:
                 with lock:
                     faults.append(fault)
                 return
             with lock:
-                indexes.append(index)
+                key_sets.append(keys)
 
         set_fault_hook(gate)
         try:
@@ -191,34 +191,30 @@ class TestIndexCatalogUnderConcurrentFaults:
             set_fault_hook(None)
 
         assert len(faults) == 1
-        assert indexes, "expected successful readers"
-        for index in indexes:
-            assert dict(index) == reference  # complete, never partial
+        assert key_sets, "expected successful readers"
+        for keys in key_sets:
+            assert keys == reference  # complete, never partial
         # All successful readers converged on one published structure.
-        assert len({id(index) for index in indexes}) == 1
-        assert dict(relation.indexes.hash_index(("a",))) == reference
+        assert len({id(keys) for keys in key_sets}) == 1
+        assert relation.indexes.key_set(("a",)) == reference
 
-    def test_concurrent_weight_order_builders_share_one_order(self):
-        rows = [((value * 7919) % 101, value) for value in range(300)]
-        reference = list(
-            Relation("R", ("w", "v"), rows).indexes.weight_order(
-                "tag", lambda row: row[0]
-            )
-        )
+    def test_concurrent_key_set_builders_share_one_set(self):
+        rows = [((value * 7919) % 101, value % 13) for value in range(300)]
+        reference = set(Relation("R", ("w", "v"), rows).indexes.key_set(("w", "v")))
         relation = Relation("R", ("w", "v"), rows)  # fresh, empty catalog
         barrier = threading.Barrier(8)
-        orders = []
+        key_sets = []
         lock = threading.Lock()
 
         def worker(_position):
             barrier.wait()
-            order = relation.indexes.weight_order("tag", lambda row: row[0])
+            keys = relation.indexes.key_set(("w", "v"))
             with lock:
-                orders.append(order)
+                key_sets.append(keys)
 
         hammer(8, worker)
-        assert all(list(order) == reference for order in orders)
-        assert len({id(order) for order in orders}) == 1
+        assert all(keys == reference for keys in key_sets)
+        assert len({id(keys) for keys in key_sets}) == 1
 
 
 class TestPreparedQueryUnderConcurrentFaults:
@@ -235,7 +231,7 @@ class TestPreparedQueryUnderConcurrentFaults:
         plan = (
             FaultPlan()
             .arm("tree_cache.build", after=1)
-            .arm("index.hash", after=4)
+            .arm("cover.row_sums")
         )
         barrier = threading.Barrier(10)
         outcomes = {}
