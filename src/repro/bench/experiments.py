@@ -140,7 +140,7 @@ def run_e1(
         "E1",
         "MAX quantile on a 3-path query, scaling the database size",
         "Theorem 5.3: MIN/MAX %JQ is solvable in O(n log n) for every acyclic JQ "
-        "(log n weight probes of one O(n) masked count each)",
+        "(log n weight probes of one O(n) count each)",
         workloads,
         phi,
     )
@@ -180,7 +180,7 @@ def run_e2(
         "E2",
         "LEX quantile on a 3-path query, scaling the database size",
         "Section 5.2: LEX %JQ runs in O(n log n) for every acyclic JQ "
-        "(sum_j log|W_j| key probes of one O(n) masked count each)",
+        "(sum_j log|W_j| key probes of one O(n) count each)",
         workloads,
         phi,
     )

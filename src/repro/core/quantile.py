@@ -17,7 +17,7 @@ The loop (:func:`run_pivoting`) sees the candidates only through a
 * :class:`CoverCounting` — exact SUM over a cover pair (Theorem 5.6 /
   Lemma D.1): one counting pass over one of the pair per step, no trims;
 * :class:`WeightBisection` — MIN, MAX, LEX and one-node SUM: bisection over
-  the base rows' sorted keys with one masked count per probe, no trims;
+  the base rows' sorted keys with one count per step, no trims;
 * :class:`LocalCandidates` — ``approx-pivot`` only: the ε-lossy trimmer's
   ``trim_interval`` rewrites the *original* database to each interval
   (Definition 3.5), then the rewritten join is counted, pivoted and sorted;
@@ -38,9 +38,9 @@ from collections.abc import Callable, Collection, Iterable, Iterator, MutableMap
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Any, Protocol
 
 from repro.data.database import Database
@@ -363,6 +363,28 @@ def _kept(column: list[Any], t: Any, above: bool, strict: bool) -> list[int]:
     return [w < t for w in column] if strict else [w <= t for w in column]
 
 
+#: What a :class:`WeightBisection` builds first: (base tree, per position the
+#: row keys of each node holding it, per position ``W``, per node the
+#: positions it holds in ascending order).
+_Weights = tuple[MaterializedTree, list[dict[int, list[Any]]], list[list[Any]], dict[int, list[int]]]
+#: A join group sorted by key: its live rows, their keys, prefix sums of their counts.
+_Group = tuple[list[int], list[Any], list[int]]
+#: A node's sorted groups and per child, per group, the child group each of its rows selects.
+_Sorted = tuple[list[_Group], dict[int, list[list[int]]]]
+
+
+def sorted_groups(members: Iterable[Iterable[int]], keys: Sequence[Any], counts: Sequence[int]) -> list[_Group]:
+    """Per join group (its ``members``) the rows ``counts`` counts, sorted by
+    ``keys``, their keys and prefix sums of their ``counts``; then the empty
+    group of a parent row with no join group."""
+    groups: list[_Group] = []
+    for rows in members:
+        live = sorted((m for m in rows if counts[m]), key=keys.__getitem__)
+        groups.append((live, [keys[m] for m in live], list(accumulate((counts[m] for m in live), initial=0))))
+    groups.append(([], [], [0]))
+    return groups
+
+
 class WeightBisection:
     """The exact MIN/MAX/LEX candidate source: bisection over the input keys
     (and exact SUM on one cover node: MAX's one position, the node's row sums).
@@ -374,13 +396,21 @@ class WeightBisection:
     j-th component, and the answers of a block (first ``j`` components
     fixed) lighter than ``W_j[i]`` are one count of the base tree keeping
     only the rows whose keys allow it (Example 2.1; Theorem 5.3's and
-    §5.2's O(|D| log |D|)).  The k-th answer is found by bisecting ``W_j``
-    to the block holding rank k, rebasing k into that block and going on
-    with position j + 1.  A handle is a block and an index range of the next
-    position's keys: a step halves it (on the last position around its
-    middle key, whose tie block is the pivot; before it no block is a tie
-    block), a terminal bisects the rest.  ``W`` is built on first use; each
-    memo entry (answers below a key, one answer per tie block of a full
+    §5.2's O(|D| log |D|)).  The count is cut at the *frontier*, the nodes
+    holding a position <= j with no such node below: each node's live rows
+    are sorted by its keys (the tuple of the positions it holds) per join
+    group of its parent edge, with prefix sums of their subtree counts
+    (:func:`sorted_groups`), so the rows a probe keeps are one bisected range
+    per group, a frontier group's answers one prefix difference, and only a
+    node above the frontier multiplies its kept rows' child group sums.
+    The k-th answer is found by bisecting ``W_j`` to the block holding rank
+    k, rebasing k into that block and going on with position j + 1.  A
+    handle is a block and an index range of the next position's keys: a
+    step halves it on one count, nothing equal, and only a one-key range of
+    the last position is a tie block, its pivot one decoded answer: so a tie
+    is decoded only for an answer returned.  A terminal bisects the rest.
+    ``W`` is built on first use, a node's sorted groups on its first count;
+    each memo entry (answers below a key, one answer per tie block of a full
     weight) is stored whole, by one assignment.
     """
 
@@ -404,12 +434,14 @@ class WeightBisection:
         # takes at most r·log2|Q(D)| + r + 1 steps: inside Algorithm 1's cap
         # for this c, r·log2|Q(D)| + 20 (MIN/MAX, r = 1: c = 1/2).
         self._c = 1 - 0.5 ** (1 / len(self._positions))
-        self._base: tuple[Any, list[dict[int, list[Any]]], list[list[Any]]] | None = None
+        self._base: _Weights | None = None
+        self._groups: dict[int, _Sorted] = {}
         self._below: dict[Path, int] = {}
         self._ties: dict[Path, tuple[Any, Assignment]] = {}
 
-    def _weights(self) -> tuple[Any, list[dict[int, list[Any]]], list[list[Any]]]:
-        """(base tree, per position the row keys of each node holding it, per position ``W``)."""
+    def _weights(self) -> _Weights:
+        """(base tree, per position the row keys of each node holding it, per
+        position ``W``, per node the positions it holds)."""
         if self._base is None:
             tree = self.tree_cache.get(self.query, self.db)
             refuse_nan_sums(tree, self.ranking)
@@ -431,25 +463,101 @@ class WeightBisection:
                 owned = sorted(self.ranking.weighted_variables)
                 columns.append({self._cover: row_sums(tree, self._cover, self.ranking, owned)})
             keys = [sorted({w for c in keyed.values() for w in c}) for keyed in columns]
-            self._base = (tree, columns, keys)
+            held: dict[int, list[int]] = {}
+            for k, keyed in enumerate(columns):
+                for node in keyed:
+                    held.setdefault(node, []).append(k)
+            self._base = (tree, columns, keys, held)
         return self._base
+
+    def _mask(self, node: int, path: Path, strict: bool) -> list[int]:
+        """The 0/1 mask of ``node``'s rows keyed as ``path`` allows: equal on
+        the fixed positions, below (strict) / at most ``W_j[path[-1]]`` on
+        position j — MIN: above / at least."""
+        _, columns, keys, held = self._weights()
+        j = len(path) - 1
+        mask: list[int] = []
+        for k in held[node]:
+            if k > j:
+                break
+            t = keys[k][path[k]]
+            kept: list[int] = _kept(columns[k][node], t, self._above, strict) if k == j else [w == t for w in columns[k][node]]
+            mask = [a and b for a, b in zip(mask, kept)] if mask else kept
+        return mask
 
     def _probe(self, path: Path, strict: bool) -> tuple[int, dict[int, list[int]], dict[int, list[int]]]:
         """(answers, counts, masks) of ``path``'s block keeping the rows keyed
-        below (strict) / at most ``W_j[path[-1]]`` — MIN: above / at least."""
-        tree, columns, keys = self._weights()
+        below (strict) / at most ``W_j[path[-1]]`` — MIN: above / at least:
+        the masked pass over every node a tie's witness reads."""
+        tree, _, _, held = self._weights()
         j = len(path) - 1
-        t = keys[j][path[-1]]
-        masks: dict[int, list[int]] = {
-            node: _kept(column, t, self._above, strict) for node, column in columns[j].items()
-        }
-        for k, i in enumerate(path[:-1]):
-            fixed = keys[k][i]
-            for node, column in columns[k].items():
-                equal: list[int] = [w == fixed for w in column]
-                masks[node] = [a and b for a, b in zip(masks[node], equal)] if node in masks else equal
+        masks = {node: self._mask(node, path, strict) for node, positions in held.items() if positions[0] <= j}
         counts = subtree_counts(tree, masks)
         return sum(counts[tree.root]), counts, masks
+
+    def _sorted(self, node: int) -> _Sorted:
+        """``node``'s :func:`sorted_groups` per join group of its parent edge
+        (the root: one group), keyed by the tuple of the positions it holds,
+        and per child the group ids its rows select there, in that order."""
+        found = self._groups.get(node)
+        if found is None:
+            tree, columns, _, held = self._weights()
+            rows = len(tree.rows(node))
+            checkpoint("bisection.groups", rows=rows)
+            keyed = [columns[k][node] for k in held.get(node, ())]
+            parent = tree.rooted.parent[node]
+            members: Iterable[Iterable[int]] = [range(rows)] if parent is None else tree.child_groups(parent, node).values()
+            keys: list[tuple[Any, ...]] = list(zip(*keyed)) if keyed else [()] * rows
+            groups = sorted_groups(members, keys, subtree_counts(tree)[node])
+            ids = {c: tree.parent_group_ids(node, c) for c in tree.children(node)}
+            aligned = {c: [[ids[c][m] for m in live] for live, _, _ in groups] for c in ids}
+            found = self._groups[node] = (groups, aligned)
+        return found
+
+    def _count(self, path: Path, strict: bool) -> int:
+        """``_probe(path, strict)[0]``, cut at the frontier: per join group of
+        a frontier node one prefix difference over the range of rows its keys
+        keep; above it, per row kept, the product of its children's group sums."""
+        tree, _, _, held = self._weights()
+        j, counts = len(path) - 1, subtree_counts(tree)
+        sums: dict[int, list[int]] = {}
+        for node in tree.nodes_bottom_up():
+            below = any(c in sums for c in tree.children(node))
+            if not below and not any(k <= j for k in held.get(node, ())):
+                continue  # neither holds a position <= j nor is above a node that does
+            groups, aligned = self._sorted(node)
+            start, stop = self._cut(node, path, strict)
+            checkpoint("bisection.count", rows=len(tree.rows(node)) if below else len(groups))
+            if not below:
+                sums[node] = [down[stop(keys)] - down[start(keys)] for _, keys, down in groups]
+                continue
+            gathers = [
+                ((sums[c] if c in sums else group_sums(tree, node, c, counts[c])).__getitem__, aligned[c])
+                for c in tree.children(node)
+            ]
+            sums[node] = []
+            for g, (_, keys, _) in enumerate(groups):
+                first, last = start(keys), stop(keys)
+                factors = [map(child, ids[g][first:last]) for child, ids in gathers]
+                sums[node].append(sum(reduce(partial(map, mul), factors)))
+        return sums[tree.root][0]
+
+    def _cut(self, node: int, path: Path, strict: bool) -> tuple[Callable[[list[Any]], int], Callable[[list[Any]], int]]:
+        """Where the rows ``_mask`` keeps start and stop in one of ``node``'s
+        sorted groups: an equality range on the fixed positions it holds
+        (none: the whole group), cut at position j's key when it holds j
+        (MIN: a suffix)."""
+        keys, held = self._weights()[2:]
+        j = len(path) - 1
+        positions = [k for k in held.get(node, ()) if k <= j]
+        t = tuple(keys[k][path[k]] for k in positions)
+        narrow = None if len(t) == len(held.get(node, ())) else itemgetter(slice(len(t)))
+        left, right = (partial(side, x=t, key=narrow) for side in (bisect_left, bisect_right))
+        if not positions or positions[-1] < j:
+            return left, right
+        if self._above:
+            return (right if strict else left), len
+        return partial(bisect_left, x=t[:-1]), (left if strict else right)
 
     def _block(self, prefix: Path) -> int:
         """How many answers ``prefix``'s keys fix."""
@@ -466,20 +574,19 @@ class WeightBisection:
             if i in (0, len(keys)):
                 return 0 if i == 0 else self._block(path[:-1])
             computing(path)
-            kept = self._probe(path, strict=not self._above)[0]
+            kept = self._count(path, strict=not self._above)
             below = self._below[path] = self._block(path[:-1]) - kept if self._above else kept
         return below
 
-    def tie(self, path: Path, split: tuple[dict[int, list[int]], ...] | None = None) -> tuple[Any, Assignment]:
+    def tie(self, path: Path) -> tuple[Any, Assignment]:
         """(weight, answer) of one answer keyed ``path`` on every position:
-        ``split`` is ``_probe``'s counts at ``path`` and its strict counts and
-        masks, when at hand."""
+        the witness of the masked counts at ``W_j[path[-1]]`` kept and
+        strictly kept."""
         tie = self._ties.get(path)
         if tie is None:
             computing(("tie", path))
-            if split is None:
-                split = (self._probe(path, False)[1], *self._probe(path, True)[1:])
-            assignment = difference_witness(self._weights()[0], *split)
+            kept = self._probe(path, False)[1]
+            assignment = difference_witness(self._weights()[0], kept, *self._probe(path, True)[1:])
             tie = self._ties[path] = (self.ranking.weight_of(assignment), assignment)
         return tie
 
@@ -501,36 +608,27 @@ class WeightBisection:
 
     def step(self, interval: WeightInterval, handle: BisectionHandle) -> PivotStep:
         prefix, lo, hi = self._range(handle)
+        low, high = self.below((*prefix, lo)), self.below((*prefix, hi))
+        if hi - lo == 1:
+            # One key of the last position: the whole handle is one tie block.
+            weight, assignment = self.tie((*prefix, lo))
+            return PivotStep(assignment, weight, self._c, (prefix, lo, lo), 0, (prefix, hi, hi), 0)
+        # Split in two on one count, nothing equal.
         mid = (lo + hi) // 2
-        path, low, high = (*prefix, mid), self.below((*prefix, lo)), self.below((*prefix, hi))
-        if len(path) < len(self._positions):
-            # A block of a prefix is no tie block: split in two, nothing equal.
-            below = self.below(path)
-            return PivotStep(
-                {}, self._weight_at(path), self._c,
-                (prefix, lo, mid), below - low, (prefix, mid, hi), high - below,
-            )
-        block = self._block(prefix)
-        kept, at_least, _ = self._probe(path, False)
-        kept_over, over, masks = self._probe(path, True)
-        edges = (block - kept, block - kept_over) if self._above else (kept_over, kept)
-        self._below[path], self._below[(*prefix, mid + 1)] = edges
-        weight: Any = self._weight_at(path)
-        assignment: Assignment = {}
-        if kept > kept_over:
-            weight, assignment = self.tie(path, (at_least, over, masks))
+        below = self.below((*prefix, mid))
         return PivotStep(
-            assignment, weight, self._c,
-            (prefix, lo, mid), edges[0] - low, (prefix, mid + 1, hi), high - edges[1],
+            {}, self._weight_at((*prefix, mid)), self._c,
+            (prefix, lo, mid), below - low, (prefix, mid, hi), high - below,
         )
 
     def terminal(self, interval: WeightInterval, handle: BisectionHandle, keep: Collection[str]) -> BisectionTerminal:
         return BisectionTerminal(self, handle, keep)
 
     def estimated_bytes(self) -> int:
-        """Accounting proxy for the row keys, ``W`` and the memos."""
+        """Accounting proxy for the row keys, ``W``, the sorted groups and the memos."""
         held = 0 if self._base is None else sum(len(c) for keyed in self._base[1] for c in keyed.values())
-        return 16 * held + 64 * len(self._below) + 256 * len(self._ties)
+        grouped = sum(len(g[0]) * (1 + len(ids)) for groups, ids in list(self._groups.values()) for g in groups)
+        return 16 * held + 24 * grouped + 64 * len(self._below) + 256 * len(self._ties)
 
 
 class BisectionTerminal:
@@ -575,8 +673,6 @@ def row_sums(tree: MaterializedTree, node: int, ranking: RankingFunction, owned:
 #: A :class:`CoverCounting` handle: the folds ``(low, high)`` its candidates
 #: lie strictly between (``None``: unbounded).
 CoverHandle = tuple[Any, Any]
-#: An S join group: its live rows sorted by w_S, their w_S, prefix sums of down.
-_Group = tuple[list[int], list[Any], list[int]]
 #: A live R row (w_R, up, its S group, row index); what a source builds first.
 _Row = tuple[Any, int, _Group, int]
 #: A live R row and the range ``[start, stop)`` of its group inside a handle.
@@ -642,12 +738,7 @@ class CoverCounting:
             for child in set(tree.children(r)) - {s}:
                 sums = group_sums(tree, r, child, counts[child])
                 up = kernel.multiply(up, kernel.take(sums, tree.parent_group_ids(r, child)))
-            groups: list[_Group] = []
-            for members in tree.child_groups(r, s).values():
-                live = sorted((m for m in members if counts[s][m]), key=w_s.__getitem__)
-                down = accumulate((counts[s][m] for m in live), initial=0)
-                groups.append((live, [w_s[m] for m in live], list(down)))
-            groups.append(([], [], [0]))  # the sentinel group of an unmatched R row
+            groups = sorted_groups(tree.child_groups(r, s).values(), w_s, counts[s])
             ids = tree.parent_group_ids(r, s)
             rows = [(w_r[i], up[i], groups[ids[i]], i) for i in range(len(w_r)) if up[i]]
             self._built = rows, base, tree, counts

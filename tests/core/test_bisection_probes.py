@@ -8,28 +8,37 @@ path joins:
 
 * ``W`` is the sorted set of the rows' keys and holds every answer's weight;
 * each predicate shape (<, <=, >, >=) around every key is one masked count;
-* LEX counts inside a block (leading components fixed) and a step before
-  the last position splits in two, with no tie block;
+* LEX counts inside a block (leading components fixed) and a step splits
+  in two on one count, with no tie block, until one key of the last
+  position is left: that step is its tie block;
 * a terminal's selections are the oracle's weights in order, so the rank is
-  rebased into each block it descends into.
+  rebased into each block it descends into;
+* a count cut at the frontier (bisected sorted groups, a pass above them)
+  equals the masked pass over the whole tree, for every probe.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.core.quantile import WeightBisection
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import PreparedQuery
 from repro.exceptions import RankingError
+from repro.joins.tree_cache import TreeCache
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.ranking.lex import LexRanking
 from repro.ranking.minmax import MaxRanking, MinRanking
-from tests.conftest import COMPARISONS, one_sided
+from repro.ranking.sum import SumRanking
+from repro.testing import FaultPlan, inject_faults
+from tests.conftest import COMPARISONS, join_instances, one_sided
 
 
 def make_instance(seed=0, rows=25, domain=20):
@@ -183,8 +192,9 @@ def last_position_handle(source):
     return (prefix, 0, None)
 
 
-@pytest.mark.parametrize("name", RANKINGS)
-def test_a_last_position_step_splits_around_its_tie_block(name):
+def last_position_block(name):
+    """(source, ranking, handle, its prefix, the oracle weights of its block,
+    the component the last position compares) on one fixed instance."""
     query, db = make_instance(4, rows=14, domain=6)
     ranking = RANKINGS[name]()
     source = source_of(query, db, ranking)
@@ -193,18 +203,46 @@ def test_a_last_position_step_splits_around_its_tie_block(name):
     keys = source._weights()[2]
     fixed = tuple(keys[k][i] for k, i in enumerate(prefix))
     block = [w for w in weights(query, db, ranking) if not prefix or w[: len(prefix)] == fixed]
-    step = source.step(None, handle)
-    pivot = keys[-1][len(keys[-1]) // 2]
     component = (lambda w: w[-1]) if isinstance(ranking, LexRanking) else (lambda w: w)
-    equal = sum(component(w) == pivot for w in block)
-    assert step.count_lt == sum(component(w) < pivot for w in block)
-    assert step.count_gt == sum(component(w) > pivot for w in block)
-    assert step.count_lt + equal + step.count_gt == len(block)
-    if equal:
-        assert query.satisfies(step.pivot_assignment, db)
-        assert repr(ranking.weight_of(step.pivot_assignment)) == repr(step.pivot_weight)
-    else:
-        assert step.pivot_assignment == {}
+    return query, db, source, ranking, handle, block, component
+
+
+@pytest.mark.parametrize("name", RANKINGS)
+def test_a_last_position_step_splits_in_two_on_one_count(name):
+    """Over more than one key a step splits ``[lo, mid)`` / ``[mid, hi)``:
+    one count at the middle key, nothing equal and no tie decoded."""
+    _, _, source, _, handle, block, component = last_position_block(name)
+    prefix, keys = handle[0], source._weights()[2][-1]
+    mid = len(keys) // 2
+    with inject_faults(FaultPlan()) as plan:
+        step = source.step(None, handle)
+    assert (*prefix, mid) in source._below
+    assert plan.seen["counting.witness"] == plan.seen["counting.masked"] == 0
+    assert step.pivot_assignment == {}
+    assert step.count_lt == sum(component(w) < keys[mid] for w in block)
+    assert step.count_gt == sum(component(w) >= keys[mid] for w in block)
+    assert step.count_lt + step.count_gt == len(block)
+    assert step.lt == (prefix, 0, mid) and step.gt == (prefix, mid, len(keys))
+
+
+@pytest.mark.parametrize("name", RANKINGS)
+def test_a_one_key_step_is_its_tie_block(name):
+    """A one-key range of the last position is one tie block: the step
+    counts nothing below or above and decodes its answer as the pivot."""
+    query, db, source, ranking, handle, block, component = last_position_block(name)
+    prefix, keys = handle[0], source._weights()[2][-1]
+    decoded = 0
+    for i, key in enumerate(keys):
+        equal = sum(component(w) == key for w in block)
+        assert source.below((*prefix, i + 1)) - source.below((*prefix, i)) == equal
+        if equal:
+            step = source.step(None, (prefix, i, i + 1))
+            assert (step.count_lt, step.count_gt) == (0, 0)
+            assert query.satisfies(step.pivot_assignment, db)
+            assert repr(ranking.weight_of(step.pivot_assignment)) == repr(step.pivot_weight)
+            assert component(step.pivot_weight) == key
+            decoded += 1
+    assert decoded and len(source._ties) == decoded
 
 
 @pytest.mark.parametrize("name", RANKINGS)
@@ -267,3 +305,66 @@ def test_an_infinite_key_is_an_ordinary_key():
     assert source.below((at_inf, at_three)) == 1
     assert source.below((at_inf, at_three + 1)) == 2
     assert source._probe((at_inf, at_three), False)[0] == 2
+
+
+#: Keys that are equal across types (1 / 1.0 / True), infinite, or exact.
+TYPED = [0, 1, 1.0, True, 2, -math.inf, math.inf, Decimal("1.5"), Decimal(-2)]
+#: What a SUM adds without a NaN or a float meeting a Decimal.
+SUMMABLE = [0, 1, 1.0, True, 2, 0.5, math.inf]
+
+
+@st.composite
+def bisected_joins(draw):
+    """A hostile join under MIN, MAX, LEX or a SUM over one atom's variables."""
+    kind = draw(st.sampled_from(["min", "max", "lex", "sum"]))
+    palette = SUMMABLE if kind == "sum" else TYPED
+    values = draw(st.lists(st.sampled_from(palette), min_size=2, max_size=4, unique_by=repr))
+    query, db, ranking = draw(join_instances(values=values, kinds=(kind,), min_rows=2))
+    if kind == "sum":
+        atom = draw(st.sampled_from(list(query)))
+        ranking = SumRanking(draw(st.lists(st.sampled_from(atom.variables), min_size=1, unique=True)))
+    return query, db, ranking
+
+
+def path_join(rows, ranking):
+    """``R(x1, x2), S(x2, x3), T(x3, x4)``, rooted at R, over ``rows``."""
+    query = JoinQuery([Atom("R", ("x1", "x2")), Atom("S", ("x2", "x3")), Atom("T", ("x3", "x4"))])
+    return query, Database([Relation(n, ("a", "b"), r) for n, r in zip("RST", rows)]), ranking
+
+
+#: Dangling rows on every edge and keys equal across types.
+HOSTILE_ROWS = (
+    [(1, 0), (1.0, 1), (True, 1), (Decimal("1.5"), 0), (math.inf, 7)],
+    [(0, 2), (1, 2), (1, -math.inf), (5, 2)],
+    [(2, Decimal(-2)), (2, 1.0), (-math.inf, math.inf), (9, 1)],
+)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance=bisected_joins())
+# The root as the only node holding a position.
+@example(instance=path_join(HOSTILE_ROWS, MaxRanking(["x1"])))
+# A held node above a held leaf (S and R over T from the second position on).
+@example(instance=path_join(HOSTILE_ROWS, LexRanking(["x4", "x2"])))
+@example(instance=path_join(HOSTILE_ROWS, MinRanking(["x1", "x4"])))
+@example(instance=path_join(HOSTILE_ROWS, SumRanking(["x1", "x2"])))
+def test_the_frontier_count_is_the_masked_count(instance):
+    """Over the engine's reduced base and over the canonical one, whose
+    dangling rows every count must skip."""
+    query, db, ranking = instance
+    prepared = PreparedQuery(query, db, ranking)
+    reduced = prepared._ensure_source("exact-pivot")
+    if not isinstance(reduced, WeightBisection):
+        return  # a SUM whose atom is covered by a pair: not bisected
+    base = prepared._ensure_canonical()
+    dangling = WeightBisection(*base, ranking, TreeCache(), reduced.total, reduced._cover)
+    for source in (reduced, dangling):
+        prefixes = [()]
+        for column in source._weights()[2]:
+            for prefix in prefixes:
+                for i in range(len(column)):
+                    for strict in (False, True):
+                        path = (*prefix, i)
+                        assert source._count(path, strict) == source._probe(path, strict)[0]
+            longer = [(*prefix, i) for prefix in prefixes for i in range(len(column))]
+            prefixes = longer[:: max(1, len(longer) // 6)]  # a few blocks per position

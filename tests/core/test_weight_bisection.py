@@ -1,12 +1,13 @@
-"""Exact MIN/MAX/LEX: key bisection over masked counts on the base tree.
+"""Exact MIN/MAX/LEX: key bisection over counts on the base tree.
 
 * Every φ and selection against the oracle, over hostile values and LEX of
   arity 1-3 (also under a key that maps distinct values to one key), is
   ``tests/test_lattice.py``.
 * A replay (``PreparedQuery.cached``) computes no probe.
 * A probe interrupted by a fault, a budget or a cancellation leaves no memo
-  entry behind: the retry equals a fresh run.
-* The memo is charged by ``estimated_bytes``.
+  entry behind: the retry equals a fresh run.  So does a fault building a
+  node's sorted groups.
+* The memo and the sorted groups are charged by ``estimated_bytes``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def interrupt_then_compare(db, ranking, interrupt):
     reference = [key(r) for r in fresh(db, ranking).quantiles(PHIS)]
     prepared = fresh(db, ranking)
     interrupted = 0
-    for occurrence in range(1, 40, 3):
+    for occurrence in range(1, 25, 3):
         with pytest.raises((InjectedFault, BudgetExceededError, ExecutionCancelledError)):
             interrupt(prepared, occurrence)
         interrupted += 1
@@ -93,7 +94,7 @@ def interrupt_then_compare(db, ranking, interrupt):
 class TestInterruptedProbes:
     def test_a_fault_in_a_probe_leaves_no_trace(self, path_db, ranking):
         def interrupt(prepared, occurrence):
-            plan = FaultPlan().arm("counting.masked", after=occurrence)
+            plan = FaultPlan().arm("bisection.count", after=occurrence)
             with inject_faults(plan):
                 prepared.quantiles(PHIS)
 
@@ -110,10 +111,34 @@ class TestInterruptedProbes:
         def interrupt(prepared, occurrence):
             token = CancellationToken()
             with ExecutionContext(cancellation=token):
-                with at_checkpoint("counting.masked", occurrence, token.cancel):
+                with at_checkpoint("bisection.count", occurrence, token.cancel):
                     prepared.quantiles(PHIS)
 
         interrupt_then_compare(path_db, ranking, interrupt)
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("ranking", ["min(x1, x2, x4)", "max(x1, x4)", "lex(x4, x2, x1)"])
+def test_a_fault_building_sorted_groups_leaves_none_partial(path_db, ranking):
+    """Fault every build of a node's sorted groups once, in turn: each fault
+    leaves only whole entries behind, and the retry answers as a fresh run."""
+    reference = [key(r) for r in fresh(path_db, ranking).quantiles(PHIS)]
+    prepared = fresh(path_db, ranking)
+    source = prepared._ensure_source("exact-pivot")
+    check = fresh(path_db, ranking)._ensure_source("exact-pivot")
+    faults = 0
+    while True:
+        try:
+            # The build that faulted last time passes, the next one faults.
+            with inject_faults(FaultPlan().arm("bisection.groups", after=min(faults, 1)), strict=False):
+                results = prepared.quantiles(PHIS)
+            break
+        except InjectedFault:
+            faults += 1
+            assert faults < 10
+            assert all(built == check._sorted(node) for node, built in source._groups.items())
+    assert faults > 1 and len(source._groups) == faults
+    assert [key(r) for r in results] == reference
 
 
 @pytest.mark.parametrize("ranking", ["max(x1, x4)", "lex(x4, x2, x1)"])
@@ -127,6 +152,13 @@ def test_estimated_bytes_grow_with_the_memo(path_db, ranking):
     prepared.quantiles(PHIS)
     assert before < once < prepared.estimated_bytes()
     assert 0 < memo < source.estimated_bytes()
+    # The sorted groups are charged: a row, and its child group ids there.
+    grouped = sum(
+        len(live) * (1 + len(aligned)) for groups, aligned in source._groups.values() for live, _, _ in groups
+    )
+    charged = source.estimated_bytes()
+    source._groups.clear()
+    assert grouped and charged - source.estimated_bytes() == 24 * grouped
 
 
 @pytest.mark.parametrize("ranking_spec", ["lex(x1, x2)", "lex(x2, x1, x3)"])

@@ -225,14 +225,11 @@ class TestPreparedQueryUnderConcurrentFaults:
         phis = [0.1, 0.25, 0.5, 0.75, 0.9]
         expected = {phi: prepared.quantile(phi).weight for phi in phis}
 
-        # A second prepared query re-runs every lazy ensure from scratch;
-        # faults hit rebuild paths while ten threads race the same ensures.
+        # A second prepared query re-runs every lazy build from scratch (its
+        # trees are built by the eager prepare, its row sums and sorted groups
+        # on the first count): faults hit those builds while ten threads race.
         fresh = engine.prepare(QUERY_SPEC, RANKING_SPEC, seed=99)
-        plan = (
-            FaultPlan()
-            .arm("tree_cache.build", after=1)
-            .arm("cover.row_sums")
-        )
+        plan = FaultPlan().arm("cover.row_sums").arm("bisection.groups")
         barrier = threading.Barrier(10)
         outcomes = {}
         lock = threading.Lock()
@@ -258,6 +255,11 @@ class TestPreparedQueryUnderConcurrentFaults:
                     f"phi={phi}: inconsistent weight {weight!r} "
                     f"(expected {expected[phi]!r} or a clean fault)"
                 )
+        # Both builds are reached once the other's fault has passed: each fault
+        # reaches exactly one worker.
+        assert sorted(name for name, _ in plan.fired) == ["bisection.groups", "cover.row_sums"]
+        faulted = sum(weight == "faulted" for weights in outcomes.values() for weight in weights)
+        assert faulted == len(plan.fired)
         # After the fault window closes every φ answers exactly right.
         for phi in phis:
             assert fresh.quantile(phi).weight == expected[phi]
@@ -272,7 +274,12 @@ class TestPreparedQueryUnderConcurrentFaults:
         phis = [0.1, 0.25, 0.5, 0.75, 0.9]
         expected = {phi: reference.quantile(phi).weight for phi in phis}
         fresh = engine.prepare(QUERY_SPEC, ranking, termination_factor=1, seed=99)
-        plan = FaultPlan().arm("counting.masked", after=5).arm("counting.witness", after=2)
+        plan = (
+            FaultPlan()
+            .arm("bisection.count", after=5)
+            .arm("counting.masked", after=5)
+            .arm("counting.witness", after=2)
+        )
         barrier = threading.Barrier(10)
         outcomes = []
         lock = threading.Lock()

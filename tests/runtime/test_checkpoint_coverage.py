@@ -91,23 +91,26 @@ def cyclic_materialize_stage(query, db):
     batch(triangle, triangle_db, SumRanking(["x", "y", "z"]), strategy="materialize")
 
 
+BISECTION = {"bisection.groups", "bisection.count", "counting.masked", "counting.witness"}
+
 STAGES = {
-    # Weight bisection: the row weights, one masked count per probe, and a
-    # top-down decode per tie block answered.
+    # Weight bisection: the row weights, each node's sorted groups, one
+    # count per probe (charged the groups it bisects and the rows above
+    # them), and a masked pass and top-down decode per tie block answered.
     "min": (
         lambda q, db: batch(q, db, MinRanking(["x1", "x4"])),
-        {"bisection.weights", "counting.masked", "counting.witness"},
+        BISECTION | {"bisection.weights"},
     ),
-    # The same per position: each LEX variable's row keys, one masked count
-    # per probe of a block, one decode per full-weight tie block.
+    # The same per position: each LEX variable's row keys, one count per
+    # probe of a block, one decode per full-weight tie block.
     "lex": (
         lambda q, db: batch(q, db, LexRanking(["x1", "x4"])),
-        {"bisection.weights", "counting.masked", "counting.witness"},
+        BISECTION | {"bisection.weights"},
     ),
     # Exact SUM, one covering atom: bisection over its row sums.
     "sum, one atom": (
         lambda q, db: batch(q, db, SumRanking(["x1", "x2"])),
-        {"cover.row_sums", "counting.masked", "counting.witness"},
+        BISECTION | {"cover.row_sums"},
     ),
     # Exact SUM over a cover pair: the row sums, one pass over R1 per step
     # and terminal (charged its rows), the terminal's pairs, a decode per pair.
