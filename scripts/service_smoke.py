@@ -75,7 +75,7 @@ def sweep(client: ServiceClient) -> list:
             # Degradation recipe: answers 200 with degraded=True.
             responses[worker] = client.query(
                 "smoke", QUERY, DEGRADE_RANKING, phis=[0.5],
-                epsilon=0.3, max_rows=1500, on_budget="degrade", seed=7,
+                epsilon=0.3, max_rows=1000, on_budget="degrade", seed=7,
             )
         else:
             # Identical knobs: these callers share one prepared query.

@@ -39,14 +39,14 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import accumulate
-from operator import add, itemgetter, mul
+from itertools import accumulate, chain, compress, repeat
+from operator import add, gt, itemgetter, mul, not_
 from typing import Any, Protocol
 
 from repro.data.database import Database
 from repro.exceptions import EmptyResultError, SolverError, ValidationError
 from repro.joins.counting import (
-    count_answers, count_from_tree, difference_witness, group_sums, subtree_counts,
+    count_answers, count_from_tree, group_sums, subtree_counts,
 )
 from repro.joins.message_passing import MaterializedTree
 from repro.joins.tree_cache import TreeCache
@@ -356,13 +356,6 @@ Path = tuple[int, ...]
 BisectionHandle = tuple[Path, int, int | None]
 
 
-def _kept(column: list[Any], t: Any, above: bool, strict: bool) -> list[int]:
-    """The 0/1 mask of the keys below ``t`` (``above``: above it), ``strict`` or not."""
-    if above:
-        return [w > t for w in column] if strict else [w >= t for w in column]
-    return [w < t for w in column] if strict else [w <= t for w in column]
-
-
 #: What a :class:`WeightBisection` builds first: (base tree, per position the
 #: row keys of each node holding it, per position ``W``, per node the
 #: positions it holds in ascending order).
@@ -371,6 +364,8 @@ _Weights = tuple[MaterializedTree, list[dict[int, list[Any]]], list[list[Any]], 
 _Group = tuple[list[int], list[Any], list[int]]
 #: A node's sorted groups and per child, per group, the child group each of its rows selects.
 _Sorted = tuple[list[_Group], dict[int, list[list[int]]]]
+#: Per node at or above a count's frontier, per join group, the answers below it the count keeps.
+_Sums = dict[int, list[int]]
 
 
 def sorted_groups(members: Iterable[Iterable[int]], keys: Sequence[Any], counts: Sequence[int]) -> list[_Group]:
@@ -408,9 +403,12 @@ class WeightBisection:
     handle is a block and an index range of the next position's keys: a
     step halves it on one count, nothing equal, and only a one-key range of
     the last position is a tie block, its pivot one decoded answer: so a tie
-    is decoded only for an answer returned.  A terminal bisects the rest.
-    ``W`` is built on first use, a node's sorted groups on its first count;
-    each memo entry (answers below a key, one answer per tie block of a full
+    is decoded only for an answer returned.  Each count keeps its frontier
+    sums, and a tie at ``W_j[i]`` is walked top down from those of the
+    counts at ``i`` and ``i + 1`` (kept and strictly kept: ``W_j`` holds
+    every row key).  A terminal bisects the rest.  ``W`` is built on first
+    use, a node's sorted groups on its first count; each memo entry (answers
+    below a key with its frontier sums, one answer per tie block of a full
     weight) is stored whole, by one assignment.
     """
 
@@ -436,7 +434,7 @@ class WeightBisection:
         self._c = 1 - 0.5 ** (1 / len(self._positions))
         self._base: _Weights | None = None
         self._groups: dict[int, _Sorted] = {}
-        self._below: dict[Path, int] = {}
+        self._below: dict[Path, tuple[int, _Sums]] = {}
         self._ties: dict[Path, tuple[Any, Assignment]] = {}
 
     def _weights(self) -> _Weights:
@@ -470,31 +468,6 @@ class WeightBisection:
             self._base = (tree, columns, keys, held)
         return self._base
 
-    def _mask(self, node: int, path: Path, strict: bool) -> list[int]:
-        """The 0/1 mask of ``node``'s rows keyed as ``path`` allows: equal on
-        the fixed positions, below (strict) / at most ``W_j[path[-1]]`` on
-        position j — MIN: above / at least."""
-        _, columns, keys, held = self._weights()
-        j = len(path) - 1
-        mask: list[int] = []
-        for k in held[node]:
-            if k > j:
-                break
-            t = keys[k][path[k]]
-            kept: list[int] = _kept(columns[k][node], t, self._above, strict) if k == j else [w == t for w in columns[k][node]]
-            mask = [a and b for a, b in zip(mask, kept)] if mask else kept
-        return mask
-
-    def _probe(self, path: Path, strict: bool) -> tuple[int, dict[int, list[int]], dict[int, list[int]]]:
-        """(answers, counts, masks) of ``path``'s block keeping the rows keyed
-        below (strict) / at most ``W_j[path[-1]]`` — MIN: above / at least:
-        the masked pass over every node a tie's witness reads."""
-        tree, _, _, held = self._weights()
-        j = len(path) - 1
-        masks = {node: self._mask(node, path, strict) for node, positions in held.items() if positions[0] <= j}
-        counts = subtree_counts(tree, masks)
-        return sum(counts[tree.root]), counts, masks
-
     def _sorted(self, node: int) -> _Sorted:
         """``node``'s :func:`sorted_groups` per join group of its parent edge
         (the root: one group), keyed by the tuple of the positions it holds,
@@ -514,13 +487,16 @@ class WeightBisection:
             found = self._groups[node] = (groups, aligned)
         return found
 
-    def _count(self, path: Path, strict: bool) -> int:
-        """``_probe(path, strict)[0]``, cut at the frontier: per join group of
-        a frontier node one prefix difference over the range of rows its keys
-        keep; above it, per row kept, the product of its children's group sums."""
+    def _sums(self, path: Path, strict: bool) -> _Sums:
+        """Per node at or above the frontier, per join group of its parent
+        edge, the answers of ``path``'s block below it keeping the rows keyed
+        below (strict) / at most ``W_j[path[-1]]`` — MIN: above / at least —
+        (the root's one group: the count): per group of a frontier node one
+        prefix difference over the range of rows its keys keep; above it, per
+        row kept, the product of its children's group sums."""
         tree, _, _, held = self._weights()
         j, counts = len(path) - 1, subtree_counts(tree)
-        sums: dict[int, list[int]] = {}
+        sums: _Sums = {}
         for node in tree.nodes_bottom_up():
             below = any(c in sums for c in tree.children(node))
             if not below and not any(k <= j for k in held.get(node, ())):
@@ -540,13 +516,13 @@ class WeightBisection:
                 first, last = start(keys), stop(keys)
                 factors = [map(child, ids[g][first:last]) for child, ids in gathers]
                 sums[node].append(sum(reduce(partial(map, mul), factors)))
-        return sums[tree.root][0]
+        return sums
 
     def _cut(self, node: int, path: Path, strict: bool) -> tuple[Callable[[list[Any]], int], Callable[[list[Any]], int]]:
-        """Where the rows ``_mask`` keeps start and stop in one of ``node``'s
-        sorted groups: an equality range on the fixed positions it holds
-        (none: the whole group), cut at position j's key when it holds j
-        (MIN: a suffix)."""
+        """Where the rows ``path`` keeps (``strict``: strictly) start and stop
+        in one of ``node``'s sorted groups: an equality range on the fixed
+        positions it holds (none: the whole group), cut at position j's key
+        when it holds j (MIN: a suffix)."""
         keys, held = self._weights()[2:]
         j = len(path) - 1
         positions = [k for k in held.get(node, ()) if k <= j]
@@ -568,27 +544,89 @@ class WeightBisection:
     def below(self, path: Path) -> int:
         """How many answers of ``path[:-1]``'s block key below ``W_j[path[-1]]``
         (the index up to ``len(W_j)``)."""
-        below = self._below.get(path)
-        if below is None:
+        found = self._below.get(path)
+        if found is None:
             i, keys = path[-1], self._weights()[2][len(path) - 1]
             if i in (0, len(keys)):
                 return 0 if i == 0 else self._block(path[:-1])
             computing(path)
-            kept = self._count(path, strict=not self._above)
-            below = self._below[path] = self._block(path[:-1]) - kept if self._above else kept
-        return below
+            sums = self._sums(path, strict=not self._above)
+            kept = sums[self._weights()[0].root][0]
+            below = self._block(path[:-1]) - kept if self._above else kept
+            found = self._below[path] = (below, sums)
+        return found[0]
+
+    def _frontier(self, path: Path, strict: bool) -> _Sums:
+        """``_sums(path, strict)`` as a count of ``below`` memoized it: ``W_j``
+        holds every row key, so at most ``W_j[i]`` is below ``W_j[i + 1]``
+        (MIN: above ``W_j[i]`` is at least ``W_j[i + 1]``).  Only at the ends
+        of ``W_j``, where ``below`` counts nothing, is it counted here."""
+        i = path[-1] + (strict == self._above)
+        if 0 < i < len(self._weights()[2][len(path) - 1]):
+            at = (*path[:-1], i)
+            self.below(at)
+            return self._below[at][1]
+        return self._sums(path, strict)
 
     def tie(self, path: Path) -> tuple[Any, Assignment]:
         """(weight, answer) of one answer keyed ``path`` on every position:
-        the witness of the masked counts at ``W_j[path[-1]]`` kept and
+        one that the frontier sums at ``W_j[path[-1]]`` count kept and not
         strictly kept."""
         tie = self._ties.get(path)
         if tie is None:
             computing(("tie", path))
-            kept = self._probe(path, False)[1]
-            assignment = difference_witness(self._weights()[0], kept, *self._probe(path, True)[1:])
+            assignment = self._witness(path, self._frontier(path, False), self._frontier(path, True))
             tie = self._ties[path] = (self.ranking.weight_of(assignment), assignment)
         return tie
+
+    def _witness(self, path: Path, kept: _Sums, strict: _Sums) -> Assignment:
+        """One answer ``kept`` counts and ``strict`` does not, top down over
+        the sorted groups from the root's one group.  While the difference is
+        unplaced a node takes the lowest row of its group's kept range whose
+        kept product of child group sums exceeds its strict one (a row outside
+        the strict range places it), then any kept row; a child whose kept
+        group sum exceeds its strict one is where the difference goes on.
+        Below the frontier a node takes its group's first live row."""
+        tree = self._weights()[0]
+        counts = subtree_counts(tree)
+
+        def products(node: int, sums: _Sums, rows: Iterable[int]) -> Iterator[int]:
+            """Per row of ``rows`` the product of ``node``'s children's group sums."""
+            factors = [
+                map(
+                    (sums[c] if c in sums else group_sums(tree, node, c, counts[c])).__getitem__,
+                    map(tree.parent_group_ids(node, c).__getitem__, rows),
+                )
+                for c in tree.children(node)
+            ]
+            ones: Iterator[int] = repeat(1)
+            return reduce(partial(map, mul), factors, ones)
+
+        chosen: dict[int, tuple[Any, ...]] = {}
+        pending = [(tree.root, 0, True)]
+        while pending:
+            node, g, differ = pending.pop()
+            live, keys, _ = self._sorted(node)[0][g]
+            first, last, low, high = 0, 1, 0, 1  # below the frontier: the first live row
+            if node in kept:
+                (start, stop), (inner, outer) = self._cut(node, path, False), self._cut(node, path, True)
+                first, last, low, high = start(keys), stop(keys), inner(keys), outer(keys)
+            checkpoint("bisection.witness", rows=last - first)
+            # The kept rows by index, so the first one that qualifies is the lowest.
+            rows = sorted(live[first:last])
+            outside = set(chain(live[first:low], live[high:last])).__contains__
+            behind: Iterator[int] = (
+                map(mul, map(not_, map(outside, rows)), products(node, strict, rows)) if differ else repeat(0)
+            )
+            row = next(compress(rows, map(gt, products(node, kept, rows), behind)))
+            chosen[node] = tree.rows(node)[row]
+            differ = differ and not outside(row)
+            for c in tree.children(node):
+                h = tree.parent_group_ids(node, c)[row]
+                down = differ and c in kept and kept[c][h] > strict[c][h]
+                differ = differ and not down
+                pending.append((c, h, down))
+        return tree.assignment_of(chosen)
 
     def _range(self, handle: BisectionHandle) -> tuple[Path, int, int]:
         """``handle``'s block and bounds; a one-key range before the last
@@ -625,10 +663,12 @@ class WeightBisection:
         return BisectionTerminal(self, handle, keep)
 
     def estimated_bytes(self) -> int:
-        """Accounting proxy for the row keys, ``W``, the sorted groups and the memos."""
+        """Accounting proxy for the row keys, ``W``, the sorted groups and the
+        memos (a count's frontier sums among them)."""
         held = 0 if self._base is None else sum(len(c) for keyed in self._base[1] for c in keyed.values())
         grouped = sum(len(g[0]) * (1 + len(ids)) for groups, ids in list(self._groups.values()) for g in groups)
-        return 16 * held + 24 * grouped + 64 * len(self._below) + 256 * len(self._ties)
+        summed = sum(len(s) for _, sums in list(self._below.values()) for s in sums.values())
+        return 16 * held + 24 * grouped + 8 * summed + 64 * len(self._below) + 256 * len(self._ties)
 
 
 class BisectionTerminal:

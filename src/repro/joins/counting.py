@@ -4,13 +4,14 @@ This is the message-passing instantiation of Example 2.1: every tuple starts
 with count 1, join groups aggregate with ``+`` (the ⊕ operator), and a tuple
 multiplies the group counts received from its children (the ⊗ operator).  A
 tuple whose join group in some child is empty is *dangling* and gets count 0,
-so no separate semi-join pass is needed.
+so no separate semi-join pass is needed.  A masked pass counts only the
+answers whose every row its 0/1 masks keep (``core.quantile.refuse_nan_sums``
+counts the answers holding no infinity of one sign so).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any
 
 from repro.data.database import Database
 from repro.joins.message_passing import MaterializedTree
@@ -71,35 +72,6 @@ def group_sums(
         return sums
 
     return tree.group_message(parent, child, "sums", build) if keep else build()
-
-
-def difference_witness(
-    tree: MaterializedTree,
-    counts: Mapping[int, list[int]],
-    excluded: Mapping[int, list[int]],
-    excluded_masks: Mapping[int, list[int]],
-) -> dict[str, Any]:
-    """One answer that ``counts`` counts and ``excluded`` does not: masked
-    :func:`subtree_counts`, ``excluded``'s masks keeping a subset of the rows.
-    Top down, a row's answers leave ``excluded`` through its own mask or one
-    child group where ``counts`` is larger again; other children take any
-    member ``counts`` counts.  The rows are read as ``assignment_of`` reads them."""
-    root = tree.root
-    chosen: dict[int, tuple[Any, ...]] = {}
-    pending = [(root, next(r for r, c in enumerate(counts[root]) if c > excluded[root][r]), True)]
-    while pending:
-        checkpoint("counting.witness")
-        node, row, differ = pending.pop()
-        values = chosen[node] = tree.rows(node)[row]
-        differ = differ and (node not in excluded_masks or bool(excluded_masks[node][row]))
-        for child in tree.children(node):
-            members = tree.child_groups(node, child)[tree.parent_group_key(node, values, child)]
-            kept, dropped = counts[child], excluded[child]
-            pick = next((m for m in members if kept[m] > dropped[m]), None) if differ else None
-            differ = differ and pick is None
-            pending.append((child, pick, True) if pick is not None
-                           else (child, next(m for m in members if kept[m]), False))
-    return tree.assignment_of(chosen)
 
 
 def count_from_tree(tree: MaterializedTree) -> int:

@@ -7,14 +7,18 @@ pivot step and every decoded tie is checked against brute force on small
 path joins:
 
 * ``W`` is the sorted set of the rows' keys and holds every answer's weight;
-* each predicate shape (<, <=, >, >=) around every key is one masked count;
+* each predicate shape (<, <=, >, >=) around every key is one count;
 * LEX counts inside a block (leading components fixed) and a step splits
   in two on one count, with no tie block, until one key of the last
   position is left: that step is its tie block;
 * a terminal's selections are the oracle's weights in order, so the rank is
   rebased into each block it descends into;
 * a count cut at the frontier (bisected sorted groups, a pass above them)
-  equals the masked pass over the whole tree, for every probe.
+  equals, group by group, the masked pass over the whole tree
+  (:func:`masked_counts`, the reference kept here), for every probe;
+* every tie decoded from two counts' frontier sums is an answer keyed as
+  its path, the one a row-by-row pick over the masked counts makes, over
+  the reduced base and over one with dangling rows.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import PreparedQuery
 from repro.exceptions import RankingError
+from repro.joins.counting import subtree_counts
 from repro.joins.tree_cache import TreeCache
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
@@ -62,6 +67,64 @@ def source_of(query, db, ranking):
 
 def weights(query, db, ranking):
     return sorted(ranking.weight_of(a) for a in query.answers_brute_force(db))
+
+
+def masked_counts(source, path, strict):
+    """The reference count: :func:`subtree_counts` over the whole base tree
+    under :func:`masks_of`, rows compared one by one rather than bisected
+    over sorted groups."""
+    return subtree_counts(source._weights()[0], masks_of(source, path, strict))
+
+
+def masks_of(source, path, strict):
+    """Per node holding a position <= j, the 0/1 mask of its rows keyed as
+    ``path`` allows: equal on the fixed positions, below (strict) / at most
+    ``W_j[path[-1]]`` on position j (MIN: above / at least)."""
+    _, columns, keys, held = source._weights()
+    j = len(path) - 1
+    masks = {}
+    for node, positions in held.items():
+        for k in positions:  # ascending
+            if k > j:
+                break
+            t = keys[k][path[k]]
+            if k < j:
+                kept = [w == t for w in columns[k][node]]
+            elif source._above:
+                kept = [w > t if strict else w >= t for w in columns[k][node]]
+            else:
+                kept = [w < t if strict else w <= t for w in columns[k][node]]
+            masks[node] = [a and b for a, b in zip(masks[node], kept)] if node in masks else kept
+    return masks
+
+
+def reference_witness(source, path):
+    """The tie's answer picked row by row on the masked counts at
+    ``W_j[path[-1]]``, kept and strictly kept: top down, while the difference
+    is unplaced, the lowest row counted more kept than strictly kept (a row
+    the strict mask drops places it), and the first child group counting
+    more kept takes it on; otherwise the lowest row counted kept."""
+    tree = source._weights()[0]
+    narrow = masks_of(source, path, True)
+    kept, strict = masked_counts(source, path, False), subtree_counts(tree, narrow)
+    chosen = {}
+    pending = [(tree.root, range(len(tree.rows(tree.root))), True)]
+    while pending:
+        node, members, differ = pending.pop()
+        row = next(m for m in members if kept[node][m] > (strict[node][m] if differ else 0))
+        chosen[node] = tree.rows(node)[row]
+        differ = differ and (node not in narrow or bool(narrow[node][row]))
+        for child in tree.children(node):
+            group = tree.child_groups(node, child)[tree.parent_group_key(node, chosen[node], child)]
+            down = differ and any(kept[child][m] > strict[child][m] for m in group)
+            differ = differ and not down
+            pending.append((child, group, down))
+    return tree.assignment_of(chosen)
+
+
+def count(source, path, strict):
+    """The frontier count of ``path``'s block (the root's one group sum)."""
+    return source._sums(path, strict)[source._weights()[0].root][0]
 
 
 MINMAX = {"min": MinRanking, "max": MaxRanking}
@@ -102,10 +165,13 @@ def test_every_predicate_shape_is_one_masked_count(shape, ranking_cls):
     oracle = weights(query, db, ranking)
     upper, strict = shape.startswith("<"), not shape.endswith("=")
     keeps_upper = ranking_cls is MaxRanking
+    tree = source._weights()[0]
     for i, threshold in enumerate(source._weights()[2][0]):
-        kept = source._probe((i,), strict if upper == keeps_upper else not strict)[0]
-        count = kept if upper == keeps_upper else source.total - kept
-        assert count == sum(map(one_sided(shape, threshold).contains, oracle))
+        probe = strict if upper == keeps_upper else not strict
+        kept = count(source, (i,), probe)
+        assert kept == sum(masked_counts(source, (i,), probe)[tree.root])
+        answers = kept if upper == keeps_upper else source.total - kept
+        assert answers == sum(map(one_sided(shape, threshold).contains, oracle))
 
 
 def test_example_51_max_around_ten():
@@ -217,7 +283,7 @@ def test_a_last_position_step_splits_in_two_on_one_count(name):
     with inject_faults(FaultPlan()) as plan:
         step = source.step(None, handle)
     assert (*prefix, mid) in source._below
-    assert plan.seen["counting.witness"] == plan.seen["counting.masked"] == 0
+    assert plan.seen["bisection.witness"] == 0
     assert step.pivot_assignment == {}
     assert step.count_lt == sum(component(w) < keys[mid] for w in block)
     assert step.count_gt == sum(component(w) >= keys[mid] for w in block)
@@ -304,7 +370,8 @@ def test_an_infinite_key_is_an_ordinary_key():
     assert source.below((at_inf,)) == 1
     assert source.below((at_inf, at_three)) == 1
     assert source.below((at_inf, at_three + 1)) == 2
-    assert source._probe((at_inf, at_three), False)[0] == 2
+    assert count(source, (at_inf, at_three), False) == 2
+    assert sum(masked_counts(source, (at_inf, at_three), False)[0]) == 2
 
 
 #: Keys that are equal across types (1 / 1.0 / True), infinite, or exact.
@@ -350,21 +417,69 @@ HOSTILE_ROWS = (
 @example(instance=path_join(HOSTILE_ROWS, SumRanking(["x1", "x2"])))
 def test_the_frontier_count_is_the_masked_count(instance):
     """Over the engine's reduced base and over the canonical one, whose
-    dangling rows every count must skip."""
-    query, db, ranking = instance
-    prepared = PreparedQuery(query, db, ranking)
-    reduced = prepared._ensure_source("exact-pivot")
-    if not isinstance(reduced, WeightBisection):
-        return  # a SUM whose atom is covered by a pair: not bisected
-    base = prepared._ensure_canonical()
-    dangling = WeightBisection(*base, ranking, TreeCache(), reduced.total, reduced._cover)
-    for source in (reduced, dangling):
+    dangling rows every count must skip: each node's group sums, not only
+    the root's, since a tie's witness walks them."""
+    for source in bases(instance):
+        tree = source._weights()[0]
         prefixes = [()]
         for column in source._weights()[2]:
             for prefix in prefixes:
                 for i in range(len(column)):
                     for strict in (False, True):
                         path = (*prefix, i)
-                        assert source._count(path, strict) == source._probe(path, strict)[0]
+                        sums, masked = source._sums(path, strict), masked_counts(source, path, strict)
+                        assert tree.root in sums
+                        for node, groups in sums.items():
+                            assert groups == masked_group_sums(tree, node, masked[node])
             longer = [(*prefix, i) for prefix in prefixes for i in range(len(column))]
             prefixes = longer[:: max(1, len(longer) // 6)]  # a few blocks per position
+
+
+def bases(instance):
+    """The engine's exact-pivot source and one over the unreduced canonical
+    base (none for a SUM whose atoms a pair covers: not bisected)."""
+    query, db, ranking = instance
+    prepared = PreparedQuery(query, db, ranking)
+    reduced = prepared._ensure_source("exact-pivot")
+    if not isinstance(reduced, WeightBisection):
+        return []
+    base = prepared._ensure_canonical()
+    return [reduced, WeightBisection(*base, ranking, TreeCache(), reduced.total, reduced._cover)]
+
+
+def masked_group_sums(tree, node, counts):
+    """``counts`` summed per join group of ``node``'s parent edge (the root:
+    one group), then 0 for the parent rows with none."""
+    parent = tree.rooted.parent[node]
+    members = [range(len(counts))] if parent is None else tree.child_groups(parent, node).values()
+    return [sum(counts[m] for m in rows) for rows in members] + [0]
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance=bisected_joins())
+@example(instance=path_join(HOSTILE_ROWS, MaxRanking(["x1"])))
+@example(instance=path_join(HOSTILE_ROWS, LexRanking(["x4", "x2"])))
+@example(instance=path_join(HOSTILE_ROWS, MinRanking(["x1", "x4"])))
+@example(instance=path_join(HOSTILE_ROWS, SumRanking(["x1", "x2"])))
+def test_every_tie_is_an_answer_keyed_as_its_path(instance):
+    """For every full path whose block holds an answer, the tie decoded from
+    the two counts around its key is an answer of the source's base whose
+    keys are the path's: its weight is ``_weight_at(path)``.  It is the
+    answer the row-by-row reference picks, so the representative of a tie
+    block does not move."""
+    for source in bases(instance):
+        query, db = source.query, source.db
+        paths = [()]
+        for column in source._weights()[2]:
+            paths = [(*path, i) for path in paths for i in range(len(column))]
+        decoded = 0
+        for path in paths:
+            if source.below((*path[:-1], path[-1] + 1)) == source.below(path):
+                continue  # an empty block
+            weight, assignment = source.tie(path)
+            assert query.satisfies(assignment, db)
+            assert source.ranking.weight_of(assignment) == source._weight_at(path)
+            assert repr(source.ranking.weight_of(assignment)) == repr(weight)
+            assert repr(assignment) == repr(reference_witness(source, path))
+            decoded += 1
+        assert decoded == len(source._ties) and (decoded > 0) == (source.total > 0)

@@ -6,8 +6,10 @@
 * A replay (``PreparedQuery.cached``) computes no probe.
 * A probe interrupted by a fault, a budget or a cancellation leaves no memo
   entry behind: the retry equals a fresh run.  So does a fault building a
-  node's sorted groups.
-* The memo and the sorted groups are charged by ``estimated_bytes``.
+  node's sorted groups, and one in a tie's witness walk or in a count whose
+  frontier sums it reads.
+* The memo, the counts' frontier sums and the sorted groups are charged by
+  ``estimated_bytes``.
 """
 
 from __future__ import annotations
@@ -84,9 +86,14 @@ def interrupt_then_compare(db, ranking, interrupt):
     assert interrupted
     source = prepared._ensure_source("exact-pivot")
     check = fresh(db, ranking)._ensure_source("exact-pivot")
-    for path, below in source._below.items():
-        assert below == check.below(path)
+    assert_whole(source._below, check)
     assert [key(r) for r in prepared.quantiles(PHIS)] == reference
+
+
+def assert_whole(memo, check):
+    """Every memoized count (and its frontier sums) equals a clean source's."""
+    for path, entry in list(memo.items()):
+        assert entry == (check.below(path), check._below[path][1])
 
 
 @pytest.mark.faults
@@ -141,6 +148,37 @@ def test_a_fault_building_sorted_groups_leaves_none_partial(path_db, ranking):
     assert [key(r) for r in results] == reference
 
 
+def tie_paths(db, ranking):
+    """The paths of the first, the median and the last answer's tie blocks
+    (the first and last keys of ``W``: MIN/MAX decode those from a count of
+    their own, not a memoized one)."""
+    prepared = fresh(db, ranking)
+    for index in (0, prepared.count() // 2, prepared.count() - 1):
+        prepared.selection(index)
+    return sorted(prepared._ensure_source("exact-pivot")._ties)
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("ranking", ["min(x1, x2, x4)", "max(x1, x4)", "lex(x4, x2, x1)"])
+def test_a_fault_decoding_a_tie_leaves_no_trace(path_db, ranking):
+    """A fault in a count whose frontier sums a tie reads leaves no memo
+    entry; one in the witness walk leaves no tie (the counts before it are
+    whole); the retry decodes what a clean source does."""
+    paths = tie_paths(path_db, ranking)
+    assert len(paths) == 3
+    for path in paths:
+        source = fresh(path_db, ranking)._ensure_source("exact-pivot")
+        check = fresh(path_db, ranking)._ensure_source("exact-pivot")
+        with pytest.raises(InjectedFault), inject_faults(FaultPlan().arm("bisection.count", after=1)):
+            source.tie(path)
+        assert not source._ties and not source._below
+        with pytest.raises(InjectedFault), inject_faults(FaultPlan().arm("bisection.witness", after=2)):
+            source.tie(path)
+        assert not source._ties
+        assert_whole(source._below, check)
+        assert repr(source.tie(path)) == repr(check.tie(path))
+
+
 @pytest.mark.parametrize("ranking", ["max(x1, x4)", "lex(x4, x2, x1)"])
 def test_estimated_bytes_grow_with_the_memo(path_db, ranking):
     prepared = fresh(path_db, ranking)
@@ -159,6 +197,12 @@ def test_estimated_bytes_grow_with_the_memo(path_db, ranking):
     charged = source.estimated_bytes()
     source._groups.clear()
     assert grouped and charged - source.estimated_bytes() == 24 * grouped
+    # So are the counts' frontier sums, 8 bytes a stored group sum.
+    summed = sum(len(sums) for _, frontier in source._below.values() for sums in frontier.values())
+    charged = source.estimated_bytes()
+    for path, (below, _) in list(source._below.items()):
+        source._below[path] = (below, {})
+    assert summed and charged - source.estimated_bytes() == 8 * summed
 
 
 @pytest.mark.parametrize("ranking_spec", ["lex(x1, x2)", "lex(x2, x1, x3)"])

@@ -277,8 +277,7 @@ class TestPreparedQueryUnderConcurrentFaults:
         plan = (
             FaultPlan()
             .arm("bisection.count", after=5)
-            .arm("counting.masked", after=5)
-            .arm("counting.witness", after=2)
+            .arm("bisection.witness", after=2)
         )
         barrier = threading.Barrier(10)
         outcomes = []
@@ -302,7 +301,11 @@ class TestPreparedQueryUnderConcurrentFaults:
         finally:
             sys.setswitchinterval(interval)
         assert all(weight in ("faulted", expected[phi]) for phi, weight in outcomes)
+        # A count and a tie's witness walk each faulted one worker.
+        assert sorted(name for name, _ in plan.fired) == ["bisection.count", "bisection.witness"]
         for phi in phis:
             assert fresh.quantile(phi).weight == expected[phi]
         source, check = (pq._ensure_source("exact-pivot") for pq in (fresh, reference))
-        assert all(below == check.below(i) for i, below in source._below.items())
+        assert all(
+            entry == (check.below(path), check._below[path][1]) for path, entry in source._below.items()
+        )

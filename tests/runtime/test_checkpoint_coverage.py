@@ -40,7 +40,6 @@ PHIS = [0.1, 0.5, 0.9]
 NO_ROW_CHARGE = {
     "direct_access.expand",
     "yannakakis.decode",
-    "counting.witness",
     "cover.decode",
 }
 
@@ -91,12 +90,13 @@ def cyclic_materialize_stage(query, db):
     batch(triangle, triangle_db, SumRanking(["x", "y", "z"]), strategy="materialize")
 
 
-BISECTION = {"bisection.groups", "bisection.count", "counting.masked", "counting.witness"}
+BISECTION = {"bisection.groups", "bisection.count", "bisection.witness"}
 
 STAGES = {
     # Weight bisection: the row weights, each node's sorted groups, one
     # count per probe (charged the groups it bisects and the rows above
-    # them), and a masked pass and top-down decode per tie block answered.
+    # them), and per tie block answered a top-down walk of the two counts'
+    # frontier sums (charged the kept rows it scans).
     "min": (
         lambda q, db: batch(q, db, MinRanking(["x1", "x4"])),
         BISECTION | {"bisection.weights"},

@@ -26,7 +26,7 @@ RANKING = "sum(x1, x2)"
 #: MAX over the path endpoints + tight rows: exact-pivot trips, sampling fits
 #: (same shape as tests/runtime/test_degradation.py's three_path recipe).
 DEGRADE_RANKING = "max(x1, x4)"
-DEGRADE_KNOBS = dict(epsilon=0.3, max_rows=1500, on_budget="degrade", seed=7)
+DEGRADE_KNOBS = dict(epsilon=0.3, max_rows=1000, on_budget="degrade", seed=7)
 
 
 def burst(svc, client, issue, clients, until):
