@@ -1,102 +1,89 @@
 """Randomized ε-approximate quantiles by uniform sampling (Section 3.1).
 
-Sampling answers uniformly at random (via the direct-access structure) and
-returning the φ-quantile of the sample gives a (φ ± ε)-quantile with high
-probability: by Hoeffding's inequality, O(1/ε²) samples suffice for a single
-estimate to fail with constant probability, and taking the median of
-O(log(1/δ)) independent estimates drives the failure probability below δ.
+A uniform index decoded through the direct-access structure is a uniformly
+random answer.  By Hoeffding's inequality, the φ-quantile of
+``⌈ln(4/δ)/2ε²⌉`` such answers is a (φ ± ε)-quantile with constant
+probability, and the median of ``⌈ln(2/δ)⌉`` independent estimates fails
+with probability below δ.  :class:`SampledAnswers` draws those samples once
+per prepared query, and every φ is then a select on them.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Collection
+from operator import itemgetter
 from typing import Any
 
-from repro.core.quantile import check_phi
-from repro.data.database import Database
-from repro.exceptions import ValidationError
-from repro.joins.message_passing import MaterializedTree
-from repro.joins.sampling import AnswerSampler
-from repro.query.join_query import JoinQuery
+from repro.core.quantile import phi_for_index, project, refuse_nan_sums, resolve_target
+from repro.core.result import QuantileResult
+from repro.joins.direct_access import DirectAccess
 from repro.ranking.base import RankingFunction
 from repro.runtime import checkpoint
 
 Assignment = dict[str, Any]
 
+#: Allowed failure probability of one φ's estimate.
+DELTA = 0.05
+#: Independent estimates whose median is taken.
+REPETITIONS = math.ceil(math.log(2.0 / DELTA))
 
-@dataclass(frozen=True)
-class SamplingQuantileResult:
-    """Outcome of the randomized approximation.
 
-    Attributes
-    ----------
-    assignment:
-        The returned answer (one of the sampled answers).
-    weight:
-        Its weight under the ranking function.
-    samples_used:
-        Total number of uniform samples drawn.
-    repetitions:
-        Number of independent estimates whose median was taken.
+class SampledAnswers:
+    """The ``sampling`` source: :data:`REPETITIONS` repetitions of
+    ``⌈ln(4/δ)/2ε²⌉`` uniform answers of ``access``, drawn in that order
+    from one ``random.Random(seed)`` and each stably sorted by weight.
+
+    A φ takes index ``⌊φ·m⌋`` of each repetition and returns the upper
+    median of those estimates by weight (stably sorted); a selection asks
+    for the φ of :func:`~repro.core.quantile.phi_for_index`.  Assignments
+    are held projected to ``keep``.
     """
 
-    assignment: Assignment
-    weight: Any
-    samples_used: int
-    repetitions: int
+    strategy = "sampling"
 
+    def __init__(
+        self,
+        access: DirectAccess,
+        ranking: RankingFunction,
+        epsilon: float,
+        seed: int | None,
+        keep: Collection[str],
+    ) -> None:
+        refuse_nan_sums(access.tree, ranking)
+        self.epsilon = epsilon
+        self.keep = keep
+        self.total = len(access)
+        self.size = math.ceil(math.log(4.0 / DELTA) / (2.0 * epsilon * epsilon))
+        rng = random.Random(seed)
+        self.samples: list[list[tuple[Any, Assignment]]] = []
+        for _ in range(REPETITIONS if self.total else 0):
+            checkpoint("sampling.estimate")
+            drawn: list[tuple[Any, Assignment]] = []
+            for _ in range(self.size):
+                checkpoint("sampling.sample", rows=1)
+                answer = access[rng.randrange(self.total)]
+                drawn.append((ranking.weight_of(answer), project(answer, keep)))
+            self.samples.append(sorted(drawn, key=itemgetter(0)))
 
-def sampling_quantile(
-    query: JoinQuery,
-    db: Database,
-    ranking: RankingFunction,
-    phi: float,
-    epsilon: float,
-    delta: float = 0.05,
-    seed: int | random.Random | None = None,
-    tree: MaterializedTree | None = None,
-) -> SamplingQuantileResult:
-    """Return a (φ ± ε)-quantile with probability at least ``1 − δ``.
+    def answer(self, phi: float | None, index: int | None) -> QuantileResult:
+        """The estimate for ``phi``, or for the answer at ``index``."""
+        target = resolve_target(phi, index, self.total)
+        if phi is None:
+            phi = phi_for_index(target, self.total)
+        position = min(self.size - 1, math.floor(phi * self.size))
+        estimates = sorted((sample[position] for sample in self.samples), key=itemgetter(0))
+        weight, assignment = estimates[len(estimates) // 2]
+        return QuantileResult(
+            assignment=dict(assignment),
+            weight=weight,
+            target_index=target,
+            total_answers=self.total,
+            strategy=self.strategy,
+            exact=False,
+            epsilon=self.epsilon,
+        )
 
-    Parameters
-    ----------
-    phi:
-        Requested quantile position in ``[0, 1]``.
-    epsilon:
-        Allowed error on the position, in ``(0, 1)``.
-    delta:
-        Allowed failure probability.
-    seed:
-        Seed or :class:`random.Random` for reproducibility.
-    tree:
-        Optionally, a pre-built materialized tree for (query, db); the
-        direct-access structure is then built over it instead of
-        re-materializing the atoms.
-    """
-    check_phi(phi)
-    if not 0 < epsilon < 1:
-        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not 0 < delta < 1:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
-    sampler = AnswerSampler(query, db, seed=seed, tree=tree)
-    sample_size = max(1, math.ceil(math.log(4.0 / delta) / (2.0 * epsilon * epsilon)))
-    repetitions = max(1, math.ceil(math.log(2.0 / delta)))
-
-    estimates: list[tuple[Any, Assignment]] = []
-    for _ in range(repetitions):
-        checkpoint("sampling.estimate")
-        sample = sampler.sample_many(sample_size)
-        sample.sort(key=ranking.weight_of)
-        index = min(len(sample) - 1, int(math.floor(phi * len(sample))))
-        chosen = sample[index]
-        estimates.append((ranking.weight_of(chosen), chosen))
-    estimates.sort(key=lambda pair: pair[0])
-    weight, assignment = estimates[len(estimates) // 2]
-    return SamplingQuantileResult(
-        assignment=dict(assignment),
-        weight=weight,
-        samples_used=sample_size * repetitions,
-        repetitions=repetitions,
-    )
+    def estimated_bytes(self) -> int:
+        return len(self.samples) * self.size * (len(self.keep) + 1) * 16

@@ -11,12 +11,15 @@ prepare-once/execute-many database pattern around it:
 * :class:`PreparedQuery` computes once and caches the canonical rewrite, the
   rooted join tree, the Yannakakis semijoin-reduced database, the answer
   count ``|Q(D)|``, the strategy plan, and one candidate source per strategy
-  (cover counting, key bisection, a lossy trimmer, or sorted answers) — then exposes
+  (cover counting, key bisection, a lossy trimmer, sorted answers, or a
+  held sample) — then exposes
   :meth:`~PreparedQuery.quantile`, batch :meth:`~PreparedQuery.quantiles`,
   :meth:`~PreparedQuery.selection`, :meth:`~PreparedQuery.median`, and
   :meth:`~PreparedQuery.count`.
 * Every strategy but ``sampling`` runs Algorithm 1 over its source;
   ``materialize`` is the loop with zero pivot steps over all answers, sorted.
+  ``sampling``'s source holds one uniform sample per prepared query, and a
+  φ is a select on it.
   Across calls, a shared pivot cache memoizes the deterministic pivoting
   iterations per candidate interval, so a batch of φ values re-runs only the
   suffix of the search path where the target ranks diverge;
@@ -40,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.approx.lossy_sum_trim import LossySumTrimmer
-from repro.approx.randomized import sampling_quantile
+from repro.approx.randomized import SampledAnswers
 from repro.baselines.materialize import MaterializedAnswers
 from repro.core.quantile import (
     CacheMiss,
@@ -50,12 +53,8 @@ from repro.core.quantile import (
     PreparedSource,
     WeightBisection,
     check_phi,
-    phi_for_index,
     pivoting_quantile,
-    project,
-    refuse_nan_sums,
     replay,
-    resolve_target,
 )
 from repro.core.result import QuantileResult
 from repro.data.database import Database
@@ -72,6 +71,7 @@ from repro.exceptions import (
     WorkerPoolClosedError,
 )
 from repro.joins.counting import count_from_tree
+from repro.joins.direct_access import DirectAccess
 from repro.joins.tree_cache import TreeCache
 from repro.joins.yannakakis import full_reduce
 from repro.parallel.merger import ParallelSession, RankMerger
@@ -153,7 +153,9 @@ class PreparedQuery:
         ``"auto"`` (default) picks per the dichotomy; the other values force
         a specific algorithm.
     seed:
-        Seed for the randomized sampling strategy.
+        Seed for the sampling strategy, an ``int`` or ``None``.  The sample
+        is drawn once per prepared query (``None``: from fresh entropy) and
+        redrawn only after :meth:`clear_pivot_cache`.
     termination_factor:
         The pivoting loop materializes-and-selects once at most
         ``termination_factor × |D|`` candidates remain (Algorithm 1 uses
@@ -224,6 +226,8 @@ class PreparedQuery:
             and 0.0 < epsilon < 1.0
         ):
             raise ValidationError(f"epsilon must be a number in (0, 1), got {epsilon!r}")
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise ValidationError(f"seed must be an int or None, got {seed!r}")
         check_limits(
             timeout=timeout, max_rows=max_rows, termination_factor=termination_factor
         )
@@ -252,7 +256,7 @@ class PreparedQuery:
         # this prepared query's lifetime, each over its own candidate source
         # (the lossy trimmer of approx-pivot must never be confused with the
         # exact ones).
-        self._sources: dict[str, PreparedSource] = {}
+        self._sources: dict[str, PreparedSource | SampledAnswers] = {}
         # {mode: (step cache, answer cache)}, mode being a strategy with a
         # source or "sharded".  Both caches are keyed by candidate weight interval,
         # but entries are not interchangeable between modes: a lossy trim of
@@ -308,9 +312,6 @@ class PreparedQuery:
 
     def _prepare_all(self) -> None:
         plan = self.plan()
-        if plan.strategy == "sampling":
-            self._ensure_total()
-            return
         self._ensure_source(plan.strategy)
         if plan.strategy == "exact-pivot":
             self._ensure_parallel()
@@ -457,11 +458,12 @@ class PreparedQuery:
                     self._total = total
         return total
 
-    def _ensure_source(self, strategy: str) -> PreparedSource:
-        """The source of one strategy but sampling, built once: the sorted
-        answers of the original (possibly cyclic) query, or the reduced base,
-        ``|Q(D)|``, tree cache and exact SUM's cover / approx-pivot's trimmer.
-        A strategy invalid for this query raises before it reduces or counts."""
+    def _ensure_source(self, strategy: str) -> PreparedSource | SampledAnswers:
+        """The source of one strategy, built once: the sorted answers of the
+        original (possibly cyclic) query, sampling's sample of the canonical
+        join, or the reduced base, ``|Q(D)|``, tree cache and exact SUM's
+        cover / approx-pivot's trimmer.  A strategy invalid for this query
+        raises before it reduces, counts or draws."""
         source = self._sources.get(strategy)
         if source is None:
             with self._state_lock:
@@ -470,9 +472,17 @@ class PreparedQuery:
                     source = self._sources[strategy] = self._build_source(strategy)
         return source
 
-    def _build_source(self, strategy: str) -> PreparedSource:
+    def _build_source(self, strategy: str) -> PreparedSource | SampledAnswers:
         if strategy == "materialize":
             return MaterializedAnswers(self.query, self.db, self.ranking)
+        if strategy == "sampling":
+            if self.epsilon is None:
+                raise SolverError("the sampling strategy requires epsilon")
+            canonical = self._ensure_canonical()
+            access = DirectAccess(*canonical, tree=self._tree_cache.get(*canonical))
+            return SampledAnswers(
+                access, self.ranking, self.epsilon, self.seed, self.query.variables
+            )
         ranking, is_sum = self.ranking, isinstance(self.ranking, SumRanking)
         if strategy == "approx-pivot":
             if self.epsilon is None:
@@ -704,13 +714,14 @@ class PreparedQuery:
     ) -> QuantileResult:
         """Run one concrete strategy (planned or a degradation rung)."""
         checkpoint("engine.execute")
-        if strategy == "sampling":
-            return self._solve_by_sampling(phi=phi, index=index)
         if strategy == "exact-pivot" and self._shard_count >= 2:
             result = self._try_parallel(phi, index)
             if result is not None:
                 return result
-        return self._pivot(self._ensure_source(strategy), self._mode_caches(strategy), phi, index)
+        source = self._ensure_source(strategy)
+        if isinstance(source, SampledAnswers):
+            return source.answer(phi, index)
+        return self._pivot(source, self._mode_caches(strategy), phi, index)
 
     def _pivot(
         self,
@@ -742,14 +753,16 @@ class PreparedQuery:
 
         Computes nothing: it replays memoized pivoting steps and selects from
         a memoized terminal (``materialize``: its sorted answers), or gives
-        up.  ``None`` also when the plan is not made yet or is sampling, and
-        while shard workers are live.  Invalid targets raise what
-        :meth:`quantile` raises.
+        up; ``sampling`` selects from the held sample, once it is drawn.
+        ``None`` also when the plan is not made yet, and while shard workers
+        are live.  Invalid targets raise what :meth:`quantile` raises.
         """
         plan = self._plan
         if plan is None or self.shards is not None:
             return None
         source = self._sources.get(plan.strategy)
+        if isinstance(source, SampledAnswers):
+            return source.answer(phi, index)
         caches = self._caches.get(plan.strategy)
         if source is None or caches is None:
             return None
@@ -761,37 +774,6 @@ class PreparedQuery:
                     return self._pivot(source, caches, phi, index)
         except (CacheMiss, BudgetExceededError):
             return None
-
-    def _solve_by_sampling(
-        self, phi: float | None = None, index: int | None = None
-    ) -> QuantileResult:
-        if self.epsilon is None:
-            raise SolverError("the sampling strategy requires epsilon")
-        canonical_query, canonical_db = self._ensure_canonical()
-        total = self._ensure_total()
-        target = resolve_target(phi, index, total)
-        if phi is None:
-            phi = phi_for_index(target, total)
-        tree = self._tree_cache.get(canonical_query, canonical_db)
-        refuse_nan_sums(tree, self.ranking)
-        outcome = sampling_quantile(
-            canonical_query,
-            canonical_db,
-            self.ranking,
-            phi=phi,
-            epsilon=self.epsilon,
-            seed=self.seed,
-            tree=tree,
-        )
-        return QuantileResult(
-            assignment=project(outcome.assignment, set(self.query.variables)),
-            weight=outcome.weight,
-            target_index=target,
-            total_answers=total,
-            strategy="sampling",
-            exact=False,
-            epsilon=self.epsilon,
-        )
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -842,8 +824,9 @@ class PreparedQuery:
 
     def clear_pivot_cache(self) -> None:
         """Drop the memoized pivoting iterations, serial and sharded, and the
-        candidate sources with their memos (materialize's sorted answers
-        too); the rest of the prepared state is kept."""
+        candidate sources with their memos (materialize's sorted answers and
+        sampling's sample too: the next call redraws it); the rest of the
+        prepared state is kept."""
         with self._state_lock:
             self._caches.clear()
             self._sources.clear()

@@ -148,6 +148,14 @@ class TestPrepare:
                 strategy=strategy, epsilon=epsilon,
             )
 
+    @pytest.mark.parametrize("seed", [1.5, True, [1], "7"])
+    def test_a_seed_that_is_not_an_int_is_rejected(self, binary_join, engine, seed):
+        # [1] used to escape as a TypeError from the memo key's hash, while
+        # 1.5 and True were accepted although the service refuses them.
+        query, _ = binary_join
+        with pytest.raises(ValidationError, match="seed"):
+            engine.prepare(query, SumRanking(["x1"]), strategy="sampling", epsilon=0.1, seed=seed)
+
     def test_ranking_validated_against_query(self, binary_join):
         query, db = binary_join
         with pytest.raises(RankingError):
@@ -383,10 +391,16 @@ class TestCached:
         prepared.clear_pivot_cache()
         assert prepared.cached(phi=0.5) is None
 
-    def test_a_sampling_plan_is_none(self, path_db):
+    def test_a_sampling_plan_answers_from_its_held_sample(self, path_db):
         knobs = {"strategy": "sampling", "epsilon": 0.1, "seed": 3}
-        prepared = Engine(path_db).prepare(PATH_QUERY, "sum(x1, x2)", **knobs)
-        prepared.quantile(0.5)
+        prepared = PreparedQuery(PATH_QUERY, path_db, "sum(x1, x2)", **knobs)
+        assert prepared.cached(phi=0.5) is None  # nothing drawn yet
+        cold = prepared.quantiles(PHIS) + [prepared.selection(7)]
+        with inject_faults(FaultPlan()) as plan:
+            replayed = [prepared.cached(phi=phi) for phi in PHIS] + [prepared.cached(index=7)]
+        assert repr(replayed) == repr(cold)
+        assert not plan.seen
+        prepared.clear_pivot_cache()
         assert prepared.cached(phi=0.5) is None
 
     def test_a_sharded_query_is_none(self, path_db, inline_mode):

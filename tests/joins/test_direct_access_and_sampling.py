@@ -5,13 +5,14 @@ from collections import Counter
 
 import pytest
 
+from repro.approx.randomized import SampledAnswers
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.exceptions import EmptyResultError
 from repro.joins.direct_access import DirectAccess
-from repro.joins.sampling import AnswerSampler
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
+from repro.ranking.sum import SumRanking
 
 
 def answer_key(assignment):
@@ -70,39 +71,49 @@ class TestDirectAccess:
         assert len({answer_key(access[i]) for i in range(12)}) == 12
 
 
-class TestAnswerSampler:
+def sampled(query, db, ranking, epsilon=0.2, seed=1):
+    return SampledAnswers(DirectAccess(query, db), ranking, epsilon, seed, query.variables)
+
+
+class TestSampledAnswers:
     def test_samples_are_answers(self, three_path):
         query, db = three_path
-        sampler = AnswerSampler(query, db, seed=1)
-        for sample in sampler.sample_many(20):
-            assert query.satisfies(sample, db)
+        source = sampled(query, db, SumRanking(["x1", "x4"]))
+        for sample in source.samples:
+            for _, answer in sample:
+                assert query.satisfies(answer, db)
 
     def test_total_answers_exposed(self, figure1_query, figure1_db):
-        sampler = AnswerSampler(figure1_query, figure1_db, seed=0)
-        assert sampler.total_answers == 13
+        assert sampled(figure1_query, figure1_db, SumRanking(["x3"])).total == 13
 
     def test_deterministic_with_seed(self, figure1_query, figure1_db):
-        first = AnswerSampler(figure1_query, figure1_db, seed=7).sample_many(10)
-        second = AnswerSampler(figure1_query, figure1_db, seed=7).sample_many(10)
-        assert first == second
+        first = sampled(figure1_query, figure1_db, SumRanking(["x3"]), seed=7)
+        second = sampled(figure1_query, figure1_db, SumRanking(["x3"]), seed=7)
+        assert first.samples == second.samples
 
-    def test_empty_result_raises(self):
+    def test_an_empty_join_draws_nothing(self):
         query = JoinQuery([Atom("R", ("x",))])
         db = Database([Relation("R", ("a",), [])])
+        source = sampled(query, db, SumRanking(["x"]))
+        assert source.samples == []
         with pytest.raises(EmptyResultError):
-            AnswerSampler(query, db)
+            source.answer(0.5, None)
 
     def test_sampling_is_roughly_uniform(self, figure1_query, figure1_db):
         """Chi-square style sanity check: every answer appears, none dominates."""
-        sampler = AnswerSampler(figure1_query, figure1_db, seed=123)
-        draws = 13 * 120
-        counts = Counter(answer_key(sampler.sample()) for _ in range(draws))
+        source = sampled(figure1_query, figure1_db, SumRanking(["x3"]), epsilon=0.1, seed=123)
+        draws = len(source.samples) * source.size
+        counts = Counter(answer_key(answer) for sample in source.samples for _, answer in sample)
         assert len(counts) == 13  # every answer was seen
         expected = draws / 13
         for count in counts.values():
             assert 0.5 * expected < count < 1.6 * expected
 
-    def test_accepts_random_instance(self, figure1_query, figure1_db):
-        rng = random.Random(5)
-        sampler = AnswerSampler(figure1_query, figure1_db, seed=rng)
-        assert sampler.sample()
+    def test_each_repetition_is_sorted_by_weight(self, three_path):
+        query, db = three_path
+        ranking = SumRanking(["x1", "x4"])
+        source = sampled(query, db, ranking)
+        for sample in source.samples:
+            weights = [weight for weight, _ in sample]
+            assert weights == sorted(weights)
+            assert weights == [ranking.weight_of(answer) for _, answer in sample]

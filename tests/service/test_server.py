@@ -233,15 +233,20 @@ class TestLoopReplay:
         # One pool lookup per request: a miss, then a hit.
         assert (stats["pool"]["misses"], stats["pool"]["hits"]) == (1, 1)
 
-    def test_a_repeated_materialize_request_skips_the_executor(self, service):
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"strategy": "materialize"}, {"strategy": "sampling", "epsilon": 0.1, "seed": 7}],
+        ids=["materialize", "sampling"],
+    )
+    def test_a_repeated_request_of_a_held_source_skips_the_executor(self, service, knobs):
         svc, client = service
         calls = count_run_batch(svc)
-        first = client.query("demo", QUERY, RANKING, phis=[0.5], strategy="materialize")
-        again = client.query("demo", QUERY, RANKING, phis=[0.5], strategy="materialize")
+        first = client.query("demo", QUERY, RANKING, phis=[0.5, 0.9], **knobs)
+        again = client.query("demo", QUERY, RANKING, phis=[0.5, 0.9], **knobs)
         assert len(calls) == 1
         assert again.status == first.status == 200
         assert again.payload["results"] == first.payload["results"]
-        assert first.payload["results"][0]["strategy"] == "materialize"
+        assert first.payload["results"][0]["strategy"] == knobs["strategy"]
         cold, warm = client.stats()["recent"][-2:]
         assert (cold["served"], warm["served"]) == ("executor", "cache")
         assert warm["checkpoints"] == 0
